@@ -14,10 +14,10 @@
 // (HTTP 429) back off briefly and retry; the retry count is reported.
 //
 // With -replica-verify, after the load window closes each replica is
-// synced to the primary's published epoch and compared row by row
-// against /v1/snapshot — every float must be bit-identical, or the run
-// fails. This is the end-to-end check that delta streaming loses
-// nothing.
+// synced onto the primary's published epoch vector and compared row by
+// row against every shard's /v1/snapshot section — every float must be
+// bit-identical, or the run fails. This is the end-to-end check that
+// delta streaming loses nothing.
 //
 // -wire selects the response encoding for the row-carrying endpoints:
 // json (the default) or binary (the compact frame format, ~5× fewer
@@ -449,14 +449,14 @@ func scrapeMetrics(ctx context.Context, url string, out io.Writer) error {
 			route, h.Count, h.Quantile(0.5)*1000, h.Quantile(0.99)*1000)
 	}
 	for _, s := range samples {
-		if s.Name == "gee_coalescer_queue_depth" {
-			fmt.Fprintf(out, "  coalescer queue depth %g", s.Value)
-			if h := metrics.HistogramFromSamples(samples, "gee_coalescer_batch_ops", nil); h != nil && h.Count > 0 {
-				fmt.Fprintf(out, ", %.1f ops/batch mean over %d batches", h.Mean(), h.Count)
-			}
-			fmt.Fprintln(out)
-			break
+		if s.Name != "gee_coalescer_queue_depth" {
+			continue
 		}
+		fmt.Fprintf(out, "  shard %s coalescer queue depth %g", s.Label("shard"), s.Value)
+		if h := metrics.HistogramFromSamples(samples, "gee_coalescer_batch_ops", s.Labels); h != nil && h.Count > 0 {
+			fmt.Fprintf(out, ", %.1f ops/batch mean over %d batches", h.Mean(), h.Count)
+		}
+		fmt.Fprintln(out)
 	}
 	return nil
 }
@@ -522,66 +522,45 @@ func reportTraces(ctx context.Context, url string, out io.Writer) error {
 // legitimate tie-breaking).
 func measureRecall(ctx context.Context, c *client.Client, n int, cfg config, out io.Writer) error {
 	r := xrand.New(cfg.seed + uint64(9000))
-	sharded := false
-	if meta, err := c.Partition(ctx); err == nil && meta.Shards > 1 {
-		sharded = true
-	}
 	approxReq := func(v graph.NodeID) server.NeighborsRequest {
 		return server.NeighborsRequest{
 			V: v, K: cfg.nbrK, Metric: cfg.nbrMetric,
 			Mode: "approx", NProbe: cfg.nbrNProbe,
 		}
 	}
-	// Warm: each stale or cold approx query kicks the async rebuild;
-	// poll until the index answers at the published epoch. Reports
-	// indexed=false only when the server says it will never index
-	// (n below its exact threshold, where recall is 1 by
-	// construction) — a cold index above the threshold also answers
-	// "exact" while its first build is in flight, and treating that as
-	// below-threshold would fabricate a recall figure.
+	// Warm: each stale or cold approx query kicks the async rebuild of
+	// every shard it scatters to; poll /statsz until every indexing
+	// shard's index has caught up to that shard's own published epoch.
+	// (Per-shard epochs are independent counters, so the response's
+	// scalars cannot say this: IndexEpoch is the min over shard indexes,
+	// Epoch the max over shard publishes.) Reports indexed=false only
+	// when no shard will ever index (all below the exact threshold,
+	// where recall is 1 by construction) — a cold index above the
+	// threshold also answers "exact" while its first build is in
+	// flight, and treating that as below-threshold would fabricate a
+	// recall figure.
 	warm := func() (indexed bool, err error) {
 		for tries := 0; ; tries++ {
 			resp, err := c.Neighbors(ctx, approxReq(graph.NodeID(r.Intn(n))))
 			if err != nil {
 				return false, err
 			}
-			switch {
-			case sharded:
-				// Per-shard epochs are independent counters, so the scalar
-				// IndexEpoch == Epoch quiesce test can never hold here
-				// (IndexEpoch is the min over shard indexes, Epoch the max
-				// over shard publishes). Ask /statsz whether every
-				// indexing shard's index has caught up to that shard's own
-				// published epoch instead; the scatter query above kicked
-				// any stale shard's rebuild. Shards below the exact
-				// threshold never index and are exact by construction.
-				st, err := c.Stats(ctx)
-				if err != nil {
-					return false, err
+			st, err := c.Stats(ctx)
+			if err != nil {
+				return false, err
+			}
+			caughtUp, indexing := true, false
+			for _, ss := range st.Shards {
+				if !ss.Index.Indexing {
+					continue
 				}
-				caughtUp, indexing := true, false
-				for _, ss := range st.Shards {
-					if !ss.Index.Indexing {
-						continue
-					}
-					indexing = true
-					if ss.Index.Epoch != ss.Dyn.Epoch {
-						caughtUp = false
-					}
+				indexing = true
+				if ss.Index.Epoch != ss.Dyn.Epoch {
+					caughtUp = false
 				}
-				if caughtUp {
-					return indexing, nil
-				}
-			case resp.Mode == "approx" && resp.IndexEpoch == resp.Epoch:
-				return true, nil
-			case resp.Mode == "exact":
-				st, err := c.Stats(ctx)
-				if err != nil {
-					return false, err
-				}
-				if !st.Index.Indexing {
-					return false, nil
-				}
+			}
+			if caughtUp {
+				return indexing, nil
 			}
 			if tries >= 300 {
 				return false, fmt.Errorf("index never caught up to the published epoch (%d vs %d)",
@@ -614,16 +593,11 @@ func measureRecall(ctx context.Context, c *client.Client, n int, cfg config, out
 		if err != nil {
 			return err
 		}
-		stale := ap.IndexEpoch != ex.Epoch
-		if sharded {
-			// The scalar comparison is meaningless across shards; what
-			// matters is that no publish landed between the two scatter
-			// reads — their per-shard epoch vectors must agree exactly.
-			// (A shard whose index lags its snapshot serves that partial
-			// from the exact scan, which can only raise recall.)
-			stale = !maps.Equal(ap.Epochs, ex.Epochs)
-		}
-		if stale {
+		// No publish may land between the two scatter reads: their
+		// per-shard epoch vectors must agree exactly. (A shard whose
+		// index lags its snapshot serves that partial from the exact
+		// scan, which can only raise recall.)
+		if !maps.Equal(ap.Epochs, ex.Epochs) {
 			// A straggler publish landed mid-phase (a write whose client
 			// departed at the load deadline is still applied and
 			// published). Stragglers are bounded by the writers'
@@ -668,80 +642,18 @@ func measureRecall(ctx context.Context, c *client.Client, n int, cfg config, out
 	return nil
 }
 
-// verifyReplicas syncs each replica to the primary's published epoch
-// (the writers are done, so the server is quiescent) and compares it
-// row by row against /v1/snapshot: every float must be bit-identical —
-// the delta path reconstructs the snapshot stream's exact bytes, not
-// an approximation of them.
+// verifyReplicas checks every replica against the primary bit for bit.
+// The primary's state is the union of per-shard sections, each at its
+// own epoch, so each replica must converge onto the fetched sections'
+// epoch vector and then match them row by row — the delta path
+// reconstructs the snapshot stream's exact bytes, not an approximation
+// of them. The writers are done, so every shard is quiescent; a
+// straggling publish just re-anchors that one section.
 func verifyReplicas(ctx context.Context, c *client.Client, reps []*client.Replica, out io.Writer) error {
-	// A sharded server refuses the bare snapshot read; verify section by
-	// section against the partition instead. A probe error falls through
-	// to the legacy path (a server predating /v1/partition serves it).
-	if meta, err := c.Partition(ctx); err == nil && meta.Shards > 1 {
-		return verifyReplicasSharded(ctx, c, meta, reps, out)
-	}
-	snap, err := c.Snapshot(ctx)
+	meta, err := c.Partition(ctx)
 	if err != nil {
 		return fmt.Errorf("replica verify: %w", err)
 	}
-	for i, rep := range reps {
-		for tries := 0; ; tries++ {
-			s := rep.Snapshot()
-			if s != nil && s.Epoch == snap.Epoch {
-				break
-			}
-			if s != nil && s.Epoch > snap.Epoch {
-				// The primary published after our snapshot fetch (a
-				// straggling ack): re-anchor on the newer epoch.
-				if snap, err = c.Snapshot(ctx); err != nil {
-					return fmt.Errorf("replica verify: %w", err)
-				}
-				continue
-			}
-			if tries > 100 {
-				epoch := "none"
-				if s != nil {
-					epoch = fmt.Sprint(s.Epoch)
-				}
-				return fmt.Errorf("replica %d stuck at epoch %s, primary at %d", i, epoch, snap.Epoch)
-			}
-			if _, err := rep.Sync(ctx); err != nil {
-				return fmt.Errorf("replica %d verify sync: %w", i, err)
-			}
-		}
-		s := rep.Snapshot()
-		rn, rk := s.Dims()
-		if s.Edges != snap.Edges || rn != snap.N || rk != snap.K {
-			return fmt.Errorf("replica %d shape/edges mismatch: %d edges %dx%d vs %d edges %dx%d",
-				i, s.Edges, rn, rk, snap.Edges, snap.N, snap.K)
-		}
-		row := make([]float64, snap.K)
-		for v := 0; v < snap.N; v++ {
-			if s.Y[v] != snap.Y[v] {
-				return fmt.Errorf("replica %d: label of %d is %d, primary %d", i, v, s.Y[v], snap.Y[v])
-			}
-			// Both sides traveled the same wire format, so equality is
-			// bitwise even on the float32 binary wire: the replica's
-			// rows and the verification snapshot quantized identically.
-			for col, x := range s.CopyRow(v, row) {
-				if x != snap.Z[v][col] {
-					return fmt.Errorf("replica %d: Z[%d][%d] = %v, primary %v (not bit-identical)",
-						i, v, col, x, snap.Z[v][col])
-				}
-			}
-		}
-	}
-	fmt.Fprintf(out, "replica verify OK: %d replica(s), %d rows bit-identical to the primary snapshot at epoch %d\n",
-		len(reps), snap.N, snap.Epoch)
-	return nil
-}
-
-// verifyReplicasSharded is the sharded verify: the primary's state is
-// the union of per-shard sections, each at its own epoch, so each
-// replica must converge onto the fetched sections' epoch vector and
-// then match them row by row. The writers are done, so every shard is
-// quiescent; a straggling publish just re-anchors that one section.
-func verifyReplicasSharded(ctx context.Context, c *client.Client, meta shard.Meta, reps []*client.Replica, out io.Writer) error {
 	secs := make([]server.SnapshotResponse, meta.Shards)
 	fetch := func(i int) error {
 		s, err := c.SnapshotShard(ctx, i)
@@ -762,7 +674,7 @@ func verifyReplicasSharded(ctx context.Context, c *client.Client, meta shard.Met
 		// exact per-shard epoch equality, not just coverage.
 		for tries := 0; ; tries++ {
 			s := rep.Snapshot()
-			behind, ahead := s == nil || s.Epochs == nil, false
+			behind, ahead := s == nil, false
 			if !behind {
 				for sh := 0; sh < meta.Shards; sh++ {
 					switch {

@@ -37,10 +37,10 @@ const (
 	// published bits.
 	JSON Format = iota
 	// Binary negotiates compact wire frames (internal/wire): dense
-	// float32 snapshots a replica can mmap directly, and sparse delta
-	// rows at a fraction of the JSON bytes — decoded transparently
-	// into the same response structs. Falls back to JSON automatically
-	// against a server that does not speak it.
+	// float32 snapshots and sparse delta rows at a fraction of the JSON
+	// bytes — decoded transparently into the same response structs. A
+	// server may answer JSON anyway; the response's Content-Type picks
+	// the decoder.
 	Binary
 )
 
@@ -105,22 +105,6 @@ func isFrame(contentType string) bool {
 	return strings.EqualFold(strings.TrimSpace(mt), wire.ContentType)
 }
 
-// statusError is a non-200, non-429 response, carrying the status code
-// so callers can branch on it (the replica's partition probe treats a
-// 404 as "server predates sharding", not as a failure).
-type statusError struct {
-	code int
-	msg  string
-}
-
-func (e *statusError) Error() string { return e.msg }
-
-// isNotFound reports whether err is an HTTP 404 from this client.
-func isNotFound(err error) bool {
-	var se *statusError
-	return errors.As(err, &se) && se.code == http.StatusNotFound
-}
-
 // checkStatus translates a non-200 response into an error (consuming
 // the body). A nil return means the caller owns a 200 body.
 func checkStatus(resp *http.Response, method, path string) error {
@@ -133,11 +117,9 @@ func checkStatus(resp *http.Response, method, path string) error {
 	}
 	var e server.ErrorResponse
 	if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
-		return &statusError{code: resp.StatusCode,
-			msg: fmt.Sprintf("client: %s %s: %s (%d)", method, path, e.Error, resp.StatusCode)}
+		return fmt.Errorf("client: %s %s: %s (%d)", method, path, e.Error, resp.StatusCode)
 	}
-	return &statusError{code: resp.StatusCode,
-		msg: fmt.Sprintf("client: %s %s: status %d", method, path, resp.StatusCode)}
+	return fmt.Errorf("client: %s %s: status %d", method, path, resp.StatusCode)
 }
 
 // do runs one request and decodes the response into out, translating
@@ -203,36 +185,6 @@ func (c *Client) do(ctx context.Context, method, path string, body any, out any)
 		return cr.n, err
 	}
 	return cr.n, nil
-}
-
-// getStream issues a GET and hands back the status-checked response
-// body with its Content-Type — the replica's spill-to-file bootstrap
-// path, which must see the raw frame bytes rather than a decoded copy.
-// The caller owns Close.
-func (c *Client) getStream(ctx context.Context, path string) (io.ReadCloser, string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return nil, "", err
-	}
-	if c.wire == Binary {
-		req.Header.Set("Accept", acceptValue)
-	}
-	// Same id contract as do; no rpc span here — the body outlives the
-	// call, so its extent is the caller's to measure.
-	if tr := trace.FromContext(ctx); tr != nil {
-		req.Header.Set(trace.Header, tr.ID().String())
-	} else {
-		req.Header.Set(trace.Header, trace.NewID().String())
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, "", err
-	}
-	if err := checkStatus(resp, http.MethodGet, path); err != nil {
-		resp.Body.Close()
-		return nil, "", err
-	}
-	return resp.Body, resp.Header.Get("Content-Type"), nil
 }
 
 func toWire(edges []graph.Edge) []server.EdgeWire {
@@ -304,37 +256,37 @@ func (c *Client) Neighbors(ctx context.Context, req server.NeighborsRequest) (se
 	return out, err
 }
 
-// Delta fetches the epoch delta from `from` to the currently published
-// epoch. A response with Resync set means the caller must refetch the
-// full Snapshot instead (see server.DeltaResponse).
+// Delta is DeltaShard(0) for a one-shard server, which reads a bare
+// request as shard 0; a server with more shards refuses it. A response
+// with Resync set means the caller must refetch the full Snapshot
+// instead (see server.DeltaResponse).
 func (c *Client) Delta(ctx context.Context, from uint64) (server.DeltaResponse, error) {
 	var out server.DeltaResponse
 	_, err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/delta?from=%d", from), nil, &out)
 	return out, err
 }
 
-// Snapshot fetches the whole current published snapshot.
+// Snapshot fetches the whole current published snapshot of a one-shard
+// server, which reads a bare request as shard 0; a server with more
+// shards refuses it (use Partition and SnapshotShard).
 func (c *Client) Snapshot(ctx context.Context) (server.SnapshotResponse, error) {
 	var out server.SnapshotResponse
 	_, err := c.do(ctx, http.MethodGet, "/v1/snapshot", nil, &out)
 	return out, err
 }
 
-// Partition fetches the serving tier's shard layout. An unsharded
-// server answers a trivial single-shard partition, so a client probes
-// this once and then knows whether /v1/snapshot and /v1/delta speak
-// the whole-matrix protocol or require per-shard sections (?shard=).
+// Partition fetches the serving tier's shard layout: the sections
+// /v1/snapshot?shard=i and /v1/delta?shard=i serve. One embedder is the
+// one-shard partition.
 func (c *Client) Partition(ctx context.Context) (shard.Meta, error) {
 	var out shard.Meta
 	_, err := c.do(ctx, http.MethodGet, "/v1/partition", nil, &out)
 	return out, err
 }
 
-// SnapshotShard fetches shard s's section of a sharded server's
-// snapshot: the shard's owned row window only, with Lo carrying the
-// window's global row offset (implicit on the binary wire — use
-// Partition's bounds). Against an unsharded server only s == 0 is
-// valid and the response is the whole snapshot.
+// SnapshotShard fetches shard s's section of the snapshot: the shard's
+// owned row window only, with Lo carrying the window's global row
+// offset (implicit on the binary wire — use Partition's bounds).
 func (c *Client) SnapshotShard(ctx context.Context, s int) (server.SnapshotResponse, error) {
 	var out server.SnapshotResponse
 	_, err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/snapshot?shard=%d", s), nil, &out)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/server"
+	"repro/internal/shard"
 	"repro/internal/wire"
 )
 
@@ -38,18 +39,35 @@ func frameLabels(ls []wire.Label) []server.LabelWire {
 	return out
 }
 
+// snapshotFrameShape checks that f is a self-consistent snapshot frame:
+// every one of its N rows present in identity order, one label each.
+func snapshotFrameShape(f *wire.Frame) error {
+	if f.Kind != wire.KindSnapshot {
+		return fmt.Errorf("client: frame kind %d answering a snapshot request", f.Kind)
+	}
+	if f.NRows != f.N || f.RowIDs != nil || uint32(len(f.Y)) != f.N {
+		return fmt.Errorf("client: snapshot frame shape n=%d rows=%d ids=%d labels=%d",
+			f.N, f.NRows, len(f.RowIDs), len(f.Y))
+	}
+	return nil
+}
+
 // frameInto fills one of the row-carrying response structs from a
 // frame, validating that the frame kind and shape match what the
 // caller asked for.
 func frameInto(f *wire.Frame, out any) error {
 	switch o := out.(type) {
-	case *server.SnapshotResponse:
-		if f.Kind != wire.KindSnapshot {
-			return fmt.Errorf("client: frame kind %d answering a snapshot request", f.Kind)
+	case *sectionBody:
+		// The replica's section fetch keeps the frame itself: its rows
+		// are already the float32 the local matrix stores.
+		if err := snapshotFrameShape(f); err != nil {
+			return err
 		}
-		if f.NRows != f.N || f.RowIDs != nil || uint32(len(f.Y)) != f.N {
-			return fmt.Errorf("client: snapshot frame shape n=%d rows=%d ids=%d labels=%d",
-				f.N, f.NRows, len(f.RowIDs), len(f.Y))
+		o.frame = f
+		return nil
+	case *server.SnapshotResponse:
+		if err := snapshotFrameShape(f); err != nil {
+			return err
 		}
 		n, k := int(f.N), int(f.K)
 		o.Epoch, o.Instance = f.Epoch, f.Instance
@@ -78,7 +96,9 @@ func frameInto(f *wire.Frame, out any) error {
 		if f.Kind != wire.KindEmbeddings {
 			return fmt.Errorf("client: frame kind %d answering an embeddings request", f.Kind)
 		}
-		o.Epoch = f.Epoch
+		// The server frames a batched read only when one snapshot (shard
+		// 0's) answered all of it.
+		o.Epoch, o.Epochs = f.Epoch, shard.EpochVector{0: f.Epoch}
 		o.Rows = rowsToF64(f.Rows, int(f.NRows), int(f.K))
 		return nil
 	default:

@@ -2,13 +2,10 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"os"
-	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,21 +19,21 @@ import (
 	"repro/internal/wire"
 )
 
-// Replica is a read-only follower of one serving endpoint: it
-// bootstraps a full copy of the embedding from /v1/snapshot and then
-// keeps it current by applying /v1/delta responses — changed rows
-// instead of O(nK) re-streams — falling back to a fresh snapshot
-// whenever the server answers "resync". This is the read fan-out
-// story: any number of replicas serve local, lock-free reads (the
-// same copy-on-epoch discipline as the primary's own snapshot reads)
-// while the primary pays each publish's delta once per replica, not
-// each read once per network round trip.
+// Replica is a read-only follower of one serving endpoint. It speaks
+// one protocol, the section protocol: /v1/partition says which
+// contiguous row windows exist (one per shard; a lone embedder is the
+// one-section case), each section bootstraps from /v1/snapshot?shard=i
+// and is then kept current by applying /v1/delta?shard=i responses —
+// changed rows instead of O(nK) re-streams — falling back to a fresh
+// section whenever the server answers "resync" for it. This is the read
+// fan-out story: any number of replicas serve local, lock-free reads
+// (the same copy-on-epoch discipline as the primary's own snapshot
+// reads) while the primary pays each publish's delta once per replica,
+// not each read once per network round trip.
 //
-// Over a Binary-format client the bootstrap is zero-copy: the frame
-// bytes stream to a spill file which is mmap'd read-only, so the rows
-// never get decoded into a heap copy — the local matrix aliases the
-// kernel page cache (on Linux; elsewhere the frame is decoded in
-// memory). Deltas then patch copy-on-write float32 versions.
+// Over a Binary-format client the local matrix is float32, the binary
+// wire's documented precision: section frames are copied into it as
+// they arrive and deltas patch copy-on-write versions.
 //
 // Reads (Snapshot, Embedding) never block and are safe for any
 // concurrency; Bootstrap and Sync are serialized internally, so one
@@ -73,36 +70,32 @@ type Replica struct {
 // Use Dims and CopyRow to read rows — they work for both storage
 // representations (see Z).
 type ReplicaSnapshot struct {
+	// Epoch is the max of Epochs, the scalar summary.
 	Epoch uint64
-	// Instance is the server-side embedder lifetime the epoch belongs
-	// to; Sync discards local state and bootstraps afresh when the
-	// server's instance changes (a restart resets the epoch counter,
-	// so cross-instance deltas would silently corrupt the copy). Zero
-	// when following a sharded server — each shard has its own
-	// instance, tracked internally per section (see Epochs).
-	Instance uint64
-	// Epochs is the per-shard epoch vector when following a sharded
-	// server (nil otherwise): Epochs[i] is the section epoch shard i's
-	// rows are current at, and Epoch is the max. Sections sync
-	// independently, so the vector's entries generally differ.
+	// Epochs is the per-shard epoch vector: Epochs[i] is the section
+	// epoch shard i's rows are current at. Sections sync independently,
+	// so the entries generally differ.
 	Epochs shard.EpochVector
-	// Z is the heap float64 copy of the embedding when the snapshot
-	// came over the JSON wire; nil when it came over the binary wire
-	// (float32 rows, possibly aliasing a read-only mmap of the
-	// bootstrap spill file — unmapped automatically once the snapshot
-	// is unreachable).
+	// Instances[i] is the server-side embedder lifetime Epochs[i]
+	// belongs to; Sync discards a section and refetches it when its
+	// shard's instance changes (a restart resets the epoch counter, so
+	// cross-instance deltas would silently corrupt the copy).
+	Instances []uint64
+	// Z is the float64 copy of the embedding held by a JSON-format
+	// client; nil for a Binary-format one (float32 rows).
 	Z *mat.Dense
-	// Y is the label vector (always heap-backed, never aliases a
-	// mapping).
-	Y     []int32
+	// Y is the label vector.
+	Y []int32
+	// Edges sums the per-shard live-edge counts (a cut edge lives in
+	// both owning shards, so the sum counts it twice — the same
+	// convention as the server's own /statsz aggregate).
 	Edges int64
 
 	z32  []float32 // row-major n×k; set exactly when Z is nil
 	n, k int
-	// secs is the per-shard section state when following a sharded
-	// server (nil otherwise): secs[i] mirrors shard i's owned window.
-	// It rides the immutable snapshot chain — Sync builds the next
-	// version's secs copy-on-write, like the matrix itself.
+	// secs[i] mirrors shard i's owned window. It rides the immutable
+	// snapshot chain — Sync builds the next version's secs
+	// copy-on-write, like the matrix itself.
 	secs []section
 }
 
@@ -148,7 +141,7 @@ func (s *ReplicaSnapshot) CopyRow(v int, dst []float64) []float64 {
 type ReplicaStats struct {
 	Epoch       uint64 // current local epoch
 	Syncs       int64  // Sync calls that completed successfully
-	Resyncs     int64  // syncs that fell back to a full snapshot
+	Resyncs     int64  // syncs that refetched at least one whole section
 	RowsApplied int64  // rows patched in via deltas
 	// On-wire response-body bytes, by endpoint.
 	DeltaBytes    int64
@@ -219,7 +212,7 @@ func (r *Replica) Instrument(reg *metrics.Registry) {
 		"Sync calls that completed successfully.",
 		func() float64 { return float64(r.syncs.Load()) })
 	reg.CounterFunc("gee_replica_resyncs_total",
-		"Syncs that fell back to a full snapshot transfer.",
+		"Syncs that refetched at least one whole section.",
 		func() float64 { return float64(r.resyncs.Load()) })
 	reg.CounterFunc("gee_replica_rows_applied_total",
 		"Rows patched in via deltas.",
@@ -261,135 +254,36 @@ func (r *Replica) RecordTraces(rec *trace.Recorder) {
 	r.mu.Unlock()
 }
 
-// Bootstrap (re)initializes the local copy from a full snapshot.
+// Bootstrap (re)initializes the local copy from whole sections.
 func (r *Replica) Bootstrap(ctx context.Context) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.bootstrapLocked(ctx)
+	return r.bootstrapLocked(ctx, nil)
 }
 
-func (r *Replica) bootstrapLocked(ctx context.Context) error {
-	// Probe the partition first: a sharded server refuses bare
-	// /v1/snapshot reads, so the shard layout decides the protocol. An
-	// unsharded server answers a trivial single-shard partition (and a
-	// server predating the endpoint answers 404) — both select the
-	// legacy whole-matrix path, whose wire traffic is unchanged.
+// bootstrapLocked asks /v1/partition which sections exist and fetches
+// every one whole. Sections are fetched sequentially, so they may
+// straddle concurrent publishes — each is internally consistent at its
+// own epoch, and subsequent Syncs advance each shard independently;
+// there is no cross-shard "one instant" any more than there is on the
+// serving side.
+func (r *Replica) bootstrapLocked(ctx context.Context, tr *trace.Trace) error {
 	meta, err := r.c.Partition(ctx)
-	switch {
-	case isNotFound(err):
-		// fall through to the legacy path
-	case err != nil:
-		return err
-	case meta.Shards > 1:
-		return r.bootstrapShardedLocked(ctx, meta)
-	}
-	if r.c.wire == Binary {
-		return r.bootstrapBinaryLocked(ctx)
-	}
-	var snap server.SnapshotResponse
-	n, err := r.c.do(ctx, http.MethodGet, "/v1/snapshot", nil, &snap)
-	r.addSnapshotBytes(n)
 	if err != nil {
 		return err
 	}
-	return r.storeDecodedSnapshot(&snap)
-}
-
-// storeDecodedSnapshot validates and installs a snapshot decoded into
-// the JSON response struct (float64 heap storage).
-func (r *Replica) storeDecodedSnapshot(snap *server.SnapshotResponse) error {
-	// Validate the decoded shape like Sync validates deltas: a
-	// malformed or truncated response must surface as an error, not as
-	// an out-of-bounds panic here or a short Y that explodes later.
-	if snap.N < 0 || snap.K < 0 || len(snap.Z) != snap.N || len(snap.Y) != snap.N {
-		return fmt.Errorf("client: snapshot shape n=%d k=%d with %d rows / %d labels",
-			snap.N, snap.K, len(snap.Z), len(snap.Y))
+	if _, err := shard.NewPartitionFromBounds(meta.N, meta.Bounds); err != nil ||
+		len(meta.Bounds) != meta.Shards+1 || meta.K <= 0 {
+		return fmt.Errorf("client: partition shape shards=%d n=%d k=%d bounds=%v",
+			meta.Shards, meta.N, meta.K, meta.Bounds)
 	}
-	z := mat.NewDense(snap.N, snap.K)
-	for u, row := range snap.Z {
-		if len(row) != snap.K {
-			return fmt.Errorf("client: snapshot row %d has width %d, want %d", u, len(row), snap.K)
-		}
-		copy(z.Row(u), row)
+	// An empty version that knows only the layout: with no delta to
+	// carry anything over, every section is fetched whole.
+	layout := &ReplicaSnapshot{n: meta.N, k: meta.K, secs: make([]section, meta.Shards)}
+	for i := range layout.secs {
+		layout.secs[i] = section{lo: int(meta.Bounds[i]), hi: int(meta.Bounds[i+1])}
 	}
-	r.snapshotPayload.Add(int64(snap.N)*int64(snap.K)*8 + int64(snap.N)*4)
-	r.cur.Store(&ReplicaSnapshot{
-		Epoch: snap.Epoch, Instance: snap.Instance, Z: z, Y: snap.Y,
-		Edges: snap.Edges, n: snap.N, k: snap.K,
-	})
-	return nil
-}
-
-// bootstrapBinaryLocked streams the binary snapshot frame to a spill
-// file and maps it read-only: the n×K float32 payload is never decoded
-// into a heap copy — the local matrix aliases the mapping, which is
-// released once the snapshot version becomes unreachable. A server
-// that answers JSON anyway (no binary support) is decoded in place.
-func (r *Replica) bootstrapBinaryLocked(ctx context.Context) error {
-	body, contentType, err := r.c.getStream(ctx, "/v1/snapshot")
-	if err != nil {
-		return err
-	}
-	defer body.Close()
-	cr := &countingReader{r: body}
-	if !isFrame(contentType) {
-		var snap server.SnapshotResponse
-		err := json.NewDecoder(cr).Decode(&snap)
-		r.addSnapshotBytes(cr.n)
-		if err != nil {
-			return err
-		}
-		return r.storeDecodedSnapshot(&snap)
-	}
-	spill, err := os.CreateTemp("", "gee-replica-*.snap")
-	if err != nil {
-		return err
-	}
-	path := spill.Name()
-	_, cpErr := io.Copy(spill, cr)
-	r.addSnapshotBytes(cr.n)
-	if err := spill.Close(); cpErr == nil {
-		cpErr = err
-	}
-	if cpErr != nil {
-		os.Remove(path)
-		return fmt.Errorf("client: spilling snapshot frame: %w", cpErr)
-	}
-	f, closer, err := mapFrame(path)
-	// The mapping (or the decoded copy) outlives the name either way.
-	os.Remove(path)
-	if err != nil {
-		return err
-	}
-	fail := func(err error) error {
-		if closer != nil {
-			closer()
-		}
-		return err
-	}
-	if f.Kind != wire.KindSnapshot || f.NRows != f.N || f.RowIDs != nil || uint32(len(f.Y)) != f.N {
-		return fail(fmt.Errorf("client: snapshot frame shape kind=%d n=%d rows=%d ids=%d labels=%d",
-			f.Kind, f.N, f.NRows, len(f.RowIDs), len(f.Y)))
-	}
-	n, k := int(f.N), int(f.K)
-	snap := &ReplicaSnapshot{
-		Epoch: f.Epoch, Instance: f.Instance, Edges: f.Edges,
-		// Y is copied to the heap: it is a public field, and a slice
-		// that quietly aliased the mapping could outlive the snapshot
-		// that keeps the mapping alive. The big payload — Rows — stays
-		// aliased and is only reachable through CopyRow.
-		Y:   append([]int32(nil), f.Y...),
-		z32: f.Rows, n: n, k: k,
-	}
-	if closer != nil {
-		// Unmap when this version becomes unreachable — readers may
-		// hold it forever, so eager unmapping on the next Sync would
-		// pull pages out from under them.
-		runtime.AddCleanup(snap, func(unmap func() error) { unmap() }, closer)
-	}
-	r.snapshotPayload.Add(int64(n)*int64(k)*4 + int64(n)*4)
-	r.cur.Store(snap)
-	return nil
+	return r.rebuildLocked(ctx, tr, layout, make([]*server.DeltaResponse, meta.Shards))
 }
 
 // sectionShapeError reports a section response whose shape disagrees
@@ -400,114 +294,199 @@ type sectionShapeError struct{ msg string }
 
 func (e *sectionShapeError) Error() string { return e.msg }
 
-// fetchSection fetches shard i's snapshot section and validates it
-// against the expected window [lo, hi) and width k. Both wire formats
-// land here: a binary section frame is a snapshot frame of the small
-// owned window, so do's transparent frame decoding applies unchanged
-// (the frame has no lo field — the window comes from the partition).
-func (r *Replica) fetchSection(ctx context.Context, i, lo, hi, k int) (*server.SnapshotResponse, error) {
-	var snap server.SnapshotResponse
-	n, err := r.c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/snapshot?shard=%d", i), nil, &snap)
+// sectionBody is one fetched snapshot section in whichever encoding the
+// server answered: frame for a binary answer (its float32 rows are
+// copied straight into the assembly — no float64 detour), the embedded
+// response for JSON (a server may always answer JSON; content
+// negotiation is outside input).
+type sectionBody struct {
+	server.SnapshotResponse
+	frame *wire.Frame
+}
+
+// assembly is the next version's storage while Sync builds it: float32
+// rows for a Binary-format client, float64 otherwise.
+type assembly struct {
+	z   *mat.Dense // exactly one of z and z32 is set
+	z32 []float32
+	y   []int32
+	k   int
+}
+
+func newAssembly(binary bool, n, k int) *assembly {
+	a := &assembly{y: make([]int32, n), k: k}
+	if binary {
+		a.z32 = make([]float32, n*k)
+	} else {
+		a.z = mat.NewDense(n, k)
+	}
+	return a
+}
+
+// elemSize is the storage width of one value, for payload accounting.
+func (a *assembly) elemSize() int64 {
+	if a.z32 != nil {
+		return 4
+	}
+	return 8
+}
+
+// carry copies the row window [lo, hi) and its labels over from cur.
+func (a *assembly) carry(cur *ReplicaSnapshot, lo, hi int) {
+	if a.z32 != nil {
+		copy(a.z32[lo*a.k:hi*a.k], cur.z32[lo*a.k:hi*a.k])
+	} else {
+		copy(a.z.Data[lo*a.k:hi*a.k], cur.Z.Data[lo*a.k:hi*a.k])
+	}
+	copy(a.y[lo:hi], cur.Y[lo:hi])
+}
+
+// setRow stores one decoded float64 row. Narrowing into float32 storage
+// is exact for rows the binary wire carried (float32, widened on
+// decode).
+func (a *assembly) setRow(v int, row []float64) {
+	if a.z != nil {
+		copy(a.z.Row(v), row)
+		return
+	}
+	dst := a.z32[v*a.k : (v+1)*a.k]
+	for j, x := range row {
+		dst[j] = float32(x)
+	}
+}
+
+// setFrameRows stores a frame's dense float32 rows starting at row lo.
+func (a *assembly) setFrameRows(lo int, rows []float32) {
+	if a.z32 != nil {
+		copy(a.z32[lo*a.k:], rows)
+		return
+	}
+	dst := a.z.Data[lo*a.k:]
+	for j, x := range rows {
+		dst[j] = float64(x)
+	}
+}
+
+// snapshot seals the assembly into the immutable version.
+func (a *assembly) snapshot(secs []section) *ReplicaSnapshot {
+	s := &ReplicaSnapshot{
+		Epochs: make(shard.EpochVector, len(secs)), Instances: make([]uint64, len(secs)),
+		Z: a.z, z32: a.z32, Y: a.y, n: len(a.y), k: a.k, secs: secs,
+	}
+	for i, sec := range secs {
+		s.Epochs[i], s.Instances[i] = sec.epoch, sec.instance
+		s.Edges += sec.edges
+	}
+	s.Epoch = s.Epochs.Max()
+	return s
+}
+
+// fetchSection fetches shard i's snapshot section into the assembly and
+// stamps sec with its epoch, instance and edge count, validating the
+// body against the window [sec.lo, sec.hi) and width the partition
+// promised (a binary frame has no lo field — the window comes from the
+// partition alone).
+func (r *Replica) fetchSection(ctx context.Context, i int, sec *section, a *assembly) error {
+	var body sectionBody
+	n, err := r.c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/snapshot?shard=%d", i), nil, &body)
 	r.addSnapshotBytes(n)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if snap.N != hi-lo || snap.K != k || len(snap.Z) != snap.N || len(snap.Y) != snap.N ||
-		(snap.Lo != 0 && int(snap.Lo) != lo) {
-		return nil, &sectionShapeError{msg: fmt.Sprintf(
-			"client: shard %d section shape n=%d k=%d lo=%d (%d rows, %d labels), want window [%d,%d) k=%d",
-			i, snap.N, snap.K, snap.Lo, len(snap.Z), len(snap.Y), lo, hi, k)}
-	}
-	for u, row := range snap.Z {
-		if len(row) != k {
-			return nil, fmt.Errorf("client: shard %d section row %d has width %d, want %d", i, u, len(row), k)
+	lo, hi, k := sec.lo, sec.hi, a.k
+	if f := body.frame; f != nil {
+		// frameInto already checked the frame is a self-consistent
+		// snapshot (N rows, N labels, implicit ids).
+		if int(f.N) != hi-lo || int(f.K) != k {
+			return &sectionShapeError{msg: fmt.Sprintf(
+				"client: shard %d section frame n=%d k=%d, want window [%d,%d) k=%d", i, f.N, f.K, lo, hi, k)}
 		}
-	}
-	return &snap, nil
-}
-
-// storeSectionRows copies a fetched section's rows and labels into the
-// assembly arrays at the section's global offset. Exactly one of z and
-// z32 is non-nil; float64 → float32 narrowing on the binary path is
-// exact (the wire carried float32, widened on decode).
-func storeSectionRows(z *mat.Dense, z32 []float32, y []int32, snap *server.SnapshotResponse, lo, k int) {
-	for u, row := range snap.Z {
-		if z != nil {
-			copy(z.Row(lo+u), row)
-			continue
-		}
-		dst := z32[(lo+u)*k : (lo+u+1)*k]
-		for j, x := range row {
-			dst[j] = float32(x)
-		}
-	}
-	copy(y[lo:lo+len(snap.Y)], snap.Y)
-}
-
-// assembleSharded builds the immutable version from the assembly
-// arrays and per-section state: Epoch is the vector max, and Edges
-// sums the per-shard live-edge counts (a cut edge lives in both owning
-// shards, so the sum counts it twice — the same convention as the
-// sharded server's own /statsz aggregate).
-func assembleSharded(z *mat.Dense, z32 []float32, y []int32, secs []section, n, k int) *ReplicaSnapshot {
-	ev := make(shard.EpochVector, len(secs))
-	var edges int64
-	for i, sec := range secs {
-		ev[i] = sec.epoch
-		edges += sec.edges
-	}
-	return &ReplicaSnapshot{
-		Epoch: ev.Max(), Epochs: ev, Z: z, z32: z32, Y: y,
-		Edges: edges, n: n, k: k, secs: secs,
-	}
-}
-
-// bootstrapShardedLocked (re)initializes the local copy from one
-// snapshot section per shard. Sections are fetched sequentially, so
-// they may straddle concurrent publishes — each section is internally
-// consistent at its own epoch, and subsequent Syncs advance each shard
-// independently; there is no cross-shard "one instant" any more than
-// there is on the serving side. Binary-wire sections are decoded in
-// memory rather than mmap-spilled: each is a fraction of the matrix,
-// and assembling them into one full n×k array needs a writable copy
-// anyway.
-func (r *Replica) bootstrapShardedLocked(ctx context.Context, meta shard.Meta) error {
-	if meta.N < 0 || meta.K < 0 || len(meta.Bounds) != meta.Shards+1 ||
-		meta.Bounds[0] != 0 || int(meta.Bounds[meta.Shards]) != meta.N {
-		return fmt.Errorf("client: partition shape shards=%d n=%d bounds=%v",
-			meta.Shards, meta.N, meta.Bounds)
-	}
-	n, k := meta.N, meta.K
-	var z *mat.Dense
-	var z32 []float32
-	elemSize := int64(8)
-	if r.c.wire == Binary {
-		z32 = make([]float32, n*k)
-		elemSize = 4
+		a.setFrameRows(lo, f.Rows)
+		copy(a.y[lo:hi], f.Y)
+		sec.epoch, sec.instance, sec.edges = f.Epoch, f.Instance, f.Edges
 	} else {
-		z = mat.NewDense(n, k)
-	}
-	y := make([]int32, n)
-	secs := make([]section, meta.Shards)
-	for i := range secs {
-		lo, hi := int(meta.Bounds[i]), int(meta.Bounds[i+1])
-		snap, err := r.fetchSection(ctx, i, lo, hi, k)
-		if err != nil {
-			return err
+		snap := &body.SnapshotResponse
+		if snap.N != hi-lo || snap.K != k || len(snap.Z) != snap.N || len(snap.Y) != snap.N || int(snap.Lo) != lo {
+			return &sectionShapeError{msg: fmt.Sprintf(
+				"client: shard %d section shape n=%d k=%d lo=%d (%d rows, %d labels), want window [%d,%d) k=%d",
+				i, snap.N, snap.K, snap.Lo, len(snap.Z), len(snap.Y), lo, hi, k)}
 		}
-		storeSectionRows(z, z32, y, snap, lo, k)
-		secs[i] = section{lo: lo, hi: hi, epoch: snap.Epoch, instance: snap.Instance, edges: snap.Edges}
-		r.snapshotPayload.Add(int64(snap.N)*int64(k)*elemSize + int64(snap.N)*4)
+		for u, row := range snap.Z {
+			if len(row) != k {
+				return fmt.Errorf("client: shard %d section row %d has width %d, want %d", i, u, len(row), k)
+			}
+			a.setRow(lo+u, row)
+		}
+		copy(a.y[lo:hi], snap.Y)
+		sec.epoch, sec.instance, sec.edges = snap.Epoch, snap.Instance, snap.Edges
 	}
-	r.cur.Store(assembleSharded(z, z32, y, secs, n, k))
+	r.snapshotPayload.Add(int64(hi-lo)*int64(k)*a.elemSize() + int64(hi-lo)*4)
 	return nil
 }
 
-// Sync advances the local copy to the server's published epoch: one
-// /v1/delta round trip, or a full bootstrap when the replica has no
-// state yet or the server demands a resync. Returns whether a full
-// snapshot transfer happened. Copy-on-epoch: readers holding the
-// previous ReplicaSnapshot are unaffected.
+// applyDelta patches one shard's delta rows and labels into the
+// assembly, enforcing the owned-window contract: a delta's row ids are
+// global but must fall inside the shard's window.
+func (a *assembly) applyDelta(dl *server.DeltaResponse, sec *section) error {
+	for i, v := range dl.Rows {
+		if int(v) < sec.lo || int(v) >= sec.hi || len(dl.Z[i]) != a.k {
+			return fmt.Errorf("client: delta row %d (vertex %d) outside shard window [%d,%d) or malformed",
+				i, v, sec.lo, sec.hi)
+		}
+		a.setRow(int(v), dl.Z[i])
+	}
+	for _, l := range dl.Labels {
+		if int(l.V) < sec.lo || int(l.V) >= sec.hi {
+			return fmt.Errorf("client: delta label vertex %d outside shard window [%d,%d)",
+				l.V, sec.lo, sec.hi)
+		}
+		a.y[l.V] = l.Class
+	}
+	sec.epoch, sec.edges = dl.Epoch, dl.Edges
+	return nil
+}
+
+// rebuildLocked assembles and publishes the version after cur. Section
+// i is fetched whole when deltas[i] is nil (bootstrap, resync,
+// restarted shard) — filled in place, never cloned from cur first — and
+// otherwise carried over from cur with deltas[i] patched in.
+// Copy-on-epoch: readers holding cur are unaffected, and the new
+// version appears atomically with every section advanced.
+func (r *Replica) rebuildLocked(ctx context.Context, tr *trace.Trace, cur *ReplicaSnapshot, deltas []*server.DeltaResponse) error {
+	applyRef := tr.StartSpan("apply")
+	defer tr.EndSpan(applyRef)
+	k := cur.k
+	a := newAssembly(r.c.wire == Binary, cur.n, k)
+	secs := slices.Clone(cur.secs)
+	rows := 0
+	for i := range secs {
+		dl := deltas[i]
+		if dl == nil {
+			if err := r.fetchSection(ctx, i, &secs[i], a); err != nil {
+				return err
+			}
+			continue
+		}
+		a.carry(cur, secs[i].lo, secs[i].hi)
+		if err := a.applyDelta(dl, &secs[i]); err != nil {
+			return err
+		}
+		rows += len(dl.Rows)
+		r.deltaPayload.Add(int64(len(dl.Rows))*int64(k)*a.elemSize() +
+			int64(len(dl.Rows))*4 + int64(len(dl.Labels))*8)
+	}
+	tr.SpanTag(applyRef, "rows", fmt.Sprint(rows))
+	r.rowsApplied.Add(int64(rows))
+	r.cur.Store(a.snapshot(secs))
+	return nil
+}
+
+// Sync advances the local copy to the server's published epochs: one
+// /v1/delta round trip per shard, plus a section transfer for each
+// shard that demands a resync (or a full bootstrap when the replica has
+// no state yet). Returns whether any whole-section transfer happened.
+// Copy-on-epoch: readers holding the previous ReplicaSnapshot are
+// unaffected.
 func (r *Replica) Sync(ctx context.Context) (resynced bool, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -536,235 +515,66 @@ func (r *Replica) Sync(ctx context.Context) (resynced bool, err error) {
 // while the rpc spans come from the client's do via the context.
 func (r *Replica) syncLocked(ctx context.Context, tr *trace.Trace) (resynced bool, err error) {
 	t0 := time.Now()
-	// observe records the wall time of a successful sync under the
-	// outcome's histogram (resync transfers the full matrix, a delta
-	// patches rows — mixing them would bury the delta signal).
-	observe := func(resynced bool) {
-		h := r.mSyncDelta
-		if resynced {
-			h = r.mSyncResync
-		}
-		if h != nil {
-			h.ObserveSince(t0)
-		}
+	if cur := r.cur.Load(); cur == nil {
+		resynced, err = true, r.bootstrapLocked(ctx, tr)
+	} else {
+		resynced, err = r.followLocked(ctx, tr, cur)
 	}
-	cur := r.cur.Load()
-	if cur == nil {
-		if err := r.bootstrapLocked(ctx); err != nil {
-			return false, err
-		}
-		r.syncs.Add(1)
-		r.resyncs.Add(1)
-		observe(true)
-		return true, nil
-	}
-	if cur.secs != nil {
-		resynced, err := r.syncShardedLocked(ctx, tr, cur)
-		if err != nil {
-			return false, err
-		}
-		r.syncs.Add(1)
-		if resynced {
-			r.resyncs.Add(1)
-		}
-		observe(resynced)
-		return resynced, nil
-	}
-	var dl server.DeltaResponse
-	n, err := r.c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/delta?from=%d", cur.Epoch), nil, &dl)
-	r.addDeltaBytes(n)
 	if err != nil {
 		return false, err
 	}
-	// A changed instance means the server restarted (or was replaced):
-	// its epochs belong to a different history, so even a well-formed
-	// row delta would patch an unrelated base. Discard and bootstrap.
-	if dl.Resync || dl.Instance != cur.Instance {
-		if err := r.bootstrapLocked(ctx); err != nil {
-			return false, err
-		}
-		r.syncs.Add(1)
-		r.resyncs.Add(1)
-		observe(true)
-		return true, nil
-	}
-	if dl.Epoch == cur.Epoch {
-		r.syncs.Add(1)
-		observe(false)
-		return false, nil // already current
-	}
-	if len(dl.Z) != len(dl.Rows) {
-		return false, fmt.Errorf("client: delta carries %d rows but %d value rows", len(dl.Rows), len(dl.Z))
-	}
-	applyRef := tr.StartSpan("apply")
-	tr.SpanTag(applyRef, "rows", fmt.Sprint(len(dl.Rows)))
-	defer tr.EndSpan(applyRef)
-	next := &ReplicaSnapshot{
-		Epoch: dl.Epoch, Instance: cur.Instance, Edges: dl.Edges,
-		n: cur.n, k: cur.k,
-	}
-	elemSize := int64(8)
-	if cur.Z != nil {
-		z := cur.Z.Clone()
-		for i, v := range dl.Rows {
-			if int(v) >= cur.n || len(dl.Z[i]) != cur.k {
-				return false, fmt.Errorf("client: delta row %d (vertex %d) malformed", i, v)
-			}
-			copy(z.Row(int(v)), dl.Z[i])
-		}
-		next.Z = z
-	} else {
-		// Binary storage: patch a fresh float32 version. The wire
-		// carried float32 widened to float64 on decode, so narrowing
-		// back is exact — the patched row equals the frame's bytes.
-		z := append([]float32(nil), cur.z32...)
-		for i, v := range dl.Rows {
-			if int(v) >= cur.n || len(dl.Z[i]) != cur.k {
-				return false, fmt.Errorf("client: delta row %d (vertex %d) malformed", i, v)
-			}
-			row := z[int(v)*cur.k : (int(v)+1)*cur.k]
-			for j, x := range dl.Z[i] {
-				row[j] = float32(x)
-			}
-		}
-		next.z32 = z
-		elemSize = 4
-	}
-	y := append([]int32(nil), cur.Y...)
-	for _, l := range dl.Labels {
-		if int(l.V) >= len(y) {
-			return false, fmt.Errorf("client: delta label vertex %d out of range", l.V)
-		}
-		y[l.V] = l.Class
-	}
-	next.Y = y
-	r.cur.Store(next)
 	r.syncs.Add(1)
-	r.rowsApplied.Add(int64(len(dl.Rows)))
-	r.deltaPayload.Add(int64(len(dl.Rows))*int64(cur.k)*elemSize +
-		int64(len(dl.Rows))*4 + int64(len(dl.Labels))*8)
-	observe(false)
-	return false, nil
+	// Wall time goes under the outcome's histogram: a resync transfers
+	// whole sections, a delta patches rows — mixing them would bury the
+	// delta signal.
+	h := r.mSyncDelta
+	if resynced {
+		r.resyncs.Add(1)
+		h = r.mSyncResync
+	}
+	if h != nil {
+		h.ObserveSince(t0)
+	}
+	return resynced, nil
 }
 
-// syncShardedLocked advances every section: one /v1/delta round trip
-// per shard. Shards resync independently — only a section whose server
-// answered "resync" (or whose embedder instance changed: that shard
-// restarted) pays a full section transfer, the others keep patching
-// rows. A section whose shape no longer matches the stored window
-// means the partition itself changed, so the whole copy re-bootstraps
-// through a fresh /v1/partition probe. Returns whether any full
-// section (or bootstrap) transfer happened.
-func (r *Replica) syncShardedLocked(ctx context.Context, tr *trace.Trace, cur *ReplicaSnapshot) (resynced bool, err error) {
-	deltas := make([]server.DeltaResponse, len(cur.secs))
-	apply := make([]bool, len(cur.secs))
-	needSection := make([]bool, len(cur.secs))
+// followLocked advances every section of cur. Shards resync
+// independently — only a section whose server answered "resync" (or
+// whose embedder instance changed: that shard restarted, and even a
+// well-formed row delta would patch an unrelated base) pays a full
+// section transfer, the others keep patching rows. A section whose
+// shape no longer matches the stored window means the partition itself
+// changed, so the whole copy re-bootstraps through a fresh
+// /v1/partition probe.
+func (r *Replica) followLocked(ctx context.Context, tr *trace.Trace, cur *ReplicaSnapshot) (resynced bool, err error) {
+	deltas := make([]*server.DeltaResponse, len(cur.secs))
 	changed := false
 	for i, sec := range cur.secs {
-		var dl server.DeltaResponse
+		dl := new(server.DeltaResponse)
 		n, err := r.c.do(ctx, http.MethodGet,
-			fmt.Sprintf("/v1/delta?from=%d&shard=%d", sec.epoch, i), nil, &dl)
+			fmt.Sprintf("/v1/delta?from=%d&shard=%d", sec.epoch, i), nil, dl)
 		r.addDeltaBytes(n)
 		if err != nil {
 			return false, err
 		}
-		if dl.Resync || dl.Instance != sec.instance {
-			needSection[i] = true
-			resynced, changed = true, true
-			continue
-		}
-		if dl.Epoch == sec.epoch {
-			continue
-		}
-		if len(dl.Z) != len(dl.Rows) {
+		switch {
+		case dl.Resync || dl.Instance != sec.instance:
+			resynced, changed = true, true // deltas[i] stays nil: refetch the section
+		case len(dl.Z) != len(dl.Rows):
 			return false, fmt.Errorf("client: shard %d delta carries %d rows but %d value rows",
 				i, len(dl.Rows), len(dl.Z))
+		default:
+			deltas[i] = dl
+			changed = changed || dl.Epoch != sec.epoch
 		}
-		deltas[i], apply[i] = dl, true
-		changed = true
 	}
 	if !changed {
 		return false, nil // every section already current
 	}
-	applyRef := tr.StartSpan("apply")
-	defer tr.EndSpan(applyRef)
-	// One copy-on-write clone covers all sections' patches: readers
-	// holding the previous version are unaffected, and the new version
-	// appears atomically with every section advanced.
-	var z *mat.Dense
-	var z32 []float32
-	elemSize := int64(8)
-	if cur.Z != nil {
-		z = cur.Z.Clone()
-	} else {
-		z32 = append([]float32(nil), cur.z32...)
-		elemSize = 4
+	err = r.rebuildLocked(ctx, tr, cur, deltas)
+	var shape *sectionShapeError
+	if errors.As(err, &shape) {
+		return true, r.bootstrapLocked(ctx, tr)
 	}
-	y := append([]int32(nil), cur.Y...)
-	secs := append([]section(nil), cur.secs...)
-	rows := 0
-	for i := range secs {
-		sec := &secs[i]
-		switch {
-		case needSection[i]:
-			snap, err := r.fetchSection(ctx, i, sec.lo, sec.hi, cur.k)
-			var shape *sectionShapeError
-			if errors.As(err, &shape) {
-				// The partition changed under us; rebuild from the
-				// current layout.
-				if err := r.bootstrapLocked(ctx); err != nil {
-					return false, err
-				}
-				return true, nil
-			}
-			if err != nil {
-				return false, err
-			}
-			storeSectionRows(z, z32, y, snap, sec.lo, cur.k)
-			sec.epoch, sec.instance, sec.edges = snap.Epoch, snap.Instance, snap.Edges
-			r.snapshotPayload.Add(int64(snap.N)*int64(cur.k)*elemSize + int64(snap.N)*4)
-		case apply[i]:
-			dl := &deltas[i]
-			if err := applySectionDelta(z, z32, y, dl, sec, cur.k); err != nil {
-				return false, err
-			}
-			rows += len(dl.Rows)
-			r.deltaPayload.Add(int64(len(dl.Rows))*int64(cur.k)*elemSize +
-				int64(len(dl.Rows))*4 + int64(len(dl.Labels))*8)
-		}
-	}
-	tr.SpanTag(applyRef, "rows", fmt.Sprint(rows))
-	r.rowsApplied.Add(int64(rows))
-	r.cur.Store(assembleSharded(z, z32, y, secs, cur.n, cur.k))
-	return resynced, nil
-}
-
-// applySectionDelta patches one shard's delta rows and labels into the
-// assembly arrays, enforcing the owned-window contract: a sharded
-// delta's row ids are global but must fall inside the shard's window.
-func applySectionDelta(z *mat.Dense, z32 []float32, y []int32, dl *server.DeltaResponse, sec *section, k int) error {
-	for i, v := range dl.Rows {
-		if int(v) < sec.lo || int(v) >= sec.hi || len(dl.Z[i]) != k {
-			return fmt.Errorf("client: delta row %d (vertex %d) outside shard window [%d,%d) or malformed",
-				i, v, sec.lo, sec.hi)
-		}
-		if z != nil {
-			copy(z.Row(int(v)), dl.Z[i])
-			continue
-		}
-		row := z32[int(v)*k : (int(v)+1)*k]
-		for j, x := range dl.Z[i] {
-			row[j] = float32(x)
-		}
-	}
-	for _, l := range dl.Labels {
-		if int(l.V) < sec.lo || int(l.V) >= sec.hi {
-			return fmt.Errorf("client: delta label vertex %d outside shard window [%d,%d)",
-				l.V, sec.lo, sec.hi)
-		}
-		y[l.V] = l.Class
-	}
-	sec.epoch = dl.Epoch
-	sec.edges = dl.Edges
-	return nil
+	return resynced, err
 }

@@ -2,6 +2,8 @@ package client_test
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -13,261 +15,476 @@ import (
 	"repro/internal/labels"
 	"repro/internal/server"
 	"repro/internal/server/client"
+	"repro/internal/shard"
 	"repro/internal/xrand"
 )
 
-// startPrimary builds an embedder + server and returns the embedder
-// (for direct state comparison) and a typed client.
-func startPrimary(t *testing.T, n, k int, opts dyn.Options) (*dyn.DynamicEmbedder, *client.Client) {
+// primary is one serving stack under test: the embedders (for direct
+// state comparison) behind a started server.
+type primary struct {
+	part   *shard.Partition
+	shards []*shard.Shard
+	h      http.Handler
+}
+
+// newPrimary builds an nShards-way serving stack. One shard goes
+// through server.New over a plain embedder — the constructor the
+// one-embedder deployments use — so the follower property covers both
+// entry points.
+func newPrimary(t *testing.T, n, k, nShards int, opts dyn.Options) *primary {
 	t.Helper()
 	opts.K = k
-	d, err := dyn.New(n, labels.SampleSemiSupervised(n, k, 0.5, 61), opts)
+	y := labels.SampleSemiSupervised(n, k, 0.5, 61)
+	part, err := shard.NewPartition(n, nShards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := server.New(d, server.Options{})
-	ts := httptest.NewServer(s.Handler())
+	p := &primary{part: part}
+	var s *server.Server
+	if nShards == 1 {
+		d, err := dyn.New(n, y, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.shards = []*shard.Shard{{Hi: uint32(n), D: d}}
+		s = server.New(d, server.Options{})
+	} else {
+		if p.shards, err = shard.NewShards(part, y, opts); err != nil {
+			t.Fatal(err)
+		}
+		s = server.NewSharded(part, p.shards, server.Options{})
+	}
 	t.Cleanup(func() {
 		if err := s.Close(); err != nil {
 			t.Errorf("shutdown: %v", err)
 		}
-		ts.Close()
 	})
-	return d, client.New(ts.URL, ts.Client())
+	p.h = s.Handler()
+	return p
 }
 
-// mustMatchPrimary asserts the replica state equals the primary's
-// published snapshot exactly — the same float bits, labels, epoch, and
-// edge count. This is the acceptance bar: a follower fed only deltas
-// (resyncing when told to) is indistinguishable from the primary.
-func mustMatchPrimary(t *testing.T, rep *client.Replica, d *dyn.DynamicEmbedder) {
+// serve exposes the stack over httptest and returns its base URL.
+func (p *primary) serve(t *testing.T) string {
+	t.Helper()
+	ts := httptest.NewServer(p.h)
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// mustMatch asserts the replica equals the primary's published state
+// exactly, section by section: each shard's epoch, instance and owned
+// rows — the same float bits over the JSON wire, their float32 image
+// over the binary one (the only transform that wire applies) — plus
+// labels and the summed edge count. This is the acceptance bar: a
+// follower fed only deltas (resyncing when told to) is
+// indistinguishable from the primary.
+func mustMatch(t *testing.T, rep *client.Replica, p *primary, wf client.Format) {
 	t.Helper()
 	got := rep.Snapshot()
-	want := d.Snapshot()
 	if got == nil {
 		t.Fatal("replica has no state")
 	}
-	if got.Epoch != want.Epoch || got.Instance != want.Instance || got.Edges != want.Edges {
-		t.Fatalf("replica at epoch %d/instance %d/%d edges, primary at %d/%d/%d",
-			got.Epoch, got.Instance, got.Edges, want.Epoch, want.Instance, want.Edges)
+	if (got.Z == nil) != (wf == client.Binary) {
+		t.Fatalf("%s replica: float64 matrix present = %v; want float32 storage exactly on the binary wire", wf, got.Z != nil)
 	}
-	if got.Z.R != want.Z.R || got.Z.C != want.Z.C {
-		t.Fatalf("replica shape %dx%d, primary %dx%d", got.Z.R, got.Z.C, want.Z.R, want.Z.C)
+	rn, rk := got.Dims()
+	if len(got.Epochs) != len(p.shards) || len(got.Instances) != len(p.shards) {
+		t.Fatalf("replica vectors epochs=%v instances=%v, want %d entries each", got.Epochs, got.Instances, len(p.shards))
 	}
-	for i, v := range want.Z.Data {
-		if got.Z.Data[i] != v {
-			t.Fatalf("replica Z[%d] = %v, primary %v (not bit-identical)", i, got.Z.Data[i], v)
+	var edges int64
+	row := make([]float64, rk)
+	for i, sh := range p.shards {
+		want := sh.D.Snapshot()
+		if rn != want.Z.R || rk != want.Z.C {
+			t.Fatalf("replica shape %dx%d, primary %dx%d", rn, rk, want.Z.R, want.Z.C)
+		}
+		if got.Epochs[i] != want.Epoch || got.Instances[i] != want.Instance {
+			t.Fatalf("shard %d: replica at epoch %d/instance %d, primary at %d/%d",
+				i, got.Epochs[i], got.Instances[i], want.Epoch, want.Instance)
+		}
+		edges += want.Edges
+		lo, hi := p.part.Range(i)
+		for v := int(lo); v < int(hi); v++ {
+			if got.Y[v] != want.Y[v] {
+				t.Fatalf("replica label of %d is %d, primary %d", v, got.Y[v], want.Y[v])
+			}
+			for j, x := range got.CopyRow(v, row) {
+				w := want.Z.At(v, j)
+				if wf == client.Binary {
+					w = float64(float32(w))
+				}
+				if x != w {
+					t.Fatalf("replica Z[%d][%d] = %v, primary %v (not bit-identical)", v, j, x, w)
+				}
+			}
 		}
 	}
-	for v := range want.Y {
-		if got.Y[v] != want.Y[v] {
-			t.Fatalf("replica label of %d is %d, primary %d", v, got.Y[v], want.Y[v])
+	if got.Epoch != got.Epochs.Max() || got.Edges != edges {
+		t.Fatalf("replica summary epoch %d / %d edges, want %d / %d", got.Epoch, got.Edges, got.Epochs.Max(), edges)
+	}
+}
+
+// eachTopology runs body over the follower matrix: {1, 3} shards ×
+// {JSON, binary} wire.
+func eachTopology(t *testing.T, body func(t *testing.T, nShards int, wf client.Format)) {
+	for _, nShards := range []int{1, 3} {
+		for _, wf := range []client.Format{client.JSON, client.Binary} {
+			t.Run(fmt.Sprintf("shards=%d/%s", nShards, wf), func(t *testing.T) {
+				body(t, nShards, wf)
+			})
 		}
 	}
 }
 
-// TestReplicaFollowsPrimaryExactly is the tentpole acceptance test: a
-// replica bootstrapped from /v1/snapshot and then fed only /v1/delta
-// responses equals the primary's published Z exactly (same floats)
-// after a mixed insert/delete/relabel workload over HTTP — including
-// counts-changing relabels that force full-resync epochs. Along the
-// way it must actually use both paths: row-wise deltas for the
-// edge-only windows, resyncs for the relabel ones.
-func TestReplicaFollowsPrimaryExactly(t *testing.T) {
-	// n well above the per-round churn, so row deltas stay a small
-	// fraction of the matrix and the byte-asymmetry assertion below is
-	// about the mechanism, not workload luck.
-	const n, k, rounds = 1500, 4, 40
-	d, c := startPrimary(t, n, k, dyn.Options{DeltaHistory: 16})
-	ctx := context.Background()
-	rep := client.NewReplica(c)
-	if err := rep.Bootstrap(ctx); err != nil {
-		t.Fatal(err)
+func randEdges(r *xrand.Rand, n, m int) []graph.Edge {
+	edges := make([]graph.Edge, m)
+	for i := range edges {
+		edges[i] = graph.Edge{
+			U: graph.NodeID(r.Intn(n)), V: graph.NodeID(r.Intn(n)),
+			W: float32(r.Intn(3) + 1),
+		}
 	}
-	mustMatchPrimary(t, rep, d)
+	return edges
+}
 
-	// Concurrent local reads must never block or tear while syncs
-	// replace the state underneath them (run with -race).
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		r := xrand.New(67)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if row := rep.Embedding(graph.NodeID(r.Intn(n))); len(row) != k {
-				panic("short replica row")
-			}
-		}
-	}()
-
-	r := xrand.New(71)
-	var live []graph.Edge
-	for round := 0; round < rounds; round++ {
-		batch := make([]graph.Edge, 15)
-		for i := range batch {
-			batch[i] = graph.Edge{
-				U: graph.NodeID(r.Intn(n)), V: graph.NodeID(r.Intn(n)),
-				W: float32(r.Intn(3) + 1),
-			}
-		}
-		if _, err := c.InsertEdges(ctx, batch); err != nil {
+// TestReplicaFollowsPrimary is the follower acceptance test: a replica
+// bootstrapped from snapshot sections and then fed only /v1/delta
+// responses equals the primary exactly after a mixed
+// insert/delete/relabel workload over HTTP — including counts-changing
+// relabels that force full-resync epochs. Along the way it must
+// actually use both paths: row-wise deltas for the edge-only windows,
+// section refetches for the relabel ones.
+func TestReplicaFollowsPrimary(t *testing.T) {
+	eachTopology(t, func(t *testing.T, nShards int, wf client.Format) {
+		// n well above the per-round churn, so row deltas stay a small
+		// fraction of the matrix and the byte-asymmetry assertion below
+		// is about the mechanism, not workload luck.
+		const n, k, rounds = 1500, 4, 40
+		p := newPrimary(t, n, k, nShards, dyn.Options{DeltaHistory: 16})
+		c := client.New(p.serve(t), nil, client.WithWire(wf))
+		ctx := context.Background()
+		rep := client.NewReplica(c)
+		if err := rep.Bootstrap(ctx); err != nil {
 			t.Fatal(err)
 		}
-		live = append(live, batch...)
-		if len(live) > 300 {
-			if _, err := c.DeleteEdges(ctx, live[:30]); err != nil {
-				t.Fatal(err)
-			}
-			live = live[30:]
+		mustMatch(t, rep, p, wf)
+		if st := rep.Stats(); st.SnapshotBytes == 0 || st.SnapshotPayloadBytes == 0 {
+			t.Fatalf("bootstrap recorded no bytes: %+v", st)
 		}
-		if round%8 == 7 {
-			// A counts-changing relabel: the next delta spanning this
-			// epoch must be a resync.
-			if _, err := c.UpdateLabels(ctx, []dyn.LabelUpdate{
-				{V: graph.NodeID(r.Intn(n)), Class: int32(r.Intn(k))},
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Sync every other round so deltas span multiple epochs too.
-		if round%2 == 1 {
-			if _, err := rep.Sync(ctx); err != nil {
-				t.Fatal(err)
-			}
-			mustMatchPrimary(t, rep, d)
-		}
-	}
-	close(stop)
-	wg.Wait()
 
-	st := rep.Stats()
-	if st.Resyncs == 0 {
-		t.Fatal("counts-changing relabels never forced a resync")
-	}
-	if st.RowsApplied == 0 || st.Syncs <= st.Resyncs {
-		t.Fatalf("no row-wise syncs happened: %+v", st)
-	}
-	if st.DeltaBytes == 0 || st.SnapshotBytes == 0 {
-		t.Fatalf("byte accounting missing: %+v", st)
-	}
-	// Per-transfer, a row delta must be far cheaper than a snapshot:
-	// that asymmetry is the reason the endpoint exists.
-	rowSyncs := st.Syncs - st.Resyncs
-	if st.DeltaBytes/rowSyncs*4 >= st.SnapshotBytes/(st.Resyncs+1) {
-		t.Fatalf("mean delta not ≪ mean snapshot: %+v", st)
-	}
-	t.Logf("replica: %d syncs (%d resyncs), %d rows applied, %d delta bytes vs %d snapshot bytes",
-		st.Syncs, st.Resyncs, st.RowsApplied, st.DeltaBytes, st.SnapshotBytes)
+		// Concurrent local reads must never block or tear while syncs
+		// replace the state underneath them (run with -race).
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := xrand.New(67)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if row := rep.Embedding(graph.NodeID(r.Intn(n))); len(row) != k {
+					panic("short replica row")
+				}
+			}
+		}()
 
-	// An idle primary yields an empty delta, not a transfer.
-	before := rep.Stats().RowsApplied
-	if resynced, err := rep.Sync(ctx); err != nil || resynced {
-		t.Fatalf("idle sync: resynced=%v err=%v", resynced, err)
-	}
-	if _, err := rep.Sync(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Stats().RowsApplied != before {
-		t.Fatal("idle syncs applied rows")
-	}
-	mustMatchPrimary(t, rep, d)
+		r := xrand.New(71)
+		var live []graph.Edge
+		var ack server.MutationResponse
+		var err error
+		for round := 0; round < rounds; round++ {
+			batch := randEdges(r, n, 15)
+			if ack, err = c.InsertEdges(ctx, batch); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, batch...)
+			if len(live) > 300 {
+				if ack, err = c.DeleteEdges(ctx, live[:30]); err != nil {
+					t.Fatal(err)
+				}
+				live = live[30:]
+			}
+			if round%8 == 7 {
+				// A counts-changing relabel: the next delta spanning this
+				// epoch must be a resync, on every shard (labels broadcast).
+				if ack, err = c.UpdateLabels(ctx, []dyn.LabelUpdate{
+					{V: graph.NodeID(r.Intn(n)), Class: int32(r.Intn(k))},
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Sync every other round so deltas span multiple epochs too.
+			if round%2 == 1 {
+				if _, err := rep.Sync(ctx); err != nil {
+					t.Fatal(err)
+				}
+				// Read-your-writes through the follower: its vector covers
+				// the last ack's.
+				if got := rep.Snapshot().Epochs; !got.Covers(ack.Epochs) {
+					t.Fatalf("replica vector %v does not cover last ack %v", got, ack.Epochs)
+				}
+				mustMatch(t, rep, p, wf)
+			}
+		}
+		close(stop)
+		wg.Wait()
+
+		st := rep.Stats()
+		if st.Resyncs < 2 {
+			t.Fatalf("counts-changing relabels never forced a resync: %+v", st)
+		}
+		if st.RowsApplied == 0 || st.Syncs <= st.Resyncs {
+			t.Fatalf("no row-wise syncs happened: %+v", st)
+		}
+		if st.DeltaBytes == 0 || st.SnapshotBytes == 0 {
+			t.Fatalf("byte accounting missing: %+v", st)
+		}
+		// Per-transfer, a row delta must be far cheaper than a snapshot
+		// (the bootstrap plus one per resync): that asymmetry is the
+		// reason the endpoint exists.
+		rowSyncs := st.Syncs - st.Resyncs
+		if st.DeltaBytes/rowSyncs*4 >= st.SnapshotBytes/(st.Resyncs+1) {
+			t.Fatalf("mean delta not ≪ mean snapshot: %+v", st)
+		}
+		// Payload accounts the storage element width per applied value
+		// plus 4 per row id (labels add 8 each; the floor ignores them).
+		elem := int64(8)
+		if wf == client.Binary {
+			elem = 4
+		}
+		if min := st.RowsApplied * (int64(k)*elem + 4); st.DeltaPayloadBytes < min {
+			t.Fatalf("delta payload %d B below the %d B floor for %d rows", st.DeltaPayloadBytes, min, st.RowsApplied)
+		}
+		t.Logf("replica: %d syncs (%d resyncs), %d rows applied, %d delta bytes vs %d snapshot bytes",
+			st.Syncs, st.Resyncs, st.RowsApplied, st.DeltaBytes, st.SnapshotBytes)
+
+		// An idle primary yields empty deltas, not a transfer.
+		before := rep.Stats()
+		for i := 0; i < 2; i++ {
+			if resynced, err := rep.Sync(ctx); err != nil || resynced {
+				t.Fatalf("idle sync: resynced=%v err=%v", resynced, err)
+			}
+		}
+		if after := rep.Stats(); after.RowsApplied != before.RowsApplied || after.SnapshotBytes != before.SnapshotBytes {
+			t.Fatalf("idle syncs transferred data: %+v -> %+v", before, after)
+		}
+		mustMatch(t, rep, p, wf)
+	})
 }
 
-// TestReplicaDetectsServerRestart covers the instance check: a
-// restarted server restarts its epoch counter, so a replica whose
-// local epoch is "covered" by the new history must still discard its
-// state and bootstrap — applying the new instance's row deltas onto
-// the old instance's base would silently corrupt every untouched row.
+// TestReplicaDetectsServerRestart covers the instance check, keyed on
+// each section's own instance: a restarted server restarts its epoch
+// counters, so a replica whose local epochs are "covered" by the new
+// history must still discard its sections and refetch — applying the
+// new instance's row deltas onto the old instance's base would silently
+// corrupt every untouched row.
 func TestReplicaDetectsServerRestart(t *testing.T) {
-	const n, k = 80, 3
-	ctx := context.Background()
-	mkStack := func(seed uint64) (*dyn.DynamicEmbedder, http.Handler) {
-		d, err := dyn.New(n, labels.Full(n, k, 79), dyn.Options{K: k})
+	eachTopology(t, func(t *testing.T, nShards int, wf client.Format) {
+		const n, k = 80, 3
+		ctx := context.Background()
+		var current atomic.Pointer[http.Handler]
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			(*current.Load()).ServeHTTP(w, r)
+		}))
+		defer ts.Close()
+		c := client.New(ts.URL, ts.Client(), client.WithWire(wf))
+		// Several batches per stack so both instances sit at epochs
+		// comfortably inside their delta rings.
+		mkStack := func(seed uint64, batches int) *primary {
+			p := newPrimary(t, n, k, nShards, dyn.Options{})
+			current.Store(&p.h)
+			r := xrand.New(seed)
+			for b := 0; b < batches; b++ {
+				if _, err := c.InsertEdges(ctx, randEdges(r, n, 10)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return p
+		}
+		p1 := mkStack(83, 12)
+		rep := client.NewReplica(c)
+		if err := rep.Bootstrap(ctx); err != nil {
+			t.Fatal(err)
+		}
+		mustMatch(t, rep, p1, wf)
+		old := rep.Snapshot()
+
+		// "Restart": the same address now serves a second stack —
+		// different data, same shape, fresh epochs — advanced a little
+		// further, so every replica epoch is strictly behind (the lag path
+		// a naive epoch-only protocol would mis-serve as a row delta).
+		p2 := mkStack(89, 14)
+		for i, sh := range p2.shards {
+			if sh.D.Epoch() <= old.Epochs[i] {
+				t.Fatalf("test setup: new shard %d epoch %d not ahead of replica %d", i, sh.D.Epoch(), old.Epochs[i])
+			}
+			if sh.D.Instance() == old.Instances[i] {
+				t.Fatalf("test setup: shard %d kept instance %d across the restart", i, old.Instances[i])
+			}
+		}
+		resynced, err := rep.Sync(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := server.New(d, server.Options{})
-		t.Cleanup(func() { s.Close() })
-		r := xrand.New(seed)
-		edges := make([]graph.Edge, 120)
-		for i := range edges {
-			edges[i] = graph.Edge{U: graph.NodeID(r.Intn(n)), V: graph.NodeID(r.Intn(n)), W: 1}
+		if !resynced {
+			t.Fatal("replica applied a cross-instance delta instead of resyncing")
 		}
-		// Several single-edge batches so both instances sit at an epoch
-		// comfortably inside their delta rings.
-		for lo := 0; lo < len(edges); lo += 10 {
-			if err := d.AddEdges(edges[lo : lo+10]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return d, s.Handler()
-	}
-	d1, h1 := mkStack(83)
-	d2, h2 := mkStack(89) // different data, same shape, fresh epochs
-	var current atomic.Pointer[http.Handler]
-	current.Store(&h1)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		(*current.Load()).ServeHTTP(w, r)
-	}))
-	defer ts.Close()
-
-	rep := client.NewReplica(client.New(ts.URL, ts.Client()))
-	if err := rep.Bootstrap(ctx); err != nil {
-		t.Fatal(err)
-	}
-	mustMatchPrimary(t, rep, d1)
-
-	// "Restart": the same address now serves instance 2. Advance it a
-	// little so the replica's epoch is strictly behind (the lag path a
-	// naive epoch-only protocol would mis-serve as a row delta).
-	if err := d2.AddEdges([]graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if d2.Epoch() <= rep.Snapshot().Epoch {
-		t.Fatalf("test setup: new instance epoch %d not ahead of replica %d", d2.Epoch(), rep.Snapshot().Epoch)
-	}
-	current.Store(&h2)
-	resynced, err := rep.Sync(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resynced {
-		t.Fatal("replica applied a cross-instance delta instead of resyncing")
-	}
-	mustMatchPrimary(t, rep, d2)
+		mustMatch(t, rep, p2, wf)
+	})
 }
 
 // TestReplicaLagBeyondRing checks the eviction path: a replica left
 // behind for more rounds than the ring retains is told to resync and
 // still converges exactly.
 func TestReplicaLagBeyondRing(t *testing.T) {
-	const n, k = 100, 3
-	d, c := startPrimary(t, n, k, dyn.Options{DeltaHistory: 4})
+	eachTopology(t, func(t *testing.T, nShards int, wf client.Format) {
+		const n, k = 100, 3
+		p := newPrimary(t, n, k, nShards, dyn.Options{DeltaHistory: 4})
+		c := client.New(p.serve(t), nil, client.WithWire(wf))
+		ctx := context.Background()
+		rep := client.NewReplica(c)
+		if resynced, err := rep.Sync(ctx); err != nil || !resynced { // first Sync bootstraps
+			t.Fatalf("first sync: resynced=%v err=%v, want bootstrap", resynced, err)
+		}
+		r := xrand.New(73)
+		for round := 0; round < 10*nShards; round++ { // ≥ 10 epochs per shard ≫ 4 retained
+			if _, err := c.InsertEdges(ctx, randEdges(r, n, 4)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resynced, err := rep.Sync(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resynced {
+			t.Fatal("lagging replica was not resynced")
+		}
+		mustMatch(t, rep, p, wf)
+	})
+}
+
+// TestReplicaWireBytesBinaryVsJSON bootstraps one replica per wire
+// format off the same primary and compares the recorded on-wire bytes:
+// binary must be strictly cheaper for both the snapshot and the delta
+// stream, and payload accounting must track the storage element size
+// (4 B vs 8 B per value).
+func TestReplicaWireBytesBinaryVsJSON(t *testing.T) {
+	const n, k, rounds = 600, 4, 10
+	base := newPrimary(t, n, k, 1, dyn.Options{DeltaHistory: 32}).serve(t)
 	ctx := context.Background()
-	rep := client.NewReplica(c)
-	if _, err := rep.Sync(ctx); err != nil { // first Sync bootstraps
+	cj := client.New(base, nil)
+	cb := client.New(base, nil, client.WithWire(client.Binary))
+	r := xrand.New(43)
+	// Seed real structure before bootstrapping: an untouched embedding
+	// is mostly zeros, which JSON encodes in one byte per value — the
+	// snapshot comparison below is about realistic matrices.
+	if _, err := cj.InsertEdges(ctx, randEdges(r, n, 4*n)); err != nil {
 		t.Fatal(err)
 	}
-	r := xrand.New(73)
-	for round := 0; round < 10; round++ { // 10 epochs ≫ 4 retained
-		if _, err := c.InsertEdges(ctx, []graph.Edge{
-			{U: graph.NodeID(r.Intn(n)), V: graph.NodeID(r.Intn(n)), W: 1},
-		}); err != nil {
+	rj, rb := client.NewReplica(cj), client.NewReplica(cb)
+	if err := rj.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := rb.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < rounds; round++ {
+		if _, err := cj.InsertEdges(ctx, randEdges(r, n, 20)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rj.Sync(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rb.Sync(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
-	resynced, err := rep.Sync(ctx)
-	if err != nil {
+	sj, sb := rj.Stats(), rb.Stats()
+	if sj.Resyncs > 0 || sb.Resyncs > 0 {
+		t.Fatalf("unexpected resyncs (json %d, binary %d): byte comparison would be apples to oranges",
+			sj.Resyncs, sb.Resyncs)
+	}
+	if sb.RowsApplied != sj.RowsApplied {
+		t.Fatalf("replicas applied different row counts: json %d, binary %d", sj.RowsApplied, sb.RowsApplied)
+	}
+	if sb.SnapshotBytes >= sj.SnapshotBytes {
+		t.Errorf("binary snapshot cost %d B, JSON %d B — want cheaper", sb.SnapshotBytes, sj.SnapshotBytes)
+	}
+	if sb.DeltaBytes >= sj.DeltaBytes {
+		t.Errorf("binary deltas cost %d B, JSON %d B — want cheaper", sb.DeltaBytes, sj.DeltaBytes)
+	}
+	// Same rows applied, half-width elements: binary payload accounting
+	// must come in strictly below JSON's (4+4 vs 8+4 bytes per value
+	// and id; label bytes are identical).
+	if sb.DeltaPayloadBytes >= sj.DeltaPayloadBytes {
+		t.Errorf("binary delta payload %d B, JSON %d B — want smaller elements",
+			sb.DeltaPayloadBytes, sj.DeltaPayloadBytes)
+	}
+	// Both sides of the split must be populated — the counters are
+	// independent measurements, not one derived from the other.
+	if sj.DeltaPayloadBytes == 0 || sb.DeltaPayloadBytes == 0 ||
+		sj.SnapshotPayloadBytes == 0 || sb.SnapshotPayloadBytes == 0 {
+		t.Errorf("payload accounting has empty counters: json %+v binary %+v", sj, sb)
+	}
+}
+
+// TestBinaryClientFallsBackToJSON points a binary-wire replica at a
+// server that ignores Accept and answers every section as JSON (content
+// negotiation is outside input). Bootstrap and reads must work
+// transparently off the JSON decode path, the values landing in the
+// binary client's float32 storage.
+func TestBinaryClientFallsBackToJSON(t *testing.T) {
+	snap := server.SnapshotResponse{
+		Epoch: 7, Instance: 99, N: 2, K: 2, Edges: 3,
+		Y: []int32{0, 1},
+		Z: [][]float64{{0.125, -1.5}, {2.25, 3.75}}, // exact in float32
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		switch r.URL.Path {
+		case "/v1/partition":
+			json.NewEncoder(w).Encode(shard.Meta{
+				Shards: 1, N: 2, K: 2, Bounds: []uint32{0, 2},
+				Instances: []uint64{99}, Epochs: shard.EpochVector{0: 7},
+			})
+		case "/v1/snapshot":
+			json.NewEncoder(w).Encode(snap)
+		case "/v1/delta":
+			json.NewEncoder(w).Encode(server.DeltaResponse{
+				From: 7, Epoch: 7, Instance: 99,
+			})
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer ts.Close()
+	c := client.New(ts.URL, nil, client.WithWire(client.Binary))
+	rep := client.NewReplica(c)
+	ctx := context.Background()
+	if err := rep.Bootstrap(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if !resynced {
-		t.Fatal("lagging replica was not resynced")
+	s := rep.Snapshot()
+	if s == nil || s.Epoch != 7 || s.Instances[0] != 99 || s.Edges != 3 {
+		t.Fatalf("fallback bootstrap state: %+v", s)
 	}
-	mustMatchPrimary(t, rep, d)
+	rn, rk := s.Dims()
+	if rn != 2 || rk != 2 {
+		t.Fatalf("fallback dims %dx%d", rn, rk)
+	}
+	for v := 0; v < 2; v++ {
+		row := s.CopyRow(v, make([]float64, rk))
+		for j := range row {
+			if row[j] != snap.Z[v][j] {
+				t.Fatalf("fallback Z[%d][%d] = %v, want %v", v, j, row[j], snap.Z[v][j])
+			}
+		}
+	}
+	if resynced, err := rep.Sync(ctx); err != nil || resynced {
+		t.Fatalf("idle sync: resynced=%v err=%v", resynced, err)
+	}
 }

@@ -124,8 +124,8 @@ type Coalescer struct {
 	rejected  atomic.Int64
 
 	// drainRate is the EWMA of requests drained per second (float64
-	// bits; written only by the ingest goroutine, read by RetryAfter and
-	// the exposition gauge).
+	// bits; written only by the ingest goroutine, read by backlog and the
+	// exposition gauge).
 	drainRate atomic.Uint64
 
 	// started flips once Start launches the ingest goroutine; together
@@ -219,9 +219,9 @@ func (c *Coalescer) Stats() CoalescerStats {
 
 // instrument registers the coalescer's instruments. The counters reuse
 // the existing atomic cells via sampled callbacks, so /statsz and
-// /metrics can never disagree. A sharded server passes a distinct
-// shard label per coalescer (gee_coalescer_queue_depth{shard="2"}), so
-// N coalescers' series coexist on one registry instead of silently
+// /metrics can never disagree. The router passes a distinct shard label
+// per coalescer (gee_coalescer_queue_depth{shard="2"}), so N
+// coalescers' series coexist on one registry instead of silently
 // aliasing the first registration's cells.
 func (c *Coalescer) instrument(reg *metrics.Registry, labels ...metrics.Label) {
 	c.mBatchOps = reg.Histogram("gee_coalescer_batch_ops",
@@ -278,51 +278,38 @@ func (c *Coalescer) Submit(b dyn.Batch) (<-chan Ack, error) {
 // tr degrades to plain Submit.
 func (c *Coalescer) SubmitTraced(b dyn.Batch, tr *trace.Trace) (<-chan Ack, error) {
 	ops := len(b.Insert) + len(b.Delete) + len(b.Labels)
-	done := make(chan Ack, 1)
 	if ops == 0 {
+		done := make(chan Ack, 1)
 		done <- Ack{Epoch: c.d.Epoch(), sent: time.Now()}
 		return done, nil
 	}
-	req := &request{batch: b, ops: ops, done: done, enq: time.Now(), tr: tr}
-	req.queueRef = tr.StartSpanAt("queue", req.enq)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
+	c.lock()
+	defer c.unlock()
+	if err := c.canAcceptLocked(); err != nil {
+		return nil, err
 	}
-	select {
-	case c.queue <- req:
-		c.mu.Unlock()
-		// Ops before requests: a concurrent Stats/scrape loads requests
-		// before ops, so this order keeps Ops ≥ Requests in every
-		// observable snapshot.
-		c.ops.Add(int64(ops))
-		c.requests.Add(1)
-		return done, nil
-	default:
-		c.mu.Unlock()
-		c.rejected.Add(1)
-		return nil, ErrBacklog
-	}
+	return c.enqueueLocked(b, ops, tr), nil
 }
 
-// lock/unlock expose the coalescer's mutex to the sharded router,
-// which must hold every target shard's lock at once to make a
-// scattered write all-or-nothing: with all locks held it checks room
-// on every shard, then enqueues on every shard, so no sub-batch can be
-// rejected (or reordered against another scattered write) after a
-// sibling was accepted. Single-embedder callers use Submit.
+// lock/unlock expose the coalescer's mutex to the router, which must
+// hold every target shard's lock at once to make a scattered write
+// all-or-nothing: with all locks held it checks room on every shard,
+// then enqueues on every shard, so no sub-batch can be rejected (or
+// reordered against another scattered write) after a sibling was
+// accepted. Submit is the same sequence over one coalescer.
 func (c *Coalescer) lock()   { c.mu.Lock() }
 func (c *Coalescer) unlock() { c.mu.Unlock() }
 
-// canAcceptLocked reports whether one more request would be accepted:
-// ErrClosed after Close, ErrBacklog when the queue is full, nil
-// otherwise. Callers hold c.mu (see lock).
+// canAcceptLocked is the one admission decision: ErrClosed after Close,
+// ErrBacklog when the queue is full (counted here, so a refusal shows
+// in Rejected whichever path asked), nil otherwise. Callers hold c.mu
+// (see lock).
 func (c *Coalescer) canAcceptLocked() error {
 	if c.closed {
 		return ErrClosed
 	}
 	if len(c.queue) == cap(c.queue) {
+		c.rejected.Add(1)
 		return ErrBacklog
 	}
 	return nil
@@ -336,7 +323,9 @@ func (c *Coalescer) enqueueLocked(b dyn.Batch, ops int, tr *trace.Trace) <-chan 
 	req := &request{batch: b, ops: ops, done: done, enq: time.Now(), tr: tr}
 	req.queueRef = tr.StartSpanAt("queue", req.enq)
 	c.queue <- req
-	// Ops before requests, as in Submit, so scrapes keep Ops ≥ Requests.
+	// Ops before requests: a concurrent Stats/scrape loads requests
+	// before ops, so this order keeps Ops ≥ Requests in every
+	// observable snapshot.
 	c.ops.Add(int64(ops))
 	c.requests.Add(1)
 	return done
@@ -524,10 +513,10 @@ func retryAfterSeconds(depth int, rate float64) int {
 	return s
 }
 
-// RetryAfter returns the current backoff hint in whole seconds for a
-// rejected write (the 429 Retry-After header).
-func (c *Coalescer) RetryAfter() int {
-	return retryAfterSeconds(len(c.queue), math.Float64frombits(c.drainRate.Load()))
+// backlog reports the queue depth and the drain-rate EWMA, the two
+// inputs of the Retry-After hint (see retryAfterSeconds).
+func (c *Coalescer) backlog() (depth int, rate float64) {
+	return len(c.queue), math.Float64frombits(c.drainRate.Load())
 }
 
 // settle acknowledges applied requests once a publish covers them. If

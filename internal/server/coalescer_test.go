@@ -2,8 +2,10 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/dyn"
 	"repro/internal/graph"
 	"repro/internal/labels"
+	"repro/internal/shard"
 )
 
 func newEmbedder(t *testing.T, n, k int, opts dyn.Options) *dyn.DynamicEmbedder {
@@ -252,63 +255,108 @@ func TestCoalescerAckEpochMonotonic(t *testing.T) {
 	}
 }
 
-// TestServerBackpressureHTTP drives the 429 path end to end: with an
-// idle coalescer and QueueCap 1, a second concurrent POST is refused
-// with Too Many Requests and a Retry-After header.
-func TestServerBackpressureHTTP(t *testing.T) {
-	d := newEmbedder(t, 10, 2, dyn.Options{})
-	s := newServer(d, Options{Coalescer: CoalescerOptions{QueueCap: 1}})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	post := func() *http.Response {
-		resp, err := http.Post(ts.URL+"/v1/edges", "application/json",
-			strings.NewReader(`{"edges":[{"u":0,"v":1}]}`))
-		if err != nil {
-			t.Error(err)
-			return nil
-		}
-		return resp
-	}
-	first := make(chan *http.Response, 1)
-	go func() { first <- post() }()
-	// Wait until the first request occupies the queue slot.
-	for i := 0; ; i++ {
-		if s.co.Stats().Requests == 1 {
-			break
-		}
-		if i > 2000 {
-			t.Fatal("first request never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	resp := post()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("overflow POST: status %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After")
-	}
-	var e ErrorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
-		t.Fatalf("429 body: %v %+v", err, e)
-	}
-	resp.Body.Close()
-
-	s.co.Start()
-	if resp := <-first; resp != nil {
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("queued POST: status %d", resp.StatusCode)
-		}
-		resp.Body.Close()
-	}
-	if err := s.Close(); err != nil {
+// newIdleServer wires an nShards-way server whose coalescers are not
+// started: requests queue up (to QueueCap) but nothing is applied until
+// the test starts the router.
+func newIdleServer(t *testing.T, n, k, nShards int, opts Options) *Server {
+	t.Helper()
+	p, err := shard.NewPartition(n, nShards)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// After shutdown the coalescer refuses: the handler answers 503.
-	resp = post()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("post after shutdown: status %d, want 503", resp.StatusCode)
+	shs, err := shard.NewShards(p, labels.Full(n, k, 11), dyn.Options{K: k})
+	if err != nil {
+		t.Fatal(err)
 	}
-	resp.Body.Close()
+	return newServer(p, shs, opts)
+}
+
+// TestServerBackpressureHTTP drives the 429 path end to end at one and
+// two shards: with idle coalescers and QueueCap 1, a write occupies
+// shard 0's only slot, and a second write that also needs shard 0 — a
+// cut edge on the two-shard server, whose other owner has room — is
+// refused with Too Many Requests and a Retry-After header. Admission is
+// all-or-nothing: no queue's depth moves (the shard with room must not
+// keep half a write), and the refusal is counted once, on the shard
+// that refused.
+func TestServerBackpressureHTTP(t *testing.T) {
+	for _, nShards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", nShards), func(t *testing.T) {
+			const n = 10
+			s := newIdleServer(t, n, 2, nShards, Options{Coalescer: CoalescerOptions{QueueCap: 1}})
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+
+			post := func(body string) *http.Response {
+				resp, err := http.Post(ts.URL+"/v1/edges", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return nil
+				}
+				return resp
+			}
+			depths := func() []int {
+				out := make([]int, len(s.rt.units))
+				for i, u := range s.rt.units {
+					out[i], _ = u.co.backlog()
+				}
+				return out
+			}
+			first := make(chan *http.Response, 1)
+			go func() { first <- post(`{"edges":[{"u":0,"v":1}]}`) }() // both endpoints on shard 0
+			// Wait until the first request occupies shard 0's queue slot.
+			for i := 0; s.rt.units[0].co.Stats().Requests != 1; i++ {
+				if i > 2000 {
+					t.Fatal("first request never queued")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			before := depths()
+			// Vertex n-1 lives on the last shard: a cut edge when there are two.
+			resp := post(fmt.Sprintf(`{"edges":[{"u":0,"v":%d}]}`, n-1))
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("overflow POST: status %d, want 429", resp.StatusCode)
+			}
+			if resp.Header.Get("Retry-After") == "" {
+				t.Fatal("429 without Retry-After")
+			}
+			var e ErrorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
+				t.Fatalf("429 body: %v %+v", err, e)
+			}
+			resp.Body.Close()
+			if after := depths(); !slices.Equal(before, after) {
+				t.Fatalf("refused write moved queue depths %v -> %v (admission must be all-or-nothing)", before, after)
+			}
+			for i, u := range s.rt.units {
+				want := int64(0)
+				if i == 0 {
+					want = 1
+				}
+				if got := u.co.Stats().Rejected; got != want {
+					t.Fatalf("shard %d Rejected = %d, want %d", i, got, want)
+				}
+			}
+			if st := s.rt.stats(); st.Coalescer.Rejected != 1 {
+				t.Fatalf("aggregate Rejected = %d, want 1", st.Coalescer.Rejected)
+			}
+
+			s.rt.start()
+			if resp := <-first; resp != nil {
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("queued POST: status %d", resp.StatusCode)
+				}
+				resp.Body.Close()
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// After shutdown the router refuses: the handler answers 503.
+			resp = post(`{"edges":[{"u":0,"v":1}]}`)
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("post after shutdown: status %d, want 503", resp.StatusCode)
+			}
+			resp.Body.Close()
+		})
+	}
 }

@@ -51,7 +51,7 @@ func TestRetryAfterSeconds(t *testing.T) {
 func TestCoalescerRetryAfterLive(t *testing.T) {
 	d := newEmbedder(t, 64, 4, dyn.Options{})
 	co := NewCoalescer(d, CoalescerOptions{MaxDelay: time.Millisecond})
-	if got := co.RetryAfter(); got != 1 {
+	if got := retryAfterSeconds(co.backlog()); got != 1 {
 		t.Fatalf("idle cold coalescer advises %d, want 1", got)
 	}
 	co.Start()
@@ -63,8 +63,11 @@ func TestCoalescerRetryAfterLive(t *testing.T) {
 		<-ack
 	}
 	co.Close()
-	if rate := co.RetryAfter(); rate < 1 || rate > 30 {
-		t.Fatalf("RetryAfter() = %d outside [1,30]", rate)
+	if _, rate := co.backlog(); rate <= 0 {
+		t.Fatalf("drain rate %g after live traffic, want the EWMA populated", rate)
+	}
+	if hint := retryAfterSeconds(co.backlog()); hint < 1 || hint > 30 {
+		t.Fatalf("retry hint %d outside [1,30]", hint)
 	}
 }
 

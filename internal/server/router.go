@@ -6,26 +6,91 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/dyn"
 	"repro/internal/graph"
 	"repro/internal/labels"
+	"repro/internal/mat"
 	"repro/internal/metrics"
 	"repro/internal/shard"
 	"repro/internal/trace"
 )
 
-// router is the sharded backend: a scatter-gather front over N
-// vertex-partitioned shards, each owning one embedder and one ingest
-// coalescer. Writes split by edge endpoint (a cut edge is delivered to
-// both owners, each folding the full edge but publishing only its owned
-// row; labels broadcast so global class counts stay exact), and the
-// scattered enqueue is all-or-nothing: the router holds every target
-// coalescer's lock at once, checks room everywhere, then enqueues
-// everywhere — a write is never half-admitted under backpressure.
-// Acks carry the per-shard epoch vector; reads route (or scatter) by
-// vertex ownership.
+// writeAck is the router's answer to one accepted write batch.
+type writeAck struct {
+	// epochs is the per-shard ack vector: epochs[i] is the epoch at which
+	// shard i published this batch's operations (only shards the batch
+	// touched appear). epoch is its max, the scalar summary.
+	epoch  uint64
+	epochs shard.EpochVector
+	// err is an apply-time rejection (HTTP 400); the batch was accepted
+	// into the queue but the embedder refused it.
+	err error
+	// sent is the latest instant an ingest goroutine released an ack,
+	// the start of the trace's ack span.
+	sent time.Time
+}
+
+// searchOut is the router's answer to one /v1/neighbors query.
+type searchOut struct {
+	nbrs []cluster.Neighbor
+	// mode is what actually answered: "exact", or "approx" when at least
+	// one shard answered from its index (an approx request degrades to
+	// exact while indexes are cold).
+	mode       string
+	epoch      uint64
+	indexEpoch uint64
+	// epochs is the per-shard snapshot vector the scan covered.
+	epochs shard.EpochVector
+}
+
+// readView pins one published snapshot per shard so a multi-row read
+// answers every row from one consistent per-shard version, each row
+// served by its owner.
+type readView struct {
+	snaps []*dyn.Snapshot
+	part  *shard.Partition
+}
+
+// row returns vertex v's embedding row from its owning shard's
+// snapshot. Only the owner's copy of a row is ever published (non-owned
+// rows are zero by the dyn owned-window contract), so ownership is the
+// only correct routing.
+func (rv readView) row(v uint32) []float64 {
+	return rv.snaps[rv.part.Owner(graph.NodeID(v))].Z.Row(int(v))
+}
+
+// epochs is the per-shard version vector of the view.
+func (rv readView) epochs() shard.EpochVector {
+	ev := make(shard.EpochVector, len(rv.snaps))
+	for i, s := range rv.snaps {
+		ev[i] = s.Epoch
+	}
+	return ev
+}
+
+// shardUnit is one shard's pipeline: its embedder, ingest coalescer and
+// index cache.
+type shardUnit struct {
+	sh    *shard.Shard
+	co    *Coalescer
+	index *indexCache
+}
+
+// router is the serving backend: a scatter-gather front over N
+// vertex-partitioned shards. GEE's update touches exactly the two
+// endpoint rows of an edge, so the partition is exact and a lone
+// embedder is nothing but the N=1 case (see New) — there is no second
+// implementation. Writes split by edge endpoint (a cut edge is
+// delivered to both owners, each folding the full edge but publishing
+// only its owned row; labels broadcast so global class counts stay
+// exact), and the scattered enqueue is all-or-nothing: the router holds
+// every target coalescer's lock at once, checks room everywhere, then
+// enqueues everywhere — a write is never half-admitted under
+// backpressure. Acks carry the per-shard epoch vector; reads route (or
+// scatter) by vertex ownership.
 //
 // Admission is all-or-nothing, but apply is not: a batch that passes
 // range validation here can still be rejected by one shard at fold time
@@ -33,12 +98,6 @@ import (
 // applied their sub-batches — exactly the partial-failure surface a
 // merged coalescer micro-batch already has — and the 400 tells the
 // client which operation was refused.
-type shardUnit struct {
-	sh    *shard.Shard
-	co    *Coalescer
-	index *indexCache
-}
-
 type router struct {
 	part    *shard.Partition
 	units   []*shardUnit
@@ -68,9 +127,6 @@ func newRouter(p *shard.Partition, shards []*shard.Shard, opts Options) *router 
 	}
 	return rt
 }
-
-func (rt *router) vertices() int { return rt.n }
-func (rt *router) width() int    { return rt.k }
 
 // validate mirrors dyn's batch validation against the global vertex
 // range before the scatter, so a malformed batch is refused whole
@@ -106,6 +162,10 @@ func (rt *router) epochVector() shard.EpochVector {
 	return ev
 }
 
+// submit runs one write batch to publication: validate, scatter across
+// the owner shards, enqueue all-or-nothing, await every ack. The
+// returned error is the admission verdict (ErrBacklog, ErrClosed); an
+// apply-time rejection rides writeAck.err.
 func (rt *router) submit(b dyn.Batch, tr *trace.Trace) (writeAck, error) {
 	rt.mu.Lock()
 	if rt.closed {
@@ -192,7 +252,7 @@ func (rt *router) submit(b dyn.Batch, tr *trace.Trace) (writeAck, error) {
 	return out, nil
 }
 
-// maxRetryAfter derives the sharded Retry-After hint from the per-shard
+// maxRetryAfter derives the Retry-After hint from the per-shard
 // queue depths and drain rates: a scattered write is admitted only when
 // every target shard has room, so the client must outwait the slowest
 // shard's backlog — the max of the per-shard estimates (never below the
@@ -207,20 +267,23 @@ func maxRetryAfter(depths []int, rates []float64) int {
 	return hint
 }
 
+// retryAfter is the backoff hint for a rejected write, in seconds.
 func (rt *router) retryAfter() int {
 	depths := make([]int, len(rt.units))
 	rates := make([]float64, len(rt.units))
 	for i, u := range rt.units {
-		depths[i] = len(u.co.queue)
-		rates[i] = math.Float64frombits(u.co.drainRate.Load())
+		depths[i], rates[i] = u.co.backlog()
 	}
 	return maxRetryAfter(depths, rates)
 }
 
+// snapshotFor returns the published snapshot that is the authority for
+// vertex v's row: its owner shard's.
 func (rt *router) snapshotFor(v uint32) *dyn.Snapshot {
 	return rt.units[rt.part.Owner(graph.NodeID(v))].sh.D.Snapshot()
 }
 
+// view pins one snapshot per shard for a consistent batch read.
 func (rt *router) view() readView {
 	snaps := make([]*dyn.Snapshot, len(rt.units))
 	for i, u := range rt.units {
@@ -233,16 +296,18 @@ func (rt *router) view() readView {
 // against the query (exact scan over its owned view, or its IVF index
 // when approx and warm), partial lists shift to global ids, and the
 // router merges them under the same ascending-distance, ties-by-id
-// order — so a quiesced sharded scan is id-for-id the unsharded exact
-// scan. The query row always comes from the owner shard's snapshot
-// (only the owner publishes it; other shards hold zeros there). Mode is
+// order — so a quiesced scan is id-for-id the exact scan of the whole
+// matrix at any shard count. The query row always comes from the owner
+// shard's live snapshot (only the owner publishes it; other shards hold
+// zeros there), also when an index a few epochs older ranks it. Mode is
 // "approx" when at least one shard answered from its index; IndexEpoch
 // is the oldest data epoch any shard's distances were computed against.
+// k is already clamped to [1, n]; v is in range.
 func (rt *router) search(v uint32, k int, metric cluster.Metric, name string, approx bool, nprobe int, tr *trace.Trace) searchOut {
 	loadRef := tr.StartSpan("snapshot-load")
 	rv := rt.view()
 	tr.EndSpan(loadRef)
-	query := rv.snaps[rv.owner(v)].Z.Row(int(v))
+	query := rv.row(v)
 	searchRef := tr.StartSpan("search")
 	lists := make([][]cluster.Neighbor, len(rt.units))
 	mode := "exact"
@@ -289,18 +354,25 @@ func (rt *router) search(v uint32, k int, metric cluster.Metric, name string, ap
 	return searchOut{nbrs: nbrs, mode: mode, epoch: ev.Max(), indexEpoch: minUsed, epochs: ev}
 }
 
-func (rt *router) sectioned() bool { return true }
-func (rt *router) shardCount() int { return len(rt.units) }
-
-func (rt *router) section(i int) (*dyn.Snapshot, int, int) {
-	lo, hi := rt.part.Range(i)
-	return rt.units[i].sh.D.Snapshot(), int(lo), int(hi)
+// section returns shard i's published snapshot sliced down to its owned
+// window, and the window's global row offset lo. A section is encoded
+// exactly like a snapshot of a smaller embedder (n = hi−lo, implicit
+// ids starting at lo), so the binary frame layout and client validation
+// apply unchanged. Borrows the immutable snapshot — no copy.
+func (rt *router) section(i int) (sec *dyn.Snapshot, lo int) {
+	snap := rt.units[i].sh.D.Snapshot()
+	l, h := rt.part.Range(i)
+	lo, hi, k := int(l), int(h), rt.k
+	return &dyn.Snapshot{
+		Epoch:    snap.Epoch,
+		Instance: snap.Instance,
+		Edges:    snap.Edges,
+		Y:        snap.Y[lo:hi],
+		Z:        &mat.Dense{R: hi - lo, C: k, Data: snap.Z.Data[lo*k : hi*k]},
+	}, lo
 }
 
-func (rt *router) sectionDelta(i int, from uint64) *dyn.Delta {
-	return rt.units[i].sh.D.Delta(from)
-}
-
+// meta describes the partition for GET /v1/partition.
 func (rt *router) meta() shard.Meta {
 	m := shard.Meta{
 		Shards:    len(rt.units),
@@ -318,6 +390,8 @@ func (rt *router) meta() shard.Meta {
 	return m
 }
 
+// ready reports load-balancer readiness: a non-empty reason means 503;
+// otherwise epoch is the newest published epoch reads answer from.
 func (rt *router) ready() (uint64, string) {
 	for i, u := range rt.units {
 		if !u.co.Accepting() {
@@ -337,12 +411,9 @@ func (rt *router) ready() (uint64, string) {
 	return max, ""
 }
 
-func (rt *router) health() HealthResponse {
-	return HealthResponse{Status: "ok", Epoch: rt.epochVector().Max(), N: rt.n, K: rt.k}
-}
-
-// stats aggregates across shards and appends the per-shard breakdown.
-// The aggregate LiveEdges counts a cut edge once per owner (each shard
+// stats aggregates across shards and appends the per-shard breakdown
+// (everything except Wire — the server owns those counters). The
+// aggregate LiveEdges counts a cut edge once per owner (each shard
 // folds its own copy); the per-shard entries are the exact view.
 func (rt *router) stats() StatsResponse {
 	st := StatsResponse{
@@ -422,8 +493,10 @@ func (rt *router) close() {
 	rt.mu.Lock()
 	rt.closed = true
 	rt.mu.Unlock()
-	// Drain every coalescer before refusing index rebuilds, mirroring
-	// the single path's Shutdown ordering shard by shard.
+	// Drain every coalescer, then refuse further index rebuilds and wait
+	// out any in-flight one (an expired ctx returns from http.Shutdown
+	// with handlers still running, so late kicks must be gated, not
+	// assumed impossible).
 	for _, u := range rt.units {
 		u.co.Close()
 	}

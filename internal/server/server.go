@@ -48,15 +48,14 @@ type MutationRequest struct {
 	Labels []LabelWire `json:"labels,omitempty"`
 }
 
-// MutationResponse acknowledges an applied mutation: every snapshot at
-// or after Epoch reflects its operations. On a sharded server Epochs
-// carries the per-shard ack vector — Epochs[i] is the epoch at which
-// shard i published this batch's operations (only shards the batch
-// touched appear) — and Epoch is its max; read-your-writes per shard
-// keys on the vector, not the scalar.
+// MutationResponse acknowledges an applied mutation. Epochs is the
+// per-shard ack vector — Epochs[i] is the epoch at which shard i
+// published this batch's operations (only shards the batch touched
+// appear; a one-shard server's vector has the single entry "0") — and
+// Epoch is its max; read-your-writes per shard keys on the vector.
 type MutationResponse struct {
 	Epoch   uint64            `json:"epoch"`
-	Epochs  shard.EpochVector `json:"epochs,omitempty"`
+	Epochs  shard.EpochVector `json:"epochs"`
 	Applied int               `json:"applied"`
 }
 
@@ -68,20 +67,20 @@ type EmbeddingResponse struct {
 	Row   []float64 `json:"row"`
 }
 
-// SnapshotResponse is the body of GET /v1/snapshot (streamed on the
-// way out; clients decode it whole). On a sharded server the endpoint
-// serves per-shard sections (?shard=i, required): Shard and Lo identify
-// the section, N is the section width (hi−lo), and Y/Z carry only the
-// owned window — vertex Lo+j is row j. An unsharded snapshot never sets
-// Shard/Lo.
+// SnapshotResponse is the body of GET /v1/snapshot?shard=i (streamed on
+// the way out; clients decode it whole): one shard's section of the
+// embedding. Shard and Lo identify the section, N is the section width
+// (hi−lo), and Y/Z carry only the owned window — vertex Lo+j is row j.
+// With one shard the section is the whole matrix, and a bare
+// /v1/snapshot means shard 0.
 type SnapshotResponse struct {
 	Epoch uint64 `json:"epoch"`
-	// Instance identifies the embedder lifetime; epochs from different
-	// instances are not comparable (a follower must resync across a
-	// server restart). Sharded: per-shard lifetime.
+	// Instance identifies the shard's embedder lifetime; epochs from
+	// different instances are not comparable (a follower must resync
+	// that section across a restart).
 	Instance uint64      `json:"instance"`
-	Shard    int         `json:"shard,omitempty"`
-	Lo       uint32      `json:"lo,omitempty"`
+	Shard    int         `json:"shard"`
+	Lo       uint32      `json:"lo"`
 	N        int         `json:"n"`
 	K        int         `json:"k"`
 	Edges    int64       `json:"edges"`
@@ -96,14 +95,14 @@ type BatchEmbeddingRequest struct {
 }
 
 // BatchEmbeddingResponse is the body of POST /v1/embeddings: Rows[i]
-// is vertex Vs[i]'s row of the snapshot published at Epoch — all rows
-// from the same version, which per-vertex GETs cannot promise. On a
-// sharded server each row comes from its owner shard's snapshot,
-// Epochs is that per-shard version vector, and Epoch is its max (the
-// "same version" promise becomes per-shard).
+// is vertex Vs[i]'s row. Each row comes from its owner shard's
+// snapshot, all rows of one shard from the same version (which
+// per-vertex GETs cannot promise); Epochs is that per-shard version
+// vector and Epoch its max. The binary frame form carries one
+// epoch/instance pair, so it exists only when the view is one snapshot.
 type BatchEmbeddingResponse struct {
 	Epoch  uint64            `json:"epoch"`
-	Epochs shard.EpochVector `json:"epochs,omitempty"`
+	Epochs shard.EpochVector `json:"epochs"`
 	Rows   [][]float64       `json:"rows"`
 }
 
@@ -134,15 +133,16 @@ type NeighborWire struct {
 // the index is cold or the matrix is below the index threshold — and
 // IndexEpoch is the epoch of the data the distances were computed
 // against: equal to Epoch (the published epoch at answer time) for
-// exact answers, possibly older for approx ones (index staleness).
-// On a sharded server the scan scatter-gathers: each shard ranks its
-// owned rows and the partials merge under the same order, Epochs is the
-// per-shard snapshot vector the scan covered, Mode is "approx" when at
-// least one shard answered from its index, and IndexEpoch is the oldest
-// data epoch any shard's distances were computed against.
+// exact answers, possibly older for approx ones (index staleness; the
+// query row itself always comes from its owner's live snapshot).
+// The scan scatter-gathers: each shard ranks its owned rows and the
+// partials merge under the same order, Epochs is the per-shard snapshot
+// vector the scan covered, Mode is "approx" when at least one shard
+// answered from its index, and IndexEpoch is the oldest data epoch any
+// shard's distances were computed against.
 type NeighborsResponse struct {
 	Epoch      uint64            `json:"epoch"`
-	Epochs     shard.EpochVector `json:"epochs,omitempty"`
+	Epochs     shard.EpochVector `json:"epochs"`
 	IndexEpoch uint64            `json:"index_epoch"`
 	Mode       string            `json:"mode"`
 	V          uint32            `json:"v"`
@@ -150,18 +150,19 @@ type NeighborsResponse struct {
 	Neighbors  []NeighborWire    `json:"neighbors"`
 }
 
-// DeltaResponse is the body of GET /v1/delta?from=E (streamed on the
-// way out). When Resync is false, overwriting rows Rows[i] with Z[i]
-// and applying Labels turns an epoch-From copy into the epoch-Epoch
-// snapshot exactly; when Resync is true the follower must refetch
-// /v1/snapshot (the ring evicted From, or an epoch in the span changed
-// class counts and rescaled whole columns).
+// DeltaResponse is the body of GET /v1/delta?from=E&shard=i (streamed
+// on the way out): one shard's delta, rows in global ids restricted to
+// its owned window. When Resync is false, overwriting rows Rows[i] with
+// Z[i] and applying Labels turns an epoch-From copy of the section into
+// the epoch-Epoch one exactly; when Resync is true the follower must
+// refetch the section from /v1/snapshot (the ring evicted From, or an
+// epoch in the span changed class counts and rescaled whole columns).
 type DeltaResponse struct {
 	From  uint64 `json:"from"`
 	Epoch uint64 `json:"epoch"`
 	// Instance is the embedder lifetime the epochs belong to; a
-	// follower holding state from a different instance must discard it
-	// and bootstrap from /v1/snapshot even on a non-resync response.
+	// follower holding section state from a different instance must
+	// discard it and refetch the section even on a non-resync response.
 	Instance uint64      `json:"instance"`
 	Resync   bool        `json:"resync"`
 	Edges    int64       `json:"edges,omitempty"`
@@ -188,10 +189,10 @@ type ReadyResponse struct {
 	Epoch  uint64 `json:"epoch"`
 }
 
-// StatsResponse is the body of GET /statsz. On a sharded server Dyn,
-// Coalescer, and Index are aggregates (epochs maxed, counters summed —
-// a cut edge counts once per owner in LiveEdges), Shards holds the
-// exact per-shard breakdown, and Epochs is the published epoch vector.
+// StatsResponse is the body of GET /statsz. Dyn, Coalescer, and Index
+// are aggregates across shards (epochs maxed, counters summed — a cut
+// edge counts once per owner in LiveEdges), Shards holds the exact
+// per-shard breakdown, and Epochs is the published epoch vector.
 type StatsResponse struct {
 	N         int            `json:"n"`
 	K         int            `json:"k"`
@@ -202,11 +203,11 @@ type StatsResponse struct {
 	// endpoints, split by negotiated format — the JSON-vs-binary byte
 	// win, visible in production rather than only in geeload output.
 	Wire   WireStats         `json:"wire"`
-	Shards []ShardStats      `json:"shards,omitempty"`
-	Epochs shard.EpochVector `json:"epochs,omitempty"`
+	Shards []ShardStats      `json:"shards"`
+	Epochs shard.EpochVector `json:"epochs"`
 }
 
-// ShardStats is one shard's slice of /statsz on a sharded server.
+// ShardStats is one shard's slice of /statsz.
 type ShardStats struct {
 	Shard     int            `json:"shard"`
 	Lo        uint32         `json:"lo"`
@@ -284,24 +285,17 @@ type Options struct {
 	TraceBuffer int
 }
 
-// Server serves a DynamicEmbedder — or a vertex-partitioned set of
-// them — over HTTP. Construct with New (single embedder) or NewSharded
-// (scatter-gather router); both start the ingest coalescer(s). Expose
-// Handler somewhere (or use ListenAndServe/Serve), and Shutdown to
-// drain. Every handler resolves through the backend interface, so the
-// route table, decoding, tracing, and wire formats are shared across
-// both shapes.
+// Server serves a vertex-partitioned set of DynamicEmbedders — one, in
+// the common case — over HTTP. Construct with New (one embedder) or
+// NewSharded; both start the ingest coalescers. Expose Handler
+// somewhere (or use ListenAndServe/Serve), and Shutdown to drain.
 type Server struct {
-	be      backend
+	rt      *router
 	mux     *http.ServeMux
 	http    *http.Server
 	maxRead int
 	wire    wireCounters
 	sm      *serverMetrics
-
-	// co aliases the single backend's coalescer (nil when sharded) for
-	// Coalescer() and the white-box tests.
-	co *Coalescer
 }
 
 // orDefault maps the Options timeout/limit convention (0 = default,
@@ -317,15 +311,18 @@ func orDefault[T int | time.Duration](v, def T) T {
 	return v
 }
 
-// New builds a server over the embedder and starts its coalescer.
-// Other writers may Apply to the embedder directly (dyn serializes
-// writers, and a publish covers every applied op regardless of origin,
-// so acks stay sound); only the coalescer's Flushes/Publishes counters
-// then stop matching the dyn counters exactly.
+// New builds a server over one embedder: the trivial one-range
+// partition behind the same router NewSharded uses. Other writers may
+// Apply to the embedder directly (dyn serializes writers, and a publish
+// covers every applied op regardless of origin, so acks stay sound);
+// only the coalescer's Flushes/Publishes counters then stop matching
+// the dyn counters exactly.
 func New(d *dyn.DynamicEmbedder, opts Options) *Server {
-	s := newServer(d, opts)
-	s.be.start()
-	return s
+	p, err := shard.NewPartition(d.N(), 1)
+	if err != nil {
+		panic(err) // unreachable: an embedder has at least one vertex
+	}
+	return NewSharded(p, []*shard.Shard{{Hi: uint32(d.N()), D: d}}, opts)
 }
 
 // NewSharded builds a scatter-gather server over a vertex-partitioned
@@ -333,30 +330,17 @@ func New(d *dyn.DynamicEmbedder, opts Options) *Server {
 // Writes split by edge endpoint, reads route or scatter by owner, and
 // /v1/snapshot and /v1/delta serve per-shard sections (?shard=i).
 func NewSharded(p *shard.Partition, shards []*shard.Shard, opts Options) *Server {
-	s := newShardedServer(p, shards, opts)
-	s.be.start()
+	s := newServer(p, shards, opts)
+	s.rt.start()
 	return s
 }
 
-// newServer wires the routes without starting the coalescer (white-box
-// tests exercise the backpressure path against an idle queue).
-func newServer(d *dyn.DynamicEmbedder, opts Options) *Server {
-	sb := newSingleBackend(d, opts)
-	s := wireServer(sb, opts)
-	s.co = sb.co
-	return s
-}
-
-// newShardedServer is NewSharded without starting the coalescers.
-func newShardedServer(p *shard.Partition, shards []*shard.Shard, opts Options) *Server {
-	return wireServer(newRouter(p, shards, opts), opts)
-}
-
-// wireServer builds the mux, metrics, and route table over a backend —
-// the single shared serving surface.
-func wireServer(be backend, opts Options) *Server {
+// newServer builds the router, mux, metrics, and route table without
+// starting the coalescers (white-box tests exercise the backpressure
+// path against an idle queue).
+func newServer(p *shard.Partition, shards []*shard.Shard, opts Options) *Server {
 	s := &Server{
-		be:      be,
+		rt:      newRouter(p, shards, opts),
 		maxRead: orDefault(opts.MaxReadBatch, defaultMaxReadBatch),
 	}
 	s.mux = http.NewServeMux()
@@ -401,7 +385,7 @@ func wireServer(be backend, opts Options) *Server {
 		s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
-	s.be.instrument(s.sm.reg)
+	s.rt.instrument(s.sm.reg)
 	metrics.RegisterRuntime(s.sm.reg)
 	return s
 }
@@ -412,11 +396,6 @@ func (s *Server) Metrics() *metrics.Registry { return s.sm.reg }
 
 // Handler returns the HTTP handler (for httptest or custom servers).
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Coalescer exposes the ingest coalescer (stats, direct Submit). Nil
-// on a sharded server, which runs one coalescer per shard (see
-// /statsz for the per-shard view).
-func (s *Server) Coalescer() *Coalescer { return s.co }
 
 // ListenAndServe serves on addr until Shutdown. It reports the bound
 // address through ready (useful with ":0") before blocking.
@@ -446,7 +425,7 @@ func (s *Server) Serve(ln net.Listener) error {
 // to call whether or not Serve was used.
 func (s *Server) Shutdown(ctx context.Context) error {
 	err := s.http.Shutdown(ctx)
-	s.be.close()
+	s.rt.close()
 	return err
 }
 
@@ -501,24 +480,24 @@ func toEdges(wire []EdgeWire) ([]graph.Edge, error) {
 	return edges, nil
 }
 
-// submit runs one write batch through the backend and replies with the
-// ack. The handler blocks until the batch is published (on every shard
-// it touched, when sharded) — that is the point: a 200 means
-// read-your-write holds from Epoch (or the Epochs vector) on.
+// submit runs one write batch through the router and replies with the
+// ack. The handler blocks until the batch is published on every shard
+// it touched — that is the point: a 200 means read-your-write holds
+// from the Epochs vector on.
 func (s *Server) submit(w http.ResponseWriter, b dyn.Batch, ops int) {
 	annotateOps(w, ops)
 	// The trace crosses into the coalescer here and comes back with the
 	// ack; both handoffs ride channels, so the unsynchronized span
 	// writes in between are ordered.
 	tr := traceOf(w)
-	a, err := s.be.submit(b, tr)
+	a, err := s.rt.submit(b, tr)
 	switch err {
 	case nil:
 	case ErrBacklog:
 		// Retry-After derives from the observed drain rate, not a
 		// constant: a client backing off for exactly as long as the queue
 		// needs to drain avoids both thundering retries and dead air.
-		w.Header().Set("Retry-After", strconv.Itoa(s.be.retryAfter()))
+		w.Header().Set("Retry-After", strconv.Itoa(s.rt.retryAfter()))
 		writeError(w, http.StatusTooManyRequests, "ingest queue full")
 		return
 	case ErrClosed:
@@ -600,22 +579,21 @@ func (s *Server) handleEmbedding(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad vertex %q", r.PathValue("v"))
 		return
 	}
-	if int(v) >= s.be.vertices() {
-		writeError(w, http.StatusNotFound, "vertex %d outside [0,%d)", v, s.be.vertices())
+	if int(v) >= s.rt.n {
+		writeError(w, http.StatusNotFound, "vertex %d outside [0,%d)", v, s.rt.n)
 		return
 	}
-	// The owner shard's snapshot is the authority for this row (the
-	// single backend's only snapshot, unsharded).
-	snap := s.be.snapshotFor(uint32(v))
+	// The owner shard's snapshot is the authority for this row.
+	snap := s.rt.snapshotFor(uint32(v))
 	row := make([]float64, snap.Z.C)
 	copy(row, snap.Z.Row(int(v)))
 	annotate(w, 1, snap.Epoch)
 	writeJSON(w, http.StatusOK, EmbeddingResponse{Epoch: snap.Epoch, V: uint32(v), Row: row})
 }
 
-// handleEmbeddings answers a batched multi-vertex read from a single
-// snapshot load: all returned rows come from the same published
-// version. Any out-of-range vertex fails the whole request (a partial
+// handleEmbeddings answers a batched multi-vertex read from one
+// snapshot load per shard: all rows of a shard come from the same
+// published version. Any out-of-range vertex fails the whole request (a partial
 // answer would silently drop reads), and the vertex count is capped —
 // the body size bound alone does not stop a tiny duplicate-heavy vs
 // list from amplifying into an arbitrarily large streamed response.
@@ -629,35 +607,31 @@ func (s *Server) handleEmbeddings(w http.ResponseWriter, r *http.Request) {
 			len(req.Vs), s.maxRead)
 		return
 	}
-	rv := s.be.view()
-	n := s.be.vertices()
+	rv := s.rt.view()
+	n := s.rt.n
 	for _, v := range req.Vs {
 		if int(v) >= n {
 			writeError(w, http.StatusNotFound, "vertex %d outside [0,%d)", v, n)
 			return
 		}
 	}
-	ev := rv.epochs() // nil unsharded
-	epoch := rv.epoch()
+	ev := rv.epochs()
+	epoch := ev.Max()
 	annotate(w, len(req.Vs), epoch)
 	st := newStreamer(w, r.Context())
 	defer st.release()
 	var rows int
 	// The binary embeddings frame carries one epoch/instance pair, which
-	// a sharded response does not have (each row is stamped by its owner
-	// shard); a sharded server answers JSON regardless of Accept.
-	if binary := wantsBinary(r); binary && ev == nil {
+	// only a one-snapshot view has (across shards each row is stamped by
+	// its owner); a wider view answers JSON regardless of Accept.
+	if binary := wantsBinary(r) && len(rv.snaps) == 1; binary {
 		w.Header().Set("Content-Type", wire.ContentType)
 		rows = streamEmbeddingsBinary(st, rv.snaps[0], req.Vs)
-		s.wire.embeddings.record(binary, st.bytesSent())
+		s.wire.embeddings.record(true, st.bytesSent())
 	} else {
 		w.Header().Set("Content-Type", "application/json")
-		if ev != nil {
-			evJSON, _ := json.Marshal(ev)
-			fmt.Fprintf(st.w, `{"epoch":%d,"epochs":%s,"rows":`, epoch, evJSON)
-		} else {
-			fmt.Fprintf(st.w, `{"epoch":%d,"rows":`, epoch)
-		}
+		evJSON, _ := json.Marshal(ev)
+		fmt.Fprintf(st.w, `{"epoch":%d,"epochs":%s,"rows":`, epoch, evJSON)
 		rows = st.floatRows(len(req.Vs), func(i int) []float64 {
 			return rv.row(req.Vs[i])
 		})
@@ -716,7 +690,7 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "k must be positive, got %d", req.K)
 		return
 	}
-	n := s.be.vertices()
+	n := s.rt.n
 	if int(req.V) >= n {
 		writeError(w, http.StatusNotFound, "vertex %d outside [0,%d)", req.V, n)
 		return
@@ -727,7 +701,7 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	if k > n {
 		k = n
 	}
-	out := s.be.search(req.V, k, metric, name, mode == "approx", req.NProbe, traceOf(w))
+	out := s.rt.search(req.V, k, metric, name, mode == "approx", req.NProbe, traceOf(w))
 	annotate(w, k, out.epoch)
 	wire := make([]NeighborWire, len(out.nbrs))
 	for i, nb := range out.nbrs {
@@ -739,17 +713,15 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleSnapshot streams the whole published snapshot row by row
-// through a pooled buffered writer — the n×K matrix is never marshaled
-// into a second in-memory copy. The default JSON stream writes floats
-// in shortest round-trip form, so a client re-reading them recovers
-// the exact published values; a client that negotiated the binary
-// format (Accept: application/x-gee-frame) gets the same rows as a
-// dense float32 frame a replica can spill and mmap without a decode
-// pass. Either stream aborts between row
-// chunks when the client disconnects (write error or context
-// cancellation), so a departed reader does not pay for the full O(nK)
-// serialization.
+// handleSnapshot streams one shard's published section row by row
+// through a pooled buffered writer — the matrix is never marshaled into
+// a second in-memory copy. The default JSON stream writes floats in
+// shortest round-trip form, so a client re-reading them recovers the
+// exact published values; a client that negotiated the binary format
+// (Accept: application/x-gee-frame) gets the same rows as a dense
+// float32 frame. Either stream aborts between row chunks when the
+// client disconnects (write error or context cancellation), so a
+// departed reader does not pay for the full O(nK) serialization.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	si, ok := s.sectionOf(w, r)
 	if !ok {
@@ -757,38 +729,25 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	tr := traceOf(w)
 	loadRef := tr.StartSpan("snapshot-load")
-	snap, lo, hi := s.be.section(si)
+	snap, lo := s.rt.section(si)
 	tr.EndSpan(loadRef)
-	sectioned := s.be.sectioned()
-	if sectioned {
-		// A section is a snapshot of a smaller embedder: n = hi−lo,
-		// implicit ids offset by lo. The binary frame layout and the
-		// client's frame validation apply unchanged.
-		snap = sectionSnapshot(snap, lo, hi)
-	}
 	annotate(w, snap.Z.R, snap.Epoch)
 	st := newStreamer(w, r.Context())
 	defer st.release()
 	streamRef := tr.StartSpan("stream")
 	binary := wantsBinary(r)
 	var rows int
-	switch {
-	case binary:
+	if binary {
 		w.Header().Set("Content-Type", wire.ContentType)
 		rows = streamSnapshotBinary(st, snap)
-	case sectioned:
+	} else {
 		w.Header().Set("Content-Type", "application/json")
-		rows = streamSnapshotSection(st, snap, si, lo)
-	default:
-		w.Header().Set("Content-Type", "application/json")
-		rows = streamSnapshot(st, snap)
+		rows = streamSnapshot(st, snap, si, lo)
 	}
 	s.wire.snapshot.record(binary, st.bytesSent())
 	tr.EndSpan(streamRef)
 	tr.SpanTag(streamRef, "rows", strconv.Itoa(rows))
-	if sectioned {
-		tr.SpanTag(streamRef, "shard", strconv.Itoa(si))
-	}
+	tr.SpanTag(streamRef, "shard", strconv.Itoa(si))
 	// A short row count means the client departed mid-body after the
 	// 200 was already committed — the status line alone would record
 	// this as a fully served response.
@@ -797,28 +756,24 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// sectionOf resolves the ?shard= query parameter: a sharded server
-// requires it (snapshots and deltas are served as per-shard sections;
-// /v1/partition lists them), an unsharded server accepts only the
-// trivial shard 0 (and, bare, stays byte-compatible with the
-// pre-sharding protocol).
+// sectionOf resolves the ?shard= query parameter of the section reads
+// (/v1/partition lists the sections). The one rule about shard count is
+// data-driven: a bare request means shard 0 when the partition has one
+// range, and is refused when there is a choice to make.
 func (s *Server) sectionOf(w http.ResponseWriter, r *http.Request) (int, bool) {
+	shards := len(s.rt.units)
 	q := r.URL.Query().Get("shard")
-	if !s.be.sectioned() {
-		if q != "" && q != "0" {
-			writeError(w, http.StatusBadRequest, "unsharded server has only shard 0, got shard=%s", q)
-			return 0, false
-		}
-		return 0, true
-	}
 	if q == "" {
+		if shards == 1 {
+			return 0, true
+		}
 		writeError(w, http.StatusBadRequest,
-			"sharded server: pass ?shard= (0..%d; see /v1/partition)", s.be.shardCount()-1)
+			"pass ?shard= (0..%d; see /v1/partition)", shards-1)
 		return 0, false
 	}
 	si, err := strconv.Atoi(q)
-	if err != nil || si < 0 || si >= s.be.shardCount() {
-		writeError(w, http.StatusBadRequest, "bad shard %q (have %d shards)", q, s.be.shardCount())
+	if err != nil || si < 0 || si >= shards {
+		writeError(w, http.StatusBadRequest, "bad shard %q (have %d shards)", q, shards)
 		return 0, false
 	}
 	return si, true
@@ -826,16 +781,15 @@ func (s *Server) sectionOf(w http.ResponseWriter, r *http.Request) (int, bool) {
 
 // handlePartition serves the shard map: how many shards, which
 // contiguous vertex range each owns, and each shard's current instance
-// and epoch. An unsharded server reports the trivial one-shard
-// partition, so clients probe this endpoint once to pick a protocol.
+// and epoch — what a follower needs to assemble the sections.
 func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.be.meta())
+	writeJSON(w, http.StatusOK, s.rt.meta())
 }
 
-// handleDelta streams the epoch delta from ?from=E to the published
-// epoch, the replica fan-out read: changed rows instead of the full
-// matrix, or a resync signal when the span is not row-reconstructible
-// (see dyn.Delta).
+// handleDelta streams one shard's epoch delta from ?from=E to its
+// published epoch, the replica fan-out read: changed rows instead of
+// the full section, or a resync signal when the span is not
+// row-reconstructible (see dyn.Delta).
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	fromStr := r.URL.Query().Get("from")
 	from, err := strconv.ParseUint(fromStr, 10, 64)
@@ -851,7 +805,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	// A shard's delta already lists only its owned rows and relabels
 	// (global ids), so the section protocol reuses the delta format
 	// as-is: per-shard sections never overlap.
-	dl := s.be.sectionDelta(si, from)
+	dl := s.rt.units[si].sh.D.Delta(from)
 	annotate(w, len(dl.Rows), dl.Epoch)
 	st := newStreamer(w, r.Context())
 	defer st.release()
@@ -860,17 +814,15 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	var rows int
 	if binary {
 		w.Header().Set("Content-Type", wire.ContentType)
-		rows = streamDeltaBinary(st, dl, s.be.width(), s.be.vertices())
+		rows = streamDeltaBinary(st, dl, s.rt.k, s.rt.n)
 	} else {
 		w.Header().Set("Content-Type", "application/json")
-		rows = streamDelta(st, dl, s.be.width())
+		rows = streamDelta(st, dl, s.rt.k)
 	}
 	s.wire.delta.record(binary, st.bytesSent())
 	tr.EndSpan(streamRef)
 	tr.SpanTag(streamRef, "rows", strconv.Itoa(rows))
-	if s.be.sectioned() {
-		tr.SpanTag(streamRef, "shard", strconv.Itoa(si))
-	}
+	tr.SpanTag(streamRef, "shard", strconv.Itoa(si))
 	if dl.Resync {
 		tr.SpanTag(streamRef, "resync", "true")
 	}
@@ -884,7 +836,9 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.be.health())
+	writeJSON(w, http.StatusOK, HealthResponse{
+		Status: "ok", Epoch: s.rt.epochVector().Max(), N: s.rt.n, K: s.rt.k,
+	})
 }
 
 // handleReady answers load-balancer readiness: 200 only when the
@@ -893,7 +847,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // published (the epoch-0 bootstrap publish counts — reads are
 // answerable from it).
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	epoch, reason := s.be.ready()
+	epoch, reason := s.rt.ready()
 	if reason != "" {
 		writeJSON(w, http.StatusServiceUnavailable, ReadyResponse{Ready: false, Reason: reason})
 		return
@@ -902,7 +856,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.be.stats()
+	st := s.rt.stats()
 	st.Wire = s.wire.stats()
 	writeJSON(w, http.StatusOK, st)
 }

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/dyn"
 	"repro/internal/graph"
 	"repro/internal/server"
@@ -169,216 +170,164 @@ func TestShardedSectionProtocol(t *testing.T) {
 	}
 }
 
-// TestShardedNeighborsMatchUnsharded drives the same write sequence
-// into a 4-shard server and an unsharded one (serial folds, so the
-// published floats agree bit for bit), then compares exact /v1/neighbors
-// answers id-for-id. Ties are tolerated the way PR 5's recall rule
+// TestServedMatchesReference is the parity property, shard count as
+// data: a server over 1, 2 or 4 shards and a bare dyn.DynamicEmbedder
+// are fed the same insert/delete/relabel schedule (serial folds, so the
+// published floats agree bit for bit). The served rows must equal the
+// reference's, exact /v1/neighbors must equal cluster.TopK over the
+// reference snapshot id-for-id, and a follower over each wire format,
+// synced along the way, must end bit-identical to the reference (the
+// binary one to its float32 image — the only transform that wire
+// applies). Neighbor ties are tolerated the way the recall rule
 // tolerates them: an id mismatch at a rank is legal only when the two
 // distances are equal within a relative epsilon (duplicate rows are
 // legitimately interchangeable).
-func TestShardedNeighborsMatchUnsharded(t *testing.T) {
-	const n, k, nShards = 400, 5, 4
-	dopts := dyn.Options{Workers: 1, ShardedThreshold: -1}
-	_, single, _ := startServer(t, n, fullLabels(n, k), dopts, server.Options{})
-	_, sharded, _ := startShardedServer(t, n, k, nShards, dopts, server.Options{})
-	ctx := context.Background()
-	r := xrand.New(7)
-	randBatch := func(m int) []graph.Edge {
-		edges := make([]graph.Edge, m)
-		for i := range edges {
-			u := r.Intn(n)
-			v := r.Intn(n)
-			if u == v {
-				v = (v + 1) % n
-			}
-			edges[i] = graph.Edge{U: graph.NodeID(u), V: graph.NodeID(v), W: float32(r.Intn(3) + 1)}
-		}
-		return edges
-	}
-	var live [][]graph.Edge
-	for b := 0; b < 20; b++ {
-		edges := randBatch(60)
-		if _, err := single.InsertEdges(ctx, edges); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sharded.InsertEdges(ctx, edges); err != nil {
-			t.Fatal(err)
-		}
-		live = append(live, edges)
-		if len(live) > 6 {
-			if _, err := single.DeleteEdges(ctx, live[0]); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sharded.DeleteEdges(ctx, live[0]); err != nil {
-				t.Fatal(err)
-			}
-			live = live[1:]
-		}
-		if b%5 == 0 {
-			ups := []dyn.LabelUpdate{{V: graph.NodeID(r.Intn(n)), Class: int32(r.Intn(k))}}
-			if _, err := single.UpdateLabels(ctx, ups); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sharded.UpdateLabels(ctx, ups); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for _, metric := range []string{"l2", "cosine"} {
-		for q := 0; q < 25; q++ {
-			v := graph.NodeID(r.Intn(n))
-			req := server.NeighborsRequest{V: v, K: 12, Metric: metric}
-			want, err := single.Neighbors(ctx, req)
+func TestServedMatchesReference(t *testing.T) {
+	for _, nShards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", nShards), func(t *testing.T) {
+			const n, k = 400, 5
+			dopts := dyn.Options{K: k, Workers: 1, ShardedThreshold: -1}
+			ref, err := dyn.New(n, fullLabels(n, k), dopts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sharded.Neighbors(ctx, req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got.Neighbors) != len(want.Neighbors) {
-				t.Fatalf("%s v=%d: %d sharded neighbors vs %d unsharded", metric, v, len(got.Neighbors), len(want.Neighbors))
-			}
-			if len(got.Epochs) != nShards {
-				t.Fatalf("%s v=%d: response epoch vector %v, want %d entries", metric, v, got.Epochs, nShards)
-			}
-			for j := range want.Neighbors {
-				g, w := got.Neighbors[j], want.Neighbors[j]
-				if g.V == w.V && g.Dist == w.Dist {
-					continue
-				}
-				eps := 1e-12 + 1e-12*math.Abs(w.Dist)
-				if math.Abs(g.Dist-w.Dist) > eps {
-					t.Fatalf("%s v=%d rank %d: sharded (%d, %.17g) vs unsharded (%d, %.17g)",
-						metric, v, j, g.V, g.Dist, w.V, w.Dist)
-				}
-			}
-		}
-	}
-}
-
-// TestShardedReplica follows a sharded server with client.Replica over
-// both wire formats: bootstrap assembles the full matrix from per-shard
-// sections, deltas patch each section independently, and every local
-// row must be bit-identical to the owning shard's section.
-func TestShardedReplica(t *testing.T) {
-	for _, wf := range []client.Format{client.JSON, client.Binary} {
-		t.Run(wf.String(), func(t *testing.T) {
-			const n, k, nShards = 240, 4, 3
-			_, _, base := startShardedServer(t, n, k, nShards, dyn.Options{}, server.Options{})
-			c := client.New(base, nil, client.WithWire(wf))
+			_, c, base := startShardedServer(t, n, k, nShards, dopts, server.Options{})
 			ctx := context.Background()
-			r := xrand.New(11)
-			// churn drives insert batches; withLabels additionally mixes in
-			// relabels. A relabel dirties every row, so the epoch that
-			// carries it answers Delta with "resync" — the post-bootstrap
-			// churn stays edge-only so the second Sync is a pure row delta
-			// and the resync counter stays deterministic.
-			churn := func(rounds int, withLabels bool) server.MutationResponse {
-				var last server.MutationResponse
-				for b := 0; b < rounds; b++ {
-					edges := make([]graph.Edge, 40)
-					for i := range edges {
-						u := r.Intn(n)
-						v := r.Intn(n)
-						if u == v {
-							v = (v + 1) % n
-						}
-						edges[i] = graph.Edge{U: graph.NodeID(u), V: graph.NodeID(v), W: float32(r.Intn(3) + 1)}
+			followers := map[client.Format]*client.Replica{}
+			for _, wf := range []client.Format{client.JSON, client.Binary} {
+				followers[wf] = client.NewReplica(client.New(base, nil, client.WithWire(wf)))
+			}
+			syncAll := func() {
+				t.Helper()
+				for wf, rep := range followers {
+					if _, err := rep.Sync(ctx); err != nil {
+						t.Fatalf("%s follower: %v", wf, err)
 					}
-					ack, err := c.InsertEdges(ctx, edges)
+				}
+			}
+			syncAll() // bootstrap before the schedule, so deltas carry it
+
+			r := xrand.New(7)
+			randBatch := func(m int) []graph.Edge {
+				edges := make([]graph.Edge, m)
+				for i := range edges {
+					u := r.Intn(n)
+					v := r.Intn(n)
+					if u == v {
+						v = (v + 1) % n
+					}
+					edges[i] = graph.Edge{U: graph.NodeID(u), V: graph.NodeID(v), W: float32(r.Intn(3) + 1)}
+				}
+				return edges
+			}
+			// step applies one batch to both sides; the reference sees it
+			// whole, exactly as the acked request carried it.
+			step := func(b dyn.Batch, send func() error) {
+				t.Helper()
+				if err := ref.Apply(b); err != nil {
+					t.Fatal(err)
+				}
+				if err := send(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var live [][]graph.Edge
+			for b := 0; b < 20; b++ {
+				edges := randBatch(60)
+				step(dyn.Batch{Insert: edges}, func() error { _, err := c.InsertEdges(ctx, edges); return err })
+				live = append(live, edges)
+				if len(live) > 6 {
+					gone := live[0]
+					step(dyn.Batch{Delete: gone}, func() error { _, err := c.DeleteEdges(ctx, gone); return err })
+					live = live[1:]
+				}
+				if b%5 == 0 {
+					ups := []dyn.LabelUpdate{{V: graph.NodeID(r.Intn(n)), Class: int32(r.Intn(k))}}
+					step(dyn.Batch{Labels: ups}, func() error { _, err := c.UpdateLabels(ctx, ups); return err })
+				}
+				if b%3 == 0 {
+					syncAll()
+				}
+			}
+			syncAll()
+			want := ref.Snapshot()
+
+			// Served rows and labels, section by section.
+			meta, err := c.Partition(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if meta.Shards != nShards {
+				t.Fatalf("partition reports %d shards, want %d", meta.Shards, nShards)
+			}
+			for i := 0; i < nShards; i++ {
+				sec, err := c.SnapshotShard(ctx, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lo := int(meta.Bounds[i])
+				for u, row := range sec.Z {
+					if sec.Y[u] != want.Y[lo+u] {
+						t.Fatalf("served label of %d is %d, reference %d", lo+u, sec.Y[u], want.Y[lo+u])
+					}
+					for col, x := range row {
+						if x != want.Z.At(lo+u, col) {
+							t.Fatalf("served Z[%d][%d] = %v, reference %v (not bit-identical)", lo+u, col, x, want.Z.At(lo+u, col))
+						}
+					}
+				}
+			}
+
+			// Followers, over both wire formats.
+			row := make([]float64, k)
+			for wf, rep := range followers {
+				s := rep.Snapshot()
+				if len(s.Epochs) != nShards || len(s.Instances) != nShards {
+					t.Fatalf("%s follower: epochs %v instances %v, want %d entries each", wf, s.Epochs, s.Instances, nShards)
+				}
+				for v := 0; v < n; v++ {
+					if s.Y[v] != want.Y[v] {
+						t.Fatalf("%s follower: label of %d is %d, reference %d", wf, v, s.Y[v], want.Y[v])
+					}
+					for col, x := range s.CopyRow(v, row) {
+						w := want.Z.At(v, col)
+						if wf == client.Binary {
+							w = float64(float32(w))
+						}
+						if x != w {
+							t.Fatalf("%s follower: Z[%d][%d] = %v, reference %v (not bit-identical)", wf, v, col, x, w)
+						}
+					}
+				}
+			}
+
+			// Exact neighbors against the reference scan.
+			for name, metric := range map[string]cluster.Metric{"l2": cluster.L2, "cosine": cluster.Cosine} {
+				for q := 0; q < 25; q++ {
+					v := r.Intn(n)
+					got, err := c.Neighbors(ctx, server.NeighborsRequest{V: graph.NodeID(v), K: 12, Metric: name})
 					if err != nil {
 						t.Fatal(err)
 					}
-					last = ack
-					if withLabels && b%2 == 0 {
-						ups := []dyn.LabelUpdate{{V: graph.NodeID(r.Intn(n)), Class: int32(r.Intn(k))}}
-						if _, err := c.UpdateLabels(ctx, ups); err != nil {
-							t.Fatal(err)
+					nbrs := cluster.TopK(1, want.Z, want.Z.Row(v), 12, metric, v)
+					if len(got.Neighbors) != len(nbrs) {
+						t.Fatalf("%s v=%d: %d served neighbors vs %d reference", name, v, len(got.Neighbors), len(nbrs))
+					}
+					if len(got.Epochs) != nShards {
+						t.Fatalf("%s v=%d: response epoch vector %v, want %d entries", name, v, got.Epochs, nShards)
+					}
+					for j, w := range nbrs {
+						g := got.Neighbors[j]
+						if int(g.V) == w.V && g.Dist == w.Dist {
+							continue
+						}
+						eps := 1e-12 + 1e-12*math.Abs(w.Dist)
+						if math.Abs(g.Dist-w.Dist) > eps {
+							t.Fatalf("%s v=%d rank %d: served (%d, %.17g) vs reference (%d, %.17g)",
+								name, v, j, g.V, g.Dist, w.V, w.Dist)
 						}
 					}
 				}
-				return last
-			}
-			verify := func(rep *client.Replica) {
-				t.Helper()
-				// Converge on a stable epoch vector (the test is the only
-				// writer, so one or two rounds suffice), then compare every
-				// row against its owning shard's section bit for bit.
-				secs := make([]server.SnapshotResponse, nShards)
-				for tries := 0; ; tries++ {
-					stable := true
-					s := rep.Snapshot()
-					for i := range secs {
-						sec, err := c.SnapshotShard(ctx, i)
-						if err != nil {
-							t.Fatal(err)
-						}
-						secs[i] = sec
-						if s == nil || s.Epochs[i] != sec.Epoch {
-							stable = false
-						}
-					}
-					if stable {
-						break
-					}
-					if tries > 20 {
-						t.Fatalf("replica never converged on the section epochs")
-					}
-					if _, err := rep.Sync(ctx); err != nil {
-						t.Fatal(err)
-					}
-				}
-				s := rep.Snapshot()
-				rn, rk := s.Dims()
-				if rn != n || rk != k {
-					t.Fatalf("replica dims %dx%d, want %dx%d", rn, rk, n, k)
-				}
-				row := make([]float64, k)
-				at := 0
-				for i := range secs {
-					sec := &secs[i]
-					for u := 0; u < sec.N; u++ {
-						v := at + u
-						if s.Y[v] != sec.Y[u] {
-							t.Fatalf("label of %d: replica %d, shard %d has %d", v, s.Y[v], i, sec.Y[u])
-						}
-						for col, x := range s.CopyRow(v, row) {
-							if x != sec.Z[u][col] {
-								t.Fatalf("Z[%d][%d]: replica %v, shard %d has %v (not bit-identical)", v, col, x, i, sec.Z[u][col])
-							}
-						}
-					}
-					at += sec.N
-				}
-			}
-
-			ack := churn(6, true)
-			rep := client.NewReplica(c)
-			if resynced, err := rep.Sync(ctx); err != nil || !resynced {
-				t.Fatalf("first sync: resynced=%v err=%v, want bootstrap", resynced, err)
-			}
-			s := rep.Snapshot()
-			if len(s.Epochs) != nShards {
-				t.Fatalf("replica epoch vector %v, want %d entries", s.Epochs, nShards)
-			}
-			if !s.Epochs.Covers(ack.Epochs) {
-				t.Fatalf("replica vector %v does not cover last ack %v", s.Epochs, ack.Epochs)
-			}
-			verify(rep)
-
-			churn(6, false)
-			if _, err := rep.Sync(ctx); err != nil {
-				t.Fatal(err)
-			}
-			verify(rep)
-
-			rs := rep.Stats()
-			if rs.Resyncs != 1 {
-				t.Fatalf("replica resyncs = %d, want 1 (only the bootstrap)", rs.Resyncs)
-			}
-			if rs.RowsApplied == 0 {
-				t.Fatalf("replica applied no delta rows across churn")
 			}
 		})
 	}

@@ -158,31 +158,15 @@ func (s *streamer) floatRows(n int, row func(i int) []float64) int {
 	return n
 }
 
-// streamSnapshot writes one published snapshot as SnapshotResponse
-// JSON. Returns the number of Z rows emitted; a short count means the
-// client went away and the stream was cut. Split from the handler so
-// tests can drive it with a failing writer or cancelled context.
-func streamSnapshot(s *streamer, snap *dyn.Snapshot) int {
-	fmt.Fprintf(s.w, `{"epoch":%d,"instance":%d,"n":%d,"k":%d,"edges":%d,"y":`,
-		snap.Epoch, snap.Instance, snap.Z.R, snap.Z.C, snap.Edges)
-	rows := 0
-	if s.intArray(snap.Y) {
-		s.raw(`,"z":`)
-		rows = s.floatRows(snap.Z.R, snap.Z.Row)
-		if rows == snap.Z.R {
-			s.rawByte('}')
-		}
-	}
-	s.flush()
-	return rows
-}
-
-// streamSnapshotSection writes one shard's section of the sharded
-// snapshot protocol: the streamSnapshot layout over the pre-sliced
-// owned window (n is the section width, y and z carry only owned rows)
-// plus the shard id and the window's global row offset, so a section is
-// self-describing without /v1/partition in hand.
-func streamSnapshotSection(s *streamer, snap *dyn.Snapshot, shardID, lo int) int {
+// streamSnapshot writes one shard's snapshot section as
+// SnapshotResponse JSON: snap is pre-sliced to the owned window (n is
+// the section width, y and z carry only owned rows), and the shard id
+// plus the window's global row offset make the section self-describing
+// without /v1/partition in hand. Returns the number of Z rows emitted; a
+// short count means the client went away and the stream was cut. Split
+// from the handler so tests can drive it with a failing writer or
+// cancelled context.
+func streamSnapshot(s *streamer, snap *dyn.Snapshot, shardID, lo int) int {
 	fmt.Fprintf(s.w, `{"epoch":%d,"instance":%d,"shard":%d,"lo":%d,"n":%d,"k":%d,"edges":%d,"y":`,
 		snap.Epoch, snap.Instance, shardID, lo, snap.Z.R, snap.Z.C, snap.Edges)
 	rows := 0

@@ -9,8 +9,8 @@ import (
 // (stop formatting within one check window of a departed client), the
 // same pooled scratch buffer, but rows leave as little-endian float32
 // frames (see internal/wire) instead of decimal text. Snapshots and
-// embeddings are dense (a replica mmaps them without a decode pass);
-// deltas use the sparse row encoding, which lands at ~6× fewer bytes
+// embeddings are dense (a replica copies the float32 rows straight
+// into its local matrix); deltas use the sparse row encoding, which lands at ~6× fewer bytes
 // than the JSON text on the geeload workload. Negotiated per request
 // via the Accept header; JSON stays the default.
 

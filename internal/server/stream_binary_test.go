@@ -158,7 +158,7 @@ func BenchmarkStreamSnapshotJSON(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st := newStreamer(io.Discard, context.Background())
-		if rows := streamSnapshot(st, snap); rows != snap.Z.R {
+		if rows := streamSnapshot(st, snap, 0, 0); rows != snap.Z.R {
 			b.Fatalf("streamed %d rows", rows)
 		}
 		st.flush()

@@ -89,7 +89,7 @@ func TestStreamSnapshotAbortsOnWriteError(t *testing.T) {
 	const n, k = 20000, 8
 	snap := bigSnapshot(t, n, k)
 	fw := &brokenPipeWriter{limit: 60_000}
-	rows := streamSnapshot(newStreamer(fw, context.Background()), snap)
+	rows := streamSnapshot(newStreamer(fw, context.Background()), snap, 0, 0)
 	if rows == n {
 		t.Fatalf("stream ran to completion (%d rows) over a broken pipe", rows)
 	}
@@ -112,7 +112,7 @@ func TestStreamSnapshotAbortsOnCancel(t *testing.T) {
 	snap := bigSnapshot(t, n, k)
 	ctx, cancel := context.WithCancel(context.Background())
 	cw := &cancelAfterWriter{limit: 100_000, cancel: cancel}
-	rows := streamSnapshot(newStreamer(cw, ctx), snap)
+	rows := streamSnapshot(newStreamer(cw, ctx), snap, 0, 0)
 	if rows == n {
 		t.Fatalf("stream ran to completion (%d rows) past a cancelled request", rows)
 	}
@@ -123,7 +123,7 @@ func TestStreamSnapshotAbortsOnCancel(t *testing.T) {
 	cancelled, cancel2 := context.WithCancel(context.Background())
 	cancel2()
 	fw := &brokenPipeWriter{limit: 1 << 30}
-	if rows := streamSnapshot(newStreamer(fw, cancelled), snap); rows != 0 {
+	if rows := streamSnapshot(newStreamer(fw, cancelled), snap, 0, 0); rows != 0 {
 		t.Fatalf("dead request still streamed %d rows", rows)
 	}
 	if fw.total > 4096 {

@@ -177,8 +177,7 @@ func TestTraceStageSumMatchesAckWait(t *testing.T) {
 // wired-but-idle server (newServer) and a closed one must both answer
 // 503 while /healthz still answers 200.
 func TestReadyz(t *testing.T) {
-	d := newEmbedder(t, 64, 4, dyn.Options{})
-	idle := newServer(d, Options{})
+	idle := newIdleServer(t, 64, 4, 1, Options{})
 	get := func(s *Server, path string) (int, string) {
 		rec := httptest.NewRecorder()
 		req := httptest.NewRequest(http.MethodGet, path, nil)

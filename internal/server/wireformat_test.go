@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"maps"
 	"math"
 	"net/http"
 	"strings"
@@ -169,6 +170,9 @@ func TestBinaryClientSeesJSONValuesQuantized(t *testing.T) {
 	if ej.Epoch != eb.Epoch || len(ej.Rows) != len(eb.Rows) {
 		t.Fatalf("batch read disagrees: %d rows at epoch %d vs %d rows at epoch %d",
 			len(ej.Rows), ej.Epoch, len(eb.Rows), eb.Epoch)
+	}
+	if len(eb.Epochs) != 1 || !maps.Equal(ej.Epochs, eb.Epochs) {
+		t.Fatalf("batch read epoch vectors: JSON %v, binary %v — want the same one-shard vector", ej.Epochs, eb.Epochs)
 	}
 	for i := range ej.Rows {
 		for j := range ej.Rows[i] {

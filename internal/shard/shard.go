@@ -203,6 +203,9 @@ func NewShards(p *Partition, y []int32, opts dyn.Options) ([]*Shard, error) {
 // unsharded embedder exactly. Returns the per-shard sub-batches and the
 // number of cut edge operations (delivered twice).
 func Split(p *Partition, b dyn.Batch) (subs []dyn.Batch, cut int) {
+	if p.Shards() == 1 {
+		return []dyn.Batch{b}, 0 // one range owns every endpoint: nothing to scatter or copy
+	}
 	subs = make([]dyn.Batch, p.Shards())
 	route := func(dst func(s *dyn.Batch) *[]graph.Edge, edges []graph.Edge) {
 		for _, e := range edges {

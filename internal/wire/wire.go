@@ -4,9 +4,8 @@
 // Content-Type application/x-gee-frame instead of the JSON debug path.
 //
 // Layout, little-endian throughout (every section offset is a multiple
-// of 4, so a decoder may alias the fixed-width arrays in place —
-// DecodeFrame over a mmap'd spill file is the replica's zero-copy
-// bootstrap path):
+// of 4, so a decoder may alias the fixed-width arrays of an in-memory
+// body in place instead of copying them out):
 //
 //	magic    [8]byte  "GEEWIRE1"
 //	kind     uint8    1=snapshot 2=delta 3=embeddings
@@ -54,8 +53,8 @@
 // +0.0 (a float32 whose bits are zero must be elided; -0.0 has
 // nonzero bits and is stored) — so any accepted frame re-encodes
 // byte-identically. Snapshots stay dense: their payload is the bulk
-// of the matrix, and the fixed layout is what lets a replica mmap a
-// spilled frame and alias the rows in place (see DecodeFrame).
+// of the matrix, and the fixed layout is what lets a decoder alias the
+// rows in place (see DecodeFrame).
 package wire
 
 import (
@@ -511,16 +510,6 @@ func appendSparseRow32(buf []byte, idDelta uint64, row []float32) []byte {
 	return buf
 }
 
-// ZeroCopy reports whether DecodeFrame over data would alias its
-// sections in place (little-endian host, 4-byte-aligned base) rather
-// than copy them out — callers keeping data mapped need to know which.
-func ZeroCopy(data []byte) bool {
-	if !hostLittle || len(data) == 0 {
-		return false
-	}
-	return uintptr(unsafe.Pointer(&data[0]))%4 == 0
-}
-
 // aliasable reports whether the section starting at b can be aliased
 // as 4-byte elements.
 func aliasable(b []byte) bool {
@@ -680,9 +669,9 @@ func frameFromBody(h Header, body []byte) (*Frame, error) {
 }
 
 // DecodeFrame parses one complete frame held in memory. On
-// little-endian hosts with a 4-byte-aligned data base (see ZeroCopy)
-// the returned sections alias data — the caller must keep data valid
-// (e.g. mapped) for the frame's lifetime. Trailing bytes are an error:
+// little-endian hosts with a 4-byte-aligned data base the returned
+// sections alias data — the caller must keep data valid and unmodified
+// for the frame's lifetime. Trailing bytes are an error:
 // a frame is a complete response body, not a stream element.
 func DecodeFrame(data []byte) (*Frame, error) {
 	h, err := ParseHeader(data)

@@ -305,9 +305,8 @@ const (
 )
 
 // WithWireFormat makes the client request the given wire format;
-// WireBinary negotiates compact float32 frames (sparse deltas,
-// mmap-able snapshots) and falls back to JSON against a server that
-// does not speak them.
+// WireBinary negotiates compact float32 frames (sparse deltas, dense
+// snapshots) and decodes JSON from a server that answers it anyway.
 func WithWireFormat(f WireFormat) ClientOption { return client.WithWire(f) }
 
 // NewEmbeddingServer builds a server over the embedder and starts its

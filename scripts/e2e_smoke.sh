@@ -5,8 +5,8 @@
 # queries, and a replica follower living off /v1/delta — assert
 # non-zero applied ops, that the post-load recall@10 of the approx
 # index against the exact scan is ≥ 0.9 at the default nprobe, that
-# the replica ends bit-identical to the primary's /v1/snapshot after
-# churn, that a second load over the binary wire format also verifies
+# the replica ends bit-identical to the primary's snapshot sections
+# after churn, that a second load over the binary wire format also verifies
 # bit-identical while spending fewer delta bytes per sync than the
 # JSON run, and check a clean graceful shutdown on SIGTERM. The
 # observability legs scrape /metrics (grammar-valid Prometheus text,
@@ -15,6 +15,25 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+# The teeth of every replica leg, one marker whatever the shard count:
+# after churn the delta-fed follower must match every shard's snapshot
+# section float for float at a converged epoch vector (geeload exits
+# non-zero otherwise, and prints this line only after the comparison).
+replica_verified() {
+  grep -Eq 'replica verify OK: .* bit-identical to [0-9]+ shard sections at epoch vector' "$1"
+}
+
+# A server's /metrics must name its shard count and carry the shard
+# label dimension on every per-shard series — one wire contract, so the
+# one-shard legs assert shard="0" exactly as the 4-shard leg asserts
+# 0..3.
+shard_series() {  # file, shard count
+  grep -Eq "^gee_router_shards $2\$" "$1" || return 1
+  for i in $(seq 0 $(($2 - 1))); do
+    grep -Eq "^gee_coalescer_queue_depth\{shard=\"$i\"\} " "$1" || return 1
+  done
+}
 
 bin=$(mktemp -d)
 log=$(mktemp -d)
@@ -101,10 +120,8 @@ if ! grep -Eq 'replica 0: epoch [1-9][0-9]*, [1-9][0-9]* syncs' "$log/load.out";
   echo "FAIL: the replica never synced" >&2
   exit 1
 fi
-# The teeth: after churn, the delta-fed replica must match the
-# primary's snapshot float for float (geeload exits non-zero otherwise).
-if ! grep -q 'replica verify OK' "$log/load.out"; then
-  echo "FAIL: replica not bit-identical to the primary snapshot" >&2
+if ! replica_verified "$log/load.out"; then
+  echo "FAIL: replica not bit-identical to the primary's snapshot sections" >&2
   exit 1
 fi
 if ! curl -fsS "http://$addr/statsz" | grep -Eq '"Inserts":[1-9][0-9]*'; then
@@ -121,7 +138,7 @@ fi
 # Observability leg: /metrics serves a non-empty exposition in which
 # every line is either a HELP/TYPE comment or a sample matching the
 # Prometheus text grammar, the request counters reflect the load just
-# driven, and the coalescer queue-depth gauge is present.
+# driven, and the per-shard series (here: the one shard) are present.
 curl -fsS "http://$addr/metrics" >"$log/metrics.out"
 if ! [ -s "$log/metrics.out" ]; then
   echo "FAIL: /metrics served an empty body" >&2
@@ -139,11 +156,11 @@ if ! grep -Eq 'gee_http_requests_total\{code="200",route="POST /v1/edges"\} [1-9
   echo "FAIL: /metrics shows no acked POST /v1/edges requests after the load" >&2
   exit 1
 fi
-if ! grep -Eq '^gee_coalescer_queue_depth ' "$log/metrics.out"; then
-  echo "FAIL: /metrics is missing the coalescer queue-depth gauge" >&2
+if ! shard_series "$log/metrics.out" 1; then
+  echo "FAIL: /metrics is missing gee_router_shards 1 or the shard=\"0\" queue-depth gauge" >&2
   exit 1
 fi
-if ! grep -Eq '^gee_dyn_publish_seconds_count [1-9]' "$log/metrics.out"; then
+if ! grep -Eq '^gee_dyn_publish_seconds_count\{shard="0"\} [1-9]' "$log/metrics.out"; then
   echo "FAIL: /metrics shows no publishes after the load" >&2
   exit 1
 fi
@@ -206,8 +223,8 @@ fi
   -wire binary \
   | tee "$log/load_bin.out"
 
-if ! grep -q 'replica verify OK' "$log/load_bin.out"; then
-  echo "FAIL: binary-wire replica not bit-identical to the primary snapshot" >&2
+if ! replica_verified "$log/load_bin.out"; then
+  echo "FAIL: binary-wire replica not bit-identical to the primary's snapshot sections" >&2
   exit 1
 fi
 json_rows=$(sed -n 's/.* \([0-9][0-9]*\) delta rows applied.*/\1/p' "$log/load.out" | head -1)
@@ -272,12 +289,10 @@ wait "$ppid" || { echo "FAIL: -pprof server exited non-zero" >&2; exit 1; }
 echo "pprof gating OK (404 by default, serves with -pprof)"
 
 # Sharded leg: the same serving surface behind -shards 4. The load is
-# the usual writer/reader/replica mix; the replica follower must detect
-# the partition via /v1/partition, assemble per-shard sections, and end
-# bit-identical to every shard's section (geeload prints the sharded
-# verify marker with the epoch vector it converged on). The metrics
-# registry must carry the shard label dimension and /statsz the
-# per-shard epoch vector.
+# the usual writer/reader/replica mix; the replica follower reads the
+# partition from /v1/partition, assembles per-shard sections, and must
+# end bit-identical to every shard's section. The metrics registry must
+# carry all four shard labels and /statsz the per-shard epoch vector.
 "$bin/geeserve" -serve 127.0.0.1:0 -n 5000 -k 5 -shards 4 -rounds 0 -readers 0 \
   >"$log/shard_serve.out" 2>"$log/shard_serve.err" &
 spid=$!
@@ -329,25 +344,13 @@ if ! awk -v r="$srecall" 'BEGIN { exit !(r >= 0.9) }'; then
   exit 1
 fi
 echo "sharded recall@10 = $srecall"
-# The teeth: the section-assembled replica must end bit-identical to
-# all four shard sections at a converged epoch vector.
-if ! grep -q 'replica verify OK' "$log/shard_load.out"; then
+if ! replica_verified "$log/shard_load.out"; then
   echo "FAIL: sharded replica not bit-identical to the shard sections" >&2
   exit 1
 fi
-if ! grep -q 'shard sections at epoch vector' "$log/shard_load.out"; then
-  echo "FAIL: replica verify did not take the sharded per-section path" >&2
-  exit 1
-fi
 curl -fsS "http://$saddr/metrics" >"$log/shard_metrics.out"
-for i in 0 1 2 3; do
-  if ! grep -Eq "^gee_coalescer_queue_depth\{shard=\"$i\"\} " "$log/shard_metrics.out"; then
-    echo "FAIL: /metrics missing gee_coalescer_queue_depth{shard=\"$i\"}" >&2
-    exit 1
-  fi
-done
-if ! grep -Eq '^gee_router_shards 4$' "$log/shard_metrics.out"; then
-  echo "FAIL: /metrics missing gee_router_shards 4" >&2
+if ! shard_series "$log/shard_metrics.out" 4; then
+  echo "FAIL: /metrics missing gee_router_shards 4 or a gee_coalescer_queue_depth{shard=\"0..3\"} series" >&2
   exit 1
 fi
 if ! curl -fsS "http://$saddr/statsz" | grep -Eq '"epochs":\{"0":[0-9]+'; then
