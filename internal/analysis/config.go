@@ -60,8 +60,12 @@ func DefaultAnalyzers() []Analyzer {
 				// it shows up in every profile it exists to explain.
 				"(*repro/internal/trace.ring).record",
 				"(*repro/internal/trace.Recorder).Record",
-				// Exec kernels: the per-edge inner loop.
+				// Exec kernels: the per-edge inner loop, the CSR arc
+				// walk every strategy shares, and its atomic add.
+				"repro/internal/exec.walk",
+				"repro/internal/atomicx.Add",
 				"(*repro/internal/exec.Kernel).Apply",
+				"(*repro/internal/exec.Kernel).ApplyAtomic",
 				"(*repro/internal/exec.Kernel).ApplySrc",
 				"(*repro/internal/exec.Kernel).ApplyDst",
 				"(*repro/internal/exec.Kernel).scale",

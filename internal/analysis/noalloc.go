@@ -124,8 +124,16 @@ func (a *NoAlloc) checkBody(pass *Pass, fd *ast.FuncDecl, key string, annotated 
 func (a *NoAlloc) checkCall(pass *Pass, report func(ast.Node, string, ...any), pkg *Package, modPath string, call *ast.CallExpr, annotated map[string]bool) {
 	info := pkg.Info
 
-	// Builtins and conversions first.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+	// Builtins and conversions first. The unsafe builtins (Sizeof and
+	// friends) are reached through a selector, not a bare identifier.
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	}
+	if id != nil {
 		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
 			switch id.Name {
 			case "make":

@@ -2,7 +2,10 @@
 // functions, plus a required-but-unannotated hot path.
 package noalloc
 
-import "strconv"
+import (
+	"strconv"
+	"unsafe"
+)
 
 // mustAnnotate is listed as Required in the golden config but carries
 // no annotation.
@@ -52,6 +55,12 @@ func converts(s string) []byte {
 func formats(buf []byte, v uint64) []byte {
 	return strconv.AppendUint(buf[:0], v, 10)
 }
+
+// sizes calls an unsafe builtin, which is a compile-time constant, not
+// a dynamic call: clean.
+//
+//gee:noalloc
+func sizes(v float64) bool { return unsafe.Sizeof(v) == 8 }
 
 //gee:noalloc
 func spawns() {

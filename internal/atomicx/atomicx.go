@@ -46,6 +46,32 @@ func AddFloat32(p *float32, v float32) float32 {
 	}
 }
 
+// Add atomically performs *p += v for either float width: AddFloat64 or
+// AddFloat32 without the returned value. The width test is a constant in
+// each instantiation and the CAS loops are written out rather than
+// called, which keeps Add inside the compiler's inlining budget — generic
+// callers (the exec walk) get the loop in line, with no call per add.
+//
+//gee:noalloc
+func Add[T ~float32 | ~float64](p *T, v T) {
+	if unsafe.Sizeof(v) == 8 {
+		u := (*uint64)(unsafe.Pointer(p))
+		for {
+			old := atomic.LoadUint64(u)
+			if atomic.CompareAndSwapUint64(u, old, math.Float64bits(math.Float64frombits(old)+float64(v))) {
+				return
+			}
+		}
+	}
+	u := (*uint32)(unsafe.Pointer(p))
+	for {
+		old := atomic.LoadUint32(u)
+		if atomic.CompareAndSwapUint32(u, old, math.Float32bits(math.Float32frombits(old)+float32(v))) {
+			return
+		}
+	}
+}
+
 // MinFloat64 atomically performs *p = min(*p, v). It returns true when v
 // replaced the previous value (Ligra's writeMin contract, used by e.g.
 // Bellman-Ford style algorithms on the same engine).

@@ -34,7 +34,13 @@ func TestAddFloat64Concurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				AddFloat64(&x, 1)
+				// Odd workers go through the width-generic Add: both
+				// forms must interoperate on one cell.
+				if g%2 == 0 {
+					AddFloat64(&x, 1)
+				} else {
+					Add(&x, 1)
+				}
 			}
 		}()
 	}
@@ -54,7 +60,11 @@ func TestAddFloat32Concurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				AddFloat32(&x, 0.5)
+				if g%2 == 0 {
+					AddFloat32(&x, 0.5)
+				} else {
+					Add(&x, 0.5)
+				}
 			}
 		}()
 	}

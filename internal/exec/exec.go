@@ -120,100 +120,50 @@ func Run[T Float](s Strategy, g *graph.CSR, k Kernel[T], z []T, o Options) (Stat
 	workers := parallel.Workers(o.Workers)
 	switch s {
 	case Serial:
-		return runSerial(g, k, z), nil
-	case Atomic:
-		if workers <= 1 {
-			return runSerial(g, k, z), nil
-		}
-		return runAtomic(g, k, z, workers), nil
-	case Racy:
-		if workers <= 1 {
-			return runSerial(g, k, z), nil
-		}
-		if UsesAtomicAdds(Racy, workers) {
-			return runAtomic(g, k, z, workers), nil
-		}
-		return runRacy(g, k, z, workers), nil
+		return runDense(g, &k, z, 1, false), nil
+	case Atomic, Racy:
+		return runDense(g, &k, z, workers, UsesAtomicAdds(s, workers)), nil
 	case Replicated:
 		if workers <= 1 {
-			return runSerial(g, k, z), nil
+			return runDense(g, &k, z, 1, false), nil
 		}
-		return runReplicated(g, k, z, workers), nil
+		return runReplicated(g, &k, z, workers), nil
 	case ShardedDest:
-		return runSharded(g, k, z, workers), nil
+		return runSharded(g, &k, z, workers), nil
 	default:
 		return Stats{}, fmt.Errorf("exec: unknown strategy %d", int(s))
 	}
 }
 
-// runSerial walks every vertex's arc list on one worker with plain adds.
-func runSerial[T Float](g *graph.CSR, k Kernel[T], z []T) Stats {
-	var adds int64
-	for u := 0; u < g.N; u++ {
-		lo, hi := g.Offsets[u], g.Offsets[u+1]
-		for i := lo; i < hi; i++ {
-			adds += k.Apply(z, graph.NodeID(u), g.Targets[i], g.Weight(i))
-		}
-	}
-	return Stats{PlainAdds: adds}
-}
-
-// runAtomic is the dense Ligra schedule: parallel over vertices (so one
+// runDense is the dense Ligra schedule: parallel over vertices, so one
 // worker walks each vertex's arc list and the source row stays
-// cache-resident), atomic adds on both halves because any row also
-// receives destination-side updates from other workers' arcs.
-func runAtomic[T Float](g *graph.CSR, k Kernel[T], z []T, workers int) Stats {
-	apply := k.AtomicApplier()
+// cache-resident. One worker with plain adds is Serial (Algorithm 1's
+// discipline); several workers need atomic adds on both halves, because
+// any row also receives destination-side updates from other workers'
+// arcs — without them the run is the deliberately racy ablation, whose
+// output callers must not rely on.
+func runDense[T Float](g *graph.CSR, k *Kernel[T], z []T, workers int, atomicAdds bool) Stats {
 	var adds atomic.Int64
 	parallel.ForChunk(workers, g.N, 0, func(lo, hi int) {
-		var local int64
-		for u := lo; u < hi; u++ {
-			alo, ahi := g.Offsets[u], g.Offsets[u+1]
-			for i := alo; i < ahi; i++ {
-				local += apply(z, graph.NodeID(u), g.Targets[i], g.Weight(i))
-			}
-		}
-		adds.Add(local)
+		adds.Add(walk(g, k, z, lo, hi, true, atomicAdds))
 	})
-	return Stats{AtomicAdds: adds.Load()}
-}
-
-// runRacy is runAtomic with plain adds — deliberately racy (the paper's
-// atomics-off ablation). Callers must not rely on its output.
-func runRacy[T Float](g *graph.CSR, k Kernel[T], z []T, workers int) Stats {
-	var adds atomic.Int64
-	parallel.ForChunk(workers, g.N, 0, func(lo, hi int) {
-		var local int64
-		for u := lo; u < hi; u++ {
-			alo, ahi := g.Offsets[u], g.Offsets[u+1]
-			for i := alo; i < ahi; i++ {
-				local += k.Apply(z, graph.NodeID(u), g.Targets[i], g.Weight(i))
-			}
-		}
-		adds.Add(local)
-	})
+	if atomicAdds {
+		return Stats{AtomicAdds: adds.Load()}
+	}
 	return Stats{PlainAdds: adds.Load()}
 }
 
 // runReplicated accumulates into per-worker private copies of Z and
 // reduces them into z with a deterministic per-cell order.
-func runReplicated[T Float](g *graph.CSR, k Kernel[T], z []T, workers int) Stats {
-	w := parallel.Workers(workers)
-	buffers := make([][]T, w)
-	counts := make([]int64, w)
-	parallel.ForStatic(w, g.N, func(worker, lo, hi int) {
+func runReplicated[T Float](g *graph.CSR, k *Kernel[T], z []T, workers int) Stats {
+	buffers := make([][]T, workers)
+	var adds atomic.Int64
+	parallel.ForStatic(workers, g.N, func(worker, lo, hi int) {
 		buf := make([]T, len(z))
 		buffers[worker] = buf
-		var local int64
-		for u := lo; u < hi; u++ {
-			alo, ahi := g.Offsets[u], g.Offsets[u+1]
-			for i := alo; i < ahi; i++ {
-				local += k.Apply(buf, graph.NodeID(u), g.Targets[i], g.Weight(i))
-			}
-		}
-		counts[worker] = local
+		adds.Add(walk(g, k, buf, lo, hi, true, false))
 	})
-	parallel.ForChunk(w, len(z), 0, func(lo, hi int) {
+	parallel.ForChunk(workers, len(z), 0, func(lo, hi int) {
 		for _, buf := range buffers {
 			if buf == nil {
 				continue
@@ -223,11 +173,7 @@ func runReplicated[T Float](g *graph.CSR, k Kernel[T], z []T, workers int) Stats
 			}
 		}
 	})
-	var adds int64
-	for _, c := range counts {
-		adds += c
-	}
-	return Stats{PlainAdds: adds}
+	return Stats{PlainAdds: adds.Load()}
 }
 
 // Edge-slice execution — the Algorithm 1 formulation over an explicit
@@ -255,12 +201,11 @@ func AtomicEdges[T Float](k Kernel[T], edges []graph.Edge, n int, z []T, workers
 	if err := k.validate(n, len(z)); err != nil {
 		return Stats{}, err
 	}
-	apply := k.AtomicApplier()
 	adds := parallel.Reduce(workers, len(edges), int64(0), func(lo, hi int) int64 {
 		var local int64
 		for i := lo; i < hi; i++ {
 			e := &edges[i]
-			local += apply(z, e.U, e.V, e.W)
+			local += k.ApplyAtomic(z, e.U, e.V, e.W)
 		}
 		return local
 	}, func(a, b int64) int64 { return a + b })

@@ -14,8 +14,9 @@
 //     contention-free destination-range sharding with plain writes).
 //
 // The gee package builds kernels for each variant (standard, Laplacian,
-// directed, float32) and delegates execution here, so the update loop
-// exists once per strategy instead of once per variant × strategy.
+// directed, float32) and delegates execution here. The CSR strategies
+// share one arc walk (walk.go), so the update loop exists once, not
+// once per variant × strategy.
 package exec
 
 import (
@@ -164,45 +165,23 @@ func (k *Kernel[T]) ApplyDst(z []T, u, v graph.NodeID, w float32) int64 {
 	return 0
 }
 
-// AtomicApplier returns the atomic analog of Apply — both half-updates
-// performed with lock-free atomic adds (Ligra's writeAdd). The
-// width-matched add is resolved once, outside the per-edge path, so
-// each call pays only an indirect call rather than a dynamic dispatch
-// per add (Go's gcshape stenciling would otherwise re-resolve the
-// pointer type on every add). Exposed for traversals that live outside
-// this package — the compressed-graph edge decoder and the gee sparse
-// edge-map ablation — so the kernel math still exists only here.
-func (k *Kernel[T]) AtomicApplier() func(z []T, u, v graph.NodeID, w float32) int64 {
-	add := atomicAddFn[T]()
-	kk := *k
-	return func(z []T, u, v graph.NodeID, w float32) int64 {
-		s := kk.scale(u, v, w)
-		adds := int64(0)
-		if c := kk.SrcCol[v]; c >= 0 {
-			add(&z[int(u)*kk.Width+int(c)], kk.Coeff[v]*s)
-			adds++
-		}
-		if c := kk.DstCol[u]; c >= 0 {
-			add(&z[int(v)*kk.Width+int(c)], kk.Coeff[u]*s)
-			adds++
-		}
-		return adds
+// ApplyAtomic is Apply with both half-updates performed as lock-free
+// atomic adds (Ligra's writeAdd). It serves arc streams with no
+// ownership structure: edge slices (AtomicEdges) and the traversals
+// outside this package — the compressed-graph edge decoder and the gee
+// sparse edge-map ablation — so the kernel math still exists only here.
+//
+//gee:noalloc
+func (k *Kernel[T]) ApplyAtomic(z []T, u, v graph.NodeID, w float32) int64 {
+	s := k.scale(u, v, w)
+	adds := int64(0)
+	if c := k.SrcCol[v]; c >= 0 {
+		atomicx.Add(&z[int(u)*k.Width+int(c)], k.Coeff[v]*s)
+		adds++
 	}
-}
-
-// atomicAddFn resolves the width-matched lock-free add for T once; the
-// any-assertion back to func(*T, T) is an identity at runtime for both
-// instantiations.
-func atomicAddFn[T Float]() func(p *T, v T) {
-	var zero T
-	switch any(zero).(type) {
-	case float64:
-		f := func(p *float64, v float64) { atomicx.AddFloat64(p, v) }
-		return any(f).(func(p *T, v T))
-	case float32:
-		f := func(p *float32, v float32) { atomicx.AddFloat32(p, v) }
-		return any(f).(func(p *T, v T))
-	default:
-		panic("exec: unsupported float type")
+	if c := k.DstCol[u]; c >= 0 {
+		atomicx.Add(&z[int(v)*k.Width+int(c)], k.Coeff[u]*s)
+		adds++
 	}
+	return adds
 }

@@ -35,7 +35,7 @@ type destPlan struct {
 }
 
 // runSharded executes the kernel with the destination-sharded strategy.
-func runSharded[T Float](g *graph.CSR, k Kernel[T], z []T, workers int) Stats {
+func runSharded[T Float](g *graph.CSR, k *Kernel[T], z []T, workers int) Stats {
 	if g.N == 0 {
 		return Stats{}
 	}
@@ -44,7 +44,7 @@ func runSharded[T Float](g *graph.CSR, k Kernel[T], z []T, workers int) Stats {
 		p = g.N
 	}
 	if p <= 1 {
-		st := runSerial(g, k, z)
+		st := runDense(g, k, z, 1, false)
 		st.Shards = 1
 		return st
 	}
@@ -55,12 +55,7 @@ func runSharded[T Float](g *graph.CSR, k Kernel[T], z []T, workers int) Stats {
 		for shard := lo; shard < hi; shard++ {
 			// Src halves: walk the owned vertices' arc lists; every write
 			// lands in an owned row u.
-			for u := plan.bounds[shard]; u < plan.bounds[shard+1]; u++ {
-				alo, ahi := g.Offsets[u], g.Offsets[u+1]
-				for i := alo; i < ahi; i++ {
-					local += k.ApplySrc(z, graph.NodeID(u), g.Targets[i], g.Weight(i))
-				}
-			}
+			local += walk(g, k, z, plan.bounds[shard], plan.bounds[shard+1], false, false)
 			// Dst halves: drain the owned bucket; every write lands in an
 			// owned row v.
 			bucket := plan.arcs[plan.start[shard]:plan.start[shard+1]]

@@ -32,9 +32,8 @@ func EmbedCompressed(c *graph.CompressedCSR, y []int32, opts Options) (*Result, 
 	kern := buildKernel(workers, y, k, deg)
 	z := mat.NewDense(c.N, k)
 	zd := z.Data
-	apply := kern.AtomicApplier()
 	c.ProcessEdges(workers, func(u, v graph.NodeID) {
-		apply(zd, u, v, 1)
+		kern.ApplyAtomic(zd, u, v, 1)
 	})
 	// Impl enumerates execution disciplines, not graph representations:
 	// this path runs the LigraParallel (atomic) discipline over the

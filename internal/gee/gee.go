@@ -10,7 +10,7 @@
 //     nonzero coefficient per vertex.
 //   - LigraSerial / LigraParallel / LigraParallelUnsafe: Algorithm 2 —
 //     the edge map formulation over the Ligra engine. Parallel uses
-//     lock-free atomic writeAdd (atomicx.AddFloat64); Unsafe is the
+//     lock-free atomic writeAdd (atomicx.Add); Unsafe is the
 //     paper's ablation with atomics off (plain, racy adds).
 //   - Replicated: per-worker private copies of Z reduced at the end —
 //     the alternative the paper rejects for memory, promoted to a

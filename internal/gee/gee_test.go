@@ -2,6 +2,7 @@ package gee
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -483,6 +484,40 @@ func TestEdgelessGraph(t *testing.T) {
 		}
 		if res.Z.MaxAbs() != 0 {
 			t.Fatalf("%v: nonzero embedding with no edges", impl)
+		}
+	}
+}
+
+// TestEmbedNeverSeesStaleMemory pins the single clear: csrEmbedTimed
+// relies on the allocation of Z being its only zeroing, so an embed
+// whose Z lands on memory a dropped result just vacated must still
+// start from zeros. The first result is scribbled over and released,
+// the heap collected so the allocator can hand the same span back, and
+// the second embed on the same CSR compared with Reference. A pooled or
+// caller-supplied buffer introduced later has to keep this passing.
+func TestEmbedNeverSeesStaleMemory(t *testing.T) {
+	el := gen.RMAT(4, 13, 60_000, gen.Graph500Params, 41)
+	y := labels.SampleSemiSupervised(el.N, 16, 0.1, 43)
+	opts := Options{K: 16, Workers: 4}
+	want, err := Embed(Reference, el, y, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.BuildCSR(4, el)
+	for _, impl := range []Impl{LigraSerial, LigraParallel, Replicated, ShardedParallel} {
+		for round := 0; round < 3; round++ {
+			res, err := EmbedCSR(impl, g, y, opts)
+			if err != nil {
+				t.Fatalf("%v: %v", impl, err)
+			}
+			if d := want.Z.MaxAbsDiff(res.Z); d > 1e-9 {
+				t.Fatalf("%v round %d: max diff %g from Reference after a scribbled result was released", impl, round, d)
+			}
+			for i := range res.Z.Data {
+				res.Z.Data[i] = 1e6 + float64(i)
+			}
+			res = nil
+			runtime.GC()
 		}
 	}
 }

@@ -32,7 +32,9 @@ func csrEmbed(g *graph.CSR, y []int32, k int, opts Options, impl Impl) (*mat.Den
 // observation that the O(nk) projection initialization dominates on
 // graphs with very low average degree (experiment E6).
 type Timings struct {
-	WInit   time.Duration // lines 2-6: projection matrix initialization
+	// WInit is lines 2-6: the projection coefficients and the allocation
+	// of Z — side by side past one worker, so their maximum, not their sum.
+	WInit   time.Duration
 	EdgeMap time.Duration // line 7: the edge map over all arcs
 }
 
@@ -60,25 +62,23 @@ func csrEmbedTimed(g *graph.CSR, y []int32, k int, opts Options, impl Impl, tm *
 		workers = 1
 	}
 	// Algorithm 2, lines 3-6: parallel projection initialization,
-	// expressed as the shared exec kernel.
+	// expressed as the shared exec kernel. Z is allocated exactly once
+	// and make's clear is its only zeroing; that clear runs on one
+	// goroutine, so with more than one worker the kernel is assembled
+	// beside it instead of before it.
 	start := time.Now()
-	var deg []float64
-	if opts.Laplacian {
-		deg = incidentDegreesCSR(workers, g)
-	}
-	kern := buildKernel(workers, y, k, deg)
-	// Allocating and first-touching Z is the other O(nK) initialization
-	// component. The touch pass is eager and parallel: Go's make()
-	// defers page zeroing to first write, which would smear this cost
-	// into the edge map phase and (on NUMA machines) place every page on
-	// one node; parallel first-touch is the standard HPC idiom Ligra's
-	// newA + parallel initialization follows.
-	z := mat.NewDense(g.N, k)
-	parallel.ForChunk(workers, len(z.Data), 1<<16, func(lo, hi int) {
-		d := z.Data[lo:hi]
-		for i := range d {
-			d[i] = 0
+	var z *mat.Dense
+	var kern exec.Kernel[float64]
+	parallel.For(workers, 2, func(task int) {
+		if task == 0 {
+			z = mat.NewDense(g.N, k)
+			return
 		}
+		var deg []float64
+		if opts.Laplacian {
+			deg = incidentDegreesCSR(workers, g)
+		}
+		kern = buildKernel(workers, y, k, deg)
 	})
 	if tm != nil {
 		tm.WInit = time.Since(start)
@@ -92,18 +92,14 @@ func csrEmbedTimed(g *graph.CSR, y []int32, k int, opts Options, impl Impl, tm *
 		// one vertex's list never race" property, so it is only valid
 		// with atomics (or one worker); the racy ablation stays racy on
 		// purpose, as in the dense schedule.
-		atomic := exec.UsesAtomicAdds(strategy, workers)
 		zd := z.Data
-		var updateEmb ligra.EdgeFunc
-		if atomic {
-			apply := kern.AtomicApplier()
+		updateEmb := func(u, v graph.NodeID, w float32) bool {
+			kern.Apply(zd, u, v, w)
+			return false
+		}
+		if exec.UsesAtomicAdds(strategy, workers) {
 			updateEmb = func(u, v graph.NodeID, w float32) bool {
-				apply(zd, u, v, w)
-				return false
-			}
-		} else {
-			updateEmb = func(u, v graph.NodeID, w float32) bool {
-				kern.Apply(zd, u, v, w)
+				kern.ApplyAtomic(zd, u, v, w)
 				return false
 			}
 		}

@@ -21,12 +21,23 @@ func classCounts(workers int, y []int32, k int) []int64 {
 // Reference implementation materializes the full n×K matrix instead.
 //
 // The parallel initialization is Algorithm 2 lines 3-6: the paper notes
-// this O(nk) step dominates the runtime on very low-degree graphs.
+// this O(nk) step dominates the runtime on very low-degree graphs. The
+// K divisions happen once, into a reciprocal table the per-vertex loop
+// only indexes.
 func projectionCoeffs(workers int, y []int32, counts []int64) []float64 {
+	recip := make([]float64, len(counts))
+	for c, n := range counts {
+		if n > 0 {
+			recip[c] = 1 / float64(n)
+		}
+	}
 	coeff := make([]float64, len(y))
-	parallel.For(workers, len(y), func(i int) {
-		if c := y[i]; c >= 0 && counts[c] > 0 {
-			coeff[i] = 1 / float64(counts[c])
+	parallel.ForChunk(workers, len(y), 0, func(lo, hi int) {
+		out := coeff[lo:hi]
+		for i, c := range y[lo:hi] {
+			if c >= 0 {
+				out[i] = recip[c]
+			}
 		}
 	})
 	return coeff
