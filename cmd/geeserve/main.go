@@ -369,7 +369,7 @@ func serveChurn(ctx context.Context, d *dyn.DynamicEmbedder, el *graph.EdgeList,
 		live = append(live, b.Insert)
 		windowEdges += int64(len(b.Insert) + len(b.Delete))
 		if cfg.evalEvery > 0 && round%cfg.evalEvery == 0 {
-			snap := d.Snapshot()
+			snap := d.Version()
 			pred := classify(snap)
 			secs := time.Since(windowStart).Seconds()
 			fmt.Printf("round %4d  epoch %4d  live %9d  ingest %10.0f edges/s  ARI %.3f  NMI %.3f\n",
@@ -389,7 +389,7 @@ func serveChurn(ctx context.Context, d *dyn.DynamicEmbedder, el *graph.EdgeList,
 // classify assigns each vertex its arg-max embedding coordinate (the
 // GEE semi-supervised read-out); all-zero rows stay unlabeled so they
 // are skipped by the metrics.
-func classify(s *dyn.Snapshot) []int32 {
+func classify(s *dyn.Version) []int32 {
 	pred := make([]int32, s.Z.R)
 	for v := 0; v < s.Z.R; v++ {
 		row := s.Z.Row(v)

@@ -53,6 +53,9 @@ func DefaultAnalyzers() []Analyzer {
 				"(*repro/internal/sticky.Writer).Write",
 				"(*repro/internal/sticky.Writer).WriteString",
 				"(*repro/internal/sticky.Writer).WriteByte",
+				// Published rows: every read path fetches its rows
+				// through the paged store's accessor.
+				"(*repro/internal/dyn.Pages).Row",
 				// Metrics: Observe sits on every request path.
 				"(*repro/internal/metrics.Histogram).Observe",
 				"(*repro/internal/metrics.Histogram).ObserveSince",

@@ -65,8 +65,8 @@ type IVF struct {
 // BuildIVF clusters the rows of X into inverted lists. Deterministic
 // for a given seed and independent of the worker count. X must not be
 // mutated afterwards (the index reads it at query time) — the serving
-// layer indexes published copy-on-epoch snapshots, which are immutable
-// by contract.
+// layer indexes the contiguous form of a published version
+// (dyn.Version.Snapshot), which is immutable by contract.
 func BuildIVF(workers int, X *mat.Dense, opts IVFOptions) *IVF {
 	n := X.R
 	exactRows := opts.ExactRows

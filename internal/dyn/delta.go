@@ -3,10 +3,11 @@
 // to reach epoch E' when only a few rows moved — and under edge churn
 // only a few rows do move: an insert or delete touches exactly the two
 // endpoint rows, and a label move touches the moved vertex's neighbors.
-// The embedder therefore marks dirty rows as batches fold and, at each
-// publish, files the epoch's dirty set into a bounded ring. Delta
-// unions the per-epoch sets and reads the new row values straight from
-// the current immutable snapshot, so the ring never stores floats.
+// The embedder marks dirty rows as batches fold (publish needs them
+// anyway: they name the pages to re-normalise) and, at each publish,
+// files the epoch's dirty set into a bounded ring. Delta unions the
+// per-epoch sets and reads the new row values straight from the current
+// immutable version, so the ring never stores floats.
 //
 // The exception is the 1/n_k normalization: a label move that changes
 // class counts rescales two whole columns of Z at the next publish, so
@@ -73,49 +74,22 @@ func (d *DynamicEmbedder) markDirty(v graph.NodeID) {
 	}
 }
 
-// recordDeltaLocked files the epoch's dirty set into the ring and
-// resets the tracking for the next window. The epoch-0 bootstrap
-// publish records nothing: the ring describes transitions, and there
+// recordDeltaLocked files the epoch's dirty set into the ring, taking
+// ownership of the row lists (publishLocked starts fresh ones). full
+// marks an epoch that is not row-reconstructible. The epoch-0 bootstrap
+// publish is never recorded: the ring describes transitions, and there
 // is no epoch before 0 to transition from.
-func (d *DynamicEmbedder) recordDeltaLocked(epoch uint64) {
-	if epoch > 0 {
-		full := d.dirtyFull
-		if !full {
-			for c, v := range d.counts {
-				if v != d.pubCounts[c] {
-					full = true
-					break
-				}
-			}
-		}
-		e := epochDelta{epoch: epoch, full: full}
-		if !full {
-			e.rows = d.dirtyRows
-			e.relabeled = d.relabeled
-		}
-		if len(d.ring) >= d.deltaHist {
-			n := copy(d.ring, d.ring[1:])
-			d.ring = d.ring[:n]
-		}
-		d.ring = append(d.ring, e)
-		if d.mDirtyRows != nil {
-			// A full epoch effectively dirtied every row (a count change
-			// rescaled whole columns); record it as such so the
-			// distribution reflects what a follower would have to fetch.
-			dirty := len(e.rows)
-			if full {
-				dirty = d.n
-				d.mFullEpochs.Inc()
-			}
-			d.mDirtyRows.Observe(float64(dirty))
-			d.mRing.Set(int64(len(d.ring)))
-		}
+func (d *DynamicEmbedder) recordDeltaLocked(epoch uint64, full bool) {
+	e := epochDelta{epoch: epoch, full: full}
+	if !full {
+		e.rows = d.dirtyRows
+		e.relabeled = d.relabeled
 	}
-	copy(d.pubCounts, d.counts)
-	d.dirtyGen++
-	d.dirtyRows = nil
-	d.relabeled = nil
-	d.dirtyFull = false
+	if len(d.ring) >= d.deltaHist {
+		n := copy(d.ring, d.ring[1:])
+		d.ring = d.ring[:n]
+	}
+	d.ring = append(d.ring, e)
 }
 
 // Delta returns how to advance a copy of the embedding from epoch

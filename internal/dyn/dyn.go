@@ -22,13 +22,21 @@
 // through internal/exec: atomic adds for small batches, the
 // contention-free sharded backend for large ones, bucketing each batch
 // in O(batch) against a shard layout cached across batches. Readers
-// never take the lock: Query and Snapshot read an atomically published
-// immutable version (copy-on-epoch over mat.Dense), so queries stay
-// consistent while ingest continues.
+// never take the lock: Query, Version and Snapshot read an atomically
+// published immutable version, so queries stay consistent while ingest
+// continues.
+//
+// A version is a paged, copy-on-write row store (Pages): an insert
+// touches two rows, so a publish shares the previous version's pages
+// and re-normalises only those holding a dirty row — O(dirty pages),
+// not O(nK). Only when the 1/n_k coefficients themselves moved (a
+// count-changing relabel), or so many pages are dirty that one sweep is
+// cheaper, is the whole owned window rebuilt.
 package dyn
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,13 +65,14 @@ type Options struct {
 	// serially). Zero selects a default; negative disables sharding.
 	ShardedThreshold int
 	// ManualPublish suppresses the automatic publish after every Apply;
-	// the caller batches visibility with explicit Publish calls. Ingest
-	// throughput then no longer pays the O(nK) normalization per batch.
+	// the caller batches visibility with explicit Publish calls. A
+	// publish costs O(dirty pages), so this is about when readers see a
+	// change, not about saving a matrix copy per batch.
 	ManualPublish bool
 	// PublishEvery > 0 publishes automatically once at least that many
 	// operations (inserts + deletes + applied label moves) have been
-	// folded since the last publish, amortizing the O(nK) normalization
-	// over many small batches while bounding staleness by op count. It
+	// folded since the last publish, bounding staleness by op count while
+	// rows dirtied several times in the window are normalised once. It
 	// overrides the per-Apply publish and ManualPublish; an explicit
 	// Publish still works at any time (and resets the op counter).
 	PublishEvery int
@@ -72,7 +81,8 @@ type Options struct {
 	// last DeltaHistory publishes changed, so a follower at most that
 	// many epochs behind can catch up with changed rows instead of a
 	// full snapshot. Zero selects 64; negative disables the ring
-	// entirely (Delta always answers "resync").
+	// entirely (Delta always answers "resync"; dirty rows are still
+	// tracked, because publish itself is driven by them).
 	DeltaHistory int
 	// OwnedLo/OwnedHi restrict the published window to the vertex range
 	// [OwnedLo, OwnedHi): folds still span the full vertex range (an
@@ -112,8 +122,49 @@ type Batch struct {
 	Labels []LabelUpdate
 }
 
-// Snapshot is one published, immutable version of the embedding.
+// Version is one published, immutable version of the embedding, its
+// rows held in copy-on-write pages shared with neighbouring epochs.
 // Readers may hold it indefinitely; it is never mutated after publish.
+// This is what every publish produces and what the serving tier reads.
+type Version struct {
+	// Epoch is the version counter (0 = the empty initial version).
+	Epoch uint64
+	// Instance identifies the embedder lifetime that produced this
+	// version: epochs are only comparable within one instance, so a
+	// follower that sees the instance change must resync rather than
+	// apply deltas across the restart.
+	Instance uint64
+	// Z is the normalized n×K embedding. Rows outside the embedder's
+	// owned window read zero.
+	Z *Pages
+	// Y is the label vector at publish time, shared with the previous
+	// version unless a label moved. Read-only by contract.
+	Y []int32
+	// Edges is the number of live edges folded into Z.
+	Edges int64
+
+	once  sync.Once
+	snap  *Snapshot
+	views *atomic.Int64 // the embedder's DenseViews counter (nil for a hand-built Version)
+}
+
+// Snapshot returns the version with Z as one contiguous matrix, derived
+// from the pages once per version and then shared by every caller. It
+// is a view when the version came out of a full rebuild and an O(nK)
+// gather otherwise, so only code that scans the whole matrix (neighbor
+// search, index builds) should ask for it.
+func (v *Version) Snapshot() *Snapshot {
+	v.once.Do(func() {
+		v.snap = &Snapshot{Epoch: v.Epoch, Instance: v.Instance, Z: v.Z.Dense(), Y: v.Y, Edges: v.Edges}
+		if v.views != nil {
+			v.views.Add(1)
+		}
+	})
+	return v.snap
+}
+
+// Snapshot is the contiguous form of a Version (see Version.Snapshot).
+// Readers may hold it indefinitely; it is never mutated.
 type Snapshot struct {
 	// Epoch is the version counter (0 = the empty initial version).
 	Epoch uint64
@@ -142,6 +193,7 @@ type Stats struct {
 	ShardedFolds int64 // batches folded through the sharded edge plan
 	SerialFolds  int64 // batches folded serially (tiny or single-worker)
 	Publishes    int64 // published versions (excluding the epoch-0 bootstrap)
+	DenseViews   int64 // versions whose contiguous Snapshot was derived (see Version.Snapshot)
 }
 
 // halfEdge is one incident arc endpoint: the *other* vertex's row
@@ -179,15 +231,23 @@ type DynamicEmbedder struct {
 	sincePub int64        // ops folded since the last publish (PublishEvery)
 	stats    Stats
 
-	// Delta tracking (all under mu; inert when deltaHist == 0).
-	deltaHist int
+	// Dirty tracking since the last publish (all under mu): it decides
+	// what a publish re-normalises and, when the ring is on, what the
+	// epoch's delta lists.
 	dirtyMark []uint64       // dirtyMark[v] == dirtyGen ⇔ row v already recorded
+	pageMark  []uint64       // pageMark[p] == dirtyGen ⇔ page p already in pageBuf
+	pageBuf   []int32        // publish scratch: pages holding a dirty row
 	dirtyGen  uint64         // bumped per publish so marks clear in O(1)
 	dirtyRows []graph.NodeID // rows whose Z changed since the last publish
 	dirtyFull bool           // too many dirty rows: this epoch will be full
-	relabeled []graph.NodeID // vertices whose label changed since the last publish
+	yMoved    bool           // some label changed: the next version needs its own Y
+	relabeled []graph.NodeID // owned vertices whose label changed since the last publish
 	pubCounts []int64        // class counts at the last publish
-	ring      []epochDelta   // last deltaHist publishes, oldest first
+	zeroChunk *chunk         // zero pages, shared by every page outside the owned window
+
+	// Delta ring (under mu; deltaHist == 0 disables it).
+	deltaHist int
+	ring      []epochDelta // last deltaHist publishes, oldest first
 
 	// foldHook, when non-nil, replaces the exec fold — tests inject
 	// failures to exercise Apply's nothing-is-applied contract.
@@ -203,15 +263,18 @@ type DynamicEmbedder struct {
 	// mu like the state they measure).
 	mPublish    *metrics.Histogram // publish (normalize + version) latency
 	mDirtyRows  *metrics.Histogram // dirty rows per published epoch
+	mNormalized *metrics.Histogram // rows re-multiplied by 1/n_k per published epoch
 	mFullEpochs *metrics.Counter   // epochs promoted to full (resync-only)
 	mRing       *metrics.Gauge     // delta-ring occupancy in epochs
 
-	cur atomic.Pointer[Snapshot]
+	denseViews atomic.Int64 // Stats.DenseViews
+	cur        atomic.Pointer[Version]
 }
 
-// Instrument registers the embedder's publish-path instruments on reg:
-// publish latency, dirty rows per epoch, full-epoch promotions, and
-// delta-ring occupancy. Call at most once per registry and label set
+// Instrument registers the embedder's instruments on reg: publish
+// latency, dirty and re-normalised rows per epoch, full-epoch
+// promotions, delta-ring occupancy, and folds by path. Call at most
+// once per registry and label set
 // (the serving layer does this when it adopts the embedder; a sharded
 // server passes a distinct shard label per embedder so N shards'
 // series coexist on one registry); publishes before Instrument simply
@@ -225,6 +288,9 @@ func (d *DynamicEmbedder) Instrument(reg *metrics.Registry, labels ...metrics.La
 	d.mDirtyRows = reg.Histogram("gee_dyn_publish_dirty_rows",
 		"Rows whose embedding changed in one published epoch.",
 		metrics.DefCountBuckets, labels...)
+	d.mNormalized = reg.Histogram("gee_dyn_publish_rows_normalized",
+		"Rows re-multiplied by 1/n_k in one published epoch (dirty pages x page height, or every owned row on a full rebuild).",
+		metrics.DefCountBuckets, labels...)
 	d.mFullEpochs = reg.Counter("gee_dyn_full_epochs_total",
 		"Published epochs promoted to full (not row-reconstructible; followers must resync across them).",
 		labels...)
@@ -236,6 +302,19 @@ func (d *DynamicEmbedder) Instrument(reg *metrics.Registry, labels ...metrics.La
 		"Currently published epoch.",
 		func() float64 { return float64(d.Epoch()) },
 		labels...)
+	for _, p := range []struct {
+		path  string
+		count func(Stats) int64
+	}{
+		{"serial", func(s Stats) int64 { return s.SerialFolds }},
+		{"atomic", func(s Stats) int64 { return s.AtomicFolds }},
+		{"sharded", func(s Stats) int64 { return s.ShardedFolds }},
+	} {
+		reg.CounterFunc("gee_dyn_folds_total",
+			"Batches folded into U, by the exec path that folded them.",
+			func() float64 { return float64(p.count(d.Stats())) },
+			append(labels[:len(labels):len(labels)], metrics.L("path", p.path))...)
+	}
 }
 
 // New prepares an embedder for n vertices with the given initial labels
@@ -301,11 +380,15 @@ func New(n int, y []int32, opts Options) (*DynamicEmbedder, error) {
 			DstCol: yc,
 			Coeff:  ones(n),
 		},
+		dirtyMark: make([]uint64, n),
+		pageMark:  make([]uint64, numPages(n)),
+		dirtyGen:  1,
+		pubCounts: make([]int64, k),
+		zeroChunk: new(chunk),
 	}
-	if hist > 0 {
-		d.dirtyMark = make([]uint64, n)
-		d.dirtyGen = 1
-		d.pubCounts = make([]int64, k)
+	zero := make([]float64, PageRows*k)
+	for j := range d.zeroChunk {
+		d.zeroChunk[j] = zero
 	}
 	d.publishLocked()
 	return d, nil
@@ -360,6 +443,7 @@ func (d *DynamicEmbedder) Stats() Stats {
 	st := d.stats
 	st.Epoch = d.cur.Load().Epoch
 	st.LiveEdges = d.edges
+	st.DenseViews = d.denseViews.Load()
 	return st
 }
 
@@ -374,20 +458,24 @@ func (d *DynamicEmbedder) PendingOps() int64 {
 	return d.sincePub
 }
 
-// Snapshot returns the currently published version. The returned value
-// is immutable and consistent: every batch is either fully reflected or
-// not at all.
-func (d *DynamicEmbedder) Snapshot() *Snapshot { return d.cur.Load() }
+// Version returns the currently published version in O(1). The returned
+// value is immutable and consistent: every batch is either fully
+// reflected or not at all.
+func (d *DynamicEmbedder) Version() *Version { return d.cur.Load() }
+
+// Snapshot returns the currently published version with a contiguous Z
+// (see Version.Snapshot for what that costs).
+func (d *DynamicEmbedder) Snapshot() *Snapshot { return d.cur.Load().Snapshot() }
 
 // Query returns a copy of vertex v's embedding row in the currently
 // published version, or nil when v is out of range.
 func (d *DynamicEmbedder) Query(v graph.NodeID) []float64 {
-	s := d.cur.Load()
-	if int(v) >= s.Z.R {
+	z := d.cur.Load().Z
+	if int(v) >= z.R {
 		return nil
 	}
-	out := make([]float64, s.Z.C)
-	copy(out, s.Z.Row(int(v)))
+	out := make([]float64, z.C)
+	copy(out, z.Row(int(v)))
 	return out
 }
 
@@ -437,15 +525,13 @@ func (d *DynamicEmbedder) Apply(b Batch) error {
 		d.adj[e.U] = append(d.adj[e.U], halfEdge{v: e.V, w: e.W})
 		d.adj[e.V] = append(d.adj[e.V], halfEdge{v: e.U, w: e.W})
 	}
-	if d.deltaHist > 0 {
-		for _, e := range b.Delete {
-			d.markDirty(e.U)
-			d.markDirty(e.V)
-		}
-		for _, e := range b.Insert {
-			d.markDirty(e.U)
-			d.markDirty(e.V)
-		}
+	for _, e := range b.Delete {
+		d.markDirty(e.U)
+		d.markDirty(e.V)
+	}
+	for _, e := range b.Insert {
+		d.markDirty(e.U)
+		d.markDirty(e.V)
 	}
 	moved := -d.stats.LabelMoves
 	for _, lu := range b.Labels {
@@ -470,7 +556,7 @@ func (d *DynamicEmbedder) Apply(b Batch) error {
 
 // Publish makes all applied batches visible as a new version. Only
 // needed in manual-publish mode; otherwise every Apply publishes.
-func (d *DynamicEmbedder) Publish() *Snapshot {
+func (d *DynamicEmbedder) Publish() *Version {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.publishLocked()
@@ -604,22 +690,21 @@ func (d *DynamicEmbedder) relabel(v graph.NodeID, class int32) {
 			d.u.Data[row+int(class)] += w
 		}
 	}
-	if d.deltaHist > 0 {
-		// Every neighbor's row slid mass between columns (v's own row
-		// is keyed by its neighbors' classes and does not move). The
-		// count shift below rescales two whole columns at publish, so
-		// this epoch's delta is promoted to full there; the row marks
-		// still matter when a later move restores the counts exactly.
-		for _, he := range d.adj[v] {
-			d.markDirty(he.v)
-		}
-		// Label authority follows row ownership: a sharded embedder only
-		// reports relabels of vertices it owns (every shard sees the
-		// broadcast, exactly one claims it in its delta).
-		if d.owned(v) {
-			d.relabeled = append(d.relabeled, v)
-		}
+	// Every neighbor's row slid mass between columns (v's own row is
+	// keyed by its neighbors' classes and does not move). The count
+	// shift below rescales two whole columns at publish, which rebuilds
+	// every page and promotes the epoch's delta to full; the row marks
+	// still matter when a later move restores the counts exactly.
+	for _, he := range d.adj[v] {
+		d.markDirty(he.v)
 	}
+	// Label authority follows row ownership: a sharded embedder only
+	// reports relabels of vertices it owns (every shard sees the
+	// broadcast, exactly one claims it in its delta).
+	if d.owned(v) {
+		d.relabeled = append(d.relabeled, v)
+	}
+	d.yMoved = true
 	if old >= 0 {
 		d.counts[old]--
 	}
@@ -630,10 +715,20 @@ func (d *DynamicEmbedder) relabel(v graph.NodeID, class int32) {
 	d.stats.LabelMoves++
 }
 
-// publishLocked normalizes U into a fresh matrix and atomically
-// publishes it as the next epoch. Copy-on-epoch: earlier snapshots stay
-// valid for readers still holding them.
-func (d *DynamicEmbedder) publishLocked() *Snapshot {
+// publishLocked is the one publish routine: it derives the next
+// version's pages from U and atomically publishes them as the next
+// epoch. Earlier versions stay valid for readers still holding them.
+//
+// Z(u,c) = U(u,c)/n_c, so a row of Z changes only when its row of U did
+// (it is in the dirty set) or when a class count did. With the counts
+// where the last publish left them, the new version is the previous
+// one's page table with the dirty pages re-normalised; every other page
+// — and Y, unless a label moved — is shared. Otherwise (counts moved,
+// first publish, or so many pages dirty that copying them one by one
+// would cost more than one sweep) the whole owned window is rebuilt.
+// Both paths run the same src[c]*inv[c] multiply, so which one produced
+// a row is invisible in its bits.
+func (d *DynamicEmbedder) publishLocked() *Version {
 	t0 := time.Now()
 	inv := make([]float64, d.k)
 	for c, n := range d.counts {
@@ -641,44 +736,180 @@ func (d *DynamicEmbedder) publishLocked() *Snapshot {
 			inv[c] = 1 / float64(n)
 		}
 	}
-	z := mat.NewDense(d.n, d.k)
-	// Only the owned window is normalized into the snapshot; non-owned
-	// rows of U hold consistent partial sums (cut-edge mass folded here
-	// whose authoritative copy lives on another shard) that are never
-	// published. For a standalone embedder the window is the full range.
-	parallel.ForChunk(d.workers, d.ownHi-d.ownLo, 0, func(lo, hi int) {
-		for u := lo + d.ownLo; u < hi+d.ownLo; u++ {
-			src := d.u.Row(u)
-			dst := z.Row(u)
-			for c := range src {
-				dst[c] = src[c] * inv[c]
-			}
-		}
-	})
-	var epoch uint64
-	if prev := d.cur.Load(); prev != nil {
-		epoch = prev.Epoch + 1
+	prev := d.cur.Load()
+	countsMoved := !slices.Equal(d.counts, d.pubCounts)
+	v := &Version{Instance: d.instance, Edges: d.edges, views: &d.denseViews}
+	var dirty []int32
+	patch := prev != nil && !countsMoved
+	if patch {
+		dirty, patch = d.dirtyPagesLocked()
+	}
+	normalized := d.ownHi - d.ownLo
+	if patch {
+		v.Z = d.patchPages(prev.Z, dirty, inv)
+		normalized = len(dirty) * PageRows
+	} else {
+		v.Z = d.rebuildPages(inv)
+	}
+	if prev == nil || d.yMoved {
+		v.Y = append([]int32(nil), d.y...)
+	} else {
+		v.Y = prev.Y
+	}
+	if prev != nil {
+		v.Epoch = prev.Epoch + 1
 		d.stats.Publishes++
+		// Counts moved or too many rows: the epoch is not reconstructible
+		// from a row list, so followers must resync across it.
+		full := d.dirtyFull || countsMoved
+		if d.deltaHist > 0 {
+			d.recordDeltaLocked(v.Epoch, full)
+		}
+		if d.mDirtyRows != nil {
+			// A full epoch effectively dirtied every row (a count change
+			// rescaled whole columns); record it as such so the
+			// distribution reflects what a follower would have to fetch.
+			dirtyRows := len(d.dirtyRows)
+			if full {
+				dirtyRows = d.n
+				d.mFullEpochs.Inc()
+			}
+			d.mDirtyRows.Observe(float64(dirtyRows))
+			d.mNormalized.Observe(float64(normalized))
+			d.mRing.Set(int64(len(d.ring)))
+		}
 	}
+	copy(d.pubCounts, d.counts)
+	d.dirtyGen++
+	d.dirtyRows = nil
+	d.relabeled = nil
+	d.dirtyFull = false
+	d.yMoved = false
 	d.sincePub = 0
-	s := &Snapshot{
-		Epoch:    epoch,
-		Instance: d.instance,
-		Z:        z,
-		Y:        append([]int32(nil), d.y...),
-		Edges:    d.edges,
-	}
-	if d.deltaHist > 0 {
-		d.recordDeltaLocked(epoch)
-	}
-	d.cur.Store(s)
+	d.cur.Store(v)
 	if d.mPublish != nil {
 		d.mPublish.ObserveSince(t0)
 	}
 	if d.publishHook != nil {
-		d.publishHook(epoch, time.Since(t0))
+		d.publishHook(v.Epoch, time.Since(t0))
 	}
-	return s
+	return v
+}
+
+// normalizeRow writes row u of Z — U(u,·) scaled by inv — into dst.
+func (d *DynamicEmbedder) normalizeRow(dst []float64, u int, inv []float64) {
+	src := d.u.Row(u)
+	for c := range src {
+		dst[c] = src[c] * inv[c]
+	}
+}
+
+// dirtyPagesLocked lists the pages holding a dirty row. ok is false
+// when patching them one by one would not pay: the row rule already
+// gave up (dirtyFull), or more than an eighth of the owned pages are
+// dirty. Measured at n=100k, K=10, a page copy costs ~0.4 µs against
+// 2.3 ms for one parallel sweep into one allocation, so the two meet
+// near a fifth of the pages; the rule stops earlier because the sweep
+// also leaves the rows contiguous and needs no page table. A 4096-edge
+// batch there dirties 8% of the rows but 28% of the pages, and is
+// rebuilt.
+func (d *DynamicEmbedder) dirtyPagesLocked() (pages []int32, ok bool) {
+	if d.dirtyFull {
+		return nil, false
+	}
+	limit := (numPages(d.ownHi) - (d.ownLo >> pageShift)) / 8
+	pages = d.pageBuf[:0]
+	for _, v := range d.dirtyRows {
+		p := int32(v >> pageShift)
+		if d.pageMark[p] == d.dirtyGen {
+			continue
+		}
+		if len(pages) >= limit {
+			return nil, false
+		}
+		d.pageMark[p] = d.dirtyGen
+		pages = append(pages, p)
+	}
+	d.pageBuf = pages
+	return pages, true
+}
+
+// rebuildPages normalizes the whole owned window in parallel into one
+// allocation. When that spans every row it is the store (no page table:
+// the next patch cuts one, once). Otherwise it is cut into the window's
+// pages, and every page outside the window is the shared zero page (every
+// chunk of only such pages the shared zero chunk), so a shard allocates
+// its window, not n×K.
+func (d *DynamicEmbedder) rebuildPages(inv []float64) *Pages {
+	k := d.k
+	first, last := d.ownLo>>pageShift, numPages(d.ownHi)
+	base, end := first<<pageShift, min(last<<pageShift, d.n)
+	backing := make([]float64, (end-base)*k)
+	// Only the owned rows are normalized; the few rows sharing a
+	// boundary page with the window stay zero like the rest of the
+	// non-owned range (U holds consistent partial sums there — cut-edge
+	// mass whose authoritative copy lives on another shard — that are
+	// never published).
+	parallel.ForChunk(d.workers, d.ownHi-d.ownLo, 0, func(lo, hi int) {
+		for u := lo + d.ownLo; u < hi+d.ownLo; u++ {
+			d.normalizeRow(backing[(u-base)*k:(u-base+1)*k], u, inv)
+		}
+	})
+	if base == 0 && end == d.n {
+		return &Pages{R: d.n, C: k, flat: backing}
+	}
+	z := &Pages{R: d.n, C: k, chunks: make([]*chunk, numChunks(d.n))}
+	for ci := range z.chunks {
+		z.chunks[ci] = d.zeroChunk
+	}
+	own := make([]chunk, numChunks(last<<pageShift)-first>>chunkShift)
+	for i := range own {
+		own[i] = *d.zeroChunk
+		z.chunks[first>>chunkShift+i] = &own[i]
+	}
+	z.cutPages(backing, base, first, last)
+	return z
+}
+
+// patchPages returns prev with the dirty pages replaced by freshly
+// normalized copies; every other page, and every chunk of the table
+// without a dirty page, is shared. Each page is its own allocation so
+// that a version superseded page by page is also collected page by
+// page. The grain keeps a small write's few pages on the publishing
+// goroutine (measured: a second worker only pays from a few thousand
+// rows up).
+func (d *DynamicEmbedder) patchPages(prev *Pages, dirty []int32, inv []float64) *Pages {
+	k := d.k
+	z := &Pages{R: d.n, C: k}
+	if prev.chunks == nil {
+		// prev came out of a rebuild: cut its array into pages, all ours.
+		z.chunks = make([]*chunk, numChunks(d.n))
+		own := make([]chunk, len(z.chunks))
+		for ci := range own {
+			z.chunks[ci] = &own[ci]
+		}
+		z.cutPages(prev.flat, 0, 0, numPages(d.n))
+	} else {
+		z.chunks = append([]*chunk(nil), prev.chunks...)
+		for _, p := range dirty {
+			if ci := p >> chunkShift; z.chunks[ci] == prev.chunks[ci] {
+				c := *prev.chunks[ci]
+				z.chunks[ci] = &c
+			}
+		}
+	}
+	parallel.ForChunk(d.workers, len(dirty), 4096/PageRows, func(lo, hi int) {
+		for _, p := range dirty[lo:hi] {
+			r0 := int(p) << pageShift
+			r1 := min(r0+PageRows, d.n)
+			pg := make([]float64, (r1-r0)*k)
+			for u := max(r0, d.ownLo); u < min(r1, d.ownHi); u++ {
+				d.normalizeRow(pg[(u-r0)*k:(u-r0+1)*k], u, inv)
+			}
+			z.chunks[p>>chunkShift][p&(chunkPages-1)] = pg
+		}
+	})
+	return z
 }
 
 // SetPublishHook installs a callback invoked after every published

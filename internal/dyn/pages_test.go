@@ -1,0 +1,404 @@
+package dyn
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"sync"
+	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/labels"
+	"repro/internal/metrics"
+	"repro/internal/xrand"
+)
+
+// testPages builds an r×c store whose cell (v, j) holds v*1000+j: one
+// array (the shape a rebuild leaves) when flat, otherwise every page its
+// own allocation behind the chunk table (the shape patches converge to).
+func testPages(r, c int, flat bool) *Pages {
+	p := &Pages{R: r, C: c}
+	if flat {
+		p.flat = make([]float64, r*c)
+		for i := range p.flat {
+			p.flat[i] = float64(i/c*1000 + i%c)
+		}
+		return p
+	}
+	p.chunks = make([]*chunk, numChunks(r))
+	for ci := range p.chunks {
+		p.chunks[ci] = new(chunk)
+	}
+	for pg := 0; pg < numPages(r); pg++ {
+		r0 := pg * PageRows
+		page := make([]float64, min(PageRows, r-r0)*c)
+		for i := range page {
+			page[i] = float64((r0+i/c)*1000 + i%c)
+		}
+		p.chunks[pg/chunkPages][pg%chunkPages] = page
+	}
+	return p
+}
+
+// checkRows asserts that p holds rows [lo, lo+p.R) of the testPages
+// pattern, through Row and through Dense.
+func checkRows(t *testing.T, p *Pages, lo int) {
+	t.Helper()
+	z := p.Dense()
+	if z.R != p.R || z.C != p.C || len(z.Data) != p.R*p.C {
+		t.Fatalf("Dense is %dx%d over %d floats, want %dx%d", z.R, z.C, len(z.Data), p.R, p.C)
+	}
+	for v := 0; v < p.R; v++ {
+		row := p.Row(v)
+		if len(row) != p.C {
+			t.Fatalf("row %d has %d columns, want %d", v, len(row), p.C)
+		}
+		for j, x := range row {
+			if want := float64((lo+v)*1000 + j); x != want || z.At(v, j) != want {
+				t.Fatalf("cell (%d,%d): Row %v, Dense %v, want %v", v, j, x, z.At(v, j), want)
+			}
+		}
+	}
+}
+
+func TestPagesRowWindowDense(t *testing.T) {
+	const c = 3
+	for _, r := range []int{0, 1, PageRows - 1, PageRows, PageRows + 1, chunkRows - 1, chunkRows, chunkRows + 1, 2*chunkRows + PageRows + 3} {
+		for _, flat := range []bool{false, true} {
+			p := testPages(r, c, flat)
+			checkRows(t, p, 0)
+			if z := p.Dense(); flat && r > 0 && &z.Data[0] != &p.flat[0] {
+				t.Fatalf("r=%d: Dense of a flat store copied", r)
+			}
+			// Every window, aligned or not, including empty ones and
+			// windows of windows.
+			for lo := 0; lo <= r; lo++ {
+				for hi := lo; hi <= r; hi++ {
+					w := p.Window(lo, hi)
+					checkRows(t, w, lo)
+					if hi-lo >= 2 {
+						checkRows(t, w.Window(1, hi-lo-1), lo+1)
+					}
+					if hi > lo && &w.Row(0)[0] != &p.Row(lo)[0] {
+						t.Fatalf("r=%d: window [%d,%d) does not share its pages", r, lo, hi)
+					}
+				}
+			}
+		}
+	}
+}
+
+// pageID identifies the memory behind page pg of z (its first float).
+func pageID(z *Pages, pg int) *float64 { return &z.Row(pg * PageRows)[0] }
+
+// scratchRows is the from-scratch reference of a publish: row u of
+// U·diag(1/n_k) for owned u, zero elsewhere, computed independently of
+// any page. Caller holds no lock; the embedder must be quiescent.
+func scratchRows(d *DynamicEmbedder) []float64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	want := make([]float64, d.n*d.k)
+	for u := d.ownLo; u < d.ownHi; u++ {
+		for c := 0; c < d.k; c++ {
+			if d.counts[c] > 0 {
+				want[u*d.k+c] = d.u.At(u, c) * (1 / float64(d.counts[c]))
+			}
+		}
+	}
+	return want
+}
+
+// held is a version a reader kept, with what it read at the time.
+type held struct {
+	ver  *Version
+	rows []float64
+	y    []int32
+}
+
+func (h held) check(t *testing.T) {
+	t.Helper()
+	k := h.ver.Z.C
+	for v := 0; v < h.ver.Z.R; v++ {
+		for c, x := range h.ver.Z.Row(v) {
+			if x != h.rows[v*k+c] {
+				t.Fatalf("epoch %d changed under its reader: Z[%d][%d] = %v, was %v", h.ver.Epoch, v, c, x, h.rows[v*k+c])
+			}
+		}
+	}
+	for v, c := range h.ver.Y {
+		if c != h.y[v] {
+			t.Fatalf("epoch %d changed under its reader: Y[%d] = %d, was %d", h.ver.Epoch, v, c, h.y[v])
+		}
+	}
+}
+
+// TestPagedPublishProperty drives random schedules of inserts, deletes,
+// relabels (some cancelling inside one publish window) and 4096-edge
+// bursts through embedders whose n is no multiple of the page height,
+// whose owned window starts and ends mid-page, with the ring off, at
+// its default and three deep — and checks at EVERY epoch that the paged
+// version is bit for bit the from-scratch normalisation, that its
+// contiguous Snapshot is the same rows and one pointer per epoch, and
+// that every older version a reader still holds has not changed.
+// Readers hammer Query, Delta and the pages meanwhile (run with -race).
+func TestPagedPublishProperty(t *testing.T) {
+	const n, k = 20011, 5
+	for _, win := range [][2]int{{0, 0}, {3001, 15007}} {
+		for _, hist := range []int{-1, 0, 3} {
+			t.Run(fmt.Sprintf("own%d-%d/hist%d", win[0], win[1], hist), func(t *testing.T) {
+				seed := uint64(1000*win[0] + hist + 7)
+				y0 := labels.SampleSemiSupervised(n, k, 0.6, seed)
+				d, err := New(n, y0, Options{K: k, Workers: 2, DeltaHistory: hist, ManualPublish: true,
+					OwnedLo: win[0], OwnedHi: win[1]})
+				if err != nil {
+					t.Fatal(err)
+				}
+				stop := make(chan struct{})
+				var wg sync.WaitGroup
+				for g := 0; g < 2; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						r := xrand.New(seed + uint64(g) + 1)
+						for {
+							select {
+							case <-stop:
+								return
+							default:
+							}
+							v := graph.NodeID(r.Intn(n))
+							ver := d.Version()
+							row := d.Query(v)
+							if len(row) != k || len(ver.Z.Row(int(v))) != k {
+								t.Errorf("reader: row %d has %d/%d columns", v, len(row), len(ver.Z.Row(int(v))))
+								return
+							}
+							if dl := d.Delta(ver.Epoch); dl.Epoch < ver.Epoch {
+								t.Errorf("reader: delta from %d reached back to %d", ver.Epoch, dl.Epoch)
+								return
+							}
+							runtime.Gosched()
+						}
+					}(g)
+				}
+				defer func() { close(stop); wg.Wait() }()
+
+				r := xrand.New(seed)
+				var live []graph.Edge
+				edge := func() graph.Edge {
+					return graph.Edge{U: graph.NodeID(r.Intn(n)), V: graph.NodeID(r.Intn(n)), W: float32(r.Intn(3) + 1)}
+				}
+				var keep []held
+				patched, rebuilt := 0, 0
+				prev := d.Version()
+				for epoch := 1; epoch <= 25; epoch++ {
+					for applies := 1 + r.Intn(3); applies > 0; applies-- {
+						var b Batch
+						switch r.Intn(6) {
+						case 0: // a burst past the dirty-page rule
+							for i := 0; i < 4096; i++ {
+								b.Insert = append(b.Insert, edge())
+							}
+						case 1: // a relabel that moves class counts
+							v := graph.NodeID(r.Intn(n))
+							b.Labels = []LabelUpdate{{V: v, Class: int32(r.Intn(k+1)) - 1}}
+						case 2: // moves that cancel before anyone can see them
+							d.mu.Lock()
+							v := graph.NodeID(r.Intn(n))
+							was := d.y[v]
+							d.mu.Unlock()
+							b.Labels = []LabelUpdate{{V: v, Class: (was + 2) % k}, {V: v, Class: was}}
+						default:
+							for i := 1 + r.Intn(20); i > 0; i-- {
+								b.Insert = append(b.Insert, edge())
+							}
+							for i := r.Intn(4); i > 0 && len(live) > 0; i-- {
+								j := r.Intn(len(live))
+								b.Delete = append(b.Delete, live[j])
+								live[j] = live[len(live)-1]
+								live = live[:len(live)-1]
+							}
+						}
+						if err := d.Apply(b); err != nil {
+							t.Fatalf("epoch %d: %v", epoch, err)
+						}
+						live = append(live, b.Insert...)
+					}
+					ver := d.Publish()
+					if ver.Epoch != uint64(epoch) || d.Version() != ver {
+						t.Fatalf("published epoch %d, want %d current", ver.Epoch, epoch)
+					}
+					want := scratchRows(d)
+					snap := ver.Snapshot()
+					if snap != ver.Snapshot() || snap != d.Snapshot() || snap.Epoch != ver.Epoch || snap.Edges != int64(len(live)) {
+						t.Fatalf("epoch %d: Snapshot is not one stable value per version", epoch)
+					}
+					if snap.Z.R != n || snap.Z.C != k || len(snap.Z.Data) != n*k {
+						t.Fatalf("epoch %d: snapshot Z is %dx%d over %d floats", epoch, snap.Z.R, snap.Z.C, len(snap.Z.Data))
+					}
+					for v := 0; v < n; v++ {
+						for c, x := range ver.Z.Row(v) {
+							if x != want[v*k+c] || snap.Z.Data[v*k+c] != x {
+								t.Fatalf("epoch %d: Z[%d][%d] paged %v, contiguous %v, from scratch %v",
+									epoch, v, c, x, snap.Z.Data[v*k+c], want[v*k+c])
+							}
+						}
+					}
+					d.mu.Lock()
+					for v, c := range d.y {
+						if ver.Y[v] != c {
+							t.Fatalf("epoch %d: Y[%d] = %d, embedder has %d", epoch, v, ver.Y[v], c)
+						}
+					}
+					d.mu.Unlock()
+					if a, b := 4000/PageRows, 12000/PageRows; pageID(ver.Z, a) == pageID(prev.Z, a) || pageID(ver.Z, b) == pageID(prev.Z, b) {
+						patched++
+					} else {
+						rebuilt++
+					}
+					for _, h := range keep {
+						h.check(t)
+					}
+					keep = append(keep, held{ver, want, append([]int32(nil), ver.Y...)})
+					if len(keep) > 4 {
+						keep = append(keep[:1], keep[2:]...) // the oldest stays held throughout
+					}
+					prev = ver
+				}
+				if patched == 0 || rebuilt == 0 {
+					t.Fatalf("schedule took %d patched and %d rebuilt publishes; want both paths", patched, rebuilt)
+				}
+			})
+		}
+	}
+}
+
+// TestPublishSharesUntouchedPages pins the cost model at the benchmark's
+// scale: a 64-edge write replaces at most 128 pages and shares the rest
+// and Y with the previous version, allocating a small fraction of the
+// matrix; a count-changing relabel rebuilds every page.
+func TestPublishSharesUntouchedPages(t *testing.T) {
+	const n, k = 100_000, 10
+	y0 := labels.SampleSemiSupervised(n, k, 1, 5)
+	d, err := New(n, y0, Options{K: k, ManualPublish: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := xrand.New(9)
+	batch := func(m int) Batch {
+		var b Batch
+		for i := 0; i < m; i++ {
+			b.Insert = append(b.Insert, graph.Edge{U: graph.NodeID(r.Intn(n)), V: graph.NodeID(r.Intn(n)), W: 1})
+		}
+		return b
+	}
+	// A bulk load is rebuilt into one array; the first small write after
+	// it cuts that array into pages (once), the next ones only patch.
+	for _, m := range []int{50_000, 64} {
+		if err := d.Apply(batch(m)); err != nil {
+			t.Fatal(err)
+		}
+		d.Publish()
+	}
+	before := d.Version()
+	if err := d.Apply(batch(64)); err != nil {
+		t.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	after := d.Publish()
+	runtime.ReadMemStats(&m1)
+	if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(n*k*8/10); got >= limit {
+		t.Errorf("a 64-edge publish allocated %d bytes, want < %d (10%% of the matrix)", got, limit)
+	}
+	differ := 0
+	for pg := 0; pg < numPages(n); pg++ {
+		if pageID(after.Z, pg) != pageID(before.Z, pg) {
+			differ++
+		}
+	}
+	if differ == 0 || differ > 128 {
+		t.Errorf("%d pages differ after a 64-edge write, want 1..128", differ)
+	}
+	if &after.Y[0] != &before.Y[0] {
+		t.Error("Y was copied although no label moved")
+	}
+	if st := d.Stats(); st.DenseViews != 0 {
+		t.Errorf("publishing derived %d contiguous views, want none", st.DenseViews)
+	}
+
+	// Moving one vertex changes two class counts.
+	if err := d.Apply(Batch{Labels: []LabelUpdate{{V: 0, Class: (y0[0] + 1) % k}}}); err != nil {
+		t.Fatal(err)
+	}
+	moved := d.Publish()
+	for pg := 0; pg < numPages(n); pg++ {
+		if pageID(moved.Z, pg) == pageID(after.Z, pg) {
+			t.Fatalf("page %d survived a count-changing relabel", pg)
+		}
+	}
+	if &moved.Y[0] == &after.Y[0] || after.Y[0] != y0[0] {
+		t.Error("a relabel wrote into the Y of a published version")
+	}
+	if z := moved.Snapshot().Z; &z.Data[0] != pageID(moved.Z, 0) {
+		t.Error("the contiguous view of a full rebuild is a copy, want the pages' own array")
+	}
+}
+
+// TestPublishInstrumentsWithoutRing checks that the publish instruments
+// describe every publish whether or not the delta ring is kept (they
+// used to live inside the ring branch and read zero with it off), and
+// that folds are exported by path.
+func TestPublishInstrumentsWithoutRing(t *testing.T) {
+	const n, k = 2000, 4
+	for _, hist := range []int{-1, 0} {
+		d, err := New(n, labels.Full(n, k, 3), Options{K: k, DeltaHistory: hist})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := metrics.NewRegistry()
+		d.Instrument(reg, metrics.L("shard", "0"))
+		// Two rows on two pages, patched; then a count-changing move: a
+		// full epoch that re-normalises every row.
+		if err := d.AddEdges([]graph.Edge{{U: 1, V: 100, W: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.UpdateLabels([]LabelUpdate{{V: 7, Class: (d.Version().Y[7] + 1) % k}}); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := reg.WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		samples, err := metrics.ParseText(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []struct {
+			name, path string
+			value      float64
+		}{
+			{"gee_dyn_publish_dirty_rows_count", "", 2},
+			{"gee_dyn_publish_dirty_rows_sum", "", 2 + n},
+			{"gee_dyn_publish_rows_normalized_count", "", 2},
+			{"gee_dyn_publish_rows_normalized_sum", "", 2*PageRows + n},
+			{"gee_dyn_full_epochs_total", "", 1},
+			{"gee_dyn_folds_total", "serial", 1},
+			{"gee_dyn_folds_total", "atomic", 0},
+			{"gee_dyn_folds_total", "sharded", 0},
+		} {
+			found := false
+			for _, s := range samples {
+				if s.Name == want.name && s.Labels["path"] == want.path && s.Labels["shard"] == "0" {
+					found = true
+					if s.Value != want.value {
+						t.Errorf("hist %d: %s{path=%q} = %v, want %v", hist, want.name, want.path, s.Value, want.value)
+					}
+				}
+			}
+			if !found {
+				t.Errorf("hist %d: %s{path=%q} not exported", hist, want.name, want.path)
+			}
+		}
+	}
+}

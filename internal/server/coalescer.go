@@ -8,8 +8,10 @@
 // work even when every client sends one edge at a time.
 //
 // The coalescer is the throughput lever: per-request Apply would pay a
-// serial fold and an O(nK) publish per edge, while a micro-batch pays
-// both once per hundreds or thousands of ops. Its queue is bounded —
+// lock hand-off, a serial fold and a publish (a page-table copy plus the
+// dirty pages, and an epoch every follower must step through) per edge,
+// while a micro-batch pays them once per hundreds or thousands of ops
+// and gives the parallel fold paths enough work. Its queue is bounded —
 // when clients outrun ingest, Submit fails fast (HTTP 429) instead of
 // buffering without limit. Every accepted write request is acknowledged
 // only after its operations are published, and the ack carries the
@@ -535,20 +537,21 @@ func (c *Coalescer) settle(pending []*request, idle bool) []*request {
 	// ordering stays sound even when another writer publishes
 	// concurrently). PendingOps > 0 may also be another writer's
 	// unpublished ops; publishing ours along with them is harmless.
-	var snap *dyn.Snapshot
+	var epoch uint64
 	if c.d.PendingOps() > 0 {
 		if !idle && c.pendingOps < c.opts.MaxBatch {
 			return pending
 		}
-		snap = c.d.Publish()
+		epoch = c.d.Publish().Epoch
 		// The forced publish above reported into pubNanos; drain it so
 		// the next window's fold span does not subtract it again (the
 		// publish-wait spans recorded below already cover it).
 		c.pubNanos.Store(0)
 	} else {
-		snap = c.d.Snapshot()
+		// Only the number is needed: the O(1) accessor, never the
+		// contiguous snapshot (an ack must not gather n×K floats).
+		epoch = c.d.Epoch()
 	}
-	epoch := snap.Epoch
 	now := time.Now()
 	epochTag := strconv.FormatUint(epoch, 10)
 	for _, r := range pending {

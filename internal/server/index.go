@@ -14,7 +14,7 @@ import (
 // The approximate-neighbor read path. An IVF index is built over one
 // published snapshot and answers `mode: "approx"` /v1/neighbors queries
 // from it. Publishes outpace index builds by design (a build clusters
-// the whole matrix; a publish is one copy-on-epoch), so the cache is
+// the whole matrix; a publish copies only the dirty row pages), so the cache is
 // deliberately stale-tolerant: a query observing a newer published
 // epoch kicks exactly one asynchronous rebuild and is answered from the
 // previous index meanwhile — the response carries the epoch actually
@@ -57,11 +57,12 @@ type IndexStats struct {
 	Stale bool
 }
 
-// builtIndex pins one IVF index to the snapshot it answers from: query
-// rows must come from the same epoch the lists were built on.
+// builtIndex is one IVF index and the epoch of the version whose
+// contiguous view it was built over (the index itself keeps that matrix
+// alive; the version's pages are free to go).
 type builtIndex struct {
-	snap *dyn.Snapshot
-	ivf  *cluster.IVF
+	epoch uint64
+	ivf   *cluster.IVF
 }
 
 // indexCache holds the current index and the single-flight rebuild
@@ -95,12 +96,15 @@ func newIndexCache(d *dyn.DynamicEmbedder, workers int, opts IndexOptions) *inde
 	return &indexCache{d: d, workers: workers, opts: opts, lo: lo, hi: hi}
 }
 
-// view returns the owned-row window of snap's matrix — the rows this
-// embedder publishes — as a borrowed slice of the immutable snapshot
-// (no copy). Row i of the view is global row i+lo.
-func (ic *indexCache) view(snap *dyn.Snapshot) *mat.Dense {
-	k := snap.Z.C
-	return &mat.Dense{R: ic.hi - ic.lo, C: k, Data: snap.Z.Data[ic.lo*k : ic.hi*k]}
+// view returns the owned-row window of ver's matrix — the rows this
+// embedder publishes — as a borrowed slice of the version's contiguous
+// form, which the version derives from its pages once and keeps. This
+// is the only place the serving tier asks for that form: the exact scan
+// and the index build need rows back to back, nothing else does. Row i
+// of the view is global row i+lo.
+func (ic *indexCache) view(ver *dyn.Version) *mat.Dense {
+	z := ver.Snapshot().Z
+	return &mat.Dense{R: ic.hi - ic.lo, C: z.C, Data: z.Data[ic.lo*z.C : ic.hi*z.C]}
 }
 
 // current returns the freshest built index — possibly behind snap's
@@ -112,15 +116,15 @@ func (ic *indexCache) view(snap *dyn.Snapshot) *mat.Dense {
 // response's Epoch, breaking the staleness contract — it falls back
 // to exact on its own snapshot instead) nor kick a rebuild for its
 // older epoch.
-func (ic *indexCache) current(snap *dyn.Snapshot) *builtIndex {
+func (ic *indexCache) current(snap *dyn.Version) *builtIndex {
 	if ic.opts.ExactRows > 0 && ic.hi-ic.lo < ic.opts.ExactRows {
 		return nil
 	}
 	idx := ic.cur.Load()
-	if idx == nil || idx.snap.Epoch < snap.Epoch {
+	if idx == nil || idx.epoch < snap.Epoch {
 		ic.kick()
 	}
-	if idx != nil && idx.snap.Epoch > snap.Epoch {
+	if idx != nil && idx.epoch > snap.Epoch {
 		return nil
 	}
 	return idx
@@ -145,8 +149,8 @@ func (ic *indexCache) kick() {
 	go func() {
 		defer ic.buildWG.Done()
 		t0 := time.Now()
-		snap := ic.d.Snapshot()
-		ivf := cluster.BuildIVF(ic.workers, ic.view(snap), cluster.IVFOptions{
+		ver := ic.d.Version()
+		ivf := cluster.BuildIVF(ic.workers, ic.view(ver), cluster.IVFOptions{
 			Lists:     ic.opts.Lists,
 			NProbe:    ic.opts.NProbe,
 			ExactRows: -1, // the threshold gate already ran in current()
@@ -155,8 +159,8 @@ func (ic *indexCache) kick() {
 		// Builds are single-flight, so this store cannot race another
 		// builder — but it must still never regress the cache to an
 		// older epoch.
-		if old := ic.cur.Load(); old == nil || old.snap.Epoch < snap.Epoch {
-			ic.cur.Store(&builtIndex{snap: snap, ivf: ivf})
+		if old := ic.cur.Load(); old == nil || old.epoch < ver.Epoch {
+			ic.cur.Store(&builtIndex{epoch: ver.Epoch, ivf: ivf})
 		}
 		ic.builds.Add(1)
 		if ic.mBuild != nil {
@@ -201,16 +205,16 @@ func (ic *indexCache) instrument(reg *metrics.Registry, labels ...metrics.Label)
 				return 0
 			}
 			pub := ic.d.Epoch()
-			if pub <= idx.snap.Epoch {
+			if pub <= idx.epoch {
 				return 0
 			}
-			return float64(pub - idx.snap.Epoch)
+			return float64(pub - idx.epoch)
 		}, labels...)
 	reg.GaugeFunc("gee_index_epoch",
 		"Snapshot epoch the current approximate index was built from (0 = cold).",
 		func() float64 {
 			if idx := ic.cur.Load(); idx != nil {
-				return float64(idx.snap.Epoch)
+				return float64(idx.epoch)
 			}
 			return 0
 		}, labels...)
@@ -222,9 +226,9 @@ func (ic *indexCache) stats() IndexStats {
 		Builds:   ic.builds.Load(),
 	}
 	if idx := ic.cur.Load(); idx != nil {
-		st.Epoch = idx.snap.Epoch
+		st.Epoch = idx.epoch
 		st.Lists = idx.ivf.Lists()
-		st.Stale = ic.d.Epoch() != idx.snap.Epoch
+		st.Stale = ic.d.Epoch() != idx.epoch
 	}
 	return st
 }

@@ -307,3 +307,45 @@ func (s syncWriter) Write(p []byte) (int, error) {
 	defer s.mu.Unlock()
 	return s.w.Write(p)
 }
+
+// TestWritePathNeverGathers pins who may ask a version for its
+// contiguous form (an O(nK) gather once a publish has patched pages):
+// only the neighbor scans. A write, its ack, and every other read
+// route — single row, batch, section snapshot, delta, partition,
+// readiness, stats, metrics — answer from the pages or from the epoch
+// number alone.
+func TestWritePathNeverGathers(t *testing.T) {
+	d := newEmbedder(t, 2000, 4, dyn.Options{})
+	s := New(d, Options{})
+	defer s.Close()
+	h := s.Handler()
+	do := func(method, path, body string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", method, path, rec.Code, rec.Body)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		do("POST", "/v1/edges", `{"edges":[{"u":1,"v":900}]}`)
+		do("GET", "/v1/embedding/900", "")
+		do("POST", "/v1/embeddings", `{"vs":[1,900,1999]}`)
+		do("GET", "/v1/snapshot", "")
+		do("GET", "/v1/delta?from=0", "")
+		do("GET", "/v1/partition", "")
+		do("GET", "/readyz", "")
+		do("GET", "/healthz", "")
+		do("GET", "/statsz", "")
+		do("GET", "/metrics", "")
+	}
+	if got := d.Stats().DenseViews; got != 0 {
+		t.Fatalf("writes and row reads derived %d contiguous views, want 0", got)
+	}
+	// The exact scan is the reader that needs one — once per version.
+	do("POST", "/v1/neighbors", `{"v":1,"k":3}`)
+	do("POST", "/v1/neighbors", `{"v":900,"k":3}`)
+	if got := d.Stats().DenseViews; got != 1 {
+		t.Fatalf("two scans of one version derived %d contiguous views, want 1", got)
+	}
+}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/dyn"
 	"repro/internal/graph"
 	"repro/internal/labels"
-	"repro/internal/mat"
 	"repro/internal/metrics"
 	"repro/internal/shard"
 	"repro/internal/trace"
@@ -46,11 +45,11 @@ type searchOut struct {
 	epochs shard.EpochVector
 }
 
-// readView pins one published snapshot per shard so a multi-row read
+// readView pins one published version per shard so a multi-row read
 // answers every row from one consistent per-shard version, each row
 // served by its owner.
 type readView struct {
-	snaps []*dyn.Snapshot
+	snaps []*dyn.Version
 	part  *shard.Partition
 }
 
@@ -277,17 +276,17 @@ func (rt *router) retryAfter() int {
 	return maxRetryAfter(depths, rates)
 }
 
-// snapshotFor returns the published snapshot that is the authority for
+// snapshotFor returns the published version that is the authority for
 // vertex v's row: its owner shard's.
-func (rt *router) snapshotFor(v uint32) *dyn.Snapshot {
-	return rt.units[rt.part.Owner(graph.NodeID(v))].sh.D.Snapshot()
+func (rt *router) snapshotFor(v uint32) *dyn.Version {
+	return rt.units[rt.part.Owner(graph.NodeID(v))].sh.D.Version()
 }
 
-// view pins one snapshot per shard for a consistent batch read.
+// view pins one version per shard for a consistent batch read.
 func (rt *router) view() readView {
-	snaps := make([]*dyn.Snapshot, len(rt.units))
+	snaps := make([]*dyn.Version, len(rt.units))
 	for i, u := range rt.units {
-		snaps[i] = u.sh.D.Snapshot()
+		snaps[i] = u.sh.D.Version()
 	}
 	return readView{snaps: snaps, part: rt.part}
 }
@@ -324,7 +323,7 @@ func (rt *router) search(v uint32, k int, metric cluster.Metric, name string, ap
 		if approx {
 			if idx := u.index.current(rv.snaps[i]); idx != nil {
 				nbrs = idx.ivf.Search(rt.workers, query, k, metric, exclude, nprobe)
-				used = idx.snap.Epoch
+				used = idx.epoch
 				mode = "approx"
 				served = true
 			}
@@ -354,21 +353,21 @@ func (rt *router) search(v uint32, k int, metric cluster.Metric, name string, ap
 	return searchOut{nbrs: nbrs, mode: mode, epoch: ev.Max(), indexEpoch: minUsed, epochs: ev}
 }
 
-// section returns shard i's published snapshot sliced down to its owned
+// section returns shard i's published version sliced down to its owned
 // window, and the window's global row offset lo. A section is encoded
 // exactly like a snapshot of a smaller embedder (n = hi−lo, implicit
 // ids starting at lo), so the binary frame layout and client validation
-// apply unchanged. Borrows the immutable snapshot — no copy.
-func (rt *router) section(i int) (sec *dyn.Snapshot, lo int) {
-	snap := rt.units[i].sh.D.Snapshot()
+// apply unchanged. Borrows the immutable version's pages — no copy.
+func (rt *router) section(i int) (sec *dyn.Version, lo int) {
+	ver := rt.units[i].sh.D.Version()
 	l, h := rt.part.Range(i)
-	lo, hi, k := int(l), int(h), rt.k
-	return &dyn.Snapshot{
-		Epoch:    snap.Epoch,
-		Instance: snap.Instance,
-		Edges:    snap.Edges,
-		Y:        snap.Y[lo:hi],
-		Z:        &mat.Dense{R: hi - lo, C: k, Data: snap.Z.Data[lo*k : hi*k]},
+	lo, hi := int(l), int(h)
+	return &dyn.Version{
+		Epoch:    ver.Epoch,
+		Instance: ver.Instance,
+		Edges:    ver.Edges,
+		Y:        ver.Y[lo:hi],
+		Z:        ver.Z.Window(lo, hi),
 	}, lo
 }
 
@@ -383,9 +382,8 @@ func (rt *router) meta() shard.Meta {
 		Epochs:    make(shard.EpochVector, len(rt.units)),
 	}
 	for i, u := range rt.units {
-		snap := u.sh.D.Snapshot()
-		m.Instances[i] = snap.Instance
-		m.Epochs[i] = snap.Epoch
+		m.Instances[i] = u.sh.D.Instance()
+		m.Epochs[i] = u.sh.D.Epoch()
 	}
 	return m
 }
@@ -398,17 +396,8 @@ func (rt *router) ready() (uint64, string) {
 			return 0, fmt.Sprintf("shard %d: ingest coalescer not accepting writes", i)
 		}
 	}
-	var max uint64
-	for i, u := range rt.units {
-		snap := u.sh.D.Snapshot()
-		if snap == nil {
-			return 0, fmt.Sprintf("shard %d: no snapshot published", i)
-		}
-		if snap.Epoch > max {
-			max = snap.Epoch
-		}
-	}
-	return max, ""
+	// dyn.New publishes epoch 0, so there is always a version to read.
+	return rt.epochVector().Max(), ""
 }
 
 // stats aggregates across shards and appends the per-shard breakdown
@@ -443,6 +432,7 @@ func (rt *router) stats() StatsResponse {
 		st.Dyn.ShardedFolds += ds.ShardedFolds
 		st.Dyn.SerialFolds += ds.SerialFolds
 		st.Dyn.Publishes += ds.Publishes
+		st.Dyn.DenseViews += ds.DenseViews
 		st.Coalescer.Requests += cs.Requests
 		st.Coalescer.Ops += cs.Ops
 		st.Coalescer.Flushes += cs.Flushes

@@ -166,7 +166,7 @@ func (s *streamer) floatRows(n int, row func(i int) []float64) int {
 // short count means the client went away and the stream was cut. Split
 // from the handler so tests can drive it with a failing writer or
 // cancelled context.
-func streamSnapshot(s *streamer, snap *dyn.Snapshot, shardID, lo int) int {
+func streamSnapshot(s *streamer, snap *dyn.Version, shardID, lo int) int {
 	fmt.Fprintf(s.w, `{"epoch":%d,"instance":%d,"shard":%d,"lo":%d,"n":%d,"k":%d,"edges":%d,"y":`,
 		snap.Epoch, snap.Instance, shardID, lo, snap.Z.R, snap.Z.C, snap.Edges)
 	rows := 0

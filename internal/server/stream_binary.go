@@ -71,10 +71,10 @@ func (s *streamer) binRows(n int, row func(i int) []float64) int {
 	return n
 }
 
-// streamSnapshotBinary writes one published snapshot as a snapshot
+// streamSnapshotBinary writes one published version as a snapshot
 // frame (implicit identity row ids). Returns the number of Z rows
 // emitted; a short count means the client went away mid-stream.
-func streamSnapshotBinary(s *streamer, snap *dyn.Snapshot) int {
+func streamSnapshotBinary(s *streamer, snap *dyn.Version) int {
 	s.binHeader(wire.Header{
 		Kind: wire.KindSnapshot, K: uint32(snap.Z.C),
 		Epoch: snap.Epoch, Instance: snap.Instance, Edges: snap.Edges,
@@ -154,7 +154,7 @@ func streamDeltaBinary(s *streamer, dl *dyn.Delta, k, n int) int {
 
 // streamEmbeddingsBinary writes a batched read's rows as an embeddings
 // frame: explicit row ids in request order (duplicates preserved).
-func streamEmbeddingsBinary(s *streamer, snap *dyn.Snapshot, vs []uint32) int {
+func streamEmbeddingsBinary(s *streamer, snap *dyn.Version, vs []uint32) int {
 	s.binHeader(wire.Header{
 		Kind: wire.KindEmbeddings, K: uint32(snap.Z.C),
 		Epoch: snap.Epoch, Instance: snap.Instance, Edges: snap.Edges,

@@ -16,7 +16,7 @@ import (
 )
 
 // benchSnapshot is bigSnapshot for benchmarks (no *testing.T).
-func benchSnapshot(b *testing.B, n, k int) *dyn.Snapshot {
+func benchSnapshot(b *testing.B, n, k int) *dyn.Version {
 	b.Helper()
 	d, err := dyn.New(n, labels.Full(n, k, 171), dyn.Options{K: k, ManualPublish: true})
 	if err != nil {
@@ -128,7 +128,7 @@ func TestBinaryStreamScratchDoesNotScale(t *testing.T) {
 	}
 	small := bigSnapshot(t, 200, 8)
 	large := bigSnapshot(t, 2000, 8)
-	run := func(snap *dyn.Snapshot) float64 {
+	run := func(snap *dyn.Version) float64 {
 		return testing.AllocsPerRun(20, func() {
 			st := newStreamer(io.Discard, context.Background())
 			if rows := streamSnapshotBinary(st, snap); rows != snap.Z.R {

@@ -64,7 +64,7 @@ func (c *cancelAfterWriter) Write(p []byte) (int, error) {
 
 // bigSnapshot builds a published snapshot large enough that its stream
 // spans many bufio flushes.
-func bigSnapshot(t *testing.T, n, k int) *dyn.Snapshot {
+func bigSnapshot(t *testing.T, n, k int) *dyn.Version {
 	t.Helper()
 	d, err := dyn.New(n, labels.Full(n, k, 171), dyn.Options{K: k, ManualPublish: true})
 	if err != nil {

@@ -3,6 +3,7 @@ package shard
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/dyn"
@@ -326,6 +327,65 @@ func TestShardedDeltaRestrictedToOwnedRows(t *testing.T) {
 		}
 		if v := dl.Rows[0]; uint32(v) < lo || uint32(v) >= hi {
 			t.Fatalf("shard %d: delta row %d outside owned [%d,%d)", i, v, lo, hi)
+		}
+	}
+}
+
+// TestShardPublishesOnlyItsWindow pins what a shard's publish costs: a
+// version's pages outside the owned window are all one shared zero page
+// (through full rebuilds and patched publishes alike), and the bytes a
+// full rebuild allocates are the window's, not the global n×K.
+func TestShardPublishesOnlyItsWindow(t *testing.T) {
+	const n, k = 50_000, 8
+	y := make([]int32, n)
+	for v := range y {
+		y[v] = int32(v % k)
+	}
+	p, err := NewPartition(n, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := NewShards(p, y, dyn.Options{K: k, ManualPublish: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	edges := func(m int) []graph.Edge {
+		out := make([]graph.Edge, m)
+		for i := range out {
+			out[i] = graph.Edge{U: graph.NodeID(rng.Intn(n)), V: graph.NodeID(rng.Intn(n)), W: 1}
+		}
+		return out
+	}
+	// A bulk load rebuilds every owned page, a 64-edge write patches a few.
+	for _, m := range []int{40_000, 64} {
+		subs, _ := Split(p, dyn.Batch{Insert: edges(m)})
+		for i, sh := range set {
+			if err := sh.D.Apply(subs[i]); err != nil {
+				t.Fatal(err)
+			}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			ver := sh.D.Publish()
+			runtime.ReadMemStats(&m1)
+			if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(n*k*8*3/4); got >= limit {
+				t.Errorf("shard %d, %d edges: publish allocated %d bytes, want < %d (the window is half of n×K)", i, m, got, limit)
+			}
+			var zero *float64
+			for v := 0; v < n; v += dyn.PageRows {
+				// Only pages wholly outside the window (a boundary page
+				// holds owned rows too).
+				if v+dyn.PageRows > int(sh.Lo) && v < int(sh.Hi) {
+					continue
+				}
+				id := &ver.Z.Row(v)[0]
+				if zero == nil {
+					zero = id
+				}
+				if id != zero {
+					t.Fatalf("shard %d, %d edges: page of row %d outside [%d,%d) has memory of its own", i, m, v, sh.Lo, sh.Hi)
+				}
+			}
 		}
 	}
 }

@@ -262,7 +262,10 @@ type (
 	// DynamicBatch is one atomic unit of dynamic ingest: deletions,
 	// then insertions, then label updates.
 	DynamicBatch = dyn.Batch
-	// DynamicSnapshot is one published, immutable embedding version.
+	// DynamicVersion is one published, immutable embedding version, its
+	// rows in copy-on-write pages shared with neighbouring epochs.
+	DynamicVersion = dyn.Version
+	// DynamicSnapshot is a DynamicVersion with Z as one contiguous matrix.
 	DynamicSnapshot = dyn.Snapshot
 	// DynamicStats counts a DynamicEmbedder's operations.
 	DynamicStats = dyn.Stats
