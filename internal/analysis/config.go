@@ -32,8 +32,6 @@ func DefaultAnalyzers() []Analyzer {
 				"repro/internal/wire.Header",
 				// Request bodies: numbers a client posts.
 				"repro/internal/server.NeighborsRequest",
-				"repro/internal/server.EdgeUpdate",
-				"repro/internal/server.LabelUpdate",
 			},
 			SourceCalls: []string{
 				"encoding/binary.Uvarint",

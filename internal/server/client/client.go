@@ -12,7 +12,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"repro/internal/dyn"
@@ -130,13 +132,22 @@ func checkStatus(resp *http.Response, method, path string) error {
 // statuses), so callers that care about wire cost — the Replica — can
 // account for it.
 func (c *Client) do(ctx context.Context, method, path string, body any, out any) (int64, error) {
-	var rd io.Reader
+	var buf []byte
 	if body != nil {
-		buf, err := json.Marshal(body)
-		if err != nil {
+		var err error
+		if buf, err = json.Marshal(body); err != nil {
 			return 0, err
 		}
-		rd = bytes.NewReader(buf)
+	}
+	return c.send(ctx, method, path, buf, out)
+}
+
+// send is do with the JSON request body already rendered (nil for
+// none).
+func (c *Client) send(ctx context.Context, method, path string, body []byte, out any) (int64, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
@@ -187,31 +198,75 @@ func (c *Client) do(ctx context.Context, method, path string, body any, out any)
 	return cr.n, nil
 }
 
-func toWire(edges []graph.Edge) []server.EdgeWire {
-	wire := make([]server.EdgeWire, len(edges))
+// edgeBytes is the rendered size of a typical edge — five-digit ids, a
+// short weight — which sizes a body's buffer in one allocation; longer
+// edges grow it.
+const edgeBytes = len(`{"u":12345,"v":12345,"w":0.125},`)
+
+// edgesBody renders the body of POST and DELETE /v1/edges, byte for
+// byte what encoding/json makes of a server.MutationRequest, without
+// the reflection: a bulk write is this one object shape a few thousand
+// times. The weight always goes on the wire (the server treats only an
+// *omitted* weight as 1 and rejects explicit zeros, so the client must
+// not hide what the caller passed); a weight JSON cannot carry is an
+// error here, as it is for json.Marshal.
+func edgesBody(edges []graph.Edge) ([]byte, error) {
+	b := make([]byte, 0, len(`{"edges":[]}`)+len(edges)*edgeBytes)
+	b = append(b, `{"edges":[`...)
 	for i, e := range edges {
-		w := e.W
-		// The weight goes on the wire explicitly (the server treats only
-		// an *omitted* weight as 1 and rejects explicit zeros, so the
-		// client must not hide what the caller passed).
-		wire[i] = server.EdgeWire{U: e.U, V: e.V, W: &w}
+		w := float64(e.W)
+		if math.IsNaN(w) || math.IsInf(w, 0) {
+			return nil, fmt.Errorf("client: edge %d (%d->%d): weight %v has no JSON form", i, e.U, e.V, e.W)
+		}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"u":`...)
+		b = strconv.AppendUint(b, uint64(e.U), 10)
+		b = append(b, `,"v":`...)
+		b = strconv.AppendUint(b, uint64(e.V), 10)
+		b = append(b, `,"w":`...)
+		switch abs := float32(math.Abs(w)); {
+		case e.W >= 1 && e.W < 1<<24 && e.W == float32(uint32(e.W)):
+			// A whole weight, the usual kind, has the digits of its integer.
+			b = strconv.AppendUint(b, uint64(e.W), 10)
+		case abs != 0 && (abs < 1e-6 || abs >= 1e21):
+			// encoding/json's float form is plain decimal except at the
+			// extremes (cut-offs compared as float32, as it does), and
+			// then an exponent without a padding zero.
+			b = strconv.AppendFloat(b, w, 'e', -1, 32)
+			if n := len(b); b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+				b[n-2] = b[n-1]
+				b = b[:n-1]
+			}
+		default:
+			b = strconv.AppendFloat(b, w, 'f', -1, 32)
+		}
+		b = append(b, '}')
 	}
-	return wire
+	return append(b, `]}`...), nil
+}
+
+// mutateEdges sends one /v1/edges request and returns the publish ack.
+func (c *Client) mutateEdges(ctx context.Context, method string, edges []graph.Edge) (server.MutationResponse, error) {
+	var out server.MutationResponse
+	body, err := edgesBody(edges)
+	if err != nil {
+		return out, err
+	}
+	_, err = c.send(ctx, method, "/v1/edges", body, &out)
+	return out, err
 }
 
 // InsertEdges inserts a batch of edges and returns the publish ack.
 func (c *Client) InsertEdges(ctx context.Context, edges []graph.Edge) (server.MutationResponse, error) {
-	var out server.MutationResponse
-	_, err := c.do(ctx, http.MethodPost, "/v1/edges", server.MutationRequest{Edges: toWire(edges)}, &out)
-	return out, err
+	return c.mutateEdges(ctx, http.MethodPost, edges)
 }
 
 // DeleteEdges deletes a batch of live edges (exact match) and returns
 // the publish ack.
 func (c *Client) DeleteEdges(ctx context.Context, edges []graph.Edge) (server.MutationResponse, error) {
-	var out server.MutationResponse
-	_, err := c.do(ctx, http.MethodDelete, "/v1/edges", server.MutationRequest{Edges: toWire(edges)}, &out)
-	return out, err
+	return c.mutateEdges(ctx, http.MethodDelete, edges)
 }
 
 // UpdateLabels applies a batch of label reassignments and returns the

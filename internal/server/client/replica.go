@@ -15,7 +15,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/server"
 	"repro/internal/shard"
-	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -58,11 +57,6 @@ type Replica struct {
 	mSyncResync *metrics.Histogram // Sync wall time, full-bootstrap calls
 	mBytesDelta *metrics.Histogram // on-wire bytes per /v1/delta response
 	mBytesSnap  *metrics.Histogram // on-wire bytes per /v1/snapshot response
-
-	// rec, when set via RecordTraces, receives one finished trace per
-	// Sync: the rpc round trip(s) plus the local apply span, under the
-	// same id the server adopted for its side of the call.
-	rec *trace.Recorder
 }
 
 // ReplicaSnapshot is one immutable local version of the embedding.
@@ -243,22 +237,11 @@ func (r *Replica) addDeltaBytes(n int64) {
 	}
 }
 
-// RecordTraces turns on client-side sync tracing: every subsequent
-// Sync records a span tree ("replica-sync": rpc round trips + the
-// local apply) into rec. The trace id rides the X-Gee-Trace header, so
-// the server's recorded trace for the same delta read shares it. Call
-// before the sync loop starts; nil disables.
-func (r *Replica) RecordTraces(rec *trace.Recorder) {
-	r.mu.Lock()
-	r.rec = rec
-	r.mu.Unlock()
-}
-
 // Bootstrap (re)initializes the local copy from whole sections.
 func (r *Replica) Bootstrap(ctx context.Context) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.bootstrapLocked(ctx, nil)
+	return r.bootstrapLocked(ctx)
 }
 
 // bootstrapLocked asks /v1/partition which sections exist and fetches
@@ -267,7 +250,7 @@ func (r *Replica) Bootstrap(ctx context.Context) error {
 // own epoch, and subsequent Syncs advance each shard independently;
 // there is no cross-shard "one instant" any more than there is on the
 // serving side.
-func (r *Replica) bootstrapLocked(ctx context.Context, tr *trace.Trace) error {
+func (r *Replica) bootstrapLocked(ctx context.Context) error {
 	meta, err := r.c.Partition(ctx)
 	if err != nil {
 		return err
@@ -283,7 +266,7 @@ func (r *Replica) bootstrapLocked(ctx context.Context, tr *trace.Trace) error {
 	for i := range layout.secs {
 		layout.secs[i] = section{lo: int(meta.Bounds[i]), hi: int(meta.Bounds[i+1])}
 	}
-	return r.rebuildLocked(ctx, tr, layout, make([]*server.DeltaResponse, meta.Shards))
+	return r.rebuildLocked(ctx, layout, make([]*server.DeltaResponse, meta.Shards))
 }
 
 // sectionShapeError reports a section response whose shape disagrees
@@ -452,9 +435,7 @@ func (a *assembly) applyDelta(dl *server.DeltaResponse, sec *section) error {
 // otherwise carried over from cur with deltas[i] patched in.
 // Copy-on-epoch: readers holding cur are unaffected, and the new
 // version appears atomically with every section advanced.
-func (r *Replica) rebuildLocked(ctx context.Context, tr *trace.Trace, cur *ReplicaSnapshot, deltas []*server.DeltaResponse) error {
-	applyRef := tr.StartSpan("apply")
-	defer tr.EndSpan(applyRef)
+func (r *Replica) rebuildLocked(ctx context.Context, cur *ReplicaSnapshot, deltas []*server.DeltaResponse) error {
 	k := cur.k
 	a := newAssembly(r.c.wire == Binary, cur.n, k)
 	secs := slices.Clone(cur.secs)
@@ -475,7 +456,6 @@ func (r *Replica) rebuildLocked(ctx context.Context, tr *trace.Trace, cur *Repli
 		r.deltaPayload.Add(int64(len(dl.Rows))*int64(k)*a.elemSize() +
 			int64(len(dl.Rows))*4 + int64(len(dl.Labels))*8)
 	}
-	tr.SpanTag(applyRef, "rows", fmt.Sprint(rows))
 	r.rowsApplied.Add(int64(rows))
 	r.cur.Store(a.snapshot(secs))
 	return nil
@@ -490,35 +470,11 @@ func (r *Replica) rebuildLocked(ctx context.Context, tr *trace.Trace, cur *Repli
 func (r *Replica) Sync(ctx context.Context) (resynced bool, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.rec == nil {
-		return r.syncLocked(ctx, nil)
-	}
-	tr := trace.New("replica-sync")
-	resynced, err = r.syncLocked(trace.NewContext(ctx, tr), tr)
-	switch {
-	case err != nil:
-		tr.Tag("error", err.Error())
-	case resynced:
-		tr.Tag("outcome", "resync")
-	default:
-		tr.Tag("outcome", "delta")
-	}
-	if s := r.cur.Load(); s != nil {
-		tr.Tag("epoch", fmt.Sprint(s.Epoch))
-	}
-	tr.Finish()
-	r.rec.Record(tr)
-	return resynced, err
-}
-
-// syncLocked is Sync's body; tr (possibly nil) collects the apply span
-// while the rpc spans come from the client's do via the context.
-func (r *Replica) syncLocked(ctx context.Context, tr *trace.Trace) (resynced bool, err error) {
 	t0 := time.Now()
 	if cur := r.cur.Load(); cur == nil {
-		resynced, err = true, r.bootstrapLocked(ctx, tr)
+		resynced, err = true, r.bootstrapLocked(ctx)
 	} else {
-		resynced, err = r.followLocked(ctx, tr, cur)
+		resynced, err = r.followLocked(ctx, cur)
 	}
 	if err != nil {
 		return false, err
@@ -546,7 +502,7 @@ func (r *Replica) syncLocked(ctx context.Context, tr *trace.Trace) (resynced boo
 // shape no longer matches the stored window means the partition itself
 // changed, so the whole copy re-bootstraps through a fresh
 // /v1/partition probe.
-func (r *Replica) followLocked(ctx context.Context, tr *trace.Trace, cur *ReplicaSnapshot) (resynced bool, err error) {
+func (r *Replica) followLocked(ctx context.Context, cur *ReplicaSnapshot) (resynced bool, err error) {
 	deltas := make([]*server.DeltaResponse, len(cur.secs))
 	changed := false
 	for i, sec := range cur.secs {
@@ -571,10 +527,10 @@ func (r *Replica) followLocked(ctx context.Context, tr *trace.Trace, cur *Replic
 	if !changed {
 		return false, nil // every section already current
 	}
-	err = r.rebuildLocked(ctx, tr, cur, deltas)
+	err = r.rebuildLocked(ctx, cur, deltas)
 	var shape *sectionShapeError
 	if errors.As(err, &shape) {
-		return true, r.bootstrapLocked(ctx, tr)
+		return true, r.bootstrapLocked(ctx)
 	}
 	return resynced, err
 }

@@ -37,12 +37,14 @@ type serverMetrics struct {
 	// disabled; every trace call site is nil-safe).
 	rec *trace.Recorder
 	// Per-stage write latency histograms, fed from finished traces'
-	// queue/fold/publish/ack spans.
-	stageQueue   *metrics.Histogram
-	stageFold    *metrics.Histogram
-	stagePublish *metrics.Histogram
-	stageAck     *metrics.Histogram
+	// stageNames spans.
+	stages map[string]*metrics.Histogram
 }
+
+// stageNames are the spans a write request's trace decomposes into,
+// in the order they happen: decode (handler entry → the batch is handed
+// to the router: body read and parse), queue, fold, publish, ack.
+var stageNames = []string{"decode", "queue", "fold", "publish", "ack"}
 
 func newServerMetrics(opts Options) *serverMetrics {
 	reg := opts.Metrics
@@ -56,15 +58,12 @@ func newServerMetrics(opts Options) *serverMetrics {
 	sm := &serverMetrics{reg: reg, slow: opts.SlowRequestThreshold, slowLog: lg}
 	if !opts.DisableTracing {
 		sm.rec = trace.NewRecorder(opts.TraceBuffer)
-		const help = "Write-path latency decomposed by pipeline stage (from request traces)."
-		sm.stageQueue = reg.Histogram("gee_write_stage_seconds", help,
-			metrics.DefLatencyBuckets, metrics.L("stage", "queue"))
-		sm.stageFold = reg.Histogram("gee_write_stage_seconds", help,
-			metrics.DefLatencyBuckets, metrics.L("stage", "fold"))
-		sm.stagePublish = reg.Histogram("gee_write_stage_seconds", help,
-			metrics.DefLatencyBuckets, metrics.L("stage", "publish"))
-		sm.stageAck = reg.Histogram("gee_write_stage_seconds", help,
-			metrics.DefLatencyBuckets, metrics.L("stage", "ack"))
+		sm.stages = make(map[string]*metrics.Histogram, len(stageNames))
+		for _, stage := range stageNames {
+			sm.stages[stage] = reg.Histogram("gee_write_stage_seconds",
+				"Write-path latency decomposed by pipeline stage (from request traces).",
+				metrics.DefLatencyBuckets, metrics.L("stage", stage))
+		}
 	}
 	return sm
 }
@@ -269,18 +268,7 @@ func (sm *serverMetrics) wrap(rm *routeMetrics, h http.HandlerFunc) http.Handler
 // histogram lumps together.
 func (sm *serverMetrics) observeStages(tr *trace.Trace) {
 	for _, sp := range tr.Spans() {
-		var h *metrics.Histogram
-		switch sp.Name {
-		case "queue":
-			h = sm.stageQueue
-		case "fold":
-			h = sm.stageFold
-		case "publish":
-			h = sm.stagePublish
-		case "ack":
-			h = sm.stageAck
-		}
-		if h != nil {
+		if h := sm.stages[sp.Name]; h != nil {
 			h.Observe(sp.Duration().Seconds())
 		}
 	}

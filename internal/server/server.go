@@ -1,15 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -445,8 +448,14 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 
 // decodeBody parses a bounded JSON request body into T.
 func decodeBody[T any](w http.ResponseWriter, r *http.Request) (*T, bool) {
+	return decodeJSON[T](w, http.MaxBytesReader(w, r.Body, maxBodyBytes))
+}
+
+// decodeJSON parses one strict JSON value from body into T, replying
+// 400 itself when it cannot.
+func decodeJSON[T any](w http.ResponseWriter, body io.Reader) (*T, bool) {
 	var req T
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
@@ -455,9 +464,64 @@ func decodeBody[T any](w http.ResponseWriter, r *http.Request) (*T, bool) {
 	return &req, true
 }
 
-// decodeMutation parses a bounded JSON mutation body.
-func decodeMutation(w http.ResponseWriter, r *http.Request) (*MutationRequest, bool) {
-	return decodeBody[MutationRequest](w, r)
+// maxPooledBody is the largest body buffer decodeEdges sizes ahead of
+// the bytes arriving and the largest it keeps for the next request. It
+// covers a ~35k-edge write; a larger body grows its buffer as it is
+// read, so a client cannot reserve memory with a Content-Length alone.
+const maxPooledBody = 1 << 20
+
+// bodyPool recycles the body buffers of /v1/edges requests.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+// decodeEdges parses the body of POST or DELETE /v1/edges, replying
+// 400 itself when it cannot; the request's "decode" span covers it. The
+// canonical spelling goes through scanMutation. Every other body — and
+// one whose read failed, replayed up to the failure — goes through
+// encoding/json, which is what defines the route's schema and words
+// every refusal.
+func decodeEdges(w http.ResponseWriter, r *http.Request) ([]graph.Edge, bool) {
+	tr := traceOf(w)
+	ref := tr.StartSpan("decode")
+	defer tr.EndSpan(ref)
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			bodyPool.Put(buf)
+		}
+	}()
+	buf.Reset()
+	if claimed := r.ContentLength; claimed > 0 && claimed < maxPooledBody {
+		buf.Grow(int(claimed) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
+	}
+	// ReadFrom keeps what arrived when the read fails.
+	_, readErr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	var replay io.Reader = bytes.NewReader(buf.Bytes())
+	if readErr != nil {
+		replay = io.MultiReader(replay, errReader{readErr})
+	} else if edges, ok := scanMutation(buf.Bytes()); ok {
+		return edges, true
+	}
+	req, ok := decodeJSON[MutationRequest](w, replay)
+	if !ok {
+		return nil, false
+	}
+	// Never silently drop operations: a populated wrong-kind field
+	// would be acked without being applied.
+	if len(req.Labels) > 0 {
+		writeError(w, http.StatusBadRequest, "labels not accepted on /v1/edges (use /v1/labels)")
+		return nil, false
+	}
+	edges, err := toEdges(req.Edges)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return nil, false
+	}
+	return edges, true
 }
 
 // toEdges converts wire edges. An omitted weight defaults to 1; an
@@ -522,43 +586,26 @@ func (s *Server) submit(w http.ResponseWriter, b dyn.Batch, ops int) {
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeMutation(w, r)
+	edges, ok := decodeEdges(w, r)
 	if !ok {
-		return
-	}
-	// Never silently drop operations: a populated wrong-kind field
-	// would be acked without being applied.
-	if len(req.Labels) > 0 {
-		writeError(w, http.StatusBadRequest, "labels not accepted on /v1/edges (use /v1/labels)")
-		return
-	}
-	edges, err := toEdges(req.Edges)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.submit(w, dyn.Batch{Insert: edges}, len(edges))
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeMutation(w, r)
+	edges, ok := decodeEdges(w, r)
 	if !ok {
-		return
-	}
-	if len(req.Labels) > 0 {
-		writeError(w, http.StatusBadRequest, "labels not accepted on /v1/edges (use /v1/labels)")
-		return
-	}
-	edges, err := toEdges(req.Edges)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.submit(w, dyn.Batch{Delete: edges}, len(edges))
 }
 
 func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeMutation(w, r)
+	tr := traceOf(w)
+	ref := tr.StartSpan("decode")
+	req, ok := decodeBody[MutationRequest](w, r)
+	tr.EndSpan(ref)
 	if !ok {
 		return
 	}

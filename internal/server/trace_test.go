@@ -18,9 +18,10 @@ import (
 	"repro/internal/trace"
 )
 
-// writeStages are the pipeline stages every acked write's trace must
-// decompose into (plus the handler-side "ack" hop).
-var writeStages = []string{"queue", "fold", "publish", "ack"}
+// writeStages are the stages every acked write's trace must decompose
+// into: the handler-side "decode" before the pipeline, the pipeline's
+// three, and the handler-side "ack" hop after it.
+var writeStages = []string{"decode", "queue", "fold", "publish", "ack"}
 
 // TestWriteTracePropagation is the tentpole acceptance test, run under
 // -race in CI: 200 concurrent writes, each under its own client-minted
@@ -124,8 +125,8 @@ func TestWriteTracePropagation(t *testing.T) {
 
 // TestTraceStageSumMatchesAckWait pins the 5%-decomposition acceptance
 // criterion on a write slow enough to measure: with a deliberately
-// large MaxDelay the queue span dominates, and the four stage
-// durations must sum to within 5% of the submit-to-ack wall time.
+// large MaxDelay the queue span dominates, and the stage durations must
+// sum to within 5% of the wall time from handler entry to ack.
 func TestTraceStageSumMatchesAckWait(t *testing.T) {
 	d := newEmbedder(t, 256, 4, dyn.Options{})
 	s := New(d, Options{Coalescer: CoalescerOptions{MaxDelay: 60 * time.Millisecond}})
@@ -150,12 +151,12 @@ func TestTraceStageSumMatchesAckWait(t *testing.T) {
 	if tr == nil {
 		t.Fatal("trace not retained")
 	}
-	queue, _ := tr.Span("queue")
+	decode, _ := tr.Span("decode")
 	ack, ok := tr.Span("ack")
 	if !ok {
 		t.Fatalf("spans: %v", tr.Spans())
 	}
-	wall := ack.End - queue.Start // submit instant → ack received
+	wall := ack.End - decode.Start // handler entry → ack received
 	var sum time.Duration
 	for _, stage := range writeStages {
 		sp, ok := tr.Span(stage)

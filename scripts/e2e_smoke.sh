@@ -167,14 +167,14 @@ fi
 echo "metrics exposition OK ($(wc -l <"$log/metrics.out") lines)"
 
 # Tracing leg: the flight recorder must have retained a write trace
-# decomposed into the four pipeline stages, geeload's -traces-url
+# decomposed into the five write stages, geeload's -traces-url
 # report must have printed the slowest write's breakdown, the
 # per-stage histograms must have counted the acked writes, and a
 # retained trace id must join against a slow-request line in the
 # server log (the 1ms threshold above guarantees lines exist).
 curl -fsS -G --data-urlencode 'name=POST /v1/edges' \
   "http://$addr/debug/traces" >"$log/traces.out"
-for stage in queue fold publish ack; do
+for stage in decode queue fold publish ack; do
   if ! grep -q "\"name\":\"$stage\"" "$log/traces.out"; then
     echo "FAIL: /debug/traces write traces missing stage \"$stage\"" >&2
     head -c 2000 "$log/traces.out" >&2
