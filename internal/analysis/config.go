@@ -70,6 +70,9 @@ func DefaultAnalyzers() []Analyzer {
 				"(*repro/internal/exec.Kernel).ApplySrc",
 				"(*repro/internal/exec.Kernel).ApplyDst",
 				"(*repro/internal/exec.Kernel).scale",
+				// Neighbor reads: the one block scan under TopK and
+				// the IVF probes, run once per row of every query.
+				"(*repro/internal/cluster.query).scan",
 			},
 			StdlibAllowed: []string{
 				"strconv.Append",

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/mat"
 	"repro/internal/parallel"
@@ -10,11 +10,14 @@ import (
 )
 
 // Inverted-file (IVF) approximate nearest-neighbor index over an
-// immutable embedding snapshot. k-means centroids partition the rows
-// into nlist inverted lists; a query ranks the centroids under its
-// metric, probes the nprobe nearest lists with the same k-bounded
-// partial-selection heaps the exact TopK scan uses, and merges the
-// survivors. Cost per query drops from O(nK) to roughly
+// embedding snapshot. k-means centroids partition the rows into nlist
+// inverted lists, and the index stores each list's rows back to back
+// (list-major), as IVF indexes do: a probe then streams a few
+// contiguous blocks instead of fetching one row per cache miss out of
+// the row-major matrix. A query selects the nprobe centroids nearest
+// under its metric, runs the same scan kernel and k-bounded
+// partial-selection heaps as the exact TopK scan over those lists, and
+// merges the survivors. Cost per query drops from O(nK) to roughly
 // O(nlist·K + nprobe·(n/nlist)·K) at the price of recall: a true
 // neighbor living in an unprobed list is missed. The serving layer
 // measures that trade-off (recall@k vs p50) and the defaults below
@@ -51,30 +54,34 @@ type IVFOptions struct {
 	Seed uint64
 }
 
-// IVF is a built index. It is immutable after BuildIVF and safe for
-// concurrent Search calls; it retains a reference to the indexed
-// matrix (rows are read at query time, never copied).
+// IVF is a built index. It owns the rows it indexes — BuildIVF copies
+// them, list by list — so it holds no reference to the matrix it was
+// built from. Immutable after BuildIVF and safe for concurrent Search
+// calls.
 type IVF struct {
-	x      *mat.Dense
+	n, dim int
+	// rows holds the n indexed rows back to back, list-major: list c is
+	// block rows [off[c], off[c+1]), and block row i is row ids[i] of
+	// the indexed matrix. Within a list ids ascend. Exact mode keeps
+	// the matrix's own order: ids and off are nil.
+	rows   []float64
+	ids    []int32
+	off    []int
 	cent   *mat.Dense // nlist × dim centroids (nil in exact mode)
-	lists  [][]int32  // row ids per centroid
 	nprobe int        // default probe count
-	exact  bool       // small-n fallback: Search is a plain TopK
 }
 
-// BuildIVF clusters the rows of X into inverted lists. Deterministic
-// for a given seed and independent of the worker count. X must not be
-// mutated afterwards (the index reads it at query time) — the serving
-// layer indexes the contiguous form of a published version
-// (dyn.Version.Snapshot), which is immutable by contract.
+// BuildIVF clusters the rows of X into inverted lists and copies them
+// into the index; X is not read after BuildIVF returns. Deterministic
+// for a given seed and independent of the worker count.
 func BuildIVF(workers int, X *mat.Dense, opts IVFOptions) *IVF {
-	n := X.R
+	n, dim := X.R, X.C
 	exactRows := opts.ExactRows
 	if exactRows == 0 {
 		exactRows = DefaultIVFExactRows
 	}
 	if exactRows > 0 && n < exactRows {
-		return &IVF{x: X, exact: true}
+		return &IVF{n: n, dim: dim, rows: append([]float64(nil), X.Data[:n*dim]...)}
 	}
 	nlist := opts.Lists
 	if nlist <= 0 {
@@ -99,7 +106,7 @@ func BuildIVF(workers int, X *mat.Dense, opts IVFOptions) *IVF {
 	train := X
 	if n > trainRows {
 		r := xrand.NewStream(opts.Seed, 7)
-		train = mat.NewDense(trainRows, X.C)
+		train = mat.NewDense(trainRows, dim)
 		for i := 0; i < trainRows; i++ {
 			copy(train.Row(i), X.Row(r.Intn(n)))
 		}
@@ -107,34 +114,31 @@ func BuildIVF(workers int, X *mat.Dense, opts IVFOptions) *IVF {
 	cent := KMeans(workers, train, nlist, opts.Seed, maxIter).Centroids
 	nlist = cent.R // KMeans clamps k to its row count
 
-	// Assign every row to its nearest centroid (one parallel pass) and
-	// bucket the ids. Deterministic: the merge walks workers in order.
+	// Assign every row to its nearest centroid (one parallel pass), then
+	// lay the lists out back to back: a counting sort by list, walking
+	// the rows in id order so every list's ids ascend.
 	assign := make([]int32, n)
 	parallel.ForStatic(parallel.Workers(workers), n, func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
-			row := X.Row(v)
-			best, bd := int32(0), math.Inf(1)
-			for c := 0; c < nlist; c++ {
-				if d := sqDist(row, cent.Row(c)); d < bd {
-					best, bd = int32(c), d
-				}
-			}
-			assign[v] = best
+			c, _ := nearestRow(X.Row(v), cent)
+			assign[v] = int32(c)
 		}
 	})
-	counts := make([]int32, nlist)
+	off := make([]int, nlist+1)
 	for _, c := range assign {
-		counts[c]++
+		off[c+1]++
 	}
-	flat := make([]int32, n) // one backing array, not nlist small ones
-	lists := make([][]int32, nlist)
-	off := int32(0)
-	for c, cnt := range counts {
-		lists[c] = flat[off : off : off+cnt]
-		off += cnt
+	for c := 0; c < nlist; c++ {
+		off[c+1] += off[c]
 	}
+	next := append([]int(nil), off[:nlist]...)
+	ids := make([]int32, n)
+	rows := make([]float64, n*dim)
 	for v, c := range assign {
-		lists[c] = append(lists[c], int32(v))
+		i := next[c]
+		next[c]++
+		ids[i] = int32(v)
+		copy(rows[i*dim:(i+1)*dim], X.Row(v))
 	}
 	nprobe := opts.NProbe
 	if nprobe <= 0 {
@@ -146,78 +150,71 @@ func BuildIVF(workers int, X *mat.Dense, opts IVFOptions) *IVF {
 	if nprobe > nlist {
 		nprobe = nlist
 	}
-	return &IVF{x: X, cent: cent, lists: lists, nprobe: nprobe}
+	return &IVF{n: n, dim: dim, rows: rows, ids: ids, off: off, cent: cent, nprobe: nprobe}
 }
 
 // Exact reports whether the index degenerated to the exact scan (the
 // matrix was below ExactRows).
-func (ix *IVF) Exact() bool { return ix.exact }
+func (ix *IVF) Exact() bool { return ix.cent == nil }
 
 // Lists returns the number of inverted lists (0 in exact mode).
-func (ix *IVF) Lists() int { return len(ix.lists) }
+func (ix *IVF) Lists() int { return max(len(ix.off)-1, 0) }
 
 // NProbe returns the default probe count a Search with nprobe <= 0
 // uses (0 in exact mode).
 func (ix *IVF) NProbe() int { return ix.nprobe }
 
 // Rows returns the number of indexed rows.
-func (ix *IVF) Rows() int { return ix.x.R }
+func (ix *IVF) Rows() int { return ix.n }
 
 // Search returns the k indexed rows nearest to query under the metric,
 // ascending by distance (ties by ascending row id), excluding row
 // `exclude` (negative keeps every row) — the same contract as TopK,
 // approximately: only the nprobe lists whose centroids rank nearest to
 // the query are scanned. nprobe <= 0 selects the index default;
-// nprobe >= Lists() (and an exact-mode index) is a genuinely exact
-// answer via TopK.
+// nprobe >= Lists() (and an exact-mode index) scans every indexed row
+// and is a genuinely exact answer, TopK's id for id and bit for bit.
 func (ix *IVF) Search(workers int, query []float64, k int, m Metric, exclude, nprobe int) []Neighbor {
-	if m != Cosine {
-		m = L2
+	if len(query) != ix.dim {
+		panic("cluster: query width mismatch")
 	}
 	if nprobe <= 0 {
 		nprobe = ix.nprobe
 	}
-	if ix.exact || nprobe >= len(ix.lists) {
-		return TopK(workers, ix.x, query, k, m, exclude)
+	if nprobe >= ix.Lists() {
+		return scanAll(workers, ix.rows, ix.n, ix.ids, query, k, m, exclude)
 	}
-	if len(query) != ix.x.C {
-		panic("cluster: query width mismatch")
-	}
-	if k <= 0 || ix.x.R == 0 {
+	if k <= 0 {
 		return nil
 	}
-	qNorm := queryNorm(query, m)
-	// Rank the centroids under the query's metric; nlist ~ sqrt(n), so
-	// a serial pass and sort are noise next to the list scans.
-	order := make([]Neighbor, len(ix.lists))
-	for c := range ix.lists {
-		order[c] = Neighbor{V: c, Dist: rowDist(ix.cent.Row(c), query, m, qNorm)}
+	if m != Cosine {
+		m = L2
 	}
-	sort.Slice(order, func(i, j int) bool { return worse(order[j], order[i]) })
+	// Select the nprobe nearest centroids under the query's metric: the
+	// centroids are one more contiguous block, and keeping nprobe of
+	// nlist is the same partial selection as keeping k of n.
+	q := newQuery(query, nprobe, m, -1)
+	probes := q.scan(q.heap(ix.cent.R), ix.cent.Data, ix.cent.R, nil, 0)
+	// Nearest list first: its rows set a tight bound early, and the rest
+	// are mostly turned away by one comparison each.
+	slices.SortFunc(probes, compareNeighbors)
+	total := 0
+	for _, p := range probes {
+		total += ix.off[p.V+1] - ix.off[p.V]
+	}
 
-	// Scan the chosen lists with per-worker k-bounded heaps, exactly
-	// like the TopK full scan but over ~nprobe/nlist of the rows.
-	w := parallel.Workers(workers)
-	if w > nprobe {
-		w = nprobe
-	}
+	// Stream the chosen lists through per-worker k-bounded heaps,
+	// exactly like the full scan but over ~nprobe/nlist of the rows.
+	q.k, q.exclude = k, exclude
+	w := min(scanWorkers(workers, total), nprobe)
 	locals := make([][]Neighbor, w)
 	parallel.ForStatic(w, nprobe, func(worker, lo, hi int) {
-		h := make([]Neighbor, 0, k)
-		for li := lo; li < hi; li++ {
-			for _, v32 := range ix.lists[order[li].V] {
-				v := int(v32)
-				if v == exclude {
-					continue
-				}
-				h = pushNeighbor(h, k, Neighbor{V: v, Dist: rowDist(ix.x.Row(v), query, m, qNorm)})
-			}
+		h := q.heap(total)
+		for _, p := range probes[lo:hi] {
+			a, b := ix.off[p.V], ix.off[p.V+1]
+			h = q.scan(h, ix.rows[a*ix.dim:b*ix.dim], b-a, ix.ids[a:b], 0)
 		}
 		locals[worker] = h
 	})
-	var all []Neighbor
-	for _, h := range locals {
-		all = append(all, h...)
-	}
-	return finalizeNeighbors(all, k, m)
+	return finalizeNeighbors(locals, k, m)
 }

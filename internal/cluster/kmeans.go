@@ -5,8 +5,6 @@
 package cluster
 
 import (
-	"math"
-
 	"repro/internal/mat"
 	"repro/internal/parallel"
 	"repro/internal/xrand"
@@ -47,17 +45,10 @@ func KMeans(workers int, X *mat.Dense, k int, seed uint64, maxIter int) *KMeansR
 		p := parallel.Reduce(workers, n, part{}, func(lo, hi int) part {
 			var pp part
 			for i := lo; i < hi; i++ {
-				row := X.Row(i)
-				best, bd := int32(0), math.Inf(1)
-				for c := 0; c < k; c++ {
-					d := sqDist(row, cent.Row(c))
-					if d < bd {
-						best, bd = int32(c), d
-					}
-				}
-				if assign[i] != best {
+				best, bd := nearestRow(X.Row(i), cent)
+				if assign[i] != int32(best) {
 					pp.changed++
-					assign[i] = best
+					assign[i] = int32(best)
 				}
 				pp.inertia += bd
 			}

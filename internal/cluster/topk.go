@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/mat"
 	"repro/internal/parallel"
@@ -29,17 +29,23 @@ type Neighbor struct {
 
 // TopK returns the k rows of X nearest to query under the metric,
 // sorted by ascending distance (ties by ascending row id), excluding
-// row `exclude` (pass a negative value to keep every row). Brute force
-// in parallel: the rows are split across workers, each maintains a
-// k-bounded max-heap (partial selection — no worker sorts its whole
-// range), and the per-worker survivors are merged at the end. This is
-// the serving layer's nearest-neighbor read: exact, index-free, and
+// row `exclude` (pass a negative value to keep every row). Brute force:
+// the matrix is streamed through the scan kernel, split across workers
+// once it is large enough to pay for the fork (scanGrain); each worker
+// maintains a k-bounded max-heap (partial selection — nothing sorts its
+// whole range) and the survivors are merged at the end. This is the
+// serving layer's exact nearest-neighbor read: index-free and
 // O(nK/workers + k log k) per query against an immutable snapshot.
 func TopK(workers int, X *mat.Dense, query []float64, k int, m Metric, exclude int) []Neighbor {
-	n := X.R
 	if len(query) != X.C {
 		panic("cluster: query width mismatch")
 	}
+	return scanAll(workers, X.Data, X.R, nil, query, k, m, exclude)
+}
+
+// scanAll is the exact scan over n rows stored back to back (ids as in
+// query.scan), with TopK's contract.
+func scanAll(workers int, rows []float64, n int, ids []int32, vec []float64, k int, m Metric, exclude int) []Neighbor {
 	if k <= 0 || n == 0 {
 		return nil
 	}
@@ -49,27 +55,18 @@ func TopK(workers int, X *mat.Dense, query []float64, k int, m Metric, exclude i
 	if m != Cosine {
 		m = L2
 	}
-	qNorm := queryNorm(query, m)
-	w := parallel.Workers(workers)
-	if w > n {
-		w = n
-	}
+	q := newQuery(vec, k, m, exclude)
+	dim := len(vec)
+	w := scanWorkers(workers, n)
 	locals := make([][]Neighbor, w)
 	parallel.ForStatic(w, n, func(worker, lo, hi int) {
-		h := make([]Neighbor, 0, k)
-		for v := lo; v < hi; v++ {
-			if v == exclude {
-				continue
-			}
-			h = pushNeighbor(h, k, Neighbor{V: v, Dist: rowDist(X.Row(v), query, m, qNorm)})
+		var part []int32
+		if ids != nil {
+			part = ids[lo:hi]
 		}
-		locals[worker] = h
+		locals[worker] = q.scan(q.heap(hi-lo), rows[lo*dim:hi*dim], hi-lo, part, lo)
 	})
-	var all []Neighbor
-	for _, h := range locals {
-		all = append(all, h...)
-	}
-	return finalizeNeighbors(all, k, m)
+	return finalizeNeighbors(locals, k, m)
 }
 
 // MergeNeighbors merges already-finalized per-partition result lists
@@ -83,73 +80,29 @@ func MergeNeighbors(k int, lists ...[]Neighbor) []Neighbor {
 	if k <= 0 {
 		return nil
 	}
-	var h []Neighbor
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+	}
+	h := make([]Neighbor, 0, min(k, total))
 	for _, l := range lists {
 		for _, nb := range l {
 			h = pushNeighbor(h, k, nb)
 		}
 	}
-	sort.Slice(h, func(i, j int) bool { return worse(h[j], h[i]) })
-	return h
-}
-
-// queryNorm precomputes the query's norm for Cosine (a zero query is
-// indifferent to everything — all distances 1 — which rowDist handles
-// by construction); L2 needs nothing.
-func queryNorm(query []float64, m Metric) float64 {
-	if m != Cosine {
-		return 0
-	}
-	var s float64
-	for _, v := range query {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// rowDist is the per-candidate distance both the exact scan and the
-// IVF list probes rank by: *squared* L2 (the sqrt is deferred to
-// finalizeNeighbors — one per survivor beats one per row) or the
-// cosine distance 1 − cos.
-func rowDist(row, query []float64, m Metric, qNorm float64) float64 {
-	if m == Cosine {
-		var dot, norm float64
-		for c, x := range row {
-			dot += x * query[c]
-			norm += x * x
-		}
-		if denom := math.Sqrt(norm) * qNorm; denom > 0 {
-			return 1 - dot/denom
-		}
-		return 1
-	}
-	var d float64
-	for c, x := range row {
-		diff := x - query[c]
-		d += diff * diff
-	}
-	return d
-}
-
-// pushNeighbor keeps h a k-bounded worst-at-root heap of the nearest
-// candidates seen so far (partial selection — nothing is ever sorted
-// until the k survivors are merged).
-func pushNeighbor(h []Neighbor, k int, nb Neighbor) []Neighbor {
-	if len(h) < k {
-		h = append(h, nb)
-		siftUp(h, len(h)-1)
-	} else if worse(h[0], nb) {
-		h[0] = nb
-		siftDown(h, 0)
-	}
+	slices.SortFunc(h, compareNeighbors)
 	return h
 }
 
 // finalizeNeighbors merges per-worker survivors into the final result:
 // ascending sort, truncate to k, and the deferred sqrt for L2 (the
 // heaps ran on squared distances).
-func finalizeNeighbors(all []Neighbor, k int, m Metric) []Neighbor {
-	sort.Slice(all, func(i, j int) bool { return worse(all[j], all[i]) })
+func finalizeNeighbors(locals [][]Neighbor, k int, m Metric) []Neighbor {
+	all := locals[0]
+	for _, h := range locals[1:] {
+		all = append(all, h...)
+	}
+	slices.SortFunc(all, compareNeighbors)
 	if len(all) > k {
 		all = all[:k]
 	}
@@ -159,46 +112,4 @@ func finalizeNeighbors(all []Neighbor, k int, m Metric) []Neighbor {
 		}
 	}
 	return all
-}
-
-// worse reports whether a ranks strictly after b: farther, or equally
-// far with a higher id. It is both the heap order (root = worst kept)
-// and, negated, the output order.
-func worse(a, b Neighbor) bool {
-	if a.Dist != b.Dist {
-		return a.Dist > b.Dist
-	}
-	return a.V > b.V
-}
-
-// siftUp/siftDown maintain a worst-at-root heap of Neighbors — inlined
-// rather than container/heap so the hot per-row replacement does not
-// box a value per candidate.
-func siftUp(h []Neighbor, i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !worse(h[i], h[p]) {
-			return
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-}
-
-func siftDown(h []Neighbor, i int) {
-	n := len(h)
-	for {
-		worst := i
-		if l := 2*i + 1; l < n && worse(h[l], h[worst]) {
-			worst = l
-		}
-		if r := 2*i + 2; r < n && worse(h[r], h[worst]) {
-			worst = r
-		}
-		if worst == i {
-			return
-		}
-		h[i], h[worst] = h[worst], h[i]
-		i = worst
-	}
 }

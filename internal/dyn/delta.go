@@ -19,7 +19,7 @@
 package dyn
 
 import (
-	"sort"
+	"math/bits"
 
 	"repro/internal/graph"
 )
@@ -122,9 +122,10 @@ func (d *DynamicEmbedder) Delta(from uint64) *Delta {
 	entries := append([]epochDelta(nil), d.ring...)
 	d.mu.Unlock()
 
-	var rows, relabeled []graph.NodeID
-	seenRow := make(map[graph.NodeID]struct{})
-	seenLab := make(map[graph.NodeID]struct{})
+	// The union is a bitset sweep: setting a bit deduplicates, and
+	// reading the words back in order yields ascending ids — no map, no
+	// sort, and 2×n/8 bytes however many epochs the span covers.
+	rowSet, labSet := newIDSet(len(snap.Y)), newIDSet(len(snap.Y))
 	for i := range entries {
 		e := &entries[i]
 		if e.epoch <= from {
@@ -134,18 +135,8 @@ func (d *DynamicEmbedder) Delta(from uint64) *Delta {
 			res.Resync = true
 			return res
 		}
-		for _, v := range e.rows {
-			if _, ok := seenRow[v]; !ok {
-				seenRow[v] = struct{}{}
-				rows = append(rows, v)
-			}
-		}
-		for _, v := range e.relabeled {
-			if _, ok := seenLab[v]; !ok {
-				seenLab[v] = struct{}{}
-				relabeled = append(relabeled, v)
-			}
-		}
+		rowSet.add(e.rows)
+		labSet.add(e.relabeled)
 	}
 
 	// Values and final classes come from the published snapshot, not
@@ -153,8 +144,7 @@ func (d *DynamicEmbedder) Delta(from uint64) *Delta {
 	// to a follower jumping from `from` straight to Epoch. A vertex
 	// relabeled back to its epoch-`from` class still appears in Labels;
 	// reapplying an unchanged class is harmless.
-	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
-	sort.Slice(relabeled, func(i, j int) bool { return relabeled[i] < relabeled[j] })
+	rows, relabeled := rowSet.ascending(), labSet.ascending()
 	res.Rows = rows
 	res.Values = make([]float64, len(rows)*snap.Z.C)
 	for i, v := range rows {
@@ -165,4 +155,33 @@ func (d *DynamicEmbedder) Delta(from uint64) *Delta {
 		res.Labels[i] = LabelUpdate{V: v, Class: snap.Y[v]}
 	}
 	return res
+}
+
+// idSet is a set of vertex ids below a fixed n, one bit each.
+type idSet []uint64
+
+func newIDSet(n int) idSet { return make(idSet, (n+63)/64) }
+
+func (s idSet) add(ids []graph.NodeID) {
+	for _, v := range ids {
+		s[v>>6] |= 1 << (v & 63)
+	}
+}
+
+// ascending returns the members in ascending order (nil when empty).
+func (s idSet) ascending() []graph.NodeID {
+	count := 0
+	for _, w := range s {
+		count += bits.OnesCount64(w)
+	}
+	if count == 0 {
+		return nil
+	}
+	out := make([]graph.NodeID, 0, count)
+	for i, w := range s {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, graph.NodeID(i<<6+bits.TrailingZeros64(w)))
+		}
+	}
+	return out
 }

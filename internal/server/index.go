@@ -57,9 +57,9 @@ type IndexStats struct {
 	Stale bool
 }
 
-// builtIndex is one IVF index and the epoch of the version whose
-// contiguous view it was built over (the index itself keeps that matrix
-// alive; the version's pages are free to go).
+// builtIndex is one IVF index and the epoch of the version it was built
+// from. The index owns a list-major copy of the rows it indexes, so it
+// pins neither that version's pages nor its contiguous form.
 type builtIndex struct {
 	epoch uint64
 	ivf   *cluster.IVF
@@ -100,8 +100,9 @@ func newIndexCache(d *dyn.DynamicEmbedder, workers int, opts IndexOptions) *inde
 // embedder publishes — as a borrowed slice of the version's contiguous
 // form, which the version derives from its pages once and keeps. This
 // is the only place the serving tier asks for that form: the exact scan
-// and the index build need rows back to back, nothing else does. Row i
-// of the view is global row i+lo.
+// and the index build need rows back to back, nothing else does (a
+// query answered by a built index reads the index's own copy). Row i of
+// the view is global row i+lo.
 func (ic *indexCache) view(ver *dyn.Version) *mat.Dense {
 	z := ver.Snapshot().Z
 	return &mat.Dense{R: ic.hi - ic.lo, C: z.C, Data: z.Data[ic.lo*z.C : ic.hi*z.C]}

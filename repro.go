@@ -390,7 +390,7 @@ type (
 	// index epoch actually answered.
 	NeighborsResponse = server.NeighborsResponse
 	// ApproxIndex is an inverted-file (IVF) approximate
-	// nearest-neighbor index over an immutable embedding matrix.
+	// nearest-neighbor index; it owns a copy of the rows it indexes.
 	ApproxIndex = cluster.IVF
 	// ApproxIndexOptions configures BuildApproxIndex.
 	ApproxIndexOptions = cluster.IVFOptions
@@ -421,9 +421,8 @@ func NearestNeighbors(workers int, X *Dense, query []float64, k int, m NeighborM
 
 // BuildApproxIndex clusters the rows of X into an inverted-file
 // approximate nearest-neighbor index: Search probes only the nprobe
-// lists nearest the query instead of scanning every row. X must stay
-// immutable while the index is in use (index a published snapshot's
-// matrix, not a live one).
+// lists nearest the query instead of scanning every row. The index
+// copies the rows (list by list), so X is free to change afterwards.
 func BuildApproxIndex(workers int, X *Dense, opts ApproxIndexOptions) *ApproxIndex {
 	return cluster.BuildIVF(workers, X, opts)
 }
