@@ -391,8 +391,9 @@ func serveChurn(ctx context.Context, d *dyn.DynamicEmbedder, el *graph.EdgeList,
 // are skipped by the metrics.
 func classify(s *dyn.Version) []int32 {
 	pred := make([]int32, s.Z.R)
+	row := make([]float64, s.Z.C)
 	for v := 0; v < s.Z.R; v++ {
-		row := s.Z.Row(v)
+		s.Z.Row(v, row)
 		best, bv := labels.Unknown, 0.0
 		for c, x := range row {
 			if x > bv {

@@ -52,8 +52,10 @@ func DefaultAnalyzers() []Analyzer {
 				"(*repro/internal/sticky.Writer).WriteString",
 				"(*repro/internal/sticky.Writer).WriteByte",
 				// Published rows: every read path fetches its rows
-				// through the paged store's accessor.
+				// through the paged store's accessors, which normalise
+				// into the caller's buffer.
 				"(*repro/internal/dyn.Pages).Row",
+				"(*repro/internal/dyn.Pages).Rows",
 				// Metrics: Observe sits on every request path.
 				"(*repro/internal/metrics.Histogram).Observe",
 				"(*repro/internal/metrics.Histogram).ObserveSince",

@@ -117,8 +117,9 @@ func BenchmarkDynamicChurn(b *testing.B) {
 	b.ReportMetric(ops/b.Elapsed().Seconds(), "ops/s")
 }
 
-// BenchmarkDynamicPublish prices one copy-on-epoch snapshot (O(nK)
-// normalize + label copy) at the benchmark's service size.
+// BenchmarkDynamicPublish prices a publish with nothing dirty — the
+// page table and the version, after one bulk-load publish — at the
+// benchmark's service size.
 func BenchmarkDynamicPublish(b *testing.B) {
 	y := labels.SampleSemiSupervised(dynBenchN, dynBenchK, 0.1, 7)
 	d, err := dyn.New(dynBenchN, y, dyn.Options{K: dynBenchK, ManualPublish: true})

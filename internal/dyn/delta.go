@@ -1,21 +1,22 @@
 // Epoch-delta tracking: the read-path scale-out story. A replica that
 // already holds epoch E should not pay a full O(nK) snapshot transfer
 // to reach epoch E' when only a few rows moved — and under edge churn
-// only a few rows do move: an insert or delete touches exactly the two
-// endpoint rows, and a label move touches the moved vertex's neighbors.
-// The embedder marks dirty rows as batches fold (publish needs them
-// anyway: they name the pages to re-normalise) and, at each publish,
-// files the epoch's dirty set into a bounded ring. Delta unions the
-// per-epoch sets and reads the new row values straight from the current
-// immutable version, so the ring never stores floats.
+// only a few rows do move: an insert or delete writes at most its two
+// endpoint rows (an endpoint's row only when the other endpoint is
+// labelled), and a label move writes the moved vertex's neighbors'. The
+// embedder marks exactly the rows the fold and the relabel walks wrote
+// (publish needs them anyway: they name the pages to copy) and, at each
+// publish, files the epoch's dirty set into a bounded ring. Delta unions
+// the per-epoch sets and reads the new rows, normalised, straight from
+// the current immutable version, so the ring never stores floats.
 //
 // The exception is the 1/n_k normalization: a label move that changes
-// class counts rescales two whole columns of Z at the next publish, so
-// every row with mass in those columns changes — a row list would be
-// the whole matrix. Such an epoch is promoted to a "full" delta and
-// Delta answers with the resync signal instead (fetch a snapshot).
-// Moves that cancel within one publish window (counts end where they
-// started) stay row-sized.
+// class counts rescales two whole columns of every served row, though
+// it rewrites no page but its walk's — a row list would be the whole
+// matrix. Such an epoch is promoted to a "full" delta and Delta answers
+// with the resync signal instead (fetch a snapshot). Moves that cancel
+// within one publish window (counts end where they started) stay
+// row-sized.
 package dyn
 
 import (
@@ -71,6 +72,19 @@ func (d *DynamicEmbedder) markDirty(v graph.NodeID) {
 	if len(d.dirtyRows) > (d.ownHi-d.ownLo)/2 {
 		d.dirtyFull = true
 		d.dirtyRows = nil
+	}
+}
+
+// markWritten marks the rows the fold of edge e wrote, by the fold's
+// own kernel predicate: row U only when V is labelled, row V only when
+// U is. Call it under the labels the fold ran with.
+func (d *DynamicEmbedder) markWritten(e graph.Edge) {
+	src, dst := d.kern.Writes(e.U, e.V)
+	if src {
+		d.markDirty(e.U)
+	}
+	if dst {
+		d.markDirty(e.V)
 	}
 }
 
@@ -148,7 +162,7 @@ func (d *DynamicEmbedder) Delta(from uint64) *Delta {
 	res.Rows = rows
 	res.Values = make([]float64, len(rows)*snap.Z.C)
 	for i, v := range rows {
-		copy(res.Values[i*snap.Z.C:(i+1)*snap.Z.C], snap.Z.Row(int(v)))
+		snap.Z.Row(int(v), res.Values[i*snap.Z.C:])
 	}
 	res.Labels = make([]LabelUpdate, len(relabeled))
 	for i, v := range relabeled {

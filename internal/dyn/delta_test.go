@@ -1,6 +1,9 @@
 package dyn
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -306,4 +309,128 @@ func TestDeltaFollowerUnderChurn(t *testing.T) {
 		t.Fatal("edge-only rounds never served a row-wise delta")
 	}
 	t.Logf("follower: %d row-wise syncs, %d resyncs", rowSyncs, resyncs)
+}
+
+// TestDirtyRowsAreWrittenRows pins the dirty set to the kernel: an edge
+// dirties an endpoint's row only when the fold wrote it (the other
+// endpoint is labelled), a relabel dirties exactly its walk's rows, and
+// nothing else is dirty. Random batches and relabels — some moving class
+// counts, some cancelling — run at labelled fractions 0, 0.2 and 1, with
+// and without an owned window. At every publish the test recomputes,
+// independently of the embedder, the rows the fold and the walks wrote,
+// and checks that the dirty set is exactly their owned part, that a row
+// delta lists only them, and that every other row keeps the previous
+// version's bits: served bits when the counts held, raw sums when a
+// count moved.
+func TestDirtyRowsAreWrittenRows(t *testing.T) {
+	const n, k = 3001, 4
+	for _, frac := range []float64{0, 0.2, 1} {
+		for _, win := range [][2]int{{0, 0}, {501, 2203}} {
+			t.Run(fmt.Sprintf("frac%v/own%d-%d", frac, win[0], win[1]), func(t *testing.T) {
+				y := labels.SampleSemiSupervised(n, k, frac, 233)
+				d, err := New(n, y, Options{K: k, ManualPublish: true, OwnedLo: win[0], OwnedHi: win[1]})
+				if err != nil {
+					t.Fatal(err)
+				}
+				lo, hi := d.Owned()
+				r := xrand.New(239)
+				var live []graph.Edge
+				prev := d.Version()
+				for epoch := 1; epoch <= 30; epoch++ {
+					wrote := make(map[graph.NodeID]bool)
+					write := func(v graph.NodeID) {
+						if int(v) >= lo && int(v) < hi {
+							wrote[v] = true
+						}
+					}
+					for applies := 1 + r.Intn(3); applies > 0; applies-- {
+						var b Batch
+						for i := r.Intn(40); i > 0; i-- {
+							b.Insert = append(b.Insert, graph.Edge{U: graph.NodeID(r.Intn(n)), V: graph.NodeID(r.Intn(n)), W: float32(r.Intn(3) + 1)})
+						}
+						for i := r.Intn(10); i > 0 && len(live) > 0; i-- {
+							j := r.Intn(len(live))
+							b.Delete = append(b.Delete, live[j])
+							live[j] = live[len(live)-1]
+							live = live[:len(live)-1]
+						}
+						switch r.Intn(4) {
+						case 0: // counts move
+							b.Labels = []LabelUpdate{{V: graph.NodeID(r.Intn(n)), Class: int32(r.Intn(k+1)) - 1}}
+						case 1: // a move and its undo: counts hold
+							v := graph.NodeID(r.Intn(n))
+							b.Labels = []LabelUpdate{{V: v, Class: (y[v] + 2) % k}, {V: v, Class: y[v]}}
+						}
+						// The fold's writes, under the labels it runs with.
+						for _, es := range [][]graph.Edge{b.Delete, b.Insert} {
+							for _, e := range es {
+								if y[e.V] >= 0 {
+									write(e.U)
+								}
+								if y[e.U] >= 0 {
+									write(e.V)
+								}
+							}
+						}
+						live = append(live, b.Insert...)
+						// Each applied move walks every live edge at its vertex.
+						for _, lu := range b.Labels {
+							if y[lu.V] == lu.Class {
+								continue
+							}
+							for _, e := range live {
+								if e.U == lu.V {
+									write(e.V)
+								}
+								if e.V == lu.V {
+									write(e.U)
+								}
+							}
+							y[lu.V] = lu.Class
+						}
+						if err := d.Apply(b); err != nil {
+							t.Fatalf("epoch %d: %v", epoch, err)
+						}
+					}
+					d.mu.Lock()
+					if d.dirtyFull || len(d.dirtyRows) != len(wrote) {
+						t.Fatalf("epoch %d: %d dirty rows (full=%v), the fold and walks wrote %d", epoch, len(d.dirtyRows), d.dirtyFull, len(wrote))
+					}
+					for _, v := range d.dirtyRows {
+						if !wrote[v] {
+							t.Fatalf("epoch %d: row %d is dirty but nothing wrote it", epoch, v)
+						}
+					}
+					d.mu.Unlock()
+					ver := d.Publish()
+					counted := slices.Equal(ver.Z.inv, prev.Z.inv)
+					if dl := d.Delta(prev.Epoch); dl.Resync == counted {
+						t.Fatalf("epoch %d: resync=%v, but class counts held=%v", epoch, dl.Resync, counted)
+					} else {
+						for _, v := range dl.Rows {
+							if !wrote[v] {
+								t.Fatalf("epoch %d: delta lists row %d, which nothing wrote", epoch, v)
+							}
+						}
+					}
+					a, b := make([]float64, k), make([]float64, k)
+					for v := 0; v < n; v++ {
+						if wrote[graph.NodeID(v)] {
+							continue
+						}
+						was, is := prev.Z.span(v, v+1), ver.Z.span(v, v+1)
+						if counted {
+							was, is = prev.Z.Row(v, a), ver.Z.Row(v, b)
+						}
+						for c := range is {
+							if math.Float64bits(is[c]) != math.Float64bits(was[c]) {
+								t.Fatalf("epoch %d: untouched row %d column %d moved from %v to %v", epoch, v, c, was[c], is[c])
+							}
+						}
+					}
+					prev = ver
+				}
+			})
+		}
+	}
 }

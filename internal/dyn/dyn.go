@@ -12,11 +12,11 @@
 // embedder therefore accumulates the *unnormalized* per-class sums U
 // (coefficient 1 per labeled endpoint): column c of U only receives
 // mass keyed by class-c endpoints, so the exact embedding is recovered
-// at publish time as Z(·,c) = U(·,c)/n_c, and a label change reduces to
-// sliding the vertex's raw incident-edge mass between two columns
-// (O(degree), via a maintained adjacency) plus a count update. Class
-// counts entering only at publish is what keeps the coefficients exact
-// under any interleaving of operations.
+// as Z(·,c) = U(·,c)/n_c, and a label change reduces to sliding the
+// vertex's raw incident-edge mass between two columns (O(degree), via a
+// maintained adjacency) plus a count update. Class counts entering only
+// where a row is read is what keeps the coefficients exact under any
+// interleaving of operations.
 //
 // Writers are serialized by an internal lock and route edge folds
 // through internal/exec: atomic adds for small batches, the
@@ -26,12 +26,15 @@
 // published immutable version, so queries stay consistent while ingest
 // continues.
 //
-// A version is a paged, copy-on-write row store (Pages): an insert
-// touches two rows, so a publish shares the previous version's pages
-// and re-normalises only those holding a dirty row — O(dirty pages),
-// not O(nK). Only when the 1/n_k coefficients themselves moved (a
-// count-changing relabel), or so many pages are dirty that one sweep is
-// cheaper, is the whole owned window rebuilt.
+// A version is a paged, copy-on-write store of U's raw rows plus the
+// epoch's 1/n_k vector (Pages), normalised where a row is read. A row
+// is dirty only when the fold or a relabel walk actually wrote it — an
+// edge writes an endpoint's row only when the other endpoint is
+// labelled — so a publish shares the previous version's pages and
+// copies only those holding a dirty row: O(dirty pages), not O(nK). A
+// count-changing relabel is no exception (it brings a new 1/n_k vector,
+// and the pages of the rows its walk wrote); only when so many pages are
+// dirty that one sweep is cheaper is the whole owned window copied.
 package dyn
 
 import (
@@ -72,7 +75,7 @@ type Options struct {
 	// PublishEvery > 0 publishes automatically once at least that many
 	// operations (inserts + deletes + applied label moves) have been
 	// folded since the last publish, bounding staleness by op count while
-	// rows dirtied several times in the window are normalised once. It
+	// rows dirtied several times in the window are copied once. It
 	// overrides the per-Apply publish and ManualPublish; an explicit
 	// Publish still works at any time (and resets the op counter).
 	PublishEvery int
@@ -87,8 +90,8 @@ type Options struct {
 	// OwnedLo/OwnedHi restrict the published window to the vertex range
 	// [OwnedLo, OwnedHi): folds still span the full vertex range (an
 	// edge's contribution lands in both endpoint rows regardless of
-	// ownership), but publish-time normalization, dirty-row tracking,
-	// and the delta ring cover only the owned rows — rows outside the
+	// ownership), but the published rows, dirty-row tracking, and the
+	// delta ring cover only the owned rows — rows outside the
 	// window stay zero in every snapshot. Both zero means the full
 	// range. This is the sharded serving tier's partition hook
 	// (internal/shard); a standalone embedder leaves it unset.
@@ -134,8 +137,9 @@ type Version struct {
 	// follower that sees the instance change must resync rather than
 	// apply deltas across the restart.
 	Instance uint64
-	// Z is the normalized n×K embedding. Rows outside the embedder's
-	// owned window read zero.
+	// Z is the n×K embedding: U's raw rows and this epoch's 1/n_k,
+	// normalised as they are read (Row, Rows, Dense). Rows outside the
+	// embedder's owned window read zero.
 	Z *Pages
 	// Y is the label vector at publish time, shared with the previous
 	// version unless a label moved. Read-only by contract.
@@ -150,9 +154,8 @@ type Version struct {
 
 // Snapshot returns the version with Z as one contiguous matrix, derived
 // from the pages once per version and then shared by every caller. It
-// is a view when the version came out of a full rebuild and an O(nK)
-// gather otherwise, so only code that scans the whole matrix (neighbor
-// search, index builds) should ask for it.
+// is an O(nK) gather of normalised rows, so only code that scans the
+// whole matrix (neighbor search, index builds) should ask for it.
 func (v *Version) Snapshot() *Snapshot {
 	v.once.Do(func() {
 		v.snap = &Snapshot{Epoch: v.Epoch, Instance: v.Instance, Z: v.Z.Dense(), Y: v.Y, Edges: v.Edges}
@@ -204,6 +207,14 @@ type halfEdge struct {
 	w float32
 }
 
+// removal is one half-edge a delete detached: the list it left and the
+// slot it sat in, so a failed batch can put it back exactly there.
+type removal struct {
+	u  graph.NodeID
+	i  int32
+	he halfEdge
+}
+
 // DynamicEmbedder maintains a GEE embedding under churn. All writer
 // methods (Apply and its convenience wrappers, Publish) are safe for
 // concurrent use with each other and with readers; Query and Snapshot
@@ -224,16 +235,18 @@ type DynamicEmbedder struct {
 	counts   []int64
 	adj      [][]halfEdge // incident half-edges of each vertex
 	u        *mat.Dense   // unnormalized per-class sums
+	uLent    bool         // u.Data is the current version's store: copy before writing (ownU)
 	kern     exec.Kernel[float64]
 	plan     *exec.EdgePlan // lazily built sharded layout, reused per batch
 	edges    int64
 	scratch  []graph.Edge // negated-delete + insert fold buffer
+	detached []removal    // halves detachDeletes removed, for undoDetach
 	sincePub int64        // ops folded since the last publish (PublishEvery)
 	stats    Stats
 
 	// Dirty tracking since the last publish (all under mu): it decides
-	// what a publish re-normalises and, when the ring is on, what the
-	// epoch's delta lists.
+	// what a publish copies and, when the ring is on, what the epoch's
+	// delta lists.
 	dirtyMark []uint64       // dirtyMark[v] == dirtyGen ⇔ row v already recorded
 	pageMark  []uint64       // pageMark[p] == dirtyGen ⇔ page p already in pageBuf
 	pageBuf   []int32        // publish scratch: pages holding a dirty row
@@ -261,9 +274,9 @@ type DynamicEmbedder struct {
 
 	// Observability instruments (nil until Instrument; all guarded by
 	// mu like the state they measure).
-	mPublish    *metrics.Histogram // publish (normalize + version) latency
+	mPublish    *metrics.Histogram // publish (copy + version) latency
 	mDirtyRows  *metrics.Histogram // dirty rows per published epoch
-	mNormalized *metrics.Histogram // rows re-multiplied by 1/n_k per published epoch
+	mCopied     *metrics.Histogram // rows copied into fresh pages per published epoch
 	mFullEpochs *metrics.Counter   // epochs promoted to full (resync-only)
 	mRing       *metrics.Gauge     // delta-ring occupancy in epochs
 
@@ -272,7 +285,7 @@ type DynamicEmbedder struct {
 }
 
 // Instrument registers the embedder's instruments on reg: publish
-// latency, dirty and re-normalised rows per epoch, full-epoch
+// latency, dirty and copied rows per epoch, full-epoch
 // promotions, delta-ring occupancy, and folds by path. Call at most
 // once per registry and label set
 // (the serving layer does this when it adopts the embedder; a sharded
@@ -283,13 +296,13 @@ func (d *DynamicEmbedder) Instrument(reg *metrics.Registry, labels ...metrics.La
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.mPublish = reg.Histogram("gee_dyn_publish_seconds",
-		"Latency of publishing one epoch (normalize U and version the snapshot).",
+		"Latency of publishing one epoch (copy U's dirty rows and version the snapshot).",
 		metrics.DefLatencyBuckets, labels...)
 	d.mDirtyRows = reg.Histogram("gee_dyn_publish_dirty_rows",
 		"Rows whose embedding changed in one published epoch.",
 		metrics.DefCountBuckets, labels...)
-	d.mNormalized = reg.Histogram("gee_dyn_publish_rows_normalized",
-		"Rows re-multiplied by 1/n_k in one published epoch (dirty pages x page height, or every owned row on a full rebuild).",
+	d.mCopied = reg.Histogram("gee_dyn_publish_rows_normalized",
+		"Rows copied into fresh pages in one published epoch (dirty pages x page height, or every owned row on a full rebuild).",
 		metrics.DefCountBuckets, labels...)
 	d.mFullEpochs = reg.Counter("gee_dyn_full_epochs_total",
 		"Published epochs promoted to full (not row-reconstructible; followers must resync across them).",
@@ -474,9 +487,7 @@ func (d *DynamicEmbedder) Query(v graph.NodeID) []float64 {
 	if int(v) >= z.R {
 		return nil
 	}
-	out := make([]float64, z.C)
-	copy(out, z.Row(int(v)))
-	return out
+	return z.Row(int(v), make([]float64, z.C))
 }
 
 // AddEdges inserts a batch of edges.
@@ -513,25 +524,27 @@ func (d *DynamicEmbedder) Apply(b Batch) error {
 	// Fold deletions (negated) and insertions in one pass under the
 	// current labels; label updates below move any of this mass that
 	// their vertex keys.
+	d.ownU()
 	if err := d.fold(b.Delete, b.Insert); err != nil {
 		// The deletions were already detached above; without putting
 		// them back, a failed fold would leave the adjacency missing
 		// edges whose mass is still in U — "on error nothing is
-		// applied" demands the reattach.
-		d.reattach(b.Delete)
+		// applied" demands the undo.
+		d.undoDetach()
 		return err
 	}
+	d.detached = d.detached[:0]
 	for _, e := range b.Insert {
 		d.adj[e.U] = append(d.adj[e.U], halfEdge{v: e.V, w: e.W})
 		d.adj[e.V] = append(d.adj[e.V], halfEdge{v: e.U, w: e.W})
 	}
+	// Under the labels the fold ran with, before the updates below move
+	// them.
 	for _, e := range b.Delete {
-		d.markDirty(e.U)
-		d.markDirty(e.V)
+		d.markWritten(e)
 	}
 	for _, e := range b.Insert {
-		d.markDirty(e.U)
-		d.markDirty(e.V)
+		d.markWritten(e)
 	}
 	moved := -d.stats.LabelMoves
 	for _, lu := range b.Labels {
@@ -583,30 +596,25 @@ func (d *DynamicEmbedder) validate(b *Batch) error {
 	return nil
 }
 
-// detachDeletes removes each deleted edge from the adjacency, rolling
-// back on a miss so a failed batch leaves no trace.
+// detachDeletes removes each deleted edge from the adjacency, undoing
+// every removal on a miss so a failed batch leaves no trace.
 func (d *DynamicEmbedder) detachDeletes(del []graph.Edge) error {
 	for i, e := range del {
-		if !d.removeHalf(e.U, e.V, e.W) {
-			d.reattach(del[:i])
-			return fmt.Errorf("dyn: delete %d: edge (%d->%d, w=%g) not live", i, e.U, e.V, e.W)
-		}
-		if !d.removeHalf(e.V, e.U, e.W) {
-			// The first half was present, so the reverse half must be:
-			// halves are only ever added and removed in pairs.
-			d.adj[e.U] = append(d.adj[e.U], halfEdge{v: e.V, w: e.W})
-			d.reattach(del[:i])
+		if !d.removeHalf(e.U, e.V, e.W) || !d.removeHalf(e.V, e.U, e.W) {
+			d.undoDetach()
 			return fmt.Errorf("dyn: delete %d: edge (%d->%d, w=%g) not live", i, e.U, e.V, e.W)
 		}
 	}
 	return nil
 }
 
-// removeHalf swap-deletes one (v, w) entry from adj[u].
+// removeHalf swap-deletes one (v, w) entry from adj[u], recording where
+// it sat.
 func (d *DynamicEmbedder) removeHalf(u, v graph.NodeID, w float32) bool {
 	list := d.adj[u]
 	for i := range list {
 		if list[i].v == v && list[i].w == w {
+			d.detached = append(d.detached, removal{u: u, i: int32(i), he: list[i]})
 			list[i] = list[len(list)-1]
 			d.adj[u] = list[:len(list)-1]
 			return true
@@ -615,11 +623,29 @@ func (d *DynamicEmbedder) removeHalf(u, v graph.NodeID, w float32) bool {
 	return false
 }
 
-// reattach restores previously detached edges after a failed batch.
-func (d *DynamicEmbedder) reattach(del []graph.Edge) {
-	for _, e := range del {
-		d.adj[e.U] = append(d.adj[e.U], halfEdge{v: e.V, w: e.W})
-		d.adj[e.V] = append(d.adj[e.V], halfEdge{v: e.U, w: e.W})
+// undoDetach puts back every half detachDeletes removed, newest first:
+// the half's slot holds the list's former last entry, which moves back
+// to the end. Each list ends element for element as it was, so a later
+// relabel walks it — and rounds its -=/+= — in the same order as an
+// embedder that never saw the failed batch.
+func (d *DynamicEmbedder) undoDetach() {
+	for j := len(d.detached) - 1; j >= 0; j-- {
+		r := d.detached[j]
+		list := append(d.adj[r.u], r.he)
+		last := len(list) - 1
+		list[r.i], list[last] = r.he, list[r.i]
+		d.adj[r.u] = list
+	}
+	d.detached = d.detached[:0]
+}
+
+// ownU gives the embedder a private U again when a rebuild lent its
+// array to the published version (see rebuildPages). Every write to U
+// comes after it.
+func (d *DynamicEmbedder) ownU() {
+	if d.uLent {
+		d.u.Data = slices.Clone(d.u.Data)
+		d.uLent = false
 	}
 }
 
@@ -673,7 +699,7 @@ func (d *DynamicEmbedder) fold(del, ins []graph.Edge) error {
 // relabel moves vertex v from its current class to class: the raw mass
 // v contributes along its incident edges slides from the old column to
 // the new one in the neighbors' rows, and the class counts shift so the
-// publish-time 1/n_k normalization stays exact.
+// 1/n_k normalization readers apply stays exact.
 func (d *DynamicEmbedder) relabel(v graph.NodeID, class int32) {
 	old := d.y[v]
 	if old == class {
@@ -691,10 +717,11 @@ func (d *DynamicEmbedder) relabel(v graph.NodeID, class int32) {
 		}
 	}
 	// Every neighbor's row slid mass between columns (v's own row is
-	// keyed by its neighbors' classes and does not move). The count
-	// shift below rescales two whole columns at publish, which rebuilds
-	// every page and promotes the epoch's delta to full; the row marks
-	// still matter when a later move restores the counts exactly.
+	// keyed by its neighbors' classes and does not move); those rows are
+	// all the publish copies. The count shift below only brings a new
+	// 1/n_k vector — but it rescales two whole columns of every served
+	// row, so the epoch's delta is promoted to full unless a later move
+	// restores the counts exactly.
 	for _, he := range d.adj[v] {
 		d.markDirty(he.v)
 	}
@@ -719,37 +746,42 @@ func (d *DynamicEmbedder) relabel(v graph.NodeID, class int32) {
 // version's pages from U and atomically publishes them as the next
 // epoch. Earlier versions stay valid for readers still holding them.
 //
-// Z(u,c) = U(u,c)/n_c, so a row of Z changes only when its row of U did
-// (it is in the dirty set) or when a class count did. With the counts
-// where the last publish left them, the new version is the previous
-// one's page table with the dirty pages re-normalised; every other page
-// — and Y, unless a label moved — is shared. Otherwise (counts moved,
-// first publish, or so many pages dirty that copying them one by one
-// would cost more than one sweep) the whole owned window is rebuilt.
-// Both paths run the same src[c]*inv[c] multiply, so which one produced
-// a row is invisible in its bits.
+// A version stores U's raw rows, and a raw row changes only when the
+// fold or a relabel walk wrote it (it is in the dirty set). So the new
+// version is the previous one's page table with the dirty pages copied
+// fresh from U; every other page — and Y, unless a label moved — is
+// shared, and a class-count change costs only the new 1/n_k vector.
+// Only the first publish and a write dirtying so many pages that
+// copying them one by one would cost more than one sweep copy the whole
+// owned window. Every reader applies the same src[c]*inv[c] product to
+// the same raw bits, so which path produced a row is invisible in what
+// it serves.
 func (d *DynamicEmbedder) publishLocked() *Version {
 	t0 := time.Now()
-	inv := make([]float64, d.k)
-	for c, n := range d.counts {
-		if n > 0 {
-			inv[c] = 1 / float64(n)
-		}
-	}
 	prev := d.cur.Load()
 	countsMoved := !slices.Equal(d.counts, d.pubCounts)
 	v := &Version{Instance: d.instance, Edges: d.edges, views: &d.denseViews}
 	var dirty []int32
-	patch := prev != nil && !countsMoved
+	patch := prev != nil
 	if patch {
 		dirty, patch = d.dirtyPagesLocked()
 	}
-	normalized := d.ownHi - d.ownLo
+	copied := d.ownHi - d.ownLo
 	if patch {
-		v.Z = d.patchPages(prev.Z, dirty, inv)
-		normalized = len(dirty) * PageRows
+		v.Z = d.patchPages(prev.Z, dirty)
+		copied = len(dirty) * PageRows
 	} else {
-		v.Z = d.rebuildPages(inv)
+		v.Z = d.rebuildPages()
+	}
+	if prev != nil && !countsMoved {
+		v.Z.inv = prev.Z.inv
+	} else {
+		v.Z.inv = make([]float64, d.k)
+		for c, n := range d.counts {
+			if n > 0 {
+				v.Z.inv[c] = 1 / float64(n)
+			}
+		}
 	}
 	if prev == nil || d.yMoved {
 		v.Y = append([]int32(nil), d.y...)
@@ -759,8 +791,9 @@ func (d *DynamicEmbedder) publishLocked() *Version {
 	if prev != nil {
 		v.Epoch = prev.Epoch + 1
 		d.stats.Publishes++
-		// Counts moved or too many rows: the epoch is not reconstructible
-		// from a row list, so followers must resync across it.
+		// Counts moved (every served row of two columns rescaled) or too
+		// many rows: the epoch is not reconstructible from a row list, so
+		// followers must resync across it.
 		full := d.dirtyFull || countsMoved
 		if d.deltaHist > 0 {
 			d.recordDeltaLocked(v.Epoch, full)
@@ -775,7 +808,7 @@ func (d *DynamicEmbedder) publishLocked() *Version {
 				d.mFullEpochs.Inc()
 			}
 			d.mDirtyRows.Observe(float64(dirtyRows))
-			d.mNormalized.Observe(float64(normalized))
+			d.mCopied.Observe(float64(copied))
 			d.mRing.Set(int64(len(d.ring)))
 		}
 	}
@@ -796,23 +829,15 @@ func (d *DynamicEmbedder) publishLocked() *Version {
 	return v
 }
 
-// normalizeRow writes row u of Z — U(u,·) scaled by inv — into dst.
-func (d *DynamicEmbedder) normalizeRow(dst []float64, u int, inv []float64) {
-	src := d.u.Row(u)
-	for c := range src {
-		dst[c] = src[c] * inv[c]
-	}
-}
-
 // dirtyPagesLocked lists the pages holding a dirty row. ok is false
 // when patching them one by one would not pay: the row rule already
 // gave up (dirtyFull), or more than an eighth of the owned pages are
-// dirty. Measured at n=100k, K=10, a page copy costs ~0.4 µs against
-// 2.3 ms for one parallel sweep into one allocation, so the two meet
-// near a fifth of the pages; the rule stops earlier because the sweep
-// also leaves the rows contiguous and needs no page table. A 4096-edge
-// batch there dirties 8% of the rows but 28% of the pages, and is
-// rebuilt.
+// dirty. Measured at n=100k, K=10 on two cores, patching every eighth
+// page takes ~0.37 ms and allocates 1.6 MB against ~0.87 ms and 8 MB for
+// copying the whole window, so by time the two meet near a third of the
+// pages; the rule stops earlier because the sweep also leaves the rows
+// contiguous and needs no page table. A 4096-edge batch there, at 20%
+// labelled, writes ~6% of the pages and is patched.
 func (d *DynamicEmbedder) dirtyPagesLocked() (pages []int32, ok bool) {
 	if d.dirtyFull {
 		return nil, false
@@ -834,30 +859,34 @@ func (d *DynamicEmbedder) dirtyPagesLocked() (pages []int32, ok bool) {
 	return pages, true
 }
 
-// rebuildPages normalizes the whole owned window in parallel into one
-// allocation. When that spans every row it is the store (no page table:
-// the next patch cuts one, once). Otherwise it is cut into the window's
-// pages, and every page outside the window is the shared zero page (every
-// chunk of only such pages the shared zero chunk), so a shard allocates
-// its window, not n×K.
-func (d *DynamicEmbedder) rebuildPages(inv []float64) *Pages {
+// rebuildPages makes a version of U's whole owned window at once. An
+// embedder that owns every row lends U's array itself as the store (no
+// page table: the next patch cuts one, once) and takes a private copy
+// on its next write (ownU) — the copy a rebuild would make, only later,
+// and never made on a server nobody writes to after its bulk load,
+// which then holds one n×K array of sums instead of two. A shard copies
+// its window into one allocation cut into the window's pages, and every
+// page outside the window is the shared zero page (every chunk of only
+// such pages the shared zero chunk), so it allocates its window, not
+// n×K.
+func (d *DynamicEmbedder) rebuildPages() *Pages {
 	k := d.k
+	if d.ownLo == 0 && d.ownHi == d.n {
+		d.uLent = true
+		return &Pages{R: d.n, C: k, flat: d.u.Data}
+	}
 	first, last := d.ownLo>>pageShift, numPages(d.ownHi)
 	base, end := first<<pageShift, min(last<<pageShift, d.n)
-	backing := make([]float64, (end-base)*k)
-	// Only the owned rows are normalized; the few rows sharing a
-	// boundary page with the window stay zero like the rest of the
-	// non-owned range (U holds consistent partial sums there — cut-edge
-	// mass whose authoritative copy lives on another shard — that are
-	// never published).
-	parallel.ForChunk(d.workers, d.ownHi-d.ownLo, 0, func(lo, hi int) {
-		for u := lo + d.ownLo; u < hi+d.ownLo; u++ {
-			d.normalizeRow(backing[(u-base)*k:(u-base+1)*k], u, inv)
-		}
-	})
-	if base == 0 && end == d.n {
-		return &Pages{R: d.n, C: k, flat: backing}
-	}
+	// A clone, not make and copy: make would clear the whole window
+	// first, serially, which costs as much as the copy itself.
+	backing := slices.Clone(d.u.Data[base*k : end*k])
+	// Only the owned rows are published; the few rows sharing a boundary
+	// page with the window read zero like the rest of the non-owned range
+	// (U holds consistent partial sums there — cut-edge mass whose
+	// authoritative copy lives on another shard — that are never
+	// published).
+	clear(backing[:(d.ownLo-base)*k])
+	clear(backing[(d.ownHi-base)*k:])
 	z := &Pages{R: d.n, C: k, chunks: make([]*chunk, numChunks(d.n))}
 	for ci := range z.chunks {
 		z.chunks[ci] = d.zeroChunk
@@ -871,14 +900,14 @@ func (d *DynamicEmbedder) rebuildPages(inv []float64) *Pages {
 	return z
 }
 
-// patchPages returns prev with the dirty pages replaced by freshly
-// normalized copies; every other page, and every chunk of the table
+// patchPages returns prev with the dirty pages replaced by fresh copies
+// of their rows of U; every other page, and every chunk of the table
 // without a dirty page, is shared. Each page is its own allocation so
 // that a version superseded page by page is also collected page by
 // page. The grain keeps a small write's few pages on the publishing
 // goroutine (measured: a second worker only pays from a few thousand
 // rows up).
-func (d *DynamicEmbedder) patchPages(prev *Pages, dirty []int32, inv []float64) *Pages {
+func (d *DynamicEmbedder) patchPages(prev *Pages, dirty []int32) *Pages {
 	k := d.k
 	z := &Pages{R: d.n, C: k}
 	if prev.chunks == nil {
@@ -901,11 +930,11 @@ func (d *DynamicEmbedder) patchPages(prev *Pages, dirty []int32, inv []float64) 
 	parallel.ForChunk(d.workers, len(dirty), 4096/PageRows, func(lo, hi int) {
 		for _, p := range dirty[lo:hi] {
 			r0 := int(p) << pageShift
-			r1 := min(r0+PageRows, d.n)
-			pg := make([]float64, (r1-r0)*k)
-			for u := max(r0, d.ownLo); u < min(r1, d.ownHi); u++ {
-				d.normalizeRow(pg[(u-r0)*k:(u-r0+1)*k], u, inv)
-			}
+			pg := make([]float64, (min(r0+PageRows, d.n)-r0)*k)
+			// A dirty page holds at least one owned row; its rows outside
+			// the window stay zero.
+			u0, u1 := max(r0, d.ownLo), min(r0+PageRows, d.ownHi)
+			copy(pg[(u0-r0)*k:(u1-r0)*k], d.u.Data[u0*k:u1*k])
 			z.chunks[p>>chunkShift][p&(chunkPages-1)] = pg
 		}
 	})
@@ -913,7 +942,7 @@ func (d *DynamicEmbedder) patchPages(prev *Pages, dirty []int32, inv []float64) 
 }
 
 // SetPublishHook installs a callback invoked after every published
-// epoch with the epoch number and the publish duration (normalize +
+// epoch with the epoch number and the publish duration (copy +
 // version). The hook runs with the embedder's writer lock held, so it
 // must be cheap and must not call back into the embedder. Pass nil to
 // clear. At most one hook is supported; the serving coalescer owns it.

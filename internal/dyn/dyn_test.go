@@ -2,6 +2,8 @@ package dyn
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -583,5 +585,91 @@ func TestDynamicConcurrentReaders(t *testing.T) {
 	}
 	if got := d.Snapshot().Edges; got != int64(len(live)) {
 		t.Fatalf("live edges %d, want %d", got, len(live))
+	}
+}
+
+// TestFailedBatchLeavesAdjacencyIntact is the regression test for the
+// rollback order: a delete batch that fails — a duplicate delete, a
+// missing edge, a self-loop deleted once too often, a failing fold —
+// must leave every adjacency list element for element as it was, not
+// merely the same multiset. A relabel walks the list in order, so a
+// reordered list rounds its -=/+= differently, and U would then differ
+// in the last bit from a twin embedder that never saw the failures.
+func TestFailedBatchLeavesAdjacencyIntact(t *testing.T) {
+	const n, k = 40, 3
+	y := labels.Full(n, k, 241)
+	d, err := New(n, y, Options{K: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := New(n, y, Options{K: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Vertex 0 has twelve edges to each of rows 1..5, one of them twice,
+	// and a self-loop; every row also gets background mass. Weights span
+	// 40 binary orders, so float64 sums round and the order a row's
+	// updates arrive in shows in its bits.
+	r := xrand.New(251)
+	weight := func() float32 { return float32(math.Ldexp(1+r.Float64(), r.Intn(40)-20)) }
+	var base []graph.Edge
+	for i := 0; i < 60; i++ {
+		base = append(base, graph.Edge{U: 0, V: graph.NodeID(1 + i%5), W: weight()})
+	}
+	base = append(base, base[3], graph.Edge{U: 0, V: 0, W: 0.3}, graph.Edge{U: 5, V: 9, W: 1})
+	others := make([]graph.Edge, 300)
+	for i := range others {
+		others[i] = graph.Edge{U: graph.NodeID(1 + r.Intn(n-1)), V: graph.NodeID(1 + r.Intn(n-1)), W: weight()}
+	}
+	for _, e := range []*DynamicEmbedder{d, twin} {
+		if err := e.AddEdges(others); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.AddEdges(base); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make([][]halfEdge, n)
+	for v, list := range d.adj {
+		want[v] = slices.Clone(list)
+	}
+	boom := errors.New("injected fold failure")
+	for _, tc := range []struct {
+		name string
+		del  []graph.Edge
+		hook bool
+	}{
+		{"duplicate delete", []graph.Edge{base[10], base[1], base[20], base[10]}, false},
+		{"missing edge", []graph.Edge{base[0], base[3], base[30], {U: 7, V: 8, W: 1}}, false},
+		{"self-loop", []graph.Edge{base[2], base[61], base[40], base[61]}, false},
+		{"fold failure", []graph.Edge{base[5], base[60], base[61], base[50], base[62]}, true},
+	} {
+		if tc.hook {
+			d.foldHook = func(del, ins []graph.Edge) error { return boom }
+		}
+		if err := d.DeleteEdges(tc.del); err == nil || tc.hook != errors.Is(err, boom) {
+			t.Fatalf("%s: the batch returned %v", tc.name, err)
+		}
+		d.foldHook = nil
+		for v := range want {
+			if !slices.Equal(d.adj[v], want[v]) {
+				t.Fatalf("%s: adj[%d] = %v, was %v", tc.name, v, d.adj[v], want[v])
+			}
+		}
+	}
+	// The same relabels on both embedders must now agree bit for bit.
+	var moves []LabelUpdate
+	for i := 1; i <= 12; i++ {
+		moves = append(moves, LabelUpdate{V: 0, Class: (y[0] + int32(i)) % k})
+	}
+	for _, e := range []*DynamicEmbedder{d, twin} {
+		if err := e.UpdateLabels(moves); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, x := range d.u.Data {
+		if math.Float64bits(x) != math.Float64bits(twin.u.Data[i]) {
+			t.Fatalf("U[%d] = %v after the failed batches, %v without them", i, x, twin.u.Data[i])
+		}
 	}
 }

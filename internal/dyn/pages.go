@@ -27,19 +27,23 @@ type chunk [chunkPages][]float64
 func numPages(r int) int  { return (r + PageRows - 1) >> pageShift }
 func numChunks(r int) int { return (r + chunkRows - 1) >> (pageShift + chunkShift) }
 
-// Pages is an immutable R×C row store. Epochs share every page no write
-// touched, so the cost of a version is proportional to what changed, not
-// to R×C. It reads like a mat.Dense (R, C, Row), which is all the
-// serving tier needs; code that needs the rows back to back (the
-// neighbor scans) asks for Dense.
+// Pages is an immutable R×C embedding. It stores the raw per-class sums
+// U and the epoch's column scale inv (inv[c] = 1/n_c), and normalises a
+// row only as it is read: Row, Rows and Dense all write U(v,c)·inv[c],
+// the one product every reader sees. Keeping the sums raw is what lets
+// epochs share pages even across a class-count change — a page holds
+// the same bits under any coefficients — so the cost of a version is
+// proportional to the rows a write changed, not to R×C.
 //
 // The rows live in exactly one of two places. A rebuild of every row
-// leaves them back to back in flat, with no page table at all — nothing
-// is shared with the previous epoch, so there is nothing to index. A
-// patched version, and a shard's (whose rows outside its window are
-// shared zero pages), keeps them in PageRows-high pages behind chunks.
+// leaves them back to back in flat (the embedder's own array, lent to
+// the version), with no page table at all — nothing is shared with the
+// previous epoch, so there is nothing to index. A patched version, and
+// a shard's (whose rows outside its window are shared zero pages),
+// keeps them in PageRows-high pages behind chunks.
 type Pages struct {
 	R, C int
+	inv  []float64
 	flat []float64
 	// off is the position of row 0 inside chunks[0]; non-zero only for a
 	// Window that starts inside a chunk.
@@ -47,31 +51,77 @@ type Pages struct {
 	chunks []*chunk
 }
 
-// Row returns row v. Read-only by contract, like every published row.
+// span returns the raw sums of rows [v, hi) as far as they run back to
+// back in memory: up to hi in a flat store, else up to the end of v's
+// page.
 //
 //gee:noalloc
-func (p *Pages) Row(v int) []float64 {
+func (p *Pages) span(v, hi int) []float64 {
 	if p.chunks == nil {
-		return p.flat[v*p.C : (v+1)*p.C]
+		return p.flat[v*p.C : hi*p.C]
 	}
-	v += p.off
-	pg := p.chunks[v>>(pageShift+chunkShift)][(v>>pageShift)&(chunkPages-1)]
-	o := (v & (PageRows - 1)) * p.C
-	return pg[o : o+p.C]
+	g := v + p.off
+	pg := p.chunks[g>>(pageShift+chunkShift)][(g>>pageShift)&(chunkPages-1)]
+	i := g & (PageRows - 1)
+	return pg[i*p.C : (i+min(PageRows-i, hi-v))*p.C]
+}
+
+// scaleRows writes src, rows of raw sums back to back, into dst as
+// normalised rows.
+//
+//gee:noalloc
+func scaleRows(dst, src, inv []float64) {
+	k := len(inv)
+	for o := 0; o < len(src); o += k {
+		d, s := dst[o:o+k], src[o:o+k]
+		for c, x := range s {
+			d[c] = x * inv[c]
+		}
+	}
+}
+
+// Row writes row v into dst and returns dst[:C].
+//
+//gee:noalloc
+func (p *Pages) Row(v int, dst []float64) []float64 {
+	dst = dst[:p.C]
+	scaleRows(dst, p.span(v, v+1), p.inv)
+	return dst
+}
+
+// Rows writes rows [lo, hi) back to back into dst[:(hi-lo)×C]: the
+// block reader for callers that stream many rows.
+//
+//gee:noalloc
+func (p *Pages) Rows(lo, hi int, dst []float64) {
+	for v := lo; v < hi; {
+		src := p.span(v, hi)
+		o := (v - lo) * p.C
+		scaleRows(dst[o:o+len(src)], src, p.inv)
+		v += len(src) / p.C
+	}
 }
 
 // Window returns rows [lo, hi) as a store of their own (row i of the
-// window is row lo+i of p), sharing p's memory. lo and hi need not sit
-// on page or chunk boundaries.
+// window is row lo+i of p), sharing p's memory and scale. lo and hi need
+// not sit on page or chunk boundaries.
 func (p *Pages) Window(lo, hi int) *Pages {
 	if p.chunks == nil {
-		return &Pages{R: hi - lo, C: p.C, flat: p.flat[lo*p.C : hi*p.C]}
+		return &Pages{R: hi - lo, C: p.C, inv: p.inv, flat: p.flat[lo*p.C : hi*p.C]}
 	}
 	return &Pages{
-		R: hi - lo, C: p.C,
+		R: hi - lo, C: p.C, inv: p.inv,
 		off:    (p.off + lo) & (chunkRows - 1),
 		chunks: p.chunks[(p.off+lo)>>(pageShift+chunkShift) : numChunks(p.off+hi)],
 	}
+}
+
+// SameRow reports whether row v of p and row w of q are one piece of
+// memory: the copy-on-write sharing a publish leaves between two
+// versions (the rows of a page are shared or copied together), or the
+// one zero page a shard points every page outside its window at.
+func (p *Pages) SameRow(v int, q *Pages, w int) bool {
+	return &p.span(v, v+1)[0] == &q.span(w, w+1)[0]
 }
 
 // cutPages points the table entries of pages [first, last) at their
@@ -83,20 +133,11 @@ func (p *Pages) cutPages(backing []float64, base, first, last int) {
 	}
 }
 
-// Dense returns the rows as one contiguous matrix: a view when the
-// pages already sit back to back, otherwise a gathered copy (O(R×C) —
-// callers that need it repeatedly go through Version.Snapshot, which
-// gathers once per version).
+// Dense returns the rows as one freshly gathered, normalised matrix:
+// O(R×C), so callers that need it repeatedly go through
+// Version.Snapshot, which gathers once per version.
 func (p *Pages) Dense() *mat.Dense {
-	if p.chunks == nil {
-		return &mat.Dense{R: p.R, C: p.C, Data: p.flat}
-	}
 	z := mat.NewDense(p.R, p.C)
-	for v := 0; v < p.R; {
-		// The rest of v's page, or of the store when that ends first.
-		rows := min(PageRows-(v+p.off)&(PageRows-1), p.R-v)
-		copy(z.Data[v*p.C:(v+rows)*p.C], p.Row(v)[:rows*p.C])
-		v += rows
-	}
+	p.Rows(0, p.R, z.Data)
 	return z
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -13,11 +14,12 @@ import (
 	"repro/internal/xrand"
 )
 
-// testPages builds an r×c store whose cell (v, j) holds v*1000+j: one
-// array (the shape a rebuild leaves) when flat, otherwise every page its
-// own allocation behind the chunk table (the shape patches converge to).
+// testPages builds an r×c store whose cell (v, j) holds v*1000+j as its
+// raw sum, scaled by testInv: one array (the shape a rebuild leaves) when
+// flat, otherwise every page its own allocation behind the chunk table
+// (the shape patches converge to).
 func testPages(r, c int, flat bool) *Pages {
-	p := &Pages{R: r, C: c}
+	p := &Pages{R: r, C: c, inv: testInv(c)}
 	if flat {
 		p.flat = make([]float64, r*c)
 		for i := range p.flat {
@@ -40,22 +42,43 @@ func testPages(r, c int, flat bool) *Pages {
 	return p
 }
 
+// testInv is a column scale with no exact binary form, so a reader that
+// skipped or reordered the multiply would show in the bits.
+func testInv(c int) []float64 {
+	inv := make([]float64, c)
+	for j := range inv {
+		inv[j] = 1 / float64(j+3)
+	}
+	return inv
+}
+
+// testCell is cell (v, j) of the testPages pattern as every reader must
+// serve it.
+func testCell(v, j int) float64 { return float64(v*1000+j) * (1 / float64(j+3)) }
+
 // checkRows asserts that p holds rows [lo, lo+p.R) of the testPages
-// pattern, through Row and through Dense.
+// pattern, through Row, through Rows and through Dense.
 func checkRows(t *testing.T, p *Pages, lo int) {
 	t.Helper()
 	z := p.Dense()
 	if z.R != p.R || z.C != p.C || len(z.Data) != p.R*p.C {
 		t.Fatalf("Dense is %dx%d over %d floats, want %dx%d", z.R, z.C, len(z.Data), p.R, p.C)
 	}
+	block := make([]float64, p.R*p.C+1)
+	block[p.R*p.C] = -1
+	p.Rows(0, p.R, block)
+	if block[p.R*p.C] != -1 {
+		t.Fatalf("Rows wrote past row %d", p.R)
+	}
+	buf := make([]float64, p.C+2)
 	for v := 0; v < p.R; v++ {
-		row := p.Row(v)
-		if len(row) != p.C {
-			t.Fatalf("row %d has %d columns, want %d", v, len(row), p.C)
+		row := p.Row(v, buf)
+		if len(row) != p.C || &row[0] != &buf[0] {
+			t.Fatalf("row %d: %d columns, want %d in the caller's buffer", v, len(row), p.C)
 		}
 		for j, x := range row {
-			if want := float64((lo+v)*1000 + j); x != want || z.At(v, j) != want {
-				t.Fatalf("cell (%d,%d): Row %v, Dense %v, want %v", v, j, x, z.At(v, j), want)
+			if want := testCell(lo+v, j); x != want || z.At(v, j) != want || block[v*p.C+j] != want {
+				t.Fatalf("cell (%d,%d): Row %v, Rows %v, Dense %v, want %v", v, j, x, block[v*p.C+j], z.At(v, j), want)
 			}
 		}
 	}
@@ -67,11 +90,11 @@ func TestPagesRowWindowDense(t *testing.T) {
 		for _, flat := range []bool{false, true} {
 			p := testPages(r, c, flat)
 			checkRows(t, p, 0)
-			if z := p.Dense(); flat && r > 0 && &z.Data[0] != &p.flat[0] {
-				t.Fatalf("r=%d: Dense of a flat store copied", r)
+			if z := p.Dense(); r > 0 && &z.Data[0] == &p.span(0, 1)[0] {
+				t.Fatalf("r=%d: Dense is a view of the raw sums, want a normalised copy", r)
 			}
 			// Every window, aligned or not, including empty ones and
-			// windows of windows.
+			// windows of windows; and every block of the store itself.
 			for lo := 0; lo <= r; lo++ {
 				for hi := lo; hi <= r; hi++ {
 					w := p.Window(lo, hi)
@@ -79,8 +102,15 @@ func TestPagesRowWindowDense(t *testing.T) {
 					if hi-lo >= 2 {
 						checkRows(t, w.Window(1, hi-lo-1), lo+1)
 					}
-					if hi > lo && &w.Row(0)[0] != &p.Row(lo)[0] {
+					if hi > lo && !w.SameRow(0, p, lo) {
 						t.Fatalf("r=%d: window [%d,%d) does not share its pages", r, lo, hi)
+					}
+					block := make([]float64, (hi-lo)*c)
+					p.Rows(lo, hi, block)
+					for i, x := range block {
+						if want := testCell(lo+i/c, i%c); x != want {
+							t.Fatalf("r=%d: Rows(%d,%d) cell %d = %v, want %v", r, lo, hi, i, x, want)
+						}
 					}
 				}
 			}
@@ -88,8 +118,8 @@ func TestPagesRowWindowDense(t *testing.T) {
 	}
 }
 
-// pageID identifies the memory behind page pg of z (its first float).
-func pageID(z *Pages, pg int) *float64 { return &z.Row(pg * PageRows)[0] }
+// samePage reports whether page pg of a and b is one piece of memory.
+func samePage(a, b *Pages, pg int) bool { return a.SameRow(pg*PageRows, b, pg*PageRows) }
 
 // scratchRows is the from-scratch reference of a publish: row u of
 // U·diag(1/n_k) for owned u, zero elsewhere, computed independently of
@@ -118,8 +148,9 @@ type held struct {
 func (h held) check(t *testing.T) {
 	t.Helper()
 	k := h.ver.Z.C
+	buf := make([]float64, k)
 	for v := 0; v < h.ver.Z.R; v++ {
-		for c, x := range h.ver.Z.Row(v) {
+		for c, x := range h.ver.Z.Row(v, buf) {
 			if x != h.rows[v*k+c] {
 				t.Fatalf("epoch %d changed under its reader: Z[%d][%d] = %v, was %v", h.ver.Epoch, v, c, x, h.rows[v*k+c])
 			}
@@ -136,10 +167,11 @@ func (h held) check(t *testing.T) {
 // relabels (some cancelling inside one publish window) and 4096-edge
 // bursts through embedders whose n is no multiple of the page height,
 // whose owned window starts and ends mid-page, with the ring off, at
-// its default and three deep — and checks at EVERY epoch that the paged
-// version is bit for bit the from-scratch normalisation, that its
-// contiguous Snapshot is the same rows and one pointer per epoch, and
-// that every older version a reader still holds has not changed.
+// its default and three deep — and checks at EVERY epoch, patched or
+// rebuilt, that the paged version is bit for bit the from-scratch
+// normalisation, that its contiguous Snapshot is the same rows and one
+// pointer per epoch, and that every older version a reader still holds
+// has not changed.
 // Readers hammer Query, Delta and the pages meanwhile (run with -race).
 func TestPagedPublishProperty(t *testing.T) {
 	const n, k = 20011, 5
@@ -160,6 +192,7 @@ func TestPagedPublishProperty(t *testing.T) {
 					go func(g int) {
 						defer wg.Done()
 						r := xrand.New(seed + uint64(g) + 1)
+						buf := make([]float64, k)
 						for {
 							select {
 							case <-stop:
@@ -169,8 +202,8 @@ func TestPagedPublishProperty(t *testing.T) {
 							v := graph.NodeID(r.Intn(n))
 							ver := d.Version()
 							row := d.Query(v)
-							if len(row) != k || len(ver.Z.Row(int(v))) != k {
-								t.Errorf("reader: row %d has %d/%d columns", v, len(row), len(ver.Z.Row(int(v))))
+							if len(row) != k || len(ver.Z.Row(int(v), buf)) != k {
+								t.Errorf("reader: row %d has %d/%d columns", v, len(row), len(ver.Z.Row(int(v), buf)))
 								return
 							}
 							if dl := d.Delta(ver.Epoch); dl.Epoch < ver.Epoch {
@@ -236,8 +269,9 @@ func TestPagedPublishProperty(t *testing.T) {
 					if snap.Z.R != n || snap.Z.C != k || len(snap.Z.Data) != n*k {
 						t.Fatalf("epoch %d: snapshot Z is %dx%d over %d floats", epoch, snap.Z.R, snap.Z.C, len(snap.Z.Data))
 					}
+					buf := make([]float64, k)
 					for v := 0; v < n; v++ {
-						for c, x := range ver.Z.Row(v) {
+						for c, x := range ver.Z.Row(v, buf) {
 							if x != want[v*k+c] || snap.Z.Data[v*k+c] != x {
 								t.Fatalf("epoch %d: Z[%d][%d] paged %v, contiguous %v, from scratch %v",
 									epoch, v, c, x, snap.Z.Data[v*k+c], want[v*k+c])
@@ -251,7 +285,7 @@ func TestPagedPublishProperty(t *testing.T) {
 						}
 					}
 					d.mu.Unlock()
-					if a, b := 4000/PageRows, 12000/PageRows; pageID(ver.Z, a) == pageID(prev.Z, a) || pageID(ver.Z, b) == pageID(prev.Z, b) {
+					if a, b := 4000/PageRows, 12000/PageRows; samePage(ver.Z, prev.Z, a) || samePage(ver.Z, prev.Z, b) {
 						patched++
 					} else {
 						rebuilt++
@@ -276,7 +310,8 @@ func TestPagedPublishProperty(t *testing.T) {
 // TestPublishSharesUntouchedPages pins the cost model at the benchmark's
 // scale: a 64-edge write replaces at most 128 pages and shares the rest
 // and Y with the previous version, allocating a small fraction of the
-// matrix; a count-changing relabel rebuilds every page.
+// matrix; so does a count-changing relabel, which copies only the pages
+// its walk wrote.
 func TestPublishSharesUntouchedPages(t *testing.T) {
 	const n, k = 100_000, 10
 	y0 := labels.SampleSemiSupervised(n, k, 1, 5)
@@ -300,48 +335,136 @@ func TestPublishSharesUntouchedPages(t *testing.T) {
 		}
 		d.Publish()
 	}
-	before := d.Version()
-	if err := d.Apply(batch(64)); err != nil {
-		t.Fatal(err)
-	}
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	after := d.Publish()
-	runtime.ReadMemStats(&m1)
-	if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(n*k*8/10); got >= limit {
-		t.Errorf("a 64-edge publish allocated %d bytes, want < %d (10%% of the matrix)", got, limit)
-	}
-	differ := 0
-	for pg := 0; pg < numPages(n); pg++ {
-		if pageID(after.Z, pg) != pageID(before.Z, pg) {
-			differ++
+	// publish publishes b and checks what it cost against the previous
+	// version: bytes allocated, and how many pages it did not share.
+	publish := func(what string, b Batch) (before, after *Version, differ int) {
+		t.Helper()
+		before = d.Version()
+		if err := d.Apply(b); err != nil {
+			t.Fatal(err)
 		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		after = d.Publish()
+		runtime.ReadMemStats(&m1)
+		if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(n*k*8/10); got >= limit {
+			t.Errorf("%s: publish allocated %d bytes, want < %d (10%% of the matrix)", what, got, limit)
+		}
+		for pg := 0; pg < numPages(n); pg++ {
+			if !samePage(after.Z, before.Z, pg) {
+				differ++
+			}
+		}
+		return before, after, differ
 	}
+	before, after, differ := publish("64-edge write", batch(64))
 	if differ == 0 || differ > 128 {
 		t.Errorf("%d pages differ after a 64-edge write, want 1..128", differ)
 	}
 	if &after.Y[0] != &before.Y[0] {
 		t.Error("Y was copied although no label moved")
 	}
+
+	// Moving one vertex changes two class counts: a new 1/n_k vector, and
+	// fresh copies of the pages its walk wrote — its neighbours' rows.
+	d.mu.Lock()
+	walked := len(d.adj[0])
+	d.mu.Unlock()
+	if walked == 0 {
+		t.Fatal("vertex 0 has no neighbours; the relabel would walk nothing")
+	}
+	moved := LabelUpdate{V: 0, Class: (y0[0] + 1) % k}
+	before, after, differ = publish("count-changing relabel", Batch{Labels: []LabelUpdate{moved}})
+	if differ == 0 || differ > walked {
+		t.Errorf("%d pages differ after a relabel walking %d rows, want 1..%d", differ, walked, walked)
+	}
+	if &after.Y[0] == &before.Y[0] || before.Y[0] != y0[0] {
+		t.Error("a relabel wrote into the Y of a published version")
+	}
 	if st := d.Stats(); st.DenseViews != 0 {
 		t.Errorf("publishing derived %d contiguous views, want none", st.DenseViews)
 	}
+}
 
-	// Moving one vertex changes two class counts.
-	if err := d.Apply(Batch{Labels: []LabelUpdate{{V: 0, Class: (y0[0] + 1) % k}}}); err != nil {
-		t.Fatal(err)
-	}
-	moved := d.Publish()
-	for pg := 0; pg < numPages(n); pg++ {
-		if pageID(moved.Z, pg) == pageID(after.Z, pg) {
-			t.Fatalf("page %d survived a count-changing relabel", pg)
-		}
-	}
-	if &moved.Y[0] == &after.Y[0] || after.Y[0] != y0[0] {
-		t.Error("a relabel wrote into the Y of a published version")
-	}
-	if z := moved.Snapshot().Z; &z.Data[0] != pageID(moved.Z, 0) {
-		t.Error("the contiguous view of a full rebuild is a copy, want the pages' own array")
+// TestCountChangingRelabelPatches pins the raw-sum contract on the
+// publish a relabel makes: moving labelled vertices between classes
+// copies exactly the pages holding a row its walk wrote and shares every
+// other page with the previous version; every row still equals the
+// from-scratch U·diag(1/n_k) bit for bit; the version a reader held
+// across it is unchanged; and the epoch still reads as full, because
+// every served row of the two classes' columns was rescaled.
+func TestCountChangingRelabelPatches(t *testing.T) {
+	const n, k = 20011, 5
+	for _, win := range [][2]int{{0, 0}, {3001, 15007}} {
+		t.Run(fmt.Sprintf("own%d-%d", win[0], win[1]), func(t *testing.T) {
+			y0 := labels.SampleSemiSupervised(n, k, 0.6, 17)
+			d, err := New(n, y0, Options{K: k, ManualPublish: true, OwnedLo: win[0], OwnedHi: win[1]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := xrand.New(19)
+			var b Batch
+			for i := 0; i < 30_000; i++ {
+				b.Insert = append(b.Insert, graph.Edge{U: graph.NodeID(r.Intn(n)), V: graph.NodeID(r.Intn(n)), W: float32(r.Intn(3) + 1)})
+			}
+			if err := d.Apply(b); err != nil {
+				t.Fatal(err)
+			}
+			// Two publishes: the bulk load rebuilds, the second cuts pages.
+			d.Publish()
+			if err := d.AddEdges(b.Insert[:8]); err != nil {
+				t.Fatal(err)
+			}
+			prev := d.Publish()
+			keep := held{prev, scratchRows(d), append([]int32(nil), prev.Y...)}
+
+			// Twenty labelled vertices, each moved to another class.
+			var moves []LabelUpdate
+			walked := make(map[int]bool)
+			d.mu.Lock()
+			for len(moves) < 20 {
+				v := graph.NodeID(r.Intn(n))
+				if y0[v] < 0 || slices.ContainsFunc(moves, func(m LabelUpdate) bool { return m.V == v }) {
+					continue
+				}
+				moves = append(moves, LabelUpdate{V: v, Class: (y0[v] + 1 + int32(r.Intn(k-1))) % k})
+				for _, he := range d.adj[v] {
+					if d.owned(he.v) {
+						walked[int(he.v)] = true
+					}
+				}
+			}
+			d.mu.Unlock()
+			if err := d.UpdateLabels(moves); err != nil {
+				t.Fatal(err)
+			}
+			ver := d.Publish()
+			if slices.Equal(ver.Z.inv, prev.Z.inv) {
+				t.Fatal("the relabel left the class counts where they were; pick moves that change them")
+			}
+			for pg := 0; pg < numPages(n); pg++ {
+				wrote := false
+				for v := pg * PageRows; v < min((pg+1)*PageRows, n); v++ {
+					wrote = wrote || walked[v]
+				}
+				if shared := samePage(ver.Z, prev.Z, pg); shared == wrote {
+					t.Fatalf("page %d: shared=%v, but it holds a walked row=%v", pg, shared, wrote)
+				}
+			}
+			want := scratchRows(d)
+			buf := make([]float64, k)
+			for v := 0; v < n; v++ {
+				for c, x := range ver.Z.Row(v, buf) {
+					if x != want[v*k+c] {
+						t.Fatalf("Z[%d][%d] = %v, from scratch %v", v, c, x, want[v*k+c])
+					}
+				}
+			}
+			keep.check(t)
+			if !d.Delta(prev.Epoch).Resync {
+				t.Error("a count-changing relabel was served as a row delta")
+			}
+		})
 	}
 }
 
@@ -358,12 +481,13 @@ func TestPublishInstrumentsWithoutRing(t *testing.T) {
 		}
 		reg := metrics.NewRegistry()
 		d.Instrument(reg, metrics.L("shard", "0"))
-		// Two rows on two pages, patched; then a count-changing move: a
-		// full epoch that re-normalises every row.
+		// Two rows on two pages, patched; then a count-changing move of
+		// one endpoint: a full epoch that copies the one page its walk
+		// wrote (the other endpoint's).
 		if err := d.AddEdges([]graph.Edge{{U: 1, V: 100, W: 1}}); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.UpdateLabels([]LabelUpdate{{V: 7, Class: (d.Version().Y[7] + 1) % k}}); err != nil {
+		if err := d.UpdateLabels([]LabelUpdate{{V: 1, Class: (d.Version().Y[1] + 1) % k}}); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
@@ -381,7 +505,7 @@ func TestPublishInstrumentsWithoutRing(t *testing.T) {
 			{"gee_dyn_publish_dirty_rows_count", "", 2},
 			{"gee_dyn_publish_dirty_rows_sum", "", 2 + n},
 			{"gee_dyn_publish_rows_normalized_count", "", 2},
-			{"gee_dyn_publish_rows_normalized_sum", "", 2*PageRows + n},
+			{"gee_dyn_publish_rows_normalized_sum", "", 2*PageRows + PageRows},
 			{"gee_dyn_full_epochs_total", "", 1},
 			{"gee_dyn_folds_total", "serial", 1},
 			{"gee_dyn_folds_total", "atomic", 0},

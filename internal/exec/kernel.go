@@ -109,6 +109,17 @@ func (k *Kernel[T]) validate(n int, zlen int) error {
 	return nil
 }
 
+// Writes reports which rows the arc (u, v) writes: row u when its
+// source half lands (SrcCol[v] ≥ 0), row v when its destination half
+// does (DstCol[u] ≥ 0) — the skip rule every Apply variant below uses.
+// Callers that track what a fold touched ask here rather than restating
+// it.
+//
+//gee:noalloc
+func (k *Kernel[T]) Writes(u, v graph.NodeID) (src, dst bool) {
+	return k.SrcCol[v] >= 0, k.DstCol[u] >= 0
+}
+
 // scale returns the per-arc multiplicative factor s for (u, v, w).
 //
 //gee:noalloc

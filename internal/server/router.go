@@ -53,12 +53,12 @@ type readView struct {
 	part  *shard.Partition
 }
 
-// row returns vertex v's embedding row from its owning shard's
-// snapshot. Only the owner's copy of a row is ever published (non-owned
-// rows are zero by the dyn owned-window contract), so ownership is the
-// only correct routing.
-func (rv readView) row(v uint32) []float64 {
-	return rv.snaps[rv.part.Owner(graph.NodeID(v))].Z.Row(int(v))
+// row writes vertex v's embedding row from its owning shard's snapshot
+// into dst and returns it. Only the owner's copy of a row is ever
+// published (non-owned rows are zero by the dyn owned-window contract),
+// so ownership is the only correct routing.
+func (rv readView) row(v uint32, dst []float64) []float64 {
+	return rv.snaps[rv.part.Owner(graph.NodeID(v))].Z.Row(int(v), dst)
 }
 
 // epochs is the per-shard version vector of the view.
@@ -306,7 +306,7 @@ func (rt *router) search(v uint32, k int, metric cluster.Metric, name string, ap
 	loadRef := tr.StartSpan("snapshot-load")
 	rv := rt.view()
 	tr.EndSpan(loadRef)
-	query := rv.row(v)
+	query := rv.row(v, make([]float64, rt.k))
 	searchRef := tr.StartSpan("search")
 	lists := make([][]cluster.Neighbor, len(rt.units))
 	mode := "exact"

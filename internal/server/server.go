@@ -632,8 +632,7 @@ func (s *Server) handleEmbedding(w http.ResponseWriter, r *http.Request) {
 	}
 	// The owner shard's snapshot is the authority for this row.
 	snap := s.rt.snapshotFor(uint32(v))
-	row := make([]float64, snap.Z.C)
-	copy(row, snap.Z.Row(int(v)))
+	row := snap.Z.Row(int(v), make([]float64, snap.Z.C))
 	annotate(w, 1, snap.Epoch)
 	writeJSON(w, http.StatusOK, EmbeddingResponse{Epoch: snap.Epoch, V: uint32(v), Row: row})
 }
@@ -679,8 +678,11 @@ func (s *Server) handleEmbeddings(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		evJSON, _ := json.Marshal(ev)
 		fmt.Fprintf(st.w, `{"epoch":%d,"epochs":%s,"rows":`, epoch, evJSON)
-		rows = st.floatRows(len(req.Vs), func(i int) []float64 {
-			return rv.row(req.Vs[i])
+		k := s.rt.k
+		rows = st.floatRows(len(req.Vs), k, func(lo, hi int, dst []float64) {
+			for i, v := range req.Vs[lo:hi] {
+				rv.row(v, dst[i*k:])
+			}
 		})
 		if rows == len(req.Vs) {
 			st.rawByte('}')

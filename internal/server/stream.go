@@ -45,6 +45,9 @@ type streamer struct {
 	// the header that precedes it can be written (so it cannot go
 	// through w incrementally like scratch does).
 	blob []byte
+	// rows holds one block of normalised rows between the version that
+	// fills it and the row writers that format it.
+	rows []float64
 }
 
 var streamerPool = sync.Pool{New: func() any {
@@ -65,15 +68,34 @@ func (s *streamer) bytesSent() int64 { return s.w.BytesSent() }
 
 // release returns the streamer (and its buffers) to the pool. The
 // caller must not touch it afterwards. An unusually large delta blob
-// (a sync spanning most of the matrix) is dropped rather than parked
-// in the pool forever.
+// (a sync spanning most of the matrix) or row block (a very wide
+// embedding) is dropped rather than parked in the pool forever.
 func (s *streamer) release() {
 	s.w.Detach()
 	s.ctx = nil
 	if cap(s.blob) > 1<<20 {
 		s.blob = nil
 	}
+	if cap(s.rows) > 1<<17 {
+		s.rows = nil
+	}
 	streamerPool.Put(s)
+}
+
+// rowFill writes rows [lo, hi) of a response back to back into dst —
+// (*dyn.Pages).Rows for a snapshot, one (*dyn.Pages).Row per id for a
+// batched read.
+type rowFill func(lo, hi int, dst []float64)
+
+// block fills the pooled row buffer with rows [lo, hi) of width k and
+// returns it.
+func (s *streamer) block(lo, hi, k int, fill rowFill) []float64 {
+	if cap(s.rows) < (hi-lo)*k {
+		s.rows = make([]float64, (hi-lo)*k)
+	}
+	b := s.rows[:(hi-lo)*k]
+	fill(lo, hi, b)
+	return b
 }
 
 // aborted reports whether further output is pointless: the writer
@@ -132,27 +154,32 @@ func (s *streamer) intArray(vals []int32) bool {
 	return true
 }
 
-// floatRows emits a JSON array of n row arrays, checking for a
-// departed client every abortCheckEvery rows. Returns the number of
-// rows emitted — n when the stream completed, less when it aborted
-// (the truncated output only ever reaches a reader that already left).
-func (s *streamer) floatRows(n int, row func(i int) []float64) int {
+// floatRows emits a JSON array of n row arrays of width k, fetched
+// abortCheckEvery rows at a time, checking for a departed client
+// before each block. Returns the number of rows emitted — n when the
+// stream completed, less when it aborted (the truncated output only
+// ever reaches a reader that already left).
+func (s *streamer) floatRows(n, k int, fill rowFill) int {
 	s.rawByte('[')
-	for i := 0; i < n; i++ {
-		if i%abortCheckEvery == 0 && s.aborted() {
-			return i
+	for lo := 0; lo < n; lo += abortCheckEvery {
+		if s.aborted() {
+			return lo
 		}
-		if i > 0 {
-			s.rawByte(',')
-		}
-		s.rawByte('[')
-		for c, x := range row(i) {
-			if c > 0 {
+		hi := min(lo+abortCheckEvery, n)
+		b := s.block(lo, hi, k, fill)
+		for i := range hi - lo {
+			if lo+i > 0 {
 				s.rawByte(',')
 			}
-			s.floatv(x)
+			s.rawByte('[')
+			for c, x := range b[i*k : (i+1)*k] {
+				if c > 0 {
+					s.rawByte(',')
+				}
+				s.floatv(x)
+			}
+			s.rawByte(']')
 		}
-		s.rawByte(']')
 	}
 	s.rawByte(']')
 	return n
@@ -172,7 +199,7 @@ func streamSnapshot(s *streamer, snap *dyn.Version, shardID, lo int) int {
 	rows := 0
 	if s.intArray(snap.Y) {
 		s.raw(`,"z":`)
-		rows = s.floatRows(snap.Z.R, snap.Z.Row)
+		rows = s.floatRows(snap.Z.R, snap.Z.C, snap.Z.Rows)
 		if rows == snap.Z.R {
 			s.rawByte('}')
 		}
@@ -210,8 +237,8 @@ func streamDelta(s *streamer, dl *dyn.Delta, k int) int {
 		s.uintv(uint64(v))
 	}
 	s.raw(`],"z":`)
-	rows := s.floatRows(len(dl.Rows), func(i int) []float64 {
-		return dl.Values[i*k : (i+1)*k]
+	rows := s.floatRows(len(dl.Rows), k, func(lo, hi int, dst []float64) {
+		copy(dst, dl.Values[lo*k:hi*k])
 	})
 	if rows == len(dl.Rows) {
 		s.rawByte('}')

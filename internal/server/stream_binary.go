@@ -52,20 +52,17 @@ func (s *streamer) binU32s(vals []uint32) bool {
 	return true
 }
 
-// binRows writes n embedding rows as float32 payload, checking for a
-// departed client between chunks. Returns the number of rows emitted —
-// n when the stream completed (a truncated frame only ever reaches a
-// reader that already left; the decoder rejects it).
-func (s *streamer) binRows(n int, row func(i int) []float64) int {
-	for i := 0; i < n; {
+// binRows writes n embedding rows of width k as float32 payload,
+// checking for a departed client between chunks. Returns the number of
+// rows emitted — n when the stream completed (a truncated frame only
+// ever reaches a reader that already left; the decoder rejects it).
+func (s *streamer) binRows(n, k int, fill rowFill) int {
+	for lo := 0; lo < n; lo += binRowsPerChunk {
 		if s.aborted() {
-			return i
+			return lo
 		}
-		hi := min(i+binRowsPerChunk, n)
-		s.scratch = s.scratch[:0]
-		for ; i < hi; i++ {
-			s.scratch = wire.AppendRow(s.scratch, row(i))
-		}
+		hi := min(lo+binRowsPerChunk, n)
+		s.scratch = wire.AppendRow(s.scratch[:0], s.block(lo, hi, k, fill))
 		s.w.Write(s.scratch)
 	}
 	return n
@@ -82,7 +79,7 @@ func streamSnapshotBinary(s *streamer, snap *dyn.Version) int {
 	})
 	rows := 0
 	if s.binI32s(snap.Y) {
-		rows = s.binRows(snap.Z.R, snap.Z.Row)
+		rows = s.binRows(snap.Z.R, snap.Z.C, snap.Z.Rows)
 	}
 	s.flush()
 	return rows
@@ -162,8 +159,11 @@ func streamEmbeddingsBinary(s *streamer, snap *dyn.Version, vs []uint32) int {
 	})
 	rows := 0
 	if s.binU32s(vs) {
-		rows = s.binRows(len(vs), func(i int) []float64 {
-			return snap.Z.Row(int(vs[i]))
+		k := snap.Z.C
+		rows = s.binRows(len(vs), k, func(lo, hi int, dst []float64) {
+			for i, v := range vs[lo:hi] {
+				snap.Z.Row(int(v), dst[i*k:])
+			}
 		})
 	}
 	s.flush()

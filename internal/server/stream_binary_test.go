@@ -70,8 +70,9 @@ func TestStreamSnapshotBinaryRoundTrips(t *testing.T) {
 			t.Fatalf("Y[%d] = %d, want %d", v, f.Y[v], want)
 		}
 	}
+	row := make([]float64, snap.Z.C)
 	for v := 0; v < snap.Z.R; v++ {
-		row := snap.Z.Row(v)
+		snap.Z.Row(v, row)
 		for j, x := range row {
 			got := f.Rows[v*snap.Z.C+j]
 			if math.Float32bits(got) != math.Float32bits(float32(x)) {

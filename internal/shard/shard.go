@@ -14,7 +14,7 @@
 // therefore runs the unrestricted fold over the full vertex range (a
 // cut edge also deposits mass into the non-owned endpoint's row, a
 // consistent partial sum that is simply never published); only the
-// publish-time normalization and delta tracking are restricted to the
+// published rows and delta tracking are restricted to the
 // owned range via dyn.Options.OwnedLo/OwnedHi. The union of the owned
 // row ranges across shards is, bit for bit under serial folds and
 // within float-summation reordering otherwise, the single-embedder

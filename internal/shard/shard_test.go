@@ -371,18 +371,17 @@ func TestShardPublishesOnlyItsWindow(t *testing.T) {
 			if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(n*k*8*3/4); got >= limit {
 				t.Errorf("shard %d, %d edges: publish allocated %d bytes, want < %d (the window is half of n×K)", i, m, got, limit)
 			}
-			var zero *float64
+			zero := -1
 			for v := 0; v < n; v += dyn.PageRows {
 				// Only pages wholly outside the window (a boundary page
 				// holds owned rows too).
 				if v+dyn.PageRows > int(sh.Lo) && v < int(sh.Hi) {
 					continue
 				}
-				id := &ver.Z.Row(v)[0]
-				if zero == nil {
-					zero = id
+				if zero < 0 {
+					zero = v
 				}
-				if id != zero {
+				if !ver.Z.SameRow(v, ver.Z, zero) {
 					t.Fatalf("shard %d, %d edges: page of row %d outside [%d,%d) has memory of its own", i, m, v, sh.Lo, sh.Hi)
 				}
 			}
