@@ -32,25 +32,12 @@ func AddFloat64(p *float64, v float64) float64 {
 	}
 }
 
-// AddFloat32 atomically performs *p += v and returns the new value.
-//
-//gee:noalloc
-func AddFloat32(p *float32, v float32) float32 {
-	u := (*uint32)(unsafe.Pointer(p))
-	for {
-		old := atomic.LoadUint32(u)
-		next := math.Float32bits(math.Float32frombits(old) + v)
-		if atomic.CompareAndSwapUint32(u, old, next) {
-			return math.Float32frombits(next)
-		}
-	}
-}
-
-// Add atomically performs *p += v for either float width: AddFloat64 or
-// AddFloat32 without the returned value. The width test is a constant in
-// each instantiation and the CAS loops are written out rather than
-// called, which keeps Add inside the compiler's inlining budget — generic
-// callers (the exec walk) get the loop in line, with no call per add.
+// Add atomically performs *p += v for either float width: AddFloat64
+// without the returned value, or the same loop over a float32's bits.
+// The width test is a constant in each instantiation and the CAS loops
+// are written out rather than called, which keeps Add inside the
+// compiler's inlining budget — generic callers (the exec walk) get the
+// loop in line, with no call per add.
 //
 //gee:noalloc
 func Add[T ~float32 | ~float64](p *T, v T) {

@@ -99,7 +99,7 @@ func TestARIPerfectAndPermuted(t *testing.T) {
 	if got := ARI(a, a); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("ARI(self)=%v", got)
 	}
-	perm := []int32{2, 2, 0, 0, 1, 1} // same partition, relabeled
+	perm := []int32{2, 2, 0, 0, 1, 1} // same partition, renumbered
 	if got := ARI(a, perm); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("ARI(permuted)=%v", got)
 	}

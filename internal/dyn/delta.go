@@ -1,36 +1,33 @@
-// Epoch-delta tracking: the read-path scale-out story. A replica that
-// already holds epoch E should not pay a full O(nK) snapshot transfer
-// to reach epoch E' when only a few rows moved — and under edge churn
-// only a few rows do move: an insert or delete writes at most its two
-// endpoint rows (an endpoint's row only when the other endpoint is
-// labelled), and a label move writes the moved vertex's neighbors'. The
-// embedder marks exactly the rows the fold and the relabel walks wrote
-// (publish needs them anyway: they name the pages to copy) and, at each
-// publish, files the epoch's dirty set into a bounded ring. Delta unions
-// the per-epoch sets and reads the new rows, normalised, straight from
-// the current immutable version, so the ring never stores floats.
+// Epoch deltas: the read-path scale-out story. A replica that already
+// holds epoch E should not pay a full O(nK) snapshot transfer to reach
+// epoch E' when only a few rows moved — and under edge churn only a few
+// rows do move: an insert or delete writes at most its two endpoint rows
+// (an endpoint's row only when the other endpoint is labelled), and a
+// label move writes the moved vertex's neighbors' rows and its own label.
+// The embedder marks exactly the rows and labels the folds and relabel
+// walks wrote (publish needs them anyway: they name the pages to copy)
+// and stamps each with the epoch that publishes it. A version therefore
+// is its own delta: the rows and labels changed since any earlier epoch
+// of the instance are the ones stamped after it, found by one walk of
+// the current version that skips every chunk and page nothing in the
+// span touched. No history is kept, and no lock is taken.
 //
 // The exception is the 1/n_k normalization: a label move that changes
-// class counts rescales two whole columns of every served row, though
-// it rewrites no page but its walk's — a row list would be the whole
-// matrix. Such an epoch is promoted to a "full" delta and Delta answers
-// with the resync signal instead (fetch a snapshot). Moves that cancel
-// within one publish window (counts end where they started) stay
-// row-sized.
+// class counts rescales two whole columns of every served row, though it
+// rewrites no page but its walk's — a row list would be the whole
+// matrix. A span that crosses such a publish is answered with the resync
+// signal instead (fetch a snapshot). Moves that cancel within one publish
+// window (counts end where they started) stay row-sized.
 package dyn
 
-import (
-	"math/bits"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // Delta describes how to bring a copy of the embedding from FromEpoch
 // to Epoch. When Resync is false, overwriting the listed rows with
 // Values and applying Labels yields the epoch-Epoch snapshot exactly
-// (same floats); when Resync is true the span is not reconstructible
-// row-wise — the ring evicted FromEpoch, or a covered epoch changed
-// class counts — and the caller must fetch a full snapshot instead.
+// (same floats); when Resync is true the span is not worth serving
+// row-wise — see DynamicEmbedder.Delta — and the caller must fetch a full
+// snapshot instead.
 type Delta struct {
 	FromEpoch uint64
 	Epoch     uint64
@@ -50,29 +47,20 @@ type Delta struct {
 	Edges int64
 }
 
-// epochDelta is one ring entry: what one publish changed.
-type epochDelta struct {
-	epoch     uint64
-	full      bool           // counts changed or too many rows: not row-reconstructible
-	rows      []graph.NodeID // Z rows the epoch changed (unordered, deduplicated)
-	relabeled []graph.NodeID // vertices whose label changed (unordered, may repeat)
-}
-
-// markDirty records that row v's embedding changed since the last
-// publish. Rows outside the owned window are never published, so they
-// never enter the delta. Once more than half the owned rows are dirty
-// the epoch is promoted to full: the row list would cost more than the
-// snapshot it is meant to avoid.
-func (d *DynamicEmbedder) markDirty(v graph.NodeID) {
-	if d.dirtyFull || !d.owned(v) || d.dirtyMark[v] == d.dirtyGen {
+// mark stamps vertex v's row (at is d.rowAt) or label (d.yAt) with the
+// epoch the next publish will carry, and lists v as dirty once. Rows and
+// labels outside the owned window are never published, so they are
+// never marked: label authority follows row ownership — every shard sees
+// a label broadcast, exactly one publishes it.
+func (d *DynamicEmbedder) mark(v graph.NodeID, at []uint64) {
+	next := d.cur.Load().Epoch + 1
+	if !d.owned(v) || at[v] == next {
 		return
 	}
-	d.dirtyMark[v] = d.dirtyGen
-	d.dirtyRows = append(d.dirtyRows, v)
-	if len(d.dirtyRows) > (d.ownHi-d.ownLo)/2 {
-		d.dirtyFull = true
-		d.dirtyRows = nil
+	if d.rowAt[v] != next && d.yAt[v] != next {
+		d.dirty = append(d.dirty, v)
 	}
+	at[v] = next
 }
 
 // markWritten marks the rows the fold of edge e wrote, by the fold's
@@ -81,121 +69,79 @@ func (d *DynamicEmbedder) markDirty(v graph.NodeID) {
 func (d *DynamicEmbedder) markWritten(e graph.Edge) {
 	src, dst := d.kern.Writes(e.U, e.V)
 	if src {
-		d.markDirty(e.U)
+		d.mark(e.U, d.rowAt)
 	}
 	if dst {
-		d.markDirty(e.V)
+		d.mark(e.V, d.rowAt)
 	}
-}
-
-// recordDeltaLocked files the epoch's dirty set into the ring, taking
-// ownership of the row lists (publishLocked starts fresh ones). full
-// marks an epoch that is not row-reconstructible. The epoch-0 bootstrap
-// publish is never recorded: the ring describes transitions, and there
-// is no epoch before 0 to transition from.
-func (d *DynamicEmbedder) recordDeltaLocked(epoch uint64, full bool) {
-	e := epochDelta{epoch: epoch, full: full}
-	if !full {
-		e.rows = d.dirtyRows
-		e.relabeled = d.relabeled
-	}
-	if len(d.ring) >= d.deltaHist {
-		n := copy(d.ring, d.ring[1:])
-		d.ring = d.ring[:n]
-	}
-	d.ring = append(d.ring, e)
 }
 
 // Delta returns how to advance a copy of the embedding from epoch
-// `from` to the currently published epoch. A Resync result means the
-// span cannot be served row-wise (from is older than the ring, ahead
-// of the embedder, a covered epoch was full, or the ring is disabled);
-// the caller should fetch a full Snapshot and restart from its epoch.
-// Safe for concurrent use with writers; the returned value is owned by
-// the caller.
+// `from` to the currently published epoch: the rows and labels the
+// current version stamps after `from`, read straight from it. It answers
+// Resync in exactly three cases: `from` is ahead of the current epoch;
+// the class counts moved after `from` (every served row of two columns
+// was rescaled); or more than half the owned rows changed in the span, so
+// the row list would cost more than the snapshot it is meant to avoid.
+// The caller should then fetch a full Snapshot and restart from its
+// epoch. Any older epoch of the instance is otherwise served, however far
+// behind — up to the 2^32 publishes a page stamp spans, past which a
+// span resyncs too. Lock-free and safe for concurrent use with writers;
+// the returned value is owned by the caller.
 func (d *DynamicEmbedder) Delta(from uint64) *Delta {
-	// Under mu: only the cheap header work. The snapshot loaded here is
-	// exactly the ring's newest epoch; the ring entry headers are
-	// copied out so the row union below — up to history × n/2 ids —
-	// never stalls writers on the same mutex. The per-entry rows and
-	// relabeled slices are safe to read unlocked: recordDeltaLocked
-	// takes ownership of them and nothing mutates them afterwards
-	// (eviction only shifts the headers).
-	d.mu.Lock()
-	snap := d.cur.Load()
-	res := &Delta{FromEpoch: from, Epoch: snap.Epoch, Instance: d.instance, Edges: snap.Edges}
-	if from == snap.Epoch {
-		d.mu.Unlock()
+	ver := d.cur.Load()
+	res := &Delta{FromEpoch: from, Epoch: ver.Epoch, Instance: ver.Instance, Edges: ver.Edges}
+	switch {
+	case from == ver.Epoch:
 		return res
-	}
-	if from > snap.Epoch || len(d.ring) == 0 || d.ring[0].epoch > from+1 {
-		d.mu.Unlock()
+	case from > ver.Epoch || from < max(ver.invEpoch, ver.Z.base):
 		res.Resync = true
 		return res
 	}
-	entries := append([]epochDelta(nil), d.ring...)
-	d.mu.Unlock()
-
-	// The union is a bitset sweep: setting a bit deduplicates, and
-	// reading the words back in order yields ascending ids — no map, no
-	// sort, and 2×n/8 bytes however many epochs the span covers.
-	rowSet, labSet := newIDSet(len(snap.Y)), newIDSet(len(snap.Y))
-	for i := range entries {
-		e := &entries[i]
-		if e.epoch <= from {
+	// One walk of the stamps: a paged version skips every chunk and page
+	// whose newest stamp (held in the chunk) is no later than from, so the
+	// walk costs O(chunks + changed pages); a flat one sweeps its stamp
+	// arrays. Values and final classes come from the current version: the
+	// intermediate states a row passed through are invisible to a
+	// follower jumping from `from` straight to Epoch. A vertex moved back
+	// to its epoch-`from` class still appears in Labels; reapplying an
+	// unchanged class is harmless.
+	z, limit := ver.Z, (d.ownHi-d.ownLo)/2
+	emit := func(v int, row, label bool, class int32) {
+		if row {
+			res.Rows = append(res.Rows, graph.NodeID(v))
+		}
+		if label {
+			res.Labels = append(res.Labels, LabelUpdate{V: graph.NodeID(v), Class: class})
+		}
+	}
+	if z.chunks == nil {
+		for v := range z.R {
+			emit(v, z.rowAt[v] > from, z.yAt[v] > from, z.y[v])
+		}
+	}
+	for ci, c := range z.chunks {
+		top := z.base + uint64(c.top)
+		if top <= from {
 			continue
 		}
-		if e.full {
-			res.Resync = true
-			return res
+		for j, pg := range &c.pages {
+			if top-uint64(c.age[j]) <= from {
+				continue
+			}
+			v := (ci<<chunkShift + j) << pageShift
+			for i := range min(PageRows, z.R-v) {
+				emit(v+i, z.base+uint64(pg.rowAt[i]) > from, z.base+uint64(pg.yAt[i]) > from, pg.y[i])
+			}
 		}
-		rowSet.add(e.rows)
-		labSet.add(e.relabeled)
 	}
-
-	// Values and final classes come from the published snapshot, not
-	// the ring: intermediate states a row passed through are invisible
-	// to a follower jumping from `from` straight to Epoch. A vertex
-	// relabeled back to its epoch-`from` class still appears in Labels;
-	// reapplying an unchanged class is harmless.
-	rows, relabeled := rowSet.ascending(), labSet.ascending()
-	res.Rows = rows
-	res.Values = make([]float64, len(rows)*snap.Z.C)
-	for i, v := range rows {
-		snap.Z.Row(int(v), res.Values[i*snap.Z.C:])
+	if len(res.Rows) > limit {
+		res.Rows, res.Labels, res.Resync = nil, nil, true
+		return res
 	}
-	res.Labels = make([]LabelUpdate, len(relabeled))
-	for i, v := range relabeled {
-		res.Labels[i] = LabelUpdate{V: v, Class: snap.Y[v]}
+	res.Values = make([]float64, len(res.Rows)*z.C)
+	for i, v := range res.Rows {
+		z.Row(int(v), res.Values[i*z.C:])
 	}
 	return res
-}
-
-// idSet is a set of vertex ids below a fixed n, one bit each.
-type idSet []uint64
-
-func newIDSet(n int) idSet { return make(idSet, (n+63)/64) }
-
-func (s idSet) add(ids []graph.NodeID) {
-	for _, v := range ids {
-		s[v>>6] |= 1 << (v & 63)
-	}
-}
-
-// ascending returns the members in ascending order (nil when empty).
-func (s idSet) ascending() []graph.NodeID {
-	count := 0
-	for _, w := range s {
-		count += bits.OnesCount64(w)
-	}
-	if count == 0 {
-		return nil
-	}
-	out := make([]graph.NodeID, 0, count)
-	for i, w := range s {
-		for ; w != 0; w &= w - 1 {
-			out = append(out, graph.NodeID(i<<6+bits.TrailingZeros64(w)))
-		}
-	}
-	return out
 }

@@ -2,9 +2,11 @@ package dyn
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/labels"
@@ -124,9 +126,9 @@ func TestDeltaRowTracking(t *testing.T) {
 }
 
 // TestDeltaResyncSignals covers every path that must refuse a row-wise
-// answer: a follower ahead of the embedder, an evicted fromEpoch, a
-// disabled ring, a counts-changing relabel (full promotion), and a
-// dirty set past half the rows.
+// answer: a follower ahead of the embedder, a span crossing a
+// counts-changing relabel, and a span that changed more than half the
+// rows.
 func TestDeltaResyncSignals(t *testing.T) {
 	const n, k = 40, 3
 	mk := func(opts Options) *DynamicEmbedder {
@@ -145,32 +147,9 @@ func TestDeltaResyncSignals(t *testing.T) {
 		t.Fatal("follower ahead of the embedder not told to resync")
 	}
 
-	// Eviction: a 2-deep ring forgets epoch 1 after the third publish.
-	d = mk(Options{DeltaHistory: 2})
-	for i := uint32(0); i < 3; i++ {
-		if err := d.AddEdges(edge(i, i+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if dl := d.Delta(0); !dl.Resync {
-		t.Fatal("evicted fromEpoch not told to resync")
-	}
-	if dl := d.Delta(1); dl.Resync {
-		t.Fatal("retained span told to resync")
-	}
-
-	// Disabled ring: every delta resyncs.
-	d = mk(Options{DeltaHistory: -1})
-	if err := d.AddEdges(edge(0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if dl := d.Delta(0); !dl.Resync {
-		t.Fatal("disabled ring served a delta")
-	}
-
-	// A relabel that changes class counts rescales whole columns: the
-	// epoch is full and the span resyncs — including when merged with
-	// neighboring row-sized epochs.
+	// A relabel that changes class counts rescales whole columns: a span
+	// crossing it resyncs — including when it also covers row-sized
+	// epochs.
 	d = mk(Options{})
 	if err := d.AddEdges(edge(0, 1)); err != nil {
 		t.Fatal(err)
@@ -192,7 +171,7 @@ func TestDeltaResyncSignals(t *testing.T) {
 		t.Fatalf("post-full epoch: resync=%v rows=%v", dl.Resync, dl.Rows)
 	}
 
-	// Dirtying more than half the rows promotes to full even without
+	// A span that changed more than half the rows resyncs even without
 	// any label motion.
 	d = mk(Options{})
 	var wide []graph.Edge
@@ -261,7 +240,7 @@ func TestDeltaNetZeroRelabel(t *testing.T) {
 // rounds must be served row-wise.
 func TestDeltaFollowerUnderChurn(t *testing.T) {
 	const n, k, rounds = 400, 4, 60
-	d, err := New(n, labels.SampleSemiSupervised(n, k, 0.5, 227), Options{K: k, DeltaHistory: 8})
+	d, err := New(n, labels.SampleSemiSupervised(n, k, 0.5, 227), Options{K: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,17 +290,127 @@ func TestDeltaFollowerUnderChurn(t *testing.T) {
 	t.Logf("follower: %d row-wise syncs, %d resyncs", rowSyncs, resyncs)
 }
 
-// TestDirtyRowsAreWrittenRows pins the dirty set to the kernel: an edge
-// dirties an endpoint's row only when the fold wrote it (the other
-// endpoint is labelled), a relabel dirties exactly its walk's rows, and
-// nothing else is dirty. Random batches and relabels — some moving class
-// counts, some cancelling — run at labelled fractions 0, 0.2 and 1, with
-// and without an owned window. At every publish the test recomputes,
-// independently of the embedder, the rows the fold and the walks wrote,
-// and checks that the dirty set is exactly their owned part, that a row
-// delta lists only them, and that every other row keeps the previous
-// version's bits: served bits when the counts held, raw sums when a
-// count moved.
+// churn draws random batches — inserts, deletes of live edges, label
+// moves that change class counts and moves that cancel — and works out,
+// independently of the embedder, what each one writes: the owned rows
+// the fold and the relabel walks wrote, and the owned vertices whose
+// label moved.
+type churn struct {
+	r      *xrand.Rand
+	n, k   int
+	lo, hi int     // the owned window
+	y      []int32 // the labels the embedder holds
+	live   []graph.Edge
+	// relabelOdds: one batch in relabelOdds moves class counts, and one
+	// more makes a move and its undo.
+	relabelOdds int
+}
+
+func (c *churn) owned(v graph.NodeID) bool { return int(v) >= c.lo && int(v) < c.hi }
+
+// counts is the class histogram of the labels.
+func (c *churn) counts() []int64 {
+	out := make([]int64, c.k)
+	for _, cl := range c.y {
+		if cl >= 0 {
+			out[cl]++
+		}
+	}
+	return out
+}
+
+// next returns one batch of up to maxIns inserts and adds the rows it
+// writes to rows and the labels it moves to moved.
+func (c *churn) next(maxIns int, rows, moved map[graph.NodeID]bool) Batch {
+	r, n := c.r, c.n
+	write := func(v graph.NodeID) {
+		if c.owned(v) {
+			rows[v] = true
+		}
+	}
+	var b Batch
+	for i := r.Intn(maxIns); i > 0; i-- {
+		b.Insert = append(b.Insert, graph.Edge{U: graph.NodeID(r.Intn(n)), V: graph.NodeID(r.Intn(n)), W: float32(r.Intn(3) + 1)})
+	}
+	for i := r.Intn(10); i > 0 && len(c.live) > 0; i-- {
+		j := r.Intn(len(c.live))
+		b.Delete = append(b.Delete, c.live[j])
+		c.live[j] = c.live[len(c.live)-1]
+		c.live = c.live[:len(c.live)-1]
+	}
+	switch r.Intn(c.relabelOdds) {
+	case 0: // counts move
+		b.Labels = []LabelUpdate{{V: graph.NodeID(r.Intn(n)), Class: int32(r.Intn(c.k+1)) - 1}}
+	case 1: // a move and its undo: counts hold
+		v := graph.NodeID(r.Intn(n))
+		b.Labels = []LabelUpdate{{V: v, Class: (c.y[v] + 2) % int32(c.k)}, {V: v, Class: c.y[v]}}
+	}
+	// The fold's writes, under the labels it runs with.
+	for _, es := range [][]graph.Edge{b.Delete, b.Insert} {
+		for _, e := range es {
+			if c.y[e.V] >= 0 {
+				write(e.U)
+			}
+			if c.y[e.U] >= 0 {
+				write(e.V)
+			}
+		}
+	}
+	c.live = append(c.live, b.Insert...)
+	// Each applied move walks every live edge at its vertex.
+	for _, lu := range b.Labels {
+		if c.y[lu.V] == lu.Class {
+			continue
+		}
+		for _, e := range c.live {
+			if e.U == lu.V {
+				write(e.V)
+			}
+			if e.V == lu.V {
+				write(e.U)
+			}
+		}
+		if c.owned(lu.V) {
+			moved[lu.V] = true
+		}
+		c.y[lu.V] = lu.Class
+	}
+	return b
+}
+
+// stamps returns the epochs z records as the last writes of row v and
+// of v's label (z's base for any write at or before it).
+func stamps(z *Pages, v int) (row, label uint64) {
+	if z.chunks == nil {
+		return z.rowAt[v], z.yAt[v]
+	}
+	p, i := z.page(v)
+	return z.base + uint64(p.rowAt[i]), z.base + uint64(p.yAt[i])
+}
+
+// ascending returns the members of set in ascending order.
+func ascending(set map[graph.NodeID]bool) []graph.NodeID {
+	var out []graph.NodeID
+	for v := range set {
+		out = append(out, v)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestDirtyRowsAreWrittenRows pins the dirty set and the stamps to the
+// kernel: an edge dirties an endpoint's row only when the fold wrote it
+// (the other endpoint is labelled), a relabel dirties exactly its walk's
+// rows and its own label, and nothing else is dirty. Random batches and
+// relabels — some moving class counts, some cancelling — run at
+// labelled fractions 0, 0.2 and 1, with and without an owned window. At
+// every publish the test recomputes, independently of the embedder, the
+// rows the fold and the walks wrote and the labels that moved, and
+// checks that the dirty rows are exactly their owned part, that the
+// version stamps exactly those rows and labels with its epoch, that a
+// row delta lists exactly them, and that every other row keeps the
+// previous version's bits: served bits when the counts held, raw sums
+// when a count moved.
 func TestDirtyRowsAreWrittenRows(t *testing.T) {
 	const n, k = 3001, 4
 	for _, frac := range []float64{0, 0.2, 1} {
@@ -333,85 +422,43 @@ func TestDirtyRowsAreWrittenRows(t *testing.T) {
 					t.Fatal(err)
 				}
 				lo, hi := d.Owned()
-				r := xrand.New(239)
-				var live []graph.Edge
+				c := &churn{r: xrand.New(239), n: n, k: k, lo: lo, hi: hi, y: y, relabelOdds: 4}
 				prev := d.Version()
 				for epoch := 1; epoch <= 30; epoch++ {
-					wrote := make(map[graph.NodeID]bool)
-					write := func(v graph.NodeID) {
-						if int(v) >= lo && int(v) < hi {
-							wrote[v] = true
-						}
-					}
-					for applies := 1 + r.Intn(3); applies > 0; applies-- {
-						var b Batch
-						for i := r.Intn(40); i > 0; i-- {
-							b.Insert = append(b.Insert, graph.Edge{U: graph.NodeID(r.Intn(n)), V: graph.NodeID(r.Intn(n)), W: float32(r.Intn(3) + 1)})
-						}
-						for i := r.Intn(10); i > 0 && len(live) > 0; i-- {
-							j := r.Intn(len(live))
-							b.Delete = append(b.Delete, live[j])
-							live[j] = live[len(live)-1]
-							live = live[:len(live)-1]
-						}
-						switch r.Intn(4) {
-						case 0: // counts move
-							b.Labels = []LabelUpdate{{V: graph.NodeID(r.Intn(n)), Class: int32(r.Intn(k+1)) - 1}}
-						case 1: // a move and its undo: counts hold
-							v := graph.NodeID(r.Intn(n))
-							b.Labels = []LabelUpdate{{V: v, Class: (y[v] + 2) % k}, {V: v, Class: y[v]}}
-						}
-						// The fold's writes, under the labels it runs with.
-						for _, es := range [][]graph.Edge{b.Delete, b.Insert} {
-							for _, e := range es {
-								if y[e.V] >= 0 {
-									write(e.U)
-								}
-								if y[e.U] >= 0 {
-									write(e.V)
-								}
-							}
-						}
-						live = append(live, b.Insert...)
-						// Each applied move walks every live edge at its vertex.
-						for _, lu := range b.Labels {
-							if y[lu.V] == lu.Class {
-								continue
-							}
-							for _, e := range live {
-								if e.U == lu.V {
-									write(e.V)
-								}
-								if e.V == lu.V {
-									write(e.U)
-								}
-							}
-							y[lu.V] = lu.Class
-						}
-						if err := d.Apply(b); err != nil {
+					wrote, moved := make(map[graph.NodeID]bool), make(map[graph.NodeID]bool)
+					for applies := 1 + c.r.Intn(3); applies > 0; applies-- {
+						if err := d.Apply(c.next(40, wrote, moved)); err != nil {
 							t.Fatalf("epoch %d: %v", epoch, err)
 						}
 					}
 					d.mu.Lock()
-					if d.dirtyFull || len(d.dirtyRows) != len(wrote) {
-						t.Fatalf("epoch %d: %d dirty rows (full=%v), the fold and walks wrote %d", epoch, len(d.dirtyRows), d.dirtyFull, len(wrote))
-					}
-					for _, v := range d.dirtyRows {
+					rows := 0
+					for _, v := range d.dirty {
+						if d.rowAt[v] != uint64(epoch) {
+							continue
+						}
+						rows++
 						if !wrote[v] {
 							t.Fatalf("epoch %d: row %d is dirty but nothing wrote it", epoch, v)
 						}
 					}
+					if rows != len(wrote) {
+						t.Fatalf("epoch %d: %d dirty rows, the fold and walks wrote %d", epoch, rows, len(wrote))
+					}
 					d.mu.Unlock()
 					ver := d.Publish()
+					for v := 0; v < n; v++ {
+						row, label := stamps(ver.Z, v)
+						if (row == ver.Epoch) != wrote[graph.NodeID(v)] || (label == ver.Epoch) != moved[graph.NodeID(v)] {
+							t.Fatalf("epoch %d: vertex %d stamped row %d, label %d; written %v, moved %v",
+								epoch, v, row, label, wrote[graph.NodeID(v)], moved[graph.NodeID(v)])
+						}
+					}
 					counted := slices.Equal(ver.Z.inv, prev.Z.inv)
 					if dl := d.Delta(prev.Epoch); dl.Resync == counted {
 						t.Fatalf("epoch %d: resync=%v, but class counts held=%v", epoch, dl.Resync, counted)
-					} else {
-						for _, v := range dl.Rows {
-							if !wrote[v] {
-								t.Fatalf("epoch %d: delta lists row %d, which nothing wrote", epoch, v)
-							}
-						}
+					} else if !dl.Resync && !slices.Equal(dl.Rows, ascending(wrote)) {
+						t.Fatalf("epoch %d: delta lists rows %v, the fold and walks wrote %v", epoch, dl.Rows, ascending(wrote))
 					}
 					a, b := make([]float64, k), make([]float64, k)
 					for v := 0; v < n; v++ {
@@ -431,6 +478,243 @@ func TestDirtyRowsAreWrittenRows(t *testing.T) {
 					prev = ver
 				}
 			})
+		}
+	}
+}
+
+// TestDeltaFromAnyHeldEpoch pins Delta to the stamp contract across
+// spans of any length: random inserts, deletes, relabels and cancelling
+// moves, with the owned window on and off, and after every publish a
+// delta from EVERY version published so far. Each must answer resync
+// exactly when one of the three rules says so — the follower is ahead,
+// the class counts moved after it, or the span wrote more than half the
+// owned rows — and otherwise list exactly the rows written and the
+// labels moved in the span (as an independent model of the fold and
+// the walks works them out), include every row whose raw bits differ,
+// and, applied to the held version's rows and labels, give the current
+// version bit for bit. Every rule must fire, and row deltas must be
+// served from both flat and paged versions (where both occur).
+func TestDeltaFromAnyHeldEpoch(t *testing.T) {
+	const n, k, epochs = 601, 4, 40
+	for _, win := range [][2]int{{0, 0}, {101, 437}} {
+		t.Run(fmt.Sprintf("own%d-%d", win[0], win[1]), func(t *testing.T) {
+			y := labels.SampleSemiSupervised(n, k, 0.5, 241)
+			d, err := New(n, y, Options{K: k, ManualPublish: true, OwnedLo: win[0], OwnedHi: win[1]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo, hi := d.Owned()
+			c := &churn{r: xrand.New(251), n: n, k: k, lo: lo, hi: hi, y: slices.Clone(y), relabelOdds: 64}
+			// What each epoch wrote, moved, and whether it moved counts.
+			wroteAt, movedAt := []map[graph.NodeID]bool{nil}, []map[graph.NodeID]bool{nil}
+			countsAt := []bool{false}
+			held := []*Version{d.Version()}
+			fired := map[string]int{}
+			for epoch := 1; epoch <= epochs; epoch++ {
+				before := c.counts()
+				wrote, moved := make(map[graph.NodeID]bool), make(map[graph.NodeID]bool)
+				for applies := 1 + c.r.Intn(3); applies > 0; applies-- {
+					if err := d.Apply(c.next(1+c.r.Intn(40), wrote, moved)); err != nil {
+						t.Fatalf("epoch %d: %v", epoch, err)
+					}
+				}
+				cur := d.Publish()
+				wroteAt, movedAt = append(wroteAt, wrote), append(movedAt, moved)
+				countsAt = append(countsAt, !slices.Equal(before, c.counts()))
+				held = append(held, cur)
+				if !d.Delta(cur.Epoch + 1).Resync {
+					t.Fatalf("epoch %d: a follower ahead was served a delta", epoch)
+				}
+				fired["ahead"]++
+				now, nowY := cur.Z.Dense(), labelsOf(cur)
+				for _, e := range held {
+					rows, labs := make(map[graph.NodeID]bool), make(map[graph.NodeID]bool)
+					countsMoved := false
+					for x := e.Epoch + 1; x <= cur.Epoch; x++ {
+						maps.Copy(rows, wroteAt[x])
+						maps.Copy(labs, movedAt[x])
+						countsMoved = countsMoved || countsAt[x]
+					}
+					big := len(rows) > (hi-lo)/2
+					dl := d.Delta(e.Epoch)
+					if dl.Resync != (countsMoved || big) || dl.Epoch != cur.Epoch || dl.FromEpoch != e.Epoch {
+						t.Fatalf("epoch %d from %d: resync=%v (epoch %d), but counts moved=%v and %d of %d rows written",
+							epoch, e.Epoch, dl.Resync, dl.Epoch, countsMoved, len(rows), hi-lo)
+					}
+					switch {
+					case countsMoved:
+						fired["counts"]++
+						continue
+					case big:
+						fired["half"]++
+						continue
+					case cur.Z.chunks == nil:
+						fired["flat"]++
+					default:
+						fired["paged"]++
+					}
+					if !slices.Equal(dl.Rows, ascending(rows)) {
+						t.Fatalf("epoch %d from %d: delta rows %v, written %v", epoch, e.Epoch, dl.Rows, ascending(rows))
+					}
+					var got []graph.NodeID
+					for _, lu := range dl.Labels {
+						got = append(got, lu.V)
+					}
+					if !slices.Equal(got, ascending(labs)) {
+						t.Fatalf("epoch %d from %d: delta labels %v, moved %v", epoch, e.Epoch, got, ascending(labs))
+					}
+					for v := 0; v < n; v++ {
+						if !slices.Equal(e.Z.span(v, v+1), cur.Z.span(v, v+1)) && !rows[graph.NodeID(v)] {
+							t.Fatalf("epoch %d from %d: row %d changed raw bits but is not in the delta", epoch, e.Epoch, v)
+						}
+					}
+					z, ys := e.Z.Dense(), labelsOf(e)
+					for i, v := range dl.Rows {
+						copy(z.Row(int(v)), dl.Values[i*k:(i+1)*k])
+					}
+					for _, lu := range dl.Labels {
+						ys[lu.V] = lu.Class
+					}
+					for i, x := range now.Data {
+						if math.Float64bits(z.Data[i]) != math.Float64bits(x) {
+							t.Fatalf("epoch %d from %d: Z[%d][%d] = %v after the delta, current %v", epoch, e.Epoch, i/k, i%k, z.Data[i], x)
+						}
+					}
+					if !slices.Equal(ys, nowY) {
+						t.Fatalf("epoch %d from %d: labels after the delta differ from the current version's", epoch, e.Epoch)
+					}
+				}
+			}
+			t.Logf("deltas served or refused: %v", fired)
+			// Only an embedder owning every row publishes flat versions.
+			for _, rule := range []string{"counts", "half", "flat", "paged"} {
+				if fired[rule] == 0 && (rule != "flat" || hi-lo == n) {
+					t.Errorf("no delta took the %q path: %v", rule, fired)
+				}
+			}
+		})
+	}
+}
+
+// TestDeltaDoesNotTakeWriterLock checks that Delta is lock-free: it
+// answers while a writer holds the embedder's lock, parked in a publish
+// hook, and sees the version that writer has just published.
+func TestDeltaDoesNotTakeWriterLock(t *testing.T) {
+	const n, k = 100, 3
+	d, err := New(n, labels.Full(n, k, 257), Options{K: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddEdges([]graph.Edge{{U: 0, V: 1, W: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	inside, release := make(chan struct{}), make(chan struct{})
+	d.SetPublishHook(func(uint64, time.Duration) {
+		close(inside)
+		<-release
+	})
+	errc := make(chan error, 1)
+	go func() { errc <- d.AddEdges([]graph.Edge{{U: 2, V: 3, W: 1}}) }()
+	<-inside
+	done := make(chan *Delta, 1)
+	go func() { done <- d.Delta(0) }()
+	select {
+	case dl := <-done:
+		if dl.Resync || dl.Epoch != 2 || !slices.Equal(dl.Rows, []graph.NodeID{0, 1, 2, 3}) {
+			t.Errorf("delta under a held writer lock: resync=%v epoch=%d rows=%v", dl.Resync, dl.Epoch, dl.Rows)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("Delta blocked behind a writer holding the lock")
+	}
+	close(release)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStampRebase pins the 32-bit page stamps: the publish whose epoch
+// no longer fits an offset from the stamp base rebuilds every page
+// against a new base, deltas from that base on stay exact on every
+// version after it, flat or paged, and a span reaching back before the
+// base resyncs.
+func TestStampRebase(t *testing.T) {
+	const n, k = 200, 3
+	for _, win := range [][2]int{{0, 0}, {37, 151}} {
+		t.Run(fmt.Sprintf("own%d-%d", win[0], win[1]), func(t *testing.T) {
+			d, err := New(n, labels.Full(n, k, 263), Options{K: k, OwnedLo: win[0], OwnedHi: win[1]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.AddEdges([]graph.Edge{{U: 40, V: 41, W: 1}}); err != nil {
+				t.Fatal(err)
+			}
+			// Jump the epoch counter to just short of the first overflow:
+			// publish i, at epoch first+i, writes rows 50+2i and 51+2i, and
+			// the one at 2^32 re-bases to 2^32-1.
+			d.cur.Load().Epoch = math.MaxUint32 - 1
+			const first = uint64(math.MaxUint32)
+			for i := range uint32(4) {
+				if err := d.AddEdges([]graph.Edge{{U: 50 + 2*i, V: 51 + 2*i, W: 1}}); err != nil {
+					t.Fatal(err)
+				}
+				ver, base := d.Version(), uint64(0)
+				if i > 0 {
+					base = math.MaxUint32
+					if dl := d.Delta(base - 1); !dl.Resync {
+						t.Fatalf("epoch %d: a delta from before the stamp base was served", ver.Epoch)
+					}
+				}
+				if ver.Epoch != first+uint64(i) || ver.Z.base != base {
+					t.Fatalf("epoch %d: stamp base %d, want epoch %d and base %d", ver.Epoch, ver.Z.base, first+uint64(i), base)
+				}
+				for from := max(base, first-1); from < ver.Epoch; from++ {
+					var want []graph.NodeID
+					for j := uint32(from + 1 - first); j <= i; j++ {
+						want = append(want, 50+2*j, 51+2*j)
+					}
+					if dl := d.Delta(from); dl.Resync || !slices.Equal(dl.Rows, want) {
+						t.Fatalf("epoch %d from %d: resync=%v rows=%v, want %v", ver.Epoch, from, dl.Resync, dl.Rows, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestDeltaAcrossSaturatedAges serves deltas over spans longer than a
+// chunk's page ages count: one page of a chunk is written once, early,
+// while another page of the same chunk is rewritten for 300 publishes,
+// so the first page's age saturates. A delta from every epoch must list
+// exactly the rows written after it.
+func TestDeltaAcrossSaturatedAges(t *testing.T) {
+	const n, k, publishes = 200, 3, 300
+	d, err := New(n, labels.Full(n, k, 269), Options{K: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := make([]uint64, n) // the epoch that last wrote each row
+	write := func(u, v graph.NodeID) {
+		if err := d.AddEdges([]graph.Edge{{U: u, V: v, W: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		last[u], last[v] = d.Epoch(), d.Epoch()
+	}
+	write(0, 1) // page 0 of chunk 0
+	for i := range publishes {
+		write(4, 5+graph.NodeID(i%3)) // page 1 of chunk 0
+	}
+	if d.Version().Z.chunks == nil {
+		t.Fatal("test setup: the current version is flat, not paged")
+	}
+	for from := range d.Epoch() {
+		var want []graph.NodeID
+		for v, e := range last {
+			if e > from {
+				want = append(want, graph.NodeID(v))
+			}
+		}
+		if dl := d.Delta(from); dl.Resync || !slices.Equal(dl.Rows, want) {
+			t.Fatalf("from %d: resync=%v rows=%v, want %v", from, dl.Resync, dl.Rows, want)
 		}
 	}
 }

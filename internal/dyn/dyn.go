@@ -26,19 +26,22 @@
 // published immutable version, so queries stay consistent while ingest
 // continues.
 //
-// A version is a paged, copy-on-write store of U's raw rows plus the
-// epoch's 1/n_k vector (Pages), normalised where a row is read. A row
-// is dirty only when the fold or a relabel walk actually wrote it — an
-// edge writes an endpoint's row only when the other endpoint is
-// labelled — so a publish shares the previous version's pages and
-// copies only those holding a dirty row: O(dirty pages), not O(nK). A
-// count-changing relabel is no exception (it brings a new 1/n_k vector,
-// and the pages of the rows its walk wrote); only when so many pages are
-// dirty that one sweep is cheaper is the whole owned window copied.
+// A version is a paged, copy-on-write store of U's raw rows and the
+// labels, plus the epoch's 1/n_k vector (Pages), normalised where a row
+// is read. A row is dirty only when the fold or a relabel walk actually
+// wrote it — an edge writes an endpoint's row only when the other
+// endpoint is labelled — and a label only when it moved, so a publish
+// shares the previous version's pages and copies only those holding a
+// dirty row or label: O(dirty pages), not O(nK). A count-changing
+// relabel is no exception (it brings a new 1/n_k vector, and the pages
+// of the rows its walk wrote); only when so many pages are dirty that
+// one sweep is cheaper is the whole owned window copied. Each row and
+// label is stamped with the epoch that wrote it: see Delta.
 package dyn
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -79,20 +82,13 @@ type Options struct {
 	// overrides the per-Apply publish and ManualPublish; an explicit
 	// Publish still works at any time (and resets the op counter).
 	PublishEvery int
-	// DeltaHistory bounds the ring of per-epoch deltas kept for
-	// Delta(fromEpoch): the embedder remembers which rows each of the
-	// last DeltaHistory publishes changed, so a follower at most that
-	// many epochs behind can catch up with changed rows instead of a
-	// full snapshot. Zero selects 64; negative disables the ring
-	// entirely (Delta always answers "resync"; dirty rows are still
-	// tracked, because publish itself is driven by them).
-	DeltaHistory int
 	// OwnedLo/OwnedHi restrict the published window to the vertex range
 	// [OwnedLo, OwnedHi): folds still span the full vertex range (an
 	// edge's contribution lands in both endpoint rows regardless of
-	// ownership), but the published rows, dirty-row tracking, and the
-	// delta ring cover only the owned rows — rows outside the
-	// window stay zero in every snapshot. Both zero means the full
+	// ownership), but the published rows and labels, and so the dirty
+	// tracking and deltas, cover only the owned vertices — rows outside
+	// the window stay zero, and labels unknown, in every version. Both
+	// zero means the full
 	// range. This is the sharded serving tier's partition hook
 	// (internal/shard); a standalone embedder leaves it unset.
 	OwnedLo, OwnedHi int
@@ -102,12 +98,6 @@ type Options struct {
 // the atomic contention it avoids; below a few thousand edges the
 // bucketing costs more than the atomics.
 const defaultShardedThreshold = 4096
-
-// defaultDeltaHistory is the number of per-epoch deltas retained for
-// Delta when Options.DeltaHistory is zero: deep enough that a follower
-// polling every few publishes never falls off the ring, shallow enough
-// that the retained row lists stay a footnote next to U itself.
-const defaultDeltaHistory = 64
 
 // LabelUpdate reassigns vertex V to Class (labels.Unknown removes the
 // label).
@@ -137,28 +127,34 @@ type Version struct {
 	// follower that sees the instance change must resync rather than
 	// apply deltas across the restart.
 	Instance uint64
-	// Z is the n×K embedding: U's raw rows and this epoch's 1/n_k,
-	// normalised as they are read (Row, Rows, Dense). Rows outside the
-	// embedder's owned window read zero.
+	// Z is the n×K embedding and the labels at publish time: U's raw
+	// rows and this epoch's 1/n_k, normalised as they are read (Row,
+	// Rows, Dense), and each vertex's class (Label, Labels). Rows
+	// outside the embedder's owned window read zero, and their labels
+	// unknown.
 	Z *Pages
-	// Y is the label vector at publish time, shared with the previous
-	// version unless a label moved. Read-only by contract.
-	Y []int32
 	// Edges is the number of live edges folded into Z.
 	Edges int64
+
+	// invEpoch is the epoch whose class counts Z's 1/n_k vector holds: a
+	// delta from before it would rescale every served row of two columns.
+	invEpoch uint64
 
 	once  sync.Once
 	snap  *Snapshot
 	views *atomic.Int64 // the embedder's DenseViews counter (nil for a hand-built Version)
 }
 
-// Snapshot returns the version with Z as one contiguous matrix, derived
-// from the pages once per version and then shared by every caller. It
-// is an O(nK) gather of normalised rows, so only code that scans the
-// whole matrix (neighbor search, index builds) should ask for it.
+// Snapshot returns the version with Z as one contiguous matrix and Y as
+// one label vector, gathered from the pages once per version and then
+// shared by every caller. It is an O(nK) gather of normalised rows, so
+// only code that scans the whole matrix (neighbor search, index builds)
+// should ask for it.
 func (v *Version) Snapshot() *Snapshot {
 	v.once.Do(func() {
-		v.snap = &Snapshot{Epoch: v.Epoch, Instance: v.Instance, Z: v.Z.Dense(), Y: v.Y, Edges: v.Edges}
+		y := make([]int32, v.Z.R)
+		v.Z.Labels(0, v.Z.R, y)
+		v.snap = &Snapshot{Epoch: v.Epoch, Instance: v.Instance, Z: v.Z.Dense(), Y: y, Edges: v.Edges}
 		if v.views != nil {
 			v.views.Add(1)
 		}
@@ -230,37 +226,31 @@ type DynamicEmbedder struct {
 	// Options.OwnedLo). Full range for a standalone embedder.
 	ownLo, ownHi int
 
-	mu       sync.Mutex // serializes writers over the mutable state below
-	y        []int32
-	counts   []int64
-	adj      [][]halfEdge // incident half-edges of each vertex
-	u        *mat.Dense   // unnormalized per-class sums
-	uLent    bool         // u.Data is the current version's store: copy before writing (ownU)
-	kern     exec.Kernel[float64]
-	plan     *exec.EdgePlan // lazily built sharded layout, reused per batch
-	edges    int64
-	scratch  []graph.Edge // negated-delete + insert fold buffer
-	detached []removal    // halves detachDeletes removed, for undoDetach
-	sincePub int64        // ops folded since the last publish (PublishEvery)
-	stats    Stats
+	mu     sync.Mutex // serializes writers over the mutable state below
+	y      []int32
+	counts []int64
+	adj    [][]halfEdge // incident half-edges of each vertex
+	u      *mat.Dense   // unnormalized per-class sums
+	// rowAt[v] and yAt[v] are the epochs that last wrote row v and v's
+	// label (mark); pages carry them as offsets from stampBase.
+	rowAt, yAt []uint64
+	stampBase  uint64
+	lent       bool // u.Data, y, rowAt and yAt are the current version's store: copy before writing (own)
+	kern       exec.Kernel[float64]
+	plan       *exec.EdgePlan // lazily built sharded layout, reused per batch
+	edges      int64
+	scratch    []graph.Edge // negated-delete + insert fold buffer
+	detached   []removal    // halves detachDeletes removed, for undoDetach
+	sincePub   int64        // ops folded since the last publish (PublishEvery)
+	stats      Stats
 
 	// Dirty tracking since the last publish (all under mu): it decides
-	// what a publish copies and, when the ring is on, what the epoch's
-	// delta lists.
-	dirtyMark []uint64       // dirtyMark[v] == dirtyGen ⇔ row v already recorded
-	pageMark  []uint64       // pageMark[p] == dirtyGen ⇔ page p already in pageBuf
-	pageBuf   []int32        // publish scratch: pages holding a dirty row
-	dirtyGen  uint64         // bumped per publish so marks clear in O(1)
-	dirtyRows []graph.NodeID // rows whose Z changed since the last publish
-	dirtyFull bool           // too many dirty rows: this epoch will be full
-	yMoved    bool           // some label changed: the next version needs its own Y
-	relabeled []graph.NodeID // owned vertices whose label changed since the last publish
+	// what a publish copies.
+	dirty     []graph.NodeID // vertices whose row or label the next publish stamps (mark), each once
+	pageMark  []uint64       // pageMark[p] == the publishing epoch ⇔ page p already in pageBuf
+	pageBuf   []int32        // publish scratch: pages holding a dirty row or label
 	pubCounts []int64        // class counts at the last publish
-	zeroChunk *chunk         // zero pages, shared by every page outside the owned window
-
-	// Delta ring (under mu; deltaHist == 0 disables it).
-	deltaHist int
-	ring      []epochDelta // last deltaHist publishes, oldest first
+	zeroChunk *chunk         // the zero page, shared by every page outside the owned window
 
 	// foldHook, when non-nil, replaces the exec fold — tests inject
 	// failures to exercise Apply's nothing-is-applied contract.
@@ -275,19 +265,17 @@ type DynamicEmbedder struct {
 	// Observability instruments (nil until Instrument; all guarded by
 	// mu like the state they measure).
 	mPublish    *metrics.Histogram // publish (copy + version) latency
-	mDirtyRows  *metrics.Histogram // dirty rows per published epoch
+	mDirtyRows  *metrics.Histogram // dirty vertices per published epoch
 	mCopied     *metrics.Histogram // rows copied into fresh pages per published epoch
-	mFullEpochs *metrics.Counter   // epochs promoted to full (resync-only)
-	mRing       *metrics.Gauge     // delta-ring occupancy in epochs
+	mFullEpochs *metrics.Counter   // epochs that moved class counts
 
 	denseViews atomic.Int64 // Stats.DenseViews
 	cur        atomic.Pointer[Version]
 }
 
 // Instrument registers the embedder's instruments on reg: publish
-// latency, dirty and copied rows per epoch, full-epoch
-// promotions, delta-ring occupancy, and folds by path. Call at most
-// once per registry and label set
+// latency, dirty and copied rows per epoch, count-changing epochs, and
+// folds by path. Call at most once per registry and label set
 // (the serving layer does this when it adopts the embedder; a sharded
 // server passes a distinct shard label per embedder so N shards'
 // series coexist on one registry); publishes before Instrument simply
@@ -299,18 +287,14 @@ func (d *DynamicEmbedder) Instrument(reg *metrics.Registry, labels ...metrics.La
 		"Latency of publishing one epoch (copy U's dirty rows and version the snapshot).",
 		metrics.DefLatencyBuckets, labels...)
 	d.mDirtyRows = reg.Histogram("gee_dyn_publish_dirty_rows",
-		"Rows whose embedding changed in one published epoch.",
+		"Vertices whose row or label changed in one published epoch (every row when class counts moved).",
 		metrics.DefCountBuckets, labels...)
 	d.mCopied = reg.Histogram("gee_dyn_publish_rows_normalized",
 		"Rows copied into fresh pages in one published epoch (dirty pages x page height, or every owned row on a full rebuild).",
 		metrics.DefCountBuckets, labels...)
 	d.mFullEpochs = reg.Counter("gee_dyn_full_epochs_total",
-		"Published epochs promoted to full (not row-reconstructible; followers must resync across them).",
+		"Published epochs that moved class counts (every served row of two columns rescaled; followers must resync across them).",
 		labels...)
-	d.mRing = reg.Gauge("gee_dyn_delta_ring_epochs",
-		"Per-epoch deltas currently retained for GET /v1/delta.",
-		labels...)
-	d.mRing.Set(int64(len(d.ring)))
 	reg.GaugeFunc("gee_dyn_epoch",
 		"Currently published epoch.",
 		func() float64 { return float64(d.Epoch()) },
@@ -359,13 +343,6 @@ func New(n int, y []int32, opts Options) (*DynamicEmbedder, error) {
 	if thresh == 0 {
 		thresh = defaultShardedThreshold
 	}
-	hist := opts.DeltaHistory
-	switch {
-	case hist == 0:
-		hist = defaultDeltaHistory
-	case hist < 0:
-		hist = 0
-	}
 	ownLo, ownHi := opts.OwnedLo, opts.OwnedHi
 	if ownLo == 0 && ownHi == 0 {
 		ownHi = n
@@ -376,32 +353,34 @@ func New(n int, y []int32, opts Options) (*DynamicEmbedder, error) {
 	yc := append([]int32(nil), y...)
 	d := &DynamicEmbedder{
 		n: n, k: k, workers: workers,
-		instance:  newInstanceID(),
-		thresh:    thresh,
-		manual:    opts.ManualPublish,
-		pubEvery:  opts.PublishEvery,
-		deltaHist: hist,
-		ownLo:     ownLo,
-		ownHi:     ownHi,
-		y:         yc,
-		counts:    parallel.Histogram(workers, n, k, func(i int) int { return int(yc[i]) }),
-		adj:       make([][]halfEdge, n),
-		u:         mat.NewDense(n, k),
+		instance: newInstanceID(),
+		thresh:   thresh,
+		manual:   opts.ManualPublish,
+		pubEvery: opts.PublishEvery,
+		ownLo:    ownLo,
+		ownHi:    ownHi,
+		y:        yc,
+		counts:   parallel.Histogram(workers, n, k, func(i int) int { return int(yc[i]) }),
+		adj:      make([][]halfEdge, n),
+		u:        mat.NewDense(n, k),
+		rowAt:    make([]uint64, n),
+		yAt:      make([]uint64, n),
 		kern: exec.Kernel[float64]{
 			Width:  k,
 			SrcCol: yc,
 			DstCol: yc,
 			Coeff:  ones(n),
 		},
-		dirtyMark: make([]uint64, n),
 		pageMark:  make([]uint64, numPages(n)),
-		dirtyGen:  1,
 		pubCounts: make([]int64, k),
 		zeroChunk: new(chunk),
 	}
-	zero := make([]float64, PageRows*k)
-	for j := range d.zeroChunk {
-		d.zeroChunk[j] = zero
+	zero := &page{rows: make([]float64, PageRows*k)}
+	for i := range zero.y {
+		zero.y[i] = labels.Unknown
+	}
+	for j := range d.zeroChunk.pages {
+		d.zeroChunk.pages[j] = zero
 	}
 	d.publishLocked()
 	return d, nil
@@ -524,7 +503,7 @@ func (d *DynamicEmbedder) Apply(b Batch) error {
 	// Fold deletions (negated) and insertions in one pass under the
 	// current labels; label updates below move any of this mass that
 	// their vertex keys.
-	d.ownU()
+	d.own()
 	if err := d.fold(b.Delete, b.Insert); err != nil {
 		// The deletions were already detached above; without putting
 		// them back, a failed fold would leave the adjacency missing
@@ -639,13 +618,16 @@ func (d *DynamicEmbedder) undoDetach() {
 	d.detached = d.detached[:0]
 }
 
-// ownU gives the embedder a private U again when a rebuild lent its
-// array to the published version (see rebuildPages). Every write to U
-// comes after it.
-func (d *DynamicEmbedder) ownU() {
-	if d.uLent {
+// own gives the embedder private U, label and stamp arrays again when a
+// rebuild lent them to the published version (see rebuildPages). Every
+// write to them comes after it.
+func (d *DynamicEmbedder) own() {
+	if d.lent {
 		d.u.Data = slices.Clone(d.u.Data)
-		d.uLent = false
+		d.y = slices.Clone(d.y)
+		d.kern.SrcCol, d.kern.DstCol = d.y, d.y
+		d.rowAt, d.yAt = slices.Clone(d.rowAt), slices.Clone(d.yAt)
+		d.lent = false
 	}
 }
 
@@ -717,21 +699,15 @@ func (d *DynamicEmbedder) relabel(v graph.NodeID, class int32) {
 		}
 	}
 	// Every neighbor's row slid mass between columns (v's own row is
-	// keyed by its neighbors' classes and does not move); those rows are
-	// all the publish copies. The count shift below only brings a new
-	// 1/n_k vector — but it rescales two whole columns of every served
-	// row, so the epoch's delta is promoted to full unless a later move
-	// restores the counts exactly.
+	// keyed by its neighbors' classes and does not move); those rows and
+	// v's label are all the publish copies. The count shift below only
+	// brings a new 1/n_k vector — but it rescales two whole columns of
+	// every served row, so a delta across it answers resync unless a
+	// later move restores the counts exactly.
 	for _, he := range d.adj[v] {
-		d.markDirty(he.v)
+		d.mark(he.v, d.rowAt)
 	}
-	// Label authority follows row ownership: a sharded embedder only
-	// reports relabels of vertices it owns (every shard sees the
-	// broadcast, exactly one claims it in its delta).
-	if d.owned(v) {
-		d.relabeled = append(d.relabeled, v)
-	}
-	d.yMoved = true
+	d.mark(v, d.yAt)
 	if old >= 0 {
 		d.counts[old]--
 	}
@@ -743,81 +719,72 @@ func (d *DynamicEmbedder) relabel(v graph.NodeID, class int32) {
 }
 
 // publishLocked is the one publish routine: it derives the next
-// version's pages from U and atomically publishes them as the next
-// epoch. Earlier versions stay valid for readers still holding them.
+// version's pages from U, the labels and their stamps, and atomically
+// publishes them as the next epoch. Earlier versions stay valid for
+// readers still holding them.
 //
 // A version stores U's raw rows, and a raw row changes only when the
 // fold or a relabel walk wrote it (it is in the dirty set). So the new
 // version is the previous one's page table with the dirty pages copied
-// fresh from U; every other page — and Y, unless a label moved — is
-// shared, and a class-count change costs only the new 1/n_k vector.
-// Only the first publish and a write dirtying so many pages that
-// copying them one by one would cost more than one sweep copy the whole
-// owned window. Every reader applies the same src[c]*inv[c] product to
-// the same raw bits, so which path produced a row is invisible in what
-// it serves.
+// fresh from U; every other page is shared, and a class-count change
+// costs only the new 1/n_k vector. Only the first publish and a write
+// dirtying so many pages that copying them one by one would cost more
+// than one sweep copy the whole owned window. Every reader applies the
+// same src[c]*inv[c] product to the same raw bits, so which path
+// produced a row is invisible in what it serves.
 func (d *DynamicEmbedder) publishLocked() *Version {
 	t0 := time.Now()
 	prev := d.cur.Load()
-	countsMoved := !slices.Equal(d.counts, d.pubCounts)
 	v := &Version{Instance: d.instance, Edges: d.edges, views: &d.denseViews}
+	if prev != nil {
+		v.Epoch = prev.Epoch + 1
+	}
 	var dirty []int32
 	patch := prev != nil
 	if patch {
-		dirty, patch = d.dirtyPagesLocked()
+		dirty, patch = d.dirtyPagesLocked(v.Epoch)
+	}
+	// The publish whose stamp would overflow a page's 32-bit offset
+	// rebuilds every page against a new base, once per 2^32 epochs.
+	if v.Epoch-d.stampBase > math.MaxUint32 {
+		d.stampBase, patch = v.Epoch-1, false
 	}
 	copied := d.ownHi - d.ownLo
 	if patch {
-		v.Z = d.patchPages(prev.Z, dirty)
+		v.Z = d.patchPages(prev.Z, dirty, v.Epoch)
 		copied = len(dirty) * PageRows
 	} else {
 		v.Z = d.rebuildPages()
 	}
+	v.Z.base = d.stampBase
+	countsMoved := !slices.Equal(d.counts, d.pubCounts)
 	if prev != nil && !countsMoved {
-		v.Z.inv = prev.Z.inv
+		v.Z.inv, v.invEpoch = prev.Z.inv, prev.invEpoch
 	} else {
-		v.Z.inv = make([]float64, d.k)
+		v.Z.inv, v.invEpoch = make([]float64, d.k), v.Epoch
 		for c, n := range d.counts {
 			if n > 0 {
 				v.Z.inv[c] = 1 / float64(n)
 			}
 		}
 	}
-	if prev == nil || d.yMoved {
-		v.Y = append([]int32(nil), d.y...)
-	} else {
-		v.Y = prev.Y
-	}
 	if prev != nil {
-		v.Epoch = prev.Epoch + 1
 		d.stats.Publishes++
-		// Counts moved (every served row of two columns rescaled) or too
-		// many rows: the epoch is not reconstructible from a row list, so
-		// followers must resync across it.
-		full := d.dirtyFull || countsMoved
-		if d.deltaHist > 0 {
-			d.recordDeltaLocked(v.Epoch, full)
-		}
 		if d.mDirtyRows != nil {
-			// A full epoch effectively dirtied every row (a count change
-			// rescaled whole columns); record it as such so the
-			// distribution reflects what a follower would have to fetch.
-			dirtyRows := len(d.dirtyRows)
-			if full {
-				dirtyRows = d.n
+			// A count change rescaled two whole columns of every row;
+			// record it as such so the distribution reflects what a
+			// follower would have to fetch.
+			rows := len(d.dirty)
+			if countsMoved {
+				rows = d.n
 				d.mFullEpochs.Inc()
 			}
-			d.mDirtyRows.Observe(float64(dirtyRows))
+			d.mDirtyRows.Observe(float64(rows))
 			d.mCopied.Observe(float64(copied))
-			d.mRing.Set(int64(len(d.ring)))
 		}
 	}
 	copy(d.pubCounts, d.counts)
-	d.dirtyGen++
-	d.dirtyRows = nil
-	d.relabeled = nil
-	d.dirtyFull = false
-	d.yMoved = false
+	d.dirty = d.dirty[:0]
 	d.sincePub = 0
 	d.cur.Store(v)
 	if d.mPublish != nil {
@@ -829,51 +796,48 @@ func (d *DynamicEmbedder) publishLocked() *Version {
 	return v
 }
 
-// dirtyPagesLocked lists the pages holding a dirty row. ok is false
-// when patching them one by one would not pay: the row rule already
-// gave up (dirtyFull), or more than an eighth of the owned pages are
-// dirty. Measured at n=100k, K=10 on two cores, patching every eighth
-// page takes ~0.37 ms and allocates 1.6 MB against ~0.87 ms and 8 MB for
-// copying the whole window, so by time the two meet near a third of the
-// pages; the rule stops earlier because the sweep also leaves the rows
-// contiguous and needs no page table. A 4096-edge batch there, at 20%
-// labelled, writes ~6% of the pages and is patched.
-func (d *DynamicEmbedder) dirtyPagesLocked() (pages []int32, ok bool) {
-	if d.dirtyFull {
-		return nil, false
-	}
+// dirtyPagesLocked lists the pages holding a dirty row or label. ok is
+// false when patching them one by one would not pay: more than an eighth
+// of the owned pages are dirty. Measured at n=100k, K=10 on two cores,
+// patching every eighth page takes ~0.37 ms and allocates 1.6 MB against
+// ~0.87 ms and 8 MB for copying the whole window, so by time the two
+// meet near a third of the pages; the rule stops earlier because the
+// sweep also leaves the rows contiguous and needs no page table. A
+// 4096-edge batch there, at 20% labelled, writes ~6% of the pages and is
+// patched.
+func (d *DynamicEmbedder) dirtyPagesLocked(epoch uint64) (pages []int32, ok bool) {
 	limit := (numPages(d.ownHi) - (d.ownLo >> pageShift)) / 8
 	pages = d.pageBuf[:0]
-	for _, v := range d.dirtyRows {
+	for _, v := range d.dirty {
 		p := int32(v >> pageShift)
-		if d.pageMark[p] == d.dirtyGen {
+		if d.pageMark[p] == epoch {
 			continue
 		}
 		if len(pages) >= limit {
 			return nil, false
 		}
-		d.pageMark[p] = d.dirtyGen
+		d.pageMark[p] = epoch
 		pages = append(pages, p)
 	}
 	d.pageBuf = pages
 	return pages, true
 }
 
-// rebuildPages makes a version of U's whole owned window at once. An
-// embedder that owns every row lends U's array itself as the store (no
-// page table: the next patch cuts one, once) and takes a private copy
-// on its next write (ownU) — the copy a rebuild would make, only later,
-// and never made on a server nobody writes to after its bulk load,
-// which then holds one n×K array of sums instead of two. A shard copies
-// its window into one allocation cut into the window's pages, and every
-// page outside the window is the shared zero page (every chunk of only
-// such pages the shared zero chunk), so it allocates its window, not
-// n×K.
+// rebuildPages makes a version of the whole owned window at once. An
+// embedder that owns every row lends its U, label and stamp arrays
+// themselves as the store (no page table: the next patch cuts one, once)
+// and takes private copies on its next write (own) — the copy a rebuild
+// would make, only later, and never made on a server nobody writes to
+// after its bulk load, which then holds one n×K array of sums instead of
+// two. A shard copies its window into one allocation cut into the
+// window's pages, and every page outside the window is the shared zero
+// page (every chunk of only such pages the shared zero chunk), so it
+// allocates its window, not n×K.
 func (d *DynamicEmbedder) rebuildPages() *Pages {
 	k := d.k
 	if d.ownLo == 0 && d.ownHi == d.n {
-		d.uLent = true
-		return &Pages{R: d.n, C: k, flat: d.u.Data}
+		d.lent = true
+		return &Pages{R: d.n, C: k, flat: d.u.Data, y: d.y, rowAt: d.rowAt, yAt: d.yAt}
 	}
 	first, last := d.ownLo>>pageShift, numPages(d.ownHi)
 	base, end := first<<pageShift, min(last<<pageShift, d.n)
@@ -887,58 +851,99 @@ func (d *DynamicEmbedder) rebuildPages() *Pages {
 	// published).
 	clear(backing[:(d.ownLo-base)*k])
 	clear(backing[(d.ownHi-base)*k:])
-	z := &Pages{R: d.n, C: k, chunks: make([]*chunk, numChunks(d.n))}
-	for ci := range z.chunks {
-		z.chunks[ci] = d.zeroChunk
-	}
-	own := make([]chunk, numChunks(last<<pageShift)-first>>chunkShift)
-	for i := range own {
-		own[i] = *d.zeroChunk
-		z.chunks[first>>chunkShift+i] = &own[i]
-	}
-	z.cutPages(backing, base, first, last)
-	return z
+	return d.cutPages(backing, base, first, last)
 }
 
 // patchPages returns prev with the dirty pages replaced by fresh copies
-// of their rows of U; every other page, and every chunk of the table
-// without a dirty page, is shared. Each page is its own allocation so
-// that a version superseded page by page is also collected page by
-// page. The grain keeps a small write's few pages on the publishing
-// goroutine (measured: a second worker only pays from a few thousand
-// rows up).
-func (d *DynamicEmbedder) patchPages(prev *Pages, dirty []int32) *Pages {
+// of their rows of U, their labels and their stamps; every other page,
+// and every chunk of the table without a dirty page, is shared. Each
+// page is its own allocation so that a version superseded page by page
+// is also collected page by page. The grain keeps a small write's few
+// pages on the publishing goroutine (measured: a second worker only pays
+// from a few thousand rows up).
+func (d *DynamicEmbedder) patchPages(prev *Pages, dirty []int32, epoch uint64) *Pages {
 	k := d.k
-	z := &Pages{R: d.n, C: k}
+	z := &Pages{R: d.n, C: k, chunks: slices.Clone(prev.chunks)}
 	if prev.chunks == nil {
 		// prev came out of a rebuild: cut its array into pages, all ours.
-		z.chunks = make([]*chunk, numChunks(d.n))
-		own := make([]chunk, len(z.chunks))
-		for ci := range own {
-			z.chunks[ci] = &own[ci]
-		}
-		z.cutPages(prev.flat, 0, 0, numPages(d.n))
-	} else {
-		z.chunks = append([]*chunk(nil), prev.chunks...)
-		for _, p := range dirty {
-			if ci := p >> chunkShift; z.chunks[ci] == prev.chunks[ci] {
-				c := *prev.chunks[ci]
-				z.chunks[ci] = &c
+		z = d.cutPages(prev.flat, 0, 0, numPages(d.n))
+	}
+	// Every dirty page holds a row or label stamped with this epoch, the
+	// new top of its chunk; the chunk's other pages age by as much as its
+	// top moved.
+	top := uint32(epoch - d.stampBase)
+	for _, p := range dirty {
+		ci := p >> chunkShift
+		if prev.chunks != nil && z.chunks[ci] == prev.chunks[ci] {
+			c := *prev.chunks[ci]
+			for j, a := range c.age {
+				c.age[j] = uint8(min(uint64(a)+uint64(top-c.top), math.MaxUint8))
 			}
+			c.top, z.chunks[ci] = top, &c
 		}
+		z.chunks[ci].age[p&(chunkPages-1)] = 0
 	}
 	parallel.ForChunk(d.workers, len(dirty), 4096/PageRows, func(lo, hi int) {
 		for _, p := range dirty[lo:hi] {
 			r0 := int(p) << pageShift
-			pg := make([]float64, (min(r0+PageRows, d.n)-r0)*k)
+			pg := &page{rows: make([]float64, (min(r0+PageRows, d.n)-r0)*k)}
 			// A dirty page holds at least one owned row; its rows outside
 			// the window stay zero.
 			u0, u1 := max(r0, d.ownLo), min(r0+PageRows, d.ownHi)
-			copy(pg[(u0-r0)*k:(u1-r0)*k], d.u.Data[u0*k:u1*k])
-			z.chunks[p>>chunkShift][p&(chunkPages-1)] = pg
+			copy(pg.rows[(u0-r0)*k:(u1-r0)*k], d.u.Data[u0*k:u1*k])
+			d.fillPage(pg, int(p))
+			z.chunks[p>>chunkShift].pages[p&(chunkPages-1)] = pg
 		}
 	})
 	return z
+}
+
+// cutPages returns a store whose pages [first, last) are fresh, over
+// their rows in backing (whose first row is row base), with their labels
+// and stamps (fillPage), under chunks of their own; every other page is
+// the shared zero page. The pages are one allocation, and so are the
+// chunks.
+func (d *DynamicEmbedder) cutPages(backing []float64, base, first, last int) *Pages {
+	z := &Pages{R: d.n, C: d.k, chunks: make([]*chunk, numChunks(d.n))}
+	for ci := range z.chunks {
+		z.chunks[ci] = d.zeroChunk
+	}
+	c0, c1 := first>>chunkShift, numChunks(last<<pageShift)
+	own, slab := make([]chunk, c1-c0), make([]page, last-first)
+	for ci := c0; ci < c1; ci++ {
+		c, newest := &own[ci-c0], [chunkPages]uint32{}
+		*c, z.chunks[ci] = *d.zeroChunk, c
+		for p := max(first, ci<<chunkShift); p < min(last, (ci+1)<<chunkShift); p++ {
+			pg, r0 := &slab[p-first], p<<pageShift
+			pg.rows = backing[(r0-base)*z.C : (min(r0+PageRows, z.R)-base)*z.C]
+			c.pages[p&(chunkPages-1)], newest[p&(chunkPages-1)] = pg, d.fillPage(pg, p)
+		}
+		c.top = slices.Max(newest[:])
+		for j, t := range newest {
+			c.age[j] = uint8(min(c.top-t, math.MaxUint8))
+		}
+	}
+	return z
+}
+
+// fillPage copies into pg the labels and stamps of page p's owned
+// vertices; every other vertex of the page reads unlabelled and never
+// written. It returns the page's newest stamp.
+func (d *DynamicEmbedder) fillPage(pg *page, p int) uint32 {
+	var newest uint32
+	for i := range PageRows {
+		v := p<<pageShift + i
+		if v < d.ownLo || v >= d.ownHi {
+			pg.y[i] = labels.Unknown
+			continue
+		}
+		// A stamp is an offset from the stamp base, 0 for any epoch at or
+		// before it.
+		row, label := uint32(max(d.rowAt[v], d.stampBase)-d.stampBase), uint32(max(d.yAt[v], d.stampBase)-d.stampBase)
+		pg.y[i], pg.rowAt[i], pg.yAt[i] = d.y[v], row, label
+		newest = max(newest, row, label)
+	}
+	return newest
 }
 
 // SetPublishHook installs a callback invoked after every published

@@ -3,15 +3,15 @@ package dyn
 import "repro/internal/mat"
 
 // A published embedding is cut into pages of PageRows rows, and the page
-// table into chunks of chunkPages page headers. Both are the units two
+// table into chunks of chunkPages page pointers. Both are the units two
 // epochs share: a publish copies the chunk pointers (8 bytes per
-// chunkRows rows), then the chunk and the page of every dirty row. The
-// sizes are chosen for the bytes a small write allocates, because on
-// the serving path those bytes cost more than the copying does: every
-// byte brings the next GC cycle closer, and a cycle holds up the request
-// it lands on for milliseconds. At n=100k, K=10 a 128-edge fold
-// allocates ~155 KB here against ~220 KB with 8-row pages, ~370 KB with
-// 16-row pages, ~460 KB with 16-row pages under one flat table, and
+// chunkRows rows), then the chunk and the page of every dirty row or
+// label. The sizes are chosen for the bytes a small write allocates,
+// because on the serving path those bytes cost more than the copying
+// does: every byte brings the next GC cycle closer, and a cycle holds up
+// the request it lands on for milliseconds. At n=100k, K=10 a 128-edge
+// fold allocates ~155 KB here against ~220 KB with 8-row pages, ~370 KB
+// with 16-row pages, ~460 KB with 16-row pages under one flat table, and
 // 8 MB as a whole matrix; the publish itself takes ~0.25 ms either way.
 const (
 	pageShift  = 2
@@ -21,34 +21,69 @@ const (
 	chunkRows  = PageRows * chunkPages
 )
 
-// chunk is one copy-on-write segment of the page table.
-type chunk [chunkPages][]float64
+// page is PageRows rows of a version: their raw sums, their labels, and
+// the epoch that last wrote each row and each label. The stamps make a
+// version its own delta: the rows changed since epoch e are the rows
+// stamped after e. A stamp is held as an offset from the store's base
+// epoch (0: at or before it), which keeps a page at 72 bytes besides
+// its rows — the bytes a publish allocates per page it copies.
+type page struct {
+	rows  []float64 // row-major raw sums (fewer rows on the last page)
+	y     [PageRows]int32
+	rowAt [PageRows]uint32
+	yAt   [PageRows]uint32
+}
+
+// chunk is one copy-on-write segment of the page table. top is the
+// newest stamp in its pages, and age[j] how many epochs page j's newest
+// stamp is older than top (at least: ages saturate), so a delta skips a
+// chunk, or a page, that nothing in its span touched without opening it.
+// Both change only when the chunk is copied.
+type chunk struct {
+	pages [chunkPages]*page
+	top   uint32
+	age   [chunkPages]uint8
+}
 
 func numPages(r int) int  { return (r + PageRows - 1) >> pageShift }
 func numChunks(r int) int { return (r + chunkRows - 1) >> (pageShift + chunkShift) }
 
-// Pages is an immutable R×C embedding. It stores the raw per-class sums
-// U and the epoch's column scale inv (inv[c] = 1/n_c), and normalises a
-// row only as it is read: Row, Rows and Dense all write U(v,c)·inv[c],
-// the one product every reader sees. Keeping the sums raw is what lets
-// epochs share pages even across a class-count change — a page holds
-// the same bits under any coefficients — so the cost of a version is
-// proportional to the rows a write changed, not to R×C.
+// Pages is an immutable R×C embedding with its labels. It stores the raw
+// per-class sums U and the epoch's column scale inv (inv[c] = 1/n_c),
+// and normalises a row only as it is read: Row, Rows and Dense all write
+// U(v,c)·inv[c], the one product every reader sees. Keeping the sums raw
+// is what lets epochs share pages even across a class-count change — a
+// page holds the same bits under any coefficients — so the cost of a
+// version is proportional to the rows and labels a write changed, not to
+// R×C.
 //
 // The rows live in exactly one of two places. A rebuild of every row
-// leaves them back to back in flat (the embedder's own array, lent to
-// the version), with no page table at all — nothing is shared with the
-// previous epoch, so there is nothing to index. A patched version, and
-// a shard's (whose rows outside its window are shared zero pages),
-// keeps them in PageRows-high pages behind chunks.
+// leaves them back to back in flat, beside flat label and stamp arrays
+// (the embedder's own arrays, lent to the version), with no page table at
+// all — nothing is shared with the previous epoch, so there is nothing to
+// index. A patched version, and a shard's (whose pages outside its window
+// are one shared zero page), keeps them in pages behind chunks.
 type Pages struct {
-	R, C int
-	inv  []float64
-	flat []float64
+	R, C       int
+	inv        []float64
+	flat       []float64
+	y          []int32
+	rowAt, yAt []uint64 // a flat store's stamps, as epochs
+	// base is the epoch the page stamps are offsets from; no delta
+	// reaches back before it.
+	base uint64
 	// off is the position of row 0 inside chunks[0]; non-zero only for a
 	// Window that starts inside a chunk.
 	off    int
 	chunks []*chunk
+}
+
+// page returns the page holding row v.
+//
+//gee:noalloc
+func (p *Pages) page(v int) (pg *page, i int) {
+	g := v + p.off
+	return p.chunks[g>>(pageShift+chunkShift)].pages[(g>>pageShift)&(chunkPages-1)], g & (PageRows - 1)
 }
 
 // span returns the raw sums of rows [v, hi) as far as they run back to
@@ -60,10 +95,8 @@ func (p *Pages) span(v, hi int) []float64 {
 	if p.chunks == nil {
 		return p.flat[v*p.C : hi*p.C]
 	}
-	g := v + p.off
-	pg := p.chunks[g>>(pageShift+chunkShift)][(g>>pageShift)&(chunkPages-1)]
-	i := g & (PageRows - 1)
-	return pg[i*p.C : (i+min(PageRows-i, hi-v))*p.C]
+	pg, i := p.page(v)
+	return pg.rows[i*p.C : (i+min(PageRows-i, hi-v))*p.C]
 }
 
 // scaleRows writes src, rows of raw sums back to back, into dst as
@@ -102,12 +135,34 @@ func (p *Pages) Rows(lo, hi int, dst []float64) {
 	}
 }
 
+// ySpan returns the classes of vertices [v, hi) as far as they run back
+// to back, like span.
+func (p *Pages) ySpan(v, hi int) []int32 {
+	if p.chunks == nil {
+		return p.y[v:hi]
+	}
+	pg, i := p.page(v)
+	return pg.y[i:min(PageRows, i+hi-v)]
+}
+
+// Label returns vertex v's class.
+func (p *Pages) Label(v int) int32 { return p.ySpan(v, v+1)[0] }
+
+// Labels writes the classes of vertices [lo, hi) into dst[:hi-lo]: the
+// block reader for callers that stream many labels.
+func (p *Pages) Labels(lo, hi int, dst []int32) {
+	for v := lo; v < hi; {
+		v += copy(dst[v-lo:], p.ySpan(v, hi))
+	}
+}
+
 // Window returns rows [lo, hi) as a store of their own (row i of the
-// window is row lo+i of p), sharing p's memory and scale. lo and hi need
+// window is row lo+i of p), sharing p's memory, scale and labels but not
+// its stamps, which only a delta of the whole store reads. lo and hi need
 // not sit on page or chunk boundaries.
 func (p *Pages) Window(lo, hi int) *Pages {
 	if p.chunks == nil {
-		return &Pages{R: hi - lo, C: p.C, inv: p.inv, flat: p.flat[lo*p.C : hi*p.C]}
+		return &Pages{R: hi - lo, C: p.C, inv: p.inv, flat: p.flat[lo*p.C : hi*p.C], y: p.y[lo:hi]}
 	}
 	return &Pages{
 		R: hi - lo, C: p.C, inv: p.inv,
@@ -122,15 +177,6 @@ func (p *Pages) Window(lo, hi int) *Pages {
 // one zero page a shard points every page outside its window at.
 func (p *Pages) SameRow(v int, q *Pages, w int) bool {
 	return &p.span(v, v+1)[0] == &q.span(w, w+1)[0]
-}
-
-// cutPages points the table entries of pages [first, last) at their
-// rows in backing, whose first row is row base of the store.
-func (p *Pages) cutPages(backing []float64, base, first, last int) {
-	for pg := first; pg < last; pg++ {
-		r0 := pg << pageShift
-		p.chunks[pg>>chunkShift][pg&(chunkPages-1)] = backing[(r0-base)*p.C : (min(r0+PageRows, p.R)-base)*p.C]
-	}
 }
 
 // Dense returns the rows as one freshly gathered, normalised matrix:

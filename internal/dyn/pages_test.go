@@ -15,15 +15,20 @@ import (
 )
 
 // testPages builds an r×c store whose cell (v, j) holds v*1000+j as its
-// raw sum, scaled by testInv: one array (the shape a rebuild leaves) when
-// flat, otherwise every page its own allocation behind the chunk table
-// (the shape patches converge to).
+// raw sum, scaled by testInv, and whose vertex v has class testLabel(v):
+// one array each (the shape a rebuild leaves) when flat, otherwise every
+// page its own allocation behind the chunk table (the shape patches
+// converge to).
 func testPages(r, c int, flat bool) *Pages {
 	p := &Pages{R: r, C: c, inv: testInv(c)}
 	if flat {
 		p.flat = make([]float64, r*c)
 		for i := range p.flat {
 			p.flat[i] = float64(i/c*1000 + i%c)
+		}
+		p.y, p.rowAt, p.yAt = make([]int32, r), make([]uint64, r), make([]uint64, r)
+		for v := range p.y {
+			p.y[v] = testLabel(v)
 		}
 		return p
 	}
@@ -33,14 +38,21 @@ func testPages(r, c int, flat bool) *Pages {
 	}
 	for pg := 0; pg < numPages(r); pg++ {
 		r0 := pg * PageRows
-		page := make([]float64, min(PageRows, r-r0)*c)
-		for i := range page {
-			page[i] = float64((r0+i/c)*1000 + i%c)
+		rows := make([]float64, min(PageRows, r-r0)*c)
+		for i := range rows {
+			rows[i] = float64((r0+i/c)*1000 + i%c)
 		}
-		p.chunks[pg/chunkPages][pg%chunkPages] = page
+		pp := &page{rows: rows}
+		for i := range pp.y {
+			pp.y[i] = testLabel(r0 + i)
+		}
+		p.chunks[pg/chunkPages].pages[pg%chunkPages] = pp
 	}
 	return p
 }
+
+// testLabel is vertex v's class in the testPages pattern.
+func testLabel(v int) int32 { return int32(v%7) - 1 }
 
 // testInv is a column scale with no exact binary form, so a reader that
 // skipped or reordered the multiply would show in the bits.
@@ -57,7 +69,8 @@ func testInv(c int) []float64 {
 func testCell(v, j int) float64 { return float64(v*1000+j) * (1 / float64(j+3)) }
 
 // checkRows asserts that p holds rows [lo, lo+p.R) of the testPages
-// pattern, through Row, through Rows and through Dense.
+// pattern, through Row, through Rows and through Dense, and their labels
+// through Label and Labels.
 func checkRows(t *testing.T, p *Pages, lo int) {
 	t.Helper()
 	z := p.Dense()
@@ -70,8 +83,17 @@ func checkRows(t *testing.T, p *Pages, lo int) {
 	if block[p.R*p.C] != -1 {
 		t.Fatalf("Rows wrote past row %d", p.R)
 	}
+	ys := make([]int32, p.R+1)
+	ys[p.R] = -9
+	p.Labels(0, p.R, ys)
+	if ys[p.R] != -9 {
+		t.Fatalf("Labels wrote past vertex %d", p.R)
+	}
 	buf := make([]float64, p.C+2)
 	for v := 0; v < p.R; v++ {
+		if want := testLabel(lo + v); p.Label(v) != want || ys[v] != want {
+			t.Fatalf("vertex %d: Label %d, Labels %d, want %d", v, p.Label(v), ys[v], want)
+		}
 		row := p.Row(v, buf)
 		if len(row) != p.C || &row[0] != &buf[0] {
 			t.Fatalf("row %d: %d columns, want %d in the caller's buffer", v, len(row), p.C)
@@ -156,22 +178,30 @@ func (h held) check(t *testing.T) {
 			}
 		}
 	}
-	for v, c := range h.ver.Y {
+	for v, c := range labelsOf(h.ver) {
 		if c != h.y[v] {
 			t.Fatalf("epoch %d changed under its reader: Y[%d] = %d, was %d", h.ver.Epoch, v, c, h.y[v])
 		}
 	}
 }
 
+// labelsOf reads every label of ver through the block reader.
+func labelsOf(ver *Version) []int32 {
+	y := make([]int32, ver.Z.R)
+	ver.Z.Labels(0, ver.Z.R, y)
+	return y
+}
+
 // TestPagedPublishProperty drives random schedules of inserts, deletes,
 // relabels (some cancelling inside one publish window) and 4096-edge
 // bursts through embedders whose n is no multiple of the page height,
-// whose owned window starts and ends mid-page, with the ring off, at
-// its default and three deep — and checks at EVERY epoch, patched or
-// rebuilt, that the paged version is bit for bit the from-scratch
-// normalisation, that its contiguous Snapshot is the same rows and one
-// pointer per epoch, and that every older version a reader still holds
-// has not changed.
+// whose owned window starts and ends mid-page, with readers holding every
+// older version (hist-1), none (hist0) or the oldest and the newest few
+// (hist3) — and checks at EVERY epoch, patched or rebuilt, that the paged
+// version is bit for bit the from-scratch normalisation with the
+// embedder's owned labels, that its contiguous Snapshot is the same rows
+// and labels and one pointer per epoch, and that every older version a
+// reader still holds has not changed.
 // Readers hammer Query, Delta and the pages meanwhile (run with -race).
 func TestPagedPublishProperty(t *testing.T) {
 	const n, k = 20011, 5
@@ -180,7 +210,7 @@ func TestPagedPublishProperty(t *testing.T) {
 			t.Run(fmt.Sprintf("own%d-%d/hist%d", win[0], win[1], hist), func(t *testing.T) {
 				seed := uint64(1000*win[0] + hist + 7)
 				y0 := labels.SampleSemiSupervised(n, k, 0.6, seed)
-				d, err := New(n, y0, Options{K: k, Workers: 2, DeltaHistory: hist, ManualPublish: true,
+				d, err := New(n, y0, Options{K: k, Workers: 2, ManualPublish: true,
 					OwnedLo: win[0], OwnedHi: win[1]})
 				if err != nil {
 					t.Fatal(err)
@@ -279,9 +309,13 @@ func TestPagedPublishProperty(t *testing.T) {
 						}
 					}
 					d.mu.Lock()
-					for v, c := range d.y {
-						if ver.Y[v] != c {
-							t.Fatalf("epoch %d: Y[%d] = %d, embedder has %d", epoch, v, ver.Y[v], c)
+					for v, c := range labelsOf(ver) {
+						want := d.y[v]
+						if !d.owned(graph.NodeID(v)) {
+							want = labels.Unknown
+						}
+						if c != want || snap.Y[v] != want || ver.Z.Label(v) != want {
+							t.Fatalf("epoch %d: Y[%d] = %d (contiguous %d), want %d", epoch, v, c, snap.Y[v], want)
 						}
 					}
 					d.mu.Unlock()
@@ -293,8 +327,10 @@ func TestPagedPublishProperty(t *testing.T) {
 					for _, h := range keep {
 						h.check(t)
 					}
-					keep = append(keep, held{ver, want, append([]int32(nil), ver.Y...)})
-					if len(keep) > 4 {
+					if hist != 0 {
+						keep = append(keep, held{ver, want, labelsOf(ver)})
+					}
+					if hist > 0 && len(keep) > hist {
 						keep = append(keep[:1], keep[2:]...) // the oldest stays held throughout
 					}
 					prev = ver
@@ -308,10 +344,10 @@ func TestPagedPublishProperty(t *testing.T) {
 }
 
 // TestPublishSharesUntouchedPages pins the cost model at the benchmark's
-// scale: a 64-edge write replaces at most 128 pages and shares the rest
-// and Y with the previous version, allocating a small fraction of the
-// matrix; so does a count-changing relabel, which copies only the pages
-// its walk wrote.
+// scale: a 64-edge write replaces at most 128 pages and shares the rest,
+// labels included, with the previous version, allocating a small
+// fraction of the matrix; so does a count-changing relabel, which copies
+// only the pages its walk wrote and the mover's.
 func TestPublishSharesUntouchedPages(t *testing.T) {
 	const n, k = 100_000, 10
 	y0 := labels.SampleSemiSupervised(n, k, 1, 5)
@@ -357,16 +393,14 @@ func TestPublishSharesUntouchedPages(t *testing.T) {
 		}
 		return before, after, differ
 	}
-	before, after, differ := publish("64-edge write", batch(64))
+	_, _, differ := publish("64-edge write", batch(64))
 	if differ == 0 || differ > 128 {
 		t.Errorf("%d pages differ after a 64-edge write, want 1..128", differ)
 	}
-	if &after.Y[0] != &before.Y[0] {
-		t.Error("Y was copied although no label moved")
-	}
 
 	// Moving one vertex changes two class counts: a new 1/n_k vector, and
-	// fresh copies of the pages its walk wrote — its neighbours' rows.
+	// fresh copies of the pages its walk wrote — its neighbours' rows —
+	// and of the page holding its label.
 	d.mu.Lock()
 	walked := len(d.adj[0])
 	d.mu.Unlock()
@@ -374,12 +408,12 @@ func TestPublishSharesUntouchedPages(t *testing.T) {
 		t.Fatal("vertex 0 has no neighbours; the relabel would walk nothing")
 	}
 	moved := LabelUpdate{V: 0, Class: (y0[0] + 1) % k}
-	before, after, differ = publish("count-changing relabel", Batch{Labels: []LabelUpdate{moved}})
-	if differ == 0 || differ > walked {
-		t.Errorf("%d pages differ after a relabel walking %d rows, want 1..%d", differ, walked, walked)
+	before, after, differ := publish("count-changing relabel", Batch{Labels: []LabelUpdate{moved}})
+	if differ == 0 || differ > walked+1 {
+		t.Errorf("%d pages differ after a relabel walking %d rows, want 1..%d", differ, walked, walked+1)
 	}
-	if &after.Y[0] == &before.Y[0] || before.Y[0] != y0[0] {
-		t.Error("a relabel wrote into the Y of a published version")
+	if samePage(after.Z, before.Z, 0) || before.Z.Label(0) != y0[0] || after.Z.Label(0) != moved.Class {
+		t.Error("a relabel wrote into the labels of a published version")
 	}
 	if st := d.Stats(); st.DenseViews != 0 {
 		t.Errorf("publishing derived %d contiguous views, want none", st.DenseViews)
@@ -388,11 +422,13 @@ func TestPublishSharesUntouchedPages(t *testing.T) {
 
 // TestCountChangingRelabelPatches pins the raw-sum contract on the
 // publish a relabel makes: moving labelled vertices between classes
-// copies exactly the pages holding a row its walk wrote and shares every
-// other page with the previous version; every row still equals the
-// from-scratch U·diag(1/n_k) bit for bit; the version a reader held
-// across it is unchanged; and the epoch still reads as full, because
-// every served row of the two classes' columns was rescaled.
+// copies exactly the pages holding a row its walk wrote or an owned
+// mover's label, and shares every other page with the previous version;
+// the copied pages stamp exactly those rows and labels with the new
+// epoch; every row still equals the from-scratch U·diag(1/n_k) bit for
+// bit; the version a reader held across it is unchanged; and a delta
+// across it still answers resync, because every served row of the two
+// classes' columns was rescaled.
 func TestCountChangingRelabelPatches(t *testing.T) {
 	const n, k = 20011, 5
 	for _, win := range [][2]int{{0, 0}, {3001, 15007}} {
@@ -416,11 +452,11 @@ func TestCountChangingRelabelPatches(t *testing.T) {
 				t.Fatal(err)
 			}
 			prev := d.Publish()
-			keep := held{prev, scratchRows(d), append([]int32(nil), prev.Y...)}
+			keep := held{prev, scratchRows(d), labelsOf(prev)}
 
 			// Twenty labelled vertices, each moved to another class.
 			var moves []LabelUpdate
-			walked := make(map[int]bool)
+			walked, movers := make(map[int]bool), make(map[int]bool)
 			d.mu.Lock()
 			for len(moves) < 20 {
 				v := graph.NodeID(r.Intn(n))
@@ -428,6 +464,7 @@ func TestCountChangingRelabelPatches(t *testing.T) {
 					continue
 				}
 				moves = append(moves, LabelUpdate{V: v, Class: (y0[v] + 1 + int32(r.Intn(k-1))) % k})
+				movers[int(v)] = d.owned(v)
 				for _, he := range d.adj[v] {
 					if d.owned(he.v) {
 						walked[int(he.v)] = true
@@ -445,10 +482,15 @@ func TestCountChangingRelabelPatches(t *testing.T) {
 			for pg := 0; pg < numPages(n); pg++ {
 				wrote := false
 				for v := pg * PageRows; v < min((pg+1)*PageRows, n); v++ {
-					wrote = wrote || walked[v]
+					wrote = wrote || walked[v] || movers[v]
+					row, label := stamps(ver.Z, v)
+					if (row == ver.Epoch) != walked[v] || (label == ver.Epoch) != movers[v] {
+						t.Fatalf("vertex %d: row stamp %d (walked %v), label stamp %d (owned mover %v), epoch %d",
+							v, row, walked[v], label, movers[v], ver.Epoch)
+					}
 				}
 				if shared := samePage(ver.Z, prev.Z, pg); shared == wrote {
-					t.Fatalf("page %d: shared=%v, but it holds a walked row=%v", pg, shared, wrote)
+					t.Fatalf("page %d: shared=%v, but it holds a walked row or moved label=%v", pg, shared, wrote)
 				}
 			}
 			want := scratchRows(d)
@@ -468,61 +510,59 @@ func TestCountChangingRelabelPatches(t *testing.T) {
 	}
 }
 
-// TestPublishInstrumentsWithoutRing checks that the publish instruments
-// describe every publish whether or not the delta ring is kept (they
-// used to live inside the ring branch and read zero with it off), and
-// that folds are exported by path.
-func TestPublishInstrumentsWithoutRing(t *testing.T) {
+// TestPublishInstrumentsAndFoldPaths checks that the publish instruments
+// describe every publish — dirty rows (a count change counts as every
+// row), rows copied into fresh pages (a moved label's page included), and
+// count-changing epochs — and that folds are exported by path.
+func TestPublishInstrumentsAndFoldPaths(t *testing.T) {
 	const n, k = 2000, 4
-	for _, hist := range []int{-1, 0} {
-		d, err := New(n, labels.Full(n, k, 3), Options{K: k, DeltaHistory: hist})
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := metrics.NewRegistry()
-		d.Instrument(reg, metrics.L("shard", "0"))
-		// Two rows on two pages, patched; then a count-changing move of
-		// one endpoint: a full epoch that copies the one page its walk
-		// wrote (the other endpoint's).
-		if err := d.AddEdges([]graph.Edge{{U: 1, V: 100, W: 1}}); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.UpdateLabels([]LabelUpdate{{V: 1, Class: (d.Version().Y[1] + 1) % k}}); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := reg.WriteText(&buf); err != nil {
-			t.Fatal(err)
-		}
-		samples, err := metrics.ParseText(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, want := range []struct {
-			name, path string
-			value      float64
-		}{
-			{"gee_dyn_publish_dirty_rows_count", "", 2},
-			{"gee_dyn_publish_dirty_rows_sum", "", 2 + n},
-			{"gee_dyn_publish_rows_normalized_count", "", 2},
-			{"gee_dyn_publish_rows_normalized_sum", "", 2*PageRows + PageRows},
-			{"gee_dyn_full_epochs_total", "", 1},
-			{"gee_dyn_folds_total", "serial", 1},
-			{"gee_dyn_folds_total", "atomic", 0},
-			{"gee_dyn_folds_total", "sharded", 0},
-		} {
-			found := false
-			for _, s := range samples {
-				if s.Name == want.name && s.Labels["path"] == want.path && s.Labels["shard"] == "0" {
-					found = true
-					if s.Value != want.value {
-						t.Errorf("hist %d: %s{path=%q} = %v, want %v", hist, want.name, want.path, s.Value, want.value)
-					}
+	d, err := New(n, labels.Full(n, k, 3), Options{K: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	d.Instrument(reg, metrics.L("shard", "0"))
+	// Two rows on two pages, patched; then a count-changing move of one
+	// endpoint, which copies the page its walk wrote (the other
+	// endpoint's) and the page of its own label.
+	if err := d.AddEdges([]graph.Edge{{U: 1, V: 100, W: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.UpdateLabels([]LabelUpdate{{V: 1, Class: (d.Version().Z.Label(1) + 1) % k}}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := reg.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := metrics.ParseText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct {
+		name, path string
+		value      float64
+	}{
+		{"gee_dyn_publish_dirty_rows_count", "", 2},
+		{"gee_dyn_publish_dirty_rows_sum", "", 2 + n},
+		{"gee_dyn_publish_rows_normalized_count", "", 2},
+		{"gee_dyn_publish_rows_normalized_sum", "", 2*PageRows + 2*PageRows},
+		{"gee_dyn_full_epochs_total", "", 1},
+		{"gee_dyn_folds_total", "serial", 1},
+		{"gee_dyn_folds_total", "atomic", 0},
+		{"gee_dyn_folds_total", "sharded", 0},
+	} {
+		found := false
+		for _, s := range samples {
+			if s.Name == want.name && s.Labels["path"] == want.path && s.Labels["shard"] == "0" {
+				found = true
+				if s.Value != want.value {
+					t.Errorf("%s{path=%q} = %v, want %v", want.name, want.path, s.Value, want.value)
 				}
 			}
-			if !found {
-				t.Errorf("hist %d: %s{path=%q} not exported", hist, want.name, want.path)
-			}
+		}
+		if !found {
+			t.Errorf("%s{path=%q} not exported", want.name, want.path)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package dyn
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
@@ -8,6 +9,31 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/xrand"
 )
+
+// benchEmbedder is the serving benchmark's scale: n=100k, K=10, 20%
+// labelled, 700k base edges folded and published (one rebuild), manual
+// publish. edges draws m random unit-weight edges from r.
+func benchEmbedder(b *testing.B) (d *DynamicEmbedder, y []int32, r *xrand.Rand, edges func(m int) []graph.Edge) {
+	const n, k = 100_000, 10
+	y = labels.SampleSemiSupervised(n, k, 0.2, 1)
+	d, err := New(n, y, Options{K: k, ManualPublish: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r = xrand.New(2)
+	edges = func(m int) []graph.Edge {
+		out := make([]graph.Edge, m)
+		for i := range out {
+			out[i] = graph.Edge{U: graph.NodeID(r.Intn(n)), V: graph.NodeID(r.Intn(n)), W: 1}
+		}
+		return out
+	}
+	if err := d.AddEdges(edges(700_000)); err != nil {
+		b.Fatal(err)
+	}
+	d.Publish()
+	return d, y, r, edges
+}
 
 // BenchmarkPublish times one publish at the serving benchmark's scale
 // (n=100k, K=10, 20% labelled, 700k base edges) after each of three
@@ -19,24 +45,7 @@ import (
 //
 //	go test -run '^$' -bench Publish -benchmem ./internal/dyn
 func BenchmarkPublish(b *testing.B) {
-	const n, k = 100_000, 10
-	y := labels.SampleSemiSupervised(n, k, 0.2, 1)
-	d, err := New(n, y, Options{K: k, ManualPublish: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := xrand.New(2)
-	edges := func(m int) []graph.Edge {
-		out := make([]graph.Edge, m)
-		for i := range out {
-			out[i] = graph.Edge{U: graph.NodeID(r.Intn(n)), V: graph.NodeID(r.Intn(n)), W: 1}
-		}
-		return out
-	}
-	if err := d.AddEdges(edges(700_000)); err != nil {
-		b.Fatal(err)
-	}
-	d.Publish()
+	d, y, r, edges := benchEmbedder(b)
 	d.Instrument(metrics.NewRegistry())
 	var labelled []graph.NodeID
 	for v, c := range y {
@@ -59,7 +68,7 @@ func BenchmarkPublish(b *testing.B) {
 		{"relabel64", func(i int) (do, undo Batch) {
 			for range 64 {
 				v := labelled[r.Intn(len(labelled))]
-				do.Labels = append(do.Labels, LabelUpdate{V: v, Class: int32(i % k)})
+				do.Labels = append(do.Labels, LabelUpdate{V: v, Class: int32(i % d.k)})
 				undo.Labels = append(undo.Labels, LabelUpdate{V: v, Class: y[v]})
 			}
 			return do, undo
@@ -87,5 +96,47 @@ func BenchmarkPublish(b *testing.B) {
 			}
 			b.ReportMetric(copied/float64(b.N), "rows/publish")
 		})
+	}
+}
+
+// BenchmarkDelta times Delta at BenchmarkPublish's scale, from one and
+// from 200 publishes back, each against a patched current version (after
+// 200 publishes of 64-edge inserts) and a flat one (after a 16384-edge
+// insert dirties enough pages to rebuild). Besides time and allocations
+// it reports rows/delta: the rows the delta lists.
+//
+//	go test -run '^$' -bench Delta -benchmem ./internal/dyn
+func BenchmarkDelta(b *testing.B) {
+	d, _, _, edges := benchEmbedder(b)
+	publish := func(m int) {
+		if err := d.AddEdges(edges(m)); err != nil {
+			b.Fatal(err)
+		}
+		d.Publish()
+	}
+	for range 200 {
+		publish(64)
+	}
+	for _, shape := range []string{"patched", "flat"} {
+		if shape == "flat" {
+			publish(16384)
+		}
+		if flat := d.Version().Z.chunks == nil; flat != (shape == "flat") {
+			b.Fatalf("%s case: current version flat=%v", shape, flat)
+		}
+		for _, back := range []uint64{1, 200} {
+			b.Run(fmt.Sprintf("%s/back%d", shape, back), func(b *testing.B) {
+				b.ReportAllocs()
+				from, rows := d.Epoch()-back, 0
+				for i := 0; i < b.N; i++ {
+					dl := d.Delta(from)
+					if dl.Resync {
+						b.Fatalf("delta from %d resynced", from)
+					}
+					rows += len(dl.Rows)
+				}
+				b.ReportMetric(float64(rows)/float64(b.N), "rows/delta")
+			})
+		}
 	}
 }

@@ -106,7 +106,7 @@ func Validate(y []int32, k int) error {
 // Propagation runs synchronous label propagation on a symmetrized graph
 // for at most rounds iterations: every vertex adopts the most frequent
 // label among its neighbors (ties to the smallest label), starting from
-// singleton labels. Returns a dense community labeling relabeled to
+// singleton labels. Returns a dense community labeling renumbered to
 // [0,#communities). This is the repository's stand-in for Leiden as an
 // unsupervised source of Y (see package comment).
 func Propagation(workers int, g *graph.CSR, rounds int, seed uint64) []int32 {

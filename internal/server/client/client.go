@@ -159,19 +159,10 @@ func (c *Client) send(ctx context.Context, method, path string, body []byte, out
 	if c.wire == Binary {
 		req.Header.Set("Accept", acceptValue)
 	}
-	// Propagate (or mint) the trace id so the server's recorded trace
-	// shares an id with the caller's: a slow-request line on the server
-	// is directly joinable with client-side logs. When the context
-	// carries a live trace, the call also records an rpc span in it.
-	tr := trace.FromContext(ctx)
-	rpc := tr.StartSpan("rpc")
-	tr.SpanTag(rpc, "path", path)
-	if tr != nil {
-		req.Header.Set(trace.Header, tr.ID().String())
-	} else {
-		req.Header.Set(trace.Header, trace.NewID().String())
-	}
-	defer tr.EndSpan(rpc)
+	// Mint the trace id the server records this request under, so a
+	// slow-request line on the server is directly joinable with
+	// client-side logs.
+	req.Header.Set(trace.Header, trace.NewID().String())
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return 0, err

@@ -160,7 +160,7 @@ func TestReplicaFollowsPrimary(t *testing.T) {
 		// fraction of the matrix and the byte-asymmetry assertion below
 		// is about the mechanism, not workload luck.
 		const n, k, rounds = 1500, 4, 40
-		p := newPrimary(t, n, k, nShards, dyn.Options{DeltaHistory: 16})
+		p := newPrimary(t, n, k, nShards, dyn.Options{})
 		c := client.New(p.serve(t), nil, client.WithWire(wf))
 		ctx := context.Background()
 		rep := client.NewReplica(c)
@@ -292,8 +292,8 @@ func TestReplicaDetectsServerRestart(t *testing.T) {
 		}))
 		defer ts.Close()
 		c := client.New(ts.URL, ts.Client(), client.WithWire(wf))
-		// Several batches per stack so both instances sit at epochs
-		// comfortably inside their delta rings.
+		// Several batches per stack so both instances sit at epochs a
+		// row delta could serve.
 		mkStack := func(seed uint64, batches int) *primary {
 			p := newPrimary(t, n, k, nShards, dyn.Options{})
 			current.Store(&p.h)
@@ -337,31 +337,43 @@ func TestReplicaDetectsServerRestart(t *testing.T) {
 	})
 }
 
-// TestReplicaLagBeyondRing checks the eviction path: a replica left
-// behind for more rounds than the ring retains is told to resync and
-// still converges exactly.
-func TestReplicaLagBeyondRing(t *testing.T) {
+// TestReplicaLagsWithoutResync checks that how far a follower lags does
+// not decide whether it gets a delta: a replica left 200 publishes behind
+// on every shard still catches up with changed rows alone — no section
+// refetched — and equals the primary bit for bit. n is sized so the
+// span's rows stay under half of each section, the one size rule left.
+func TestReplicaLagsWithoutResync(t *testing.T) {
 	eachTopology(t, func(t *testing.T, nShards int, wf client.Format) {
-		const n, k = 100, 3
-		p := newPrimary(t, n, k, nShards, dyn.Options{DeltaHistory: 4})
+		const n, k, lag = 3000, 3, 200
+		p := newPrimary(t, n, k, nShards, dyn.Options{})
 		c := client.New(p.serve(t), nil, client.WithWire(wf))
 		ctx := context.Background()
 		rep := client.NewReplica(c)
 		if resynced, err := rep.Sync(ctx); err != nil || !resynced { // first Sync bootstraps
 			t.Fatalf("first sync: resynced=%v err=%v, want bootstrap", resynced, err)
 		}
+		// One edge inside one section per write, round robin, so every
+		// shard publishes lag times.
 		r := xrand.New(73)
-		for round := 0; round < 10*nShards; round++ { // ≥ 10 epochs per shard ≫ 4 retained
-			if _, err := c.InsertEdges(ctx, randEdges(r, n, 4)); err != nil {
+		for round := 0; round < lag*nShards; round++ {
+			lo, hi := p.part.Range(round % nShards)
+			e := graph.Edge{U: lo + graph.NodeID(r.Intn(int(hi-lo))), V: lo + graph.NodeID(r.Intn(int(hi-lo))), W: 1}
+			if _, err := c.InsertEdges(ctx, []graph.Edge{e}); err != nil {
 				t.Fatal(err)
 			}
 		}
+		for i, sh := range p.shards {
+			if sh.D.Epoch() != lag {
+				t.Fatalf("test setup: shard %d at epoch %d, want %d", i, sh.D.Epoch(), lag)
+			}
+		}
+		before := rep.Stats()
 		resynced, err := rep.Sync(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !resynced {
-			t.Fatal("lagging replica was not resynced")
+		if after := rep.Stats(); resynced || after.SnapshotBytes != before.SnapshotBytes || after.RowsApplied == before.RowsApplied {
+			t.Fatalf("a replica %d publishes behind resynced=%v: %+v -> %+v", lag, resynced, before, after)
 		}
 		mustMatch(t, rep, p, wf)
 	})
@@ -374,7 +386,7 @@ func TestReplicaLagBeyondRing(t *testing.T) {
 // (4 B vs 8 B per value).
 func TestReplicaWireBytesBinaryVsJSON(t *testing.T) {
 	const n, k, rounds = 600, 4, 10
-	base := newPrimary(t, n, k, 1, dyn.Options{DeltaHistory: 32}).serve(t)
+	base := newPrimary(t, n, k, 1, dyn.Options{}).serve(t)
 	ctx := context.Background()
 	cj := client.New(base, nil)
 	cb := client.New(base, nil, client.WithWire(client.Binary))

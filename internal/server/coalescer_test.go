@@ -201,8 +201,8 @@ func TestCoalescerSubmitCloseRace(t *testing.T) {
 	t.Logf("accepted %d, refused %d", accepted.Load(), refused.Load())
 }
 
-// TestCoalescerAckEpochMonotonic locks in the invariant the delta ring
-// (and every replica riding on ack epochs) depends on: across
+// TestCoalescerAckEpochMonotonic locks in the invariant epoch deltas
+// (and every replica riding on ack epochs) depend on: across
 // sequential requests, ack epochs never go backwards, are never the
 // unpublished epoch 0, and the final published epoch covers the last
 // ack — under both the PublishEvery op-count policy (publishes from

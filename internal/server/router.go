@@ -366,7 +366,6 @@ func (rt *router) section(i int) (sec *dyn.Version, lo int) {
 		Epoch:    ver.Epoch,
 		Instance: ver.Instance,
 		Edges:    ver.Edges,
-		Y:        ver.Y[lo:hi],
 		Z:        ver.Z.Window(lo, hi),
 	}, lo
 }

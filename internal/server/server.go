@@ -158,8 +158,9 @@ type NeighborsResponse struct {
 // its owned window. When Resync is false, overwriting rows Rows[i] with
 // Z[i] and applying Labels turns an epoch-From copy of the section into
 // the epoch-Epoch one exactly; when Resync is true the follower must
-// refetch the section from /v1/snapshot (the ring evicted From, or an
-// epoch in the span changed class counts and rescaled whole columns).
+// refetch the section from /v1/snapshot (From is ahead of the section,
+// an epoch in the span changed class counts and rescaled whole columns,
+// or the span changed more than half the section's rows).
 type DeltaResponse struct {
 	From  uint64 `json:"from"`
 	Epoch uint64 `json:"epoch"`

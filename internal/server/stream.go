@@ -46,8 +46,10 @@ type streamer struct {
 	// through w incrementally like scratch does).
 	blob []byte
 	// rows holds one block of normalised rows between the version that
-	// fills it and the row writers that format it.
-	rows []float64
+	// fills it and the row writers that format it; labels does the same
+	// for a block of classes.
+	rows   []float64
+	labels []int32
 }
 
 var streamerPool = sync.Pool{New: func() any {
@@ -98,6 +100,21 @@ func (s *streamer) block(lo, hi, k int, fill rowFill) []float64 {
 	return b
 }
 
+// labelBlock fills the pooled label buffer with the classes of vertices
+// [lo, hi) of z and returns it.
+func (s *streamer) labelBlock(z *dyn.Pages, lo, hi int) []int32 {
+	if cap(s.labels) < hi-lo {
+		s.labels = make([]int32, hi-lo)
+	}
+	b := s.labels[:hi-lo]
+	z.Labels(lo, hi, b)
+	return b
+}
+
+// labelsPerBlock is how many labels are read, formatted and checked for
+// an abort at a time.
+const labelsPerBlock = 8 * abortCheckEvery
+
 // aborted reports whether further output is pointless: the writer
 // failed (client disconnected mid-flush) or the request context was
 // cancelled (client disconnected while we were still formatting).
@@ -137,18 +154,20 @@ func (s *streamer) floatv(x float64) {
 	s.w.Write(s.scratch)
 }
 
-// intArray emits a JSON array of int32s with periodic abort checks.
-// Reports whether it ran to completion.
-func (s *streamer) intArray(vals []int32) bool {
+// labelArray emits z's labels as a JSON array of ints with periodic
+// abort checks. Reports whether it ran to completion.
+func (s *streamer) labelArray(z *dyn.Pages) bool {
 	s.rawByte('[')
-	for i, v := range vals {
-		if i%(8*abortCheckEvery) == 0 && s.aborted() {
+	for lo := 0; lo < z.R; lo += labelsPerBlock {
+		if s.aborted() {
 			return false
 		}
-		if i > 0 {
-			s.rawByte(',')
+		for i, c := range s.labelBlock(z, lo, min(lo+labelsPerBlock, z.R)) {
+			if lo+i > 0 {
+				s.rawByte(',')
+			}
+			s.intv(int64(c))
 		}
-		s.intv(int64(v))
 	}
 	s.rawByte(']')
 	return true
@@ -197,7 +216,7 @@ func streamSnapshot(s *streamer, snap *dyn.Version, shardID, lo int) int {
 	fmt.Fprintf(s.w, `{"epoch":%d,"instance":%d,"shard":%d,"lo":%d,"n":%d,"k":%d,"edges":%d,"y":`,
 		snap.Epoch, snap.Instance, shardID, lo, snap.Z.R, snap.Z.C, snap.Edges)
 	rows := 0
-	if s.intArray(snap.Y) {
+	if s.labelArray(snap.Z) {
 		s.raw(`,"z":`)
 		rows = s.floatRows(snap.Z.R, snap.Z.C, snap.Z.Rows)
 		if rows == snap.Z.R {

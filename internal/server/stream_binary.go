@@ -25,15 +25,14 @@ func (s *streamer) binHeader(h wire.Header) {
 	s.w.Write(s.scratch)
 }
 
-// binI32s writes an int32 section with periodic abort checks; reports
-// whether it ran to completion.
-func (s *streamer) binI32s(vals []int32) bool {
-	for lo := 0; lo < len(vals); lo += 8 * abortCheckEvery {
+// binLabels writes z's labels as an int32 section with periodic abort
+// checks; reports whether it ran to completion.
+func (s *streamer) binLabels(z *dyn.Pages) bool {
+	for lo := 0; lo < z.R; lo += labelsPerBlock {
 		if s.aborted() {
 			return false
 		}
-		hi := min(lo+8*abortCheckEvery, len(vals))
-		s.scratch = wire.AppendI32s(s.scratch[:0], vals[lo:hi])
+		s.scratch = wire.AppendI32s(s.scratch[:0], s.labelBlock(z, lo, min(lo+labelsPerBlock, z.R)))
 		s.w.Write(s.scratch)
 	}
 	return true
@@ -75,10 +74,10 @@ func streamSnapshotBinary(s *streamer, snap *dyn.Version) int {
 	s.binHeader(wire.Header{
 		Kind: wire.KindSnapshot, K: uint32(snap.Z.C),
 		Epoch: snap.Epoch, Instance: snap.Instance, Edges: snap.Edges,
-		N: uint32(snap.Z.R), NY: uint32(len(snap.Y)), NRows: uint32(snap.Z.R),
+		N: uint32(snap.Z.R), NY: uint32(snap.Z.R), NRows: uint32(snap.Z.R),
 	})
 	rows := 0
-	if s.binI32s(snap.Y) {
+	if s.binLabels(snap.Z) {
 		rows = s.binRows(snap.Z.R, snap.Z.C, snap.Z.Rows)
 	}
 	s.flush()

@@ -65,8 +65,11 @@ func TestStreamSnapshotBinaryRoundTrips(t *testing.T) {
 	if f.RowIDs != nil {
 		t.Fatalf("snapshot frame carries %d explicit row ids, want implicit identity", len(f.RowIDs))
 	}
-	for v, want := range snap.Y {
-		if f.Y[v] != want {
+	if len(f.Y) != snap.Z.R {
+		t.Fatalf("frame carries %d labels for %d rows", len(f.Y), snap.Z.R)
+	}
+	for v := range snap.Z.R {
+		if want := snap.Z.Label(v); f.Y[v] != want {
 			t.Fatalf("Y[%d] = %d, want %d", v, f.Y[v], want)
 		}
 	}

@@ -21,7 +21,6 @@
 package trace
 
 import (
-	"context"
 	"fmt"
 	"math/rand/v2"
 	"strconv"
@@ -238,21 +237,4 @@ func (t *Trace) Span(name string) (Span, bool) {
 		}
 	}
 	return Span{}, false
-}
-
-type ctxKey struct{}
-
-// NewContext returns ctx carrying the trace, so a client call stack
-// can propagate the id into outbound request headers.
-func NewContext(ctx context.Context, t *Trace) context.Context {
-	if t == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, t)
-}
-
-// FromContext returns the trace carried by ctx, or nil.
-func FromContext(ctx context.Context) *Trace {
-	t, _ := ctx.Value(ctxKey{}).(*Trace)
-	return t
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"context"
 	"testing"
 	"time"
 )
@@ -103,19 +102,5 @@ func TestNilTraceSafe(t *testing.T) {
 	live.SpanTag(5, "k", "v")
 	if len(live.Spans()) != 0 {
 		t.Fatal("bad ref mutated a live trace")
-	}
-}
-
-func TestContextRoundTrip(t *testing.T) {
-	if FromContext(context.Background()) != nil {
-		t.Fatal("empty context carried a trace")
-	}
-	tr := New("sync")
-	ctx := NewContext(context.Background(), tr)
-	if FromContext(ctx) != tr {
-		t.Fatal("context did not round-trip the trace")
-	}
-	if got := NewContext(context.Background(), nil); FromContext(got) != nil {
-		t.Fatal("NewContext(nil) stored a value")
 	}
 }
