@@ -54,8 +54,8 @@ func DefaultAnalyzers() []Analyzer {
 				// Published rows: every read path fetches its rows
 				// through the paged store's accessors, which normalise
 				// into the caller's buffer.
-				"(*repro/internal/dyn.Pages).Row",
-				"(*repro/internal/dyn.Pages).Rows",
+				"(*repro/internal/rows.Pages).Row",
+				"(*repro/internal/rows.Pages).Rows",
 				// Metrics: Observe sits on every request path.
 				"(*repro/internal/metrics.Histogram).Observe",
 				"(*repro/internal/metrics.Histogram).ObserveSince",

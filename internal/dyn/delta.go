@@ -94,48 +94,24 @@ func (d *DynamicEmbedder) Delta(from uint64) *Delta {
 	switch {
 	case from == ver.Epoch:
 		return res
-	case from > ver.Epoch || from < max(ver.invEpoch, ver.Z.base):
+	case from > ver.Epoch || from < ver.invEpoch:
 		res.Resync = true
 		return res
 	}
-	// One walk of the stamps: a paged version skips every chunk and page
-	// whose newest stamp (held in the chunk) is no later than from, so the
-	// walk costs O(chunks + changed pages); a flat one sweeps its stamp
-	// arrays. Values and final classes come from the current version: the
-	// intermediate states a row passed through are invisible to a
-	// follower jumping from `from` straight to Epoch. A vertex moved back
-	// to its epoch-`from` class still appears in Labels; reapplying an
-	// unchanged class is harmless.
-	z, limit := ver.Z, (d.ownHi-d.ownLo)/2
-	emit := func(v int, row, label bool, class int32) {
+	// One walk of the stamps (rows.Pages.Since). Values and final classes
+	// come from the current version: the intermediate states a row passed
+	// through are invisible to a follower jumping from `from` straight to
+	// Epoch. A vertex moved back to its epoch-`from` class still appears
+	// in Labels; reapplying an unchanged class is harmless.
+	z := ver.Z
+	if !z.Since(from, func(v int, row, label bool) {
 		if row {
 			res.Rows = append(res.Rows, graph.NodeID(v))
 		}
 		if label {
-			res.Labels = append(res.Labels, LabelUpdate{V: graph.NodeID(v), Class: class})
+			res.Labels = append(res.Labels, LabelUpdate{V: graph.NodeID(v), Class: z.Label(v)})
 		}
-	}
-	if z.chunks == nil {
-		for v := range z.R {
-			emit(v, z.rowAt[v] > from, z.yAt[v] > from, z.y[v])
-		}
-	}
-	for ci, c := range z.chunks {
-		top := z.base + uint64(c.top)
-		if top <= from {
-			continue
-		}
-		for j, pg := range &c.pages {
-			if top-uint64(c.age[j]) <= from {
-				continue
-			}
-			v := (ci<<chunkShift + j) << pageShift
-			for i := range min(PageRows, z.R-v) {
-				emit(v+i, z.base+uint64(pg.rowAt[i]) > from, z.base+uint64(pg.yAt[i]) > from, pg.y[i])
-			}
-		}
-	}
-	if len(res.Rows) > limit {
+	}) || len(res.Rows) > (d.ownHi-d.ownLo)/2 {
 		res.Rows, res.Labels, res.Resync = nil, nil, true
 		return res
 	}

@@ -378,16 +378,6 @@ func (c *churn) next(maxIns int, rows, moved map[graph.NodeID]bool) Batch {
 	return b
 }
 
-// stamps returns the epochs z records as the last writes of row v and
-// of v's label (z's base for any write at or before it).
-func stamps(z *Pages, v int) (row, label uint64) {
-	if z.chunks == nil {
-		return z.rowAt[v], z.yAt[v]
-	}
-	p, i := z.page(v)
-	return z.base + uint64(p.rowAt[i]), z.base + uint64(p.yAt[i])
-}
-
 // ascending returns the members of set in ascending order.
 func ascending(set map[graph.NodeID]bool) []graph.NodeID {
 	var out []graph.NodeID
@@ -448,13 +438,13 @@ func TestDirtyRowsAreWrittenRows(t *testing.T) {
 					d.mu.Unlock()
 					ver := d.Publish()
 					for v := 0; v < n; v++ {
-						row, label := stamps(ver.Z, v)
+						row, label := ver.Z.Stamps(v)
 						if (row == ver.Epoch) != wrote[graph.NodeID(v)] || (label == ver.Epoch) != moved[graph.NodeID(v)] {
 							t.Fatalf("epoch %d: vertex %d stamped row %d, label %d; written %v, moved %v",
 								epoch, v, row, label, wrote[graph.NodeID(v)], moved[graph.NodeID(v)])
 						}
 					}
-					counted := slices.Equal(ver.Z.inv, prev.Z.inv)
+					counted := ver.invEpoch == prev.invEpoch
 					if dl := d.Delta(prev.Epoch); dl.Resync == counted {
 						t.Fatalf("epoch %d: resync=%v, but class counts held=%v", epoch, dl.Resync, counted)
 					} else if !dl.Resync && !slices.Equal(dl.Rows, ascending(wrote)) {
@@ -465,7 +455,7 @@ func TestDirtyRowsAreWrittenRows(t *testing.T) {
 						if wrote[graph.NodeID(v)] {
 							continue
 						}
-						was, is := prev.Z.span(v, v+1), ver.Z.span(v, v+1)
+						was, is := prev.Z.RawRow(v, a), ver.Z.RawRow(v, b)
 						if counted {
 							was, is = prev.Z.Row(v, a), ver.Z.Row(v, b)
 						}
@@ -548,7 +538,7 @@ func TestDeltaFromAnyHeldEpoch(t *testing.T) {
 					case big:
 						fired["half"]++
 						continue
-					case cur.Z.chunks == nil:
+					case !cur.Z.Paged():
 						fired["flat"]++
 					default:
 						fired["paged"]++
@@ -563,8 +553,9 @@ func TestDeltaFromAnyHeldEpoch(t *testing.T) {
 					if !slices.Equal(got, ascending(labs)) {
 						t.Fatalf("epoch %d from %d: delta labels %v, moved %v", epoch, e.Epoch, got, ascending(labs))
 					}
+					was, is := make([]float64, k), make([]float64, k)
 					for v := 0; v < n; v++ {
-						if !slices.Equal(e.Z.span(v, v+1), cur.Z.span(v, v+1)) && !rows[graph.NodeID(v)] {
+						if !slices.Equal(e.Z.RawRow(v, was), cur.Z.RawRow(v, is)) && !rows[graph.NodeID(v)] {
 							t.Fatalf("epoch %d from %d: row %d changed raw bits but is not in the delta", epoch, e.Epoch, v)
 						}
 					}
@@ -664,8 +655,9 @@ func TestStampRebase(t *testing.T) {
 						t.Fatalf("epoch %d: a delta from before the stamp base was served", ver.Epoch)
 					}
 				}
-				if ver.Epoch != first+uint64(i) || ver.Z.base != base {
-					t.Fatalf("epoch %d: stamp base %d, want epoch %d and base %d", ver.Epoch, ver.Z.base, first+uint64(i), base)
+				nop := func(int, bool, bool) {}
+				if ver.Epoch != first+uint64(i) || !ver.Z.Since(base, nop) || (base > 0 && ver.Z.Since(base-1, nop)) {
+					t.Fatalf("epoch %d: stamps do not reach back exactly to base %d (want epoch %d)", ver.Epoch, base, first+uint64(i))
 				}
 				for from := max(base, first-1); from < ver.Epoch; from++ {
 					var want []graph.NodeID
@@ -703,7 +695,7 @@ func TestDeltaAcrossSaturatedAges(t *testing.T) {
 	for i := range publishes {
 		write(4, 5+graph.NodeID(i%3)) // page 1 of chunk 0
 	}
-	if d.Version().Z.chunks == nil {
+	if !d.Version().Z.Paged() {
 		t.Fatal("test setup: the current version is flat, not paged")
 	}
 	for from := range d.Epoch() {

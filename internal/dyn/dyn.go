@@ -27,10 +27,11 @@
 // continues.
 //
 // A version is a paged, copy-on-write store of U's raw rows and the
-// labels, plus the epoch's 1/n_k vector (Pages), normalised where a row
-// is read. A row is dirty only when the fold or a relabel walk actually
-// wrote it — an edge writes an endpoint's row only when the other
-// endpoint is labelled — and a label only when it moved, so a publish
+// labels, plus the epoch's 1/n_k vector (rows.Pages, the store a
+// follower keeps too), normalised where a row is read. A row is dirty
+// only when the fold or a relabel walk actually wrote it — an edge
+// writes an endpoint's row only when the other endpoint is labelled —
+// and a label only when it moved, so a publish
 // shares the previous version's pages and copies only those holding a
 // dirty row or label: O(dirty pages), not O(nK). A count-changing
 // relabel is no exception (it brings a new 1/n_k vector, and the pages
@@ -53,6 +54,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
+	"repro/internal/rows"
 )
 
 // Options configures a DynamicEmbedder. The Laplacian and directed
@@ -132,7 +134,7 @@ type Version struct {
 	// Rows, Dense), and each vertex's class (Label, Labels). Rows
 	// outside the embedder's owned window read zero, and their labels
 	// unknown.
-	Z *Pages
+	Z *rows.Pages[float64]
 	// Edges is the number of live edges folded into Z.
 	Edges int64
 
@@ -250,7 +252,6 @@ type DynamicEmbedder struct {
 	pageMark  []uint64       // pageMark[p] == the publishing epoch ⇔ page p already in pageBuf
 	pageBuf   []int32        // publish scratch: pages holding a dirty row or label
 	pubCounts []int64        // class counts at the last publish
-	zeroChunk *chunk         // the zero page, shared by every page outside the owned window
 
 	// foldHook, when non-nil, replaces the exec fold — tests inject
 	// failures to exercise Apply's nothing-is-applied contract.
@@ -371,16 +372,8 @@ func New(n int, y []int32, opts Options) (*DynamicEmbedder, error) {
 			DstCol: yc,
 			Coeff:  ones(n),
 		},
-		pageMark:  make([]uint64, numPages(n)),
+		pageMark:  make([]uint64, (n+rows.PageRows-1)/rows.PageRows),
 		pubCounts: make([]int64, k),
-		zeroChunk: new(chunk),
-	}
-	zero := &page{rows: make([]float64, PageRows*k)}
-	for i := range zero.y {
-		zero.y[i] = labels.Unknown
-	}
-	for j := range d.zeroChunk.pages {
-		d.zeroChunk.pages[j] = zero
 	}
 	d.publishLocked()
 	return d, nil
@@ -749,24 +742,24 @@ func (d *DynamicEmbedder) publishLocked() *Version {
 	if v.Epoch-d.stampBase > math.MaxUint32 {
 		d.stampBase, patch = v.Epoch-1, false
 	}
-	copied := d.ownHi - d.ownLo
-	if patch {
-		v.Z = d.patchPages(prev.Z, dirty, v.Epoch)
-		copied = len(dirty) * PageRows
-	} else {
-		v.Z = d.rebuildPages()
-	}
-	v.Z.base = d.stampBase
 	countsMoved := !slices.Equal(d.counts, d.pubCounts)
+	var inv []float64
 	if prev != nil && !countsMoved {
-		v.Z.inv, v.invEpoch = prev.Z.inv, prev.invEpoch
+		inv, v.invEpoch = prev.Z.Scale(), prev.invEpoch
 	} else {
-		v.Z.inv, v.invEpoch = make([]float64, d.k), v.Epoch
+		inv, v.invEpoch = make([]float64, d.k), v.Epoch
 		for c, n := range d.counts {
 			if n > 0 {
-				v.Z.inv[c] = 1 / float64(n)
+				inv[c] = 1 / float64(n)
 			}
 		}
+	}
+	copied := d.ownHi - d.ownLo
+	if patch {
+		v.Z = d.patchPages(prev.Z, dirty, v.Epoch, inv)
+		copied = len(dirty) * rows.PageRows
+	} else {
+		v.Z = d.rebuildPages(inv)
 	}
 	if prev != nil {
 		d.stats.Publishes++
@@ -774,12 +767,12 @@ func (d *DynamicEmbedder) publishLocked() *Version {
 			// A count change rescaled two whole columns of every row;
 			// record it as such so the distribution reflects what a
 			// follower would have to fetch.
-			rows := len(d.dirty)
+			dirtyRows := len(d.dirty)
 			if countsMoved {
-				rows = d.n
+				dirtyRows = d.n
 				d.mFullEpochs.Inc()
 			}
-			d.mDirtyRows.Observe(float64(rows))
+			d.mDirtyRows.Observe(float64(dirtyRows))
 			d.mCopied.Observe(float64(copied))
 		}
 	}
@@ -806,10 +799,10 @@ func (d *DynamicEmbedder) publishLocked() *Version {
 // 4096-edge batch there, at 20% labelled, writes ~6% of the pages and is
 // patched.
 func (d *DynamicEmbedder) dirtyPagesLocked(epoch uint64) (pages []int32, ok bool) {
-	limit := (numPages(d.ownHi) - (d.ownLo >> pageShift)) / 8
+	limit := ((d.ownHi+rows.PageRows-1)/rows.PageRows - d.ownLo/rows.PageRows) / 8
 	pages = d.pageBuf[:0]
 	for _, v := range d.dirty {
-		p := int32(v >> pageShift)
+		p := int32(v / rows.PageRows)
 		if d.pageMark[p] == epoch {
 			continue
 		}
@@ -829,121 +822,50 @@ func (d *DynamicEmbedder) dirtyPagesLocked(epoch uint64) (pages []int32, ok bool
 // and takes private copies on its next write (own) — the copy a rebuild
 // would make, only later, and never made on a server nobody writes to
 // after its bulk load, which then holds one n×K array of sums instead of
-// two. A shard copies its window into one allocation cut into the
-// window's pages, and every page outside the window is the shared zero
-// page (every chunk of only such pages the shared zero chunk), so it
-// allocates its window, not n×K.
-func (d *DynamicEmbedder) rebuildPages() *Pages {
-	k := d.k
+// two. A shard fills the window's pages (rows.Fill: one allocation per
+// few thousand rows), and every page outside the window is the store's
+// shared zero page, so it allocates its window, not n×K.
+func (d *DynamicEmbedder) rebuildPages(inv []float64) *rows.Pages[float64] {
 	if d.ownLo == 0 && d.ownHi == d.n {
 		d.lent = true
-		return &Pages{R: d.n, C: k, flat: d.u.Data, y: d.y, rowAt: d.rowAt, yAt: d.yAt}
+		return rows.Flat(d.k, d.u.Data, d.y, d.rowAt, d.yAt, inv, d.stampBase)
 	}
-	first, last := d.ownLo>>pageShift, numPages(d.ownHi)
-	base, end := first<<pageShift, min(last<<pageShift, d.n)
-	// A clone, not make and copy: make would clear the whole window
-	// first, serially, which costs as much as the copy itself.
-	backing := slices.Clone(d.u.Data[base*k : end*k])
-	// Only the owned rows are published; the few rows sharing a boundary
-	// page with the window read zero like the rest of the non-owned range
-	// (U holds consistent partial sums there — cut-edge mass whose
-	// authoritative copy lives on another shard — that are never
-	// published).
-	clear(backing[:(d.ownLo-base)*k])
-	clear(backing[(d.ownHi-base)*k:])
-	return d.cutPages(backing, base, first, last)
+	return rows.Fill(d.n, d.k, d.ownLo, d.ownHi, inv, d.stampBase, d.workers, d.fillPage)
 }
 
 // patchPages returns prev with the dirty pages replaced by fresh copies
 // of their rows of U, their labels and their stamps; every other page,
 // and every chunk of the table without a dirty page, is shared. Each
-// page is its own allocation so that a version superseded page by page
-// is also collected page by page. The grain keeps a small write's few
-// pages on the publishing goroutine (measured: a second worker only pays
-// from a few thousand rows up).
-func (d *DynamicEmbedder) patchPages(prev *Pages, dirty []int32, epoch uint64) *Pages {
-	k := d.k
-	z := &Pages{R: d.n, C: k, chunks: slices.Clone(prev.chunks)}
-	if prev.chunks == nil {
-		// prev came out of a rebuild: cut its array into pages, all ours.
-		z = d.cutPages(prev.flat, 0, 0, numPages(d.n))
-	}
-	// Every dirty page holds a row or label stamped with this epoch, the
-	// new top of its chunk; the chunk's other pages age by as much as its
-	// top moved.
-	top := uint32(epoch - d.stampBase)
+// page is its own pointer-free allocation, so that a version superseded
+// page by page is also collected page by page. The grain keeps a small
+// write's few pages on the publishing goroutine (measured: a second
+// worker only pays from a few thousand rows up).
+func (d *DynamicEmbedder) patchPages(prev *rows.Pages[float64], dirty []int32, epoch uint64, inv []float64) *rows.Pages[float64] {
+	b := prev.Edit(epoch, inv)
 	for _, p := range dirty {
-		ci := p >> chunkShift
-		if prev.chunks != nil && z.chunks[ci] == prev.chunks[ci] {
-			c := *prev.chunks[ci]
-			for j, a := range c.age {
-				c.age[j] = uint8(min(uint64(a)+uint64(top-c.top), math.MaxUint8))
-			}
-			c.top, z.chunks[ci] = top, &c
-		}
-		z.chunks[ci].age[p&(chunkPages-1)] = 0
+		b.Touch(int(p))
 	}
-	parallel.ForChunk(d.workers, len(dirty), 4096/PageRows, func(lo, hi int) {
+	parallel.ForChunk(d.workers, len(dirty), 4096/rows.PageRows, func(lo, hi int) {
 		for _, p := range dirty[lo:hi] {
-			r0 := int(p) << pageShift
-			pg := &page{rows: make([]float64, (min(r0+PageRows, d.n)-r0)*k)}
-			// A dirty page holds at least one owned row; its rows outside
-			// the window stay zero.
-			u0, u1 := max(r0, d.ownLo), min(r0+PageRows, d.ownHi)
-			copy(pg.rows[(u0-r0)*k:(u1-r0)*k], d.u.Data[u0*k:u1*k])
-			d.fillPage(pg, int(p))
-			z.chunks[p>>chunkShift].pages[p&(chunkPages-1)] = pg
+			d.fillPage(int(p), b.Fresh(int(p)))
 		}
 	})
-	return z
+	return b.Done()
 }
 
-// cutPages returns a store whose pages [first, last) are fresh, over
-// their rows in backing (whose first row is row base), with their labels
-// and stamps (fillPage), under chunks of their own; every other page is
-// the shared zero page. The pages are one allocation, and so are the
-// chunks.
-func (d *DynamicEmbedder) cutPages(backing []float64, base, first, last int) *Pages {
-	z := &Pages{R: d.n, C: d.k, chunks: make([]*chunk, numChunks(d.n))}
-	for ci := range z.chunks {
-		z.chunks[ci] = d.zeroChunk
+// fillPage writes page p's owned rows of U, their labels and their
+// stamps into pg; every other row of the page stays zero, unlabelled and
+// never written (U holds partial sums there — cut-edge mass whose
+// authoritative copy is another shard's — that are never published).
+func (d *DynamicEmbedder) fillPage(p int, pg rows.Page[float64]) {
+	k, r0 := d.k, p*rows.PageRows
+	u0, u1 := max(r0, d.ownLo), min(r0+rows.PageRows, d.ownHi)
+	copy(pg.Rows()[(u0-r0)*k:(u1-r0)*k], d.u.Data[u0*k:u1*k])
+	for v := u0; v < u1; v++ {
+		pg.SetLabel(v-r0, d.y[v])
+		pg.StampRow(v-r0, d.rowAt[v])
+		pg.StampLabel(v-r0, d.yAt[v])
 	}
-	c0, c1 := first>>chunkShift, numChunks(last<<pageShift)
-	own, slab := make([]chunk, c1-c0), make([]page, last-first)
-	for ci := c0; ci < c1; ci++ {
-		c, newest := &own[ci-c0], [chunkPages]uint32{}
-		*c, z.chunks[ci] = *d.zeroChunk, c
-		for p := max(first, ci<<chunkShift); p < min(last, (ci+1)<<chunkShift); p++ {
-			pg, r0 := &slab[p-first], p<<pageShift
-			pg.rows = backing[(r0-base)*z.C : (min(r0+PageRows, z.R)-base)*z.C]
-			c.pages[p&(chunkPages-1)], newest[p&(chunkPages-1)] = pg, d.fillPage(pg, p)
-		}
-		c.top = slices.Max(newest[:])
-		for j, t := range newest {
-			c.age[j] = uint8(min(c.top-t, math.MaxUint8))
-		}
-	}
-	return z
-}
-
-// fillPage copies into pg the labels and stamps of page p's owned
-// vertices; every other vertex of the page reads unlabelled and never
-// written. It returns the page's newest stamp.
-func (d *DynamicEmbedder) fillPage(pg *page, p int) uint32 {
-	var newest uint32
-	for i := range PageRows {
-		v := p<<pageShift + i
-		if v < d.ownLo || v >= d.ownHi {
-			pg.y[i] = labels.Unknown
-			continue
-		}
-		// A stamp is an offset from the stamp base, 0 for any epoch at or
-		// before it.
-		row, label := uint32(max(d.rowAt[v], d.stampBase)-d.stampBase), uint32(max(d.yAt[v], d.stampBase)-d.stampBase)
-		pg.y[i], pg.rowAt[i], pg.yAt[i] = d.y[v], row, label
-		newest = max(newest, row, label)
-	}
-	return newest
 }
 
 // SetPublishHook installs a callback invoked after every published

@@ -11,137 +11,14 @@ import (
 	"repro/internal/graph"
 	"repro/internal/labels"
 	"repro/internal/metrics"
+	"repro/internal/rows"
 	"repro/internal/xrand"
 )
 
-// testPages builds an r×c store whose cell (v, j) holds v*1000+j as its
-// raw sum, scaled by testInv, and whose vertex v has class testLabel(v):
-// one array each (the shape a rebuild leaves) when flat, otherwise every
-// page its own allocation behind the chunk table (the shape patches
-// converge to).
-func testPages(r, c int, flat bool) *Pages {
-	p := &Pages{R: r, C: c, inv: testInv(c)}
-	if flat {
-		p.flat = make([]float64, r*c)
-		for i := range p.flat {
-			p.flat[i] = float64(i/c*1000 + i%c)
-		}
-		p.y, p.rowAt, p.yAt = make([]int32, r), make([]uint64, r), make([]uint64, r)
-		for v := range p.y {
-			p.y[v] = testLabel(v)
-		}
-		return p
-	}
-	p.chunks = make([]*chunk, numChunks(r))
-	for ci := range p.chunks {
-		p.chunks[ci] = new(chunk)
-	}
-	for pg := 0; pg < numPages(r); pg++ {
-		r0 := pg * PageRows
-		rows := make([]float64, min(PageRows, r-r0)*c)
-		for i := range rows {
-			rows[i] = float64((r0+i/c)*1000 + i%c)
-		}
-		pp := &page{rows: rows}
-		for i := range pp.y {
-			pp.y[i] = testLabel(r0 + i)
-		}
-		p.chunks[pg/chunkPages].pages[pg%chunkPages] = pp
-	}
-	return p
-}
-
-// testLabel is vertex v's class in the testPages pattern.
-func testLabel(v int) int32 { return int32(v%7) - 1 }
-
-// testInv is a column scale with no exact binary form, so a reader that
-// skipped or reordered the multiply would show in the bits.
-func testInv(c int) []float64 {
-	inv := make([]float64, c)
-	for j := range inv {
-		inv[j] = 1 / float64(j+3)
-	}
-	return inv
-}
-
-// testCell is cell (v, j) of the testPages pattern as every reader must
-// serve it.
-func testCell(v, j int) float64 { return float64(v*1000+j) * (1 / float64(j+3)) }
-
-// checkRows asserts that p holds rows [lo, lo+p.R) of the testPages
-// pattern, through Row, through Rows and through Dense, and their labels
-// through Label and Labels.
-func checkRows(t *testing.T, p *Pages, lo int) {
-	t.Helper()
-	z := p.Dense()
-	if z.R != p.R || z.C != p.C || len(z.Data) != p.R*p.C {
-		t.Fatalf("Dense is %dx%d over %d floats, want %dx%d", z.R, z.C, len(z.Data), p.R, p.C)
-	}
-	block := make([]float64, p.R*p.C+1)
-	block[p.R*p.C] = -1
-	p.Rows(0, p.R, block)
-	if block[p.R*p.C] != -1 {
-		t.Fatalf("Rows wrote past row %d", p.R)
-	}
-	ys := make([]int32, p.R+1)
-	ys[p.R] = -9
-	p.Labels(0, p.R, ys)
-	if ys[p.R] != -9 {
-		t.Fatalf("Labels wrote past vertex %d", p.R)
-	}
-	buf := make([]float64, p.C+2)
-	for v := 0; v < p.R; v++ {
-		if want := testLabel(lo + v); p.Label(v) != want || ys[v] != want {
-			t.Fatalf("vertex %d: Label %d, Labels %d, want %d", v, p.Label(v), ys[v], want)
-		}
-		row := p.Row(v, buf)
-		if len(row) != p.C || &row[0] != &buf[0] {
-			t.Fatalf("row %d: %d columns, want %d in the caller's buffer", v, len(row), p.C)
-		}
-		for j, x := range row {
-			if want := testCell(lo+v, j); x != want || z.At(v, j) != want || block[v*p.C+j] != want {
-				t.Fatalf("cell (%d,%d): Row %v, Rows %v, Dense %v, want %v", v, j, x, block[v*p.C+j], z.At(v, j), want)
-			}
-		}
-	}
-}
-
-func TestPagesRowWindowDense(t *testing.T) {
-	const c = 3
-	for _, r := range []int{0, 1, PageRows - 1, PageRows, PageRows + 1, chunkRows - 1, chunkRows, chunkRows + 1, 2*chunkRows + PageRows + 3} {
-		for _, flat := range []bool{false, true} {
-			p := testPages(r, c, flat)
-			checkRows(t, p, 0)
-			if z := p.Dense(); r > 0 && &z.Data[0] == &p.span(0, 1)[0] {
-				t.Fatalf("r=%d: Dense is a view of the raw sums, want a normalised copy", r)
-			}
-			// Every window, aligned or not, including empty ones and
-			// windows of windows; and every block of the store itself.
-			for lo := 0; lo <= r; lo++ {
-				for hi := lo; hi <= r; hi++ {
-					w := p.Window(lo, hi)
-					checkRows(t, w, lo)
-					if hi-lo >= 2 {
-						checkRows(t, w.Window(1, hi-lo-1), lo+1)
-					}
-					if hi > lo && !w.SameRow(0, p, lo) {
-						t.Fatalf("r=%d: window [%d,%d) does not share its pages", r, lo, hi)
-					}
-					block := make([]float64, (hi-lo)*c)
-					p.Rows(lo, hi, block)
-					for i, x := range block {
-						if want := testCell(lo+i/c, i%c); x != want {
-							t.Fatalf("r=%d: Rows(%d,%d) cell %d = %v, want %v", r, lo, hi, i, x, want)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // samePage reports whether page pg of a and b is one piece of memory.
-func samePage(a, b *Pages, pg int) bool { return a.SameRow(pg*PageRows, b, pg*PageRows) }
+func samePage(a, b *rows.Pages[float64], pg int) bool {
+	return a.SameRow(pg*rows.PageRows, b, pg*rows.PageRows)
+}
 
 // scratchRows is the from-scratch reference of a publish: row u of
 // U·diag(1/n_k) for owned u, zero elsewhere, computed independently of
@@ -319,7 +196,7 @@ func TestPagedPublishProperty(t *testing.T) {
 						}
 					}
 					d.mu.Unlock()
-					if a, b := 4000/PageRows, 12000/PageRows; samePage(ver.Z, prev.Z, a) || samePage(ver.Z, prev.Z, b) {
+					if a, b := 4000/rows.PageRows, 12000/rows.PageRows; samePage(ver.Z, prev.Z, a) || samePage(ver.Z, prev.Z, b) {
 						patched++
 					} else {
 						rebuilt++
@@ -386,7 +263,7 @@ func TestPublishSharesUntouchedPages(t *testing.T) {
 		if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(n*k*8/10); got >= limit {
 			t.Errorf("%s: publish allocated %d bytes, want < %d (10%% of the matrix)", what, got, limit)
 		}
-		for pg := 0; pg < numPages(n); pg++ {
+		for pg := 0; pg < (n+rows.PageRows-1)/rows.PageRows; pg++ {
 			if !samePage(after.Z, before.Z, pg) {
 				differ++
 			}
@@ -476,14 +353,14 @@ func TestCountChangingRelabelPatches(t *testing.T) {
 				t.Fatal(err)
 			}
 			ver := d.Publish()
-			if slices.Equal(ver.Z.inv, prev.Z.inv) {
+			if ver.invEpoch == prev.invEpoch {
 				t.Fatal("the relabel left the class counts where they were; pick moves that change them")
 			}
-			for pg := 0; pg < numPages(n); pg++ {
+			for pg := 0; pg < (n+rows.PageRows-1)/rows.PageRows; pg++ {
 				wrote := false
-				for v := pg * PageRows; v < min((pg+1)*PageRows, n); v++ {
+				for v := pg * rows.PageRows; v < min((pg+1)*rows.PageRows, n); v++ {
 					wrote = wrote || walked[v] || movers[v]
-					row, label := stamps(ver.Z, v)
+					row, label := ver.Z.Stamps(v)
 					if (row == ver.Epoch) != walked[v] || (label == ver.Epoch) != movers[v] {
 						t.Fatalf("vertex %d: row stamp %d (walked %v), label stamp %d (owned mover %v), epoch %d",
 							v, row, walked[v], label, movers[v], ver.Epoch)
@@ -546,7 +423,7 @@ func TestPublishInstrumentsAndFoldPaths(t *testing.T) {
 		{"gee_dyn_publish_dirty_rows_count", "", 2},
 		{"gee_dyn_publish_dirty_rows_sum", "", 2 + n},
 		{"gee_dyn_publish_rows_normalized_count", "", 2},
-		{"gee_dyn_publish_rows_normalized_sum", "", 2*PageRows + 2*PageRows},
+		{"gee_dyn_publish_rows_normalized_sum", "", 2*rows.PageRows + 2*rows.PageRows},
 		{"gee_dyn_full_epochs_total", "", 1},
 		{"gee_dyn_folds_total", "serial", 1},
 		{"gee_dyn_folds_total", "atomic", 0},

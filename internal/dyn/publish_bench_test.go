@@ -121,7 +121,7 @@ func BenchmarkDelta(b *testing.B) {
 		if shape == "flat" {
 			publish(16384)
 		}
-		if flat := d.Version().Z.chunks == nil; flat != (shape == "flat") {
+		if flat := !d.Version().Z.Paged(); flat != (shape == "flat") {
 			b.Fatalf("%s case: current version flat=%v", shape, flat)
 		}
 		for _, back := range []uint64{1, 200} {

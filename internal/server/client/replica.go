@@ -11,8 +11,8 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/mat"
 	"repro/internal/metrics"
+	"repro/internal/rows"
 	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/wire"
@@ -30,9 +30,13 @@ import (
 // reads) while the primary pays each publish's delta once per replica,
 // not each read once per network round trip.
 //
-// Over a Binary-format client the local matrix is float32, the binary
-// wire's documented precision: section frames are copied into it as
-// they arrive and deltas patch copy-on-write versions.
+// Each section's rows live in a paged row store (rows.Pages), the store
+// the primary publishes its epochs in: a bootstrap or resync fills one
+// section's store, and a delta copies only the pages holding a row it
+// carries and shares the rest with the previous version, so a sync costs
+// the rows it applies, not n×K. A section fetched as a binary frame
+// keeps the frame's float32 rows, the binary wire's documented precision;
+// one fetched as JSON keeps float64.
 //
 // Reads (Snapshot, Embedding) never block and are safe for any
 // concurrency; Bootstrap and Sync are serialized internally, so one
@@ -61,8 +65,7 @@ type Replica struct {
 
 // ReplicaSnapshot is one immutable local version of the embedding.
 // Identical contract to dyn.Snapshot: readers may hold it forever.
-// Use Dims and CopyRow to read rows — they work for both storage
-// representations (see Z).
+// Use Dims and CopyRow to read rows.
 type ReplicaSnapshot struct {
 	// Epoch is the max of Epochs, the scalar summary.
 	Epoch uint64
@@ -75,54 +78,56 @@ type ReplicaSnapshot struct {
 	// shard's instance changes (a restart resets the epoch counter, so
 	// cross-instance deltas would silently corrupt the copy).
 	Instances []uint64
-	// Z is the float64 copy of the embedding held by a JSON-format
-	// client; nil for a Binary-format one (float32 rows).
-	Z *mat.Dense
-	// Y is the label vector.
+	// Y is the label vector. Versions share it until a sync moves a
+	// label. Read-only by contract.
 	Y []int32
 	// Edges sums the per-shard live-edge counts (a cut edge lives in
 	// both owning shards, so the sum counts it twice — the same
 	// convention as the server's own /statsz aggregate).
 	Edges int64
 
-	z32  []float32 // row-major n×k; set exactly when Z is nil
 	n, k int
 	// secs[i] mirrors shard i's owned window. It rides the immutable
 	// snapshot chain — Sync builds the next version's secs
-	// copy-on-write, like the matrix itself.
+	// copy-on-write, like the rows themselves.
 	secs []section
 }
 
 // section is one shard's locally-mirrored owned row window [lo, hi):
-// which global rows the shard is the authority for, and the epoch and
-// embedder instance those rows are current at.
+// which global rows the shard is the authority for, the epoch and
+// embedder instance those rows are current at, and the rows.
 type section struct {
 	lo, hi   int
 	epoch    uint64
 	instance uint64
 	edges    int64
+	// z holds the window's rows (row i is global row lo+i), each stamped
+	// with the section epoch that last wrote it: the fill's epoch, which
+	// is z's stamp base, or a later delta's. Labels live in
+	// ReplicaSnapshot.Y, so z's are left unset.
+	z rowStore
+}
+
+// rowStore is a section's rows: a *rows.Pages[float32] when the section
+// came as a binary frame, a *rows.Pages[float64] when it came as JSON.
+type rowStore interface {
+	Row(v int, dst []float64) []float64
 }
 
 // Dims returns the local matrix shape (rows, columns).
 func (s *ReplicaSnapshot) Dims() (n, k int) { return s.n, s.k }
 
 // CopyRow copies vertex v's row into dst, which must have length ≥ k,
-// and returns dst[:k]; nil when v is out of range. Binary-backed rows
-// widen float32 → float64 exactly, so two reads of the same version
-// always agree bit-for-bit.
+// and returns dst[:k]; nil when v is out of range.
 func (s *ReplicaSnapshot) CopyRow(v int, dst []float64) []float64 {
 	if v < 0 || v >= s.n {
 		return nil
 	}
-	dst = dst[:s.k]
-	if s.Z != nil {
-		copy(dst, s.Z.Row(v))
-		return dst
+	i := 0
+	for v >= s.secs[i].hi {
+		i++
 	}
-	for j, x := range s.z32[v*s.k : (v+1)*s.k] {
-		dst[j] = float64(x)
-	}
-	return dst
+	return s.secs[i].z.Row(v-s.secs[i].lo, dst)
 }
 
 // ReplicaStats counts what the replica has done and paid. Wire bytes
@@ -279,117 +284,53 @@ func (e *sectionShapeError) Error() string { return e.msg }
 
 // sectionBody is one fetched snapshot section in whichever encoding the
 // server answered: frame for a binary answer (its float32 rows are
-// copied straight into the assembly — no float64 detour), the embedded
-// response for JSON (a server may always answer JSON; content
-// negotiation is outside input).
+// copied straight into the section's float32 pages — no float64
+// detour), the embedded response for JSON (a server may always answer
+// JSON; content negotiation is outside input).
 type sectionBody struct {
 	server.SnapshotResponse
 	frame *wire.Frame
 }
 
-// assembly is the next version's storage while Sync builds it: float32
-// rows for a Binary-format client, float64 otherwise.
-type assembly struct {
-	z   *mat.Dense // exactly one of z and z32 is set
-	z32 []float32
-	y   []int32
-	k   int
-}
-
-func newAssembly(binary bool, n, k int) *assembly {
-	a := &assembly{y: make([]int32, n), k: k}
-	if binary {
-		a.z32 = make([]float32, n*k)
-	} else {
-		a.z = mat.NewDense(n, k)
-	}
-	return a
-}
-
-// elemSize is the storage width of one value, for payload accounting.
-func (a *assembly) elemSize() int64 {
-	if a.z32 != nil {
+// elemSize is the storage width of one of z's values, for payload
+// accounting.
+func elemSize(z rowStore) int64 {
+	if _, ok := z.(*rows.Pages[float32]); ok {
 		return 4
 	}
 	return 8
 }
 
-// carry copies the row window [lo, hi) and its labels over from cur.
-func (a *assembly) carry(cur *ReplicaSnapshot, lo, hi int) {
-	if a.z32 != nil {
-		copy(a.z32[lo*a.k:hi*a.k], cur.z32[lo*a.k:hi*a.k])
-	} else {
-		copy(a.z.Data[lo*a.k:hi*a.k], cur.Z.Data[lo*a.k:hi*a.k])
-	}
-	copy(a.y[lo:hi], cur.Y[lo:hi])
-}
-
-// setRow stores one decoded float64 row. Narrowing into float32 storage
-// is exact for rows the binary wire carried (float32, widened on
-// decode).
-func (a *assembly) setRow(v int, row []float64) {
-	if a.z != nil {
-		copy(a.z.Row(v), row)
-		return
-	}
-	dst := a.z32[v*a.k : (v+1)*a.k]
-	for j, x := range row {
-		dst[j] = float32(x)
-	}
-}
-
-// setFrameRows stores a frame's dense float32 rows starting at row lo.
-func (a *assembly) setFrameRows(lo int, rows []float32) {
-	if a.z32 != nil {
-		copy(a.z32[lo*a.k:], rows)
-		return
-	}
-	dst := a.z.Data[lo*a.k:]
-	for j, x := range rows {
-		dst[j] = float64(x)
-	}
-}
-
-// snapshot seals the assembly into the immutable version.
-func (a *assembly) snapshot(secs []section) *ReplicaSnapshot {
-	s := &ReplicaSnapshot{
-		Epochs: make(shard.EpochVector, len(secs)), Instances: make([]uint64, len(secs)),
-		Z: a.z, z32: a.z32, Y: a.y, n: len(a.y), k: a.k, secs: secs,
-	}
-	for i, sec := range secs {
-		s.Epochs[i], s.Instances[i] = sec.epoch, sec.instance
-		s.Edges += sec.edges
-	}
-	s.Epoch = s.Epochs.Max()
-	return s
-}
-
-// fetchSection fetches shard i's snapshot section into the assembly and
-// stamps sec with its epoch, instance and edge count, validating the
-// body against the window [sec.lo, sec.hi) and width the partition
-// promised (a binary frame has no lo field — the window comes from the
-// partition alone).
-func (r *Replica) fetchSection(ctx context.Context, i int, sec *section, a *assembly) error {
+// fetchSection fetches shard i's snapshot section into a fresh row store
+// for sec and its labels into y, and stamps sec with its epoch, instance
+// and edge count, validating the body against the window [sec.lo,
+// sec.hi) and width k the partition promised (a binary frame has no lo
+// field — the window comes from the partition alone).
+func (r *Replica) fetchSection(ctx context.Context, i int, sec *section, y []int32, k int) error {
 	var body sectionBody
 	n, err := r.c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/snapshot?shard=%d", i), nil, &body)
 	r.addSnapshotBytes(n)
 	if err != nil {
 		return err
 	}
-	lo, hi, k := sec.lo, sec.hi, a.k
+	lo, hi := sec.lo, sec.hi
+	m := hi - lo
 	if f := body.frame; f != nil {
 		// frameInto already checked the frame is a self-consistent
 		// snapshot (N rows, N labels, implicit ids).
-		if int(f.N) != hi-lo || int(f.K) != k {
+		if int(f.N) != m || int(f.K) != k {
 			return &sectionShapeError{msg: fmt.Sprintf(
 				"client: shard %d section frame n=%d k=%d, want window [%d,%d) k=%d", i, f.N, f.K, lo, hi, k)}
 		}
-		a.setFrameRows(lo, f.Rows)
-		copy(a.y[lo:hi], f.Y)
+		sec.z = rows.Fill(m, k, 0, m, nil, f.Epoch, 0, func(p int, pg rows.Page[float32]) {
+			r0 := p * rows.PageRows
+			copy(pg.Rows(), f.Rows[r0*k:min(r0+rows.PageRows, m)*k])
+		})
+		copy(y[lo:hi], f.Y)
 		sec.epoch, sec.instance, sec.edges = f.Epoch, f.Instance, f.Edges
 	} else {
 		snap := &body.SnapshotResponse
-		if snap.N != hi-lo || snap.K != k || len(snap.Z) != snap.N || len(snap.Y) != snap.N || int(snap.Lo) != lo {
+		if snap.N != m || snap.K != k || len(snap.Z) != snap.N || len(snap.Y) != snap.N || int(snap.Lo) != lo {
 			return &sectionShapeError{msg: fmt.Sprintf(
 				"client: shard %d section shape n=%d k=%d lo=%d (%d rows, %d labels), want window [%d,%d) k=%d",
 				i, snap.N, snap.K, snap.Lo, len(snap.Z), len(snap.Y), lo, hi, k)}
@@ -398,66 +339,118 @@ func (r *Replica) fetchSection(ctx context.Context, i int, sec *section, a *asse
 			if len(row) != k {
 				return fmt.Errorf("client: shard %d section row %d has width %d, want %d", i, u, len(row), k)
 			}
-			a.setRow(lo+u, row)
 		}
-		copy(a.y[lo:hi], snap.Y)
+		sec.z = rows.Fill(m, k, 0, m, nil, snap.Epoch, 0, func(p int, pg rows.Page[float64]) {
+			dst := pg.Rows()
+			for u := p * rows.PageRows; u < min((p+1)*rows.PageRows, m); u++ {
+				copy(dst[(u-p*rows.PageRows)*k:], snap.Z[u])
+			}
+		})
+		copy(y[lo:hi], snap.Y)
 		sec.epoch, sec.instance, sec.edges = snap.Epoch, snap.Instance, snap.Edges
 	}
-	r.snapshotPayload.Add(int64(hi-lo)*int64(k)*a.elemSize() + int64(hi-lo)*4)
+	r.snapshotPayload.Add(int64(m)*int64(k)*elemSize(sec.z) + int64(m)*4)
 	return nil
 }
 
-// applyDelta patches one shard's delta rows and labels into the
-// assembly, enforcing the owned-window contract: a delta's row ids are
-// global but must fall inside the shard's window.
-func (a *assembly) applyDelta(dl *server.DeltaResponse, sec *section) error {
+// apply patches one shard's delta into sec — a new row store that copies
+// the pages holding a delta row and shares the rest — and its labels
+// into y (nil when the delta carries none), enforcing the owned-window
+// contract: a delta's row ids are global but must fall inside the
+// shard's window.
+func (sec *section) apply(dl *server.DeltaResponse, y []int32, k int) error {
 	for i, v := range dl.Rows {
-		if int(v) < sec.lo || int(v) >= sec.hi || len(dl.Z[i]) != a.k {
+		if int(v) < sec.lo || int(v) >= sec.hi || len(dl.Z[i]) != k {
 			return fmt.Errorf("client: delta row %d (vertex %d) outside shard window [%d,%d) or malformed",
 				i, v, sec.lo, sec.hi)
 		}
-		a.setRow(int(v), dl.Z[i])
+	}
+	if len(dl.Rows) > 0 {
+		switch z := sec.z.(type) {
+		case *rows.Pages[float32]:
+			sec.z = patch(z, sec.lo, dl)
+		case *rows.Pages[float64]:
+			sec.z = patch(z, sec.lo, dl)
+		}
 	}
 	for _, l := range dl.Labels {
 		if int(l.V) < sec.lo || int(l.V) >= sec.hi {
 			return fmt.Errorf("client: delta label vertex %d outside shard window [%d,%d)",
 				l.V, sec.lo, sec.hi)
 		}
-		a.y[l.V] = l.Class
+		y[l.V] = l.Class
 	}
 	sec.epoch, sec.edges = dl.Epoch, dl.Edges
 	return nil
 }
 
-// rebuildLocked assembles and publishes the version after cur. Section
-// i is fetched whole when deltas[i] is nil (bootstrap, resync,
-// restarted shard) — filled in place, never cloned from cur first — and
-// otherwise carried over from cur with deltas[i] patched in.
+// patch returns z with dl's rows written in, stamped with dl's epoch:
+// the pages holding them are fresh copies, every other page is z's. A
+// float32 store narrows each value, exactly for rows the binary wire
+// carried. lo is z's first global row; dl's rows are in range.
+func patch[E rows.Value](z *rows.Pages[E], lo int, dl *server.DeltaResponse) *rows.Pages[E] {
+	b := z.Edit(dl.Epoch, nil)
+	for i, v := range dl.Rows {
+		u := int(v) - lo
+		pg, j := b.Page(u/rows.PageRows), u%rows.PageRows
+		dst := pg.Rows()[j*z.C : (j+1)*z.C]
+		for c, x := range dl.Z[i] {
+			dst[c] = E(x)
+		}
+		pg.StampRow(j, dl.Epoch)
+	}
+	return b.Done()
+}
+
+// rebuildLocked makes and publishes the version after cur. Section i is
+// fetched whole into a fresh store when deltas[i] is nil (bootstrap,
+// resync, restarted shard), and otherwise is cur's store with deltas[i]
+// patched in; a section with an empty delta keeps cur's store. The
+// label vector is cur's until a section or a delta moves a label.
 // Copy-on-epoch: readers holding cur are unaffected, and the new
 // version appears atomically with every section advanced.
 func (r *Replica) rebuildLocked(ctx context.Context, cur *ReplicaSnapshot, deltas []*server.DeltaResponse) error {
 	k := cur.k
-	a := newAssembly(r.c.wire == Binary, cur.n, k)
 	secs := slices.Clone(cur.secs)
-	rows := 0
+	y, own := cur.Y, false
+	labels := func() []int32 {
+		if !own {
+			y, own = make([]int32, cur.n), true
+			copy(y, cur.Y)
+		}
+		return y
+	}
+	applied := 0
 	for i := range secs {
 		dl := deltas[i]
 		if dl == nil {
-			if err := r.fetchSection(ctx, i, &secs[i], a); err != nil {
+			if err := r.fetchSection(ctx, i, &secs[i], labels(), k); err != nil {
 				return err
 			}
 			continue
 		}
-		a.carry(cur, secs[i].lo, secs[i].hi)
-		if err := a.applyDelta(dl, &secs[i]); err != nil {
+		var ys []int32
+		if len(dl.Labels) > 0 {
+			ys = labels()
+		}
+		if err := secs[i].apply(dl, ys, k); err != nil {
 			return err
 		}
-		rows += len(dl.Rows)
-		r.deltaPayload.Add(int64(len(dl.Rows))*int64(k)*a.elemSize() +
+		applied += len(dl.Rows)
+		r.deltaPayload.Add(int64(len(dl.Rows))*int64(k)*elemSize(secs[i].z) +
 			int64(len(dl.Rows))*4 + int64(len(dl.Labels))*8)
 	}
-	r.rowsApplied.Add(int64(rows))
-	r.cur.Store(a.snapshot(secs))
+	r.rowsApplied.Add(int64(applied))
+	s := &ReplicaSnapshot{
+		Epochs: make(shard.EpochVector, len(secs)), Instances: make([]uint64, len(secs)),
+		Y: y, n: cur.n, k: k, secs: secs,
+	}
+	for i, sec := range secs {
+		s.Epochs[i], s.Instances[i] = sec.epoch, sec.instance
+		s.Edges += sec.edges
+	}
+	s.Epoch = s.Epochs.Max()
+	r.cur.Store(s)
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/dyn"
 	"repro/internal/graph"
 	"repro/internal/labels"
+	"repro/internal/race"
 	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/shard"
@@ -31,7 +33,7 @@ type primary struct {
 // through server.New over a plain embedder — the constructor the
 // one-embedder deployments use — so the follower property covers both
 // entry points.
-func newPrimary(t *testing.T, n, k, nShards int, opts dyn.Options) *primary {
+func newPrimary(t testing.TB, n, k, nShards int, opts dyn.Options) *primary {
 	t.Helper()
 	opts.K = k
 	y := labels.SampleSemiSupervised(n, k, 0.5, 61)
@@ -64,7 +66,7 @@ func newPrimary(t *testing.T, n, k, nShards int, opts dyn.Options) *primary {
 }
 
 // serve exposes the stack over httptest and returns its base URL.
-func (p *primary) serve(t *testing.T) string {
+func (p *primary) serve(t testing.TB) string {
 	t.Helper()
 	ts := httptest.NewServer(p.h)
 	t.Cleanup(ts.Close)
@@ -83,9 +85,6 @@ func mustMatch(t *testing.T, rep *client.Replica, p *primary, wf client.Format) 
 	got := rep.Snapshot()
 	if got == nil {
 		t.Fatal("replica has no state")
-	}
-	if (got.Z == nil) != (wf == client.Binary) {
-		t.Fatalf("%s replica: float64 matrix present = %v; want float32 storage exactly on the binary wire", wf, got.Z != nil)
 	}
 	rn, rk := got.Dims()
 	if len(got.Epochs) != len(p.shards) || len(got.Instances) != len(p.shards) {
@@ -379,6 +378,155 @@ func TestReplicaLagsWithoutResync(t *testing.T) {
 	})
 }
 
+// TestReplicaDeltaSyncAllocatesItsRows pins what a row delta costs the
+// follower at the serving benchmark's scale (n = 100k, K = 10): a sync
+// applying a 64-edge write's rows copies the pages holding them and
+// shares every other page with the previous version, so it allocates
+// under 5% of the n×K×4 bytes a float32 copy of the matrix would take —
+// the primary's side of the round trip, in this same process, included.
+// (The race detector's runtime allocates on its own; under -race only
+// the rows are checked.)
+func TestReplicaDeltaSyncAllocatesItsRows(t *testing.T) {
+	eachTopology(t, func(t *testing.T, nShards int, wf client.Format) {
+		const n, k = 100_000, 10
+		p := newPrimary(t, n, k, nShards, dyn.Options{})
+		c := client.New(p.serve(t), nil, client.WithWire(wf))
+		ctx := context.Background()
+		rep := client.NewReplica(c)
+		if err := rep.Bootstrap(ctx); err != nil {
+			t.Fatal(err)
+		}
+		r := xrand.New(79)
+		for round := 0; round < 6; round++ {
+			if _, err := c.InsertEdges(ctx, randEdges(r, n, 64)); err != nil {
+				t.Fatal(err)
+			}
+			if round == 0 { // warm the connection and the decoders
+				if _, err := rep.Sync(ctx); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			before := rep.Stats()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			resynced, err := rep.Sync(ctx)
+			runtime.ReadMemStats(&m1)
+			if err != nil || resynced {
+				t.Fatalf("round %d: resynced=%v err=%v, want a row delta", round, resynced, err)
+			}
+			applied, got := rep.Stats().RowsApplied-before.RowsApplied, m1.TotalAlloc-m0.TotalAlloc
+			t.Logf("round %d: a sync applying %d rows allocated %d bytes", round, applied, got)
+			if limit := uint64(n * k * 4 / 20); applied == 0 || (got >= limit && !race.Enabled) {
+				t.Fatalf("round %d: a sync applying %d rows allocated %d bytes, want < %d", round, applied, got, limit)
+			}
+		}
+		mustMatch(t, rep, p, wf)
+	})
+}
+
+// TestReplicaSnapshotsStayImmutable holds local versions across syncs
+// that patch, resync and bootstrap under them, from concurrent readers
+// (run with -race): every held version must read, row for row and label
+// for label, exactly what it read when it was taken, however many later
+// versions now share or replaced its pages.
+func TestReplicaSnapshotsStayImmutable(t *testing.T) {
+	eachTopology(t, func(t *testing.T, nShards int, wf client.Format) {
+		const n, k, rounds = 700, 3, 30
+		p := newPrimary(t, n, k, nShards, dyn.Options{})
+		c := client.New(p.serve(t), nil, client.WithWire(wf))
+		ctx := context.Background()
+		rep := client.NewReplica(c)
+		if err := rep.Bootstrap(ctx); err != nil {
+			t.Fatal(err)
+		}
+		type held struct {
+			s    *client.ReplicaSnapshot
+			rows []float64
+			y    []int32
+		}
+		take := func(s *client.ReplicaSnapshot) held {
+			h := held{s: s, rows: make([]float64, n*k), y: append([]int32(nil), s.Y...)}
+			for v := range n {
+				s.CopyRow(v, h.rows[v*k:])
+			}
+			return h
+		}
+		check := func(h held) error {
+			row := make([]float64, k)
+			for v := range n {
+				for j, x := range h.s.CopyRow(v, row) {
+					if x != h.rows[v*k+j] {
+						return fmt.Errorf("epoch %d: row %d column %d is %v, was %v", h.s.Epoch, v, j, x, h.rows[v*k+j])
+					}
+				}
+				if h.s.Y[v] != h.y[v] {
+					return fmt.Errorf("epoch %d: label %d is %d, was %d", h.s.Epoch, v, h.s.Y[v], h.y[v])
+				}
+			}
+			return nil
+		}
+		stop := make(chan struct{})
+		errs := make(chan error, 2)
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var keep []held
+				for {
+					select {
+					case <-stop:
+						for _, h := range keep {
+							if err := check(h); err != nil {
+								errs <- err
+								return
+							}
+						}
+						errs <- nil
+						return
+					default:
+					}
+					keep = append(keep, take(rep.Snapshot()))
+					for _, h := range keep {
+						if err := check(h); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}
+			}()
+		}
+		r := xrand.New(97)
+		for round := 0; round < rounds; round++ {
+			if _, err := c.InsertEdges(ctx, randEdges(r, n, 12)); err != nil {
+				t.Fatal(err)
+			}
+			switch round % 10 {
+			case 4: // a count-changing move: the next sync resyncs
+				if _, err := c.UpdateLabels(ctx, []dyn.LabelUpdate{{V: graph.NodeID(r.Intn(n)), Class: int32(r.Intn(k))}}); err != nil {
+					t.Fatal(err)
+				}
+			case 9: // a fresh bootstrap replaces every section
+				if err := rep.Bootstrap(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := rep.Sync(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		close(stop)
+		wg.Wait()
+		for g := 0; g < 2; g++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustMatch(t, rep, p, wf)
+	})
+}
+
 // TestReplicaWireBytesBinaryVsJSON bootstraps one replica per wire
 // format off the same primary and compares the recorded on-wire bytes:
 // binary must be strictly cheaper for both the snapshot and the delta
@@ -448,7 +596,7 @@ func TestReplicaWireBytesBinaryVsJSON(t *testing.T) {
 // server that ignores Accept and answers every section as JSON (content
 // negotiation is outside input). Bootstrap and reads must work
 // transparently off the JSON decode path, the values landing in the
-// binary client's float32 storage.
+// section's row store unchanged.
 func TestBinaryClientFallsBackToJSON(t *testing.T) {
 	snap := server.SnapshotResponse{
 		Epoch: 7, Instance: 99, N: 2, K: 2, Edges: 3,

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/dyn"
+	"repro/internal/rows"
 	"repro/internal/sticky"
 )
 
@@ -85,7 +86,7 @@ func (s *streamer) release() {
 }
 
 // rowFill writes rows [lo, hi) of a response back to back into dst —
-// (*dyn.Pages).Rows for a snapshot, one (*dyn.Pages).Row per id for a
+// (*rows.Pages).Rows for a snapshot, one (*rows.Pages).Row per id for a
 // batched read.
 type rowFill func(lo, hi int, dst []float64)
 
@@ -102,7 +103,7 @@ func (s *streamer) block(lo, hi, k int, fill rowFill) []float64 {
 
 // labelBlock fills the pooled label buffer with the classes of vertices
 // [lo, hi) of z and returns it.
-func (s *streamer) labelBlock(z *dyn.Pages, lo, hi int) []int32 {
+func (s *streamer) labelBlock(z *rows.Pages[float64], lo, hi int) []int32 {
 	if cap(s.labels) < hi-lo {
 		s.labels = make([]int32, hi-lo)
 	}
@@ -156,7 +157,7 @@ func (s *streamer) floatv(x float64) {
 
 // labelArray emits z's labels as a JSON array of ints with periodic
 // abort checks. Reports whether it ran to completion.
-func (s *streamer) labelArray(z *dyn.Pages) bool {
+func (s *streamer) labelArray(z *rows.Pages[float64]) bool {
 	s.rawByte('[')
 	for lo := 0; lo < z.R; lo += labelsPerBlock {
 		if s.aborted() {

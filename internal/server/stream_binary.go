@@ -2,6 +2,7 @@ package server
 
 import (
 	"repro/internal/dyn"
+	"repro/internal/rows"
 	"repro/internal/wire"
 )
 
@@ -27,7 +28,7 @@ func (s *streamer) binHeader(h wire.Header) {
 
 // binLabels writes z's labels as an int32 section with periodic abort
 // checks; reports whether it ran to completion.
-func (s *streamer) binLabels(z *dyn.Pages) bool {
+func (s *streamer) binLabels(z *rows.Pages[float64]) bool {
 	for lo := 0; lo < z.R; lo += labelsPerBlock {
 		if s.aborted() {
 			return false

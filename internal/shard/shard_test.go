@@ -9,6 +9,7 @@ import (
 	"repro/internal/dyn"
 	"repro/internal/graph"
 	"repro/internal/labels"
+	"repro/internal/rows"
 )
 
 func TestNewPartition(t *testing.T) {
@@ -372,10 +373,10 @@ func TestShardPublishesOnlyItsWindow(t *testing.T) {
 				t.Errorf("shard %d, %d edges: publish allocated %d bytes, want < %d (the window is half of n×K)", i, m, got, limit)
 			}
 			zero := -1
-			for v := 0; v < n; v += dyn.PageRows {
+			for v := 0; v < n; v += rows.PageRows {
 				// Only pages wholly outside the window (a boundary page
 				// holds owned rows too).
-				if v+dyn.PageRows > int(sh.Lo) && v < int(sh.Hi) {
+				if v+rows.PageRows > int(sh.Lo) && v < int(sh.Hi) {
 					continue
 				}
 				if zero < 0 {

@@ -94,8 +94,16 @@ func TestFacadeReplicaAndNeighbors(t *testing.T) {
 	}
 	snap := d.Snapshot()
 	local := rep.Snapshot()
-	if local.Epoch != snap.Epoch || local.Z.MaxAbsDiff(snap.Z) != 0 {
-		t.Fatalf("replica not identical to primary at epoch %d", snap.Epoch)
+	if local.Epoch != snap.Epoch {
+		t.Fatalf("replica at epoch %d, primary at %d", local.Epoch, snap.Epoch)
+	}
+	row := make([]float64, snap.Z.C)
+	for v := range snap.Z.R {
+		for j, x := range local.CopyRow(v, row) {
+			if x != snap.Z.At(v, j) {
+				t.Fatalf("replica not identical to primary at epoch %d: Z[%d][%d] = %v, want %v", snap.Epoch, v, j, x, snap.Z.At(v, j))
+			}
+		}
 	}
 	batch, err := c.Embeddings(ctx, []uint32{0, 1, 2})
 	if err != nil || len(batch.Rows) != 3 {
