@@ -1,8 +1,8 @@
 package repro
 
 // Ablation benchmarks for the design choices DESIGN.md §6 calls out
-// beyond the paper's own experiments: edge map traversal mode, embedding
-// cell width, and parallel-for grain size.
+// beyond the paper's own experiments: embedding cell width, parallel-for
+// grain size, and replicated buffers against one shared matrix.
 
 import (
 	"runtime"
@@ -12,33 +12,8 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/labels"
-	"repro/internal/ligra"
 	"repro/internal/parallel"
 )
-
-// BenchmarkAblationEdgeMapMode compares the dense per-vertex schedule
-// (the paper's configuration) against a forced sparse frontier-driven
-// traversal for the same full-graph GEE edge map.
-func BenchmarkAblationEdgeMapMode(b *testing.B) {
-	el := gen.RMAT(0, 17, 1<<21, gen.Graph500Params, 7)
-	g := graph.BuildCSR(0, el)
-	y := labels.SampleSemiSupervised(el.N, 50, 0.1, 8)
-	for _, mode := range []struct {
-		name  string
-		force bool
-	}{{"dense", false}, {"sparse", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			opts := gee.Options{K: 50, ForceSparseEdgeMap: mode.force}
-			b.SetBytes(g.NumEdges() * 8)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := gee.EmbedCSR(gee.LigraParallel, g, y, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkAblationCellWidth compares float64 embedding cells against
 // float32 (half the write traffic per edge on a memory-bound kernel).
@@ -105,46 +80,7 @@ func BenchmarkAblationReplicatedMemory(b *testing.B) {
 	b.Run("replicatedZ", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := gee.EmbedReplicated(g, y, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkLigraBFS tracks the engine's frontier machinery end to end.
-func BenchmarkLigraBFS(b *testing.B) {
-	el := gen.RMAT(0, 17, 1<<21, gen.Graph500Params, 15)
-	g := graph.BuildCSR(0, graph.Symmetrize(el))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ligra.BFS(0, g, 0)
-	}
-}
-
-// BenchmarkSpectralVsGEE times both embedding families on one SBM.
-func BenchmarkSpectralVsGEE(b *testing.B) {
-	el, truth := gen.SBM(0, 20_000, 6, 0.006, 0.0003, 17)
-	g := graph.BuildCSR(0, el)
-	y := make([]int32, el.N)
-	mask := labels.SampleSemiSupervised(el.N, 6, 0.1, 18)
-	for i := range y {
-		y[i] = labels.Unknown
-		if mask[i] >= 0 {
-			y[i] = truth[i]
-		}
-	}
-	b.Run("gee-parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := gee.EmbedCSR(gee.LigraParallel, g, y, gee.Options{K: 6}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	sg := graph.BuildCSR(0, graph.Symmetrize(el))
-	b.Run("spectral-ase", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := SpectralEmbed(sg, SpectralOptions{K: 6, Seed: 19}); err != nil {
+			if _, err := gee.EmbedCSR(gee.Replicated, g, y, opts); err != nil {
 				b.Fatal(err)
 			}
 		}

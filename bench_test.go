@@ -22,7 +22,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/labels"
-	"repro/internal/ligra"
+	"repro/internal/parallel"
 )
 
 // benchCfg is the shared small-scale configuration for testing.B runs.
@@ -194,7 +194,7 @@ func BenchmarkAblation(b *testing.B) {
 	})
 	b.Run("replicated", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := gee.EmbedReplicated(w.G, w.Y, opts); err != nil {
+			if _, err := gee.EmbedCSR(gee.Replicated, w.G, w.Y, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -240,15 +240,24 @@ func BenchmarkBuildCSR(b *testing.B) {
 	}
 }
 
+// BenchmarkEdgeMapDenseTraversal walks every arc of the CSR in the edge
+// map's dense schedule (vertex chunks, each list in order) with no update:
+// the traversal floor under every GEE edge map.
 func BenchmarkEdgeMapDenseTraversal(b *testing.B) {
 	el := gen.RMAT(0, 18, 1<<22, gen.Graph500Params, 2)
 	g := graph.BuildCSR(0, el)
-	frontier := ligra.All(g.N)
 	b.SetBytes(g.NumEdges() * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ligra.Process(g, frontier, func(u, v graph.NodeID, w float32) bool { return false },
-			ligra.Options{})
+		parallel.ForChunk(0, g.N, 0, func(lo, hi int) {
+			var acc graph.NodeID
+			for u := lo; u < hi; u++ {
+				for _, v := range g.Neighbors(graph.NodeID(u)) {
+					acc += v
+				}
+			}
+			_ = acc
+		})
 	}
 }
 

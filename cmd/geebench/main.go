@@ -28,10 +28,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "table1", "experiment: table1, fig2, fig3, fig4, ablation, winit, baselines, all")
-		sbmN      = flag.Int("sbm-n", 50_000, "baselines: SBM vertex count")
-		sbmBlocks = flag.Int("sbm-blocks", 10, "baselines: SBM block count")
-		fullBase  = flag.Bool("full-baselines", false, "baselines: also run the slow DeepWalk and GCN rows")
+		exp       = flag.String("exp", "table1", "experiment: table1, fig2, fig3, fig4, ablation, winit, all")
 		csvDir    = flag.String("csv", "", "also write machine-readable CSVs into this directory")
 		scaleDiv  = flag.Int64("scale", 64, "dataset scale divisor (paper size / scale)")
 		reps      = flag.Int("reps", 3, "repetitions per measurement (median reported)")
@@ -55,13 +52,13 @@ func main() {
 		SkipReference: *skipRef,
 		Seed:          *seed,
 	}
-	if err := run(*exp, cfg, *minLog2, *maxLog2, *refMax, *graphName, *sbmN, *sbmBlocks, *fullBase, *csvDir); err != nil {
+	if err := run(*exp, cfg, *minLog2, *maxLog2, *refMax, *graphName, *csvDir); err != nil {
 		fmt.Fprintln(os.Stderr, "geebench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp string, cfg bench.Config, minLog2, maxLog2, refMax int, graphName string, sbmN, sbmBlocks int, fullBaselines bool, csvDir string) error {
+func run(exp string, cfg bench.Config, minLog2, maxLog2, refMax int, graphName, csvDir string) error {
 	out, progress := os.Stdout, os.Stderr
 	writeCSV := func(name string, write func(w io.Writer) error) error {
 		if csvDir == "" {
@@ -142,16 +139,6 @@ func run(exp string, cfg bench.Config, minLog2, maxLog2, refMax int, graphName s
 			}); err != nil {
 				return err
 			}
-		case "baselines":
-			runner := bench.RunBaselines
-			if fullBaselines {
-				runner = bench.RunBaselinesFull
-			}
-			res, err := runner(cfg, sbmN, sbmBlocks, 0.006, 0.0002, progress)
-			if err != nil {
-				return err
-			}
-			bench.RenderBaselines(out, res)
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
 		}
@@ -159,7 +146,7 @@ func run(exp string, cfg bench.Config, minLog2, maxLog2, refMax int, graphName s
 		return nil
 	}
 	if exp == "all" {
-		for _, name := range []string{"table1", "fig2", "fig3", "fig4", "ablation", "winit", "baselines"} {
+		for _, name := range []string{"table1", "fig2", "fig3", "fig4", "ablation", "winit"} {
 			if err := runOne(name); err != nil {
 				return err
 			}

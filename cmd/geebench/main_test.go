@@ -14,26 +14,25 @@ func tiny() bench.Config {
 func TestRunEachExperiment(t *testing.T) {
 	cfg := tiny()
 	for _, exp := range []string{"table1", "fig2", "ablation"} {
-		if err := run(exp, cfg, 13, 13, 13, "Twitch", 500, 2, false, ""); err != nil {
+		if err := run(exp, cfg, 13, 13, 13, "Twitch", ""); err != nil {
 			t.Fatalf("%s: %v", exp, err)
 		}
 	}
-	if err := run("fig4", cfg, 13, 14, 13, "Twitch", 500, 2, false, t.TempDir()); err != nil {
+	if err := run("fig4", cfg, 13, 14, 13, "Twitch", t.TempDir()); err != nil {
 		t.Fatalf("fig4: %v", err)
-	}
-	if err := run("baselines", cfg, 13, 13, 13, "Twitch", 600, 2, false, ""); err != nil {
-		t.Fatalf("baselines: %v", err)
 	}
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("bogus", tiny(), 13, 13, 13, "Twitch", 100, 2, false, ""); err == nil {
-		t.Fatal("unknown experiment accepted")
+	for _, exp := range []string{"bogus", "baselines"} {
+		if err := run(exp, tiny(), 13, 13, 13, "Twitch", ""); err == nil {
+			t.Fatalf("unknown experiment %q accepted", exp)
+		}
 	}
 }
 
 func TestRunUnknownGraph(t *testing.T) {
-	if err := run("ablation", tiny(), 13, 13, 13, "NotAGraph", 100, 2, false, ""); err == nil {
+	if err := run("ablation", tiny(), 13, 13, 13, "NotAGraph", ""); err == nil {
 		t.Fatal("unknown graph accepted")
 	}
 }

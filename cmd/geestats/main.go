@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	geestats -graph g.txt [-format edgelist|adj|bin] [-components] [-triangles]
+//	geestats -graph g.txt [-format edgelist|adj|bin]
 package main
 
 import (
@@ -13,29 +13,26 @@ import (
 
 	"repro"
 	"repro/internal/graph"
-	"repro/internal/ligra"
 )
 
 func main() {
 	var (
-		graphPath  = flag.String("graph", "", "input graph file (required)")
-		format     = flag.String("format", "edgelist", "graph format: edgelist, adj, bin")
-		workers    = flag.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
-		components = flag.Bool("components", false, "also count connected components (symmetrizes)")
-		triangles  = flag.Bool("triangles", false, "also count triangles (symmetrizes, sorts)")
+		graphPath = flag.String("graph", "", "input graph file (required)")
+		format    = flag.String("format", "edgelist", "graph format: edgelist, adj, bin")
+		workers   = flag.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 	if *graphPath == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*graphPath, *format, *workers, *components, *triangles); err != nil {
+	if err := run(*graphPath, *format, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, "geestats:", err)
 		os.Exit(1)
 	}
 }
 
-func run(path, format string, workers int, components, triangles bool) error {
+func run(path, format string, workers int) error {
 	var g *repro.Graph
 	var err error
 	switch format {
@@ -65,21 +62,5 @@ func run(path, format string, workers int, components, triangles bool) error {
 	fmt.Printf("isolated        %d\n", s.Isolated)
 	fmt.Printf("self loops      %d\n", s.SelfLoops)
 	fmt.Printf("total weight    %.1f\n", s.WeightTotal)
-
-	if components || triangles {
-		sym := graph.BuildCSR(workers, graph.Symmetrize(g.ToEdgeList()))
-		if components {
-			cc := ligra.ConnectedComponents(workers, sym)
-			seen := map[repro.NodeID]bool{}
-			for _, c := range cc {
-				seen[c] = true
-			}
-			fmt.Printf("components      %d\n", len(seen))
-		}
-		if triangles {
-			graph.SortAdjacency(workers, sym)
-			fmt.Printf("triangles       %d\n", ligra.TriangleCount(workers, sym))
-		}
-	}
 	return nil
 }

@@ -14,7 +14,7 @@ func TestRunStats(t *testing.T) {
 	if err := repro.SaveEdgeList(path, el); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(path, "edgelist", 4, true, true); err != nil {
+	if err := run(path, "edgelist", 4); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -25,18 +25,22 @@ func TestRunStatsFormats(t *testing.T) {
 	g := repro.BuildGraph(2, el)
 	adj := filepath.Join(dir, "g.adj")
 	bin := filepath.Join(dir, "g.bin")
-	repro.SaveAdjacency(adj, g)
-	repro.SaveBinary(bin, g)
-	if err := run(adj, "adj", 2, false, false); err != nil {
+	if err := repro.SaveAdjacency(adj, g); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(bin, "bin", 2, false, false); err != nil {
+	if err := repro.SaveBinary(bin, g); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(adj, "bogus", 2, false, false); err == nil {
+	if err := run(adj, "adj", 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(bin, "bin", 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(adj, "bogus", 2); err == nil {
 		t.Fatal("bogus format accepted")
 	}
-	if err := run("/nonexistent", "edgelist", 2, false, false); err == nil {
+	if err := run("/nonexistent", "edgelist", 2); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }

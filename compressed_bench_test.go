@@ -12,7 +12,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/labels"
-	"repro/internal/ligra"
+	"repro/internal/parallel"
 )
 
 func compressedFixture(b *testing.B) (*graph.CSR, *graph.CompressedCSR, []int32) {
@@ -34,10 +34,13 @@ func BenchmarkCompressedTraversal(b *testing.B) {
 		b.SetBytes(g.NumEdges() * 4)
 		for i := 0; i < b.N; i++ {
 			var count atomic.Int64
-			ligra.Process(g, ligra.All(g.N), func(u, v graph.NodeID, w float32) bool {
-				count.Add(1)
-				return false
-			}, ligra.Options{})
+			parallel.ForChunk(0, g.N, 0, func(lo, hi int) {
+				for u := lo; u < hi; u++ {
+					for range g.Neighbors(graph.NodeID(u)) {
+						count.Add(1)
+					}
+				}
+			})
 		}
 	})
 	b.Run("compressed", func(b *testing.B) {

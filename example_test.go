@@ -75,14 +75,3 @@ func ExampleNewStreamingEmbedder() {
 	fmt.Println(batch.Z.EqualTol(s.Z(), 1e-9))
 	// Output: true
 }
-
-// The engine under GEE is a general Ligra-style toolkit.
-func ExampleBFS() {
-	// a path 0-1-2-3: distances from 0 are 0,1,2,3
-	el := &repro.EdgeList{N: 4, Edges: []repro.Edge{
-		{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 2, V: 3, W: 1},
-	}}
-	g := repro.BuildGraph(1, repro.Symmetrize(el))
-	fmt.Println(repro.BFS(2, g, 0))
-	// Output: [0 1 2 3]
-}

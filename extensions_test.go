@@ -4,22 +4,6 @@ import (
 	"testing"
 )
 
-func TestFacadeSpectralEmbed(t *testing.T) {
-	el, truth := NewSBM(4, 800, 2, 0.1, 0.003, 23)
-	g := BuildGraph(4, Symmetrize(el))
-	res, err := SpectralEmbed(g, SpectralOptions{K: 2, Seed: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Z.R != 800 || res.Z.C != 2 {
-		t.Fatalf("shape %dx%d", res.Z.R, res.Z.C)
-	}
-	assign := KMeansLabels(4, res.Z, 2, 25)
-	if ari := ARI(assign, truth); ari < 0.8 {
-		t.Fatalf("spectral ARI=%v", ari)
-	}
-}
-
 func TestFacadeStreaming(t *testing.T) {
 	el := NewErdosRenyi(4, 300, 5000, 27)
 	y := SampleLabels(el.N, 5, 0.5, 28)

@@ -40,7 +40,7 @@ func TestEmbedReplicatedMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 8} {
-		rep, err := EmbedReplicated(g, y, Options{K: 20, Workers: workers})
+		rep, err := EmbedCSR(Replicated, g, y, Options{K: 20, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestEmbedReplicatedLaplacian(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := EmbedReplicated(g, y, Options{K: 6, Workers: 8, Laplacian: true})
+	rep, err := EmbedCSR(Replicated, g, y, Options{K: 6, Workers: 8, Laplacian: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestEmbedReplicatedLaplacian(t *testing.T) {
 func TestEmbedReplicatedErrors(t *testing.T) {
 	el := gen.Path(3)
 	g := graph.BuildCSR(1, el)
-	if _, err := EmbedReplicated(g, []int32{0}, Options{K: 1}); err == nil {
+	if _, err := EmbedCSR(Replicated, g, []int32{0}, Options{K: 1}); err == nil {
 		t.Fatal("label length mismatch accepted")
 	}
 }

@@ -9,9 +9,10 @@
 //     flat preallocated arrays and the W matrix compressed to the one
 //     nonzero coefficient per vertex.
 //   - LigraSerial / LigraParallel / LigraParallelUnsafe: Algorithm 2 —
-//     the edge map formulation over the Ligra engine. Parallel uses
-//     lock-free atomic writeAdd (atomicx.Add); Unsafe is the
-//     paper's ablation with atomics off (plain, racy adds).
+//     the edge map formulation, run as exec's dense row-major walk over
+//     every arc of the CSR. Parallel uses lock-free atomic writeAdd
+//     (atomicx.Add); Unsafe is the paper's ablation with atomics off
+//     (plain, racy adds).
 //   - Replicated: per-worker private copies of Z reduced at the end —
 //     the alternative the paper rejects for memory, promoted to a
 //     first-class implementation for the ablation that quantifies that
@@ -127,11 +128,6 @@ type Options struct {
 	// incident weight of the endpoint (the GEE paper's Laplacian
 	// preprocessing).
 	Laplacian bool
-	// ForceSparseEdgeMap pins the Ligra traversal to the sparse path
-	// (ablation only; the paper's configuration is dense). It applies to
-	// the Ligra implementations; Replicated and ShardedParallel are not
-	// frontier traversals and ignore it.
-	ForceSparseEdgeMap bool
 }
 
 // normalize validates y against opts and returns the effective K.

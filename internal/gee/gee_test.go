@@ -315,22 +315,6 @@ func TestEmbedCSRMatchesEmbed(t *testing.T) {
 	}
 }
 
-func TestForceSparseEdgeMapEquivalent(t *testing.T) {
-	el := gen.ErdosRenyi(4, 400, 8000, 17)
-	y := labels.SampleSemiSupervised(el.N, 6, 0.4, 18)
-	dense, err := Embed(LigraParallel, el, y, Options{K: 6, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sparse, err := Embed(LigraParallel, el, y, Options{K: 6, Workers: 8, ForceSparseEdgeMap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dense.Z.EqualTol(sparse.Z, 1e-9) {
-		t.Fatal("sparse edge map produced a different embedding")
-	}
-}
-
 func TestOptimizedEmbedCSRMatches(t *testing.T) {
 	el := gen.RMAT(4, 9, 6000, gen.Graph500Params, 19)
 	y := labels.SampleSemiSupervised(el.N, 7, 0.3, 20)

@@ -6,14 +6,15 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/graph"
-	"repro/internal/ligra"
 	"repro/internal/mat"
 	"repro/internal/parallel"
 )
 
 // csrEmbed is Algorithm 2 (GEE-Ligra) generalized over execution
 // strategies: the projection initialization is parallelized (lines 3-6),
-// then the whole-arc edge map applies updateEmb to every arc (line 7).
+// then the edge map applies updateEmb once to every arc (line 7). That
+// edge map is exec.walk, a dense walk over the CSR's rows that every
+// strategy runs: every vertex is active, so nothing tracks a frontier.
 //
 // updateEmb (lines 9-12) performs the two writeAdd updates per arc:
 //
@@ -84,33 +85,11 @@ func csrEmbedTimed(g *graph.CSR, y []int32, k int, opts Options, impl Impl, tm *
 		tm.WInit = time.Since(start)
 		start = time.Now()
 	}
+	// Algorithm 2, line 7: the edge map over all arcs (exec's dense
+	// row-major walk), under the implementation's write discipline.
 	strategy, _ := impl.strategy()
-	if opts.ForceSparseEdgeMap &&
-		(strategy == exec.Serial || strategy == exec.Atomic || strategy == exec.Racy) {
-		// Ablation path: frontier-driven sparse traversal instead of the
-		// dense per-vertex schedule. Note this breaks the "updates from
-		// one vertex's list never race" property, so it is only valid
-		// with atomics (or one worker); the racy ablation stays racy on
-		// purpose, as in the dense schedule.
-		zd := z.Data
-		updateEmb := func(u, v graph.NodeID, w float32) bool {
-			kern.Apply(zd, u, v, w)
-			return false
-		}
-		if exec.UsesAtomicAdds(strategy, workers) {
-			updateEmb = func(u, v graph.NodeID, w float32) bool {
-				kern.ApplyAtomic(zd, u, v, w)
-				return false
-			}
-		}
-		ligra.EdgeMap(g, ligra.All(g.N), updateEmb,
-			ligra.Options{Workers: workers, ForceSparse: true})
-	} else {
-		// Algorithm 2, line 7: the edge map over all arcs, under the
-		// implementation's write discipline.
-		if _, err := exec.Run(strategy, g, kern, z.Data, exec.Options{Workers: workers}); err != nil {
-			return nil, err
-		}
+	if _, err := exec.Run(strategy, g, kern, z.Data, exec.Options{Workers: workers}); err != nil {
+		return nil, err
 	}
 	if tm != nil {
 		tm.EdgeMap = time.Since(start)

@@ -86,23 +86,3 @@ func TestShardedParallelPowerLawUnderRaceDetector(t *testing.T) {
 		}
 	}
 }
-
-func TestReplicatedViaImplsMatchesLegacyEntryPoint(t *testing.T) {
-	el := gen.ErdosRenyi(4, 500, 8000, 67)
-	y := labels.SampleSemiSupervised(el.N, 5, 0.3, 68)
-	g := graph.BuildCSR(4, el)
-	a, err := EmbedReplicated(g, y, Options{K: 5, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := EmbedCSR(Replicated, g, y, Options{K: 5, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Z.MaxAbsDiff(b.Z) != 0 {
-		t.Fatal("wrapper and first-class Replicated disagree")
-	}
-	if a.Impl != Replicated {
-		t.Fatalf("wrapper reports Impl %v", a.Impl)
-	}
-}

@@ -90,7 +90,7 @@ func (el *EdgeList) Clone() *EdgeList {
 // CSR is a compressed sparse row graph over the out-edges of each vertex:
 // the arcs of vertex u are Targets[Offsets[u]:Offsets[u+1]] (and the
 // matching Weights range when weighted). This is the representation
-// Ligra's edgeMapDense traverses.
+// the GEE edge map (exec.walk) traverses.
 type CSR struct {
 	N       int
 	Offsets []int64   // len N+1

@@ -7,8 +7,8 @@ import (
 
 // Symmetrize returns an edge list in which every edge {u,v} of el appears
 // as both (u,v) and (v,u). Self loops are kept single. Use it to build the
-// out-edge CSR of an undirected graph for traversal-style algorithms
-// (BFS, label propagation); the GEE kernels do NOT need it because
+// out-edge CSR of an undirected graph for neighbourhood-style algorithms
+// (label propagation); the GEE kernels do NOT need it because
 // Algorithm 1 already applies both endpoint updates per row.
 func Symmetrize(el *EdgeList) *EdgeList {
 	out := &EdgeList{N: el.N, Weighted: el.Weighted, Edges: make([]Edge, 0, 2*len(el.Edges))}

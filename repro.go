@@ -3,8 +3,8 @@
 //
 // It embeds the n vertices of a graph into K dimensions with a single
 // pass over the edges, in any of the paper's four implementations — from
-// the faithful serial reference to the Ligra-style edge-parallel version
-// with lock-free atomic updates — plus two race-free parallel backends:
+// the faithful serial reference to the edge-parallel edge map with
+// lock-free atomic updates — plus two race-free parallel backends:
 // Replicated (per-worker buffers + reduction) and ShardedParallel
 // (destination-sharded plain writes, no atomics and no replicas).
 //
@@ -18,8 +18,8 @@
 // The heavy lifting lives in internal packages; this package re-exports
 // the stable surface: graph types and I/O (internal/graph), generators
 // (internal/gen), the GEE family (internal/gee), labels
-// (internal/labels), evaluation (internal/cluster), and the Ligra engine
-// algorithms (internal/ligra).
+// (internal/labels), evaluation (internal/cluster), and the dynamic
+// embedder with its HTTP serving layer (internal/dyn, internal/server).
 package repro
 
 import (
@@ -28,18 +28,14 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dyn"
-	"repro/internal/gcn"
 	"repro/internal/gee"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/labels"
-	"repro/internal/ligra"
 	"repro/internal/mat"
 	"repro/internal/metrics"
 	"repro/internal/server"
 	"repro/internal/server/client"
-	"repro/internal/spectral"
-	"repro/internal/walks"
 )
 
 // Core graph types.
@@ -50,7 +46,7 @@ type (
 	Edge = graph.Edge
 	// EdgeList is the paper's native input representation.
 	EdgeList = graph.EdgeList
-	// Graph is the compressed sparse row form the Ligra engine traverses.
+	// Graph is the compressed sparse row form the edge map walks.
 	Graph = graph.CSR
 	// Dense is the row-major matrix type used for embeddings.
 	Dense = mat.Dense
@@ -198,42 +194,12 @@ func ARI(a, b []int32) float64 { return cluster.ARI(a, b) }
 // NMI computes normalized mutual information between two labelings.
 func NMI(a, b []int32) float64 { return cluster.NMI(a, b) }
 
-// Engine algorithms (the same EdgeMap interface GEE runs on).
-
-// BFS returns hop distances from source (-1 when unreachable).
-func BFS(workers int, g *Graph, source NodeID) []int32 { return ligra.BFS(workers, g, source) }
-
-// ConnectedComponents labels each vertex with its component's minimum id.
-func ConnectedComponents(workers int, g *Graph) []NodeID {
-	return ligra.ConnectedComponents(workers, g)
-}
-
-// PageRank runs damped power iteration to eps or maxIter.
-func PageRank(workers int, g *Graph, damping, eps float64, maxIter int) []float64 {
-	return ligra.PageRank(workers, g, damping, eps, maxIter)
-}
-
-// Symmetrize returns an edge list with both arc directions per edge (for
-// traversal algorithms; GEE does not need it).
+// Symmetrize returns an edge list with both arc directions per edge (GEE
+// does not need it; label propagation and METIS output do).
 func Symmetrize(el *EdgeList) *EdgeList { return graph.Symmetrize(el) }
 
 // WriteEmbedding streams Z as TSV (one vertex per row).
 func WriteEmbedding(w io.Writer, z *Dense) error { return writeEmbeddingTSV(w, z) }
-
-// Spectral baseline.
-
-type (
-	// SpectralOptions configures the adjacency spectral embedding baseline.
-	SpectralOptions = spectral.Options
-	// SpectralResult is the ASE output.
-	SpectralResult = spectral.Result
-)
-
-// SpectralEmbed computes the adjacency spectral embedding of a
-// symmetrized graph — the baseline family the GEE papers compare against.
-func SpectralEmbed(g *Graph, opts SpectralOptions) (*SpectralResult, error) {
-	return spectral.Embed(g, opts)
-}
 
 // Streaming / incremental embedding.
 
@@ -448,78 +414,8 @@ func KNNClassify(workers int, z *Dense, y []int32, k int) []int32 {
 	return cluster.KNNClassify(workers, z, y, k)
 }
 
-// Random-walk embedding baseline (DeepWalk / node2vec).
-
-type (
-	// WalkConfig configures random-walk generation.
-	WalkConfig = walks.WalkConfig
-	// WalkTrainConfig configures skip-gram-with-negative-sampling training.
-	WalkTrainConfig = walks.TrainConfig
-)
-
-// GenerateWalks produces random walks over a symmetrized, adjacency-
-// sorted graph (uniform when P=Q=1, node2vec-biased otherwise).
-func GenerateWalks(g *Graph, cfg WalkConfig) ([][]NodeID, error) {
-	return walks.Generate(g, cfg)
-}
-
-// TrainWalkEmbedding learns vertex embeddings from a walk corpus (SGNS).
-func TrainWalkEmbedding(n int, corpus [][]NodeID, cfg WalkTrainConfig) (*Dense, error) {
-	return walks.Train(n, corpus, cfg)
-}
-
-// GCN baseline.
-
-type (
-	// GCNConfig configures the 2-layer GCN baseline.
-	GCNConfig = gcn.Config
-	// GCNResult is the trained GCN output.
-	GCNResult = gcn.Result
-)
-
-// TrainGCN fits the 2-layer GCN baseline on a symmetrized graph for
-// semi-supervised node classification (y: class or -1).
-func TrainGCN(g *Graph, y []int32, x *Dense, cfg GCNConfig) (*GCNResult, error) {
-	return gcn.Train(g, y, x, cfg)
-}
-
-// Additional engine algorithms.
-
-// BellmanFord computes shortest-path distances over non-negative weights
-// using the engine's writeMin primitive (+Inf = unreachable).
-func BellmanFord(workers int, g *Graph, source NodeID) []float64 {
-	return ligra.BellmanFord(workers, g, source)
-}
-
-// KCore returns the coreness of every vertex of a symmetrized graph.
-func KCore(workers int, g *Graph) []int32 { return ligra.KCore(workers, g) }
-
-// TriangleCount counts triangles of a symmetrized, adjacency-sorted graph.
-func TriangleCount(workers int, g *Graph) int64 { return ligra.TriangleCount(workers, g) }
-
-// BetweennessCentrality returns single-source Brandes dependencies.
-func BetweennessCentrality(workers int, g *Graph, source NodeID) []float64 {
-	return ligra.BetweennessCentrality(workers, g, source)
-}
-
-// MaximalIndependentSet computes an MIS with Luby's algorithm.
-func MaximalIndependentSet(workers int, g *Graph, seed uint64) []bool {
-	return ligra.MaximalIndependentSet(workers, g, seed)
-}
-
-// DeltaStepping computes shortest paths with bucketed relaxation
-// (delta <= 0 picks the mean edge weight).
-func DeltaStepping(workers int, g *Graph, source NodeID, delta float64) []float64 {
-	return ligra.DeltaStepping(workers, g, source, delta)
-}
-
-// GreedyColor computes a proper vertex coloring (Jones-Plassmann).
-func GreedyColor(workers int, g *Graph, seed uint64) []int32 {
-	return ligra.GreedyColor(workers, g, seed)
-}
-
-// SortAdjacency canonically sorts every adjacency list (required by
-// TriangleCount and node2vec-biased walks).
+// SortAdjacency canonically sorts every adjacency list, so equal graphs
+// get equal CSRs whatever order their edges arrived in.
 func SortAdjacency(workers int, g *Graph) { graph.SortAdjacency(workers, g) }
 
 // Compressed graphs and large-graph loading.

@@ -3,7 +3,6 @@ package repro
 import (
 	"bytes"
 	"context"
-	"math"
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
@@ -165,27 +164,6 @@ func TestFacadeSBMPipeline(t *testing.T) {
 	}
 	if nmi := NMI(res.Labels, truth); nmi < 0.5 {
 		t.Fatalf("refine NMI=%v", nmi)
-	}
-}
-
-func TestFacadeEngineAlgorithms(t *testing.T) {
-	el := NewErdosRenyi(4, 400, 4000, 11)
-	g := BuildGraph(4, Symmetrize(el))
-	dist := BFS(4, g, 0)
-	if dist[0] != 0 {
-		t.Fatal("BFS source distance")
-	}
-	cc := ConnectedComponents(4, g)
-	if len(cc) != 400 {
-		t.Fatal("CC length")
-	}
-	pr := PageRank(4, g, 0.85, 1e-9, 50)
-	var sum float64
-	for _, v := range pr {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-6 {
-		t.Fatalf("PageRank sum=%v", sum)
 	}
 }
 
