@@ -34,9 +34,6 @@ type AtomicCell struct {
 	// AtomicPkgs are package paths whose calls taking &x constitute
 	// atomic access evidence (sync/atomic plus repo helpers).
 	AtomicPkgs []string
-	// AtomicFuncs are additional fully-qualified functions (FuncKey
-	// form) treated as atomic accessors of their pointer arguments.
-	AtomicFuncs []string
 	// RacyAllowed lists package paths that may carry //gee:racy.
 	RacyAllowed []string
 	// RacyRequired lists package paths that must carry //gee:racy.
@@ -55,12 +52,6 @@ func (a *AtomicCell) isAtomicCall(info *types.Info, call *ast.CallExpr) bool {
 	}
 	for _, p := range a.AtomicPkgs {
 		if f.Pkg().Path() == p {
-			return true
-		}
-	}
-	key := FuncKey(f)
-	for _, fn := range a.AtomicFuncs {
-		if key == fn {
 			return true
 		}
 	}

@@ -17,9 +17,6 @@ func DefaultAnalyzers() []Analyzer {
 				"sync/atomic",
 				"repro/internal/atomicx",
 			},
-			AtomicFuncs: []string{
-				"repro/internal/graph.atomicFetchAdd",
-			},
 			// The paper's benign-race executor is the one deliberate
 			// exception; it must declare itself.
 			RacyAllowed:  []string{"repro/internal/exec"},

@@ -177,10 +177,8 @@ func (k *Kernel[T]) ApplyDst(z []T, u, v graph.NodeID, w float32) int64 {
 }
 
 // ApplyAtomic is Apply with both half-updates performed as lock-free
-// atomic adds (Ligra's writeAdd). It serves arc streams with no
-// ownership structure: edge slices (AtomicEdges) and the traversals
-// outside this package — the compressed-graph edge decoder and the gee
-// sparse edge-map ablation — so the kernel math still exists only here.
+// atomic adds (Ligra's writeAdd). It serves the one arc stream with no
+// ownership structure, edge slices (AtomicEdges).
 //
 //gee:noalloc
 func (k *Kernel[T]) ApplyAtomic(z []T, u, v graph.NodeID, w float32) int64 {

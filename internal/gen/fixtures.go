@@ -13,48 +13,11 @@ func Path(n int) *graph.EdgeList {
 	return el
 }
 
-// Cycle returns the n-cycle.
-func Cycle(n int) *graph.EdgeList {
-	el := Path(n)
-	if n >= 3 {
-		el.Edges = append(el.Edges, graph.Edge{U: graph.NodeID(n - 1), V: 0, W: 1})
-	}
-	return el
-}
-
 // Star returns the star with center 0 and n-1 leaves.
 func Star(n int) *graph.EdgeList {
 	el := &graph.EdgeList{N: n}
 	for v := 1; v < n; v++ {
 		el.Edges = append(el.Edges, graph.Edge{U: 0, V: graph.NodeID(v), W: 1})
-	}
-	return el
-}
-
-// Complete returns K_n (each unordered pair once).
-func Complete(n int) *graph.EdgeList {
-	el := &graph.EdgeList{N: n}
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			el.Edges = append(el.Edges, graph.Edge{U: graph.NodeID(u), V: graph.NodeID(v), W: 1})
-		}
-	}
-	return el
-}
-
-// Grid2D returns the rows x cols 4-neighbor grid.
-func Grid2D(rows, cols int) *graph.EdgeList {
-	el := &graph.EdgeList{N: rows * cols}
-	id := func(r, c int) graph.NodeID { return graph.NodeID(r*cols + c) }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if c+1 < cols {
-				el.Edges = append(el.Edges, graph.Edge{U: id(r, c), V: id(r, c+1), W: 1})
-			}
-			if r+1 < rows {
-				el.Edges = append(el.Edges, graph.Edge{U: id(r, c), V: id(r+1, c), W: 1})
-			}
-		}
 	}
 	return el
 }

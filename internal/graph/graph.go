@@ -1,7 +1,7 @@
 // Package graph provides the graph substrate for the GEE reproduction:
 // edge lists, a compressed sparse row (CSR) representation with a parallel
-// builder, structural transforms, statistics, and file I/O in the formats
-// Ligra and SNAP use.
+// builder, vertex reordering, statistics, and file I/O in three formats:
+// SNAP edge list, Ligra AdjacencyGraph and a binary CSR.
 //
 // Node identifiers are uint32 (supports up to ~4.29B nodes); edge counts
 // and CSR offsets are int64 so billion-edge graphs index correctly.
@@ -209,7 +209,7 @@ func BuildCSR(workers int, el *EdgeList) *CSR {
 	parallel.ForChunk(workers, m, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			e := el.Edges[i]
-			slot := atomicFetchAdd(&cursor[e.U], 1)
+			slot := atomic.AddInt64(&cursor[e.U], 1) - 1
 			g.Targets[slot] = e.V
 			if g.Weights != nil {
 				g.Weights[slot] = e.W

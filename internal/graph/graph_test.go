@@ -189,25 +189,6 @@ func TestSymmetrize(t *testing.T) {
 	}
 }
 
-func TestRemoveSelfLoops(t *testing.T) {
-	el := &EdgeList{N: 3, Edges: []Edge{{0, 0, 1}, {0, 1, 1}, {2, 2, 1}}}
-	RemoveSelfLoops(el)
-	if len(el.Edges) != 1 || el.Edges[0].V != 1 {
-		t.Fatalf("got %v", el.Edges)
-	}
-}
-
-func TestDeduplicate(t *testing.T) {
-	el := &EdgeList{N: 3, Edges: []Edge{{1, 2, 1}, {0, 1, 1}, {1, 2, 9}, {0, 1, 1}}}
-	Deduplicate(2, el)
-	if len(el.Edges) != 2 {
-		t.Fatalf("got %d edges: %v", len(el.Edges), el.Edges)
-	}
-	if el.Edges[0].U != 0 || el.Edges[1].U != 1 {
-		t.Fatalf("not sorted: %v", el.Edges)
-	}
-}
-
 func TestPermuteRoundTrip(t *testing.T) {
 	el := randomEdgeList(20, 100, 11, false)
 	perm := RandomPermutation(20, 5)
@@ -231,27 +212,6 @@ func TestRandomPermutationIsPermutation(t *testing.T) {
 			t.Fatal("duplicate in permutation")
 		}
 		seen[v] = true
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	g := BuildCSR(2, triangle())
-	gt := Transpose(2, g)
-	// transpose of 0->1->2->0 is 0->2->1->0
-	for u := NodeID(0); u < 3; u++ {
-		want := NodeID((u + 2) % 3)
-		if gt.Neighbors(u)[0] != want {
-			t.Fatalf("transpose neighbor(%d)=%d want %d", u, gt.Neighbors(u)[0], want)
-		}
-	}
-	// double transpose = original (after sorting)
-	gtt := Transpose(2, gt)
-	SortAdjacency(1, g)
-	SortAdjacency(1, gtt)
-	for u := NodeID(0); u < 3; u++ {
-		if gtt.Neighbors(u)[0] != g.Neighbors(u)[0] {
-			t.Fatal("double transpose differs")
-		}
 	}
 }
 
@@ -327,19 +287,6 @@ func TestDegreePercentiles(t *testing.T) {
 	}
 	if s.MaxDegree != int64(n-1) {
 		t.Fatalf("max=%d", s.MaxDegree)
-	}
-}
-
-func TestOutDegreesAndWeightedDegrees(t *testing.T) {
-	el := &EdgeList{N: 3, Weighted: true, Edges: []Edge{{0, 1, 2}, {0, 2, 3}, {1, 0, 1}}}
-	g := BuildCSR(2, el)
-	d := OutDegrees(2, g)
-	if d[0] != 2 || d[1] != 1 || d[2] != 0 {
-		t.Fatalf("degrees=%v", d)
-	}
-	wd := WeightedDegrees(2, g)
-	if wd[0] != 5 || wd[1] != 1 || wd[2] != 0 {
-		t.Fatalf("weighted degrees=%v", wd)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 
@@ -83,7 +84,7 @@ func ReadAdjacency(r io.Reader) (*CSR, error) {
 		return nil, err
 	}
 	n, err := strconv.Atoi(nStr)
-	if err != nil || n < 0 {
+	if err != nil || n < 0 || n > math.MaxUint32 {
 		return nil, fmt.Errorf("graph: bad vertex count %q", nStr)
 	}
 	mStr, err := next()
@@ -94,7 +95,9 @@ func ReadAdjacency(r io.Reader) (*CSR, error) {
 	if err != nil || m < 0 {
 		return nil, fmt.Errorf("graph: bad edge count %q", mStr)
 	}
-	g := &CSR{N: n, Offsets: make([]int64, n+1), Targets: make([]NodeID, m)}
+	// The counts are claims: grow the arrays as values arrive, so a short
+	// stream fails at EOF instead of allocating what its header says.
+	g := &CSR{N: n, Offsets: make([]int64, 0, min(n, readChunk)+1), Targets: make([]NodeID, 0, min(m, readChunk))}
 	for u := 0; u < n; u++ {
 		tok, err := next()
 		if err != nil {
@@ -104,9 +107,9 @@ func ReadAdjacency(r io.Reader) (*CSR, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph: offset %d: %w", u, err)
 		}
-		g.Offsets[u] = off
+		g.Offsets = append(g.Offsets, off)
 	}
-	g.Offsets[n] = m
+	g.Offsets = append(g.Offsets, m)
 	for i := int64(0); i < m; i++ {
 		tok, err := next()
 		if err != nil {
@@ -116,10 +119,10 @@ func ReadAdjacency(r io.Reader) (*CSR, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph: target %d: %w", i, err)
 		}
-		g.Targets[i] = NodeID(t)
+		g.Targets = append(g.Targets, NodeID(t))
 	}
 	if weighted {
-		g.Weights = make([]float32, m)
+		g.Weights = make([]float32, 0, min(m, readChunk))
 		for i := int64(0); i < m; i++ {
 			tok, err := next()
 			if err != nil {
@@ -129,7 +132,7 @@ func ReadAdjacency(r io.Reader) (*CSR, error) {
 			if err != nil {
 				return nil, fmt.Errorf("graph: weight %d: %w", i, err)
 			}
-			g.Weights[i] = float32(wt)
+			g.Weights = append(g.Weights, float32(wt))
 		}
 	}
 	if err := g.Validate(); err != nil {

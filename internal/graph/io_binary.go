@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 )
 
 // Compact binary CSR format, little-endian:
@@ -68,20 +70,19 @@ func ReadBinary(r io.Reader) (*CSR, error) {
 		return nil, err
 	}
 	n, m, flags := hdr[0], hdr[1], hdr[2]
-	const maxReasonable = 1 << 40
-	if n > maxReasonable || m > maxReasonable {
-		return nil, fmt.Errorf("graph: implausible sizes n=%d m=%d", n, m)
+	if n > math.MaxUint32 {
+		return nil, fmt.Errorf("graph: vertex count %d exceeds the uint32 id space", n)
 	}
-	g := &CSR{N: int(n), Offsets: make([]int64, n+1), Targets: make([]NodeID, m)}
-	if err := binary.Read(br, binary.LittleEndian, g.Offsets); err != nil {
+	g := &CSR{N: int(n)}
+	var err error
+	if g.Offsets, err = readChunked[int64](br, n+1); err != nil {
 		return nil, err
 	}
-	if err := binary.Read(br, binary.LittleEndian, g.Targets); err != nil {
+	if g.Targets, err = readChunked[NodeID](br, m); err != nil {
 		return nil, err
 	}
 	if flags&flagWeighted != 0 {
-		g.Weights = make([]float32, m)
-		if err := binary.Read(br, binary.LittleEndian, g.Weights); err != nil {
+		if g.Weights, err = readChunked[float32](br, m); err != nil {
 			return nil, err
 		}
 	}
@@ -89,6 +90,26 @@ func ReadBinary(r io.Reader) (*CSR, error) {
 		return nil, err
 	}
 	return g, nil
+}
+
+// readChunk caps how many values a reader allocates ahead of the data.
+const readChunk = 1 << 16
+
+// readChunked reads count little-endian values, growing the slice as
+// they arrive: a header that claims more than the stream holds fails at
+// EOF having allocated about what was present, not what was claimed.
+func readChunked[T int64 | NodeID | float32](r io.Reader, count uint64) ([]T, error) {
+	out := make([]T, 0, min(count, readChunk))
+	for left := count; left > 0; {
+		k := int(min(left, readChunk))
+		lo := len(out)
+		out = slices.Grow(out, k)[:lo+k]
+		if err := binary.Read(r, binary.LittleEndian, out[lo:]); err != nil {
+			return nil, err
+		}
+		left -= uint64(k)
+	}
+	return out, nil
 }
 
 // WriteBinaryFile writes g to path in the compact binary format.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -59,6 +60,9 @@ func ReadEdgeList(r io.Reader, minN int) (*EdgeList, error) {
 		v, err := strconv.ParseUint(fields[1], 10, 32)
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: %w", line, err)
+		}
+		if u == math.MaxUint32 || v == math.MaxUint32 {
+			return nil, fmt.Errorf("graph: line %d: vertex id %d leaves no uint32 vertex count", line, max(u, v))
 		}
 		w := float32(1)
 		if len(fields) >= 3 {

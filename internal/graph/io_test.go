@@ -2,6 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -225,4 +228,138 @@ func TestFileHelpersMissingFile(t *testing.T) {
 	if _, err := ReadEdgeListFile("/nonexistent/x.txt"); err == nil {
 		t.Fatal("missing file accepted")
 	}
+}
+
+// binaryHeader is a GEECSR01 header claiming n vertices and m arcs,
+// followed by no data.
+func binaryHeader(n, m uint64) []byte {
+	b := append([]byte(nil), binMagic[:]...)
+	for _, x := range []uint64{n, m, 0} {
+		b = binary.LittleEndian.AppendUint64(b, x)
+	}
+	return b
+}
+
+func TestReadersRejectHostileHeaders(t *testing.T) {
+	cases := []struct {
+		name string
+		read func() error
+	}{
+		{"binary n=1<<39", func() error {
+			_, err := ReadBinary(bytes.NewReader(binaryHeader(1<<39, 0)))
+			return err
+		}},
+		{"binary m=1<<39", func() error {
+			_, err := ReadBinary(bytes.NewReader(binaryHeader(0, 1<<39)))
+			return err
+		}},
+		{"adjacency n=MaxInt64", func() error {
+			_, err := ReadAdjacency(strings.NewReader("AdjacencyGraph\n9223372036854775807\n0"))
+			return err
+		}},
+		{"adjacency n=1e12", func() error {
+			_, err := ReadAdjacency(strings.NewReader("AdjacencyGraph\n1000000000000\n0"))
+			return err
+		}},
+	}
+	for _, c := range cases {
+		if c.read() == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+}
+
+// FuzzReadGraph feeds the three graph readers; the first byte picks the
+// format. An input a reader accepts must validate and survive a
+// Write→Read round trip unchanged.
+func FuzzReadGraph(f *testing.F) {
+	for _, weighted := range []bool{false, true} {
+		el := randomEdgeList(6, 12, 3, weighted)
+		g := BuildCSR(1, el)
+		var e, a, b bytes.Buffer
+		if err := WriteEdgeList(&e, el); err != nil {
+			f.Fatal(err)
+		}
+		if err := WriteAdjacency(&a, g); err != nil {
+			f.Fatal(err)
+		}
+		if err := WriteBinary(&b, g); err != nil {
+			f.Fatal(err)
+		}
+		for sel, buf := range [][]byte{e.Bytes(), a.Bytes(), b.Bytes()} {
+			f.Add(append([]byte{byte(sel)}, buf...))
+		}
+	}
+	// The largest uint32 id would need N = 1<<32 vertices.
+	f.Add([]byte("\x000 4294967295\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		in := data[1:]
+		switch data[0] % 3 {
+		case 0:
+			el, err := ReadEdgeList(bytes.NewReader(in), 0)
+			if err != nil {
+				return
+			}
+			if err := el.Validate(); err != nil {
+				t.Fatalf("accepted edge list fails Validate: %v", err)
+			}
+			var buf bytes.Buffer
+			if err := WriteEdgeList(&buf, el); err != nil {
+				t.Fatal(err)
+			}
+			back, err := ReadEdgeList(&buf, 0)
+			if err != nil {
+				t.Fatalf("re-read: %v", err)
+			}
+			if a, b := edgeListKey(el), edgeListKey(back); a != b {
+				t.Fatalf("round trip changed the edge list:\n%s\n%s", a, b)
+			}
+		case 1, 2:
+			read, write := ReadAdjacency, WriteAdjacency
+			if data[0]%3 == 2 {
+				read, write = ReadBinary, WriteBinary
+			}
+			g, err := read(bytes.NewReader(in))
+			if err != nil {
+				return
+			}
+			if err := g.Validate(); err != nil {
+				t.Fatalf("accepted graph fails Validate: %v", err)
+			}
+			var buf bytes.Buffer
+			if err := write(&buf, g); err != nil {
+				t.Fatal(err)
+			}
+			back, err := read(&buf)
+			if err != nil {
+				t.Fatalf("re-read: %v", err)
+			}
+			if a, b := csrKey(g), csrKey(back); a != b {
+				t.Fatalf("round trip changed the graph:\n%s\n%s", a, b)
+			}
+		}
+	})
+}
+
+// edgeListKey and csrKey render a graph exactly, weights by their bits
+// so that NaN compares equal to itself.
+func edgeListKey(el *EdgeList) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "n=%d weighted=%v", el.N, el.Weighted)
+	for _, e := range el.Edges {
+		fmt.Fprintf(&b, " %d-%d:%x", e.U, e.V, math.Float32bits(e.W))
+	}
+	return b.String()
+}
+
+func csrKey(g *CSR) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "n=%d offsets=%v targets=%v weighted=%v", g.N, g.Offsets, g.Targets, g.Weights != nil)
+	for _, w := range g.Weights {
+		fmt.Fprintf(&b, " %x", math.Float32bits(w))
+	}
+	return b.String()
 }

@@ -119,27 +119,3 @@ func degreePercentile(g *CSR, q float64) int64 {
 	}
 	return 0
 }
-
-// OutDegrees returns the out-degree of every vertex.
-func OutDegrees(workers int, g *CSR) []int64 {
-	d := make([]int64, g.N)
-	parallel.For(workers, g.N, func(u int) { d[u] = g.Offsets[u+1] - g.Offsets[u] })
-	return d
-}
-
-// WeightedDegrees returns per-vertex total outgoing edge weight, the
-// degree notion the Laplacian GEE variant normalizes by. For an edge list
-// interpreted by Algorithm 1 (both endpoints updated per row), the degree
-// of a vertex is its total incident weight, so callers should pass the
-// symmetrized CSR or combine with in-degrees for directed graphs.
-func WeightedDegrees(workers int, g *CSR) []float64 {
-	d := make([]float64, g.N)
-	parallel.For(workers, g.N, func(u int) {
-		var s float64
-		for i := g.Offsets[u]; i < g.Offsets[u+1]; i++ {
-			s += float64(g.Weight(i))
-		}
-		d[u] = s
-	})
-	return d
-}

@@ -21,41 +21,6 @@ func Symmetrize(el *EdgeList) *EdgeList {
 	return out
 }
 
-// RemoveSelfLoops filters u->u edges in place and returns el.
-func RemoveSelfLoops(el *EdgeList) *EdgeList {
-	kept := el.Edges[:0]
-	for _, e := range el.Edges {
-		if e.U != e.V {
-			kept = append(kept, e)
-		}
-	}
-	el.Edges = kept
-	return el
-}
-
-// Deduplicate removes duplicate (u,v) arcs, keeping the first occurrence.
-// It sorts the edge list as a side effect.
-func Deduplicate(workers int, el *EdgeList) *EdgeList {
-	if len(el.Edges) == 0 {
-		return el
-	}
-	parallel.SortFunc(workers, el.Edges, func(a, b Edge) bool {
-		if a.U != b.U {
-			return a.U < b.U
-		}
-		return a.V < b.V
-	})
-	kept := el.Edges[:1]
-	for _, e := range el.Edges[1:] {
-		last := kept[len(kept)-1]
-		if e.U != last.U || e.V != last.V {
-			kept = append(kept, e)
-		}
-	}
-	el.Edges = kept
-	return el
-}
-
 // Permute relabels vertices by perm (node i becomes perm[i]) and returns
 // a new edge list. Useful for cache-behaviour experiments: a random
 // permutation destroys any locality in generated IDs.
@@ -124,16 +89,4 @@ func insertionSortPairs(a []NodeID, w []float32) {
 		}
 		a[j+1], w[j+1] = v, vw
 	}
-}
-
-// Transpose returns the in-edge CSR (reverse of every arc).
-func Transpose(workers int, g *CSR) *CSR {
-	el := &EdgeList{N: g.N, Weighted: g.Weights != nil, Edges: make([]Edge, g.NumEdges())}
-	parallel.For(workers, g.N, func(u int) {
-		lo, hi := g.Offsets[u], g.Offsets[u+1]
-		for i := lo; i < hi; i++ {
-			el.Edges[i] = Edge{U: g.Targets[i], V: NodeID(u), W: g.Weight(i)}
-		}
-	})
-	return BuildCSR(workers, el)
 }

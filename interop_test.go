@@ -1,92 +1,6 @@
 package repro
 
-import (
-	"path/filepath"
-	"testing"
-)
-
-func TestFacadeMETIS(t *testing.T) {
-	dir := t.TempDir()
-	el := NewErdosRenyi(2, 60, 300, 53)
-	// METIS requires symmetrized, self-loop-free graphs
-	for i := 0; i < len(el.Edges); {
-		if el.Edges[i].U == el.Edges[i].V {
-			el.Edges = append(el.Edges[:i], el.Edges[i+1:]...)
-		} else {
-			i++
-		}
-	}
-	g := BuildGraph(2, Symmetrize(el))
-	path := filepath.Join(dir, "g.metis")
-	if err := SaveMETIS(path, g); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadMETIS(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumEdges() != g.NumEdges() || got.N != g.N {
-		t.Fatalf("round trip: n=%d m=%d want n=%d m=%d", got.N, got.NumEdges(), g.N, g.NumEdges())
-	}
-}
-
-func TestFacadeMmap(t *testing.T) {
-	dir := t.TempDir()
-	el := NewErdosRenyi(2, 80, 500, 54)
-	g := BuildGraph(2, el)
-	path := filepath.Join(dir, "g.bin")
-	if err := SaveBinary(path, g); err != nil {
-		t.Fatal(err)
-	}
-	mg, closer, err := MmapBinary(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mg.NumEdges() != g.NumEdges() {
-		t.Fatal("mmap mismatch")
-	}
-	// embedding from a mapped graph works
-	y := SampleLabels(mg.N, 3, 0.5, 55)
-	res, err := EmbedGraph(LigraParallel, mg, y, Options{K: 3, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := EmbedGraph(Reference, g, y, Options{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !want.Z.EqualTol(res.Z, 1e-9) {
-		t.Fatal("embedding from mapped graph differs")
-	}
-	if err := closer(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFacadeCompressed(t *testing.T) {
-	el := NewRMAT(2, 10, 8000, 56)
-	g := BuildGraph(2, el)
-	SortAdjacency(2, g)
-	c, err := CompressGraph(2, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NumEdges() != g.NumEdges() {
-		t.Fatal("compression lost edges")
-	}
-	y := SampleLabels(el.N, 6, 0.3, 57)
-	got, err := EmbedCompressed(c, y, Options{K: 6, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := EmbedGraph(Reference, g, y, Options{K: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !want.Z.EqualTol(got.Z, 1e-9) {
-		t.Fatal("compressed embedding differs")
-	}
-}
+import "testing"
 
 func TestFacadeReorderInvariance(t *testing.T) {
 	// GEE is permutation-equivariant, so a reordered graph with

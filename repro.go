@@ -195,7 +195,7 @@ func ARI(a, b []int32) float64 { return cluster.ARI(a, b) }
 func NMI(a, b []int32) float64 { return cluster.NMI(a, b) }
 
 // Symmetrize returns an edge list with both arc directions per edge (GEE
-// does not need it; label propagation and METIS output do).
+// does not need it; label propagation does).
 func Symmetrize(el *EdgeList) *EdgeList { return graph.Symmetrize(el) }
 
 // WriteEmbedding streams Z as TSV (one vertex per row).
@@ -417,36 +417,6 @@ func KNNClassify(workers int, z *Dense, y []int32, k int) []int32 {
 // SortAdjacency canonically sorts every adjacency list, so equal graphs
 // get equal CSRs whatever order their edges arrived in.
 func SortAdjacency(workers int, g *Graph) { graph.SortAdjacency(workers, g) }
-
-// Compressed graphs and large-graph loading.
-
-// CompressedGraph is the Ligra+-style varint delta-encoded adjacency
-// structure (unweighted graphs; 2-4x smaller than plain CSR).
-type CompressedGraph = graph.CompressedCSR
-
-// CompressGraph builds the compressed form of an unweighted graph.
-func CompressGraph(workers int, g *Graph) (*CompressedGraph, error) {
-	return graph.Compress(workers, g)
-}
-
-// EmbedCompressed runs the parallel GEE kernel directly over a
-// compressed graph, decoding adjacency on the fly.
-func EmbedCompressed(c *CompressedGraph, y []int32, opts Options) (*Result, error) {
-	return gee.EmbedCompressed(c, y, opts)
-}
-
-// MmapBinary maps a compact binary CSR file into memory without copying
-// (Linux; falls back to a regular read elsewhere). Call the closer when
-// done; the graph must not be used afterwards.
-func MmapBinary(path string) (*Graph, func() error, error) {
-	return graph.MmapBinaryFile(path)
-}
-
-// LoadMETIS reads a METIS-format graph (symmetrized, 1-indexed).
-func LoadMETIS(path string) (*Graph, error) { return graph.ReadMETISFile(path) }
-
-// SaveMETIS writes a symmetrized graph in METIS format.
-func SaveMETIS(path string, g *Graph) error { return graph.WriteMETISFile(path, g) }
 
 // DegreeOrder returns the hubs-first relabeling permutation.
 func DegreeOrder(workers int, g *Graph) []NodeID { return graph.DegreeOrder(workers, g) }
