@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 
@@ -47,6 +48,9 @@ func main() {
 
 func run(model string, scale, nodes int, edges int64, blocks int,
 	pin, pout float64, seed uint64, workers int, out, format, labelsOut string) error {
+	if err := validate(model, scale, nodes, edges, blocks, pin, pout); err != nil {
+		return err
+	}
 	var el *repro.EdgeList
 	var truth []int32
 	switch model {
@@ -77,6 +81,34 @@ func run(model string, scale, nodes int, edges int64, blocks int,
 		return repro.SaveBinary(out, repro.BuildGraph(workers, el))
 	}
 	return fmt.Errorf("unknown format %q", format)
+}
+
+// validate refuses the sizes the chosen model cannot represent: vertex
+// ids are uint32 below 2^32-1 (the edge-list readers' bound), and every
+// model needs at least one vertex.
+func validate(model string, scale, nodes int, edges int64, blocks int, pin, pout float64) error {
+	if model != "sbm" && edges < 0 {
+		return fmt.Errorf("-edges %d: must be >= 0", edges)
+	}
+	switch model {
+	case "rmat":
+		if scale < 0 || scale > 31 {
+			return fmt.Errorf("-scale %d: must be in [0,31]", scale)
+		}
+	case "er", "sbm":
+		if nodes < 1 || nodes > math.MaxUint32 {
+			return fmt.Errorf("-nodes %d: must be in [1,%d]", nodes, uint32(math.MaxUint32))
+		}
+	}
+	if model == "sbm" {
+		if blocks < 1 || blocks > nodes {
+			return fmt.Errorf("-blocks %d: must be in [1,%d]", blocks, nodes)
+		}
+		if !(pin >= 0 && pin <= 1) || !(pout >= 0 && pout <= 1) {
+			return fmt.Errorf("-pin %g, -pout %g: probabilities must be in [0,1]", pin, pout)
+		}
+	}
+	return nil
 }
 
 func writeLabels(path string, y []int32) error {

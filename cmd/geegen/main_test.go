@@ -69,13 +69,38 @@ func TestRunFormats(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "x.txt")
-	if err := run("bogus", 0, 10, 10, 0, 0, 0, 1, 2, out, "edgelist", ""); err == nil {
-		t.Fatal("bogus model accepted")
+	labelsOut := filepath.Join(dir, "y.txt")
+	type args struct {
+		model         string
+		scale, nodes  int
+		edges         int64
+		blocks        int
+		pin, pout     float64
+		format, label string
 	}
-	if err := run("er", 0, 10, 10, 0, 0, 0, 1, 2, out, "bogus", ""); err == nil {
-		t.Fatal("bogus format accepted")
-	}
-	if err := run("er", 0, 10, 10, 0, 0, 0, 1, 2, out, "edgelist", filepath.Join(dir, "y.txt")); err == nil {
-		t.Fatal("labels-out without sbm accepted")
+	for _, tc := range []struct {
+		name string
+		a    args
+	}{
+		{"bogus model", args{model: "bogus", nodes: 10, edges: 10, format: "edgelist"}},
+		{"bogus format", args{model: "er", nodes: 10, edges: 10, format: "bogus"}},
+		{"labels-out without sbm", args{model: "er", nodes: 10, edges: 10, format: "edgelist", label: labelsOut}},
+		{"negative scale", args{model: "rmat", scale: -1, edges: 4, format: "edgelist"}},
+		{"scale past uint32 ids", args{model: "rmat", scale: 33, edges: 4, format: "edgelist"}},
+		{"scale naming the reserved id", args{model: "rmat", scale: 32, edges: 4, format: "edgelist"}},
+		{"er without vertices", args{model: "er", nodes: 0, edges: 4, format: "edgelist"}},
+		{"er past uint32 ids", args{model: "er", nodes: 1 << 32, edges: 4, format: "edgelist"}},
+		{"negative edges", args{model: "er", nodes: 10, edges: -3, format: "edgelist"}},
+		{"sbm without blocks", args{model: "sbm", nodes: 10, blocks: 0, pin: 0.5, pout: 0.1, format: "edgelist", label: labelsOut}},
+		{"sbm more blocks than vertices", args{model: "sbm", nodes: 3, blocks: 4, pin: 0.5, pout: 0.1, format: "edgelist"}},
+		{"sbm probabilities outside [0,1]", args{model: "sbm", nodes: 10, blocks: 2, pin: -1, pout: 5, format: "edgelist"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := tc.a
+			if err := run(a.model, a.scale, a.nodes, a.edges, a.blocks, a.pin, a.pout,
+				1, 2, out, a.format, a.label); err == nil {
+				t.Fatalf("run accepted %+v", a)
+			}
+		})
 	}
 }

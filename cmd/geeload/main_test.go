@@ -63,7 +63,7 @@ func testLoadAgainstServer(t *testing.T, wire string) {
 	for i := range y {
 		y[i] = labels.Unknown
 	}
-	d, err := dyn.New(n, y, dyn.Options{K: k, PublishEvery: 256})
+	d, err := dyn.New(n, y, dyn.Options{K: k, ManualPublish: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,116 +2,68 @@ package main
 
 import (
 	"context"
-	"strings"
+	"net"
 	"testing"
-
-	"repro/internal/dyn"
-	"repro/internal/labels"
+	"time"
 )
 
-func TestParseOpLine(t *testing.T) {
-	cases := []struct {
-		name, line string
-		wantSkip   bool
-		wantErr    bool
-		check      func(t *testing.T, o op)
-	}{
-		{"blank", "", true, false, nil},
-		{"spaces", "   \t ", true, false, nil},
-		{"comment", "# a 1 2", true, false, nil},
-		{"comment glued", "#comment", true, false, nil},
-		{"insert unweighted", "a 3 4", false, false, func(t *testing.T, o op) {
-			if o.kind != 'a' || o.edge.U != 3 || o.edge.V != 4 || o.edge.W != 1 {
-				t.Fatalf("parsed %+v", o)
-			}
-		}},
-		{"insert weighted", "a 3 4 2.5", false, false, func(t *testing.T, o op) {
-			if o.kind != 'a' || o.edge.W != 2.5 {
-				t.Fatalf("parsed %+v", o)
-			}
-		}},
-		{"delete", "d 7 8 2", false, false, func(t *testing.T, o op) {
-			if o.kind != 'd' || o.edge.U != 7 || o.edge.W != 2 {
-				t.Fatalf("parsed %+v", o)
-			}
-		}},
-		{"label", "l 5 1", false, false, func(t *testing.T, o op) {
-			if o.kind != 'l' || o.label.V != 5 || o.label.Class != 1 {
-				t.Fatalf("parsed %+v", o)
-			}
-		}},
-		{"unlabel", "l 5 -1", false, false, func(t *testing.T, o op) {
-			if o.label.Class != labels.Unknown {
-				t.Fatalf("parsed %+v", o)
-			}
-		}},
-		{"unknown op", "x 1 2", false, true, nil},
-		{"insert too few fields", "a 1", false, true, nil},
-		{"insert too many fields", "a 1 2 3 4", false, true, nil},
-		{"non-numeric vertex", "a one 2", false, true, nil},
-		{"non-numeric weight", "a 1 2 heavy", false, true, nil},
-		{"negative vertex", "a -1 2", false, true, nil},
-		{"label missing class", "l 5", false, true, nil},
-		{"label bad class", "l 5 two", false, true, nil},
+// freeAddr returns a loopback address nothing listens on.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
+	addr := ln.Addr().String()
+	ln.Close()
+	return addr
+}
+
+// TestRunErrors checks every refused configuration returns an error
+// (no panic) and leaves its address free to bind again.
+func TestRunErrors(t *testing.T) {
+	ok := config{n: 100, k: 4, shards: 1}
+	for _, tc := range []struct {
+		name string
+		edit func(*config)
+	}{
+		{"zero vertices", func(c *config) { c.n = 0 }},
+		{"zero classes", func(c *config) { c.k = 0 }},
+		{"zero shards", func(c *config) { c.shards = 0 }},
+		{"more shards than vertices", func(c *config) { c.shards = c.n + 1 }},
+		{"bad address", func(c *config) { c.serveAddr = "127.0.0.1:notaport" }},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			o, skip, err := parseOpLine(tc.line)
-			if skip != tc.wantSkip {
-				t.Fatalf("skip = %v, want %v", skip, tc.wantSkip)
+			addr := freeAddr(t)
+			cfg := ok
+			cfg.serveAddr = addr
+			tc.edit(&cfg)
+			// A run that wrongly accepted the config serves until the
+			// deadline and then returns nil.
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := run(ctx, cfg); err == nil {
+				t.Fatalf("run(%+v) = nil, want an error", cfg)
 			}
-			if (err != nil) != tc.wantErr {
-				t.Fatalf("err = %v, wantErr %v", err, tc.wantErr)
+			ln, err := net.Listen("tcp", addr)
+			if err != nil {
+				t.Fatalf("address %s still bound after a refused run: %v", addr, err)
 			}
-			if tc.check != nil {
-				tc.check(t, o)
-			}
+			ln.Close()
 		})
 	}
 }
 
-// TestServeOpsTolerantOfMalformedLines feeds a stream with malformed
-// lines interleaved: the run must apply every valid op, skip and count
-// the bad lines with their numbers, and not abort.
-func TestServeOpsTolerantOfMalformedLines(t *testing.T) {
-	y := make([]int32, 10)
-	for i := range y {
-		y[i] = labels.Unknown
-	}
-	d, err := dyn.New(10, y, dyn.Options{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	input := strings.Join([]string{
-		"# header comment",
-		"a 0 1",
-		"garbage here",
-		"a 1 2 2",
-		"",
-		"l 0 1",
-		"a nine 9",
-		"d 0 1",
-		"l 1 7notaclass",
-	}, "\n")
-	var out, errw strings.Builder
-	if err := serveOps(context.Background(), d, strings.NewReader(input), 2, &out, &errw); err != nil {
-		t.Fatalf("serveOps aborted: %v", err)
-	}
-	st := d.Stats()
-	if st.Inserts != 2 || st.Deletes != 1 || st.LabelMoves != 1 {
-		t.Fatalf("applied %d inserts / %d deletes / %d moves, want 2/1/1", st.Inserts, st.Deletes, st.LabelMoves)
-	}
-	if !strings.Contains(out.String(), "3 malformed lines skipped") {
-		t.Fatalf("missing malformed tally in %q", out.String())
-	}
-	for _, want := range []string{"line 3:", "line 7:", "line 9:"} {
-		if !strings.Contains(errw.String(), want) {
-			t.Fatalf("missing %q in error report %q", want, errw.String())
+// TestRunServesAndShutsDown drives the whole build, serve and graceful
+// shutdown path for one shard and for several: with ctx already done,
+// run must drain and return nil.
+func TestRunServesAndShutsDown(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		cfg := config{serveAddr: "127.0.0.1:0", n: 100, k: 4, shards: shards}
+		if err := run(ctx, cfg); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
-	}
-	// A batch-level apply failure (deleting a never-inserted edge) is
-	// still fatal — transactional batches, not parse tolerance.
-	if err := serveOps(context.Background(), d, strings.NewReader("d 5 6\n"), 1, &out, &errw); err == nil {
-		t.Fatal("apply failure not surfaced")
 	}
 }

@@ -56,22 +56,3 @@ func ExampleRefine() {
 	fmt.Printf("ARI %.0f\n", repro.ARI(res.Labels, truth))
 	// Output: ARI 1
 }
-
-// Contributions are linear, so edges stream in incrementally.
-func ExampleNewStreamingEmbedder() {
-	y := repro.SampleLabels(100, 4, 1.0, 8)
-	s, err := repro.NewStreamingEmbedder(100, y, repro.Options{K: 4})
-	if err != nil {
-		panic(err)
-	}
-	el := repro.NewErdosRenyi(1, 100, 500, 9)
-	if err := s.AddEdges(el.Edges[:250]); err != nil {
-		panic(err)
-	}
-	if err := s.AddEdges(el.Edges[250:]); err != nil {
-		panic(err)
-	}
-	batch, _ := repro.Embed(repro.Reference, el, y, repro.Options{K: 4})
-	fmt.Println(batch.Z.EqualTol(s.Z(), 1e-9))
-	// Output: true
-}

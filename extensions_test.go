@@ -4,25 +4,6 @@ import (
 	"testing"
 )
 
-func TestFacadeStreaming(t *testing.T) {
-	el := NewErdosRenyi(4, 300, 5000, 27)
-	y := SampleLabels(el.N, 5, 0.5, 28)
-	batch, err := Embed(Reference, el, y, Options{K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewStreamingEmbedder(el.N, y, Options{K: 5, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddEdges(el.Edges); err != nil {
-		t.Fatal(err)
-	}
-	if !batch.Z.EqualTol(s.Z(), 1e-9) {
-		t.Fatal("streaming differs from batch")
-	}
-}
-
 func TestFacadeDynamic(t *testing.T) {
 	el := NewErdosRenyi(4, 300, 6000, 31)
 	y := SampleLabels(el.N, 5, 0.5, 32)

@@ -73,7 +73,7 @@ func BenchmarkDynamicIngest(b *testing.B) {
 }
 
 // BenchmarkDynamicChurn interleaves inserts, deletions of an earlier
-// batch, and label updates — the mixed workload geeserve drives.
+// batch, and label updates — the mixed write workload a server folds.
 func BenchmarkDynamicChurn(b *testing.B) {
 	const batch = 8192
 	pool := dynEdgePool(1 << 20)

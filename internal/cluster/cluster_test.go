@@ -158,15 +158,6 @@ func TestNMIBounds(t *testing.T) {
 	}
 }
 
-func TestPurity(t *testing.T) {
-	clusters := []int32{0, 0, 0, 1, 1, 1}
-	truth := []int32{0, 0, 1, 1, 1, 1}
-	// cluster 0 majority 0 (2/3 right), cluster 1 all 1 (3/3)
-	if got := Purity(clusters, truth); math.Abs(got-5.0/6) > 1e-12 {
-		t.Fatalf("purity=%v", got)
-	}
-}
-
 func TestAccuracy(t *testing.T) {
 	pred := []int32{0, 1, 1, -1}
 	truth := []int32{0, 1, 0, 1}

@@ -1,6 +1,6 @@
 // Package cluster provides embedding evaluation machinery: parallel
 // k-means (the clustering step of the GEE paper's unsupervised pipeline)
-// and label-agreement metrics (ARI, NMI, purity) used to validate that
+// and label-agreement metrics (ARI, NMI, accuracy) used to validate that
 // the embeddings this library produces actually recover structure.
 package cluster
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"container/heap"
-	"math"
 
 	"repro/internal/mat"
 	"repro/internal/parallel"
@@ -87,81 +86,4 @@ func (h *distHeap) Pop() interface{} {
 	x := old[n-1]
 	*h = old[:n-1]
 	return x
-}
-
-// Silhouette computes the mean silhouette coefficient of a clustering
-// over the rows of X: (b - a) / max(a, b) per point, where a is the mean
-// intra-cluster distance and b the smallest mean distance to another
-// cluster. O(n^2·dim) brute force; intended for evaluation-scale data.
-// Returns 0 when fewer than 2 clusters are populated.
-func Silhouette(workers int, X *mat.Dense, assign []int32) float64 {
-	n := X.R
-	if len(assign) != n {
-		panic("cluster: assignment length mismatch")
-	}
-	var k int32
-	for _, a := range assign {
-		if a+1 > k {
-			k = a + 1
-		}
-	}
-	if k < 2 {
-		return 0
-	}
-	sizes := make([]int64, k)
-	for _, a := range assign {
-		if a >= 0 {
-			sizes[a]++
-		}
-	}
-	populated := 0
-	for _, s := range sizes {
-		if s > 0 {
-			populated++
-		}
-	}
-	if populated < 2 {
-		return 0
-	}
-	total := parallel.Reduce(workers, n, 0.0, func(lo, hi int) float64 {
-		sums := make([]float64, k)
-		var acc float64
-		for i := lo; i < hi; i++ {
-			if assign[i] < 0 {
-				continue
-			}
-			for c := range sums {
-				sums[c] = 0
-			}
-			row := X.Row(i)
-			for j := 0; j < n; j++ {
-				if j == i || assign[j] < 0 {
-					continue
-				}
-				sums[assign[j]] += math.Sqrt(sqDist(row, X.Row(j)))
-			}
-			own := assign[i]
-			var a float64
-			if sizes[own] > 1 {
-				a = sums[own] / float64(sizes[own]-1)
-			}
-			b := math.Inf(1)
-			for c := int32(0); c < k; c++ {
-				if c == own || sizes[c] == 0 {
-					continue
-				}
-				if m := sums[c] / float64(sizes[c]); m < b {
-					b = m
-				}
-			}
-			if sizes[own] <= 1 {
-				continue // silhouette undefined; convention: contribute 0
-			}
-			if mx := math.Max(a, b); mx > 0 {
-				acc += (b - a) / mx
-			}
-		}
-		return acc
-	}, func(a, b float64) float64 { return a + b })
-	return total / float64(n)
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/mat"
@@ -73,47 +72,4 @@ func TestKNNPanicsOnLengthMismatch(t *testing.T) {
 		}
 	}()
 	KNNClassify(1, mat.NewDense(2, 1), []int32{0}, 1)
-}
-
-func TestSilhouetteSeparatedBlobs(t *testing.T) {
-	X, truth := blobs(3, 50, 3, 10, 31)
-	s := Silhouette(8, X, truth)
-	if s < 0.8 {
-		t.Fatalf("silhouette %v on well-separated blobs", s)
-	}
-}
-
-func TestSilhouetteRandomAssignmentLow(t *testing.T) {
-	X, truth := blobs(3, 50, 3, 10, 33)
-	bad := make([]int32, len(truth))
-	for i := range bad {
-		bad[i] = int32(i % 3) // ignores the real structure
-	}
-	sGood := Silhouette(4, X, truth)
-	sBad := Silhouette(4, X, bad)
-	if sBad >= sGood {
-		t.Fatalf("random assignment silhouette %v >= true %v", sBad, sGood)
-	}
-	if math.Abs(sBad) > 0.2 {
-		t.Fatalf("random silhouette %v should be near 0", sBad)
-	}
-}
-
-func TestSilhouetteDegenerate(t *testing.T) {
-	X := mat.FromRows([][]float64{{1}, {2}, {3}})
-	if s := Silhouette(2, X, []int32{0, 0, 0}); s != 0 {
-		t.Fatalf("single cluster silhouette %v", s)
-	}
-	if s := Silhouette(2, X, []int32{-1, -1, -1}); s != 0 {
-		t.Fatalf("unassigned silhouette %v", s)
-	}
-}
-
-func TestSilhouettePanicsOnLengthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	Silhouette(1, mat.NewDense(3, 1), []int32{0})
 }

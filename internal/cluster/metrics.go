@@ -121,30 +121,6 @@ func NMI(a, b []int32) float64 {
 	return mi / den
 }
 
-// Purity computes the fraction of points whose cluster's majority true
-// label matches their own (clusters from a, truth from b).
-func Purity(clusters, truth []int32) float64 {
-	table, na, _ := Contingency(clusters, truth)
-	if na == 0 {
-		return 0
-	}
-	var n, correct int64
-	for i := range table {
-		var best int64
-		for _, c := range table[i] {
-			n += c
-			if c > best {
-				best = c
-			}
-		}
-		correct += best
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(correct) / float64(n)
-}
-
 // Accuracy computes exact label agreement (no relabeling) over positions
 // where both labelings are known (>= 0).
 func Accuracy(pred, truth []int32) float64 {

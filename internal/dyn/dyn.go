@@ -77,13 +77,6 @@ type Options struct {
 	// publish costs O(dirty pages), so this is about when readers see a
 	// change, not about saving a matrix copy per batch.
 	ManualPublish bool
-	// PublishEvery > 0 publishes automatically once at least that many
-	// operations (inserts + deletes + applied label moves) have been
-	// folded since the last publish, bounding staleness by op count while
-	// rows dirtied several times in the window are copied once. It
-	// overrides the per-Apply publish and ManualPublish; an explicit
-	// Publish still works at any time (and resets the op counter).
-	PublishEvery int
 	// OwnedLo/OwnedHi restrict the published window to the vertex range
 	// [OwnedLo, OwnedHi): folds still span the full vertex range (an
 	// edge's contribution lands in both endpoint rows regardless of
@@ -222,7 +215,6 @@ type DynamicEmbedder struct {
 	workers  int
 	thresh   int
 	manual   bool
-	pubEvery int
 	instance uint64
 	// Owned row window [ownLo, ownHi): publish/delta restriction (see
 	// Options.OwnedLo). Full range for a standalone embedder.
@@ -243,7 +235,7 @@ type DynamicEmbedder struct {
 	edges      int64
 	scratch    []graph.Edge // negated-delete + insert fold buffer
 	detached   []removal    // halves detachDeletes removed, for undoDetach
-	sincePub   int64        // ops folded since the last publish (PublishEvery)
+	sincePub   int64        // ops folded since the last publish (PendingOps)
 	stats      Stats
 
 	// Dirty tracking since the last publish (all under mu): it decides
@@ -357,7 +349,6 @@ func New(n int, y []int32, opts Options) (*DynamicEmbedder, error) {
 		instance: newInstanceID(),
 		thresh:   thresh,
 		manual:   opts.ManualPublish,
-		pubEvery: opts.PublishEvery,
 		ownLo:    ownLo,
 		ownHi:    ownHi,
 		y:        yc,
@@ -528,12 +519,7 @@ func (d *DynamicEmbedder) Apply(b Batch) error {
 	d.stats.Deletes += int64(len(b.Delete))
 	d.stats.Batches++
 	d.sincePub += int64(len(b.Insert)) + int64(len(b.Delete)) + moved
-	switch {
-	case d.pubEvery > 0:
-		if d.sincePub >= int64(d.pubEvery) {
-			d.publishLocked()
-		}
-	case !d.manual:
+	if !d.manual {
 		d.publishLocked()
 	}
 	return nil

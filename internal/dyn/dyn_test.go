@@ -296,75 +296,40 @@ func TestDynamicManualPublish(t *testing.T) {
 	}
 }
 
-// TestDynamicPublishEvery covers the op-count auto-publish policy:
-// publishes fire only once PublishEvery ops accumulated, label moves
-// count as ops, and a manual Publish resets the accumulator.
-func TestDynamicPublishEvery(t *testing.T) {
+// TestDynamicPendingOps pins the op count the coalescer's settle reads
+// under ManualPublish: inserts, deletes and applied label moves count,
+// no-op reassignments do not, and Publish resets it.
+func TestDynamicPendingOps(t *testing.T) {
 	y := labels.Full(100, 2, 91)
-	d, err := New(100, y, Options{K: 2, PublishEvery: 100})
+	d, err := New(100, y, Options{K: 2, ManualPublish: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(m, seed int) []graph.Edge {
-		r := xrand.New(uint64(seed))
-		edges := make([]graph.Edge, m)
-		for i := range edges {
-			edges[i] = graph.Edge{U: graph.NodeID(r.Intn(100)), V: graph.NodeID(r.Intn(100)), W: 1}
-		}
-		return edges
-	}
-	for i := 0; i < 3; i++ { // 90 ops: below threshold, no publish
-		if err := d.AddEdges(mk(30, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if e := d.Epoch(); e != 0 {
-		t.Fatalf("published at %d ops < PublishEvery: epoch %d", 90, e)
-	}
-	if err := d.AddEdges(mk(30, 3)); err != nil { // 120 >= 100: publish
+	edges := []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}, {U: 4, V: 5, W: 1}}
+	if err := d.AddEdges(edges); err != nil {
 		t.Fatal(err)
 	}
-	if e := d.Epoch(); e != 1 {
-		t.Fatalf("no publish after crossing threshold: epoch %d", e)
+	if err := d.DeleteEdges(edges[:1]); err != nil {
+		t.Fatal(err)
 	}
-	if s := d.Snapshot(); s.Edges != 120 {
-		t.Fatalf("published snapshot has %d edges, want 120", s.Edges)
+	if got := d.PendingOps(); got != 4 {
+		t.Fatalf("PendingOps after 3 inserts + 1 delete = %d, want 4", got)
 	}
-	// Applied label moves count as ops; no-op reassignments do not.
-	ups := make([]LabelUpdate, 0, 120)
-	for v := 0; v < 100; v++ {
-		ups = append(ups, LabelUpdate{V: graph.NodeID(v), Class: int32(v % 2)}) // no-ops
-	}
+	ups := []LabelUpdate{{V: 0, Class: y[0]}, {V: 1, Class: 1 - y[1]}}
 	if err := d.UpdateLabels(ups); err != nil {
 		t.Fatal(err)
 	}
-	if e := d.Epoch(); e != 1 {
-		t.Fatalf("no-op label moves triggered a publish: epoch %d", e)
+	if got := d.PendingOps(); got != 5 {
+		t.Fatalf("PendingOps after one real and one no-op move = %d, want 5", got)
 	}
-	for i := range ups {
-		ups[i].Class = 1 - ups[i].Class
+	if e := d.Epoch(); e != 0 {
+		t.Fatalf("ManualPublish embedder published: epoch %d", e)
 	}
-	if err := d.UpdateLabels(ups); err != nil { // 100 real moves: publish
-		t.Fatal(err)
+	if s := d.Publish(); s.Epoch != 1 || s.Edges != 2 {
+		t.Fatalf("publish: epoch %d, %d edges", s.Epoch, s.Edges)
 	}
-	if e := d.Epoch(); e != 2 {
-		t.Fatalf("label moves did not count toward PublishEvery: epoch %d", e)
-	}
-	// Manual Publish still works and resets the accumulator.
-	if err := d.AddEdges(mk(60, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if s := d.Publish(); s.Epoch != 3 {
-		t.Fatalf("manual publish: epoch %d", s.Epoch)
-	}
-	if err := d.AddEdges(mk(60, 5)); err != nil { // 60 < 100 since reset
-		t.Fatal(err)
-	}
-	if e := d.Epoch(); e != 3 {
-		t.Fatalf("accumulator not reset by manual publish: epoch %d", e)
-	}
-	if st := d.Stats(); st.Publishes != 3 {
-		t.Fatalf("Publishes = %d, want 3", st.Publishes)
+	if got := d.PendingOps(); got != 0 {
+		t.Fatalf("PendingOps after Publish = %d", got)
 	}
 }
 

@@ -177,8 +177,8 @@ func runReplicated[T Float](g *graph.CSR, k *Kernel[T], z []T, workers int) Stat
 }
 
 // Edge-slice execution — the Algorithm 1 formulation over an explicit
-// edge list, used by the Reference/Optimized paths and the streaming
-// embedder's batch folds.
+// edge list, used by the Reference/Optimized paths and the dynamic
+// embedder's batch folds (internal/dyn).
 
 // SerialEdges applies the kernel serially over an edge slice with plain
 // adds.

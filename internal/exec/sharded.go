@@ -85,8 +85,8 @@ type destPlanEntry struct {
 
 // destPlanFor resolves the destination plan for g at the given shard
 // count, consulting the plan slot cached on the CSR (ROADMAP: repeated
-// benchmark and streaming runs on the same graph amortize the O(m)
-// bucketing to zero). The plan depends only on graph structure and
+// benchmark runs on the same graph amortize the O(m) bucketing to
+// zero). The plan depends only on graph structure and
 // parts — not on the kernel — so one cached plan serves every variant
 // (standard, Laplacian, directed, float32) at the same worker count.
 // Returns whether the plan had to be built this call.

@@ -164,72 +164,3 @@ func SBM(workers, n, k int, pIn, pOut float64, seed uint64) (*graph.EdgeList, []
 	})
 	return el, labels
 }
-
-// BarabasiAlbert grows a preferential-attachment graph: each new vertex
-// attaches mPer edges to existing vertices chosen proportionally to
-// degree (repeated-endpoint list method). Serial by construction (the
-// process is inherently sequential) — used for tests, not scale runs.
-func BarabasiAlbert(n, mPer int, seed uint64) *graph.EdgeList {
-	if n < 2 || mPer < 1 {
-		return &graph.EdgeList{N: n}
-	}
-	r := xrand.New(seed)
-	el := &graph.EdgeList{N: n}
-	// endpoint multiset: each edge contributes both endpoints
-	targets := make([]graph.NodeID, 0, 2*mPer*n)
-	// seed clique-ish core of mPer+1 vertices in a ring
-	core := mPer + 1
-	if core > n {
-		core = n
-	}
-	for v := 0; v < core; v++ {
-		u := graph.NodeID(v)
-		w := graph.NodeID((v + 1) % core)
-		if u == w {
-			continue
-		}
-		el.Edges = append(el.Edges, graph.Edge{U: u, V: w, W: 1})
-		targets = append(targets, u, w)
-	}
-	for v := core; v < n; v++ {
-		chosen := map[graph.NodeID]bool{}
-		for len(chosen) < mPer {
-			var t graph.NodeID
-			if len(targets) == 0 || r.Float64() < 0.01 {
-				t = graph.NodeID(r.Intn(v))
-			} else {
-				t = targets[r.Intn(len(targets))]
-			}
-			if t == graph.NodeID(v) || chosen[t] {
-				continue
-			}
-			chosen[t] = true
-		}
-		for t := range chosen {
-			el.Edges = append(el.Edges, graph.Edge{U: graph.NodeID(v), V: t, W: 1})
-			targets = append(targets, graph.NodeID(v), t)
-		}
-	}
-	return el
-}
-
-// WattsStrogatz generates a small-world ring lattice: n vertices, each
-// connected to its kHalf nearest clockwise neighbors, with each edge
-// rewired to a uniform random target with probability beta.
-func WattsStrogatz(n, kHalf int, beta float64, seed uint64) *graph.EdgeList {
-	r := xrand.New(seed)
-	el := &graph.EdgeList{N: n}
-	for u := 0; u < n; u++ {
-		for d := 1; d <= kHalf; d++ {
-			v := (u + d) % n
-			if r.Float64() < beta {
-				v = r.Intn(n)
-				for v == u {
-					v = r.Intn(n)
-				}
-			}
-			el.Edges = append(el.Edges, graph.Edge{U: graph.NodeID(u), V: graph.NodeID(v), W: 1})
-		}
-	}
-	return el
-}

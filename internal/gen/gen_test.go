@@ -153,76 +153,6 @@ func TestSBMExpectedEdgeCount(t *testing.T) {
 	}
 }
 
-func TestBarabasiAlbert(t *testing.T) {
-	el := BarabasiAlbert(500, 3, 29)
-	if err := el.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// m edges per new vertex beyond the core
-	if len(el.Edges) < 3*(500-4) {
-		t.Fatalf("too few edges: %d", len(el.Edges))
-	}
-	for _, e := range el.Edges {
-		if e.U == e.V {
-			t.Fatal("self loop in BA graph")
-		}
-	}
-	// preferential attachment implies a hub: max total degree >> mPer
-	deg := make([]int, 500)
-	for _, e := range el.Edges {
-		deg[e.U]++
-		deg[e.V]++
-	}
-	max := 0
-	for _, d := range deg {
-		if d > max {
-			max = d
-		}
-	}
-	if max < 20 {
-		t.Fatalf("max degree %d: no hub formed", max)
-	}
-}
-
-func TestBarabasiAlbertDegenerate(t *testing.T) {
-	if el := BarabasiAlbert(1, 3, 1); len(el.Edges) != 0 {
-		t.Fatal("n=1 must have no edges")
-	}
-	if el := BarabasiAlbert(10, 0, 1); len(el.Edges) != 0 {
-		t.Fatal("mPer=0 must have no edges")
-	}
-}
-
-func TestWattsStrogatz(t *testing.T) {
-	el := WattsStrogatz(100, 2, 0.1, 31)
-	if len(el.Edges) != 200 {
-		t.Fatalf("edges=%d want n*kHalf=200", len(el.Edges))
-	}
-	if err := el.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range el.Edges {
-		if e.U == e.V {
-			t.Fatal("self loop after rewiring")
-		}
-	}
-}
-
-func TestWattsStrogatzBetaZeroIsLattice(t *testing.T) {
-	n, kHalf := 20, 3
-	el := WattsStrogatz(n, kHalf, 0, 1)
-	i := 0
-	for u := 0; u < n; u++ {
-		for d := 1; d <= kHalf; d++ {
-			e := el.Edges[i]
-			if e.U != graph.NodeID(u) || e.V != graph.NodeID((u+d)%n) {
-				t.Fatalf("edge %d = %v, want ring edge", i, e)
-			}
-			i++
-		}
-	}
-}
-
 func TestFixtures(t *testing.T) {
 	cases := []struct {
 		name  string

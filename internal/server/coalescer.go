@@ -522,10 +522,10 @@ func (c *Coalescer) backlog() (depth int, rate float64) {
 }
 
 // settle acknowledges applied requests once a publish covers them. If
-// the embedder auto-published during apply (per-batch or PublishEvery
-// policy) the current epoch already covers everything applied; when it
-// did not, a publish is forced once the queue is idle (or the pending
-// ops have grown past MaxBatch), so acks are never deferred behind an
+// the embedder auto-published during apply (the per-Apply default) the
+// current epoch already covers everything applied; under ManualPublish
+// a publish is forced once the queue is idle (or the pending ops have
+// grown past MaxBatch), so acks are never deferred behind an
 // arbitrarily long backlog.
 func (c *Coalescer) settle(pending []*request, idle bool) []*request {
 	if len(pending) == 0 {

@@ -155,7 +155,7 @@ func TestCoalescerAllReplaysFail(t *testing.T) {
 // losing the race fail with ErrClosed, not a panic on a closed
 // channel.
 func TestCoalescerSubmitCloseRace(t *testing.T) {
-	d := newEmbedder(t, 100, 2, dyn.Options{PublishEvery: 32})
+	d := newEmbedder(t, 100, 2, dyn.Options{ManualPublish: true})
 	c := NewCoalescer(d, CoalescerOptions{MaxDelay: time.Millisecond, QueueCap: 64})
 	c.Start()
 	const writers = 8
@@ -205,16 +205,14 @@ func TestCoalescerSubmitCloseRace(t *testing.T) {
 // (and every replica riding on ack epochs) depend on: across
 // sequential requests, ack epochs never go backwards, are never the
 // unpublished epoch 0, and the final published epoch covers the last
-// ack — under both the PublishEvery op-count policy (publishes from
-// inside Apply) and the settle-on-idle policy (publishes from the
-// coalescer).
+// ack — under both the per-Apply publish (publishes from inside Apply)
+// and the settle-on-idle policy (publishes from the coalescer).
 func TestCoalescerAckEpochMonotonic(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts dyn.Options
 	}{
-		{"publish-every-16", dyn.Options{PublishEvery: 16}},
-		{"settle-only", dyn.Options{PublishEvery: 1 << 30}},
+		{"settle-only", dyn.Options{ManualPublish: true}},
 		{"publish-per-batch", dyn.Options{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

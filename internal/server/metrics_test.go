@@ -79,7 +79,7 @@ func TestCoalescerRetryAfterLive(t *testing.T) {
 // requests before ops and loaded the counters in an order that let a
 // scrape observe a request without its ops.
 func TestStatsConsistentUnderConcurrentScrape(t *testing.T) {
-	d := newEmbedder(t, 4096, 4, dyn.Options{PublishEvery: 256})
+	d := newEmbedder(t, 4096, 4, dyn.Options{ManualPublish: true})
 	co := NewCoalescer(d, CoalescerOptions{MaxBatch: 512, MaxDelay: 500 * time.Microsecond})
 	co.Start()
 	defer co.Close()

@@ -62,9 +62,9 @@ func TestServerCoalescesConcurrentWrites(t *testing.T) {
 	const requests, k = 200, 4
 	n := 2 * requests
 	y := fullLabels(n, k)
-	// PublishEvery well above a single op forces the coalescer's settle
-	// path (publish on idle) as well as the embedder's op-count policy.
-	_, c, _ := startServer(t, n, y, dyn.Options{K: k, PublishEvery: 512},
+	// ManualPublish forces the coalescer's settle path (publish on idle
+	// or past MaxBatch pending ops).
+	_, c, _ := startServer(t, n, y, dyn.Options{K: k, ManualPublish: true},
 		server.Options{Coalescer: server.CoalescerOptions{MaxBatch: 1024, MaxDelay: 25 * time.Millisecond}})
 
 	ctx := context.Background()

@@ -201,23 +201,11 @@ func Symmetrize(el *EdgeList) *EdgeList { return graph.Symmetrize(el) }
 // WriteEmbedding streams Z as TSV (one vertex per row).
 func WriteEmbedding(w io.Writer, z *Dense) error { return writeEmbeddingTSV(w, z) }
 
-// Streaming / incremental embedding.
-
-// StreamingEmbedder maintains a GEE embedding under edge insertions and
-// removals (contributions are linear, so batches fold in atomically).
-// Labels are fixed at construction; for label churn, deletions with
-// exact-match semantics, and concurrent serving use DynamicEmbedder.
-type StreamingEmbedder = gee.StreamingEmbedder
-
-// NewStreamingEmbedder prepares an empty embedding with fixed labels.
-func NewStreamingEmbedder(n int, y []int32, opts Options) (*StreamingEmbedder, error) {
-	return gee.NewStreamingEmbedder(n, y, opts)
-}
-
-// Dynamic embedding service (internal/dyn): full churn — edge
-// insertions and deletions plus incremental label changes — with
-// epoch-versioned snapshots serving concurrent readers while writers
-// keep ingesting. cmd/geeserve drives it as a service workload.
+// Dynamic embedding (internal/dyn): GEE's per-edge contributions are
+// linear, so edge insertions and deletions plus incremental label
+// changes fold in without recomputation, with epoch-versioned snapshots
+// serving concurrent readers while writers keep ingesting. cmd/geeserve
+// serves it over HTTP; cmd/geeload drives writes and reads against it.
 
 type (
 	// DynamicEmbedder maintains a GEE embedding under edge and label
@@ -247,9 +235,9 @@ func NewDynamicEmbedder(n int, y []int32, opts DynamicOptions) (*DynamicEmbedder
 
 // Network serving layer (internal/server): the HTTP/JSON API over a
 // DynamicEmbedder — lock-free snapshot reads, coalesced writes with
-// publish-epoch acks and bounded-queue backpressure. cmd/geeserve
-// -serve runs it; cmd/geeload load-tests it; internal/server/client is
-// the typed Go client.
+// publish-epoch acks and bounded-queue backpressure. cmd/geeserve runs
+// it; cmd/geeload load-tests it; internal/server/client is the typed Go
+// client.
 
 type (
 	// EmbeddingServer serves a DynamicEmbedder over HTTP.

@@ -42,7 +42,7 @@ go build -o "$bin/geeload" ./cmd/geeload
 
 # n=5000 sits above the approximate index's exact-fallback threshold,
 # so the smoke exercises a real IVF build, not the degenerate path.
-"$bin/geeserve" -serve 127.0.0.1:0 -n 5000 -k 5 -rounds 0 -readers 0 \
+"$bin/geeserve" -serve 127.0.0.1:0 -n 5000 -k 5 \
   >"$log/serve.out" 2>"$log/serve.err" &
 pid=$!
 trap 'kill "$pid" 2>/dev/null || true' EXIT
@@ -273,7 +273,7 @@ fi
 
 # Opt-in pprof leg: a fresh server started with -pprof must serve the
 # profile index on the same mux.
-"$bin/geeserve" -serve 127.0.0.1:0 -n 100 -k 2 -rounds 0 -readers 0 -pprof \
+"$bin/geeserve" -serve 127.0.0.1:0 -n 100 -k 2 -pprof \
   >"$log/pprof_serve.out" 2>"$log/pprof_serve.err" &
 ppid=$!
 trap 'kill "$pid" "$ppid" 2>/dev/null || true' EXIT
@@ -301,7 +301,7 @@ echo "pprof gating OK (404 by default, serves with -pprof)"
 # partition from /v1/partition, assembles per-shard sections, and must
 # end bit-identical to every shard's section. The metrics registry must
 # carry all four shard labels and /statsz the per-shard epoch vector.
-"$bin/geeserve" -serve 127.0.0.1:0 -n 5000 -k 5 -shards 4 -rounds 0 -readers 0 \
+"$bin/geeserve" -serve 127.0.0.1:0 -n 5000 -k 5 -shards 4 \
   >"$log/shard_serve.out" 2>"$log/shard_serve.err" &
 spid=$!
 trap 'kill "$pid" "$ppid" "$spid" 2>/dev/null || true' EXIT
