@@ -11,12 +11,13 @@ import (
 )
 
 // Dynamic-ingest throughput: edges folded per second into a live
-// DynamicEmbedder, across the exec routing tiers (atomic adds vs the
-// contention-free sharded edge plan) and batch sizes. Publishes are
-// manual so the numbers isolate ingest; BenchmarkDynamicPublish prices
-// the snapshot separately. Run with -benchtime=1x for a smoke pass.
+// DynamicEmbedder, across its two fold paths (serial on one worker,
+// owner-computes over the sharded edge plan on several) and batch
+// sizes. Publishes are manual so the numbers isolate ingest;
+// BenchmarkDynamicPublish prices the snapshot separately. Run with
+// -benchtime=1x for a smoke pass.
 //
-// Workers are pinned (not GOMAXPROCS) so the parallel fold paths are
+// Workers are pinned (not GOMAXPROCS) so the parallel fold path is
 // exercised even on a single-core machine; like Table I's Shd/Par
 // column, the relative numbers are only meaningful with real cores.
 
@@ -36,20 +37,19 @@ func dynEdgePool(m int64) []graph.Edge {
 func BenchmarkDynamicIngest(b *testing.B) {
 	pool := dynEdgePool(1 << 20)
 	for _, bc := range []struct {
-		name   string
-		batch  int
-		thresh int // -1 pins atomic folds, 1 pins sharded folds
+		name    string
+		batch   int
+		workers int // 1 folds serially; more owner-computes at these sizes
 	}{
-		{"atomic/batch=4096", 4096, -1},
-		{"sharded/batch=4096", 4096, 1},
-		{"atomic/batch=65536", 65536, -1},
-		{"sharded/batch=65536", 65536, 1},
+		{"serial/batch=4096", 4096, 1},
+		{"sharded/batch=4096", 4096, dynBenchWorkers},
+		{"serial/batch=65536", 65536, 1},
+		{"sharded/batch=65536", 65536, dynBenchWorkers},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			y := labels.SampleSemiSupervised(dynBenchN, dynBenchK, 0.1, 7)
 			d, err := dyn.New(dynBenchN, y, dyn.Options{
-				K: dynBenchK, Workers: dynBenchWorkers,
-				ShardedThreshold: bc.thresh, ManualPublish: true,
+				K: dynBenchK, Workers: bc.workers, ManualPublish: true,
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -19,9 +19,10 @@
 // interleaving of operations.
 //
 // Writers are serialized by an internal lock and route edge folds
-// through internal/exec: atomic adds for small batches, the
-// contention-free sharded backend for large ones, bucketing each batch
-// in O(batch) against a shard layout cached across batches. Readers
+// through internal/exec by one rule: a small batch folds serially, a
+// large one owner-computes on the contention-free sharded backend,
+// bucketing each batch in O(batch) against a shard layout cached across
+// batches so every row has one writer. Readers
 // never take the lock: Query, Version and Snapshot read an atomically
 // published immutable version, so queries stay consistent while ingest
 // continues.
@@ -67,11 +68,6 @@ type Options struct {
 	// Workers bounds parallelism for folds and publishes; <= 0 selects
 	// GOMAXPROCS.
 	Workers int
-	// ShardedThreshold is the batch size (in folded edges) at which
-	// ingest switches from atomic adds to the contention-free sharded
-	// path (with more than one worker; a single worker always folds
-	// serially). Zero selects a default; negative disables sharding.
-	ShardedThreshold int
 	// ManualPublish suppresses the automatic publish after every Apply;
 	// the caller batches visibility with explicit Publish calls. A
 	// publish costs O(dirty pages), so this is about when readers see a
@@ -89,10 +85,15 @@ type Options struct {
 	OwnedLo, OwnedHi int
 }
 
-// defaultShardedThreshold balances the O(batch) bucketing pass against
-// the atomic contention it avoids; below a few thousand edges the
-// bucketing costs more than the atomics.
-const defaultShardedThreshold = 4096
+// shardedFoldMin is the batch size (in folded edges) from which a fold
+// with more than one worker owner-computes over the sharded edge plan; a
+// smaller batch folds serially. Apply's rate on 2 vCPUs (n = 2^15,
+// K = 16, RMAT edges): serial 9-14 Medges/s from 64 to 4096 edges;
+// owner-computes on two workers 3.5-4.0 at 64 and 7.5-8.5 from 1024 to
+// 4096; atomic adds, which this rule replaced, 8.7-11.0 from 1024 to
+// 4096. Serial is no slower at 4096 either, but 4096 is where the sharded
+// path has always begun, so no batch that size or larger changed path.
+const shardedFoldMin = 4096
 
 // LabelUpdate reassigns vertex V to Class (labels.Unknown removes the
 // label).
@@ -183,9 +184,9 @@ type Stats struct {
 	Deletes      int64
 	LabelMoves   int64 // applied label updates (no-op reassignments excluded)
 	Batches      int64
-	AtomicFolds  int64 // batches folded with atomic adds
+	AtomicFolds  int64 // always 0: no batch folds with atomic adds; the benchmark still reads it (ROADMAP item 5 removes it)
 	ShardedFolds int64 // batches folded through the sharded edge plan
-	SerialFolds  int64 // batches folded serially (tiny or single-worker)
+	SerialFolds  int64 // batches folded serially (under 4096 folded edges, or one worker)
 	Publishes    int64 // published versions (excluding the epoch-0 bootstrap)
 	DenseViews   int64 // versions whose contiguous Snapshot was derived (see Version.Snapshot)
 }
@@ -213,7 +214,6 @@ type removal struct {
 type DynamicEmbedder struct {
 	n, k     int
 	workers  int
-	thresh   int
 	manual   bool
 	instance uint64
 	// Owned row window [ownLo, ownHi): publish/delta restriction (see
@@ -248,6 +248,9 @@ type DynamicEmbedder struct {
 	// foldHook, when non-nil, replaces the exec fold — tests inject
 	// failures to exercise Apply's nothing-is-applied contract.
 	foldHook func(del, ins []graph.Edge) error
+	// shardedMin is the fold cut-over, shardedFoldMin; tests lower it to
+	// force owner-computes on small batches.
+	shardedMin int
 
 	// publishHook, when non-nil, observes every published epoch and
 	// how long the publish took. The serving layer's coalescer uses it
@@ -297,7 +300,6 @@ func (d *DynamicEmbedder) Instrument(reg *metrics.Registry, labels ...metrics.La
 		count func(Stats) int64
 	}{
 		{"serial", func(s Stats) int64 { return s.SerialFolds }},
-		{"atomic", func(s Stats) int64 { return s.AtomicFolds }},
 		{"sharded", func(s Stats) int64 { return s.ShardedFolds }},
 	} {
 		reg.CounterFunc("gee_dyn_folds_total",
@@ -332,10 +334,6 @@ func New(n int, y []int32, opts Options) (*DynamicEmbedder, error) {
 		return nil, err
 	}
 	workers := parallel.Workers(opts.Workers)
-	thresh := opts.ShardedThreshold
-	if thresh == 0 {
-		thresh = defaultShardedThreshold
-	}
 	ownLo, ownHi := opts.OwnedLo, opts.OwnedHi
 	if ownLo == 0 && ownHi == 0 {
 		ownHi = n
@@ -346,17 +344,17 @@ func New(n int, y []int32, opts Options) (*DynamicEmbedder, error) {
 	yc := append([]int32(nil), y...)
 	d := &DynamicEmbedder{
 		n: n, k: k, workers: workers,
-		instance: newInstanceID(),
-		thresh:   thresh,
-		manual:   opts.ManualPublish,
-		ownLo:    ownLo,
-		ownHi:    ownHi,
-		y:        yc,
-		counts:   parallel.Histogram(workers, n, k, func(i int) int { return int(yc[i]) }),
-		adj:      make([][]halfEdge, n),
-		u:        mat.NewDense(n, k),
-		rowAt:    make([]uint64, n),
-		yAt:      make([]uint64, n),
+		instance:   newInstanceID(),
+		manual:     opts.ManualPublish,
+		shardedMin: shardedFoldMin,
+		ownLo:      ownLo,
+		ownHi:      ownHi,
+		y:          yc,
+		counts:     parallel.Histogram(workers, n, k, func(i int) int { return int(yc[i]) }),
+		adj:        make([][]halfEdge, n),
+		u:          mat.NewDense(n, k),
+		rowAt:      make([]uint64, n),
+		yAt:        make([]uint64, n),
 		kern: exec.Kernel[float64]{
 			Width:  k,
 			SrcCol: yc,
@@ -611,8 +609,8 @@ func (d *DynamicEmbedder) own() {
 }
 
 // fold applies the deletions (negated) and insertions to U through the
-// exec layer: serial for tiny batches or one worker, atomic adds for
-// small ones, the contention-free sharded path for large ones.
+// exec layer: serially below shardedMin folded edges or on one worker,
+// otherwise owner-computes over the sharded edge plan.
 func (d *DynamicEmbedder) fold(del, ins []graph.Edge) error {
 	if d.foldHook != nil {
 		return d.foldHook(del, ins)
@@ -630,31 +628,21 @@ func (d *DynamicEmbedder) fold(del, ins []graph.Edge) error {
 	}
 	fold = append(fold, ins...)
 	d.scratch = fold
-	switch {
-	// An explicit threshold wins: any batch at or above it takes the
-	// sharded path (given parallelism). The serial floor below only
-	// arbitrates between serial and atomic folds under the threshold.
-	case d.workers > 1 && d.thresh >= 0 && total >= d.thresh:
-		if d.plan == nil {
-			parts := d.workers
-			plan, err := exec.NewEdgePlan(d.n, parts)
-			if err != nil {
-				return err
-			}
-			d.plan = plan
-		}
-		d.stats.ShardedFolds++
-		_, err := exec.ShardedEdges(d.kern, fold, d.u.Data, d.plan, d.workers)
-		return err
-	case d.workers <= 1 || total < 1024:
+	if d.workers <= 1 || total < d.shardedMin {
 		d.stats.SerialFolds++
 		_, err := exec.SerialEdges(d.kern, fold, d.n, d.u.Data)
 		return err
-	default:
-		d.stats.AtomicFolds++
-		_, err := exec.AtomicEdges(d.kern, fold, d.n, d.u.Data, d.workers)
-		return err
 	}
+	if d.plan == nil {
+		plan, err := exec.NewEdgePlan(d.n, d.workers)
+		if err != nil {
+			return err
+		}
+		d.plan = plan
+	}
+	d.stats.ShardedFolds++
+	_, err := exec.ShardedEdges(d.kern, fold, d.u.Data, d.plan, d.workers)
+	return err
 }
 
 // relabel moves vertex v from its current class to class: the raw mass

@@ -63,16 +63,14 @@ func churnScript(t *testing.T, d *DynamicEmbedder, n, k, rounds, batch int, seed
 // TestDynamicMatchesBatchEmbed is the tentpole acceptance check: after
 // any interleaving of insert, delete, and label-update batches, the
 // dynamic embedding equals a from-scratch batch Embed on the resulting
-// graph within 1e-9 — on both the atomic (small-batch) and sharded
-// (large-batch) ingest paths.
+// graph within 1e-9 — on both ingest paths, serial and owner-computes.
 func TestDynamicMatchesBatchEmbed(t *testing.T) {
 	const n, k = 800, 6
 	cases := []struct {
 		name string
 		opts Options
 	}{
-		{"atomic-folds", Options{K: k, Workers: 8, ShardedThreshold: -1}},
-		{"sharded-folds", Options{K: k, Workers: 8, ShardedThreshold: 1}},
+		{"sharded-folds", Options{K: k, Workers: 8}},
 		{"serial-folds", Options{K: k, Workers: 1}},
 	}
 	for _, tc := range cases {
@@ -82,6 +80,7 @@ func TestDynamicMatchesBatchEmbed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			d.shardedMin = 1 // every batch owner-computes, given more than one worker
 			el, yFinal := churnScript(t, d, n, k, 12, 1500, 73)
 			want, err := gee.Embed(gee.Reference, el, yFinal, gee.Options{K: k})
 			if err != nil {
@@ -104,13 +103,9 @@ func TestDynamicMatchesBatchEmbed(t *testing.T) {
 }
 
 // TestDynamicFoldRouting checks the ingest actually takes the intended
-// exec path per batch size.
+// exec path per batch size: serial below the cut-over or on one worker,
+// owner-computes over one reused plan at and above it.
 func TestDynamicFoldRouting(t *testing.T) {
-	y := labels.Full(2000, 4, 79)
-	d, err := New(2000, y, Options{K: 4, Workers: 4, ShardedThreshold: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
 	mk := func(m int) []graph.Edge {
 		r := xrand.New(uint64(m))
 		edges := make([]graph.Edge, m)
@@ -119,37 +114,40 @@ func TestDynamicFoldRouting(t *testing.T) {
 		}
 		return edges
 	}
-	if err := d.AddEdges(mk(100)); err != nil { // < 1024: serial
+	d, err := New(2000, labels.Full(2000, 4, 79), Options{K: 4, Workers: 4})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AddEdges(mk(2000)); err != nil { // < threshold: atomic
-		t.Fatal(err)
+	for _, m := range []int{100, 2000, shardedFoldMin - 1, shardedFoldMin, 8192} {
+		if err := d.AddEdges(mk(m)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := d.AddEdges(mk(8192)); err != nil { // >= threshold: sharded
-		t.Fatal(err)
-	}
+	plan := d.plan
 	if err := d.AddEdges(mk(8192)); err != nil { // sharded again, plan reused
 		t.Fatal(err)
 	}
 	st := d.Stats()
-	if st.SerialFolds != 1 || st.AtomicFolds != 1 || st.ShardedFolds != 2 {
-		t.Fatalf("fold routing: serial=%d atomic=%d sharded=%d, want 1/1/2",
+	if st.SerialFolds != 3 || st.AtomicFolds != 0 || st.ShardedFolds != 3 {
+		t.Fatalf("fold routing: serial=%d atomic=%d sharded=%d, want 3/0/3",
 			st.SerialFolds, st.AtomicFolds, st.ShardedFolds)
 	}
-	if st.Batches != 4 || st.Inserts != 100+2000+8192+8192 {
+	if plan == nil || d.plan != plan {
+		t.Fatal("sharded folds did not build the edge plan once and reuse it")
+	}
+	if st.Batches != 6 || st.Inserts != 100+2000+4095+4096+8192+8192 {
 		t.Fatalf("counters: %+v", st)
 	}
-	// An explicit threshold below the serial floor must be honored: a
-	// 500-edge batch with threshold 256 takes the sharded path.
-	low, err := New(2000, labels.Full(2000, 4, 81), Options{K: 4, Workers: 4, ShardedThreshold: 256})
+	// One worker folds serially whatever the batch size.
+	one, err := New(2000, labels.Full(2000, 4, 81), Options{K: 4, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := low.AddEdges(mk(500)); err != nil {
+	if err := one.AddEdges(mk(8192)); err != nil {
 		t.Fatal(err)
 	}
-	if st := low.Stats(); st.ShardedFolds != 1 {
-		t.Fatalf("threshold=256 ignored for a 500-edge batch: %+v", st)
+	if st := one.Stats(); st.SerialFolds != 1 || st.ShardedFolds != 0 || one.plan != nil {
+		t.Fatalf("one worker did not fold an 8192-edge batch serially: %+v", st)
 	}
 }
 
@@ -478,10 +476,11 @@ func TestDynamicValidation(t *testing.T) {
 func TestDynamicConcurrentReaders(t *testing.T) {
 	const n, k = 500, 4
 	y := labels.SampleSemiSupervised(n, k, 0.5, 101)
-	d, err := New(n, y, Options{K: k, Workers: 4, ShardedThreshold: 2048})
+	d, err := New(n, y, Options{K: k, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.shardedMin = 2048 // keep the ~3000-edge batches on the sharded path
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)

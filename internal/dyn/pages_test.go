@@ -426,7 +426,6 @@ func TestPublishInstrumentsAndFoldPaths(t *testing.T) {
 		{"gee_dyn_publish_rows_normalized_sum", "", 2*rows.PageRows + 2*rows.PageRows},
 		{"gee_dyn_full_epochs_total", "", 1},
 		{"gee_dyn_folds_total", "serial", 1},
-		{"gee_dyn_folds_total", "atomic", 0},
 		{"gee_dyn_folds_total", "sharded", 0},
 	} {
 		found := false
@@ -440,6 +439,11 @@ func TestPublishInstrumentsAndFoldPaths(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("%s{path=%q} not exported", want.name, want.path)
+		}
+	}
+	for _, s := range samples {
+		if s.Name == "gee_dyn_folds_total" && s.Labels["path"] == "atomic" {
+			t.Errorf("gee_dyn_folds_total{path=\"atomic\"} exported, but no fold takes that path")
 		}
 	}
 }

@@ -178,7 +178,9 @@ func runReplicated[T Float](g *graph.CSR, k *Kernel[T], z []T, workers int) Stat
 
 // Edge-slice execution — the Algorithm 1 formulation over an explicit
 // edge list, used by the Reference/Optimized paths and the dynamic
-// embedder's batch folds (internal/dyn).
+// embedder's small batch folds (internal/dyn, which folds large ones
+// with ShardedEdges). Only the benchmark's per-strategy fold-rate probe
+// calls AtomicEdges.
 
 // SerialEdges applies the kernel serially over an edge slice with plain
 // adds.

@@ -285,22 +285,41 @@ func TestEditAllocatesItsPages(t *testing.T) {
 	for i := range row {
 		row[i] = float64(i)
 	}
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	b := z.Edit(1, nil)
-	copy(b.Page(777).Rows()[c:2*c], row)
-	next := b.Done()
-	runtime.ReadMemStats(&m1)
+	var next *Pages[float64]
+	allocs, bytes := perRun(100, func() {
+		b := z.Edit(1, nil)
+		copy(b.Page(777).Rows()[c:2*c], row)
+		next = b.Done()
+	})
 	table := uint64(numChunks(r) * 8)
-	if got, want := m1.TotalAlloc-m0.TotalAlloc, table+table/8+1024; got > want {
-		t.Errorf("a one-row edit allocated %d bytes, want ≤ %d (the chunk table, a chunk and a page)", got, want)
+	if want := table + table/8 + 1024; bytes > want {
+		t.Errorf("a one-row edit allocated %d bytes, want ≤ %d (the chunk table, a chunk and a page)", bytes, want)
 	}
-	if got := m1.Mallocs - m0.Mallocs; got > 5 {
-		t.Errorf("a one-row edit made %d allocations, want ≤ 5 (store, builder, table, chunk, page)", got)
+	if allocs > 5 {
+		t.Errorf("a one-row edit made %d allocations, want ≤ 5 (store, builder, table, chunk, page)", allocs)
 	}
 	if !slices.Equal(next.Row(777*PageRows+1, make([]float64, c)), row) || z.Row(777*PageRows+1, make([]float64, c))[1] != 0 {
 		t.Error("the edit did not land in the new store only")
 	}
+}
+
+// perRun returns the allocations and bytes one call of f makes, averaged
+// in whole units over runs calls the way testing.AllocsPerRun averages.
+// MemStats are process-wide and the runtime allocates on its own around a
+// reading: restarting the world after ReadMemStats may start a thread (its
+// m, two goroutine descriptors and two profiling stacks, five objects),
+// and a GC worker still marking what came before takes a sudog. One call's
+// reading carries those; the average over many leaves only f's own.
+func perRun(runs int, f func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return (m1.Mallocs - m0.Mallocs) / uint64(runs), (m1.TotalAlloc - m0.TotalAlloc) / uint64(runs)
 }
 
 // TestConcurrentPagesAfterTouch fills an edit's pages from several

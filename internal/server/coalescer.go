@@ -4,8 +4,9 @@
 // published snapshot; writes (edge inserts/deletes, label updates) go
 // through an ingest coalescer that merges concurrent small client
 // requests into micro-batches before they hit the embedder, so the
-// batch-oriented fold paths (atomic / sharded EdgePlan) see batch-sized
-// work even when every client sends one edge at a time.
+// embedder folds and publishes once per micro-batch (owner-computes over
+// the sharded EdgePlan once a batch reaches 4096 edges) even when every
+// client sends one edge at a time.
 //
 // The coalescer is the throughput lever: per-request Apply would pay a
 // lock hand-off, a serial fold and a publish (a page-table copy plus the

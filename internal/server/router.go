@@ -427,7 +427,6 @@ func (rt *router) stats() StatsResponse {
 		st.Dyn.Deletes += ds.Deletes
 		st.Dyn.LabelMoves += ds.LabelMoves
 		st.Dyn.Batches += ds.Batches
-		st.Dyn.AtomicFolds += ds.AtomicFolds
 		st.Dyn.ShardedFolds += ds.ShardedFolds
 		st.Dyn.SerialFolds += ds.SerialFolds
 		st.Dyn.Publishes += ds.Publishes

@@ -186,7 +186,7 @@ func TestServedMatchesReference(t *testing.T) {
 	for _, nShards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", nShards), func(t *testing.T) {
 			const n, k = 400, 5
-			dopts := dyn.Options{K: k, Workers: 1, ShardedThreshold: -1}
+			dopts := dyn.Options{K: k, Workers: 1}
 			ref, err := dyn.New(n, fullLabels(n, k), dopts)
 			if err != nil {
 				t.Fatal(err)
