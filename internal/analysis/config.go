@@ -72,6 +72,9 @@ func DefaultAnalyzers() []Analyzer {
 				// Neighbor reads: the one block scan under TopK and
 				// the IVF probes, run once per row of every query.
 				"(*repro/internal/cluster.query).scan",
+				// Delete detach: the touch pass over every deleted
+				// edge's adjacency lists.
+				"repro/internal/dyn.touch",
 			},
 			StdlibAllowed: []string{
 				"strconv.Append",

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/dyn"
@@ -8,14 +9,13 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/labels"
+	"repro/internal/xrand"
 )
 
 // Dynamic-ingest throughput: edges folded per second into a live
-// DynamicEmbedder, across its two fold paths (serial on one worker,
-// owner-computes over the sharded edge plan on several) and batch
-// sizes. Publishes are manual so the numbers isolate ingest;
-// BenchmarkDynamicPublish prices the snapshot separately. Run with
-// -benchtime=1x for a smoke pass.
+// DynamicEmbedder, and the cost of a delete's detach. Publishes are
+// manual so the numbers isolate ingest; BenchmarkDynamicPublish prices
+// the snapshot separately. Run with -benchtime=1x for a smoke pass.
 //
 // Workers are pinned (not GOMAXPROCS) so the parallel fold path is
 // exercised even on a single-core machine; like Table I's Shd/Par
@@ -34,42 +34,121 @@ func dynEdgePool(m int64) []graph.Edge {
 	return gen.RMAT(0, dynBenchScale, m, gen.Graph500Params, 77).Edges
 }
 
+// The serving shape: the benchmark's base100k graph (n = 100k, K = 10,
+// 700k edges, the lowest fifth of the vertices labelled round-robin).
+const (
+	serveBenchN     = 100_000
+	serveBenchK     = 10
+	serveBenchEdges = 700_000
+)
+
+// blockEdges draws m edges shaped like the serving base graph's: nine in
+// ten join two vertices of one planted block (ids equal mod K), the
+// rest are uniform; weights are 1 to 4.
+func blockEdges(r *xrand.Rand, m int) []graph.Edge {
+	edges := make([]graph.Edge, m)
+	for i := range edges {
+		u, v := r.Intn(serveBenchN), r.Intn(serveBenchN)
+		if r.Float64() < 0.9 {
+			v = u%serveBenchK + serveBenchK*r.Intn((serveBenchN-1-u%serveBenchK)/serveBenchK+1)
+		}
+		edges[i] = graph.Edge{U: graph.NodeID(u), V: graph.NodeID(v), W: float32(r.Intn(4) + 1)}
+	}
+	return edges
+}
+
+// serveEmbedder returns a manual-publish embedder at the serving shape
+// with the base graph folded in.
+func serveEmbedder(b *testing.B, workers int, r *xrand.Rand) *dyn.DynamicEmbedder {
+	y := make([]int32, serveBenchN)
+	for v := range y {
+		y[v] = labels.Unknown
+		if v < serveBenchN/5 {
+			y[v] = int32(v % serveBenchK)
+		}
+	}
+	d, err := dyn.New(serveBenchN, y, dyn.Options{K: serveBenchK, Workers: workers, ManualPublish: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := d.AddEdges(blockEdges(r, serveBenchEdges)); err != nil {
+		b.Fatal(err)
+	}
+	return d
+}
+
+// BenchmarkDynamicIngest folds insert batches of 4096 to 65536 edges at
+// the serving shape, on one worker and on two. Below dyn's 65536-edge
+// cut-over the two-worker rows fold serially too, so they read as the
+// one-worker rows; from it they owner-compute. BenchmarkFoldPaths in
+// internal/dyn forces each path at every size: that is the sweep that
+// sets the cut-over.
 func BenchmarkDynamicIngest(b *testing.B) {
-	pool := dynEdgePool(1 << 20)
-	for _, bc := range []struct {
-		name    string
-		batch   int
-		workers int // 1 folds serially; more owner-computes at these sizes
-	}{
-		{"serial/batch=4096", 4096, 1},
-		{"sharded/batch=4096", 4096, dynBenchWorkers},
-		{"serial/batch=65536", 65536, 1},
-		{"sharded/batch=65536", 65536, dynBenchWorkers},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			y := labels.SampleSemiSupervised(dynBenchN, dynBenchK, 0.1, 7)
-			d, err := dyn.New(dynBenchN, y, dyn.Options{
-				K: dynBenchK, Workers: bc.workers, ManualPublish: true,
+	pool := blockEdges(xrand.New(77), 1<<18)
+	for _, batch := range []int{4096, 8192, 16384, 32768, 65536} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("workers=%d/batch=%d", workers, batch), func(b *testing.B) {
+				d := serveEmbedder(b, workers, xrand.New(7))
+				off := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if off+batch > len(pool) {
+						off = 0
+					}
+					if err := d.AddEdges(pool[off : off+batch]); err != nil {
+						b.Fatal(err)
+					}
+					off += batch
+				}
+				b.StopTimer()
+				edges := float64(b.N) * float64(batch)
+				b.ReportMetric(edges/b.Elapsed().Seconds(), "edges/s")
 			})
-			if err != nil {
+		}
+	}
+}
+
+// BenchmarkDynamicDelete times 4096-edge deletes of an earlier batch at
+// the serving shape, after 64 cycles of churn (insert a batch, delete
+// the oldest of eight live ones), as ingest_follow sends them. Only the
+// delete is timed: its detach, its serial fold and its bookkeeping. It
+// reports ns per deleted edge.
+func BenchmarkDynamicDelete(b *testing.B) {
+	const batch, live, churn = 4096, 8, 64
+	r := xrand.New(7)
+	d := serveEmbedder(b, 2, r)
+	var pending [][]graph.Edge
+	cycle := func() []graph.Edge {
+		e := blockEdges(r, batch)
+		if err := d.AddEdges(e); err != nil {
+			b.Fatal(err)
+		}
+		pending = append(pending, e)
+		if len(pending) <= live {
+			return nil
+		}
+		old := pending[0]
+		pending = pending[1:]
+		return old
+	}
+	for i := 0; i < churn; i++ {
+		if old := cycle(); old != nil {
+			if err := d.DeleteEdges(old); err != nil {
 				b.Fatal(err)
 			}
-			off := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if off+bc.batch > len(pool) {
-					off = 0
-				}
-				if err := d.AddEdges(pool[off : off+bc.batch]); err != nil {
-					b.Fatal(err)
-				}
-				off += bc.batch
-			}
-			b.StopTimer()
-			edges := float64(b.N) * float64(bc.batch)
-			b.ReportMetric(edges/b.Elapsed().Seconds(), "edges/s")
-		})
+		}
 	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		old := cycle()
+		b.StartTimer()
+		if err := d.DeleteEdges(old); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*batch), "ns/edge")
 }
 
 // BenchmarkDynamicChurn interleaves inserts, deletions of an earlier

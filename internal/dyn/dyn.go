@@ -87,13 +87,14 @@ type Options struct {
 
 // shardedFoldMin is the batch size (in folded edges) from which a fold
 // with more than one worker owner-computes over the sharded edge plan; a
-// smaller batch folds serially. Apply's rate on 2 vCPUs (n = 2^15,
-// K = 16, RMAT edges): serial 9-14 Medges/s from 64 to 4096 edges;
-// owner-computes on two workers 3.5-4.0 at 64 and 7.5-8.5 from 1024 to
-// 4096; atomic adds, which this rule replaced, 8.7-11.0 from 1024 to
-// 4096. Serial is no slower at 4096 either, but 4096 is where the sharded
-// path has always begun, so no batch that size or larger changed path.
-const shardedFoldMin = 4096
+// smaller batch folds serially. AddEdges' rate on 2 vCPUs at the serving
+// scale (n = 100k, K = 10, 700k edges; BenchmarkFoldPaths), Medges/s,
+// serial against owner-computes on two workers: 6.8-7.6 against 5.2-5.6
+// at 4096 edges, 7.0-7.3 against 5.7-6.3 at 8192, 8.0-9.0 against
+// 6.6-6.8 at 16384. Serial won every run up to 16384 edges; from 32768
+// to 131072 the two paths read 6.5-8.5 each, run to run, and the
+// cut-over sits inside that band.
+const shardedFoldMin = 65536
 
 // LabelUpdate reassigns vertex V to Class (labels.Unknown removes the
 // label).
@@ -186,7 +187,7 @@ type Stats struct {
 	Batches      int64
 	AtomicFolds  int64 // always 0: no batch folds with atomic adds; the benchmark still reads it (ROADMAP item 5 removes it)
 	ShardedFolds int64 // batches folded through the sharded edge plan
-	SerialFolds  int64 // batches folded serially (under 4096 folded edges, or one worker)
+	SerialFolds  int64 // batches folded serially (under 65536 folded edges, or one worker)
 	Publishes    int64 // published versions (excluding the epoch-0 bootstrap)
 	DenseViews   int64 // versions whose contiguous Snapshot was derived (see Version.Snapshot)
 }
@@ -235,6 +236,7 @@ type DynamicEmbedder struct {
 	edges      int64
 	scratch    []graph.Edge // negated-delete + insert fold buffer
 	detached   []removal    // halves detachDeletes removed, for undoDetach
+	touched    uint32       // sum of detachDeletes' touch loads, kept so the compiler keeps them
 	sincePub   int64        // ops folded since the last publish (PendingOps)
 	stats      Stats
 
@@ -552,16 +554,55 @@ func (d *DynamicEmbedder) validate(b *Batch) error {
 	return nil
 }
 
+// detachGroup is how many deletes detachDeletes touches before it
+// detaches them. Removing a half is a scan of a cache-cold list, so a
+// delete-at-a-time detach waits on one miss after another; touching a
+// group's lists first puts their misses in flight together. A 4096-edge
+// delete at the serving scale on 2 vCPUs (BenchmarkDynamicDelete, which
+// times the serial fold too), ns per deleted edge: 414-451 untouched;
+// touching groups of 1, 4, 8, 16, 32 and 64 deletes, 362-391, 252-285,
+// 229-255, 225-247, 232-266 and 223-259.
+const detachGroup = 16
+
 // detachDeletes removes each deleted edge from the adjacency, undoing
-// every removal on a miss so a failed batch leaves no trace.
+// every removal on a miss so a failed batch leaves no trace. It works
+// through the batch a group at a time, touching the group's lists
+// before it detaches the group in batch order, so every list ends as a
+// delete-at-a-time detach leaves it.
 func (d *DynamicEmbedder) detachDeletes(del []graph.Edge) error {
-	for i, e := range del {
-		if !d.removeHalf(e.U, e.V, e.W) || !d.removeHalf(e.V, e.U, e.W) {
-			d.undoDetach()
-			return fmt.Errorf("dyn: delete %d: edge (%d->%d, w=%g) not live", i, e.U, e.V, e.W)
+	for lo := 0; lo < len(del); lo += detachGroup {
+		group := del[lo:min(lo+detachGroup, len(del))]
+		for _, e := range group {
+			d.touched += touch(d.adj[e.U]) + touch(d.adj[e.V])
+		}
+		for i, e := range group {
+			if !d.removeHalf(e.U, e.V, e.W) || !d.removeHalf(e.V, e.U, e.W) {
+				d.undoDetach()
+				return fmt.Errorf("dyn: delete %d: edge (%d->%d, w=%g) not live", lo+i, e.U, e.V, e.W)
+			}
 		}
 	}
 	return nil
+}
+
+// halvesPerLine is how many 8-byte halfEdges share a 64-byte cache line.
+const halvesPerLine = 64 / 8
+
+// touch makes one plain load per cache line of list, and one of its
+// last entry (a list need not start on a line boundary). The loads do
+// not depend on each other, so their misses overlap; Go has no prefetch
+// intrinsic, and the returned sum keeps them from being optimised away.
+//
+//gee:noalloc
+func touch(list []halfEdge) uint32 {
+	if len(list) == 0 {
+		return 0
+	}
+	s := list[len(list)-1].v
+	for i := 0; i < len(list); i += halvesPerLine {
+		s += list[i].v
+	}
+	return s
 }
 
 // removeHalf swap-deletes one (v, w) entry from adj[u], recording where

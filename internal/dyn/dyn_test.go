@@ -2,8 +2,10 @@ package dyn
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -118,24 +120,24 @@ func TestDynamicFoldRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []int{100, 2000, shardedFoldMin - 1, shardedFoldMin, 8192} {
+	for _, m := range []int{100, 2000, 4096, 8192, shardedFoldMin - 1, shardedFoldMin} {
 		if err := d.AddEdges(mk(m)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	plan := d.plan
-	if err := d.AddEdges(mk(8192)); err != nil { // sharded again, plan reused
+	if err := d.AddEdges(mk(2 * shardedFoldMin)); err != nil { // sharded again, plan reused
 		t.Fatal(err)
 	}
 	st := d.Stats()
-	if st.SerialFolds != 3 || st.AtomicFolds != 0 || st.ShardedFolds != 3 {
-		t.Fatalf("fold routing: serial=%d atomic=%d sharded=%d, want 3/0/3",
+	if st.SerialFolds != 5 || st.AtomicFolds != 0 || st.ShardedFolds != 2 {
+		t.Fatalf("fold routing: serial=%d atomic=%d sharded=%d, want 5/0/2",
 			st.SerialFolds, st.AtomicFolds, st.ShardedFolds)
 	}
 	if plan == nil || d.plan != plan {
 		t.Fatal("sharded folds did not build the edge plan once and reuse it")
 	}
-	if st.Batches != 6 || st.Inserts != 100+2000+4095+4096+8192+8192 {
+	if st.Batches != 7 || st.Inserts != 100+2000+4096+8192+4*shardedFoldMin-1 {
 		t.Fatalf("counters: %+v", st)
 	}
 	// One worker folds serially whatever the batch size.
@@ -143,11 +145,13 @@ func TestDynamicFoldRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := one.AddEdges(mk(8192)); err != nil {
-		t.Fatal(err)
+	for _, m := range []int{8192, shardedFoldMin, 2 * shardedFoldMin} {
+		if err := one.AddEdges(mk(m)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if st := one.Stats(); st.SerialFolds != 1 || st.ShardedFolds != 0 || one.plan != nil {
-		t.Fatalf("one worker did not fold an 8192-edge batch serially: %+v", st)
+	if st := one.Stats(); st.SerialFolds != 3 || st.ShardedFolds != 0 || one.plan != nil {
+		t.Fatalf("one worker did not fold every batch serially: %+v", st)
 	}
 }
 
@@ -598,21 +602,35 @@ func TestFailedBatchLeavesAdjacencyIntact(t *testing.T) {
 		want[v] = slices.Clone(list)
 	}
 	boom := errors.New("injected fold failure")
+	// Batches longer than detachGroup fail in a later group than their
+	// first detaches, and after other groups were touched.
+	span := func(lo, hi int, tail ...graph.Edge) []graph.Edge {
+		return append(slices.Clone(base[lo:hi]), tail...)
+	}
 	for _, tc := range []struct {
 		name string
 		del  []graph.Edge
 		hook bool
+		at   int // the batch index the error names; -1 when the fold fails
 	}{
-		{"duplicate delete", []graph.Edge{base[10], base[1], base[20], base[10]}, false},
-		{"missing edge", []graph.Edge{base[0], base[3], base[30], {U: 7, V: 8, W: 1}}, false},
-		{"self-loop", []graph.Edge{base[2], base[61], base[40], base[61]}, false},
-		{"fold failure", []graph.Edge{base[5], base[60], base[61], base[50], base[62]}, true},
+		{"duplicate delete", []graph.Edge{base[10], base[1], base[20], base[10]}, false, 3},
+		{"missing edge", []graph.Edge{base[0], base[3], base[30], {U: 7, V: 8, W: 1}}, false, 3},
+		{"self-loop", []graph.Edge{base[2], base[61], base[40], base[61]}, false, 3},
+		{"fold failure", []graph.Edge{base[5], base[60], base[61], base[50], base[62]}, true, -1},
+		{"missing edge in the third group", span(0, 33, graph.Edge{U: 7, V: 8, W: 1}, base[40]), false, 33},
+		{"duplicate across a group boundary", span(0, 15, base[20], base[20], base[21]), false, 16},
+		{"self-loop across a group boundary", span(30, 44, base[61], base[3], base[60], base[50], base[61]), false, 18},
+		{"fold failure on 40 edges", span(10, 50), true, -1},
 	} {
 		if tc.hook {
 			d.foldHook = func(del, ins []graph.Edge) error { return boom }
 		}
-		if err := d.DeleteEdges(tc.del); err == nil || tc.hook != errors.Is(err, boom) {
+		err := d.DeleteEdges(tc.del)
+		if err == nil || tc.hook != errors.Is(err, boom) {
 			t.Fatalf("%s: the batch returned %v", tc.name, err)
+		}
+		if prefix := fmt.Sprintf("dyn: delete %d:", tc.at); !tc.hook && !strings.HasPrefix(err.Error(), prefix) {
+			t.Fatalf("%s: error %q does not name delete %d", tc.name, err, tc.at)
 		}
 		d.foldHook = nil
 		for v := range want {
@@ -634,6 +652,52 @@ func TestFailedBatchLeavesAdjacencyIntact(t *testing.T) {
 	for i, x := range d.u.Data {
 		if math.Float64bits(x) != math.Float64bits(twin.u.Data[i]) {
 			t.Fatalf("U[%d] = %v after the failed batches, %v without them", i, x, twin.u.Data[i])
+		}
+	}
+}
+
+// TestGroupedDetachOrder checks that a delete batch spanning several
+// detach groups leaves every adjacency list element for element as
+// deleting its edges one batch at a time does: the touch pass reads
+// lists, and the detach still swap-deletes in batch order.
+func TestGroupedDetachOrder(t *testing.T) {
+	const n, k = 30, 3
+	y := labels.Full(n, k, 263)
+	r := xrand.New(269)
+	edges := make([]graph.Edge, 400)
+	for i := range edges {
+		edges[i] = graph.Edge{U: graph.NodeID(r.Intn(n)), V: graph.NodeID(r.Intn(n)), W: float32(1 + r.Intn(3))}
+	}
+	var del []graph.Edge
+	for _, i := range r.Perm(len(edges))[:3*detachGroup+5] {
+		del = append(del, edges[i])
+	}
+	var lists [2][][]halfEdge
+	for side := range lists {
+		d, err := New(n, y, Options{K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.AddEdges(edges); err != nil {
+			t.Fatal(err)
+		}
+		if side == 0 {
+			err = d.DeleteEdges(del)
+		} else {
+			for _, e := range del {
+				if err = d.DeleteEdges([]graph.Edge{e}); err != nil {
+					break
+				}
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		lists[side] = d.adj
+	}
+	for v := range lists[0] {
+		if !slices.Equal(lists[0][v], lists[1][v]) {
+			t.Fatalf("adj[%d] = %v after one batch, %v one edge at a time", v, lists[0][v], lists[1][v])
 		}
 	}
 }

@@ -2,6 +2,7 @@ package dyn
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/graph"
@@ -12,11 +13,12 @@ import (
 
 // benchEmbedder is the serving benchmark's scale: n=100k, K=10, 20%
 // labelled, 700k base edges folded and published (one rebuild), manual
-// publish. edges draws m random unit-weight edges from r.
-func benchEmbedder(b *testing.B) (d *DynamicEmbedder, y []int32, r *xrand.Rand, edges func(m int) []graph.Edge) {
+// publish, on workers workers (0: GOMAXPROCS). edges draws m random
+// unit-weight edges from r.
+func benchEmbedder(b *testing.B, workers int) (d *DynamicEmbedder, y []int32, r *xrand.Rand, edges func(m int) []graph.Edge) {
 	const n, k = 100_000, 10
 	y = labels.SampleSemiSupervised(n, k, 0.2, 1)
-	d, err := New(n, y, Options{K: k, ManualPublish: true})
+	d, err := New(n, y, Options{K: k, Workers: workers, ManualPublish: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -45,7 +47,7 @@ func benchEmbedder(b *testing.B) (d *DynamicEmbedder, y []int32, r *xrand.Rand, 
 //
 //	go test -run '^$' -bench Publish -benchmem ./internal/dyn
 func BenchmarkPublish(b *testing.B) {
-	d, y, r, edges := benchEmbedder(b)
+	d, y, r, edges := benchEmbedder(b, 0)
 	d.Instrument(metrics.NewRegistry())
 	var labelled []graph.NodeID
 	for v, c := range y {
@@ -107,7 +109,7 @@ func BenchmarkPublish(b *testing.B) {
 //
 //	go test -run '^$' -bench Delta -benchmem ./internal/dyn
 func BenchmarkDelta(b *testing.B) {
-	d, _, _, edges := benchEmbedder(b)
+	d, _, _, edges := benchEmbedder(b, 0)
 	publish := func(m int) {
 		if err := d.AddEdges(edges(m)); err != nil {
 			b.Fatal(err)
@@ -136,6 +138,46 @@ func BenchmarkDelta(b *testing.B) {
 					rows += len(dl.Rows)
 				}
 				b.ReportMetric(float64(rows)/float64(b.N), "rows/delta")
+			})
+		}
+	}
+}
+
+// BenchmarkFoldPaths forces each fold path at batch sizes around the
+// cut-over, at the serving scale on two workers: insert batches of 4096
+// to 65536 edges, folded serially or owner-computing over the edge plan
+// whatever their size. shardedFoldMin sits above the sizes at which the
+// serial rows won every run (see its comment).
+//
+//	go test -run '^$' -bench FoldPaths -count 3 ./internal/dyn
+func BenchmarkFoldPaths(b *testing.B) {
+	for _, batch := range []int{4096, 8192, 16384, 32768, 65536} {
+		for _, path := range []struct {
+			name string
+			min  int
+		}{{"serial", math.MaxInt}, {"sharded", 1}} {
+			b.Run(fmt.Sprintf("%s/batch=%d", path.name, batch), func(b *testing.B) {
+				d, _, _, edges := benchEmbedder(b, 2)
+				d.shardedMin = path.min
+				pool := edges(1 << 18)
+				// Untimed: the first write copies the arrays the
+				// publish lent, and the first sharded fold builds the plan.
+				if err := d.AddEdges(pool[:batch]); err != nil {
+					b.Fatal(err)
+				}
+				off := batch
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if off+batch > len(pool) {
+						off = 0
+					}
+					if err := d.AddEdges(pool[off : off+batch]); err != nil {
+						b.Fatal(err)
+					}
+					off += batch
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.N)*float64(batch)/b.Elapsed().Seconds()/1e6, "Medges/s")
 			})
 		}
 	}

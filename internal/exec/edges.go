@@ -75,9 +75,9 @@ func (p *EdgePlan) N() int { return p.n }
 // are bucketed by the shard owning their target row (a two-pass
 // count-and-scatter over the batch only), then each shard owner drains
 // its buckets with plain writes: owner-computes, every row written by
-// one worker. The dynamic embedder folds a batch of 4096 edges or more
+// one worker. The dynamic embedder folds a batch of 65536 edges or more
 // this way; below that a serial fold (SerialEdges) was measured faster
-// than the bucketing pass and the parallel drain together.
+// on 2 vCPUs than the bucketing pass and the parallel drain together.
 func ShardedEdges[T Float](k Kernel[T], edges []graph.Edge, z []T, p *EdgePlan, workers int) (Stats, error) {
 	if err := k.validate(p.n, len(z)); err != nil {
 		return Stats{}, err

@@ -4,17 +4,17 @@
 // published snapshot; writes (edge inserts/deletes, label updates) go
 // through an ingest coalescer that merges concurrent small client
 // requests into micro-batches before they hit the embedder, so the
-// embedder folds and publishes once per micro-batch (owner-computes over
-// the sharded EdgePlan once a batch reaches 4096 edges) even when every
-// client sends one edge at a time.
+// embedder folds and publishes once per micro-batch even when every
+// client sends one edge at a time. A micro-batch folds serially unless it
+// reaches 65536 edges, where the embedder owner-computes over the sharded
+// EdgePlan; at the default MaxBatch only a single huge request gets there.
 //
 // The coalescer is the throughput lever: per-request Apply would pay a
 // lock hand-off, a serial fold and a publish (a page-table copy plus the
 // dirty pages, and an epoch every follower must step through) per edge,
-// while a micro-batch pays them once per hundreds or thousands of ops
-// and gives the parallel fold paths enough work. Its queue is bounded —
-// when clients outrun ingest, Submit fails fast (HTTP 429) instead of
-// buffering without limit. Every accepted write request is acknowledged
+// while a micro-batch pays them once per hundreds or thousands of ops.
+// Its queue is bounded — when clients outrun ingest, Submit fails fast
+// (HTTP 429) instead of buffering without limit. Every accepted write request is acknowledged
 // only after its operations are published, and the ack carries the
 // published epoch, so a client that has its ack can immediately read
 // its own write from any later snapshot.
