@@ -8,15 +8,15 @@ import (
 )
 
 // The one distance kernel under both neighbor reads. The exact scan
-// (TopK) and the IVF list probes rank rows that sit back to back in
-// memory — the matrix itself, or an index's list-major copy — so the
-// kernel streams a contiguous block instead of fetching candidates by
-// id, and a query pays for a fork/join only when it scans enough rows
-// to amortise one.
+// (TopK) and the IVF list walk rank rows that sit back to back in
+// memory — the matrix itself, or an index's list-major copy of its
+// distinct rows — so the kernel streams a contiguous block instead of
+// fetching candidates by id, and a query pays for a fork/join only when
+// it scans enough rows to amortise one.
 
-// scanGrain is the number of rows a scan must cover per extra worker.
-// A default IVF probe at n=100k is ~12k rows (tens of microseconds):
-// forking under that costs more in wake-ups than it saves in scanning.
+// scanGrain is the number of rows a scan must cover per extra worker:
+// forking under ~64k rows (tens of microseconds of scanning) costs more
+// in wake-ups than it saves.
 const scanGrain = 1 << 16
 
 // scanWorkers returns how many workers a scan of rows rows uses: one
@@ -47,15 +47,17 @@ func (q *query) heap(rows int) []Neighbor {
 }
 
 // scan offers the n rows stored back to back in rows (n × len(q.vec))
-// to the k-bounded heap h and returns it. Row i's id is ids[i], or
-// base+i when ids is nil (the block is a window of the matrix itself).
+// to the k-bounded heap h and returns it. Row i stands for the one id
+// base+i when gs is nil (the block is a window of the matrix itself),
+// and for the ascending ids ids[gs[i]:gs[i+1]] otherwise (an IVF list,
+// which stores each distinct row once).
 // Distances are rowDist's, bit for bit: each row is summed alone, in
 // column order. Four rows are walked per iteration only so that their
 // independent add chains overlap (one row's is len(vec) dependent adds);
 // no row is split across accumulators.
 //
 //gee:noalloc
-func (q *query) scan(h []Neighbor, rows []float64, n int, ids []int32, base int) []Neighbor {
+func (q *query) scan(h []Neighbor, rows []float64, n int, gs, ids []int32, base int) []Neighbor {
 	vec := q.vec
 	dim := len(vec)
 	rows = rows[:n*dim]
@@ -82,16 +84,16 @@ func (q *query) scan(h []Neighbor, rows []float64, n int, ids []int32, base int)
 				normD += d[j] * d[j]
 			}
 			if dist := cosineDist(dotA, normA, q.norm); !(dist > bound) {
-				h, bound = q.offer(h, ids, base, i, dist)
+				h, bound = q.offer(h, gs, ids, base, i, dist)
 			}
 			if dist := cosineDist(dotB, normB, q.norm); !(dist > bound) {
-				h, bound = q.offer(h, ids, base, i+1, dist)
+				h, bound = q.offer(h, gs, ids, base, i+1, dist)
 			}
 			if dist := cosineDist(dotC, normC, q.norm); !(dist > bound) {
-				h, bound = q.offer(h, ids, base, i+2, dist)
+				h, bound = q.offer(h, gs, ids, base, i+2, dist)
 			}
 			if dist := cosineDist(dotD, normD, q.norm); !(dist > bound) {
-				h, bound = q.offer(h, ids, base, i+3, dist)
+				h, bound = q.offer(h, gs, ids, base, i+3, dist)
 			}
 		}
 	} else {
@@ -113,22 +115,22 @@ func (q *query) scan(h []Neighbor, rows []float64, n int, ids []int32, base int)
 				dd += ed * ed
 			}
 			if !(da > bound) {
-				h, bound = q.offer(h, ids, base, i, da)
+				h, bound = q.offer(h, gs, ids, base, i, da)
 			}
 			if !(db > bound) {
-				h, bound = q.offer(h, ids, base, i+1, db)
+				h, bound = q.offer(h, gs, ids, base, i+1, db)
 			}
 			if !(dc > bound) {
-				h, bound = q.offer(h, ids, base, i+2, dc)
+				h, bound = q.offer(h, gs, ids, base, i+2, dc)
 			}
 			if !(dd > bound) {
-				h, bound = q.offer(h, ids, base, i+3, dd)
+				h, bound = q.offer(h, gs, ids, base, i+3, dd)
 			}
 		}
 	}
 	for ; i < n; i++ {
 		if dist := rowDist(rows[:dim], vec, q.m, q.norm); !(dist > bound) {
-			h, bound = q.offer(h, ids, base, i, dist)
+			h, bound = q.offer(h, gs, ids, base, i, dist)
 		}
 		rows = rows[dim:]
 	}
@@ -142,22 +144,35 @@ func (q *query) scan(h []Neighbor, rows []float64, n int, ids []int32, base int)
 func nearestRow(vec []float64, block *mat.Dense) (int, float64) {
 	q := query{vec: vec, k: 1, exclude: -1}
 	var one [1]Neighbor
-	nb := q.scan(one[:0], block.Data, block.R, nil, 0)[0]
+	nb := q.scan(one[:0], block.Data, block.R, nil, nil, 0)[0]
 	return nb.V, nb.Dist
 }
 
-// offer pushes block row i at distance d unless it is the excluded row,
-// and returns the heap with its new bound. The scan calls it only for
-// rows that pass the bound, so the common row costs one comparison.
+// offer pushes the ids block row i stands for (scan's gs and ids) at
+// distance d, all but the excluded one, and returns the heap with its
+// new bound. The scan calls it only for rows that pass the bound, so
+// the common row costs one comparison. A group's ids share d and
+// ascend, so the first one the heap refuses loses the tie to its root,
+// and so does every later one: the group stops there.
 //
 //gee:noalloc
-func (q *query) offer(h []Neighbor, ids []int32, base, i int, d float64) ([]Neighbor, float64) {
-	v := base + i
-	if ids != nil {
-		v = int(ids[i])
+func (q *query) offer(h []Neighbor, gs, ids []int32, base, i int, d float64) ([]Neighbor, float64) {
+	if gs == nil {
+		if v := base + i; v != q.exclude {
+			h = pushNeighbor(h, q.k, Neighbor{V: v, Dist: d})
+		}
+		return h, q.bound(h)
 	}
-	if v != q.exclude {
-		h = pushNeighbor(h, q.k, Neighbor{V: v, Dist: d})
+	for _, id := range ids[gs[i]:gs[i+1]] {
+		v := int(id)
+		if v == q.exclude {
+			continue
+		}
+		nb := Neighbor{V: v, Dist: d}
+		if len(h) == q.k && !worse(h[0], nb) {
+			break
+		}
+		h = pushNeighbor(h, q.k, nb)
 	}
 	return h, q.bound(h)
 }
@@ -177,11 +192,7 @@ func queryNorm(query []float64, m Metric) float64 {
 	if m != Cosine {
 		return 0
 	}
-	var s float64
-	for _, v := range query {
-		s += v * v
-	}
-	return math.Sqrt(s)
+	return math.Sqrt(sqNorm(query))
 }
 
 // rowDist is the per-candidate distance every neighbor read ranks by:

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -9,11 +11,10 @@ import (
 	"repro/internal/xrand"
 )
 
-// The reference the streamed scans are pinned to: the neighbor reads as
-// they stood while the index borrowed the matrix. Every candidate row
-// is fetched by id out of X and measured alone by refRowDist; the
-// centroids are ranked by a full sort; the survivors are a full sort's
-// first k instead of a heap's.
+// The reference the streamed scans are pinned to: the neighbor read as
+// it stood while the index borrowed the matrix. Every row is fetched by
+// id out of X and measured alone by refRowDist, and the survivors are a
+// full sort's first k instead of a heap's.
 
 func refRowDist(row, query []float64, m Metric, qNorm float64) float64 {
 	if m == Cosine {
@@ -55,19 +56,13 @@ func refSort(all []Neighbor) {
 	})
 }
 
-// refScan ranks the rows cand of X (nil: every row).
-func refScan(X *mat.Dense, cand []int32, query []float64, k int, m Metric, exclude int) []Neighbor {
-	if cand == nil {
-		cand = make([]int32, X.R)
-		for v := range cand {
-			cand[v] = int32(v)
-		}
-	}
+// refScan ranks every row of X.
+func refScan(X *mat.Dense, query []float64, k int, m Metric, exclude int) []Neighbor {
 	qNorm := refQueryNorm(query, m)
 	var all []Neighbor
-	for _, v := range cand {
-		if int(v) != exclude {
-			all = append(all, Neighbor{V: int(v), Dist: refRowDist(X.Row(int(v)), query, m, qNorm)})
+	for v := 0; v < X.R; v++ {
+		if v != exclude {
+			all = append(all, Neighbor{V: v, Dist: refRowDist(X.Row(v), query, m, qNorm)})
 		}
 	}
 	refSort(all)
@@ -82,35 +77,42 @@ func refScan(X *mat.Dense, cand []int32, query []float64, k int, m Metric, exclu
 	return all
 }
 
-// refLists recomputes the partition from X and the index's centroids:
-// every row in the list of its nearest centroid, first minimum wins.
-func refLists(X *mat.Dense, cent *mat.Dense) [][]int32 {
-	lists := make([][]int32, cent.R)
+// refLayout recomputes the index layout from X and the index's
+// centroids: the rows grouped by their bits, each group's ids
+// ascending, each group in the list of its nearest centroid (first
+// minimum wins), a list's groups in order of their lowest id.
+func refLayout(X *mat.Dense, cent *mat.Dense) [][][]int32 {
+	var groups [][]int32
+	seen := map[string]int{}
 	for v := 0; v < X.R; v++ {
+		key := fmt.Sprint(bitsOf(X.Row(v)))
+		g, ok := seen[key]
+		if !ok {
+			g = len(groups)
+			seen[key] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], int32(v))
+	}
+	lists := make([][][]int32, cent.R)
+	for _, grp := range groups {
 		best, bd := 0, math.Inf(1)
 		for c := 0; c < cent.R; c++ {
-			if d := sqDist(X.Row(v), cent.Row(c)); d < bd {
+			if d := sqDist(X.Row(int(grp[0])), cent.Row(c)); d < bd {
 				best, bd = c, d
 			}
 		}
-		lists[best] = append(lists[best], int32(v))
+		lists[best] = append(lists[best], grp)
 	}
 	return lists
 }
 
-// refSearch probes the nprobe lists whose centroids rank nearest.
-func refSearch(X *mat.Dense, cent *mat.Dense, lists [][]int32, query []float64, k int, m Metric, exclude, nprobe int) []Neighbor {
-	qNorm := refQueryNorm(query, m)
-	order := make([]Neighbor, cent.R)
-	for c := range order {
-		order[c] = Neighbor{V: c, Dist: refRowDist(cent.Row(c), query, m, qNorm)}
+func bitsOf(row []float64) []uint64 {
+	b := make([]uint64, len(row))
+	for j, x := range row {
+		b[j] = math.Float64bits(x)
 	}
-	refSort(order)
-	cand := []int32{}
-	for _, o := range order[:nprobe] {
-		cand = append(cand, lists[o.V]...)
-	}
-	return refScan(X, cand, query, k, m, exclude)
+	return b
 }
 
 func sameNeighbors(t *testing.T, what string, got, want []Neighbor) {
@@ -125,6 +127,12 @@ func sameNeighbors(t *testing.T, what string, got, want []Neighbor) {
 	}
 }
 
+// search is ix.Search without the visit counts.
+func search(ix *IVF, workers int, query []float64, k int, m Metric, exclude int) []Neighbor {
+	nbrs, _ := ix.Search(workers, query, k, m, exclude)
+	return nbrs
+}
+
 // tiedBlobs is clustered data with the cases a scan must not fumble:
 // rows 3, 700 and 1400 identical (ties break by ascending id), rows 5
 // and 800 all zero (no direction under Cosine).
@@ -137,45 +145,49 @@ func tiedBlobs(dim int) *mat.Dense {
 	return X
 }
 
-// TestScansMatchGatherReference pins IVF.Search and TopK to the
-// reference above, id for id and distance bit for bit.
+// TestScansMatchGatherReference pins the index layout to refLayout, and
+// IVF.Search and TopK to the gather reference, id for id and distance
+// bit for bit.
 func TestScansMatchGatherReference(t *testing.T) {
 	for _, dim := range []int{1, 7, 10, 50} {
 		X := tiedBlobs(dim)
 		n := X.R
 		ix := BuildIVF(2, X, IVFOptions{ExactRows: -1, Lists: 24, Seed: uint64(dim)})
-		lists := refLists(X, ix.cent)
+		lists := refLayout(X, ix.cent)
+		covered := 0
 		for c, l := range lists {
-			got := ix.ids[ix.off[c]:ix.off[c+1]]
-			if len(got) != len(l) {
-				t.Fatalf("dim %d: list %d holds %d rows, reference %d", dim, c, len(got), len(l))
+			a, b := ix.off[c], ix.off[c+1]
+			if b-a != len(l) {
+				t.Fatalf("dim %d: list %d stores %d distinct rows, reference %d", dim, c, b-a, len(l))
 			}
-			for i := range l {
-				if got[i] != l[i] {
-					t.Fatalf("dim %d: list %d row %d is %d, reference %d", dim, c, i, got[i], l[i])
+			for i, want := range l {
+				j := a + i
+				got := ix.ids[ix.gs[j]:ix.gs[j+1]]
+				if !slices.Equal(got, want) {
+					t.Fatalf("dim %d: list %d row %d stands for ids %v, reference %v", dim, c, i, got, want)
 				}
+				if !slices.Equal(bitsOf(ix.rows[j*dim:(j+1)*dim]), bitsOf(X.Row(int(want[0])))) {
+					t.Fatalf("dim %d: list %d row %d is not row %d", dim, c, i, want[0])
+				}
+				covered += len(got)
 			}
+		}
+		if covered != n || len(ix.ids) != n {
+			t.Fatalf("dim %d: groups hold %d of %d ids (%d stored)", dim, covered, n, len(ix.ids))
+		}
+		if g := ix.gs[ix.off[len(lists)]]; int(g) != n {
+			t.Fatalf("dim %d: the last group ends at %d, want %d", dim, g, n)
 		}
 		r := xrand.New(uint64(dim) + 1)
 		for _, v := range []int{3, 5, 700, r.Intn(n), r.Intn(n)} {
 			query := X.Row(v)
 			for _, m := range []Metric{L2, Cosine} {
 				for _, exclude := range []int{-1, v} {
-					// n+3 is more than a default probe can return.
 					for _, k := range []int{1, 10, n + 3} {
 						for _, workers := range []int{1, 3} {
-							for _, nprobe := range []int{0, ix.Lists()} {
-								np := nprobe
-								if np == 0 {
-									np = ix.NProbe()
-								}
-								sameNeighbors(t, "IVF.Search",
-									ix.Search(workers, query, k, m, exclude, nprobe),
-									refSearch(X, ix.cent, lists, query, k, m, exclude, np))
-							}
-							sameNeighbors(t, "TopK",
-								TopK(workers, X, query, k, m, exclude),
-								refScan(X, nil, query, k, m, exclude))
+							want := refScan(X, query, k, m, exclude)
+							sameNeighbors(t, "IVF.Search", search(ix, workers, query, k, m, exclude), want)
+							sameNeighbors(t, "TopK", TopK(workers, X, query, k, m, exclude), want)
 						}
 					}
 				}
@@ -197,18 +209,15 @@ func TestIVFOwnsItsRows(t *testing.T) {
 			t.Fatalf("opts %+v built exact=%v", opts, ix.Exact())
 		}
 		type ask struct {
-			v      int
-			m      Metric
-			nprobe int
+			v int
+			m Metric
 		}
 		var asks []ask
 		var before [][]Neighbor
 		for _, v := range []int{3, 5, 42, 999} {
 			for _, m := range []Metric{L2, Cosine} {
-				for _, nprobe := range []int{0, ix.Lists()} {
-					asks = append(asks, ask{v, m, nprobe})
-					before = append(before, ix.Search(2, X.Row(v), 10, m, v, nprobe))
-				}
+				asks = append(asks, ask{v, m})
+				before = append(before, search(ix, 2, X.Row(v), 10, m, v))
 			}
 		}
 		queries := X.Clone()
@@ -216,16 +225,16 @@ func TestIVFOwnsItsRows(t *testing.T) {
 			X.Data[i] = math.NaN()
 		}
 		for i, a := range asks {
-			sameNeighbors(t, "after overwrite", ix.Search(2, queries.Row(a.v), 10, a.m, a.v, a.nprobe), before[i])
+			sameNeighbors(t, "after overwrite", search(ix, 2, queries.Row(a.v), 10, a.m, a.v), before[i])
 		}
 	}
 }
 
 // TestIVFDeterministic: same inputs, same index, same answers — the
 // serving layer relies on rebuilds being reproducible for a given
-// snapshot — whatever the worker count, on both sides of the fork
-// grain: a default probe scans a fraction of scanGrain rows and runs on
-// the calling goroutine, a full probe and TopK scan more and fork.
+// snapshot — whatever the worker count the index was built and is
+// searched with, on a matrix large enough (past scanGrain) that TopK
+// forks while the walk stays on the calling goroutine.
 func TestIVFDeterministic(t *testing.T) {
 	n, dim := scanGrain+4096, 4
 	r := xrand.New(11)
@@ -236,23 +245,21 @@ func TestIVFDeterministic(t *testing.T) {
 	opts := IVFOptions{Lists: 32, MaxIter: 2, Seed: 4}
 	a := BuildIVF(1, X, opts)
 	b := BuildIVF(3, X, opts)
-	if a.Lists() != b.Lists() || a.NProbe() != b.NProbe() {
-		t.Fatalf("shape drifted: %d/%d vs %d/%d lists/nprobe", a.Lists(), a.NProbe(), b.Lists(), b.NProbe())
+	if a.Lists() != b.Lists() || !slices.Equal(a.off, b.off) || !slices.Equal(a.gs, b.gs) ||
+		!slices.Equal(a.ids, b.ids) || !slices.Equal(bitsOf(a.rows), bitsOf(b.rows)) {
+		t.Fatalf("layout drifted between 1 and 3 build workers")
 	}
-	if scanWorkers(4, n*a.NProbe()/a.Lists()) != 1 || scanWorkers(4, n) < 2 {
-		t.Fatalf("n=%d does not straddle the grain %d", n, scanGrain)
+	if scanWorkers(4, n) < 2 {
+		t.Fatalf("n=%d does not pass the grain %d", n, scanGrain)
 	}
 	for q := 0; q < 8; q++ {
 		v := r.Intn(n)
-		for _, nprobe := range []int{0, a.Lists()} {
-			want := a.Search(1, X.Row(v), 10, L2, v, nprobe)
+		for _, m := range []Metric{L2, Cosine} {
+			want := search(a, 1, X.Row(v), 10, m, v)
 			for _, workers := range []int{1, 2, 4} {
-				sameNeighbors(t, "rebuilt index", b.Search(workers, X.Row(v), 10, L2, v, nprobe), want)
+				sameNeighbors(t, "rebuilt index", search(b, workers, X.Row(v), 10, m, v), want)
+				sameNeighbors(t, "TopK", TopK(workers, X, X.Row(v), 10, m, v), want)
 			}
-		}
-		want := a.Search(1, X.Row(v), 10, L2, v, a.Lists())
-		for _, workers := range []int{1, 2, 4} {
-			sameNeighbors(t, "TopK", TopK(workers, X, X.Row(v), 10, L2, v), want)
 		}
 	}
 }

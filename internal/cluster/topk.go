@@ -40,12 +40,12 @@ func TopK(workers int, X *mat.Dense, query []float64, k int, m Metric, exclude i
 	if len(query) != X.C {
 		panic("cluster: query width mismatch")
 	}
-	return scanAll(workers, X.Data, X.R, nil, query, k, m, exclude)
+	return scanAll(workers, X.Data, X.R, query, k, m, exclude)
 }
 
-// scanAll is the exact scan over n rows stored back to back (ids as in
-// query.scan), with TopK's contract.
-func scanAll(workers int, rows []float64, n int, ids []int32, vec []float64, k int, m Metric, exclude int) []Neighbor {
+// scanAll is the exact scan over n rows stored back to back, row i
+// being id i, with TopK's contract.
+func scanAll(workers int, rows []float64, n int, vec []float64, k int, m Metric, exclude int) []Neighbor {
 	if k <= 0 || n == 0 {
 		return nil
 	}
@@ -60,11 +60,7 @@ func scanAll(workers int, rows []float64, n int, ids []int32, vec []float64, k i
 	w := scanWorkers(workers, n)
 	locals := make([][]Neighbor, w)
 	parallel.ForStatic(w, n, func(worker, lo, hi int) {
-		var part []int32
-		if ids != nil {
-			part = ids[lo:hi]
-		}
-		locals[worker] = q.scan(q.heap(hi-lo), rows[lo*dim:hi*dim], hi-lo, part, lo)
+		locals[worker] = q.scan(q.heap(hi-lo), rows[lo*dim:hi*dim], hi-lo, nil, nil, lo)
 	})
 	return finalizeNeighbors(locals, k, m)
 }

@@ -292,10 +292,11 @@ func (c *Client) Embeddings(ctx context.Context, vs []graph.NodeID) (server.Batc
 // Neighbors fetches the top-k vertices nearest to req.V in the
 // published embedding, ascending by distance. Zero-value request
 // fields select the server defaults ("l2", mode "exact"); set Mode to
-// "approx" (optionally with NProbe) for the IVF index — the response's
-// Mode and IndexEpoch report what actually answered, since an approx
-// request is served exactly while the index is cold and from a
-// slightly stale epoch while it rebuilds.
+// "approx" for the IVF index — the response's Mode and IndexEpoch
+// report what actually answered, since an approx request is served by
+// the exact scan while the index is cold and from a slightly stale
+// epoch while it rebuilds. Either way the answer is the exact top-k of
+// the epoch it reports.
 func (c *Client) Neighbors(ctx context.Context, req server.NeighborsRequest) (server.NeighborsResponse, error) {
 	var out server.NeighborsResponse
 	_, err := c.do(ctx, http.MethodPost, "/v1/neighbors", req, &out)

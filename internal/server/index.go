@@ -11,9 +11,10 @@ import (
 	"repro/internal/metrics"
 )
 
-// The approximate-neighbor read path. An IVF index is built over one
+// The indexed neighbor read path. An IVF index is built over one
 // published snapshot and answers `mode: "approx"` /v1/neighbors queries
-// from it. Publishes outpace index builds by design (a build clusters
+// from it, exactly for that snapshot's epoch (cluster.IVF.Search is the
+// exact top-k). Publishes outpace index builds by design (a build clusters
 // the whole matrix; a publish copies only the dirty row pages), so the cache is
 // deliberately stale-tolerant: a query observing a newer published
 // epoch kicks exactly one asynchronous rebuild and is answered from the
@@ -22,12 +23,11 @@ import (
 // below the exact threshold where a scan is cheaper than probing), the
 // query falls back to the exact scan over the live snapshot.
 
-// IndexOptions configures the /v1/neighbors approximate index.
+// IndexOptions configures the /v1/neighbors index.
 type IndexOptions struct {
-	// Lists and NProbe pass through to cluster.IVFOptions (0 selects
-	// the cluster defaults: ~sqrt(n) lists, max(4, lists/8) probes).
-	Lists  int
-	NProbe int
+	// Lists passes through to cluster.IVFOptions (0 selects the cluster
+	// default: ~sqrt(distinct rows) lists).
+	Lists int
 	// ExactRows is the row count under which no index is built and
 	// approx requests are answered exactly from the live snapshot.
 	// 0 selects cluster.DefaultIVFExactRows; negative always indexes.
@@ -153,7 +153,6 @@ func (ic *indexCache) kick() {
 		ver := ic.d.Version()
 		ivf := cluster.BuildIVF(ic.workers, ic.view(ver), cluster.IVFOptions{
 			Lists:     ic.opts.Lists,
-			NProbe:    ic.opts.NProbe,
 			ExactRows: -1, // the threshold gate already ran in current()
 			Seed:      ic.opts.Seed,
 		})

@@ -302,7 +302,7 @@ func (rt *router) view() readView {
 // "approx" when at least one shard answered from its index; IndexEpoch
 // is the oldest data epoch any shard's distances were computed against.
 // k is already clamped to [1, n]; v is in range.
-func (rt *router) search(v uint32, k int, metric cluster.Metric, name string, approx bool, nprobe int, tr *trace.Trace) searchOut {
+func (rt *router) search(v uint32, k int, metric cluster.Metric, name string, approx bool, tr *trace.Trace) searchOut {
 	loadRef := tr.StartSpan("snapshot-load")
 	rv := rt.view()
 	tr.EndSpan(loadRef)
@@ -311,6 +311,7 @@ func (rt *router) search(v uint32, k int, metric cluster.Metric, name string, ap
 	lists := make([][]cluster.Neighbor, len(rt.units))
 	mode := "exact"
 	minUsed := uint64(math.MaxUint64)
+	var walked cluster.Visit // summed over the shards an index answered
 	for i, u := range rt.units {
 		lo, hi := rt.part.Range(i)
 		exclude := -1
@@ -322,7 +323,10 @@ func (rt *router) search(v uint32, k int, metric cluster.Metric, name string, ap
 		var nbrs []cluster.Neighbor
 		if approx {
 			if idx := u.index.current(rv.snaps[i]); idx != nil {
-				nbrs = idx.ivf.Search(rt.workers, query, k, metric, exclude, nprobe)
+				var vis cluster.Visit
+				nbrs, vis = idx.ivf.Search(rt.workers, query, k, metric, exclude)
+				walked.Lists += vis.Lists
+				walked.Rows += vis.Rows
 				used = idx.epoch
 				mode = "approx"
 				served = true
@@ -346,8 +350,9 @@ func (rt *router) search(v uint32, k int, metric cluster.Metric, name string, ap
 	tr.SpanTag(searchRef, "metric", name)
 	tr.SpanTag(searchRef, "index_epoch", strconv.FormatUint(minUsed, 10))
 	tr.SpanTag(searchRef, "shards", strconv.Itoa(len(rt.units)))
-	if nprobe > 0 {
-		tr.SpanTag(searchRef, "nprobe", strconv.Itoa(nprobe))
+	if mode == "approx" {
+		tr.SpanTag(searchRef, "lists", strconv.Itoa(walked.Lists))
+		tr.SpanTag(searchRef, "rows", strconv.Itoa(walked.Rows))
 	}
 	ev := rv.epochs()
 	return searchOut{nbrs: nbrs, mode: mode, epoch: ev.Max(), indexEpoch: minUsed, epochs: ev}

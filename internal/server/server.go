@@ -111,15 +111,14 @@ type BatchEmbeddingResponse struct {
 // NeighborsRequest is the body of POST /v1/neighbors: the top K
 // vertices nearest to V in the published embedding under Metric
 // ("l2", the default, or "cosine"). Mode "exact" (the default) scans
-// the live snapshot; "approx" answers from the IVF index — possibly a
-// few epochs behind the published snapshot (the response says which) —
-// probing NProbe inverted lists (0 = the server's default).
+// the live snapshot; "approx" answers from the IVF index, exactly for
+// the epoch the index was built from, which may be a few epochs behind
+// the published snapshot (the response's IndexEpoch says which).
 type NeighborsRequest struct {
 	V      uint32 `json:"v"`
 	K      int    `json:"k"`
 	Metric string `json:"metric,omitempty"`
 	Mode   string `json:"mode,omitempty"`
-	NProbe int    `json:"nprobe,omitempty"`
 }
 
 // NeighborWire is one neighbor: a vertex and its distance to the query
@@ -721,14 +720,6 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "unknown mode %q (want exact or approx)", req.Mode)
 		return
 	}
-	if req.NProbe < 0 {
-		writeError(w, http.StatusBadRequest, "nprobe must be non-negative, got %d", req.NProbe)
-		return
-	}
-	if req.NProbe > 0 && mode != "approx" {
-		writeError(w, http.StatusBadRequest, "nprobe only applies to mode approx")
-		return
-	}
 	if req.K <= 0 {
 		writeError(w, http.StatusBadRequest, "k must be positive, got %d", req.K)
 		return
@@ -744,7 +735,7 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	if k > n {
 		k = n
 	}
-	out := s.rt.search(req.V, k, metric, name, mode == "approx", req.NProbe, traceOf(w))
+	out := s.rt.search(req.V, k, metric, name, mode == "approx", traceOf(w))
 	annotate(w, out.epoch)
 	wire := make([]NeighborWire, len(out.nbrs))
 	for i, nb := range out.nbrs {

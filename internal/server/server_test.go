@@ -312,7 +312,7 @@ func TestServerBatchedEmbeddings(t *testing.T) {
 // over the fetched snapshot for both metrics, plus the error mapping.
 func TestServerNeighbors(t *testing.T) {
 	const n, k, m, topk = 80, 4, 600, 7
-	_, c, _ := startServer(t, n, fullLabels(n, k), dyn.Options{K: k}, server.Options{})
+	_, c, base := startServer(t, n, fullLabels(n, k), dyn.Options{K: k}, server.Options{})
 	ctx := context.Background()
 	r := xrand.New(53)
 	edges := make([]graph.Edge, m)
@@ -384,11 +384,22 @@ func TestServerNeighbors(t *testing.T) {
 	if _, err := c.Neighbors(ctx, server.NeighborsRequest{V: 5, K: 3, Mode: "fuzzy"}); err == nil || !strings.Contains(err.Error(), "400") {
 		t.Fatalf("unknown mode accepted: %v", err)
 	}
-	if _, err := c.Neighbors(ctx, server.NeighborsRequest{V: 5, K: 3, NProbe: -1, Mode: "approx"}); err == nil || !strings.Contains(err.Error(), "400") {
-		t.Fatalf("negative nprobe accepted: %v", err)
-	}
-	if _, err := c.Neighbors(ctx, server.NeighborsRequest{V: 5, K: 3, NProbe: 2}); err == nil || !strings.Contains(err.Error(), "400") {
-		t.Fatalf("nprobe without approx accepted: %v", err)
+	// The index answers exactly, so there is no probe count to ask for:
+	// a body still sending one is an unknown field, refused whatever
+	// the mode.
+	for _, body := range []string{
+		`{"v":5,"k":3,"mode":"approx","nprobe":-1}`,
+		`{"v":5,"k":3,"mode":"approx","nprobe":2}`,
+		`{"v":5,"k":3,"nprobe":2}`,
+	} {
+		resp, err := http.Post(base+"/v1/neighbors", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", body, resp.StatusCode)
+		}
 	}
 	// n=80 sits below the index threshold: an approx request is served
 	// exactly — and says so — instead of paying for an index.
@@ -421,7 +432,7 @@ func TestServerNeighbors(t *testing.T) {
 // epoch without ever blocking a query.
 func TestServerNeighborsApprox(t *testing.T) {
 	const n, k, m, topk = 3000, 6, 9000, 10
-	_, c, _ := startServer(t, n, fullLabels(n, k), dyn.Options{K: k}, server.Options{})
+	_, c, base := startServer(t, n, fullLabels(n, k), dyn.Options{K: k}, server.Options{})
 	ctx := context.Background()
 	r := xrand.New(71)
 	edges := make([]graph.Edge, m)
@@ -467,43 +478,63 @@ func TestServerNeighborsApprox(t *testing.T) {
 		t.Fatalf("index stats after build: %+v", st.Index)
 	}
 
-	// Probing every list is exact: identical to the brute-force scan
+	// An indexed answer is exact: identical to the brute-force scan
 	// (the server is idle, so both run against the same epoch).
 	for _, v := range []graph.NodeID{3, 100, 2999} {
-		exact, err := c.Neighbors(ctx, server.NeighborsRequest{V: v, K: topk})
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := c.Neighbors(ctx, server.NeighborsRequest{V: v, K: topk, Mode: "approx", NProbe: st.Index.Lists})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if full.Mode != "approx" || full.IndexEpoch != exact.Epoch {
-			t.Fatalf("full-probe header: %+v vs exact %+v", full, exact)
-		}
-		if len(full.Neighbors) != len(exact.Neighbors) {
-			t.Fatalf("v=%d: full probe %d neighbors, exact %d", v, len(full.Neighbors), len(exact.Neighbors))
-		}
-		for i := range exact.Neighbors {
-			if full.Neighbors[i] != exact.Neighbors[i] {
-				t.Fatalf("v=%d neighbor %d: full probe %+v, exact %+v",
-					v, i, full.Neighbors[i], exact.Neighbors[i])
+		for _, metric := range []string{"l2", "cosine"} {
+			exact, err := c.Neighbors(ctx, server.NeighborsRequest{V: v, K: topk, Metric: metric})
+			if err != nil {
+				t.Fatal(err)
+			}
+			indexed, err := c.Neighbors(ctx, server.NeighborsRequest{V: v, K: topk, Metric: metric, Mode: "approx"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if indexed.Mode != "approx" || indexed.IndexEpoch != exact.Epoch {
+				t.Fatalf("indexed header: %+v vs exact %+v", indexed, exact)
+			}
+			if len(indexed.Neighbors) != len(exact.Neighbors) {
+				t.Fatalf("v=%d %s: index %d neighbors, exact %d", v, metric, len(indexed.Neighbors), len(exact.Neighbors))
+			}
+			for i := range exact.Neighbors {
+				if indexed.Neighbors[i] != exact.Neighbors[i] {
+					t.Fatalf("v=%d %s neighbor %d: index %+v, exact %+v",
+						v, metric, i, indexed.Neighbors[i], exact.Neighbors[i])
+				}
 			}
 		}
-		// Default-nprobe answers come from the same epoch and respect
-		// the response contract even where recall is approximate.
-		approx, err := c.Neighbors(ctx, server.NeighborsRequest{V: v, K: topk, Mode: "approx"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if approx.Mode != "approx" || len(approx.Neighbors) == 0 {
-			t.Fatalf("v=%d approx answer: %+v", v, approx)
-		}
-		for i := 1; i < len(approx.Neighbors); i++ {
-			if approx.Neighbors[i].Dist < approx.Neighbors[i-1].Dist {
-				t.Fatalf("v=%d approx distances not ascending: %+v", v, approx.Neighbors)
+	}
+	// An indexed answer's search span says how much of the index the
+	// walk read: some lists, and fewer distinct rows than the matrix has.
+	resp, err := http.Get(base + "/debug/traces?name=POST%20/v1/neighbors")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dump server.TracesResponse
+	err = json.NewDecoder(resp.Body).Decode(&dump)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	walked := 0
+	for _, tw := range dump.Recent {
+		for _, sp := range tw.Spans {
+			if sp.Name != "search" || sp.Tags["mode"] != "approx" {
+				continue
 			}
+			lists, rows := sp.Tags["lists"], sp.Tags["rows"]
+			var nl, nr int
+			if _, err := fmt.Sscan(lists, &nl); err != nil || nl < 1 || nl > st.Index.Lists {
+				t.Fatalf("search span lists tag %q (index has %d lists)", lists, st.Index.Lists)
+			}
+			if _, err := fmt.Sscan(rows, &nr); err != nil || nr < 1 || nr >= n {
+				t.Fatalf("search span rows tag %q (n = %d)", rows, n)
+			}
+			walked++
 		}
+	}
+	if walked == 0 {
+		t.Fatal("no retained neighbors trace has an indexed search span")
 	}
 
 	// Churn: the published epoch moves ahead of the index. Queries keep

@@ -338,13 +338,14 @@ type (
 	// Neighbor is one nearest-neighbor result: row id and distance.
 	Neighbor = cluster.Neighbor
 	// NeighborsRequest is the POST /v1/neighbors body (vertex, k,
-	// metric, and the exact/approx mode with its nprobe).
+	// metric, and the exact/approx mode).
 	NeighborsRequest = server.NeighborsRequest
 	// NeighborsResponse reports the neighbors plus which mode and
 	// index epoch actually answered.
 	NeighborsResponse = server.NeighborsResponse
-	// ApproxIndex is an inverted-file (IVF) approximate
-	// nearest-neighbor index; it owns a copy of the rows it indexes.
+	// ApproxIndex is an inverted-file (IVF) nearest-neighbor index
+	// whose Search is exact; it owns a copy of the distinct rows it
+	// indexes.
 	ApproxIndex = cluster.IVF
 	// ApproxIndexOptions configures BuildApproxIndex.
 	ApproxIndexOptions = cluster.IVFOptions
@@ -373,10 +374,12 @@ func NearestNeighbors(workers int, X *Dense, query []float64, k int, m NeighborM
 	return cluster.TopK(workers, X, query, k, m, exclude)
 }
 
-// BuildApproxIndex clusters the rows of X into an inverted-file
-// approximate nearest-neighbor index: Search probes only the nprobe
-// lists nearest the query instead of scanning every row. The index
-// copies the rows (list by list), so X is free to change afterwards.
+// BuildApproxIndex clusters the distinct rows of X into an inverted-file
+// nearest-neighbor index: Search walks the lists in order of a lower
+// bound on their distance and stops once no unvisited list can beat
+// the k-th neighbor found, instead of scanning every row, and answers
+// exactly as NearestNeighbors does. The index copies the rows (list by
+// list), so X is free to change afterwards.
 func BuildApproxIndex(workers int, X *Dense, opts ApproxIndexOptions) *ApproxIndex {
 	return cluster.BuildIVF(workers, X, opts)
 }
