@@ -1,8 +1,8 @@
 package repro
 
-// Ablation benchmarks for the design choices DESIGN.md §6 calls out
-// beyond the paper's own experiments: embedding cell width, parallel-for
-// grain size, and replicated buffers against one shared matrix.
+// Ablation benchmarks for design choices beyond the paper's own
+// experiments: parallel-for grain size, and replicated buffers against
+// one shared matrix.
 
 import (
 	"runtime"
@@ -14,29 +14,6 @@ import (
 	"repro/internal/labels"
 	"repro/internal/parallel"
 )
-
-// BenchmarkAblationCellWidth compares float64 embedding cells against
-// float32 (half the write traffic per edge on a memory-bound kernel).
-func BenchmarkAblationCellWidth(b *testing.B) {
-	el := gen.RMAT(0, 17, 1<<21, gen.Graph500Params, 9)
-	g := graph.BuildCSR(0, el)
-	y := labels.SampleSemiSupervised(el.N, 50, 0.1, 10)
-	opts := gee.Options{K: 50}
-	b.Run("float64", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := gee.EmbedCSR(gee.LigraParallel, g, y, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("float32", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := gee.EmbedFloat32(g, y, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
 
 // BenchmarkAblationGrainSize sweeps the parallel-for chunk grain for the
 // raw edge map traversal (scheduling overhead vs load balance).

@@ -526,54 +526,41 @@ func measureRecall(ctx context.Context, c *client.Client, n int, cfg config, out
 		}
 	}
 	// Warm: each stale or cold approx query kicks the async rebuild of
-	// every shard it scatters to; poll /statsz until every indexing
-	// shard's index has caught up to that shard's own published epoch.
-	// (Per-shard epochs are independent counters, so the response's
-	// scalars cannot say this: IndexEpoch is the min over shard indexes,
-	// Epoch the max over shard publishes.) Reports indexed=false only
-	// when no shard will ever index (all below the exact threshold,
-	// where recall is 1 by construction) — a cold index above the
-	// threshold also answers "exact" while its first build is in
-	// flight, and treating that as below-threshold would fabricate a
-	// recall figure.
-	warm := func() (indexed bool, err error) {
+	// every shard it scatters to; poll /statsz until every shard's index
+	// has caught up to that shard's own published epoch. (Per-shard
+	// epochs are independent counters, so the response's scalars cannot
+	// say this: IndexEpoch is the min over shard indexes, Epoch the max
+	// over shard publishes.) A cold index answers "exact" while its
+	// first build is in flight, so a recall figure taken before this
+	// would not measure the index at all.
+	warm := func() error {
 		for tries := 0; ; tries++ {
 			resp, err := c.Neighbors(ctx, approxReq(graph.NodeID(r.Intn(n))))
 			if err != nil {
-				return false, err
+				return err
 			}
 			st, err := c.Stats(ctx)
 			if err != nil {
-				return false, err
+				return err
 			}
-			caughtUp, indexing := true, false
+			caughtUp := true
 			for _, ss := range st.Shards {
-				if !ss.Index.Indexing {
-					continue
-				}
-				indexing = true
 				if ss.Index.Epoch != ss.Dyn.Epoch {
 					caughtUp = false
 				}
 			}
 			if caughtUp {
-				return indexing, nil
+				return nil
 			}
 			if tries >= 300 {
-				return false, fmt.Errorf("index never caught up to the published epoch (%d vs %d)",
+				return fmt.Errorf("index never caught up to the published epoch (%d vs %d)",
 					resp.IndexEpoch, resp.Epoch)
 			}
 			time.Sleep(50 * time.Millisecond)
 		}
 	}
-	indexed, err := warm()
-	if err != nil {
+	if err := warm(); err != nil {
 		return err
-	}
-	if !indexed {
-		fmt.Fprintf(out, "approx neighbor recall@%d: 1.000 (served exact: n=%d below the index threshold)\n",
-			cfg.nbrK, n)
-		return nil
 	}
 	var recall float64
 	var indexEpoch uint64
@@ -605,7 +592,7 @@ func measureRecall(ctx context.Context, c *client.Client, n int, cfg config, out
 				return fmt.Errorf("epoch kept moving during the recall phase (%d vs %d): is a writer still running?",
 					ap.IndexEpoch, ex.Epoch)
 			}
-			if _, err := warm(); err != nil {
+			if err := warm(); err != nil {
 				return err
 			}
 			q--

@@ -112,9 +112,9 @@ func testLoadAgainstServer(t *testing.T, wire string) {
 		"acked ops/s", "queries/s", "requests/fold",
 		"batched reads:", "neighbor queries:", "replica 0:", "replica verify OK",
 		"wire=" + wire, "B/sync",
-		// n=500 sits below the index threshold, so the recall phase
-		// reports the served-exact degenerate form.
-		"approx neighbor recall@5: 1.000 (served exact",
+		// Every server indexes, n=500 included, and an indexed answer
+		// is the exact top-k.
+		"approx neighbor recall@5: 1.000 over 4 queries",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("report missing %q:\n%s", want, out.String())

@@ -43,38 +43,31 @@ import (
 // cosineDist puts it at exactly 1, so a list holding one caps its bound
 // there.
 
-// DefaultIVFExactRows is the row count under which an IVF index
-// degenerates to the exact scan: the build and the walk's bookkeeping
-// only pay for themselves once scanning every row is the dominant cost.
-const DefaultIVFExactRows = 1024
-
 // boundSlack widens the bounds against rounding. A computed squared L2
 // distance is within ~dim·2⁻⁵³ of the true one relatively, a computed
 // cosine distance within ~dim·2⁻⁵³ absolutely; 1e-9 stays far above
 // both and far below any gap worth pruning on.
 const boundSlack = 1e-9
 
-// IVFOptions configures BuildIVF. The zero value selects defaults
-// suited to serving embedding snapshots.
+// IVFOptions configures BuildIVF. Only the zero value can be written
+// outside this package: the walk is exact whatever the clustering, so
+// nothing a caller could tune changes an answer. The fields exist for
+// this package's tests, which shape the lists to reach the walk's
+// corner cases.
 type IVFOptions struct {
-	// Lists is the number of inverted lists (k-means centroids);
+	// lists is the number of inverted lists (k-means centroids);
 	// <= 0 selects ~sqrt(distinct rows).
-	Lists int
-	// ExactRows is the row count under which Build skips clustering
-	// and Search delegates to the exact TopK scan. 0 selects
-	// DefaultIVFExactRows; negative forces an index at any size.
-	ExactRows int
-	// TrainRows bounds the k-means training sample: above it the
+	lists int
+	// trainRows bounds the k-means training sample: above it the
 	// centroids are fit on a random sample of the distinct rows and
 	// only the final list assignment sees every one (one pass). <= 0
 	// selects 16384.
-	TrainRows int
-	// MaxIter bounds the k-means iterations. The walk is exact whatever
-	// the clustering; a better one only prunes more, so this stays
-	// small. <= 0 selects 8.
-	MaxIter int
-	// Seed drives the k-means seeding and training sample.
-	Seed uint64
+	trainRows int
+	// maxIter bounds the k-means iterations. A better clustering only
+	// prunes more, so this stays small. <= 0 selects 8.
+	maxIter int
+	// seed drives the k-means seeding and training sample.
+	seed uint64
 }
 
 // IVF is a built index. It owns the rows it indexes — BuildIVF copies
@@ -85,14 +78,12 @@ type IVF struct {
 	n, dim int
 	// rows holds the distinct rows back to back, list-major: list c is
 	// block rows [off[c], off[c+1]), and block row j stands for the
-	// rows ids[gs[j]:gs[j+1]] of the indexed matrix, ascending. Exact
-	// mode keeps the matrix's own n rows in order: gs, ids and off are
-	// nil.
+	// rows ids[gs[j]:gs[j+1]] of the indexed matrix, ascending.
 	rows []float64
 	gs   []int32
 	ids  []int32
 	off  []int
-	cent *mat.Dense // nlist × dim centroids (nil in exact mode)
+	cent *mat.Dense // nlist × dim centroids
 	// The per-list bounds, slack included. unit holds the centroids'
 	// directions (nlist × dim; a row stays zero when its centroid has
 	// none, which makes every cosine bound of that list vacuous); rad
@@ -105,8 +96,7 @@ type IVF struct {
 }
 
 // Visit is what one Search read: the inverted lists it scanned and the
-// distinct rows in them (an exact-mode index scans all n rows and no
-// list).
+// distinct rows in them.
 type Visit struct {
 	Lists, Rows int
 }
@@ -117,25 +107,21 @@ type Visit struct {
 // independent of the worker count.
 func BuildIVF(workers int, X *mat.Dense, opts IVFOptions) *IVF {
 	n, dim := X.R, X.C
-	exactRows := opts.ExactRows
-	if exactRows == 0 {
-		exactRows = DefaultIVFExactRows
-	}
-	if exactRows > 0 && n < exactRows {
-		return &IVF{n: n, dim: dim, rows: append([]float64(nil), X.Data[:n*dim]...)}
+	if n == 0 {
+		return &IVF{dim: dim}
 	}
 	grp, rep := distinctRows(X)
 	d := len(rep)
-	nlist := opts.Lists
+	nlist := opts.lists
 	if nlist <= 0 {
 		nlist = int(math.Sqrt(float64(d)))
 	}
 	nlist = min(max(nlist, 1), d)
-	maxIter := opts.MaxIter
+	maxIter := opts.maxIter
 	if maxIter <= 0 {
 		maxIter = 8
 	}
-	trainRows := opts.TrainRows
+	trainRows := opts.trainRows
 	if trainRows <= 0 {
 		trainRows = 16384
 	}
@@ -144,7 +130,7 @@ func BuildIVF(workers int, X *mat.Dense, opts IVFOptions) *IVF {
 	// convergence.
 	var train *mat.Dense
 	if d > trainRows {
-		r := xrand.NewStream(opts.Seed, 7)
+		r := xrand.NewStream(opts.seed, 7)
 		train = mat.NewDense(trainRows, dim)
 		for i := 0; i < trainRows; i++ {
 			copy(train.Row(i), X.Row(int(rep[r.Intn(d)])))
@@ -155,7 +141,7 @@ func BuildIVF(workers int, X *mat.Dense, opts IVFOptions) *IVF {
 			copy(train.Row(g), X.Row(int(v)))
 		}
 	}
-	cent := KMeans(workers, train, nlist, opts.Seed, maxIter).Centroids
+	cent := KMeans(workers, train, nlist, opts.seed, maxIter).Centroids
 	nlist = cent.R // KMeans clamps k to its row count
 	unit := make([]float64, nlist*dim)
 	for c := 0; c < nlist; c++ {
@@ -332,11 +318,7 @@ func unitDist(x []float64, inv float64, u []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// Exact reports whether the index degenerated to the exact scan (the
-// matrix was below ExactRows).
-func (ix *IVF) Exact() bool { return ix.cent == nil }
-
-// Lists returns the number of inverted lists (0 in exact mode).
+// Lists returns the number of inverted lists (0 over an empty matrix).
 func (ix *IVF) Lists() int { return max(len(ix.off)-1, 0) }
 
 // Rows returns the number of indexed rows.
@@ -345,17 +327,13 @@ func (ix *IVF) Rows() int { return ix.n }
 // Search returns the k indexed rows nearest to query under the metric,
 // ascending by distance (ties by ascending row id), excluding row
 // `exclude` (negative keeps every row): TopK's answer, id for id and
-// bit for bit, for finite rows and queries. The walk runs on the
-// calling goroutine; workers is used only by an exact-mode index,
-// which runs the exact scan. The trailing variadic argument is ignored:
-// it was the probe count when the index answered from a fixed number
-// of lists, and stays only so callers still passing one compile.
-func (ix *IVF) Search(workers int, query []float64, k int, m Metric, exclude int, _ ...int) ([]Neighbor, Visit) {
+// bit for bit, for finite rows and queries, at any row count. The walk
+// runs on the calling goroutine: the leading worker count and the
+// trailing variadic argument are ignored, and stay only so existing
+// callers compile.
+func (ix *IVF) Search(_ int, query []float64, k int, m Metric, exclude int, _ ...int) ([]Neighbor, Visit) {
 	if len(query) != ix.dim {
 		panic("cluster: query width mismatch")
-	}
-	if ix.cent == nil {
-		return scanAll(workers, ix.rows, ix.n, query, k, m, exclude), Visit{Rows: ix.n}
 	}
 	if k <= 0 || ix.n == 0 {
 		return nil, Visit{}

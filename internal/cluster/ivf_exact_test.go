@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -104,14 +105,40 @@ func TestIVFMatchesTopK(t *testing.T) {
 				rows = append(rows, r.Intn(n))
 			}
 			for _, opts := range []IVFOptions{
-				{ExactRows: -1, Seed: seed},                          // ~sqrt(distinct) lists
-				{ExactRows: -1, Lists: 1, Seed: seed},                // one list holds everything
-				{ExactRows: -1, Lists: 40, TrainRows: 8, Seed: seed}, // sampled k-means, many small lists
+				{seed: seed},                          // ~sqrt(distinct) lists
+				{lists: 1, seed: seed},                // one list holds everything
+				{lists: 40, trainRows: 8, seed: seed}, // sampled k-means, many small lists
 			} {
 				ix := BuildIVF(2, X, opts)
 				checkMatchesTopK(t, "tricky", X, ix, rows, []int{1, 10, 40, n + 3})
 			}
 		}
+	}
+}
+
+// TestIVFSmallMatchesTopK: there is no row count below which the index
+// hands a query to the exact scan; a default index over one row, two,
+// seven or 1023 (uniform rows in six dimensions) walks its lists and
+// answers TopK's top-k, id for id and bit for bit; one over no rows
+// answers nothing.
+func TestIVFSmallMatchesTopK(t *testing.T) {
+	const dim = 6
+	for _, n := range []int{1, 2, 7, 1023} {
+		r := xrand.New(77)
+		X := mat.NewDense(n, dim)
+		for i := range X.Data {
+			X.Data[i] = r.Float64()*2 - 1
+		}
+		ix := BuildIVF(0, X, IVFOptions{})
+		if ix.Lists() < 1 || ix.Rows() != n {
+			t.Fatalf("n=%d: %d lists over %d rows", n, ix.Lists(), ix.Rows())
+		}
+		rows := []int{0, n / 2, n - 1, 3 % n}
+		checkMatchesTopK(t, fmt.Sprintf("n=%d", n), X, ix, rows, []int{1, 7, n + 1})
+	}
+	empty := BuildIVF(0, mat.NewDense(0, dim), IVFOptions{})
+	if got, _ := empty.Search(0, make([]float64, dim), 3, L2, -1); got != nil || empty.Lists() != 0 {
+		t.Fatalf("empty index: %d lists, answered %v", empty.Lists(), got)
 	}
 }
 
@@ -145,7 +172,7 @@ func FuzzIVFMatchesTopK(f *testing.F) {
 			}
 			X.Data[i] = x
 		}
-		ix := BuildIVF(1, X, IVFOptions{ExactRows: -1, Lists: lists})
+		ix := BuildIVF(1, X, IVFOptions{lists: lists})
 		rows := make([]int, 0, 8)
 		for v := 0; v < n && len(rows) < 8; v += 1 + n/8 {
 			rows = append(rows, v)
@@ -164,7 +191,7 @@ func TestIVFBoundEdges(t *testing.T) {
 	// answer y, though x has the lower id.
 	X := mat.NewDense(4, 2)
 	copy(X.Data, []float64{0, 0, 1, 1, 1, -1, 2, -0.5})
-	ix := BuildIVF(1, X, IVFOptions{ExactRows: -1, Lists: 3, Seed: 1})
+	ix := BuildIVF(1, X, IVFOptions{lists: 3, seed: 1})
 	alone := false
 	for c := 0; c < ix.Lists(); c++ {
 		a, b := ix.off[c], ix.off[c+1]
@@ -191,7 +218,7 @@ func TestIVFBoundEdges(t *testing.T) {
 	for v := 151; v <= 200; v++ {
 		X.Row(v)[1] = 10 + 0.1*float64(v-150)
 	}
-	ix = BuildIVF(1, X, IVFOptions{ExactRows: -1, Lists: 3, Seed: 1})
+	ix = BuildIVF(1, X, IVFOptions{lists: 3, seed: 1})
 	for c := 0; c < ix.Lists(); c++ {
 		a, b := ix.off[c], ix.off[c+1]
 		if ids := ix.ids[ix.gs[a]:ix.gs[b]]; len(ids) > 0 && ids[0] == 0 && len(ids) != 101 {

@@ -36,10 +36,7 @@ func TestIVFRecallOnSBMEmbedding(t *testing.T) {
 	const n, k, topk, queries = 4000, 8, 10, 60
 	for _, seed := range []uint64{3, 17, 101} {
 		Z := sbmEmbedding(t, n, k, 0.02, 0.002, seed)
-		ix := cluster.BuildIVF(0, Z, cluster.IVFOptions{Seed: seed})
-		if ix.Exact() {
-			t.Fatalf("seed %d: n=%d built an exact-fallback index", seed, n)
-		}
+		ix := cluster.BuildIVF(0, Z, cluster.SeededIVF(seed))
 		if ix.Lists() < 2 {
 			t.Fatalf("seed %d: degenerate index: %d lists", seed, ix.Lists())
 		}
@@ -65,41 +62,5 @@ func TestIVFRecallOnSBMEmbedding(t *testing.T) {
 			t.Logf("seed %d metric %d: %d lists, %.0f distinct rows scanned per query of %d rows",
 				seed, m, ix.Lists(), float64(rows)/queries, n)
 		}
-	}
-}
-
-// TestIVFExactFallback pins the small-n contract: below ExactRows the
-// index degenerates to the exact scan and Search equals TopK exactly.
-func TestIVFExactFallback(t *testing.T) {
-	const n, dim, topk = 300, 6, 7
-	r := xrand.New(77)
-	X := mat.NewDense(n, dim)
-	for i := range X.Data {
-		X.Data[i] = r.Float64()*2 - 1
-	}
-	ix := cluster.BuildIVF(0, X, cluster.IVFOptions{})
-	if !ix.Exact() || ix.Lists() != 0 {
-		t.Fatalf("n=%d below DefaultIVFExactRows should fall back: exact=%v lists=%d",
-			n, ix.Exact(), ix.Lists())
-	}
-	for _, m := range []cluster.Metric{cluster.L2, cluster.Cosine} {
-		got, _ := ix.Search(0, X.Row(3), topk, m, 3)
-		want := cluster.TopK(0, X, X.Row(3), topk, m, 3)
-		if len(got) != len(want) {
-			t.Fatalf("metric %d: %d results, want %d", m, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("metric %d result %d: %+v, want %+v", m, i, got[i], want[i])
-			}
-		}
-	}
-	// ExactRows < 0 forces a real index even on tiny data.
-	forced := cluster.BuildIVF(0, X, cluster.IVFOptions{ExactRows: -1, Lists: 6})
-	if forced.Exact() || forced.Lists() != 6 {
-		t.Fatalf("forced index: exact=%v lists=%d", forced.Exact(), forced.Lists())
-	}
-	if got, _ := forced.Search(0, X.Row(0), 3, cluster.L2, -1); len(got) != 3 {
-		t.Fatalf("forced index search returned %d results", len(got))
 	}
 }

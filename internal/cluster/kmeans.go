@@ -1,7 +1,11 @@
-// Package cluster provides embedding evaluation machinery: parallel
-// k-means (the clustering step of the GEE paper's unsupervised pipeline)
-// and label-agreement metrics (ARI, NMI, accuracy) used to validate that
-// the embeddings this library produces actually recover structure.
+// Package cluster provides the machinery that reads an embedding:
+// parallel k-means (the clustering step of the GEE paper's unsupervised
+// pipeline), label-agreement metrics (ARI, NMI, accuracy) used to
+// validate that the embeddings this library produces recover structure,
+// and the two exact nearest-neighbor reads the serving tier answers
+// /v1/neighbors with: TopK, a scan of every row, and IVF, an index over
+// the distinct rows whose walk returns TopK's answer at any row count
+// and has no tuning knobs.
 package cluster
 
 import (

@@ -152,7 +152,7 @@ func TestScansMatchGatherReference(t *testing.T) {
 	for _, dim := range []int{1, 7, 10, 50} {
 		X := tiedBlobs(dim)
 		n := X.R
-		ix := BuildIVF(2, X, IVFOptions{ExactRows: -1, Lists: 24, Seed: uint64(dim)})
+		ix := BuildIVF(2, X, IVFOptions{lists: 24, seed: uint64(dim)})
 		lists := refLayout(X, ix.cent)
 		covered := 0
 		for c, l := range lists {
@@ -199,34 +199,26 @@ func TestScansMatchGatherReference(t *testing.T) {
 // TestIVFOwnsItsRows: the index copies what it indexes, so the matrix
 // it was built from is free to change (or go) afterwards.
 func TestIVFOwnsItsRows(t *testing.T) {
-	for _, opts := range []IVFOptions{
-		{ExactRows: -1, Lists: 24}, // indexed
-		{ExactRows: 1 << 20},       // exact mode
-	} {
-		X := tiedBlobs(7)
-		ix := BuildIVF(2, X, opts)
-		if ix.Exact() != (opts.ExactRows > 0) {
-			t.Fatalf("opts %+v built exact=%v", opts, ix.Exact())
+	X := tiedBlobs(7)
+	ix := BuildIVF(2, X, IVFOptions{lists: 24})
+	type ask struct {
+		v int
+		m Metric
+	}
+	var asks []ask
+	var before [][]Neighbor
+	for _, v := range []int{3, 5, 42, 999} {
+		for _, m := range []Metric{L2, Cosine} {
+			asks = append(asks, ask{v, m})
+			before = append(before, search(ix, 2, X.Row(v), 10, m, v))
 		}
-		type ask struct {
-			v int
-			m Metric
-		}
-		var asks []ask
-		var before [][]Neighbor
-		for _, v := range []int{3, 5, 42, 999} {
-			for _, m := range []Metric{L2, Cosine} {
-				asks = append(asks, ask{v, m})
-				before = append(before, search(ix, 2, X.Row(v), 10, m, v))
-			}
-		}
-		queries := X.Clone()
-		for i := range X.Data {
-			X.Data[i] = math.NaN()
-		}
-		for i, a := range asks {
-			sameNeighbors(t, "after overwrite", search(ix, 2, queries.Row(a.v), 10, a.m, a.v), before[i])
-		}
+	}
+	queries := X.Clone()
+	for i := range X.Data {
+		X.Data[i] = math.NaN()
+	}
+	for i, a := range asks {
+		sameNeighbors(t, "after overwrite", search(ix, 2, queries.Row(a.v), 10, a.m, a.v), before[i])
 	}
 }
 
@@ -242,7 +234,7 @@ func TestIVFDeterministic(t *testing.T) {
 	for i := range X.Data {
 		X.Data[i] = r.Float64()
 	}
-	opts := IVFOptions{Lists: 32, MaxIter: 2, Seed: 4}
+	opts := IVFOptions{lists: 32, maxIter: 2, seed: 4}
 	a := BuildIVF(1, X, opts)
 	b := BuildIVF(3, X, opts)
 	if a.Lists() != b.Lists() || !slices.Equal(a.off, b.off) || !slices.Equal(a.gs, b.gs) ||

@@ -40,12 +40,7 @@ func TopK(workers int, X *mat.Dense, query []float64, k int, m Metric, exclude i
 	if len(query) != X.C {
 		panic("cluster: query width mismatch")
 	}
-	return scanAll(workers, X.Data, X.R, query, k, m, exclude)
-}
-
-// scanAll is the exact scan over n rows stored back to back, row i
-// being id i, with TopK's contract.
-func scanAll(workers int, rows []float64, n int, vec []float64, k int, m Metric, exclude int) []Neighbor {
+	n := X.R
 	if k <= 0 || n == 0 {
 		return nil
 	}
@@ -55,12 +50,12 @@ func scanAll(workers int, rows []float64, n int, vec []float64, k int, m Metric,
 	if m != Cosine {
 		m = L2
 	}
-	q := newQuery(vec, k, m, exclude)
-	dim := len(vec)
+	q := newQuery(query, k, m, exclude)
+	dim := X.C
 	w := scanWorkers(workers, n)
 	locals := make([][]Neighbor, w)
 	parallel.ForStatic(w, n, func(worker, lo, hi int) {
-		locals[worker] = q.scan(q.heap(hi-lo), rows[lo*dim:hi*dim], hi-lo, nil, nil, lo)
+		locals[worker] = q.scan(q.heap(hi-lo), X.Data[lo*dim:hi*dim], hi-lo, nil, nil, lo)
 	})
 	return finalizeNeighbors(locals, k, m)
 }

@@ -27,7 +27,7 @@ import (
 )
 
 // Float constrains the embedding cell type. The paper's pipeline is
-// float64; the float32 instantiation is the memory-traffic ablation.
+// float64; only this package's tests instantiate float32.
 type Float interface {
 	~float32 | ~float64
 }
@@ -52,7 +52,7 @@ type Float interface {
 //   - directed GEE: DstCol = Y + K shifts in-profile updates into the
 //     second half of a 2K-wide Z.
 type Kernel[T Float] struct {
-	// Width is the number of columns of Z (K, or 2K for directed).
+	// Width is the number of columns of Z (K).
 	Width int
 	// SrcCol[v] is the column of the update landing in the source row u
 	// of an arc (u, v); negative skips the update (unlabeled v).
@@ -67,28 +67,6 @@ type Kernel[T Float] struct {
 	// both half-updates of an arc (nil = 1). The Laplacian variant sets
 	// Scale[x] = 1/sqrt(deg(x)).
 	Scale []T
-}
-
-// Narrow32 converts a float64 kernel to its float32 instantiation: the
-// column arrays are shared, the numeric arrays narrowed. This keeps the
-// kernel assembly in one place for the single-precision ablation.
-func Narrow32(k Kernel[float64]) Kernel[float32] {
-	out := Kernel[float32]{
-		Width:  k.Width,
-		SrcCol: k.SrcCol,
-		DstCol: k.DstCol,
-		Coeff:  make([]float32, len(k.Coeff)),
-	}
-	for i, v := range k.Coeff {
-		out.Coeff[i] = float32(v)
-	}
-	if k.Scale != nil {
-		out.Scale = make([]float32, len(k.Scale))
-		for i, v := range k.Scale {
-			out.Scale[i] = float32(v)
-		}
-	}
-	return out
 }
 
 // validate checks the kernel arrays against a vertex count and buffer.

@@ -167,39 +167,3 @@ func TestPropertyWeightLinearity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestEmbedFloat32CloseToFloat64(t *testing.T) {
-	r := xrand.New(91)
-	n := 1000
-	el := &graph.EdgeList{N: n}
-	for i := 0; i < 20_000; i++ {
-		el.Edges = append(el.Edges, graph.Edge{
-			U: graph.NodeID(r.Intn(n)), V: graph.NodeID(r.Intn(n)), W: 1,
-		})
-	}
-	y := make([]int32, n)
-	for i := range y {
-		y[i] = int32(i % 8)
-	}
-	g := graph.BuildCSR(4, el)
-	f64, err := EmbedCSR(LigraParallel, g, y, Options{K: 8, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f32, err := EmbedFloat32(g, y, Options{K: 8, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// cells are sums of ~tens of coeffs around 1/125: float32 relative
-	// error stays near 1e-6; 1e-4 is a generous failure threshold.
-	if !f64.Z.EqualTol(f32.Z, 1e-4) {
-		t.Fatalf("float32 deviates by %v", f64.Z.MaxAbsDiff(f32.Z))
-	}
-}
-
-func TestEmbedFloat32Validation(t *testing.T) {
-	g := graph.BuildCSR(1, &graph.EdgeList{N: 2})
-	if _, err := EmbedFloat32(g, []int32{0}, Options{K: 1}); err == nil {
-		t.Fatal("label mismatch accepted")
-	}
-}

@@ -11,35 +11,8 @@ import (
 // The cross-backend equivalence of ShardedParallel and Replicated on
 // undirected, weighted, and Laplacian inputs is covered by the
 // Verify-driven tests in gee_test.go (both are members of Impls). The
-// tests here cover the remaining surfaces: the directed variant, the
-// per-phase timed path, and the race-detector exercise on a power-law
-// graph.
-
-func TestDirectedAllBackendsMatchSerialOracle(t *testing.T) {
-	el := gen.RMAT(4, 10, 25_000, gen.Graph500Params, 61)
-	el.Weighted = true
-	for i := range el.Edges {
-		el.Edges[i].W = float32(i%5 + 1)
-	}
-	y := labels.SampleSemiSupervised(el.N, 8, 0.25, 62)
-	g := graph.BuildCSR(4, el)
-	for _, laplacian := range []bool{false, true} {
-		oracle, err := EmbedDirected(LigraSerial, g, y, Options{K: 8, Laplacian: laplacian})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, impl := range []Impl{LigraParallel, Replicated, ShardedParallel} {
-			res, err := EmbedDirected(impl, g, y, Options{K: 8, Workers: 8, Laplacian: laplacian})
-			if err != nil {
-				t.Fatalf("%v laplacian=%v: %v", impl, laplacian, err)
-			}
-			if !oracle.Z.EqualTol(res.Z, 1e-9) {
-				t.Errorf("%v laplacian=%v: directed deviates by %v",
-					impl, laplacian, oracle.Z.MaxAbsDiff(res.Z))
-			}
-		}
-	}
-}
+// tests here cover the remaining surfaces: the per-phase timed path
+// and the race-detector exercise on a power-law graph.
 
 func TestEmbedCSRTimedCoversNewBackends(t *testing.T) {
 	el := gen.ErdosRenyi(4, 1000, 20_000, 63)

@@ -99,7 +99,7 @@ type CSR struct {
 
 	// plan caches a derived execution structure on the graph (the
 	// destination-shard plan of internal/exec). A CSR is immutable once
-	// built except for SortAdjacency/planCache itself, so the cache
+	// built except for the plan cache itself, so the cache
 	// survives for the graph's lifetime and repeated runs skip the O(m)
 	// derivation. Access is atomic; in-place arc mutations must call
 	// InvalidatePlan.
@@ -124,7 +124,7 @@ func (g *CSR) CachedPlan() any {
 }
 
 // InvalidatePlan drops any cached execution plan. Callers that mutate
-// the arc arrays in place (SortAdjacency, external reorderings) must
+// the arc arrays in place (sorting, external reorderings) must
 // invalidate so stale arc orderings are not replayed.
 func (g *CSR) InvalidatePlan() { g.plan.Store(nil) }
 
@@ -189,8 +189,7 @@ func (g *CSR) Validate() error {
 // an exclusive prefix scan for offsets, then a scatter pass driven by
 // per-vertex atomic cursors. workers <= 0 selects GOMAXPROCS.
 //
-// Arc order within a vertex follows edge-list order up to scatter races;
-// call SortAdjacency for a canonical ordering.
+// Arc order within a vertex follows edge-list order up to scatter races.
 func BuildCSR(workers int, el *EdgeList) *CSR {
 	n := el.N
 	m := len(el.Edges)

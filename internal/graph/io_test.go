@@ -14,7 +14,7 @@ func sampleCSR(t *testing.T, weighted bool) *CSR {
 	t.Helper()
 	el := randomEdgeList(37, 500, 21, weighted)
 	g := BuildCSR(4, el)
-	SortAdjacency(4, g)
+	sortArcs(g)
 	return g
 }
 

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"repro/internal/parallel"
-	"repro/internal/xrand"
-)
+import "repro/internal/xrand"
 
 // Symmetrize returns an edge list in which every edge {u,v} of el appears
 // as both (u,v) and (v,u). Self loops are kept single. Use it to build the
@@ -44,49 +41,4 @@ func RandomPermutation(n int, seed uint64) []NodeID {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// SortAdjacency sorts each vertex's adjacency (and matching weights) by
-// target id, giving the CSR a canonical form independent of scatter
-// interleaving.
-func SortAdjacency(workers int, g *CSR) {
-	g.InvalidatePlan() // arc order changes; any cached plan is stale
-	parallel.For(workers, g.N, func(u int) {
-		lo, hi := g.Offsets[u], g.Offsets[u+1]
-		if hi-lo < 2 {
-			return
-		}
-		if g.Weights == nil {
-			insertionSortIDs(g.Targets[lo:hi])
-			return
-		}
-		insertionSortPairs(g.Targets[lo:hi], g.Weights[lo:hi])
-	})
-}
-
-// insertionSortIDs sorts small adjacency slices; vertex degrees in the
-// benchmark graphs are modest per-list, and insertion sort avoids
-// interface overhead in this hot path.
-func insertionSortIDs(a []NodeID) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
-}
-
-func insertionSortPairs(a []NodeID, w []float32) {
-	for i := 1; i < len(a); i++ {
-		v, vw := a[i], w[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1], w[j+1] = a[j], w[j]
-			j--
-		}
-		a[j+1], w[j+1] = v, vw
-	}
 }

@@ -113,26 +113,11 @@ func (h *Histogram) Snapshot() *HistogramSnapshot {
 }
 
 // HistogramSnapshot is one histogram's state at a point in time.
-// Mergeable across histograms with identical bounds (e.g. per-worker
-// or scraped per-endpoint children).
 type HistogramSnapshot struct {
 	Bounds []float64 // ascending upper bounds; Counts has one extra +Inf cell
 	Counts []int64   // per-bucket (non-cumulative) counts
 	Count  int64
 	Sum    float64
-}
-
-// Merge adds o into s. The bounds must match.
-func (s *HistogramSnapshot) Merge(o *HistogramSnapshot) error {
-	if !sameBounds(s.Bounds, o.Bounds) {
-		return fmt.Errorf("metrics: merging histograms with different bounds")
-	}
-	for i := range s.Counts {
-		s.Counts[i] += o.Counts[i]
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	return nil
 }
 
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear

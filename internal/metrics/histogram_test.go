@@ -152,40 +152,6 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	}
 }
 
-// TestSnapshotMerge merges two disjoint snapshots and checks the
-// combined quantiles match a single histogram fed both streams.
-func TestSnapshotMerge(t *testing.T) {
-	bounds := ExpBuckets(1, 2, 12)
-	a, b, both := NewHistogram(bounds), NewHistogram(bounds), NewHistogram(bounds)
-	r := xrand.New(11)
-	for i := 0; i < 4000; i++ {
-		v := float64(r.Intn(5000))
-		if i%2 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-		both.Observe(v)
-	}
-	sa, sb := a.Snapshot(), b.Snapshot()
-	if err := sa.Merge(sb); err != nil {
-		t.Fatal(err)
-	}
-	want := both.Snapshot()
-	if sa.Count != want.Count || sa.Sum != want.Sum {
-		t.Fatalf("merge: count/sum %d/%g, want %d/%g", sa.Count, sa.Sum, want.Count, want.Sum)
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		if got, w := sa.Quantile(q), want.Quantile(q); got != w {
-			t.Fatalf("merged q%.2f = %g, combined histogram says %g", q, got, w)
-		}
-	}
-	wrong := NewHistogram(ExpBuckets(1, 2, 5)).Snapshot()
-	if err := sa.Merge(wrong); err == nil {
-		t.Fatal("merging mismatched bounds did not error")
-	}
-}
-
 func TestQuantileEdgeCases(t *testing.T) {
 	s := NewHistogram(ExpBuckets(1, 2, 4)).Snapshot()
 	if got := s.Quantile(0.5); got != 0 {

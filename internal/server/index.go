@@ -19,32 +19,14 @@ import (
 // deliberately stale-tolerant: a query observing a newer published
 // epoch kicks exactly one asynchronous rebuild and is answered from the
 // previous index meanwhile — the response carries the epoch actually
-// searched. While no index exists yet (cold start, or the matrix is
-// below the exact threshold where a scan is cheaper than probing), the
-// query falls back to the exact scan over the live snapshot.
-
-// IndexOptions configures the /v1/neighbors index.
-type IndexOptions struct {
-	// Lists passes through to cluster.IVFOptions (0 selects the cluster
-	// default: ~sqrt(distinct rows) lists).
-	Lists int
-	// ExactRows is the row count under which no index is built and
-	// approx requests are answered exactly from the live snapshot.
-	// 0 selects cluster.DefaultIVFExactRows; negative always indexes.
-	ExactRows int
-	// Seed drives the k-means partition (rebuilds are deterministic
-	// per snapshot for a given seed).
-	Seed uint64
-}
+// searched. Every shard indexes, whatever its row count: the walk is
+// exact at any size, so there is no threshold under which a scan takes
+// over. Only while no index exists yet (cold start) does an approx
+// query fall back to the exact scan over the live snapshot. A build
+// takes cluster.BuildIVF's defaults: there is nothing to tune.
 
 // IndexStats reports the approximate index's state in /statsz.
 type IndexStats struct {
-	// Indexing reports whether this server maintains an index at all
-	// (n is at or above the exact threshold). False means every
-	// approx request is served by the exact scan, permanently — which
-	// a client measuring recall must distinguish from a cold index
-	// whose first build is merely still in flight.
-	Indexing bool
 	// Builds counts completed index builds this server lifetime.
 	Builds int64
 	// Epoch is the snapshot epoch the current index was built from
@@ -69,9 +51,7 @@ type builtIndex struct {
 // state. Lock-free on the read side: Search-path loads are one atomic
 // pointer read.
 type indexCache struct {
-	d       *dyn.DynamicEmbedder
-	workers int
-	opts    IndexOptions
+	d *dyn.DynamicEmbedder
 	// lo, hi is the embedder's owned row window: the index is built
 	// over the owned view of the snapshot (rows [lo, hi)), so a sharded
 	// server indexes only rows it is the authority for. Search results
@@ -88,12 +68,9 @@ type indexCache struct {
 	mBuild *metrics.Histogram
 }
 
-func newIndexCache(d *dyn.DynamicEmbedder, workers int, opts IndexOptions) *indexCache {
-	if opts.ExactRows == 0 {
-		opts.ExactRows = cluster.DefaultIVFExactRows
-	}
+func newIndexCache(d *dyn.DynamicEmbedder) *indexCache {
 	lo, hi := d.Owned()
-	return &indexCache{d: d, workers: workers, opts: opts, lo: lo, hi: hi}
+	return &indexCache{d: d, lo: lo, hi: hi}
 }
 
 // view returns the owned-row window of ver's matrix — the rows this
@@ -118,9 +95,6 @@ func (ic *indexCache) view(ver *dyn.Version) *mat.Dense {
 // to exact on its own snapshot instead) nor kick a rebuild for its
 // older epoch.
 func (ic *indexCache) current(snap *dyn.Version) *builtIndex {
-	if ic.opts.ExactRows > 0 && ic.hi-ic.lo < ic.opts.ExactRows {
-		return nil
-	}
 	idx := ic.cur.Load()
 	if idx == nil || idx.epoch < snap.Epoch {
 		ic.kick()
@@ -151,11 +125,7 @@ func (ic *indexCache) kick() {
 		defer ic.buildWG.Done()
 		t0 := time.Now()
 		ver := ic.d.Version()
-		ivf := cluster.BuildIVF(ic.workers, ic.view(ver), cluster.IVFOptions{
-			Lists:     ic.opts.Lists,
-			ExactRows: -1, // the threshold gate already ran in current()
-			Seed:      ic.opts.Seed,
-		})
+		ivf := cluster.BuildIVF(0, ic.view(ver), cluster.IVFOptions{})
 		// Builds are single-flight, so this store cannot race another
 		// builder — but it must still never regress the cache to an
 		// older epoch.
@@ -221,10 +191,7 @@ func (ic *indexCache) instrument(reg *metrics.Registry, labels ...metrics.Label)
 }
 
 func (ic *indexCache) stats() IndexStats {
-	st := IndexStats{
-		Indexing: ic.opts.ExactRows <= 0 || ic.hi-ic.lo >= ic.opts.ExactRows,
-		Builds:   ic.builds.Load(),
-	}
+	st := IndexStats{Builds: ic.builds.Load()}
 	if idx := ic.cur.Load(); idx != nil {
 		st.Epoch = idx.epoch
 		st.Lists = idx.ivf.Lists()

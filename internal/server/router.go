@@ -98,10 +98,9 @@ type shardUnit struct {
 // merged coalescer micro-batch already has — and the 400 tells the
 // client which operation was refused.
 type router struct {
-	part    *shard.Partition
-	units   []*shardUnit
-	workers int // per-shard search/scan parallelism
-	n, k    int
+	part  *shard.Partition
+	units []*shardUnit
+	n, k  int
 
 	mu     sync.Mutex
 	closed bool // guarded by mu
@@ -112,16 +111,15 @@ type router struct {
 
 func newRouter(p *shard.Partition, shards []*shard.Shard, opts Options) *router {
 	rt := &router{
-		part:    p,
-		workers: opts.SearchWorkers,
-		n:       p.N,
-		k:       shards[0].D.K(),
+		part: p,
+		n:    p.N,
+		k:    shards[0].D.K(),
 	}
 	for _, sh := range shards {
 		rt.units = append(rt.units, &shardUnit{
 			sh:    sh,
 			co:    NewCoalescer(sh.D, opts.Coalescer),
-			index: newIndexCache(sh.D, opts.SearchWorkers, opts.Index),
+			index: newIndexCache(sh.D),
 		})
 	}
 	return rt
@@ -324,7 +322,7 @@ func (rt *router) search(v uint32, k int, metric cluster.Metric, name string, ap
 		if approx {
 			if idx := u.index.current(rv.snaps[i]); idx != nil {
 				var vis cluster.Visit
-				nbrs, vis = idx.ivf.Search(rt.workers, query, k, metric, exclude)
+				nbrs, vis = idx.ivf.Search(0, query, k, metric, exclude)
 				walked.Lists += vis.Lists
 				walked.Rows += vis.Rows
 				used = idx.epoch
@@ -333,7 +331,7 @@ func (rt *router) search(v uint32, k int, metric cluster.Metric, name string, ap
 			}
 		}
 		if !served {
-			nbrs = cluster.TopK(rt.workers, u.index.view(rv.snaps[i]), query, k, metric, exclude)
+			nbrs = cluster.TopK(0, u.index.view(rv.snaps[i]), query, k, metric, exclude)
 		}
 		// Shard results are owned-view relative; lift to global ids.
 		for j := range nbrs {
@@ -444,7 +442,6 @@ func (rt *router) stats() StatsResponse {
 		st.Coalescer.Rejected += cs.Rejected
 		st.Index.Builds += is.Builds
 		st.Index.Lists += is.Lists
-		st.Index.Indexing = st.Index.Indexing || is.Indexing
 		st.Index.Stale = st.Index.Stale || is.Stale
 		if is.Epoch > 0 && (st.Index.Epoch == 0 || is.Epoch < st.Index.Epoch) {
 			st.Index.Epoch = is.Epoch

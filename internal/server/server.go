@@ -131,7 +131,7 @@ type NeighborWire struct {
 // NeighborsResponse is the body of POST /v1/neighbors, neighbors in
 // ascending distance order (the query vertex itself excluded). Mode is
 // what actually answered — an "approx" request is served "exact" while
-// the index is cold or the matrix is below the index threshold — and
+// the index is cold — and
 // IndexEpoch is the epoch of the data the distances were computed
 // against: equal to Epoch (the published epoch at answer time) for
 // exact answers, possibly older for approx ones (index staleness; the
@@ -248,11 +248,6 @@ type Options struct {
 	// Coalescer bounds the ingest micro-batching (zero fields select
 	// defaults; see CoalescerOptions).
 	Coalescer CoalescerOptions
-	// SearchWorkers bounds the parallelism of one /v1/neighbors scan
-	// or probe (and of an index build); <= 0 selects GOMAXPROCS.
-	SearchWorkers int
-	// Index configures the /v1/neighbors approximate (IVF) index.
-	Index IndexOptions
 	// ReadHeaderTimeout bounds how long a connection may take to send
 	// its request headers. 0 selects 5s; negative disables.
 	ReadHeaderTimeout time.Duration

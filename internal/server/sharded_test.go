@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/dyn"
@@ -364,5 +365,90 @@ func TestShardedEmbeddingsAnswersJSON(t *testing.T) {
 	}
 	if len(out.Rows) != 3 || len(out.Epochs) != nShards {
 		t.Fatalf("rows=%d epochs=%v, want 3 rows and a %d-entry vector", len(out.Rows), out.Epochs, nShards)
+	}
+}
+
+// TestSmallServersIndex: no row count is too small for a server to
+// index. Every shard builds its index on the first approx query, and
+// once each index has caught up an approx answer comes from the
+// indexes with the exact scan's neighbors, id for id and distance bit
+// for bit, under L2 and cosine: on one embedder of 200 rows and on four
+// shards of 2–3 rows each.
+func TestSmallServersIndex(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		n, shards int
+	}{
+		{"unsharded-200", 200, 1},
+		{"4-shards-10", 10, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const k = 3
+			n := tc.n
+			var c *client.Client
+			if tc.shards == 1 {
+				_, c, _ = startServer(t, n, fullLabels(n, k), dyn.Options{K: k}, server.Options{})
+			} else {
+				_, c, _ = startShardedServer(t, n, k, tc.shards, dyn.Options{}, server.Options{})
+			}
+			ctx := context.Background()
+			r := xrand.New(uint64(n))
+			edges := make([]graph.Edge, 4*n)
+			for i := range edges {
+				u := r.Intn(n)
+				v := (u + 1 + r.Intn(n-1)) % n
+				edges[i] = graph.Edge{U: graph.NodeID(u), V: graph.NodeID(v), W: float32(1 + r.Intn(2))}
+			}
+			if _, err := c.InsertEdges(ctx, edges); err != nil {
+				t.Fatal(err)
+			}
+			topk := min(5, n-1)
+			deadline := time.Now().Add(10 * time.Second)
+			for caughtUp := false; !caughtUp; {
+				if _, err := c.Neighbors(ctx, server.NeighborsRequest{V: 0, K: topk, Mode: "approx"}); err != nil {
+					t.Fatal(err)
+				}
+				st, err := c.Stats(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				caughtUp = len(st.Shards) == tc.shards
+				for _, ss := range st.Shards {
+					if ss.Index.Builds == 0 || ss.Index.Lists == 0 || ss.Index.Epoch != ss.Dyn.Epoch {
+						caughtUp = false
+					}
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("indexes never caught up: %+v", st.Shards)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			for v := 0; v < n; v += 1 + n/20 {
+				for _, metric := range []string{"l2", "cosine"} {
+					exact, err := c.Neighbors(ctx, server.NeighborsRequest{V: graph.NodeID(v), K: topk, Metric: metric, Mode: "exact"})
+					if err != nil {
+						t.Fatal(err)
+					}
+					approx, err := c.Neighbors(ctx, server.NeighborsRequest{V: graph.NodeID(v), K: topk, Metric: metric, Mode: "approx"})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if approx.Mode != "approx" || exact.Mode != "exact" {
+						t.Fatalf("v=%d %s: modes %q and %q", v, metric, approx.Mode, exact.Mode)
+					}
+					if len(approx.Neighbors) != topk || len(exact.Neighbors) != topk {
+						t.Fatalf("v=%d %s: %d approx and %d exact neighbors, want %d",
+							v, metric, len(approx.Neighbors), len(exact.Neighbors), topk)
+					}
+					for i, nb := range exact.Neighbors {
+						got := approx.Neighbors[i]
+						if got.V != nb.V || math.Float64bits(got.Dist) != math.Float64bits(nb.Dist) {
+							t.Fatalf("v=%d %s neighbor %d: approx (%d, %v), exact (%d, %v)",
+								v, metric, i, got.V, got.Dist, nb.V, nb.Dist)
+						}
+					}
+				}
+			}
+		})
 	}
 }

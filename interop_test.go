@@ -1,6 +1,10 @@
 package repro
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/graph"
+)
 
 func TestFacadeReorderInvariance(t *testing.T) {
 	// GEE is permutation-equivariant, so a reordered graph with
@@ -8,8 +12,8 @@ func TestFacadeReorderInvariance(t *testing.T) {
 	el := NewErdosRenyi(2, 120, 900, 58)
 	g := BuildGraph(2, el)
 	y := SampleLabels(g.N, 4, 0.5, 59)
-	perm := DegreeOrder(2, g)
-	rg := ApplyOrder(2, g, perm)
+	perm := graph.DegreeOrder(2, g)
+	rg := graph.ApplyOrder(2, g, perm)
 	ry := make([]int32, len(y))
 	for old, p := range perm {
 		ry[p] = y[old]
@@ -33,7 +37,7 @@ func TestFacadeReorderInvariance(t *testing.T) {
 		}
 	}
 	// BFSOrder also yields a valid permutation
-	bperm := BFSOrder(g)
+	bperm := graph.BFSOrder(g)
 	seen := make([]bool, g.N)
 	for _, p := range bperm {
 		if seen[p] {

@@ -16,10 +16,12 @@
 //	// res.Z.Row(v) is the K-dimensional embedding of vertex v
 //
 // The heavy lifting lives in internal packages; this package re-exports
-// the stable surface: graph types and I/O (internal/graph), generators
-// (internal/gen), the GEE family (internal/gee), labels
-// (internal/labels), evaluation (internal/cluster), and the dynamic
-// embedder with its HTTP serving layer (internal/dyn, internal/server).
+// what the paper's experiments, the examples and the CLIs call: the
+// implementations and Algorithm 1's entry points (internal/gee), graph
+// types and I/O (internal/graph), generators (internal/gen), labels and
+// the label-agreement scores (internal/labels, internal/cluster), and
+// the constructors of the dynamic embedder, its HTTP server, the typed
+// client and the replica (internal/dyn, internal/server).
 package repro
 
 import (
@@ -33,7 +35,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/labels"
 	"repro/internal/mat"
-	"repro/internal/metrics"
 	"repro/internal/server"
 	"repro/internal/server/client"
 )
@@ -180,13 +181,7 @@ func PropagationLabels(workers int, g *Graph, rounds int, seed uint64) []int32 {
 	return labels.Propagation(workers, g, rounds, seed)
 }
 
-// Evaluation.
-
-// KMeansLabels clusters embedding rows into k clusters and returns the
-// assignment.
-func KMeansLabels(workers int, z *Dense, k int, seed uint64) []int32 {
-	return cluster.KMeans(workers, z, k, seed, 100).Assign
-}
+// Label agreement.
 
 // ARI computes the Adjusted Rand Index between two labelings.
 func ARI(a, b []int32) float64 { return cluster.ARI(a, b) }
@@ -216,13 +211,6 @@ type (
 	// DynamicBatch is one atomic unit of dynamic ingest: deletions,
 	// then insertions, then label updates.
 	DynamicBatch = dyn.Batch
-	// DynamicVersion is one published, immutable embedding version, its
-	// rows in copy-on-write pages shared with neighbouring epochs.
-	DynamicVersion = dyn.Version
-	// DynamicSnapshot is a DynamicVersion with Z as one contiguous matrix.
-	DynamicSnapshot = dyn.Snapshot
-	// DynamicStats counts a DynamicEmbedder's operations.
-	DynamicStats = dyn.Stats
 	// LabelUpdate reassigns one vertex's class in a DynamicBatch.
 	LabelUpdate = dyn.LabelUpdate
 )
@@ -248,23 +236,14 @@ type (
 	CoalescerOptions = server.CoalescerOptions
 	// EmbeddingClient is the typed client for the serving API.
 	EmbeddingClient = client.Client
-	// ClientOption configures an EmbeddingClient.
-	ClientOption = client.Option
-	// WireFormat selects the client's response encoding for the
-	// row-carrying endpoints: JSON (the default) or binary frames.
-	WireFormat = client.Format
+	// EmbeddingReplica is a read-only follower of a serving endpoint:
+	// it bootstraps from /v1/snapshot and stays current via /v1/delta.
+	EmbeddingReplica = client.Replica
+	// NeighborsRequest is the POST /v1/neighbors body (vertex, k,
+	// metric, and the exact/approx mode) EmbeddingClient.Neighbors
+	// sends.
+	NeighborsRequest = server.NeighborsRequest
 )
-
-// Wire formats an EmbeddingClient can negotiate (see WithWireFormat).
-const (
-	WireJSON   = client.JSON
-	WireBinary = client.Binary
-)
-
-// WithWireFormat makes the client request the given wire format;
-// WireBinary negotiates compact float32 frames (sparse deltas, dense
-// snapshots) and decodes JSON from a server that answers it anyway.
-func WithWireFormat(f WireFormat) ClientOption { return client.WithWire(f) }
 
 // NewEmbeddingServer builds a server over the embedder and starts its
 // ingest coalescer.
@@ -272,151 +251,15 @@ func NewEmbeddingServer(d *DynamicEmbedder, opts ServerOptions) *EmbeddingServer
 	return server.New(d, opts)
 }
 
-// NewEmbeddingClient builds a client for a serving base URL like
+// NewEmbeddingClient builds a JSON client for a serving base URL like
 // "http://127.0.0.1:8080" (nil http.Client selects the default).
-func NewEmbeddingClient(base string, hc *http.Client, opts ...ClientOption) *EmbeddingClient {
-	return client.New(base, hc, opts...)
+func NewEmbeddingClient(base string, hc *http.Client) *EmbeddingClient {
+	return client.New(base, hc)
 }
-
-// Observability (internal/metrics): the dependency-free instrument
-// registry every serving layer records into, exposed by the server at
-// GET /metrics in the Prometheus text format. Embedding processes can
-// pass their own registry via ServerOptions.Metrics and add their own
-// instruments next to the server's.
-
-type (
-	// MetricsRegistry holds counters, gauges, and histograms and
-	// renders them as Prometheus text exposition.
-	MetricsRegistry = metrics.Registry
-	// MetricsCounter is a monotonically increasing atomic counter.
-	MetricsCounter = metrics.Counter
-	// MetricsGauge is a settable atomic gauge.
-	MetricsGauge = metrics.Gauge
-	// MetricsHistogram is a lock-free fixed-bucket latency/size
-	// histogram with mergeable snapshots and quantile estimation.
-	MetricsHistogram = metrics.Histogram
-	// MetricsHistogramSnapshot is one consistent view of a histogram
-	// (mergeable across instances; Quantile estimates p50/p90/p99).
-	MetricsHistogramSnapshot = metrics.HistogramSnapshot
-	// MetricsLabel is one name="value" pair on an instrument.
-	MetricsLabel = metrics.Label
-	// MetricsSample is one parsed Prometheus exposition line.
-	MetricsSample = metrics.Sample
-)
-
-// NewMetricsRegistry returns an empty instrument registry.
-func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
-
-// ExpBuckets returns n log-spaced histogram bucket bounds starting at
-// start and growing by factor (the scheme the serving instruments use).
-func ExpBuckets(start, factor float64, n int) []float64 {
-	return metrics.ExpBuckets(start, factor, n)
-}
-
-// ParseMetricsText reads Prometheus text exposition (e.g. a /metrics
-// scrape) into typed samples.
-func ParseMetricsText(r io.Reader) ([]MetricsSample, error) { return metrics.ParseText(r) }
-
-// Read-path scale-out: epoch deltas for replica fan-out, replica
-// followers serving local lock-free reads, and exact nearest-neighbor
-// search over a published embedding.
-
-type (
-	// EmbeddingDelta describes how to advance a copy of the embedding
-	// between epochs (changed rows + label moves), or demands a resync
-	// when the span is not row-reconstructible.
-	EmbeddingDelta = dyn.Delta
-	// EmbeddingReplica is a read-only follower of a serving endpoint:
-	// it bootstraps from /v1/snapshot and stays current via /v1/delta.
-	EmbeddingReplica = client.Replica
-	// ReplicaSnapshot is one immutable local version held by a replica.
-	ReplicaSnapshot = client.ReplicaSnapshot
-	// ReplicaStats counts a replica's syncs, resyncs, and wire bytes.
-	ReplicaStats = client.ReplicaStats
-	// NeighborMetric selects the NearestNeighbors distance.
-	NeighborMetric = cluster.Metric
-	// Neighbor is one nearest-neighbor result: row id and distance.
-	Neighbor = cluster.Neighbor
-	// NeighborsRequest is the POST /v1/neighbors body (vertex, k,
-	// metric, and the exact/approx mode).
-	NeighborsRequest = server.NeighborsRequest
-	// NeighborsResponse reports the neighbors plus which mode and
-	// index epoch actually answered.
-	NeighborsResponse = server.NeighborsResponse
-	// ApproxIndex is an inverted-file (IVF) nearest-neighbor index
-	// whose Search is exact; it owns a copy of the distinct rows it
-	// indexes.
-	ApproxIndex = cluster.IVF
-	// ApproxIndexOptions configures BuildApproxIndex.
-	ApproxIndexOptions = cluster.IVFOptions
-	// ServerIndexOptions configures the serving layer's epoch-aware
-	// approximate index cache.
-	ServerIndexOptions = server.IndexOptions
-)
-
-// Metrics for NearestNeighbors (and the /v1/neighbors endpoint).
-const (
-	L2Metric     = cluster.L2
-	CosineMetric = cluster.Cosine
-)
 
 // NewEmbeddingReplica builds a replica follower over a serving client.
 // The first Sync bootstraps from a full snapshot; later Syncs apply
 // epoch deltas and fall back to a snapshot only when told to resync.
 func NewEmbeddingReplica(c *EmbeddingClient) *EmbeddingReplica {
 	return client.NewReplica(c)
-}
-
-// NearestNeighbors returns the k rows of X nearest to query under the
-// metric, ascending by distance. Pass a row id as exclude to skip it
-// (the row the query came from), or a negative value to keep all rows.
-func NearestNeighbors(workers int, X *Dense, query []float64, k int, m NeighborMetric, exclude int) []Neighbor {
-	return cluster.TopK(workers, X, query, k, m, exclude)
-}
-
-// BuildApproxIndex clusters the distinct rows of X into an inverted-file
-// nearest-neighbor index: Search walks the lists in order of a lower
-// bound on their distance and stops once no unvisited list can beat
-// the k-th neighbor found, instead of scanning every row, and answers
-// exactly as NearestNeighbors does. The index copies the rows (list by
-// list), so X is free to change afterwards.
-func BuildApproxIndex(workers int, X *Dense, opts ApproxIndexOptions) *ApproxIndex {
-	return cluster.BuildIVF(workers, X, opts)
-}
-
-// Directed variant and structural helpers.
-
-// EmbedDirected produces the 2K-wide directed embedding (separate out-
-// and in-profiles per vertex).
-func EmbedDirected(impl Impl, g *Graph, y []int32, opts Options) (*Result, error) {
-	return gee.EmbedDirected(impl, g, y, opts)
-}
-
-// FoldDirected collapses a directed 2K-wide embedding to the standard K.
-func FoldDirected(z *Dense) *Dense { return gee.FoldDirected(z) }
-
-// DiagonalAugment adds a unit self loop per vertex (the GEE paper's
-// diagonal augmentation for low-degree stability).
-func DiagonalAugment(el *EdgeList) *EdgeList { return gee.DiagonalAugment(el) }
-
-// KNNClassify predicts labels by k-nearest-neighbor vote in embedding
-// space (rows with y >= 0 are the training set).
-func KNNClassify(workers int, z *Dense, y []int32, k int) []int32 {
-	return cluster.KNNClassify(workers, z, y, k)
-}
-
-// SortAdjacency canonically sorts every adjacency list, so equal graphs
-// get equal CSRs whatever order their edges arrived in.
-func SortAdjacency(workers int, g *Graph) { graph.SortAdjacency(workers, g) }
-
-// DegreeOrder returns the hubs-first relabeling permutation.
-func DegreeOrder(workers int, g *Graph) []NodeID { return graph.DegreeOrder(workers, g) }
-
-// BFSOrder returns the BFS-discovery relabeling permutation.
-func BFSOrder(g *Graph) []NodeID { return graph.BFSOrder(g) }
-
-// ApplyOrder rebuilds a graph under a relabeling permutation
-// (perm[old] = new).
-func ApplyOrder(workers int, g *Graph, perm []NodeID) *Graph {
-	return graph.ApplyOrder(workers, g, perm)
 }

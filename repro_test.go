@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/cluster"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
@@ -112,7 +114,7 @@ func TestFacadeReplicaAndNeighbors(t *testing.T) {
 	if err != nil || len(res.Neighbors) != 3 {
 		t.Fatalf("neighbor query: %+v %v", res, err)
 	}
-	want := NearestNeighbors(2, snap.Z, snap.Z.Row(0), 3, L2Metric, 0)
+	want := cluster.TopK(2, snap.Z, snap.Z.Row(0), 3, cluster.L2, 0)
 	for i := range want {
 		if int(res.Neighbors[i].V) != want[i].V || res.Neighbors[i].Dist != want[i].Dist {
 			t.Fatalf("served neighbors %+v differ from local TopK %+v", res.Neighbors, want)
@@ -194,7 +196,7 @@ func TestFacadeKMeansLabels(t *testing.T) {
 	}
 	z := res.Z.Clone()
 	z.RowL2Normalize() // the GEE paper's preprocessing before clustering
-	assign := KMeansLabels(4, z, 2, 17)
+	assign := cluster.KMeans(4, z, 2, 17, 100).Assign
 	if ari := ARI(assign, truth); ari < 0.8 {
 		t.Fatalf("kmeans ARI=%v", ari)
 	}

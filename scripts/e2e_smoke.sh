@@ -37,15 +37,21 @@ shard_series() {  # file, shard count
 
 bin=$(mktemp -d)
 log=$(mktemp -d)
+# Every exit, passing or failing, stops the named servers and removes
+# the binaries and logs; a failure prints what it needs from $log
+# before it exits, so the trap runs after that output.
+cleanup() {
+  kill "$@" 2>/dev/null || true
+  rm -rf "$bin" "$log"
+}
+trap cleanup EXIT
 go build -o "$bin/geeserve" ./cmd/geeserve
 go build -o "$bin/geeload" ./cmd/geeload
 
-# n=5000 sits above the approximate index's exact-fallback threshold,
-# so the smoke exercises a real IVF build, not the degenerate path.
 "$bin/geeserve" -serve 127.0.0.1:0 -n 5000 -k 5 \
   >"$log/serve.out" 2>"$log/serve.err" &
 pid=$!
-trap 'kill "$pid" 2>/dev/null || true' EXIT
+trap 'cleanup "$pid"' EXIT
 
 # The server prints its bound address once listening (":0" = free port).
 addr=""
@@ -276,7 +282,7 @@ fi
 "$bin/geeserve" -serve 127.0.0.1:0 -n 100 -k 2 -pprof \
   >"$log/pprof_serve.out" 2>"$log/pprof_serve.err" &
 ppid=$!
-trap 'kill "$pid" "$ppid" 2>/dev/null || true' EXIT
+trap 'cleanup "$pid" "$ppid"' EXIT
 paddr=""
 for _ in $(seq 1 100); do
   paddr=$(sed -n 's/^# serving HTTP on //p' "$log/pprof_serve.err" | head -1)
@@ -304,7 +310,7 @@ echo "pprof gating OK (404 by default, serves with -pprof)"
 "$bin/geeserve" -serve 127.0.0.1:0 -n 5000 -k 5 -shards 4 \
   >"$log/shard_serve.out" 2>"$log/shard_serve.err" &
 spid=$!
-trap 'kill "$pid" "$ppid" "$spid" 2>/dev/null || true' EXIT
+trap 'cleanup "$pid" "$ppid" "$spid"' EXIT
 saddr=""
 for _ in $(seq 1 100); do
   saddr=$(sed -n 's/^# serving HTTP on //p' "$log/shard_serve.err" | head -1)
@@ -339,9 +345,6 @@ if ! grep -Eq 'ingested [1-9][0-9]* ops' "$log/shard_load.out"; then
   echo "FAIL: sharded leg acknowledged no ops" >&2
   exit 1
 fi
-# Each 1250-row shard sits above the IVF exact threshold, so the
-# recall figure measures four real per-shard indexes merged by the
-# scatter-gather, against the scattered exact scan.
 srecall=$(sed -n 's/^approx neighbor recall@10: \([0-9.]*\) over .*/\1/p' "$log/shard_load.out" | head -1)
 if [ -z "$srecall" ]; then
   echo "FAIL: sharded leg reported no recall@10 figure" >&2
