@@ -71,7 +71,7 @@ func serveEmbedder(b *testing.B, workers int, r *xrand.Rand) *dyn.DynamicEmbedde
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := d.AddEdges(blockEdges(r, serveBenchEdges)); err != nil {
+	if err := d.Apply(dyn.Batch{Insert: blockEdges(r, serveBenchEdges)}); err != nil {
 		b.Fatal(err)
 	}
 	return d
@@ -95,7 +95,7 @@ func BenchmarkDynamicIngest(b *testing.B) {
 					if off+batch > len(pool) {
 						off = 0
 					}
-					if err := d.AddEdges(pool[off : off+batch]); err != nil {
+					if err := d.Apply(dyn.Batch{Insert: pool[off : off+batch]}); err != nil {
 						b.Fatal(err)
 					}
 					off += batch
@@ -120,7 +120,7 @@ func BenchmarkDynamicDelete(b *testing.B) {
 	var pending [][]graph.Edge
 	cycle := func() []graph.Edge {
 		e := blockEdges(r, batch)
-		if err := d.AddEdges(e); err != nil {
+		if err := d.Apply(dyn.Batch{Insert: e}); err != nil {
 			b.Fatal(err)
 		}
 		pending = append(pending, e)
@@ -133,7 +133,7 @@ func BenchmarkDynamicDelete(b *testing.B) {
 	}
 	for i := 0; i < churn; i++ {
 		if old := cycle(); old != nil {
-			if err := d.DeleteEdges(old); err != nil {
+			if err := d.Apply(dyn.Batch{Delete: old}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -143,7 +143,7 @@ func BenchmarkDynamicDelete(b *testing.B) {
 		b.StopTimer()
 		old := cycle()
 		b.StartTimer()
-		if err := d.DeleteEdges(old); err != nil {
+		if err := d.Apply(dyn.Batch{Delete: old}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -205,7 +205,7 @@ func BenchmarkDynamicPublish(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := d.AddEdges(dynEdgePool(1 << 18)); err != nil {
+	if err := d.Apply(dyn.Batch{Insert: dynEdgePool(1 << 18)}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()

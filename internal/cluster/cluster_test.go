@@ -158,17 +158,6 @@ func TestNMIBounds(t *testing.T) {
 	}
 }
 
-func TestAccuracy(t *testing.T) {
-	pred := []int32{0, 1, 1, -1}
-	truth := []int32{0, 1, 0, 1}
-	if got := Accuracy(pred, truth); math.Abs(got-2.0/3) > 1e-12 {
-		t.Fatalf("accuracy=%v", got)
-	}
-	if Accuracy([]int32{-1}, []int32{0}) != 0 {
-		t.Fatal("all-unknown accuracy must be 0")
-	}
-}
-
 func TestContingency(t *testing.T) {
 	table, na, nb := Contingency([]int32{0, 0, 1}, []int32{1, 1, 0})
 	if na != 2 || nb != 2 {

@@ -120,25 +120,3 @@ func NMI(a, b []int32) float64 {
 	}
 	return mi / den
 }
-
-// Accuracy computes exact label agreement (no relabeling) over positions
-// where both labelings are known (>= 0).
-func Accuracy(pred, truth []int32) float64 {
-	if len(pred) != len(truth) {
-		panic("cluster: labeling length mismatch")
-	}
-	var n, ok int
-	for i := range pred {
-		if pred[i] < 0 || truth[i] < 0 {
-			continue
-		}
-		n++
-		if pred[i] == truth[i] {
-			ok++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(ok) / float64(n)
-}

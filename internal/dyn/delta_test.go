@@ -77,7 +77,7 @@ func TestDeltaRowTracking(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := newFollower(d.Snapshot())
-	if err := d.AddEdges([]graph.Edge{{U: 7, V: 3, W: 1}, {U: 7, V: 20, W: 2}}); err != nil {
+	if err := d.Apply(Batch{Insert: []graph.Edge{{U: 7, V: 3, W: 1}, {U: 7, V: 20, W: 2}}}); err != nil {
 		t.Fatal(err)
 	}
 	dl := d.Delta(f.epoch)
@@ -105,7 +105,7 @@ func TestDeltaRowTracking(t *testing.T) {
 	f.mustEqual(t, d.Snapshot())
 
 	// A second batch: the delta spans only the new epoch now.
-	if err := d.AddEdges([]graph.Edge{{U: 50, V: 51, W: 1}}); err != nil {
+	if err := d.Apply(Batch{Insert: []graph.Edge{{U: 50, V: 51, W: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	dl = d.Delta(f.epoch)
@@ -151,10 +151,10 @@ func TestDeltaResyncSignals(t *testing.T) {
 	// crossing it resyncs — including when it also covers row-sized
 	// epochs.
 	d = mk(Options{})
-	if err := d.AddEdges(edge(0, 1)); err != nil {
+	if err := d.Apply(Batch{Insert: edge(0, 1)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.UpdateLabels([]LabelUpdate{{V: 0, Class: (labels.Full(n, k, 223)[0] + 1) % k}}); err != nil {
+	if err := d.Apply(Batch{Labels: []LabelUpdate{{V: 0, Class: (labels.Full(n, k, 223)[0] + 1) % k}}}); err != nil {
 		t.Fatal(err)
 	}
 	if dl := d.Delta(1); !dl.Resync {
@@ -164,7 +164,7 @@ func TestDeltaResyncSignals(t *testing.T) {
 		t.Fatal("span covering a full epoch served row-wise")
 	}
 	// But the epoch after it is row-sized again.
-	if err := d.AddEdges(edge(2, 3)); err != nil {
+	if err := d.Apply(Batch{Insert: edge(2, 3)}); err != nil {
 		t.Fatal(err)
 	}
 	if dl := d.Delta(2); dl.Resync || len(dl.Rows) != 2 {
@@ -178,7 +178,7 @@ func TestDeltaResyncSignals(t *testing.T) {
 	for u := uint32(0); u+1 < n; u += 2 {
 		wide = append(wide, graph.Edge{U: u, V: u + 1, W: 1})
 	}
-	if err := d.AddEdges(wide); err != nil {
+	if err := d.Apply(Batch{Insert: wide}); err != nil {
 		t.Fatal(err)
 	}
 	if dl := d.Delta(0); !dl.Resync {
@@ -203,13 +203,13 @@ func TestDeltaNetZeroRelabel(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Give the moving vertices neighbors so mass actually slides.
-	if err := d.AddEdges([]graph.Edge{{U: 0, V: 5, W: 1}, {U: 1, V: 6, W: 1}, {U: 10, V: 11, W: 1}}); err != nil {
+	if err := d.Apply(Batch{Insert: []graph.Edge{{U: 0, V: 5, W: 1}, {U: 1, V: 6, W: 1}, {U: 10, V: 11, W: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	f := newFollower(d.Snapshot())
 	// 0: class 0 → 1 and 1: class 1 → 0 in one batch — counts end where
 	// they started.
-	if err := d.UpdateLabels([]LabelUpdate{{V: 0, Class: 1}, {V: 1, Class: 0}}); err != nil {
+	if err := d.Apply(Batch{Labels: []LabelUpdate{{V: 0, Class: 1}, {V: 1, Class: 0}}}); err != nil {
 		t.Fatal(err)
 	}
 	dl := d.Delta(f.epoch)
@@ -596,7 +596,7 @@ func TestDeltaDoesNotTakeWriterLock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AddEdges([]graph.Edge{{U: 0, V: 1, W: 1}}); err != nil {
+	if err := d.Apply(Batch{Insert: []graph.Edge{{U: 0, V: 1, W: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	inside, release := make(chan struct{}), make(chan struct{})
@@ -605,7 +605,7 @@ func TestDeltaDoesNotTakeWriterLock(t *testing.T) {
 		<-release
 	})
 	errc := make(chan error, 1)
-	go func() { errc <- d.AddEdges([]graph.Edge{{U: 2, V: 3, W: 1}}) }()
+	go func() { errc <- d.Apply(Batch{Insert: []graph.Edge{{U: 2, V: 3, W: 1}}}) }()
 	<-inside
 	done := make(chan *Delta, 1)
 	go func() { done <- d.Delta(0) }()
@@ -636,7 +636,7 @@ func TestStampRebase(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := d.AddEdges([]graph.Edge{{U: 40, V: 41, W: 1}}); err != nil {
+			if err := d.Apply(Batch{Insert: []graph.Edge{{U: 40, V: 41, W: 1}}}); err != nil {
 				t.Fatal(err)
 			}
 			// Jump the epoch counter to just short of the first overflow:
@@ -645,7 +645,7 @@ func TestStampRebase(t *testing.T) {
 			d.cur.Load().Epoch = math.MaxUint32 - 1
 			const first = uint64(math.MaxUint32)
 			for i := range uint32(4) {
-				if err := d.AddEdges([]graph.Edge{{U: 50 + 2*i, V: 51 + 2*i, W: 1}}); err != nil {
+				if err := d.Apply(Batch{Insert: []graph.Edge{{U: 50 + 2*i, V: 51 + 2*i, W: 1}}}); err != nil {
 					t.Fatal(err)
 				}
 				ver, base := d.Version(), uint64(0)
@@ -686,7 +686,7 @@ func TestDeltaAcrossSaturatedAges(t *testing.T) {
 	}
 	last := make([]uint64, n) // the epoch that last wrote each row
 	write := func(u, v graph.NodeID) {
-		if err := d.AddEdges([]graph.Edge{{U: u, V: v, W: 1}}); err != nil {
+		if err := d.Apply(Batch{Insert: []graph.Edge{{U: u, V: v, W: 1}}}); err != nil {
 			t.Fatal(err)
 		}
 		last[u], last[v] = d.Epoch(), d.Epoch()

@@ -87,10 +87,10 @@ type Options struct {
 
 // shardedFoldMin is the batch size (in folded edges) from which a fold
 // with more than one worker owner-computes over the sharded edge plan; a
-// smaller batch folds serially. AddEdges' rate on 2 vCPUs at the serving
-// scale (n = 100k, K = 10, 700k edges; BenchmarkFoldPaths), Medges/s,
-// serial against owner-computes on two workers: 6.8-7.6 against 5.2-5.6
-// at 4096 edges, 7.0-7.3 against 5.7-6.3 at 8192, 8.0-9.0 against
+// smaller batch folds serially. An insert-only Apply's rate on 2 vCPUs
+// at the serving scale (n = 100k, K = 10, 700k edges;
+// BenchmarkFoldPaths), Medges/s, serial against owner-computes on two
+// workers: 6.8-7.6 against 5.2-5.6 at 4096 edges, 7.0-7.3 against 5.7-6.3 at 8192, 8.0-9.0 against
 // 6.6-6.8 at 16384. Serial won every run up to 16384 edges; from 32768
 // to 131072 the two paths read 6.5-8.5 each, run to run, and the
 // cut-over sits inside that band.
@@ -453,26 +453,11 @@ func (d *DynamicEmbedder) Query(v graph.NodeID) []float64 {
 	return z.Row(int(v), make([]float64, z.C))
 }
 
-// AddEdges inserts a batch of edges.
-func (d *DynamicEmbedder) AddEdges(batch []graph.Edge) error {
-	return d.Apply(Batch{Insert: batch})
-}
-
-// DeleteEdges removes a batch of previously inserted edges. Each edge
-// must match a live edge exactly (same orientation and weight).
-func (d *DynamicEmbedder) DeleteEdges(batch []graph.Edge) error {
-	return d.Apply(Batch{Delete: batch})
-}
-
-// UpdateLabels applies a batch of label reassignments.
-func (d *DynamicEmbedder) UpdateLabels(updates []LabelUpdate) error {
-	return d.Apply(Batch{Labels: updates})
-}
-
 // Apply folds one batch into the embedding: deletions, then insertions,
-// then label updates. On error nothing is applied. Unless the embedder
-// is in manual-publish mode, the new version is published before Apply
-// returns.
+// then label updates. A deleted edge must match a live edge exactly
+// (same orientation and weight). On error nothing is applied. Unless
+// the embedder is in manual-publish mode, the new version is published
+// before Apply returns.
 func (d *DynamicEmbedder) Apply(b Batch) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

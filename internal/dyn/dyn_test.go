@@ -59,7 +59,7 @@ func churnScript(t *testing.T, d *DynamicEmbedder, n, k, rounds, batch int, seed
 		}
 		live = append(live, b.Insert...)
 	}
-	return &graph.EdgeList{N: n, Edges: live, Weighted: true}, y
+	return &graph.EdgeList{N: n, Edges: live}, y
 }
 
 // TestDynamicMatchesBatchEmbed is the tentpole acceptance check: after
@@ -121,12 +121,12 @@ func TestDynamicFoldRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range []int{100, 2000, 4096, 8192, shardedFoldMin - 1, shardedFoldMin} {
-		if err := d.AddEdges(mk(m)); err != nil {
+		if err := d.Apply(Batch{Insert: mk(m)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	plan := d.plan
-	if err := d.AddEdges(mk(2 * shardedFoldMin)); err != nil { // sharded again, plan reused
+	if err := d.Apply(Batch{Insert: mk(2 * shardedFoldMin)}); err != nil { // sharded again, plan reused
 		t.Fatal(err)
 	}
 	st := d.Stats()
@@ -146,7 +146,7 @@ func TestDynamicFoldRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range []int{8192, shardedFoldMin, 2 * shardedFoldMin} {
-		if err := one.AddEdges(mk(m)); err != nil {
+		if err := one.Apply(Batch{Insert: mk(m)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -162,12 +162,12 @@ func TestDynamicDeleteRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}, {U: 4, V: 4, W: 2}}
-	if err := d.AddEdges(base); err != nil {
+	if err := d.Apply(Batch{Insert: base}); err != nil {
 		t.Fatal(err)
 	}
 	before := d.Snapshot()
 	// Second delete is not live: the whole batch must fail untouched.
-	err = d.DeleteEdges([]graph.Edge{{U: 0, V: 1, W: 1}, {U: 5, V: 6, W: 1}})
+	err = d.Apply(Batch{Delete: []graph.Edge{{U: 0, V: 1, W: 1}, {U: 5, V: 6, W: 1}}})
 	if err == nil {
 		t.Fatal("missing delete accepted")
 	}
@@ -177,17 +177,17 @@ func TestDynamicDeleteRollback(t *testing.T) {
 	}
 	// The rolled-back edge must still be deletable (adjacency intact),
 	// including the self-loop's paired halves.
-	if err := d.DeleteEdges(base); err != nil {
+	if err := d.Apply(Batch{Delete: base}); err != nil {
 		t.Fatalf("rollback corrupted adjacency: %v", err)
 	}
 	if got := d.Snapshot(); got.Edges != 0 {
 		t.Fatalf("%d live edges after deleting everything", got.Edges)
 	}
 	// Weight must match exactly.
-	if err := d.AddEdges(base[:1]); err != nil {
+	if err := d.Apply(Batch{Insert: base[:1]}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.DeleteEdges([]graph.Edge{{U: 0, V: 1, W: 2}}); err == nil {
+	if err := d.Apply(Batch{Delete: []graph.Edge{{U: 0, V: 1, W: 2}}}); err == nil {
 		t.Fatal("weight-mismatched delete accepted")
 	}
 }
@@ -205,7 +205,7 @@ func TestDynamicFoldErrorRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}, {U: 3, V: 4, W: 2}}
-	if err := d.AddEdges(base); err != nil {
+	if err := d.Apply(Batch{Insert: base}); err != nil {
 		t.Fatal(err)
 	}
 	before := d.Snapshot()
@@ -221,13 +221,13 @@ func TestDynamicFoldErrorRollback(t *testing.T) {
 			got.Epoch, got.Edges, before.Epoch, before.Edges)
 	}
 	// The failed batch's insert must not have been applied.
-	if err := d.DeleteEdges([]graph.Edge{{U: 5, V: 6, W: 1}}); err == nil {
+	if err := d.Apply(Batch{Delete: []graph.Edge{{U: 5, V: 6, W: 1}}}); err == nil {
 		t.Fatal("insert from the failed batch is live")
 	}
 	// The failed batch's deletes must still be live — exact-match
 	// deleting the full base set only works if the rollback reattached
 	// both halves of each detached edge.
-	if err := d.DeleteEdges(base); err != nil {
+	if err := d.Apply(Batch{Delete: base}); err != nil {
 		t.Fatalf("fold failure corrupted the adjacency: %v", err)
 	}
 	if got := d.Snapshot().Edges; got != 0 {
@@ -245,12 +245,12 @@ func TestDynamicLabelLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	edges := []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 2, V: 0, W: 1}}
-	if err := d.AddEdges(edges); err != nil {
+	if err := d.Apply(Batch{Insert: edges}); err != nil {
 		t.Fatal(err)
 	}
 	// Move vertex 0 into class 2, then unlabel vertex 1: class 0 and 1
 	// are now empty.
-	if err := d.UpdateLabels([]LabelUpdate{{V: 0, Class: 2}, {V: 1, Class: labels.Unknown}}); err != nil {
+	if err := d.Apply(Batch{Labels: []LabelUpdate{{V: 0, Class: 2}, {V: 1, Class: labels.Unknown}}}); err != nil {
 		t.Fatal(err)
 	}
 	snap := d.Snapshot()
@@ -269,7 +269,7 @@ func TestDynamicLabelLifecycle(t *testing.T) {
 	}
 	// No-op relabel must not bump counters.
 	st := d.Stats()
-	if err := d.UpdateLabels([]LabelUpdate{{V: 0, Class: 2}}); err != nil {
+	if err := d.Apply(Batch{Labels: []LabelUpdate{{V: 0, Class: 2}}}); err != nil {
 		t.Fatal(err)
 	}
 	if d.Stats().LabelMoves != st.LabelMoves {
@@ -283,7 +283,7 @@ func TestDynamicManualPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AddEdges([]graph.Edge{{U: 0, V: 1, W: 1}}); err != nil {
+	if err := d.Apply(Batch{Insert: []graph.Edge{{U: 0, V: 1, W: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.Snapshot(); got.Epoch != 0 || got.Edges != 0 {
@@ -308,17 +308,17 @@ func TestDynamicPendingOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	edges := []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}, {U: 4, V: 5, W: 1}}
-	if err := d.AddEdges(edges); err != nil {
+	if err := d.Apply(Batch{Insert: edges}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.DeleteEdges(edges[:1]); err != nil {
+	if err := d.Apply(Batch{Delete: edges[:1]}); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.PendingOps(); got != 4 {
 		t.Fatalf("PendingOps after 3 inserts + 1 delete = %d, want 4", got)
 	}
 	ups := []LabelUpdate{{V: 0, Class: y[0]}, {V: 1, Class: 1 - y[1]}}
-	if err := d.UpdateLabels(ups); err != nil {
+	if err := d.Apply(Batch{Labels: ups}); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.PendingOps(); got != 5 {
@@ -453,19 +453,19 @@ func TestDynamicValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AddEdges([]graph.Edge{{U: 99, V: 0, W: 1}}); err == nil {
+	if err := d.Apply(Batch{Insert: []graph.Edge{{U: 99, V: 0, W: 1}}}); err == nil {
 		t.Fatal("out-of-range insert accepted")
 	}
-	if err := d.DeleteEdges([]graph.Edge{{U: 99, V: 0, W: 1}}); err == nil {
+	if err := d.Apply(Batch{Delete: []graph.Edge{{U: 99, V: 0, W: 1}}}); err == nil {
 		t.Fatal("out-of-range delete accepted")
 	}
-	if err := d.UpdateLabels([]LabelUpdate{{V: 99, Class: 0}}); err == nil {
+	if err := d.Apply(Batch{Labels: []LabelUpdate{{V: 99, Class: 0}}}); err == nil {
 		t.Fatal("out-of-range label vertex accepted")
 	}
-	if err := d.UpdateLabels([]LabelUpdate{{V: 0, Class: 7}}); err == nil {
+	if err := d.Apply(Batch{Labels: []LabelUpdate{{V: 0, Class: 7}}}); err == nil {
 		t.Fatal("out-of-range class accepted")
 	}
-	if err := d.UpdateLabels([]LabelUpdate{{V: 0, Class: -3}}); err == nil {
+	if err := d.Apply(Batch{Labels: []LabelUpdate{{V: 0, Class: -3}}}); err == nil {
 		t.Fatal("below-Unknown class accepted")
 	}
 	if row := d.Query(99); row != nil {
@@ -590,10 +590,10 @@ func TestFailedBatchLeavesAdjacencyIntact(t *testing.T) {
 		others[i] = graph.Edge{U: graph.NodeID(1 + r.Intn(n-1)), V: graph.NodeID(1 + r.Intn(n-1)), W: weight()}
 	}
 	for _, e := range []*DynamicEmbedder{d, twin} {
-		if err := e.AddEdges(others); err != nil {
+		if err := e.Apply(Batch{Insert: others}); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.AddEdges(base); err != nil {
+		if err := e.Apply(Batch{Insert: base}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -625,7 +625,7 @@ func TestFailedBatchLeavesAdjacencyIntact(t *testing.T) {
 		if tc.hook {
 			d.foldHook = func(del, ins []graph.Edge) error { return boom }
 		}
-		err := d.DeleteEdges(tc.del)
+		err := d.Apply(Batch{Delete: tc.del})
 		if err == nil || tc.hook != errors.Is(err, boom) {
 			t.Fatalf("%s: the batch returned %v", tc.name, err)
 		}
@@ -645,7 +645,7 @@ func TestFailedBatchLeavesAdjacencyIntact(t *testing.T) {
 		moves = append(moves, LabelUpdate{V: 0, Class: (y[0] + int32(i)) % k})
 	}
 	for _, e := range []*DynamicEmbedder{d, twin} {
-		if err := e.UpdateLabels(moves); err != nil {
+		if err := e.Apply(Batch{Labels: moves}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -669,7 +669,7 @@ func TestGroupedDetachOrder(t *testing.T) {
 		edges[i] = graph.Edge{U: graph.NodeID(r.Intn(n)), V: graph.NodeID(r.Intn(n)), W: float32(1 + r.Intn(3))}
 	}
 	var del []graph.Edge
-	for _, i := range r.Perm(len(edges))[:3*detachGroup+5] {
+	for _, i := range graph.RandomPermutation(len(edges), 271)[:3*detachGroup+5] {
 		del = append(del, edges[i])
 	}
 	var lists [2][][]halfEdge
@@ -678,14 +678,14 @@ func TestGroupedDetachOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.AddEdges(edges); err != nil {
+		if err := d.Apply(Batch{Insert: edges}); err != nil {
 			t.Fatal(err)
 		}
 		if side == 0 {
-			err = d.DeleteEdges(del)
+			err = d.Apply(Batch{Delete: del})
 		} else {
 			for _, e := range del {
-				if err = d.DeleteEdges([]graph.Edge{e}); err != nil {
+				if err = d.Apply(Batch{Delete: []graph.Edge{e}}); err != nil {
 					break
 				}
 			}

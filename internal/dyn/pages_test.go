@@ -325,7 +325,7 @@ func TestCountChangingRelabelPatches(t *testing.T) {
 			}
 			// Two publishes: the bulk load rebuilds, the second cuts pages.
 			d.Publish()
-			if err := d.AddEdges(b.Insert[:8]); err != nil {
+			if err := d.Apply(Batch{Insert: b.Insert[:8]}); err != nil {
 				t.Fatal(err)
 			}
 			prev := d.Publish()
@@ -349,7 +349,7 @@ func TestCountChangingRelabelPatches(t *testing.T) {
 				}
 			}
 			d.mu.Unlock()
-			if err := d.UpdateLabels(moves); err != nil {
+			if err := d.Apply(Batch{Labels: moves}); err != nil {
 				t.Fatal(err)
 			}
 			ver := d.Publish()
@@ -402,10 +402,10 @@ func TestPublishInstrumentsAndFoldPaths(t *testing.T) {
 	// Two rows on two pages, patched; then a count-changing move of one
 	// endpoint, which copies the page its walk wrote (the other
 	// endpoint's) and the page of its own label.
-	if err := d.AddEdges([]graph.Edge{{U: 1, V: 100, W: 1}}); err != nil {
+	if err := d.Apply(Batch{Insert: []graph.Edge{{U: 1, V: 100, W: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.UpdateLabels([]LabelUpdate{{V: 1, Class: (d.Version().Z.Label(1) + 1) % k}}); err != nil {
+	if err := d.Apply(Batch{Labels: []LabelUpdate{{V: 1, Class: (d.Version().Z.Label(1) + 1) % k}}}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -30,7 +30,7 @@ func benchEmbedder(b *testing.B, workers int) (d *DynamicEmbedder, y []int32, r 
 		}
 		return out
 	}
-	if err := d.AddEdges(edges(700_000)); err != nil {
+	if err := d.Apply(Batch{Insert: edges(700_000)}); err != nil {
 		b.Fatal(err)
 	}
 	d.Publish()
@@ -111,7 +111,7 @@ func BenchmarkPublish(b *testing.B) {
 func BenchmarkDelta(b *testing.B) {
 	d, _, _, edges := benchEmbedder(b, 0)
 	publish := func(m int) {
-		if err := d.AddEdges(edges(m)); err != nil {
+		if err := d.Apply(Batch{Insert: edges(m)}); err != nil {
 			b.Fatal(err)
 		}
 		d.Publish()
@@ -162,7 +162,7 @@ func BenchmarkFoldPaths(b *testing.B) {
 				pool := edges(1 << 18)
 				// Untimed: the first write copies the arrays the
 				// publish lent, and the first sharded fold builds the plan.
-				if err := d.AddEdges(pool[:batch]); err != nil {
+				if err := d.Apply(Batch{Insert: pool[:batch]}); err != nil {
 					b.Fatal(err)
 				}
 				off := batch
@@ -171,7 +171,7 @@ func BenchmarkFoldPaths(b *testing.B) {
 					if off+batch > len(pool) {
 						off = 0
 					}
-					if err := d.AddEdges(pool[off : off+batch]); err != nil {
+					if err := d.Apply(Batch{Insert: pool[off : off+batch]}); err != nil {
 						b.Fatal(err)
 					}
 					off += batch

@@ -96,13 +96,10 @@ type Stats struct {
 	PlanReuses int
 }
 
-// UsesAtomicAdds reports whether a strategy resolves to atomic adds at
+// usesAtomicAdds reports whether a strategy resolves to atomic adds at
 // the given worker count: Atomic always does (past one worker), and the
-// Racy ablation upgrades to atomics under the race detector. This is
-// the single source of the write-discipline policy; traversals outside
-// this package that need a matching discipline (the gee sparse-edge-map
-// ablation) consult it instead of restating the rule.
-func UsesAtomicAdds(s Strategy, workers int) bool {
+// Racy ablation upgrades to atomics under the race detector.
+func usesAtomicAdds(s Strategy, workers int) bool {
 	if workers <= 1 {
 		return false
 	}
@@ -122,7 +119,7 @@ func Run[T Float](s Strategy, g *graph.CSR, k Kernel[T], z []T, o Options) (Stat
 	case Serial:
 		return runDense(g, &k, z, 1, false), nil
 	case Atomic, Racy:
-		return runDense(g, &k, z, workers, UsesAtomicAdds(s, workers)), nil
+		return runDense(g, &k, z, workers, usesAtomicAdds(s, workers)), nil
 	case Replicated:
 		if workers <= 1 {
 			return runDense(g, &k, z, 1, false), nil

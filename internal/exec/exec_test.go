@@ -106,7 +106,6 @@ func TestStrategiesMatchSerialOracle(t *testing.T) {
 
 func TestWeightedArcsMatchSerialOracle(t *testing.T) {
 	el := gen.RMAT(4, 10, 20_000, gen.Graph500Params, 5)
-	el.Weighted = true
 	for i := range el.Edges {
 		el.Edges[i].W = float32(i%9 + 1)
 	}
@@ -284,7 +283,6 @@ func TestShardedPlanCachedAcrossRuns(t *testing.T) {
 
 func TestShardedEdgesMatchesSerial(t *testing.T) {
 	el := gen.RMAT(4, 11, 60_000, gen.Graph500Params, 37)
-	el.Weighted = true
 	for i := range el.Edges {
 		el.Edges[i].W = float32(i%7 + 1)
 	}

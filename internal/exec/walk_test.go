@@ -37,10 +37,15 @@ func walkCases(t *testing.T) []walkCase {
 	}
 	tinyY := []int32{0, 1, 0, -1, 2, 1, 2, -1, 0}
 	tiny := func(weighted bool) *graph.CSR {
-		return graph.BuildCSR(1, &graph.EdgeList{N: len(tinyY), Weighted: weighted, Edges: edges})
+		el := &graph.EdgeList{N: len(tinyY), Edges: append([]graph.Edge(nil), edges...)}
+		if !weighted {
+			for i := range el.Edges {
+				el.Edges[i].W = 1
+			}
+		}
+		return graph.BuildCSR(1, el)
 	}
 	rmat := gen.RMAT(2, 10, 12_000, gen.Graph500Params, 31)
-	rmat.Weighted = true
 	for i := range rmat.Edges {
 		rmat.Edges[i].W = float32(i%5) + 0.5
 	}
@@ -137,8 +142,8 @@ func runWalkCase[T Float](t *testing.T, c walkCase, tol float64) {
 				t.Errorf("%v/w%d: %d atomic + %d plain adds, want %d labelled half-updates",
 					s, workers, st.AtomicAdds, st.PlainAdds, labelled)
 			}
-			if wantAtomic := UsesAtomicAdds(s, workers); (st.AtomicAdds > 0) != wantAtomic {
-				t.Errorf("%v/w%d: %d atomic adds, UsesAtomicAdds = %v", s, workers, st.AtomicAdds, wantAtomic)
+			if wantAtomic := usesAtomicAdds(s, workers); (st.AtomicAdds > 0) != wantAtomic {
+				t.Errorf("%v/w%d: %d atomic adds, usesAtomicAdds = %v", s, workers, st.AtomicAdds, wantAtomic)
 			}
 			if s == Racy && workers > 1 && !race.Enabled {
 				continue // racy by design: only the counts are defined

@@ -173,8 +173,12 @@ type Result struct {
 // versa), so undirected graphs must list each edge once. The CSR
 // implementations build a CSR internally; use EmbedCSR to amortize that
 // across runs (the benchmarks do, matching the paper, which excludes
-// graph loading from its timings).
+// graph loading from its timings). An edge list that fails
+// graph.EdgeList.Validate is refused before any implementation runs.
 func Embed(impl Impl, el *graph.EdgeList, y []int32, opts Options) (*Result, error) {
+	if err := el.Validate(); err != nil {
+		return nil, err
+	}
 	k, err := opts.normalize(el.N, y)
 	if err != nil {
 		return nil, err

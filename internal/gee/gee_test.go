@@ -26,7 +26,7 @@ import (
 //
 // Z = [[0, 1], [1.5, 0], [0, 1.5], [1, 0]]
 func handExample() (*graph.EdgeList, []int32, *mat.Dense) {
-	el := &graph.EdgeList{N: 4, Weighted: true, Edges: []graph.Edge{
+	el := &graph.EdgeList{N: 4, Edges: []graph.Edge{
 		{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 2}, {U: 2, V: 3, W: 1}, {U: 3, V: 0, W: 1},
 	}}
 	y := []int32{0, 1, 0, 1}
@@ -129,6 +129,47 @@ func TestErrorCases(t *testing.T) {
 	}
 }
 
+// TestEmbedRefusesInvalidEdgeList: an edge naming a vertex outside
+// [0, N), or carrying a non-finite weight, is an error under every Impl
+// rather than a panic on a worker goroutine.
+func TestEmbedRefusesInvalidEdgeList(t *testing.T) {
+	y := []int32{0, 1, 0, 1}
+	for name, bad := range map[string]graph.Edge{
+		"V out of range": {U: 0, V: 4, W: 1},
+		"NaN weight":     {U: 0, V: 1, W: float32(math.NaN())},
+	} {
+		el := &graph.EdgeList{N: 4, Edges: []graph.Edge{{U: 1, V: 2, W: 1}, bad}}
+		for _, impl := range Impls {
+			if _, err := Embed(impl, el, y, Options{Workers: 4}); err == nil {
+				t.Errorf("%s: %v accepted the edge list", name, impl)
+			}
+		}
+	}
+}
+
+// TestNonUnitWeightsReachEveryImpl: an edge's weight is its W whichever
+// Impl runs, the ones that build a CSR included. Every Impl but the
+// racy one embeds a list with W in {1, 2, 3} equal to Reference, with
+// the Laplacian off and on.
+func TestNonUnitWeightsReachEveryImpl(t *testing.T) {
+	el := gen.ErdosRenyi(4, 800, 6400, 41)
+	for i := range el.Edges {
+		el.Edges[i].W = float32(i%3 + 1)
+	}
+	y := labels.SampleSemiSupervised(el.N, 8, 0.3, 43)
+	for _, laplacian := range []bool{false, true} {
+		reports, err := Verify(el, y, Options{K: 8, Workers: 4, Laplacian: laplacian}, 1e-9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range reports {
+			if r.Impl != LigraParallelUnsafe && !r.WithinTol {
+				t.Errorf("laplacian=%v %v: max |ΔZ| = %v", laplacian, r.Impl, r.MaxAbsDiff)
+			}
+		}
+	}
+}
+
 // paperConfig embeds an RMAT graph under the paper's label protocol and
 // cross-checks every implementation against the Reference oracle.
 func TestCrossImplementationEquivalenceRMAT(t *testing.T) {
@@ -150,7 +191,6 @@ func TestCrossImplementationEquivalenceRMAT(t *testing.T) {
 
 func TestCrossImplementationEquivalenceWeighted(t *testing.T) {
 	el := gen.ErdosRenyi(8, 500, 20_000, 3)
-	el.Weighted = true
 	for i := range el.Edges {
 		el.Edges[i].W = float32(i%7 + 1)
 	}
@@ -256,7 +296,6 @@ func TestLaplacianHandComputed(t *testing.T) {
 
 func TestLaplacianCrossImplEquivalence(t *testing.T) {
 	el := gen.RMAT(8, 10, 20_000, gen.Graph500Params, 9)
-	el.Weighted = true
 	for i := range el.Edges {
 		el.Edges[i].W = float32(i%3 + 1)
 	}
@@ -375,7 +414,6 @@ func TestProjection(t *testing.T) {
 
 func TestIncidentDegreesCSREquivalent(t *testing.T) {
 	el := gen.ErdosRenyi(4, 200, 3000, 23)
-	el.Weighted = true
 	for i := range el.Edges {
 		el.Edges[i].W = float32(i%5 + 1)
 	}
@@ -466,7 +504,7 @@ func TestEdgelessGraph(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", impl, err)
 		}
-		if res.Z.MaxAbs() != 0 {
+		if res.Z.MaxAbsDiff(mat.NewDense(res.Z.R, res.Z.C)) != 0 {
 			t.Fatalf("%v: nonzero embedding with no edges", impl)
 		}
 	}

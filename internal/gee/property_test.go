@@ -40,7 +40,7 @@ func TestPropertyAllImplsMatchBruteForce(t *testing.T) {
 		n := 2 + r.Intn(30)
 		k := 1 + r.Intn(5)
 		m := r.Intn(120)
-		el := &graph.EdgeList{N: n, Weighted: true}
+		el := &graph.EdgeList{N: n}
 		for i := 0; i < m; i++ {
 			el.Edges = append(el.Edges, graph.Edge{
 				U: graph.NodeID(r.Intn(n)),
@@ -134,7 +134,7 @@ func TestPropertyWeightLinearity(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
 		n := 3 + r.Intn(15)
-		el := &graph.EdgeList{N: n, Weighted: true}
+		el := &graph.EdgeList{N: n}
 		for i := 0; i < 40; i++ {
 			el.Edges = append(el.Edges, graph.Edge{
 				U: graph.NodeID(r.Intn(n)), V: graph.NodeID(r.Intn(n)), W: float32(r.Intn(4) + 1),

@@ -1,6 +1,6 @@
 // Package graph provides the graph substrate for the GEE reproduction:
 // edge lists, a compressed sparse row (CSR) representation with a parallel
-// builder, vertex reordering, statistics, and file I/O in three formats:
+// builder, statistics, and file I/O in three formats:
 // SNAP edge list, Ligra AdjacencyGraph and a binary CSR.
 //
 // Node identifiers are uint32 (supports up to ~4.29B nodes); edge counts
@@ -9,6 +9,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/parallel"
@@ -27,20 +28,18 @@ type Edge struct {
 // EdgeList is the paper's input representation (Algorithm 1 consumes it
 // directly). Each logical edge appears exactly once; GEE's kernel applies
 // both endpoint updates per row, so undirected graphs need no
-// symmetrization at this layer.
+// symmetrization at this layer. An edge's W is its weight, 1 when the
+// source gave none; it is the only record of the weight.
 type EdgeList struct {
 	N     int    // number of vertices
 	Edges []Edge // s rows
-	// Weighted records whether weights were provided by the source
-	// (loader or generator); the W fields are always populated (1 when
-	// unweighted).
-	Weighted bool
 }
 
 // NumEdges returns s.
 func (el *EdgeList) NumEdges() int { return len(el.Edges) }
 
-// Validate checks that every endpoint is within [0, N).
+// Validate checks that every endpoint is within [0, N) and every
+// weight is finite.
 func (el *EdgeList) Validate() error {
 	if el.N < 0 {
 		return fmt.Errorf("graph: negative vertex count %d", el.N)
@@ -50,9 +49,15 @@ func (el *EdgeList) Validate() error {
 		if e.U >= n || e.V >= n {
 			return fmt.Errorf("graph: edge %d (%d->%d) out of range [0,%d)", i, e.U, e.V, el.N)
 		}
+		if !finite(e.W) {
+			return fmt.Errorf("graph: edge %d (%d->%d) has weight %v", i, e.U, e.V, e.W)
+		}
 	}
 	return nil
 }
+
+// finite reports whether w is neither NaN nor ±Inf.
+func finite(w float32) bool { return !math.IsNaN(float64(w)) && !math.IsInf(float64(w), 0) }
 
 // FirstInvalidEdge returns the index of the first edge whose endpoint
 // falls outside [0, n), or -1 when every edge is valid. The scan is
@@ -82,7 +87,7 @@ func FirstInvalidEdge(workers, n int, edges []Edge) int {
 
 // Clone deep-copies the edge list.
 func (el *EdgeList) Clone() *EdgeList {
-	out := &EdgeList{N: el.N, Weighted: el.Weighted, Edges: make([]Edge, len(el.Edges))}
+	out := &EdgeList{N: el.N, Edges: make([]Edge, len(el.Edges))}
 	copy(out.Edges, el.Edges)
 	return out
 }
@@ -139,15 +144,6 @@ func (g *CSR) Neighbors(u NodeID) []NodeID {
 	return g.Targets[g.Offsets[u]:g.Offsets[u+1]]
 }
 
-// EdgeWeights returns the weight slice of u's arcs, or nil when the graph
-// is unweighted (unit weights).
-func (g *CSR) EdgeWeights(u NodeID) []float32 {
-	if g.Weights == nil {
-		return nil
-	}
-	return g.Weights[g.Offsets[u]:g.Offsets[u+1]]
-}
-
 // Weight returns the weight of arc index i (1 for unweighted graphs).
 func (g *CSR) Weight(i int64) float32 {
 	if g.Weights == nil {
@@ -157,7 +153,7 @@ func (g *CSR) Weight(i int64) float32 {
 }
 
 // Validate checks structural invariants: monotone offsets covering
-// exactly len(Targets), and in-range targets.
+// exactly len(Targets), in-range targets and finite weights.
 func (g *CSR) Validate() error {
 	if len(g.Offsets) != g.N+1 {
 		return fmt.Errorf("graph: offsets length %d, want N+1=%d", len(g.Offsets), g.N+1)
@@ -182,12 +178,18 @@ func (g *CSR) Validate() error {
 			return fmt.Errorf("graph: target %d at arc %d out of range", v, i)
 		}
 	}
+	for i, w := range g.Weights {
+		if !finite(w) {
+			return fmt.Errorf("graph: arc %d has weight %v", i, w)
+		}
+	}
 	return nil
 }
 
 // BuildCSR constructs the CSR form of el in parallel: a degree histogram,
 // an exclusive prefix scan for offsets, then a scatter pass driven by
-// per-vertex atomic cursors. workers <= 0 selects GOMAXPROCS.
+// per-vertex atomic cursors. workers <= 0 selects GOMAXPROCS. The CSR
+// carries Weights unless every W is 1.
 //
 // Arc order within a vertex follows edge-list order up to scatter races.
 func BuildCSR(workers int, el *EdgeList) *CSR {
@@ -200,7 +202,7 @@ func BuildCSR(workers int, el *EdgeList) *CSR {
 	copy(deg, counts)
 	parallel.ExclusiveSum(workers, deg)
 	g := &CSR{N: n, Offsets: deg, Targets: make([]NodeID, m)}
-	if el.Weighted {
+	if !unitWeights(workers, el.Edges) {
 		g.Weights = make([]float32, m)
 	}
 	cursor := make([]int64, n)
@@ -218,10 +220,22 @@ func BuildCSR(workers int, el *EdgeList) *CSR {
 	return g
 }
 
+// unitWeights reports whether every edge's W is 1, scanning in parallel.
+func unitWeights(workers int, edges []Edge) bool {
+	return parallel.Reduce(workers, len(edges), true, func(lo, hi int) bool {
+		for _, e := range edges[lo:hi] {
+			if e.W != 1 {
+				return false
+			}
+		}
+		return true
+	}, func(a, b bool) bool { return a && b })
+}
+
 // ToEdgeList expands the CSR back to an edge list (arc per row, in CSR
 // order).
 func (g *CSR) ToEdgeList() *EdgeList {
-	el := &EdgeList{N: g.N, Weighted: g.Weights != nil, Edges: make([]Edge, g.NumEdges())}
+	el := &EdgeList{N: g.N, Edges: make([]Edge, g.NumEdges())}
 	for u := 0; u < g.N; u++ {
 		lo, hi := g.Offsets[u], g.Offsets[u+1]
 		for i := lo; i < hi; i++ {

@@ -41,7 +41,7 @@ func triangle() *EdgeList {
 
 func randomEdgeList(n, m int, seed uint64, weighted bool) *EdgeList {
 	r := xrand.New(seed)
-	el := &EdgeList{N: n, Weighted: weighted, Edges: make([]Edge, m)}
+	el := &EdgeList{N: n, Edges: make([]Edge, m)}
 	for i := range el.Edges {
 		w := float32(1)
 		if weighted {
@@ -163,20 +163,17 @@ func TestBuildCSREmptyAndIsolated(t *testing.T) {
 }
 
 func TestCSRWeights(t *testing.T) {
-	el := &EdgeList{N: 2, Weighted: true, Edges: []Edge{{0, 1, 2.5}}}
+	el := &EdgeList{N: 2, Edges: []Edge{{0, 1, 2.5}}}
 	g := BuildCSR(1, el)
 	if g.Weight(0) != 2.5 {
 		t.Fatalf("weight=%v", g.Weight(0))
-	}
-	if got := g.EdgeWeights(0); len(got) != 1 || got[0] != 2.5 {
-		t.Fatalf("EdgeWeights=%v", got)
 	}
 	unweighted := BuildCSR(1, triangle())
 	if unweighted.Weight(0) != 1 {
 		t.Fatal("unweighted graphs must report unit weights")
 	}
-	if unweighted.EdgeWeights(0) != nil {
-		t.Fatal("unweighted EdgeWeights must be nil")
+	if unweighted.Weights != nil {
+		t.Fatal("an all-ones edge list must build without Weights")
 	}
 }
 

@@ -16,17 +16,19 @@ import (
 // '#'-prefixed comment lines ignored. Vertex count is max id + 1 unless a
 // larger N is forced by the caller.
 
-// WriteEdgeList writes el as text, one edge per line (weight column only
-// when el.Weighted). The sticky.Writer retains the first error for
+// WriteEdgeList writes el as text, one edge per line. The weight column
+// is written only when some W is not 1, so an unweighted list reads
+// back as two columns. The sticky.Writer retains the first error for
 // Flush, so per-field writes stay unchecked by design.
 func WriteEdgeList(w io.Writer, el *EdgeList) error {
+	weighted := !unitWeights(1, el.Edges)
 	sw := sticky.NewWriter(w, 1<<20)
 	fmt.Fprintf(sw, "# nodes %d edges %d\n", el.N, len(el.Edges))
 	for _, e := range el.Edges {
 		sw.WriteString(strconv.FormatUint(uint64(e.U), 10))
 		sw.WriteByte('\t')
 		sw.WriteString(strconv.FormatUint(uint64(e.V), 10))
-		if el.Weighted {
+		if weighted {
 			sw.WriteByte('\t')
 			sw.WriteString(strconv.FormatFloat(float64(e.W), 'g', -1, 32))
 		}
@@ -71,7 +73,9 @@ func ReadEdgeList(r io.Reader, minN int) (*EdgeList, error) {
 				return nil, fmt.Errorf("graph: line %d: %w", line, err)
 			}
 			w = float32(wf)
-			el.Weighted = true
+			if !finite(w) {
+				return nil, fmt.Errorf("graph: line %d: weight %s is not finite", line, fields[2])
+			}
 		}
 		el.Edges = append(el.Edges, Edge{U: NodeID(u), V: NodeID(v), W: w})
 		if int(u) > maxID {

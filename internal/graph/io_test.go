@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -110,8 +111,8 @@ func TestEdgeListRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.N != el.N || len(got.Edges) != len(el.Edges) || got.Weighted != weighted {
-			t.Fatalf("shape: n=%d m=%d weighted=%v", got.N, len(got.Edges), got.Weighted)
+		if got.N != el.N || len(got.Edges) != len(el.Edges) {
+			t.Fatalf("shape: n=%d m=%d", got.N, len(got.Edges))
 		}
 		for i := range el.Edges {
 			if got.Edges[i] != el.Edges[i] {
@@ -130,11 +131,64 @@ func TestReadEdgeListCommentsAndSizing(t *testing.T) {
 	if el.N != 6 {
 		t.Fatalf("N=%d want 6 (max id 5)", el.N)
 	}
-	if len(el.Edges) != 2 || !el.Weighted {
-		t.Fatalf("edges=%v weighted=%v", el.Edges, el.Weighted)
+	if len(el.Edges) != 2 {
+		t.Fatalf("edges=%v", el.Edges)
 	}
-	if el.Edges[1].W != 2.5 {
-		t.Fatalf("weight=%v", el.Edges[1].W)
+	if el.Edges[0].W != 1 || el.Edges[1].W != 2.5 {
+		t.Fatalf("weights=%v,%v want 1,2.5", el.Edges[0].W, el.Edges[1].W)
+	}
+}
+
+// TestEdgeListWeightColumn: the weight column is written exactly when
+// some W is not 1, and every W reads back.
+func TestEdgeListWeightColumn(t *testing.T) {
+	el := randomEdgeList(9, 40, 5, false)
+	for _, w := range []float32{1, 2.5} {
+		el.Edges[17].W = w
+		var buf bytes.Buffer
+		if err := WriteEdgeList(&buf, el); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(buf.String()), "\n")[1:]
+		wantCols := 2
+		if w != 1 {
+			wantCols = 3
+		}
+		for i, line := range lines {
+			if cols := len(strings.Fields(line)); cols != wantCols {
+				t.Fatalf("W[17]=%v: line %d %q has %d columns, want %d", w, i, line, cols, wantCols)
+			}
+		}
+		got, err := ReadEdgeList(&buf, el.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := edgeListKey(el), edgeListKey(got); a != b {
+			t.Fatalf("W[17]=%v: round trip changed the list:\n%s\n%s", w, a, b)
+		}
+	}
+}
+
+// TestReadersRefuseNonFiniteWeights: a NaN or infinite weight never
+// reaches Z from a file; the error names the line or the arc.
+func TestReadersRefuseNonFiniteWeights(t *testing.T) {
+	for _, w := range []string{"NaN", "+Inf", "-Inf", "inf"} {
+		_, err := ReadEdgeList(strings.NewReader("0 1\n0 1 "+w+"\n"), 0)
+		if err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("edge list weight %s: %v", w, err)
+		}
+		_, err = ReadAdjacency(strings.NewReader("WeightedAdjacencyGraph\n2\n2\n0\n1\n1\n0\n1\n" + w + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "arc 1") {
+			t.Errorf("adjacency weight %s: %v", w, err)
+		}
+	}
+	g := &CSR{N: 2, Offsets: []int64{0, 1, 1}, Targets: []NodeID{1}, Weights: []float32{float32(math.Inf(1))}}
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadBinary(&buf); err == nil || !strings.Contains(err.Error(), "arc 0") {
+		t.Errorf("binary weight +Inf: %v", err)
 	}
 }
 
@@ -292,6 +346,17 @@ func FuzzReadGraph(f *testing.F) {
 	}
 	// The largest uint32 id would need N = 1<<32 vertices.
 	f.Add([]byte("\x000 4294967295\n"))
+	// Non-finite weights, which every reader refuses.
+	for _, w := range []string{"NaN", "+Inf", "-Inf"} {
+		f.Add([]byte("\x000 1 " + w + "\n"))
+		f.Add([]byte("\x01WeightedAdjacencyGraph\n2\n1\n0\n1\n1\n" + w + "\n"))
+		wf, _ := strconv.ParseFloat(w, 32)
+		var b bytes.Buffer
+		if err := WriteBinary(&b, &CSR{N: 2, Offsets: []int64{0, 1, 1}, Targets: []NodeID{1}, Weights: []float32{float32(wf)}}); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append([]byte{2}, b.Bytes()...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -348,7 +413,7 @@ func FuzzReadGraph(f *testing.F) {
 // so that NaN compares equal to itself.
 func edgeListKey(el *EdgeList) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "n=%d weighted=%v", el.N, el.Weighted)
+	fmt.Fprintf(&b, "n=%d", el.N)
 	for _, e := range el.Edges {
 		fmt.Fprintf(&b, " %d-%d:%x", e.U, e.V, math.Float32bits(e.W))
 	}

@@ -8,7 +8,7 @@ import "repro/internal/xrand"
 // (label propagation); the GEE kernels do NOT need it because
 // Algorithm 1 already applies both endpoint updates per row.
 func Symmetrize(el *EdgeList) *EdgeList {
-	out := &EdgeList{N: el.N, Weighted: el.Weighted, Edges: make([]Edge, 0, 2*len(el.Edges))}
+	out := &EdgeList{N: el.N, Edges: make([]Edge, 0, 2*len(el.Edges))}
 	for _, e := range el.Edges {
 		out.Edges = append(out.Edges, e)
 		if e.U != e.V {
@@ -22,7 +22,7 @@ func Symmetrize(el *EdgeList) *EdgeList {
 // a new edge list. Useful for cache-behaviour experiments: a random
 // permutation destroys any locality in generated IDs.
 func Permute(el *EdgeList, perm []NodeID) *EdgeList {
-	out := &EdgeList{N: el.N, Weighted: el.Weighted, Edges: make([]Edge, len(el.Edges))}
+	out := &EdgeList{N: el.N, Edges: make([]Edge, len(el.Edges))}
 	for i, e := range el.Edges {
 		out.Edges[i] = Edge{U: perm[e.U], V: perm[e.V], W: e.W}
 	}

@@ -61,38 +61,6 @@ func Full(n, k int, seed uint64) []int32 {
 	return y
 }
 
-// Stats summarizes a label vector.
-type Stats struct {
-	N        int
-	Labeled  int
-	K        int     // 1 + max label
-	Coverage float64 // Labeled / N
-	Counts   []int64 // per-class counts
-}
-
-// Summarize scans Y.
-func Summarize(y []int32) Stats {
-	s := Stats{N: len(y)}
-	for _, v := range y {
-		if v >= 0 {
-			s.Labeled++
-			if int(v)+1 > s.K {
-				s.K = int(v) + 1
-			}
-		}
-	}
-	s.Counts = make([]int64, s.K)
-	for _, v := range y {
-		if v >= 0 {
-			s.Counts[v]++
-		}
-	}
-	if s.N > 0 {
-		s.Coverage = float64(s.Labeled) / float64(s.N)
-	}
-	return s
-}
-
 // Validate checks that all labels are in [-1, k).
 func Validate(y []int32, k int) error {
 	for i, v := range y {

@@ -9,6 +9,38 @@ import (
 	"repro/internal/graph"
 )
 
+// summary describes a label vector.
+type summary struct {
+	N        int
+	Labeled  int
+	K        int     // 1 + max label
+	Coverage float64 // Labeled / N
+	Counts   []int64 // per-class counts
+}
+
+// summarize scans Y.
+func summarize(y []int32) summary {
+	s := summary{N: len(y)}
+	for _, v := range y {
+		if v >= 0 {
+			s.Labeled++
+			if int(v)+1 > s.K {
+				s.K = int(v) + 1
+			}
+		}
+	}
+	s.Counts = make([]int64, s.K)
+	for _, v := range y {
+		if v >= 0 {
+			s.Counts[v]++
+		}
+	}
+	if s.N > 0 {
+		s.Coverage = float64(s.Labeled) / float64(s.N)
+	}
+	return s
+}
+
 func TestSampleSemiSupervisedBudgetExact(t *testing.T) {
 	for _, tc := range []struct {
 		n        int
@@ -21,7 +53,7 @@ func TestSampleSemiSupervisedBudgetExact(t *testing.T) {
 		{7, 0.5, 4}, // rounds 3.5 -> 4
 	} {
 		y := SampleSemiSupervised(tc.n, 50, tc.fraction, 1)
-		s := Summarize(y)
+		s := summarize(y)
 		if s.Labeled != tc.want {
 			t.Fatalf("n=%d f=%v: labeled %d want %d", tc.n, tc.fraction, s.Labeled, tc.want)
 		}
@@ -32,7 +64,7 @@ func TestSampleSemiSupervisedPaperProtocol(t *testing.T) {
 	// The paper's exact setting: 10% of nodes, K=50.
 	n := 100_000
 	y := SampleSemiSupervised(n, 50, 0.1, 42)
-	s := Summarize(y)
+	s := summarize(y)
 	if s.Labeled != 10_000 {
 		t.Fatalf("labeled=%d", s.Labeled)
 	}
@@ -110,7 +142,7 @@ func TestSamplePanics(t *testing.T) {
 
 func TestFull(t *testing.T) {
 	y := Full(1000, 7, 3)
-	s := Summarize(y)
+	s := summarize(y)
 	if s.Labeled != 1000 || s.K > 7 {
 		t.Fatalf("%+v", s)
 	}
@@ -132,7 +164,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
+	s := summarize(nil)
 	if s.N != 0 || s.Labeled != 0 || s.Coverage != 0 {
 		t.Fatalf("%+v", s)
 	}

@@ -75,26 +75,6 @@ func (m *Dense) Scale(a float64) {
 	}
 }
 
-// FrobeniusNorm returns sqrt(sum of squared elements).
-func (m *Dense) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// MaxAbs returns the largest absolute element (0 for an empty matrix).
-func (m *Dense) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
 // MaxAbsDiff returns the largest absolute element-wise difference between
 // m and other. Panics on shape mismatch.
 func (m *Dense) MaxAbsDiff(other *Dense) float64 {

@@ -85,22 +85,9 @@ func TestZeroScale(t *testing.T) {
 	}
 }
 
-func TestFrobeniusNorm(t *testing.T) {
-	m := FromRows([][]float64{{3, 4}})
-	if got := m.FrobeniusNorm(); math.Abs(got-5) > 1e-15 {
-		t.Fatalf("norm=%v want 5", got)
-	}
-	if NewDense(0, 0).FrobeniusNorm() != 0 {
-		t.Fatal("empty norm")
-	}
-}
-
 func TestMaxAbsAndDiff(t *testing.T) {
 	a := FromRows([][]float64{{1, -7, 3}})
 	b := FromRows([][]float64{{1, -4, 3.5}})
-	if a.MaxAbs() != 7 {
-		t.Fatalf("MaxAbs=%v", a.MaxAbs())
-	}
 	if d := a.MaxAbsDiff(b); d != 3 {
 		t.Fatalf("MaxAbsDiff=%v want 3", d)
 	}

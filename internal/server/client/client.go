@@ -303,10 +303,11 @@ func (c *Client) Neighbors(ctx context.Context, req server.NeighborsRequest) (se
 	return out, err
 }
 
-// Delta is DeltaShard(0) for a one-shard server, which reads a bare
-// request as shard 0; a server with more shards refuses it. A response
-// with Resync set means the caller must refetch the full Snapshot
-// instead (see server.DeltaResponse).
+// Delta fetches the epoch delta from `from` to the currently published
+// epoch of a one-shard server, which reads a bare request as shard 0; a
+// server with more shards refuses it. A response with Resync set means
+// the caller must refetch the full Snapshot instead (see
+// server.DeltaResponse).
 func (c *Client) Delta(ctx context.Context, from uint64) (server.DeltaResponse, error) {
 	var out server.DeltaResponse
 	_, err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/delta?from=%d", from), nil, &out)
@@ -337,15 +338,6 @@ func (c *Client) Partition(ctx context.Context) (shard.Meta, error) {
 func (c *Client) SnapshotShard(ctx context.Context, s int) (server.SnapshotResponse, error) {
 	var out server.SnapshotResponse
 	_, err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/snapshot?shard=%d", s), nil, &out)
-	return out, err
-}
-
-// DeltaShard fetches shard s's epoch delta from `from` to that shard's
-// currently published epoch. Row ids are global, restricted to the
-// shard's owned window.
-func (c *Client) DeltaShard(ctx context.Context, s int, from uint64) (server.DeltaResponse, error) {
-	var out server.DeltaResponse
-	_, err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/delta?from=%d&shard=%d", from, s), nil, &out)
 	return out, err
 }
 

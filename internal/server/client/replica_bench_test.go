@@ -24,7 +24,7 @@ func BenchmarkReplicaSync(b *testing.B) {
 	const n, k = 100_000, 10
 	p := newPrimary(b, n, k, 1, dyn.Options{})
 	r := xrand.New(101)
-	if err := p.shards[0].D.AddEdges(randEdges(r, n, 700_000)); err != nil {
+	if err := p.shards[0].D.Apply(dyn.Batch{Insert: randEdges(r, n, 700_000)}); err != nil {
 		b.Fatal(err)
 	}
 	c := client.New(p.serve(b), nil, client.WithWire(client.Binary))

@@ -268,18 +268,9 @@ func (c *Coalescer) instrument(reg *metrics.Registry, labels ...metrics.Label) {
 // Submit enqueues one write request without blocking. The returned
 // channel delivers exactly one Ack once the request's operations are
 // published (or rejected by validation). A batch with no operations is
-// acknowledged immediately at the current epoch.
+// acknowledged immediately at the current epoch. The request carries
+// no trace; the router's writes enqueue theirs through enqueueLocked.
 func (c *Coalescer) Submit(b dyn.Batch) (<-chan Ack, error) {
-	return c.SubmitTraced(b, nil)
-}
-
-// SubmitTraced is Submit carrying the request's trace. The coalescer
-// opens the queue-wait span here and records fold and publish-wait
-// spans as the request moves through the pipeline; ownership of tr
-// transfers to the ingest goroutine on enqueue and returns to the
-// caller with the ack (both handoffs synchronize via channels). A nil
-// tr degrades to plain Submit.
-func (c *Coalescer) SubmitTraced(b dyn.Batch, tr *trace.Trace) (<-chan Ack, error) {
 	ops := len(b.Insert) + len(b.Delete) + len(b.Labels)
 	if ops == 0 {
 		done := make(chan Ack, 1)
@@ -291,7 +282,7 @@ func (c *Coalescer) SubmitTraced(b dyn.Batch, tr *trace.Trace) (<-chan Ack, erro
 	if err := c.canAcceptLocked(); err != nil {
 		return nil, err
 	}
-	return c.enqueueLocked(b, ops, tr), nil
+	return c.enqueueLocked(b, ops, nil), nil
 }
 
 // lock/unlock expose the coalescer's mutex to the router, which must
@@ -320,7 +311,11 @@ func (c *Coalescer) canAcceptLocked() error {
 
 // enqueueLocked enqueues one request that canAcceptLocked already
 // admitted; the send cannot block because the room check and this send
-// happen under one continuous hold of c.mu. Callers hold c.mu.
+// happen under one continuous hold of c.mu. Callers hold c.mu. The
+// queue-wait span of tr opens here, and the fold and publish-wait spans
+// follow the request through the pipeline: ownership of tr passes to
+// the ingest goroutine on enqueue and back to the caller with the ack
+// (both handoffs synchronize via channels). A nil tr records nothing.
 func (c *Coalescer) enqueueLocked(b dyn.Batch, ops int, tr *trace.Trace) <-chan Ack {
 	done := make(chan Ack, 1)
 	req := &request{batch: b, ops: ops, done: done, enq: time.Now(), tr: tr}

@@ -40,13 +40,10 @@ type serverMetrics struct {
 // to the router: body read and parse), queue, fold, publish, ack.
 var stageNames = []string{"decode", "queue", "fold", "publish", "ack"}
 
-func newServerMetrics(opts Options) *serverMetrics {
-	reg := opts.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
+func newServerMetrics(disableTracing bool) *serverMetrics {
+	reg := metrics.NewRegistry()
 	sm := &serverMetrics{reg: reg}
-	if !opts.DisableTracing {
+	if !disableTracing {
 		sm.rec = trace.NewRecorder(trace.DefRecent)
 		sm.stages = make(map[string]*metrics.Histogram, len(stageNames))
 		for _, stage := range stageNames {

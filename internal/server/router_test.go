@@ -59,15 +59,14 @@ func TestShardedInstrumentDistinctSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := metrics.NewRegistry()
-	s := NewSharded(p, shs, Options{Metrics: reg})
+	s := NewSharded(p, shs, Options{})
 	defer func() {
 		if err := s.Close(); err != nil {
 			t.Errorf("close: %v", err)
 		}
 	}()
 	var buf bytes.Buffer
-	if err := reg.WriteText(&buf); err != nil {
+	if err := s.Metrics().WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	samples, err := metrics.ParseText(bytes.NewReader(buf.Bytes()))

@@ -135,7 +135,10 @@ func TestScanMutationSpellings(t *testing.T) {
 			}
 			b = append(b, pick(space)+"{"...)
 			members := []string{"u", "v", "w", "u", "x"}[:2+r.Intn(2)+r.Intn(20)/19*2]
-			xrand.Shuffle(r, members)
+			for m := len(members) - 1; m > 0; m-- {
+				j := r.Intn(m + 1)
+				members[m], members[j] = members[j], members[m]
+			}
 			for m, key := range members {
 				if m > 0 {
 					b = append(b, pick(space)+","...)

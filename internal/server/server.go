@@ -231,16 +231,16 @@ type ErrorResponse struct {
 // single client cannot balloon server memory.
 const maxBodyBytes = 64 << 20
 
-// Connection and response-amplification defaults (overridable via
-// Options). The header timeout kills Slowloris-style clients that open
-// a connection and trickle header bytes forever; the idle timeout
+// Connection and response-amplification limits. The header timeout
+// (overridable via Options) kills Slowloris-style clients that open a
+// connection and trickle header bytes forever; the idle timeout
 // reclaims keep-alive connections of departed clients; the read-batch
 // cap stops a small duplicate-heavy /v1/embeddings body from streaming
 // an arbitrarily large response.
 const (
 	defaultReadHeaderTimeout = 5 * time.Second
-	defaultIdleTimeout       = 2 * time.Minute
-	defaultMaxReadBatch      = 8192
+	idleTimeout              = 2 * time.Minute
+	maxReadBatch             = 8192
 )
 
 // Options configures a Server.
@@ -251,18 +251,6 @@ type Options struct {
 	// ReadHeaderTimeout bounds how long a connection may take to send
 	// its request headers. 0 selects 5s; negative disables.
 	ReadHeaderTimeout time.Duration
-	// IdleTimeout bounds how long a keep-alive connection may sit
-	// idle. 0 selects 2m; negative disables.
-	IdleTimeout time.Duration
-	// MaxReadBatch caps len(vs) of one POST /v1/embeddings request.
-	// 0 selects 8192; negative disables the cap.
-	MaxReadBatch int
-	// Metrics is the registry the server instruments itself (and the
-	// embedder, coalescer, and index cache) into, served at
-	// GET /metrics. Nil selects a fresh registry. One registry backs
-	// one server: instrument names are fixed, so two servers sharing a
-	// registry would share cells.
-	Metrics *metrics.Registry
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the same
 	// mux. Off by default: profiling endpoints leak heap contents and
 	// must be an explicit operator decision.
@@ -280,20 +268,18 @@ type Options struct {
 // NewSharded; both start the ingest coalescers. Expose Handler
 // somewhere (or use ListenAndServe/Serve), and Shutdown to drain.
 type Server struct {
-	rt      *router
-	mux     *http.ServeMux
-	http    *http.Server
-	maxRead int
-	sm      *serverMetrics
+	rt   *router
+	mux  *http.ServeMux
+	http *http.Server
+	sm   *serverMetrics
 	// The row-carrying routes, whose response-bytes histograms /statsz's
 	// wire split reads.
 	snapshotRoute, deltaRoute, embeddingsRoute *routeMetrics
 }
 
-// orDefault maps the Options timeout/limit convention (0 = default,
-// negative = disabled) onto the value the http.Server / handler wants
-// (0 = disabled).
-func orDefault[T int | time.Duration](v, def T) T {
+// orDefault maps the Options timeout convention (0 = default, negative
+// = disabled) onto the value the http.Server wants (0 = disabled).
+func orDefault(v, def time.Duration) time.Duration {
 	switch {
 	case v == 0:
 		return def
@@ -331,10 +317,7 @@ func NewSharded(p *shard.Partition, shards []*shard.Shard, opts Options) *Server
 // starting the coalescers (white-box tests exercise the backpressure
 // path against an idle queue).
 func newServer(p *shard.Partition, shards []*shard.Shard, opts Options) *Server {
-	s := &Server{
-		rt:      newRouter(p, shards, opts),
-		maxRead: orDefault(opts.MaxReadBatch, defaultMaxReadBatch),
-	}
+	s := &Server{rt: newRouter(p, shards, opts)}
 	s.mux = http.NewServeMux()
 	// Built here, not in Serve: Shutdown may run concurrently with (or
 	// before) Serve from another goroutine, so the field must be
@@ -342,9 +325,9 @@ func newServer(p *shard.Partition, shards []*shard.Shard, opts Options) *Server 
 	s.http = &http.Server{
 		Handler:           s.mux,
 		ReadHeaderTimeout: orDefault(opts.ReadHeaderTimeout, defaultReadHeaderTimeout),
-		IdleTimeout:       orDefault(opts.IdleTimeout, defaultIdleTimeout),
+		IdleTimeout:       idleTimeout,
 	}
-	s.sm = newServerMetrics(opts)
+	s.sm = newServerMetrics(opts.DisableTracing)
 	// Every API route goes through the metrics wrapper; the instruments
 	// are resolved here, once, so the per-request cost is atomic adds.
 	handle := func(pattern string, h http.HandlerFunc) *routeMetrics {
@@ -385,7 +368,9 @@ func newServer(p *shard.Partition, shards []*shard.Shard, opts Options) *Server 
 }
 
 // Metrics returns the server's registry (the one /metrics serves), for
-// embedding processes that want to add their own instruments.
+// embedding processes that want to add their own instruments. Each
+// server builds its own: instrument names are fixed, so two servers
+// sharing a registry would share cells.
 func (s *Server) Metrics() *metrics.Registry { return s.sm.reg }
 
 // Handler returns the HTTP handler (for httptest or custom servers).
@@ -638,9 +623,9 @@ func (s *Server) handleEmbeddings(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if s.maxRead > 0 && len(req.Vs) > s.maxRead {
+	if len(req.Vs) > maxReadBatch {
 		writeError(w, http.StatusBadRequest, "batch read of %d vertices exceeds the limit of %d per request",
-			len(req.Vs), s.maxRead)
+			len(req.Vs), maxReadBatch)
 		return
 	}
 	rv := s.rt.view()

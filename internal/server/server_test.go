@@ -211,7 +211,7 @@ func TestServerIngestMatchesBatchEmbed(t *testing.T) {
 			t.Fatalf("label of %d drifted: %d vs %d", v, snap.Y[v], yFinal[v])
 		}
 	}
-	want, err := gee.Embed(gee.Reference, &graph.EdgeList{N: n, Edges: live, Weighted: true},
+	want, err := gee.Embed(gee.Reference, &graph.EdgeList{N: n, Edges: live},
 		yFinal, gee.Options{K: k})
 	if err != nil {
 		t.Fatal(err)
@@ -659,18 +659,21 @@ func TestServerReadHeaderTimeout(t *testing.T) {
 
 // TestServerBatchedReadCap is the read-amplification regression test:
 // a duplicate-heavy vs list within the body-size bound used to stream
-// an arbitrarily large response; now the vertex count is capped and
-// the limit is named in the 400.
+// an arbitrarily large response; now the vertex count is capped at
+// 8192 and the limit is named in the 400.
 func TestServerBatchedReadCap(t *testing.T) {
-	const n, k = 30, 2
-	_, c, _ := startServer(t, n, fullLabels(n, k), dyn.Options{K: k},
-		server.Options{MaxReadBatch: 4})
+	const n, k, limit = 30, 2, 8192
+	_, c, _ := startServer(t, n, fullLabels(n, k), dyn.Options{K: k}, server.Options{})
 	ctx := context.Background()
-	if _, err := c.Embeddings(ctx, []graph.NodeID{1, 2, 3, 4}); err != nil {
+	vs := make([]graph.NodeID, limit+1)
+	for i := range vs {
+		vs[i] = graph.NodeID(i % n)
+	}
+	if _, err := c.Embeddings(ctx, vs[:limit]); err != nil {
 		t.Fatalf("at-limit read rejected: %v", err)
 	}
-	_, err := c.Embeddings(ctx, []graph.NodeID{1, 1, 1, 1, 1})
-	if err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "limit of 4") {
+	_, err := c.Embeddings(ctx, vs)
+	if err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "limit of 8192") {
 		t.Fatalf("over-limit read: %v", err)
 	}
 	// The cap is per request, not cumulative: the next read still works.

@@ -27,7 +27,7 @@ func benchSnapshot(b *testing.B, n, k int) *dyn.Version {
 	for i := range edges {
 		edges[i] = graph.Edge{U: graph.NodeID(r.Intn(n)), V: graph.NodeID(r.Intn(n)), W: 1}
 	}
-	if err := d.AddEdges(edges); err != nil {
+	if err := d.Apply(dyn.Batch{Insert: edges}); err != nil {
 		b.Fatal(err)
 	}
 	return d.Publish()

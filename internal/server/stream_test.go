@@ -75,7 +75,7 @@ func bigSnapshot(t *testing.T, n, k int) *dyn.Version {
 	for i := range edges {
 		edges[i] = graph.Edge{U: graph.NodeID(r.Intn(n)), V: graph.NodeID(r.Intn(n)), W: 1}
 	}
-	if err := d.AddEdges(edges); err != nil {
+	if err := d.Apply(dyn.Batch{Insert: edges}); err != nil {
 		t.Fatal(err)
 	}
 	return d.Publish()
@@ -146,7 +146,7 @@ func TestStreamDeltaAbortsOnWriteError(t *testing.T) {
 	for i := range edges {
 		edges[i] = graph.Edge{U: graph.NodeID(r.Intn(n)), V: graph.NodeID(r.Intn(n)), W: 1}
 	}
-	if err := d.AddEdges(edges); err != nil {
+	if err := d.Apply(dyn.Batch{Insert: edges}); err != nil {
 		t.Fatal(err)
 	}
 	dl := d.Delta(0)

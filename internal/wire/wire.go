@@ -355,19 +355,6 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// EncodedSize returns the exact on-wire byte length of the frame.
-func (f *Frame) EncodedSize() (int64, error) {
-	h, err := f.normalized()
-	if err != nil {
-		return 0, err
-	}
-	body, err := h.BodySize()
-	if err != nil {
-		return 0, err
-	}
-	return HeaderSize + body, nil
-}
-
 // WriteTo encodes the whole frame (implements io.WriterTo). Large
 // streams should prefer the incremental Append helpers; WriteTo is the
 // convenience path for tests and small frames.

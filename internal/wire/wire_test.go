@@ -118,10 +118,24 @@ func framesEqual(t *testing.T, want, got *Frame) {
 	}
 }
 
+// encodedSize returns the exact on-wire byte length of f: its header
+// plus the body its normalized header describes.
+func encodedSize(f *Frame) (int64, error) {
+	h, err := f.normalized()
+	if err != nil {
+		return 0, err
+	}
+	body, err := h.BodySize()
+	if err != nil {
+		return 0, err
+	}
+	return HeaderSize + body, nil
+}
+
 // TestFrameRoundTripProperty is the bit-exactness property test: any
 // encodable frame decodes back — via both the reader and the in-place
 // decoder — to the same bits, including NaN payloads, and the encoded
-// length matches EncodedSize exactly.
+// length matches encodedSize exactly.
 func TestFrameRoundTripProperty(t *testing.T) {
 	r := xrand.New(211)
 	for trial := 0; trial < 300; trial++ {
@@ -131,9 +145,9 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: encode: %v", trial, err)
 		}
-		want, err := f.EncodedSize()
+		want, err := encodedSize(f)
 		if err != nil || n != int64(buf.Len()) || n != want {
-			t.Fatalf("trial %d: wrote %d bytes, buffer %d, EncodedSize %d (%v)",
+			t.Fatalf("trial %d: wrote %d bytes, buffer %d, encodedSize %d (%v)",
 				trial, n, buf.Len(), want, err)
 		}
 		got, err := ReadFrame(bytes.NewReader(buf.Bytes()))

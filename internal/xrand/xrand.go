@@ -77,13 +77,13 @@ func (r *Rand) Intn(n int) int {
 	if n <= 0 {
 		panic("xrand: Intn with n <= 0")
 	}
-	return int(r.Uint64n(uint64(n)))
+	return int(r.uint64n(uint64(n)))
 }
 
-// Uint64n returns a uniform value in [0, n) using rejection sampling.
-func (r *Rand) Uint64n(n uint64) uint64 {
+// uint64n returns a uniform value in [0, n) using rejection sampling.
+func (r *Rand) uint64n(n uint64) uint64 {
 	if n == 0 {
-		panic("xrand: Uint64n with n == 0")
+		panic("xrand: uint64n with n == 0")
 	}
 	if n&(n-1) == 0 { // power of two
 		return r.Uint64() & (n - 1)
@@ -111,37 +111,6 @@ func (r *Rand) NormFloat64() float64 {
 		s := u*u + v*v
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle permutes s in place (Fisher-Yates).
-func Shuffle[T any](r *Rand, s []T) {
-	for i := len(s) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
-// Exponential returns an Exp(1) variate.
-func (r *Rand) Exponential() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
 		}
 	}
 }
