@@ -15,18 +15,18 @@
 //
 // With -replica-verify, after the load window closes each replica is
 // synced onto the primary's published epoch vector and compared row by
-// row against every shard's /v1/snapshot section — every float must be
-// bit-identical, or the run fails. This is the end-to-end check that
-// delta streaming loses nothing.
+// row against every shard's /v1/snapshot section, read as a binary
+// frame — every float must be bit-identical, or the run fails. This is
+// the end-to-end check that delta streaming loses nothing.
 //
-// -wire selects the response encoding for the row-carrying endpoints:
-// json (the default) or binary (the compact frame format, ~5× fewer
-// bytes per replica sync). The replica lines report bytes per sync so
-// the two runs are directly comparable.
+// -wire selects the encoding the batched readers ask for: json (the
+// default) or binary (the compact frame format). Replicas always read
+// frames, whatever -wire says; the replica lines report their bytes
+// per sync.
 //
 //	geeload -addr http://127.0.0.1:8080 -duration 5s -writers 4 -readers 4
 //	geeload -addr ... -batch-readers 2 -neighbor-readers 2 -replicas 2 -replica-verify
-//	geeload -addr ... -replicas 1 -replica-verify -wire binary
+//	geeload -addr ... -batch-readers 2 -wire binary
 package main
 
 import (
@@ -108,7 +108,7 @@ func main() {
 	flag.IntVar(&cfg.replicas, "replicas", 0, "replica followers syncing over GET /v1/delta")
 	flag.DurationVar(&cfg.replicaSync, "replica-sync", 25*time.Millisecond, "pause between replica sync rounds")
 	flag.BoolVar(&cfg.replicaVerify, "replica-verify", false, "after the load, verify each replica is bit-identical to /v1/snapshot")
-	flag.StringVar(&cfg.wireFmt, "wire", "json", "row-response wire format: json or binary")
+	flag.StringVar(&cfg.wireFmt, "wire", "json", "wire format the batched readers ask for: json or binary (replicas always read binary frames)")
 	flag.IntVar(&cfg.batch, "batch", 64, "edges per insert request")
 	flag.Float64Var(&cfg.deleteFrac, "delete-frac", 0.2, "fraction of writer requests that delete a previously inserted batch")
 	flag.Float64Var(&cfg.labelFrac, "label-frac", 0.2, "fraction of vertices labeled round-robin before the load starts")
@@ -394,7 +394,10 @@ func run(cfg config, out io.Writer) error {
 		}
 	}
 	if cfg.replicaVerify && len(reps) > 0 {
-		if err := verifyReplicas(ctx, c, reps, out); err != nil {
+		// The comparison sections are read as frames whatever -wire says:
+		// a replica holds the binary wire's float32 rows.
+		fc := client.New(normalizeBase(cfg.addr), nil, client.WithWire(client.Binary))
+		if err := verifyReplicas(ctx, fc, reps, out); err != nil {
 			return err
 		}
 	}
@@ -622,7 +625,8 @@ func measureRecall(ctx context.Context, c *client.Client, n int, cfg config, out
 	return nil
 }
 
-// verifyReplicas checks every replica against the primary bit for bit.
+// verifyReplicas checks every replica against the primary bit for bit,
+// reading the primary's sections through c, which must speak frames.
 // The primary's state is the union of per-shard sections, each at its
 // own epoch, so each replica must converge onto the fetched sections'
 // epoch vector and then match them row by row — the delta path
@@ -695,8 +699,8 @@ func verifyReplicas(ctx context.Context, c *client.Client, reps []*client.Replic
 					return fmt.Errorf("replica %d: label of %d is %d, shard %d has %d",
 						i, v, s.Y[v], sh, sec.Y[u])
 				}
-				// Same wire format on both sides, so equality is bitwise
-				// even over the float32 binary frames.
+				// Both sides hold the binary wire's float32 rows, so
+				// equality is bitwise.
 				for col, x := range s.CopyRow(v, row) {
 					if x != sec.Z[u][col] {
 						return fmt.Errorf("replica %d: Z[%d][%d] = %v, shard %d has %v (not bit-identical)",

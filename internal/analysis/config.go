@@ -41,7 +41,6 @@ func DefaultAnalyzers() []Analyzer {
 			Required: []string{
 				// Streamer numeric writers: every float of an n×K
 				// snapshot passes through these.
-				"(*repro/internal/server.streamer).uintv",
 				"(*repro/internal/server.streamer).intv",
 				"(*repro/internal/server.streamer).floatv",
 				// The sticky writer the streamers feed.

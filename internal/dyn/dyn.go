@@ -58,9 +58,8 @@ import (
 	"repro/internal/rows"
 )
 
-// Options configures a DynamicEmbedder. The Laplacian and directed
-// variants are not supported dynamically (degrees change with every
-// batch; the 2K layout is a static transform).
+// Options configures a DynamicEmbedder. The Laplacian variant is not
+// supported dynamically: its 1/sqrt(deg) scale changes with every batch.
 type Options struct {
 	// K is the number of classes (embedding width). Zero infers
 	// 1 + max(y) from the initial labels.

@@ -13,8 +13,8 @@
 //     (per-worker private Z buffers + reduction), and ShardedDest (a
 //     contention-free destination-range sharding with plain writes).
 //
-// The gee package builds kernels for each variant (standard, Laplacian,
-// directed, float32) and delegates execution here. The CSR strategies
+// The gee package builds kernels for each variant (standard and
+// Laplacian) and delegates execution here. The CSR strategies
 // share one arc walk (walk.go), so the update loop exists once, not
 // once per variant × strategy.
 package exec
@@ -49,8 +49,6 @@ type Float interface {
 //     with negative = unlabeled), Coeff[x] = 1/count(Y = Y(x)).
 //   - Laplacian GEE: additionally Scale[x] = 1/sqrt(deg(x)), so
 //     s = w/sqrt(deg(u)·deg(v)).
-//   - directed GEE: DstCol = Y + K shifts in-profile updates into the
-//     second half of a 2K-wide Z.
 type Kernel[T Float] struct {
 	// Width is the number of columns of Z (K).
 	Width int

@@ -87,8 +87,8 @@ type destPlanEntry struct {
 // count, consulting the plan slot cached on the CSR (ROADMAP: repeated
 // benchmark runs on the same graph amortize the O(m) bucketing to
 // zero). The plan depends only on graph structure and
-// parts — not on the kernel — so one cached plan serves every variant
-// (standard, Laplacian, directed, float32) at the same worker count.
+// parts — not on the kernel — so one cached plan serves both variants
+// (standard and Laplacian) at the same worker count.
 // Returns whether the plan had to be built this call.
 func destPlanFor(g *graph.CSR, parts, workers int) (*destPlan, bool) {
 	if e, ok := g.CachedPlan().(*destPlanEntry); ok && e.parts == parts {

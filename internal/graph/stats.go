@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/parallel"
 )
@@ -110,7 +111,7 @@ func degreePercentile(g *CSR, q float64) int64 {
 						tail = append(tail, dd)
 					}
 				}
-				parallel.SortFunc(1, tail, func(a, b int64) bool { return a < b })
+				slices.Sort(tail)
 				idx := target - (cum - hist[cap])
 				return tail[idx]
 			}

@@ -2,7 +2,6 @@ package parallel
 
 import (
 	"math/rand"
-	"sort"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -229,38 +228,6 @@ func TestHistogramEmpty(t *testing.T) {
 		if v != 0 {
 			t.Fatal("nonzero bucket for empty input")
 		}
-	}
-}
-
-func TestSortFuncMatchesStdlib(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for _, n := range []int{0, 1, 2, 100, 1 << 14, 1<<16 + 3} {
-		a := make([]int, n)
-		for i := range a {
-			a[i] = rng.Intn(1000)
-		}
-		b := append([]int(nil), a...)
-		SortFunc(8, a, func(x, y int) bool { return x < y })
-		sort.Ints(b)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("n=%d: mismatch at %d: %d vs %d", n, i, a[i], b[i])
-			}
-		}
-	}
-}
-
-func TestSortFuncProperty(t *testing.T) {
-	f := func(vals []uint16) bool {
-		s := make([]int, len(vals))
-		for i, v := range vals {
-			s[i] = int(v)
-		}
-		SortFunc(4, s, func(a, b int) bool { return a < b })
-		return sort.IntsAreSorted(s)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -30,7 +30,9 @@ import (
 var ErrBacklog = errors.New("client: server ingest queue full (429)")
 
 // Format selects how the client asks the server to encode the large
-// row-carrying responses (snapshot, delta, batched embeddings).
+// row-carrying responses it decodes into the JSON response structs:
+// Snapshot, SnapshotShard and Embeddings. A Replica does not use it: it
+// always reads binary frames.
 type Format int
 
 const (
@@ -39,10 +41,9 @@ const (
 	// published bits.
 	JSON Format = iota
 	// Binary negotiates compact wire frames (internal/wire): dense
-	// float32 snapshots and sparse delta rows at a fraction of the JSON
-	// bytes — decoded transparently into the same response structs. A
-	// server may answer JSON anyway; the response's Content-Type picks
-	// the decoder.
+	// float32 rows at a fraction of the JSON bytes, decoded
+	// transparently into the same response structs. A server may answer
+	// JSON anyway; the response's Content-Type picks the decoder.
 	Binary
 )
 
@@ -79,11 +80,8 @@ func New(base string, hc *http.Client, opts ...Option) *Client {
 	return c
 }
 
-// Wire reports the client's negotiated wire format for row responses.
-func (c *Client) Wire() Format { return c.wire }
-
 // countingReader counts bytes as they are consumed — the replica's
-// delta-vs-snapshot payload accounting.
+// wire-byte accounting.
 type countingReader struct {
 	r io.Reader
 	n int64
@@ -128,15 +126,12 @@ func checkStatus(resp *http.Response, method, path string) error {
 // error statuses. A binary-mode client negotiates wire frames for the
 // row-carrying endpoints and decodes them transparently — out is
 // filled either way; the response's Content-Type decides the decoder.
-// It returns the number of response-body bytes consumed (0 for error
-// statuses), so callers that care about wire cost — the Replica — can
-// account for it.
-func (c *Client) do(ctx context.Context, method, path string, body any, out any) (int64, error) {
+func (c *Client) do(ctx context.Context, method, path string, body any, out any) error {
 	var buf []byte
 	if body != nil {
 		var err error
 		if buf, err = json.Marshal(body); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	return c.send(ctx, method, path, buf, out)
@@ -144,20 +139,69 @@ func (c *Client) do(ctx context.Context, method, path string, body any, out any)
 
 // send is do with the JSON request body already rendered (nil for
 // none).
-func (c *Client) send(ctx context.Context, method, path string, body []byte, out any) (int64, error) {
+func (c *Client) send(ctx context.Context, method, path string, body []byte, out any) error {
+	accept := ""
+	if c.wire == Binary {
+		accept = acceptValue
+	}
+	resp, err := c.roundTrip(ctx, method, path, body, accept)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if out == nil {
+		io.Copy(io.Discard, resp.Body)
+		return nil
+	}
+	if isFrame(resp.Header.Get("Content-Type")) {
+		f, err := wire.ReadFrame(resp.Body)
+		if err != nil {
+			return err
+		}
+		return frameInto(f, out)
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// readFrame GETs path asking for a binary frame alone, whatever the
+// client's Format, and returns the decoded frame and the number of body
+// bytes read. A response in any other encoding is an error: the
+// Replica's reads go through here, and a replica holds only the binary
+// wire's float32 rows.
+func (c *Client) readFrame(ctx context.Context, path string) (*wire.Frame, int64, error) {
+	resp, err := c.roundTrip(ctx, http.MethodGet, path, nil, wire.ContentType)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); !isFrame(ct) {
+		return nil, 0, fmt.Errorf("client: GET %s answered %q, want %s", path, ct, wire.ContentType)
+	}
+	cr := &countingReader{r: resp.Body}
+	f, err := wire.ReadFrame(cr)
+	if err != nil {
+		return nil, cr.n, fmt.Errorf("client: GET %s: %w", path, err)
+	}
+	return f, cr.n, nil
+}
+
+// roundTrip sends one request, accepting the given media types (none
+// when accept is empty), and returns the 200 response whose body the
+// caller must close; any other status is an error.
+func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte, accept string) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if c.wire == Binary {
-		req.Header.Set("Accept", acceptValue)
+	if accept != "" {
+		req.Header.Set("Accept", accept)
 	}
 	// Mint the trace id the server records this request under, so its
 	// trace in the server's flight recorder (/debug/traces) is directly
@@ -165,28 +209,13 @@ func (c *Client) send(ctx context.Context, method, path string, body []byte, out
 	req.Header.Set(trace.Header, trace.NewID().String())
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	defer resp.Body.Close()
 	if err := checkStatus(resp, method, path); err != nil {
-		return 0, err
+		resp.Body.Close()
+		return nil, err
 	}
-	cr := &countingReader{r: resp.Body}
-	if out == nil {
-		io.Copy(io.Discard, cr)
-		return cr.n, nil
-	}
-	if isFrame(resp.Header.Get("Content-Type")) {
-		f, err := wire.ReadFrame(cr)
-		if err != nil {
-			return cr.n, err
-		}
-		return cr.n, frameInto(f, out)
-	}
-	if err := json.NewDecoder(cr).Decode(out); err != nil {
-		return cr.n, err
-	}
-	return cr.n, nil
+	return resp, nil
 }
 
 // edgeBytes is the rendered size of a typical edge — five-digit ids, a
@@ -245,7 +274,7 @@ func (c *Client) mutateEdges(ctx context.Context, method string, edges []graph.E
 	if err != nil {
 		return out, err
 	}
-	_, err = c.send(ctx, method, "/v1/edges", body, &out)
+	err = c.send(ctx, method, "/v1/edges", body, &out)
 	return out, err
 }
 
@@ -268,14 +297,14 @@ func (c *Client) UpdateLabels(ctx context.Context, ups []dyn.LabelUpdate) (serve
 		wire[i] = server.LabelWire{V: u.V, Class: u.Class}
 	}
 	var out server.MutationResponse
-	_, err := c.do(ctx, http.MethodPost, "/v1/labels", server.MutationRequest{Labels: wire}, &out)
+	err := c.do(ctx, http.MethodPost, "/v1/labels", server.MutationRequest{Labels: wire}, &out)
 	return out, err
 }
 
 // Embedding fetches vertex v's row of the current published snapshot.
 func (c *Client) Embedding(ctx context.Context, v graph.NodeID) (server.EmbeddingResponse, error) {
 	var out server.EmbeddingResponse
-	_, err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/embedding/%d", v), nil, &out)
+	err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/embedding/%d", v), nil, &out)
 	return out, err
 }
 
@@ -285,7 +314,7 @@ func (c *Client) Embedding(ctx context.Context, v graph.NodeID) (server.Embeddin
 func (c *Client) Embeddings(ctx context.Context, vs []graph.NodeID) (server.BatchEmbeddingResponse, error) {
 	var out server.BatchEmbeddingResponse
 	// graph.NodeID is an alias of uint32, so the slice is the wire type.
-	_, err := c.do(ctx, http.MethodPost, "/v1/embeddings", server.BatchEmbeddingRequest{Vs: vs}, &out)
+	err := c.do(ctx, http.MethodPost, "/v1/embeddings", server.BatchEmbeddingRequest{Vs: vs}, &out)
 	return out, err
 }
 
@@ -299,18 +328,7 @@ func (c *Client) Embeddings(ctx context.Context, vs []graph.NodeID) (server.Batc
 // the epoch it reports.
 func (c *Client) Neighbors(ctx context.Context, req server.NeighborsRequest) (server.NeighborsResponse, error) {
 	var out server.NeighborsResponse
-	_, err := c.do(ctx, http.MethodPost, "/v1/neighbors", req, &out)
-	return out, err
-}
-
-// Delta fetches the epoch delta from `from` to the currently published
-// epoch of a one-shard server, which reads a bare request as shard 0; a
-// server with more shards refuses it. A response with Resync set means
-// the caller must refetch the full Snapshot instead (see
-// server.DeltaResponse).
-func (c *Client) Delta(ctx context.Context, from uint64) (server.DeltaResponse, error) {
-	var out server.DeltaResponse
-	_, err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/delta?from=%d", from), nil, &out)
+	err := c.do(ctx, http.MethodPost, "/v1/neighbors", req, &out)
 	return out, err
 }
 
@@ -319,7 +337,7 @@ func (c *Client) Delta(ctx context.Context, from uint64) (server.DeltaResponse, 
 // shards refuses it (use Partition and SnapshotShard).
 func (c *Client) Snapshot(ctx context.Context) (server.SnapshotResponse, error) {
 	var out server.SnapshotResponse
-	_, err := c.do(ctx, http.MethodGet, "/v1/snapshot", nil, &out)
+	err := c.do(ctx, http.MethodGet, "/v1/snapshot", nil, &out)
 	return out, err
 }
 
@@ -328,7 +346,7 @@ func (c *Client) Snapshot(ctx context.Context) (server.SnapshotResponse, error) 
 // one-shard partition.
 func (c *Client) Partition(ctx context.Context) (shard.Meta, error) {
 	var out shard.Meta
-	_, err := c.do(ctx, http.MethodGet, "/v1/partition", nil, &out)
+	err := c.do(ctx, http.MethodGet, "/v1/partition", nil, &out)
 	return out, err
 }
 
@@ -337,20 +355,20 @@ func (c *Client) Partition(ctx context.Context) (shard.Meta, error) {
 // offset (implicit on the binary wire — use Partition's bounds).
 func (c *Client) SnapshotShard(ctx context.Context, s int) (server.SnapshotResponse, error) {
 	var out server.SnapshotResponse
-	_, err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/snapshot?shard=%d", s), nil, &out)
+	err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/snapshot?shard=%d", s), nil, &out)
 	return out, err
 }
 
 // Health fetches /healthz.
 func (c *Client) Health(ctx context.Context) (server.HealthResponse, error) {
 	var out server.HealthResponse
-	_, err := c.do(ctx, http.MethodGet, "/healthz", nil, &out)
+	err := c.do(ctx, http.MethodGet, "/healthz", nil, &out)
 	return out, err
 }
 
 // Stats fetches /statsz.
 func (c *Client) Stats(ctx context.Context) (server.StatsResponse, error) {
 	var out server.StatsResponse
-	_, err := c.do(ctx, http.MethodGet, "/statsz", nil, &out)
+	err := c.do(ctx, http.MethodGet, "/statsz", nil, &out)
 	return out, err
 }

@@ -28,17 +28,6 @@ func rowsToF64(rows []float32, n, k int) [][]float64 {
 	return out
 }
 
-func frameLabels(ls []wire.Label) []server.LabelWire {
-	if len(ls) == 0 {
-		return nil
-	}
-	out := make([]server.LabelWire, len(ls))
-	for i, l := range ls {
-		out[i] = server.LabelWire{V: l.V, Class: l.Class}
-	}
-	return out
-}
-
 // snapshotFrameShape checks that f is a self-consistent snapshot frame:
 // every one of its N rows present in identity order, one label each.
 func snapshotFrameShape(f *wire.Frame) error {
@@ -57,14 +46,6 @@ func snapshotFrameShape(f *wire.Frame) error {
 // caller asked for.
 func frameInto(f *wire.Frame, out any) error {
 	switch o := out.(type) {
-	case *sectionBody:
-		// The replica's section fetch keeps the frame itself: its rows
-		// are already the float32 the local matrix stores.
-		if err := snapshotFrameShape(f); err != nil {
-			return err
-		}
-		o.frame = f
-		return nil
 	case *server.SnapshotResponse:
 		if err := snapshotFrameShape(f); err != nil {
 			return err
@@ -74,23 +55,6 @@ func frameInto(f *wire.Frame, out any) error {
 		o.N, o.K, o.Edges = n, k, f.Edges
 		o.Y = append([]int32(nil), f.Y...)
 		o.Z = rowsToF64(f.Rows, n, k)
-		return nil
-	case *server.DeltaResponse:
-		if f.Kind != wire.KindDelta {
-			return fmt.Errorf("client: frame kind %d answering a delta request", f.Kind)
-		}
-		o.From, o.Epoch, o.Instance = f.From, f.Epoch, f.Instance
-		o.Resync = f.Resync
-		if f.Resync {
-			return nil
-		}
-		if int(f.NRows) > 0 && len(f.RowIDs) != int(f.NRows) {
-			return fmt.Errorf("client: delta frame carries %d rows but %d ids", f.NRows, len(f.RowIDs))
-		}
-		o.Edges = f.Edges
-		o.Labels = frameLabels(f.Labels)
-		o.Rows = append([]uint32(nil), f.RowIDs...)
-		o.Z = rowsToF64(f.Rows, int(f.NRows), int(f.K))
 		return nil
 	case *server.BatchEmbeddingResponse:
 		if f.Kind != wire.KindEmbeddings {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/rows"
-	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/wire"
 )
@@ -34,9 +32,10 @@ import (
 // the primary publishes its epochs in: a bootstrap or resync fills one
 // section's store, and a delta copies only the pages holding a row it
 // carries and shares the rest with the previous version, so a sync costs
-// the rows it applies, not n×K. A section fetched as a binary frame
-// keeps the frame's float32 rows, the binary wire's documented precision;
-// one fetched as JSON keeps float64.
+// the rows it applies, not n×K. The replica reads binary frames whatever
+// its client's Format and holds their float32 rows, the binary wire's
+// documented precision; exact float64 rows are read from the primary's
+// JSON routes (Client.Snapshot, SnapshotShard, Embeddings).
 //
 // Reads (Snapshot, Embedding) never block and are safe for any
 // concurrency; Bootstrap and Sync are serialized internally, so one
@@ -105,13 +104,7 @@ type section struct {
 	// with the section epoch that last wrote it: the fill's epoch, which
 	// is z's stamp base, or a later delta's. Labels live in
 	// ReplicaSnapshot.Y, so z's are left unset.
-	z rowStore
-}
-
-// rowStore is a section's rows: a *rows.Pages[float32] when the section
-// came as a binary frame, a *rows.Pages[float64] when it came as JSON.
-type rowStore interface {
-	Row(v int, dst []float64) []float64
+	z *rows.Pages[float32]
 }
 
 // Dims returns the local matrix shape (rows, columns).
@@ -133,10 +126,10 @@ func (s *ReplicaSnapshot) CopyRow(v int, dst []float64) []float64 {
 // ReplicaStats counts what the replica has done and paid. Wire bytes
 // (what actually crossed the network) and payload bytes (the decoded
 // rows/labels materialized locally) are tracked separately: a sparse
-// binary delta crosses the wire in a small fraction of the bytes it
-// decodes into, JSON text sits much closer to its payload, and the
-// dense binary snapshot IS its payload — conflating the two would
-// hide exactly the figure the binary format exists to improve.
+// delta frame crosses the wire in a small fraction of the bytes it
+// decodes into, while a dense snapshot frame IS its payload —
+// conflating the two would hide exactly the figure the sparse encoding
+// exists to improve.
 type ReplicaStats struct {
 	Epoch       uint64 // current local epoch
 	Syncs       int64  // Sync calls that completed successfully
@@ -145,9 +138,8 @@ type ReplicaStats struct {
 	// On-wire response-body bytes, by endpoint.
 	DeltaBytes    int64
 	SnapshotBytes int64
-	// Decoded-payload bytes materialized locally: rows × k × element
-	// size (8 for float64 storage, 4 for float32) plus row ids and
-	// label updates.
+	// Decoded-payload bytes materialized locally: rows × k × 4 (every
+	// value is a float32) plus row ids and label updates.
 	DeltaPayloadBytes    int64
 	SnapshotPayloadBytes int64
 }
@@ -271,7 +263,7 @@ func (r *Replica) bootstrapLocked(ctx context.Context) error {
 	for i := range layout.secs {
 		layout.secs[i] = section{lo: int(meta.Bounds[i]), hi: int(meta.Bounds[i+1])}
 	}
-	return r.rebuildLocked(ctx, layout, make([]*server.DeltaResponse, meta.Shards))
+	return r.rebuildLocked(ctx, layout, make([]*wire.Frame, meta.Shards))
 }
 
 // sectionShapeError reports a section response whose shape disagrees
@@ -282,124 +274,68 @@ type sectionShapeError struct{ msg string }
 
 func (e *sectionShapeError) Error() string { return e.msg }
 
-// sectionBody is one fetched snapshot section in whichever encoding the
-// server answered: frame for a binary answer (its float32 rows are
-// copied straight into the section's float32 pages — no float64
-// detour), the embedded response for JSON (a server may always answer
-// JSON; content negotiation is outside input).
-type sectionBody struct {
-	server.SnapshotResponse
-	frame *wire.Frame
-}
-
-// elemSize is the storage width of one of z's values, for payload
-// accounting.
-func elemSize(z rowStore) int64 {
-	if _, ok := z.(*rows.Pages[float32]); ok {
-		return 4
-	}
-	return 8
-}
-
-// fetchSection fetches shard i's snapshot section into a fresh row store
+// fetchSection fetches shard i's snapshot frame into a fresh row store
 // for sec and its labels into y, and stamps sec with its epoch, instance
-// and edge count, validating the body against the window [sec.lo,
-// sec.hi) and width k the partition promised (a binary frame has no lo
-// field — the window comes from the partition alone).
+// and edge count, validating the frame against the window [sec.lo,
+// sec.hi) and width k the partition promised (a frame has no lo field —
+// the window comes from the partition alone).
 func (r *Replica) fetchSection(ctx context.Context, i int, sec *section, y []int32, k int) error {
-	var body sectionBody
-	n, err := r.c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/snapshot?shard=%d", i), nil, &body)
+	f, n, err := r.c.readFrame(ctx, fmt.Sprintf("/v1/snapshot?shard=%d", i))
 	r.addSnapshotBytes(n)
 	if err != nil {
 		return err
 	}
+	if err := snapshotFrameShape(f); err != nil {
+		return err
+	}
 	lo, hi := sec.lo, sec.hi
 	m := hi - lo
-	if f := body.frame; f != nil {
-		// frameInto already checked the frame is a self-consistent
-		// snapshot (N rows, N labels, implicit ids).
-		if int(f.N) != m || int(f.K) != k {
-			return &sectionShapeError{msg: fmt.Sprintf(
-				"client: shard %d section frame n=%d k=%d, want window [%d,%d) k=%d", i, f.N, f.K, lo, hi, k)}
-		}
-		sec.z = rows.Fill(m, k, 0, m, nil, f.Epoch, 0, func(p int, pg rows.Page[float32]) {
-			r0 := p * rows.PageRows
-			copy(pg.Rows(), f.Rows[r0*k:min(r0+rows.PageRows, m)*k])
-		})
-		copy(y[lo:hi], f.Y)
-		sec.epoch, sec.instance, sec.edges = f.Epoch, f.Instance, f.Edges
-	} else {
-		snap := &body.SnapshotResponse
-		if snap.N != m || snap.K != k || len(snap.Z) != snap.N || len(snap.Y) != snap.N || int(snap.Lo) != lo {
-			return &sectionShapeError{msg: fmt.Sprintf(
-				"client: shard %d section shape n=%d k=%d lo=%d (%d rows, %d labels), want window [%d,%d) k=%d",
-				i, snap.N, snap.K, snap.Lo, len(snap.Z), len(snap.Y), lo, hi, k)}
-		}
-		for u, row := range snap.Z {
-			if len(row) != k {
-				return fmt.Errorf("client: shard %d section row %d has width %d, want %d", i, u, len(row), k)
-			}
-		}
-		sec.z = rows.Fill(m, k, 0, m, nil, snap.Epoch, 0, func(p int, pg rows.Page[float64]) {
-			dst := pg.Rows()
-			for u := p * rows.PageRows; u < min((p+1)*rows.PageRows, m); u++ {
-				copy(dst[(u-p*rows.PageRows)*k:], snap.Z[u])
-			}
-		})
-		copy(y[lo:hi], snap.Y)
-		sec.epoch, sec.instance, sec.edges = snap.Epoch, snap.Instance, snap.Edges
+	if int(f.N) != m || int(f.K) != k {
+		return &sectionShapeError{msg: fmt.Sprintf(
+			"client: shard %d section frame n=%d k=%d, want window [%d,%d) k=%d", i, f.N, f.K, lo, hi, k)}
 	}
-	r.snapshotPayload.Add(int64(m)*int64(k)*elemSize(sec.z) + int64(m)*4)
+	sec.z = rows.Fill(m, k, 0, m, nil, f.Epoch, 0, func(p int, pg rows.Page[float32]) {
+		r0 := p * rows.PageRows
+		copy(pg.Rows(), f.Rows[r0*k:min(r0+rows.PageRows, m)*k])
+	})
+	copy(y[lo:hi], f.Y)
+	sec.epoch, sec.instance, sec.edges = f.Epoch, f.Instance, f.Edges
+	r.snapshotPayload.Add(int64(m)*int64(k)*4 + int64(m)*4)
 	return nil
 }
 
-// apply patches one shard's delta into sec — a new row store that copies
-// the pages holding a delta row and shares the rest — and its labels
-// into y (nil when the delta carries none), enforcing the owned-window
-// contract: a delta's row ids are global but must fall inside the
-// shard's window.
-func (sec *section) apply(dl *server.DeltaResponse, y []int32, k int) error {
-	for i, v := range dl.Rows {
-		if int(v) < sec.lo || int(v) >= sec.hi || len(dl.Z[i]) != k {
-			return fmt.Errorf("client: delta row %d (vertex %d) outside shard window [%d,%d) or malformed",
+// apply patches one shard's delta frame into sec — a new row store that
+// copies the pages holding a delta row and shares the rest — and its
+// labels into y (nil when the frame carries none), enforcing the
+// owned-window contract: a delta's row ids are global but must fall
+// inside the shard's window. The frame's rows are k wide (followLocked
+// checked).
+func (sec *section) apply(f *wire.Frame, y []int32, k int) error {
+	for i, v := range f.RowIDs {
+		if int(v) < sec.lo || int(v) >= sec.hi {
+			return fmt.Errorf("client: delta row %d (vertex %d) outside shard window [%d,%d)",
 				i, v, sec.lo, sec.hi)
 		}
 	}
-	if len(dl.Rows) > 0 {
-		switch z := sec.z.(type) {
-		case *rows.Pages[float32]:
-			sec.z = patch(z, sec.lo, dl)
-		case *rows.Pages[float64]:
-			sec.z = patch(z, sec.lo, dl)
+	if len(f.RowIDs) > 0 {
+		b := sec.z.Edit(f.Epoch, nil)
+		for i, v := range f.RowIDs {
+			u := int(v) - sec.lo
+			pg, j := b.Page(u/rows.PageRows), u%rows.PageRows
+			copy(pg.Rows()[j*k:(j+1)*k], f.Rows[i*k:(i+1)*k])
+			pg.StampRow(j, f.Epoch)
 		}
+		sec.z = b.Done()
 	}
-	for _, l := range dl.Labels {
+	for _, l := range f.Labels {
 		if int(l.V) < sec.lo || int(l.V) >= sec.hi {
 			return fmt.Errorf("client: delta label vertex %d outside shard window [%d,%d)",
 				l.V, sec.lo, sec.hi)
 		}
 		y[l.V] = l.Class
 	}
-	sec.epoch, sec.edges = dl.Epoch, dl.Edges
+	sec.epoch, sec.edges = f.Epoch, f.Edges
 	return nil
-}
-
-// patch returns z with dl's rows written in, stamped with dl's epoch:
-// the pages holding them are fresh copies, every other page is z's. A
-// float32 store narrows each value, exactly for rows the binary wire
-// carried. lo is z's first global row; dl's rows are in range.
-func patch[E rows.Value](z *rows.Pages[E], lo int, dl *server.DeltaResponse) *rows.Pages[E] {
-	b := z.Edit(dl.Epoch, nil)
-	for i, v := range dl.Rows {
-		u := int(v) - lo
-		pg, j := b.Page(u/rows.PageRows), u%rows.PageRows
-		dst := pg.Rows()[j*z.C : (j+1)*z.C]
-		for c, x := range dl.Z[i] {
-			dst[c] = E(x)
-		}
-		pg.StampRow(j, dl.Epoch)
-	}
-	return b.Done()
 }
 
 // rebuildLocked makes and publishes the version after cur. Section i is
@@ -409,7 +345,7 @@ func patch[E rows.Value](z *rows.Pages[E], lo int, dl *server.DeltaResponse) *ro
 // label vector is cur's until a section or a delta moves a label.
 // Copy-on-epoch: readers holding cur are unaffected, and the new
 // version appears atomically with every section advanced.
-func (r *Replica) rebuildLocked(ctx context.Context, cur *ReplicaSnapshot, deltas []*server.DeltaResponse) error {
+func (r *Replica) rebuildLocked(ctx context.Context, cur *ReplicaSnapshot, deltas []*wire.Frame) error {
 	k := cur.k
 	secs := slices.Clone(cur.secs)
 	y, own := cur.Y, false
@@ -436,9 +372,9 @@ func (r *Replica) rebuildLocked(ctx context.Context, cur *ReplicaSnapshot, delta
 		if err := secs[i].apply(dl, ys, k); err != nil {
 			return err
 		}
-		applied += len(dl.Rows)
-		r.deltaPayload.Add(int64(len(dl.Rows))*int64(k)*elemSize(secs[i].z) +
-			int64(len(dl.Rows))*4 + int64(len(dl.Labels))*8)
+		applied += len(dl.RowIDs)
+		r.deltaPayload.Add(int64(len(dl.RowIDs))*int64(k)*4 +
+			int64(len(dl.RowIDs))*4 + int64(len(dl.Labels))*8)
 	}
 	r.rowsApplied.Add(int64(applied))
 	s := &ReplicaSnapshot{
@@ -496,25 +432,25 @@ func (r *Replica) Sync(ctx context.Context) (resynced bool, err error) {
 // changed, so the whole copy re-bootstraps through a fresh
 // /v1/partition probe.
 func (r *Replica) followLocked(ctx context.Context, cur *ReplicaSnapshot) (resynced bool, err error) {
-	deltas := make([]*server.DeltaResponse, len(cur.secs))
+	deltas := make([]*wire.Frame, len(cur.secs))
 	changed := false
 	for i, sec := range cur.secs {
-		dl := new(server.DeltaResponse)
-		n, err := r.c.do(ctx, http.MethodGet,
-			fmt.Sprintf("/v1/delta?from=%d&shard=%d", sec.epoch, i), nil, dl)
+		f, n, err := r.c.readFrame(ctx, fmt.Sprintf("/v1/delta?from=%d&shard=%d", sec.epoch, i))
 		r.addDeltaBytes(n)
 		if err != nil {
 			return false, err
 		}
 		switch {
-		case dl.Resync || dl.Instance != sec.instance:
+		case f.Kind != wire.KindDelta:
+			return false, fmt.Errorf("client: frame kind %d answering shard %d's delta request", f.Kind, i)
+		case f.Resync || f.Instance != sec.instance:
 			resynced, changed = true, true // deltas[i] stays nil: refetch the section
-		case len(dl.Z) != len(dl.Rows):
-			return false, fmt.Errorf("client: shard %d delta carries %d rows but %d value rows",
-				i, len(dl.Rows), len(dl.Z))
+		case int(f.K) != cur.k || len(f.RowIDs) != int(f.NRows):
+			return false, fmt.Errorf("client: shard %d delta frame k=%d with %d ids for %d rows, want k=%d and one id per row",
+				i, f.K, len(f.RowIDs), f.NRows, cur.k)
 		default:
-			deltas[i] = dl
-			changed = changed || dl.Epoch != sec.epoch
+			deltas[i] = f
+			changed = changed || f.Epoch != sec.epoch
 		}
 	}
 	if !changed {

@@ -75,12 +75,11 @@ func (p *primary) serve(t testing.TB) string {
 
 // mustMatch asserts the replica equals the primary's published state
 // exactly, section by section: each shard's epoch, instance and owned
-// rows — the same float bits over the JSON wire, their float32 image
-// over the binary one (the only transform that wire applies) — plus
-// labels and the summed edge count. This is the acceptance bar: a
-// follower fed only deltas (resyncing when told to) is
-// indistinguishable from the primary.
-func mustMatch(t *testing.T, rep *client.Replica, p *primary, wf client.Format) {
+// rows — their float32 image, the binary wire's precision and the only
+// one a replica holds — plus labels and the summed edge count. This is
+// the acceptance bar: a follower fed only deltas (resyncing when told
+// to) is indistinguishable from the primary's binary reads.
+func mustMatch(t *testing.T, rep *client.Replica, p *primary) {
 	t.Helper()
 	got := rep.Snapshot()
 	if got == nil {
@@ -108,11 +107,7 @@ func mustMatch(t *testing.T, rep *client.Replica, p *primary, wf client.Format) 
 				t.Fatalf("replica label of %d is %d, primary %d", v, got.Y[v], want.Y[v])
 			}
 			for j, x := range got.CopyRow(v, row) {
-				w := want.Z.At(v, j)
-				if wf == client.Binary {
-					w = float64(float32(w))
-				}
-				if x != w {
+				if w := float64(float32(want.Z.At(v, j))); x != w {
 					t.Fatalf("replica Z[%d][%d] = %v, primary %v (not bit-identical)", v, j, x, w)
 				}
 			}
@@ -124,7 +119,9 @@ func mustMatch(t *testing.T, rep *client.Replica, p *primary, wf client.Format) 
 }
 
 // eachTopology runs body over the follower matrix: {1, 3} shards ×
-// {JSON, binary} wire.
+// the Format of the replica's client, {JSON, binary}. A replica reads
+// binary frames whatever that Format, so both columns expect the same
+// float32 rows.
 func eachTopology(t *testing.T, body func(t *testing.T, nShards int, wf client.Format)) {
 	for _, nShards := range []int{1, 3} {
 		for _, wf := range []client.Format{client.JSON, client.Binary} {
@@ -166,7 +163,7 @@ func TestReplicaFollowsPrimary(t *testing.T) {
 		if err := rep.Bootstrap(ctx); err != nil {
 			t.Fatal(err)
 		}
-		mustMatch(t, rep, p, wf)
+		mustMatch(t, rep, p)
 		if st := rep.Stats(); st.SnapshotBytes == 0 || st.SnapshotPayloadBytes == 0 {
 			t.Fatalf("bootstrap recorded no bytes: %+v", st)
 		}
@@ -226,7 +223,7 @@ func TestReplicaFollowsPrimary(t *testing.T) {
 				if got := rep.Snapshot().Epochs; !got.Covers(ack.Epochs) {
 					t.Fatalf("replica vector %v does not cover last ack %v", got, ack.Epochs)
 				}
-				mustMatch(t, rep, p, wf)
+				mustMatch(t, rep, p)
 			}
 		}
 		close(stop)
@@ -249,13 +246,10 @@ func TestReplicaFollowsPrimary(t *testing.T) {
 		if st.DeltaBytes/rowSyncs*4 >= st.SnapshotBytes/(st.Resyncs+1) {
 			t.Fatalf("mean delta not ≪ mean snapshot: %+v", st)
 		}
-		// Payload accounts the storage element width per applied value
-		// plus 4 per row id (labels add 8 each; the floor ignores them).
-		elem := int64(8)
-		if wf == client.Binary {
-			elem = 4
-		}
-		if min := st.RowsApplied * (int64(k)*elem + 4); st.DeltaPayloadBytes < min {
+		// Payload accounts 4 bytes per applied value (every value is a
+		// float32) plus 4 per row id (labels add 8 each; the floor
+		// ignores them).
+		if min := st.RowsApplied * (int64(k)*4 + 4); st.DeltaPayloadBytes < min {
 			t.Fatalf("delta payload %d B below the %d B floor for %d rows", st.DeltaPayloadBytes, min, st.RowsApplied)
 		}
 		t.Logf("replica: %d syncs (%d resyncs), %d rows applied, %d delta bytes vs %d snapshot bytes",
@@ -271,7 +265,7 @@ func TestReplicaFollowsPrimary(t *testing.T) {
 		if after := rep.Stats(); after.RowsApplied != before.RowsApplied || after.SnapshotBytes != before.SnapshotBytes {
 			t.Fatalf("idle syncs transferred data: %+v -> %+v", before, after)
 		}
-		mustMatch(t, rep, p, wf)
+		mustMatch(t, rep, p)
 	})
 }
 
@@ -309,7 +303,7 @@ func TestReplicaDetectsServerRestart(t *testing.T) {
 		if err := rep.Bootstrap(ctx); err != nil {
 			t.Fatal(err)
 		}
-		mustMatch(t, rep, p1, wf)
+		mustMatch(t, rep, p1)
 		old := rep.Snapshot()
 
 		// "Restart": the same address now serves a second stack —
@@ -332,7 +326,7 @@ func TestReplicaDetectsServerRestart(t *testing.T) {
 		if !resynced {
 			t.Fatal("replica applied a cross-instance delta instead of resyncing")
 		}
-		mustMatch(t, rep, p2, wf)
+		mustMatch(t, rep, p2)
 	})
 }
 
@@ -374,7 +368,7 @@ func TestReplicaLagsWithoutResync(t *testing.T) {
 		if after := rep.Stats(); resynced || after.SnapshotBytes != before.SnapshotBytes || after.RowsApplied == before.RowsApplied {
 			t.Fatalf("a replica %d publishes behind resynced=%v: %+v -> %+v", lag, resynced, before, after)
 		}
-		mustMatch(t, rep, p, wf)
+		mustMatch(t, rep, p)
 	})
 }
 
@@ -421,8 +415,57 @@ func TestReplicaDeltaSyncAllocatesItsRows(t *testing.T) {
 				t.Fatalf("round %d: a sync applying %d rows allocated %d bytes, want < %d", round, applied, got, limit)
 			}
 		}
-		mustMatch(t, rep, p, wf)
+		mustMatch(t, rep, p)
 	})
+}
+
+// TestReplicaDeltaSyncRatchet pins the mean cost of a 64-edge delta
+// sync at the serving benchmark's scale (n = 100k, K = 10, one shard):
+// allocations and bytes per Sync, averaged in whole units over 100
+// syncs the way testing.AllocsPerRun averages, the primary's side of
+// each round trip included. Each write goes straight into the embedder
+// between two readings, so only the syncs are counted. The bounds are
+// this code's reading and only ever tighten. (The race detector's
+// runtime allocates on its own, so the test needs a plain build.)
+func TestReplicaDeltaSyncRatchet(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts need a build without the race detector")
+	}
+	const n, k, syncs = 100_000, 10, 100
+	const maxAllocs, maxBytes = 248, 64_600
+	p := newPrimary(t, n, k, 1, dyn.Options{})
+	rep := client.NewReplica(client.New(p.serve(t), nil))
+	ctx := context.Background()
+	if err := rep.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	r := xrand.New(83)
+	measure := func() (allocs, bytes uint64) {
+		if err := p.shards[0].D.Apply(dyn.Batch{Insert: randEdges(r, n, 64)}); err != nil {
+			t.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		resynced, err := rep.Sync(ctx)
+		runtime.ReadMemStats(&m1)
+		if err != nil || resynced {
+			t.Fatalf("resynced=%v err=%v, want a row delta", resynced, err)
+		}
+		return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	measure() // warm the connection and the pools
+	var allocs, bytes uint64
+	for range syncs {
+		a, b := measure()
+		allocs, bytes = allocs+a, bytes+b
+	}
+	allocs, bytes = allocs/syncs, bytes/syncs
+	t.Logf("a 64-edge delta sync: %d allocations, %d bytes", allocs, bytes)
+	if allocs > maxAllocs || bytes > maxBytes {
+		t.Errorf("a 64-edge delta sync made %d allocations of %d bytes, want ≤ %d and ≤ %d",
+			allocs, bytes, maxAllocs, maxBytes)
+	}
 }
 
 // TestReplicaSnapshotsStayImmutable holds local versions across syncs
@@ -523,128 +566,48 @@ func TestReplicaSnapshotsStayImmutable(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		mustMatch(t, rep, p, wf)
+		mustMatch(t, rep, p)
 	})
 }
 
-// TestReplicaWireBytesBinaryVsJSON bootstraps one replica per wire
-// format off the same primary and compares the recorded on-wire bytes:
-// binary must be strictly cheaper for both the snapshot and the delta
-// stream, and payload accounting must track the storage element size
-// (4 B vs 8 B per value).
-func TestReplicaWireBytesBinaryVsJSON(t *testing.T) {
-	const n, k, rounds = 600, 4, 10
-	base := newPrimary(t, n, k, 1, dyn.Options{}).serve(t)
-	ctx := context.Background()
-	cj := client.New(base, nil)
-	cb := client.New(base, nil, client.WithWire(client.Binary))
-	r := xrand.New(43)
-	// Seed real structure before bootstrapping: an untouched embedding
-	// is mostly zeros, which JSON encodes in one byte per value — the
-	// snapshot comparison below is about realistic matrices.
-	if _, err := cj.InsertEdges(ctx, randEdges(r, n, 4*n)); err != nil {
-		t.Fatal(err)
-	}
-	rj, rb := client.NewReplica(cj), client.NewReplica(cb)
-	if err := rj.Bootstrap(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := rb.Bootstrap(ctx); err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < rounds; round++ {
-		if _, err := cj.InsertEdges(ctx, randEdges(r, n, 20)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rj.Sync(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rb.Sync(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sj, sb := rj.Stats(), rb.Stats()
-	if sj.Resyncs > 0 || sb.Resyncs > 0 {
-		t.Fatalf("unexpected resyncs (json %d, binary %d): byte comparison would be apples to oranges",
-			sj.Resyncs, sb.Resyncs)
-	}
-	if sb.RowsApplied != sj.RowsApplied {
-		t.Fatalf("replicas applied different row counts: json %d, binary %d", sj.RowsApplied, sb.RowsApplied)
-	}
-	if sb.SnapshotBytes >= sj.SnapshotBytes {
-		t.Errorf("binary snapshot cost %d B, JSON %d B — want cheaper", sb.SnapshotBytes, sj.SnapshotBytes)
-	}
-	if sb.DeltaBytes >= sj.DeltaBytes {
-		t.Errorf("binary deltas cost %d B, JSON %d B — want cheaper", sb.DeltaBytes, sj.DeltaBytes)
-	}
-	// Same rows applied, half-width elements: binary payload accounting
-	// must come in strictly below JSON's (4+4 vs 8+4 bytes per value
-	// and id; label bytes are identical).
-	if sb.DeltaPayloadBytes >= sj.DeltaPayloadBytes {
-		t.Errorf("binary delta payload %d B, JSON %d B — want smaller elements",
-			sb.DeltaPayloadBytes, sj.DeltaPayloadBytes)
-	}
-	// Both sides of the split must be populated — the counters are
-	// independent measurements, not one derived from the other.
-	if sj.DeltaPayloadBytes == 0 || sb.DeltaPayloadBytes == 0 ||
-		sj.SnapshotPayloadBytes == 0 || sb.SnapshotPayloadBytes == 0 {
-		t.Errorf("payload accounting has empty counters: json %+v binary %+v", sj, sb)
-	}
-}
-
-// TestBinaryClientFallsBackToJSON points a binary-wire replica at a
-// server that ignores Accept and answers every section as JSON (content
-// negotiation is outside input). Bootstrap and reads must work
-// transparently off the JSON decode path, the values landing in the
-// section's row store unchanged.
-func TestBinaryClientFallsBackToJSON(t *testing.T) {
-	snap := server.SnapshotResponse{
-		Epoch: 7, Instance: 99, N: 2, K: 2, Edges: 3,
-		Y: []int32{0, 1},
-		Z: [][]float64{{0.125, -1.5}, {2.25, 3.75}}, // exact in float32
-	}
+// TestReplicaRefusesJSON points a replica at a server that answers its
+// snapshot and delta reads as JSON (content negotiation is outside
+// input). A replica holds only the binary wire's float32 rows, so
+// neither read is applied: the bootstrap fails and leaves no state, and
+// a sync of a bootstrapped replica fails and keeps its version.
+func TestReplicaRefusesJSON(t *testing.T) {
+	p := newStaticPrimary(t)
+	var answerJSON atomic.Bool
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		switch r.URL.Path {
-		case "/v1/partition":
-			json.NewEncoder(w).Encode(shard.Meta{
-				Shards: 1, N: 2, K: 2, Bounds: []uint32{0, 2},
-				Instances: []uint64{99}, Epochs: shard.EpochVector{0: 7},
-			})
-		case "/v1/snapshot":
-			json.NewEncoder(w).Encode(snap)
-		case "/v1/delta":
-			json.NewEncoder(w).Encode(server.DeltaResponse{
-				From: 7, Epoch: 7, Instance: 99,
-			})
-		default:
-			http.NotFound(w, r)
+		if answerJSON.Load() && r.URL.Path != "/v1/partition" {
+			w.Header().Set("Content-Type", "application/json")
+			json.NewEncoder(w).Encode(server.SnapshotResponse{Epoch: 7, N: 2, K: 2})
+			return
 		}
+		p.ServeHTTP(w, r)
 	}))
 	defer ts.Close()
-	c := client.New(ts.URL, nil, client.WithWire(client.Binary))
-	rep := client.NewReplica(c)
+	rep := client.NewReplica(client.New(ts.URL, nil, client.WithWire(client.Binary)))
 	ctx := context.Background()
+	answerJSON.Store(true)
+	if err := rep.Bootstrap(ctx); err == nil || rep.Snapshot() != nil {
+		t.Fatalf("bootstrap off JSON sections: err=%v, state %+v", err, rep.Snapshot())
+	}
+	answerJSON.Store(false)
 	if err := rep.Bootstrap(ctx); err != nil {
 		t.Fatal(err)
 	}
-	s := rep.Snapshot()
-	if s == nil || s.Epoch != 7 || s.Instances[0] != 99 || s.Edges != 3 {
-		t.Fatalf("fallback bootstrap state: %+v", s)
+	held := rep.Snapshot()
+	p.mustHold(t, held)
+	answerJSON.Store(true)
+	if _, err := rep.Sync(ctx); err == nil {
+		t.Fatal("a JSON delta was accepted")
 	}
-	rn, rk := s.Dims()
-	if rn != 2 || rk != 2 {
-		t.Fatalf("fallback dims %dx%d", rn, rk)
+	if rep.Snapshot() != held {
+		t.Fatal("a refused sync replaced the replica's version")
 	}
-	for v := 0; v < 2; v++ {
-		row := s.CopyRow(v, make([]float64, rk))
-		for j := range row {
-			if row[j] != snap.Z[v][j] {
-				t.Fatalf("fallback Z[%d][%d] = %v, want %v", v, j, row[j], snap.Z[v][j])
-			}
-		}
-	}
-	if resynced, err := rep.Sync(ctx); err != nil || resynced {
+	answerJSON.Store(false)
+	if resynced, err := rep.Sync(ctx); err != nil || resynced || rep.Snapshot() != held {
 		t.Fatalf("idle sync: resynced=%v err=%v", resynced, err)
 	}
 }

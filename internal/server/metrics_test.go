@@ -14,6 +14,7 @@ import (
 	"repro/internal/dyn"
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/wire"
 )
 
 // TestRetryAfterSeconds pins the derived-backoff contract at the three
@@ -329,7 +330,11 @@ func TestWritePathNeverGathers(t *testing.T) {
 	do := func(method, path, body string) {
 		t.Helper()
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		req := httptest.NewRequest(method, path, strings.NewReader(body))
+		if strings.HasPrefix(path, "/v1/delta") {
+			req.Header.Set("Accept", wire.ContentType) // a delta is only ever a frame
+		}
+		h.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%s %s: status %d: %s", method, path, rec.Code, rec.Body)
 		}

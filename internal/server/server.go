@@ -151,28 +151,6 @@ type NeighborsResponse struct {
 	Neighbors  []NeighborWire    `json:"neighbors"`
 }
 
-// DeltaResponse is the body of GET /v1/delta?from=E&shard=i (streamed
-// on the way out): one shard's delta, rows in global ids restricted to
-// its owned window. When Resync is false, overwriting rows Rows[i] with
-// Z[i] and applying Labels turns an epoch-From copy of the section into
-// the epoch-Epoch one exactly; when Resync is true the follower must
-// refetch the section from /v1/snapshot (From is ahead of the section,
-// an epoch in the span changed class counts and rescaled whole columns,
-// or the span changed more than half the section's rows).
-type DeltaResponse struct {
-	From  uint64 `json:"from"`
-	Epoch uint64 `json:"epoch"`
-	// Instance is the embedder lifetime the epochs belong to; a
-	// follower holding section state from a different instance must
-	// discard it and refetch the section even on a non-resync response.
-	Instance uint64      `json:"instance"`
-	Resync   bool        `json:"resync"`
-	Edges    int64       `json:"edges,omitempty"`
-	Labels   []LabelWire `json:"labels,omitempty"`
-	Rows     []uint32    `json:"rows,omitempty"`
-	Z        [][]float64 `json:"z,omitempty"`
-}
-
 // HealthResponse is the body of GET /healthz.
 type HealthResponse struct {
 	Status string `json:"status"`
@@ -801,7 +779,8 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 // handleDelta streams one shard's epoch delta from ?from=E to its
 // published epoch, the replica fan-out read: changed rows instead of
 // the full section, or a resync signal when the span is not
-// row-reconstructible (see dyn.Delta).
+// row-reconstructible (see dyn.Delta). A delta has one encoding, the
+// sparse binary frame; a request that does not accept it gets 406.
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	fromStr := r.URL.Query().Get("from")
 	from, err := strconv.ParseUint(fromStr, 10, 64)
@@ -813,6 +792,10 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	if !wantsBinary(r) {
+		writeError(w, http.StatusNotAcceptable, "a delta is served only as %s; list it in Accept", wire.ContentType)
+		return
+	}
 	tr := traceOf(w)
 	// A shard's delta already lists only its owned rows and relabels
 	// (global ids), so the section protocol reuses the delta format
@@ -822,14 +805,8 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	st := newStreamer(w, r.Context())
 	defer st.release()
 	streamRef := tr.StartSpan("stream")
-	var rows int
-	if wantsBinary(r) {
-		w.Header().Set("Content-Type", wire.ContentType)
-		rows = streamDeltaBinary(st, dl, s.rt.k, s.rt.n)
-	} else {
-		w.Header().Set("Content-Type", "application/json")
-		rows = streamDelta(st, dl, s.rt.k)
-	}
+	w.Header().Set("Content-Type", wire.ContentType)
+	rows := streamDeltaBinary(st, dl, s.rt.k, s.rt.n)
 	tr.EndSpan(streamRef)
 	tr.SpanTag(streamRef, "rows", strconv.Itoa(rows))
 	tr.SpanTag(streamRef, "shard", strconv.Itoa(si))

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -22,6 +21,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/server"
 	"repro/internal/server/client"
+	"repro/internal/wire"
 	"repro/internal/xrand"
 )
 
@@ -682,32 +682,34 @@ func TestServerBatchedReadCap(t *testing.T) {
 	}
 }
 
-// fetchBytes GETs a URL and returns the body size in bytes.
-func fetchBytes(t *testing.T, url string) int64 {
+// getDelta fetches /v1/delta?from= as a binary frame and decodes it,
+// returning the frame and its size in bytes.
+func getDelta(t *testing.T, base string, from uint64) (*wire.Frame, int) {
 	t.Helper()
-	resp, err := http.Get(url)
+	ct, body := get(t, base, fmt.Sprintf("/v1/delta?from=%d", from), wire.ContentType)
+	if !strings.HasPrefix(ct, wire.ContentType) {
+		t.Fatalf("delta answered %q", ct)
+	}
+	f, err := wire.DecodeFrame(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
+	if f.Kind != wire.KindDelta {
+		t.Fatalf("delta answered a frame of kind %d", f.Kind)
 	}
-	n, err := io.Copy(io.Discard, resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
+	return f, len(body)
 }
 
 // TestServerDeltaEndpoint checks GET /v1/delta end to end: a churn
-// window without relabels is served as a row delta whose payload is an
-// order of magnitude smaller than the full snapshot, applying it to a
-// held copy reproduces the new snapshot bit-for-bit, and a
-// counts-changing relabel flips the response to the resync signal.
+// window without relabels is served as a row delta frame far smaller
+// than the snapshot frame, applying it to a held copy reproduces the
+// new snapshot bit-for-bit, a counts-changing relabel flips the
+// response to the resync signal, a bad from is a 400, and a request
+// that does not accept frames is a 406 naming the type.
 func TestServerDeltaEndpoint(t *testing.T) {
 	const n, k = 4000, 8
 	_, c, base := startServer(t, n, fullLabels(n, k), dyn.Options{K: k}, server.Options{})
+	cb := client.New(base, nil, client.WithWire(client.Binary))
 	ctx := context.Background()
 
 	// Seed a bulk graph, then hold its snapshot as the follower state.
@@ -719,7 +721,7 @@ func TestServerDeltaEndpoint(t *testing.T) {
 	if _, err := c.InsertEdges(ctx, bulk); err != nil {
 		t.Fatal(err)
 	}
-	held, err := c.Snapshot(ctx)
+	held, err := cb.Snapshot(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -731,24 +733,23 @@ func TestServerDeltaEndpoint(t *testing.T) {
 	if _, err := c.DeleteEdges(ctx, bulk[:10]); err != nil {
 		t.Fatal(err)
 	}
-	dl, err := c.Delta(ctx, held.Epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dl, deltaBytes := getDelta(t, base, held.Epoch)
 	if dl.Resync {
 		t.Fatal("no-relabel churn window answered with resync")
 	}
-	if dl.From != held.Epoch || len(dl.Rows) == 0 || len(dl.Z) != len(dl.Rows) {
-		t.Fatalf("delta shape: %+v", dl)
+	if dl.From != held.Epoch || dl.NRows == 0 || len(dl.RowIDs) != int(dl.NRows) || int(dl.K) != k {
+		t.Fatalf("delta shape: %+v", dl.Header)
 	}
 	// Apply to the held copy and compare with the served snapshot.
-	for i, v := range dl.Rows {
-		held.Z[v] = dl.Z[i]
+	for i, v := range dl.RowIDs {
+		for j := range k {
+			held.Z[v][j] = float64(dl.Rows[i*k+j])
+		}
 	}
 	for _, l := range dl.Labels {
 		held.Y[l.V] = l.Class
 	}
-	now, err := c.Snapshot(ctx)
+	now, err := cb.Snapshot(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -756,6 +757,9 @@ func TestServerDeltaEndpoint(t *testing.T) {
 		t.Fatalf("delta epoch/edges %d/%d vs snapshot %d/%d", dl.Epoch, dl.Edges, now.Epoch, now.Edges)
 	}
 	for v := 0; v < n; v++ {
+		if held.Y[v] != now.Y[v] {
+			t.Fatalf("delta-advanced label of %d is %d, snapshot %d", v, held.Y[v], now.Y[v])
+		}
 		for col := 0; col < k; col++ {
 			if held.Z[v][col] != now.Z[v][col] {
 				t.Fatalf("delta-advanced copy differs at (%d,%d): %v vs %v",
@@ -764,34 +768,52 @@ func TestServerDeltaEndpoint(t *testing.T) {
 		}
 	}
 
-	// The whole point: the delta payload is far smaller than the
-	// snapshot payload it replaces.
-	deltaBytes := fetchBytes(t, fmt.Sprintf("%s/v1/delta?from=%d", base, held.Epoch))
-	snapBytes := fetchBytes(t, base+"/v1/snapshot")
-	if deltaBytes*10 >= snapBytes {
-		t.Fatalf("delta payload not ≪ snapshot: %d vs %d bytes", deltaBytes, snapBytes)
+	// The whole point: the delta frame is far smaller than the snapshot
+	// frame it replaces.
+	_, snap := get(t, base, "/v1/snapshot", wire.ContentType)
+	if deltaBytes*10 >= len(snap) {
+		t.Fatalf("delta payload not ≪ snapshot: %d vs %d bytes", deltaBytes, len(snap))
 	}
-	t.Logf("delta %d bytes vs snapshot %d bytes (%.1f×)", deltaBytes, snapBytes, float64(snapBytes)/float64(deltaBytes))
+	t.Logf("delta %d bytes vs snapshot %d bytes (%.1f×)", deltaBytes, len(snap), float64(len(snap))/float64(deltaBytes))
 
 	// A counts-changing relabel cannot be row-served: resync.
 	if _, err := c.UpdateLabels(ctx, []dyn.LabelUpdate{{V: 0, Class: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	dl, err = c.Delta(ctx, now.Epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dl.Resync {
+	if dl, _ = getDelta(t, base, now.Epoch); !dl.Resync {
 		t.Fatal("counts-changing relabel served as a row delta")
 	}
-	// Malformed from parameter → 400.
-	resp, err := http.Get(base + "/v1/delta?from=banana")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad from param: status %d", resp.StatusCode)
+
+	for _, tc := range []struct {
+		path, accept string
+		want         int
+	}{
+		{"/v1/delta?from=banana", wire.ContentType, http.StatusBadRequest},
+		{"/v1/delta?from=banana", "", http.StatusBadRequest},
+		{"/v1/delta?from=0", "", http.StatusNotAcceptable},
+		{"/v1/delta?from=0", "application/json", http.StatusNotAcceptable},
+		{"/v1/delta?from=0", wire.ContentType + ";q=0", http.StatusNotAcceptable},
+	} {
+		req, err := http.NewRequest(http.MethodGet, base+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.accept != "" {
+			req.Header.Set("Accept", tc.accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e server.ErrorResponse
+		derr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want || derr != nil {
+			t.Fatalf("GET %s (Accept %q): status %d (%v), want %d with a JSON error", tc.path, tc.accept, resp.StatusCode, derr, tc.want)
+		}
+		if tc.want == http.StatusNotAcceptable && !strings.Contains(e.Error, wire.ContentType) {
+			t.Fatalf("406 error %q does not name %s", e.Error, wire.ContentType)
+		}
 	}
 }
 

@@ -176,10 +176,10 @@ func TestShardedSectionProtocol(t *testing.T) {
 // are fed the same insert/delete/relabel schedule (serial folds, so the
 // published floats agree bit for bit). The served rows must equal the
 // reference's, exact /v1/neighbors must equal cluster.TopK over the
-// reference snapshot id-for-id, and a follower over each wire format,
-// synced along the way, must end bit-identical to the reference (the
-// binary one to its float32 image — the only transform that wire
-// applies). Neighbor ties are tolerated the way the recall rule
+// reference snapshot id-for-id, and a follower, synced along the way,
+// must end bit-identical to the reference's float32 image (a replica
+// holds the binary wire's rows; narrowing is the only transform that
+// wire applies). Neighbor ties are tolerated the way the recall rule
 // tolerates them: an id mismatch at a rank is legal only when the two
 // distances are equal within a relative epsilon (duplicate rows are
 // legitimately interchangeable).
@@ -194,19 +194,14 @@ func TestServedMatchesReference(t *testing.T) {
 			}
 			_, c, base := startShardedServer(t, n, k, nShards, dopts, server.Options{})
 			ctx := context.Background()
-			followers := map[client.Format]*client.Replica{}
-			for _, wf := range []client.Format{client.JSON, client.Binary} {
-				followers[wf] = client.NewReplica(client.New(base, nil, client.WithWire(wf)))
-			}
-			syncAll := func() {
+			follower := client.NewReplica(client.New(base, nil))
+			follow := func() {
 				t.Helper()
-				for wf, rep := range followers {
-					if _, err := rep.Sync(ctx); err != nil {
-						t.Fatalf("%s follower: %v", wf, err)
-					}
+				if _, err := follower.Sync(ctx); err != nil {
+					t.Fatalf("follower: %v", err)
 				}
 			}
-			syncAll() // bootstrap before the schedule, so deltas carry it
+			follow() // bootstrap before the schedule, so deltas carry it
 
 			r := xrand.New(7)
 			randBatch := func(m int) []graph.Edge {
@@ -247,10 +242,10 @@ func TestServedMatchesReference(t *testing.T) {
 					step(dyn.Batch{Labels: ups}, func() error { _, err := c.UpdateLabels(ctx, ups); return err })
 				}
 				if b%3 == 0 {
-					syncAll()
+					follow()
 				}
 			}
-			syncAll()
+			follow()
 			want := ref.Snapshot()
 
 			// Served rows and labels, section by section.
@@ -279,25 +274,19 @@ func TestServedMatchesReference(t *testing.T) {
 				}
 			}
 
-			// Followers, over both wire formats.
+			// The follower.
 			row := make([]float64, k)
-			for wf, rep := range followers {
-				s := rep.Snapshot()
-				if len(s.Epochs) != nShards || len(s.Instances) != nShards {
-					t.Fatalf("%s follower: epochs %v instances %v, want %d entries each", wf, s.Epochs, s.Instances, nShards)
+			s := follower.Snapshot()
+			if len(s.Epochs) != nShards || len(s.Instances) != nShards {
+				t.Fatalf("follower: epochs %v instances %v, want %d entries each", s.Epochs, s.Instances, nShards)
+			}
+			for v := 0; v < n; v++ {
+				if s.Y[v] != want.Y[v] {
+					t.Fatalf("follower: label of %d is %d, reference %d", v, s.Y[v], want.Y[v])
 				}
-				for v := 0; v < n; v++ {
-					if s.Y[v] != want.Y[v] {
-						t.Fatalf("%s follower: label of %d is %d, reference %d", wf, v, s.Y[v], want.Y[v])
-					}
-					for col, x := range s.CopyRow(v, row) {
-						w := want.Z.At(v, col)
-						if wf == client.Binary {
-							w = float64(float32(w))
-						}
-						if x != w {
-							t.Fatalf("%s follower: Z[%d][%d] = %v, reference %v (not bit-identical)", wf, v, col, x, w)
-						}
+				for col, x := range s.CopyRow(v, row) {
+					if w := float64(float32(want.Z.At(v, col))); x != w {
+						t.Fatalf("follower: Z[%d][%d] = %v, reference %v (not bit-identical)", v, col, x, w)
 					}
 				}
 			}

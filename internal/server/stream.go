@@ -133,12 +133,6 @@ func (s *streamer) flush() error   { return s.w.Flush() }
 // n×K floats cost zero allocations, not one each.
 //
 //gee:noalloc
-func (s *streamer) uintv(v uint64) {
-	s.scratch = strconv.AppendUint(s.scratch[:0], v, 10)
-	s.w.Write(s.scratch)
-}
-
-//gee:noalloc
 func (s *streamer) intv(v int64) {
 	s.scratch = strconv.AppendInt(s.scratch[:0], v, 10)
 	s.w.Write(s.scratch)
@@ -218,45 +212,6 @@ func streamSnapshot(s *streamer, snap *dyn.Version, shardID, lo int) int {
 		if rows == snap.Z.R {
 			s.rawByte('}')
 		}
-	}
-	s.flush()
-	return rows
-}
-
-// streamDelta writes one dyn.Delta as DeltaResponse JSON; k is the
-// embedding width. Returns the number of changed rows emitted.
-func streamDelta(s *streamer, dl *dyn.Delta, k int) int {
-	if dl.Resync {
-		fmt.Fprintf(s.w, `{"from":%d,"epoch":%d,"instance":%d,"resync":true}`,
-			dl.FromEpoch, dl.Epoch, dl.Instance)
-		s.flush()
-		return 0
-	}
-	fmt.Fprintf(s.w, `{"from":%d,"epoch":%d,"instance":%d,"resync":false,"edges":%d,"labels":[`,
-		dl.FromEpoch, dl.Epoch, dl.Instance, dl.Edges)
-	for i, lu := range dl.Labels {
-		if i > 0 {
-			s.rawByte(',')
-		}
-		fmt.Fprintf(s.w, `{"v":%d,"class":%d}`, lu.V, lu.Class)
-	}
-	s.raw(`],"rows":[`)
-	for i, v := range dl.Rows {
-		if i%(8*abortCheckEvery) == 0 && s.aborted() {
-			s.flush()
-			return 0
-		}
-		if i > 0 {
-			s.rawByte(',')
-		}
-		s.uintv(uint64(v))
-	}
-	s.raw(`],"z":`)
-	rows := s.floatRows(len(dl.Rows), k, func(lo, hi int, dst []float64) {
-		copy(dst, dl.Values[lo*k:hi*k])
-	})
-	if rows == len(dl.Rows) {
-		s.rawByte('}')
 	}
 	s.flush()
 	return rows

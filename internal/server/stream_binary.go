@@ -11,9 +11,9 @@ import (
 // same pooled scratch buffer, but rows leave as little-endian float32
 // frames (see internal/wire) instead of decimal text. Snapshots and
 // embeddings are dense (a replica copies the float32 rows straight
-// into its local matrix); deltas use the sparse row encoding, which lands at ~6× fewer bytes
-// than the JSON text on the geeload workload. Negotiated per request
-// via the Accept header; JSON stays the default.
+// into its local matrix); deltas use the sparse row encoding and are
+// only ever sent as frames. Snapshots and embeddings negotiate per
+// request via the Accept header, JSON being their default.
 
 // binRowsPerChunk rows are converted into scratch between writes: big
 // enough to amortize the bufio call, small enough that scratch stays a

@@ -131,8 +131,10 @@ func TestStreamSnapshotAbortsOnCancel(t *testing.T) {
 	}
 }
 
-// TestStreamDeltaAbortsOnWriteError gives the delta stream the same
-// guarantee as the snapshot stream.
+// TestStreamDeltaAbortsOnWriteError gives the delta frame the same
+// guarantee as the snapshot stream: once the connection fails mid-body,
+// the stream reports itself cut short and writes nothing more. The
+// frame is sized to twice the writer's limit.
 func TestStreamDeltaAbortsOnWriteError(t *testing.T) {
 	const n, k = 20000, 8
 	d, err := dyn.New(n, labels.Full(n, k, 177), dyn.Options{K: k})
@@ -153,10 +155,14 @@ func TestStreamDeltaAbortsOnWriteError(t *testing.T) {
 	if dl.Resync || len(dl.Rows) < 4000 {
 		t.Fatalf("workload did not produce a wide row delta: resync=%v rows=%d", dl.Resync, len(dl.Rows))
 	}
-	fw := &brokenPipeWriter{limit: 60_000}
-	rows := streamDelta(newStreamer(fw, context.Background()), dl, k)
+	var size byteCount
+	if rows := streamDeltaBinary(newStreamer(&size, context.Background()), dl, k, n); rows != len(dl.Rows) {
+		t.Fatalf("a healthy stream sent %d of %d rows", rows, len(dl.Rows))
+	}
+	fw := &brokenPipeWriter{limit: int(size) / 2}
+	rows := streamDeltaBinary(newStreamer(fw, context.Background()), dl, k, n)
 	if rows == len(dl.Rows) {
-		t.Fatal("delta stream ran to completion over a broken pipe")
+		t.Fatalf("a %d-byte delta frame ran to completion over a pipe that broke at %d bytes", size, fw.limit)
 	}
 	if fw.afterFail > 1 {
 		t.Fatalf("%d writes attempted after the connection failed", fw.afterFail)

@@ -8,12 +8,14 @@ import (
 	"repro/internal/wire"
 )
 
-// Content negotiation for the row-carrying endpoints (/v1/snapshot,
-// /v1/delta, /v1/embeddings). JSON is the default and the debug path;
-// a client opts into the compact binary frame format by listing
-// wire.ContentType in its Accept header. Anything else — no header,
-// */*, application/*, malformed values — stays JSON: an old client
-// must never receive bytes it cannot parse.
+// Content negotiation for the row-carrying endpoints. /v1/snapshot and
+// /v1/embeddings default to JSON, the debug path that carries exact
+// float64 rows; a client opts into the compact binary frame format by
+// listing wire.ContentType in its Accept header. Anything else — no
+// header, */*, application/*, malformed values — stays JSON there: a
+// client must never receive bytes it did not ask for. /v1/delta has
+// one encoding, the frame, and answers 406 to a request that does not
+// list it.
 
 // wantsBinary reports whether the request explicitly accepts the
 // binary frame content type with a non-zero quality value.

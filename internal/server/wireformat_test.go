@@ -152,8 +152,8 @@ func TestSnapshotCrossFormatEquivalence(t *testing.T) {
 }
 
 // TestBinaryClientSeesJSONValuesQuantized drives the typed client in
-// both formats over delta and batched-embedding endpoints: the binary
-// decode must surface exactly float64(float32(jsonValue)).
+// both formats over the batched-embedding endpoint: the binary decode
+// must surface exactly float64(float32(jsonValue)).
 func TestBinaryClientSeesJSONValuesQuantized(t *testing.T) {
 	_, base := wireTestServer(t)
 	ctx := context.Background()
@@ -184,34 +184,6 @@ func TestBinaryClientSeesJSONValuesQuantized(t *testing.T) {
 		}
 	}
 
-	// Delta from epoch 0 — either a real delta or a resync flag; both
-	// clients must agree on which and on the contents.
-	dj, err := cj.Delta(ctx, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := cb.Delta(ctx, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dj.Resync != db.Resync || dj.Epoch != db.Epoch || dj.Instance != db.Instance {
-		t.Fatalf("delta disagrees: JSON %+v vs binary %+v", dj, db)
-	}
-	if !dj.Resync {
-		if len(dj.Rows) != len(db.Rows) {
-			t.Fatalf("delta row counts disagree: %d vs %d", len(dj.Rows), len(db.Rows))
-		}
-		for i := range dj.Rows {
-			if dj.Rows[i] != db.Rows[i] {
-				t.Fatalf("delta row id %d: JSON %d, binary %d", i, dj.Rows[i], db.Rows[i])
-			}
-			for j := range dj.Z[i] {
-				if float64(float32(dj.Z[i][j])) != db.Z[i][j] {
-					t.Fatalf("delta row %d col %d: JSON %v, binary %v", i, j, dj.Z[i][j], db.Z[i][j])
-				}
-			}
-		}
-	}
 }
 
 // TestStatszWireCounters checks /statsz splits response counts and
@@ -230,9 +202,7 @@ func TestStatszWireCounters(t *testing.T) {
 	if _, err := cb.Embeddings(ctx, []graph.NodeID{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cb.Delta(ctx, 0); err != nil {
-		t.Fatal(err)
-	}
+	get(t, base, "/v1/delta?from=0", wire.ContentType)
 	st, err := c.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -289,9 +259,11 @@ func TestStatszAgreesWithMetrics(t *testing.T) {
 	}
 	for _, accept := range []string{"", wire.ContentType} {
 		send("GET", "/v1/snapshot", accept, "", http.StatusOK)
-		send("GET", "/v1/delta?from=0", accept, "", http.StatusOK)
 		send("POST", "/v1/embeddings", accept, `{"vs":[1,2,3]}`, http.StatusOK)
 	}
+	// A delta is only ever a frame: a JSON request is refused.
+	send("GET", "/v1/delta?from=0", "", "", http.StatusNotAcceptable)
+	send("GET", "/v1/delta?from=0", wire.ContentType, "", http.StatusOK)
 	send("GET", "/v1/snapshot?shard=7", wire.ContentType, "", http.StatusBadRequest)
 	send("GET", "/v1/delta?from=x", wire.ContentType, "", http.StatusBadRequest)
 	send("POST", "/v1/embeddings", wire.ContentType, `{"vs":[1,300]}`, http.StatusNotFound)

@@ -1,7 +1,9 @@
 // Package wire implements the compact binary frame that carries the
 // serving tier's large row payloads — snapshot bootstrap, epoch-delta
-// fan-out, and batched embedding reads — when a client negotiates
-// Content-Type application/x-gee-frame instead of the JSON debug path.
+// fan-out, and batched embedding reads. Snapshots and batched reads
+// travel as frames when a client negotiates Content-Type
+// application/x-gee-frame instead of the JSON debug path; a delta is
+// only ever a frame.
 //
 // Layout, little-endian throughout (every section offset is a multiple
 // of 4, so a decoder may alias the fixed-width arrays of an in-memory
@@ -66,8 +68,8 @@ import (
 )
 
 // ContentType is the negotiated media type of a binary frame response.
-// JSON stays the default: a server only answers with frames when the
-// request's Accept header lists this type explicitly.
+// A server only answers with frames when the request's Accept header
+// lists this type explicitly: JSON otherwise, or 406 for a delta.
 const ContentType = "application/x-gee-frame"
 
 // Frame kinds.

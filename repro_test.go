@@ -99,10 +99,11 @@ func TestFacadeReplicaAndNeighbors(t *testing.T) {
 		t.Fatalf("replica at epoch %d, primary at %d", local.Epoch, snap.Epoch)
 	}
 	row := make([]float64, snap.Z.C)
+	// A replica holds the binary wire's float32 rows.
 	for v := range snap.Z.R {
 		for j, x := range local.CopyRow(v, row) {
-			if x != snap.Z.At(v, j) {
-				t.Fatalf("replica not identical to primary at epoch %d: Z[%d][%d] = %v, want %v", snap.Epoch, v, j, x, snap.Z.At(v, j))
+			if w := float64(float32(snap.Z.At(v, j))); x != w {
+				t.Fatalf("replica not identical to primary at epoch %d: Z[%d][%d] = %v, want %v", snap.Epoch, v, j, x, w)
 			}
 		}
 	}
