@@ -356,25 +356,14 @@ func New(n int, y []int32, opts Options) (*DynamicEmbedder, error) {
 		u:          mat.NewDense(n, k),
 		rowAt:      make([]uint64, n),
 		yAt:        make([]uint64, n),
-		kern: exec.Kernel[float64]{
-			Width:  k,
-			SrcCol: yc,
-			DstCol: yc,
-			Coeff:  ones(n),
-		},
+		// U holds raw sums, so every class weighs 1 in the fold kernel;
+		// readers apply 1/n_k when they normalise.
+		kern:      exec.NewKernel(k, yc, slices.Repeat([]float64{1}, k), nil),
 		pageMark:  make([]uint64, (n+rows.PageRows-1)/rows.PageRows),
 		pubCounts: make([]int64, k),
 	}
 	d.publishLocked()
 	return d, nil
-}
-
-func ones(n int) []float64 {
-	c := make([]float64, n)
-	for i := range c {
-		c[i] = 1
-	}
-	return c
 }
 
 // instanceCounter distinguishes embedders created within the same

@@ -67,9 +67,6 @@ func NewEdgePlan(n, parts int) (*EdgePlan, error) {
 // Shards returns the number of shards in the layout.
 func (p *EdgePlan) Shards() int { return len(p.bounds) - 1 }
 
-// N returns the vertex count the layout covers.
-func (p *EdgePlan) N() int { return p.n }
-
 // ShardedEdges applies the kernel over an edge slice with the
 // contention-free sharded discipline: both half-updates of every arc
 // are bucketed by the shard owning their target row (a two-pass
@@ -79,7 +76,8 @@ func (p *EdgePlan) N() int { return p.n }
 // this way; below that a serial fold (SerialEdges) was measured faster
 // on 2 vCPUs than the bucketing pass and the parallel drain together.
 func ShardedEdges[T Float](k Kernel[T], edges []graph.Edge, z []T, p *EdgePlan, workers int) (Stats, error) {
-	if err := k.validate(p.n, len(z)); err != nil {
+	k, err := k.classForm(p.n, len(z))
+	if err != nil {
 		return Stats{}, err
 	}
 	parts := p.Shards()
@@ -93,38 +91,26 @@ func ShardedEdges[T Float](k Kernel[T], edges []graph.Edge, z []T, p *EdgePlan, 
 	}
 
 	// Pass 1: per-(worker, shard) half-update counts over static batch
-	// ranges.
-	srcCounts := make([][]int64, w)
-	dstCounts := make([][]int64, w)
+	// ranges (a trailing worker ForStatic leaves without a range counts
+	// nothing), beside the per-worker scatter cursors.
+	srcCounts, dstCounts := make([][]int64, w), make([][]int64, w)
+	srcCur, dstCur := make([][]int64, w), make([][]int64, w)
+	for worker := range w {
+		srcCounts[worker], dstCounts[worker] = make([]int64, parts), make([]int64, parts)
+		srcCur[worker], dstCur[worker] = make([]int64, parts), make([]int64, parts)
+	}
 	parallel.ForStatic(w, b, func(worker, lo, hi int) {
-		sc := make([]int64, parts)
-		dc := make([]int64, parts)
+		sc, dc := srcCounts[worker], dstCounts[worker]
 		for i := lo; i < hi; i++ {
 			sc[p.shardOf[edges[i].U]]++
 			dc[p.shardOf[edges[i].V]]++
 		}
-		srcCounts[worker] = sc
-		dstCounts[worker] = dc
 	})
-	for worker := 0; worker < w; worker++ {
-		// ForStatic leaves trailing workers without a range when its
-		// chunking rounds up; they contributed nothing.
-		if srcCounts[worker] == nil {
-			srcCounts[worker] = make([]int64, parts)
-			dstCounts[worker] = make([]int64, parts)
-		}
-	}
 
 	// Cursor scan: slot ranges ordered by (shard, worker) so each
 	// worker's scatter writes are disjoint.
 	p.srcStart = sliceTo(p.srcStart, parts+1)
 	p.dstStart = sliceTo(p.dstStart, parts+1)
-	srcCur := make([][]int64, w)
-	dstCur := make([][]int64, w)
-	for worker := 0; worker < w; worker++ {
-		srcCur[worker] = make([]int64, parts)
-		dstCur[worker] = make([]int64, parts)
-	}
 	var sAcc, dAcc int64
 	for s := 0; s < parts; s++ {
 		p.srcStart[s] = sAcc

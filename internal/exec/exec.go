@@ -106,14 +106,23 @@ func usesAtomicAdds(s Strategy, workers int) bool {
 	return s == Atomic || (s == Racy && race.Enabled)
 }
 
+// MaxWidth is the most columns Run walks: the walk holds each vertex's
+// class in a uint16, with 0xFFFF marking an unlabelled vertex.
+const MaxWidth = 65534
+
 // Run executes the kernel over every stored arc of g under the given
 // strategy, accumulating into the row-major buffer z (len g.N × k.Width).
 // z is accumulated into, not cleared, so contributions fold into whatever
 // the caller seeded (normally zeros).
 func Run[T Float](s Strategy, g *graph.CSR, k Kernel[T], z []T, o Options) (Stats, error) {
-	if err := k.validate(g.N, len(z)); err != nil {
+	k, err := k.classForm(g.N, len(z))
+	if err != nil {
 		return Stats{}, err
 	}
+	if k.Width > MaxWidth {
+		return Stats{}, fmt.Errorf("exec: kernel width %d over %d", k.Width, MaxWidth)
+	}
+	k.lab = walkLabels(k.SrcCol)
 	workers := parallel.Workers(o.Workers)
 	switch s {
 	case Serial:
@@ -182,7 +191,8 @@ func runReplicated[T Float](g *graph.CSR, k *Kernel[T], z []T, workers int) Stat
 // SerialEdges applies the kernel serially over an edge slice with plain
 // adds.
 func SerialEdges[T Float](k Kernel[T], edges []graph.Edge, n int, z []T) (Stats, error) {
-	if err := k.validate(n, len(z)); err != nil {
+	k, err := k.classForm(n, len(z))
+	if err != nil {
 		return Stats{}, err
 	}
 	var adds int64
@@ -197,7 +207,8 @@ func SerialEdges[T Float](k Kernel[T], edges []graph.Edge, n int, z []T) (Stats,
 // atomic adds (edge order carries no ownership structure, so atomics are
 // the only race-free discipline without bucketing).
 func AtomicEdges[T Float](k Kernel[T], edges []graph.Edge, n int, z []T, workers int) (Stats, error) {
-	if err := k.validate(n, len(z)); err != nil {
+	k, err := k.classForm(n, len(z))
+	if err != nil {
 		return Stats{}, err
 	}
 	adds := parallel.Reduce(workers, len(edges), int64(0), func(lo, hi int) int64 {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -10,10 +11,10 @@ import (
 )
 
 // testKernel builds a GEE-shaped kernel over n vertices: k classes
-// cycled over the vertices with every 7th vertex unlabeled, coefficients
-// 1/count(class), and optionally a per-vertex scale (the Laplacian
-// shape) and a shifted DstCol (the directed shape, width 2k).
-func testKernel(n, k int, scaled, directed bool) Kernel[float64] {
+// cycled over the vertices with every 7th vertex unlabeled, class
+// coefficients 1/count(class), and optionally a per-vertex scale (the
+// Laplacian shape).
+func testKernel(n, k int, scaled bool) Kernel[float64] {
 	y := make([]int32, n)
 	counts := make([]int64, k)
 	for i := range y {
@@ -24,23 +25,10 @@ func testKernel(n, k int, scaled, directed bool) Kernel[float64] {
 		y[i] = int32(i % k)
 		counts[y[i]]++
 	}
-	coeff := make([]float64, n)
-	for i, c := range y {
-		if c >= 0 {
-			coeff[i] = 1 / float64(counts[c])
-		}
-	}
-	width := k
-	dst := y
-	if directed {
-		width = 2 * k
-		dst = make([]int32, n)
-		for i, c := range y {
-			if c >= 0 {
-				dst[i] = c + int32(k)
-			} else {
-				dst[i] = -1
-			}
+	cls := make([]float64, k)
+	for c, m := range counts {
+		if m > 0 {
+			cls[c] = 1 / float64(m)
 		}
 	}
 	var scale []float64
@@ -50,7 +38,7 @@ func testKernel(n, k int, scaled, directed bool) Kernel[float64] {
 			scale[i] = 1 / math.Sqrt(float64(i%5+1))
 		}
 	}
-	return Kernel[float64]{Width: width, SrcCol: y, DstCol: dst, Coeff: coeff, Scale: scale}
+	return NewKernel(k, y, cls, scale)
 }
 
 func maxAbsDiff(a, b []float64) float64 {
@@ -74,16 +62,14 @@ func powerLawGraph(t testing.TB, scale int, m int64, seed uint64) *graph.CSR {
 func TestStrategiesMatchSerialOracle(t *testing.T) {
 	g := powerLawGraph(t, 11, 40_000, 1)
 	shapes := []struct {
-		name             string
-		scaled, directed bool
+		name   string
+		scaled bool
 	}{
-		{"plain", false, false},
-		{"scaled", true, false},
-		{"directed", false, true},
-		{"scaled-directed", true, true},
+		{"plain", false},
+		{"scaled", true},
 	}
 	for _, shape := range shapes {
-		k := testKernel(g.N, 8, shape.scaled, shape.directed)
+		k := testKernel(g.N, 8, shape.scaled)
 		oracle := make([]float64, g.N*k.Width)
 		if _, err := Run(Serial, g, k, oracle, Options{}); err != nil {
 			t.Fatalf("%s serial: %v", shape.name, err)
@@ -110,7 +96,7 @@ func TestWeightedArcsMatchSerialOracle(t *testing.T) {
 		el.Edges[i].W = float32(i%9 + 1)
 	}
 	g := graph.BuildCSR(4, el)
-	k := testKernel(g.N, 6, true, false)
+	k := testKernel(g.N, 6, true)
 	oracle := make([]float64, g.N*k.Width)
 	if _, err := Run(Serial, g, k, oracle, Options{}); err != nil {
 		t.Fatal(err)
@@ -132,7 +118,7 @@ func TestWeightedArcsMatchSerialOracle(t *testing.T) {
 // atomic operations, and the same number of logical adds.
 func TestShardedMatchesAtomicWithZeroAtomicAdds(t *testing.T) {
 	g := powerLawGraph(t, 12, 100_000, 7)
-	k := testKernel(g.N, 16, false, false)
+	k := testKernel(g.N, 16, false)
 	az := make([]float64, g.N*k.Width)
 	sz := make([]float64, g.N*k.Width)
 	ast, err := Run(Atomic, g, k, az, Options{Workers: 8})
@@ -168,7 +154,7 @@ func TestShardedMatchesAtomicWithZeroAtomicAdds(t *testing.T) {
 // assertion here.
 func TestShardedRaceFree(t *testing.T) {
 	g := powerLawGraph(t, 12, 150_000, 11)
-	k := testKernel(g.N, 4, false, false)
+	k := testKernel(g.N, 4, false)
 	for trial := 0; trial < 3; trial++ {
 		z := make([]float64, g.N*k.Width)
 		st, err := Run(ShardedDest, g, k, z, Options{Workers: 16})
@@ -186,7 +172,7 @@ func TestShardedDeterministic(t *testing.T) {
 	// repeated runs must agree bit-for-bit (unlike Atomic, whose
 	// interleaving reorders the sums).
 	g := powerLawGraph(t, 10, 30_000, 13)
-	k := testKernel(g.N, 8, true, false)
+	k := testKernel(g.N, 8, true)
 	a := make([]float64, g.N*k.Width)
 	b := make([]float64, g.N*k.Width)
 	if _, err := Run(ShardedDest, g, k, a, Options{Workers: 8}); err != nil {
@@ -229,7 +215,7 @@ func TestShardedBucketsCoverEveryArc(t *testing.T) {
 // depends only on graph structure.
 func TestShardedPlanCachedAcrossRuns(t *testing.T) {
 	g := powerLawGraph(t, 11, 50_000, 31)
-	k := testKernel(g.N, 8, false, false)
+	k := testKernel(g.N, 8, false)
 	z := make([]float64, g.N*k.Width)
 	first, err := Run(ShardedDest, g, k, z, Options{Workers: 8})
 	if err != nil {
@@ -252,14 +238,14 @@ func TestShardedPlanCachedAcrossRuns(t *testing.T) {
 		}
 	}
 	// A different kernel shape reuses the same structural plan.
-	dk := testKernel(g.N, 8, true, true)
-	dz := make([]float64, g.N*dk.Width)
-	st, err := Run(ShardedDest, g, dk, dz, Options{Workers: 8})
+	lk := testKernel(g.N, 8, true)
+	lz := make([]float64, g.N*lk.Width)
+	st, err := Run(ShardedDest, g, lk, lz, Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.PlanBuilds != 0 {
-		t.Fatalf("directed kernel rebuilt the structural plan (builds=%d)", st.PlanBuilds)
+		t.Fatalf("scaled (Laplacian) kernel rebuilt the structural plan (builds=%d)", st.PlanBuilds)
 	}
 	// A different worker count is a different shard layout: rebuild.
 	z3 := make([]float64, len(z))
@@ -287,10 +273,10 @@ func TestShardedEdgesMatchesSerial(t *testing.T) {
 		el.Edges[i].W = float32(i%7 + 1)
 	}
 	for _, shape := range []struct {
-		name             string
-		scaled, directed bool
-	}{{"plain", false, false}, {"scaled", true, false}, {"directed", false, true}} {
-		k := testKernel(el.N, 8, shape.scaled, shape.directed)
+		name   string
+		scaled bool
+	}{{"plain", false}, {"scaled", true}} {
+		k := testKernel(el.N, 8, shape.scaled)
 		want := make([]float64, el.N*k.Width)
 		if _, err := SerialEdges(k, el.Edges, el.N, want); err != nil {
 			t.Fatal(err)
@@ -323,7 +309,7 @@ func TestShardedEdgesMatchesSerial(t *testing.T) {
 // the scratch reuse both hold.
 func TestShardedEdgesScratchReuse(t *testing.T) {
 	el := gen.RMAT(4, 10, 30_000, gen.Graph500Params, 41)
-	k := testKernel(el.N, 6, false, false)
+	k := testKernel(el.N, 6, false)
 	want := make([]float64, el.N*k.Width)
 	if _, err := SerialEdges(k, el.Edges, el.N, want); err != nil {
 		t.Fatal(err)
@@ -351,7 +337,7 @@ func TestShardedEdgesScratchReuse(t *testing.T) {
 
 func TestShardedEdgesRaceFree(t *testing.T) {
 	el := gen.RMAT(4, 11, 80_000, gen.Graph500Params, 43)
-	k := testKernel(el.N, 4, false, false)
+	k := testKernel(el.N, 4, false)
 	plan, err := NewEdgePlan(el.N, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -375,11 +361,11 @@ func TestEdgePlanValidation(t *testing.T) {
 	if plan.Shards() != 3 {
 		t.Fatalf("plan over 3 vertices has %d shards", plan.Shards())
 	}
-	if plan.N() != 3 {
-		t.Fatalf("plan reports n=%d", plan.N())
+	if plan.n != 3 {
+		t.Fatalf("plan covers n=%d", plan.n)
 	}
-	bad := testKernel(3, 2, false, false)
-	bad.Coeff = bad.Coeff[:1]
+	bad := testKernel(3, 2, false)
+	bad.cls = bad.cls[:1]
 	if _, err := ShardedEdges(bad, nil, make([]float64, 6), plan, 2); err == nil {
 		t.Fatal("bad kernel accepted")
 	}
@@ -389,7 +375,7 @@ func TestRacyUpgradesOrRuns(t *testing.T) {
 	// Racy must execute without error regardless of the race detector
 	// (under -race it silently upgrades to Atomic).
 	g := powerLawGraph(t, 9, 10_000, 19)
-	k := testKernel(g.N, 4, false, false)
+	k := testKernel(g.N, 4, false)
 	z := make([]float64, g.N*k.Width)
 	if _, err := Run(Racy, g, k, z, Options{Workers: 8}); err != nil {
 		t.Fatal(err)
@@ -398,18 +384,15 @@ func TestRacyUpgradesOrRuns(t *testing.T) {
 
 func TestFloat32Instantiation(t *testing.T) {
 	g := powerLawGraph(t, 10, 20_000, 23)
-	k64 := testKernel(g.N, 8, true, false)
-	k32 := Kernel[float32]{
-		Width:  k64.Width,
-		SrcCol: k64.SrcCol,
-		DstCol: k64.DstCol,
-		Coeff:  make([]float32, g.N),
-		Scale:  make([]float32, g.N),
+	k64 := testKernel(g.N, 8, true)
+	narrow := func(x []float64) []float32 {
+		out := make([]float32, len(x))
+		for i, v := range x {
+			out[i] = float32(v)
+		}
+		return out
 	}
-	for i := range k32.Coeff {
-		k32.Coeff[i] = float32(k64.Coeff[i])
-		k32.Scale[i] = float32(k64.Scale[i])
-	}
+	k32 := NewKernel(k64.Width, k64.SrcCol, narrow(k64.cls), narrow(k64.Scale))
 	oracle := make([]float64, g.N*k64.Width)
 	if _, err := Run(Serial, g, k64, oracle, Options{}); err != nil {
 		t.Fatal(err)
@@ -434,7 +417,7 @@ func TestFloat32Instantiation(t *testing.T) {
 func TestEdgeSliceExecutionMatchesCSR(t *testing.T) {
 	el := gen.RMAT(4, 10, 15_000, gen.Graph500Params, 29)
 	g := graph.BuildCSR(4, el)
-	k := testKernel(g.N, 8, false, false)
+	k := testKernel(g.N, 8, false)
 	want := make([]float64, g.N*k.Width)
 	if _, err := Run(Serial, g, k, want, Options{}); err != nil {
 		t.Fatal(err)
@@ -461,15 +444,15 @@ func TestEdgeSliceExecutionMatchesCSR(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	g := graph.BuildCSR(1, &graph.EdgeList{N: 3, Edges: []graph.Edge{{U: 0, V: 1, W: 1}}})
-	good := testKernel(3, 2, false, false)
+	good := testKernel(3, 2, false)
 	z := make([]float64, 3*good.Width)
 	if _, err := Run(Strategy(99), g, good, z, Options{}); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
 	bad := good
-	bad.Coeff = bad.Coeff[:1]
+	bad.cls = bad.cls[:1]
 	if _, err := Run(Serial, g, bad, z, Options{}); err == nil {
-		t.Fatal("short coeff array accepted")
+		t.Fatal("short class table accepted")
 	}
 	if _, err := Run(Serial, g, good, z[:2], Options{}); err == nil {
 		t.Fatal("short buffer accepted")
@@ -489,13 +472,13 @@ func TestRunValidation(t *testing.T) {
 
 func TestEmptyAndTinyGraphs(t *testing.T) {
 	empty := graph.BuildCSR(1, &graph.EdgeList{N: 0})
-	k := Kernel[float64]{Width: 2, SrcCol: nil, DstCol: nil, Coeff: nil}
+	k := NewKernel[float64](2, nil, make([]float64, 2), nil)
 	if _, err := Run(ShardedDest, empty, k, nil, Options{Workers: 8}); err != nil {
 		t.Fatalf("empty graph: %v", err)
 	}
 	// Fewer vertices than workers: shard count clamps to n.
 	tiny := graph.BuildCSR(1, &graph.EdgeList{N: 2, Edges: []graph.Edge{{U: 0, V: 1, W: 1}}})
-	tk := testKernel(2, 1, false, false)
+	tk := testKernel(2, 1, false)
 	z := make([]float64, 2*tk.Width)
 	st, err := Run(ShardedDest, tiny, tk, z, Options{Workers: 16})
 	if err != nil {
@@ -514,5 +497,77 @@ func TestStrategyString(t *testing.T) {
 	}
 	if Strategy(42).String() == "" {
 		t.Fatal("unknown strategy must stringify")
+	}
+}
+
+// TestRunRefusesNonClassKernel holds the literal kernel form to the
+// class form: every entry point refuses, leaving z untouched, a kernel
+// whose DstCol differs from SrcCol or whose Coeff varies within a class,
+// and folds a literal kernel that is a class kernel bit for bit as its
+// class form.
+func TestRunRefusesNonClassKernel(t *testing.T) {
+	el := gen.RMAT(1, 8, 2_000, gen.Graph500Params, 71)
+	g := graph.BuildCSR(1, el)
+	class := testKernel(g.N, 4, true)
+	literal := func() Kernel[float64] {
+		coeff := make([]float64, g.N)
+		for x, c := range class.SrcCol {
+			if c >= 0 {
+				coeff[x] = class.cls[c]
+			}
+		}
+		return Kernel[float64]{Width: class.Width, SrcCol: class.SrcCol, DstCol: slices.Clone(class.SrcCol), Coeff: coeff, Scale: class.Scale}
+	}
+	directed := literal()
+	directed.DstCol[5] = (directed.DstCol[5] + 1) % 4
+	varying := literal()
+	varying.Coeff[5] *= 2
+	plan, err := NewEdgePlan(g.N, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each entry point at a setting whose sums have one order, so a
+	// literal kernel's result must equal its class form's exactly.
+	for _, entry := range []struct {
+		name string
+		fold func(Kernel[float64], []float64) error
+	}{
+		{"Run", func(k Kernel[float64], z []float64) error {
+			_, err := Run(ShardedDest, g, k, z, Options{Workers: 2})
+			return err
+		}},
+		{"SerialEdges", func(k Kernel[float64], z []float64) error {
+			_, err := SerialEdges(k, el.Edges, g.N, z)
+			return err
+		}},
+		{"AtomicEdges", func(k Kernel[float64], z []float64) error {
+			_, err := AtomicEdges(k, el.Edges, g.N, z, 1)
+			return err
+		}},
+		{"ShardedEdges", func(k Kernel[float64], z []float64) error {
+			_, err := ShardedEdges(k, el.Edges, z, plan, 2)
+			return err
+		}},
+	} {
+		want := make([]float64, g.N*class.Width)
+		if err := entry.fold(class, want); err != nil {
+			t.Fatalf("%s: class kernel: %v", entry.name, err)
+		}
+		got := make([]float64, len(want))
+		if err := entry.fold(literal(), got); err != nil {
+			t.Fatalf("%s refused a literal class kernel: %v", entry.name, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: the literal kernel's Z differs from its class form's", entry.name)
+		}
+		for name, bad := range map[string]Kernel[float64]{"directed": directed, "varying coefficient": varying} {
+			z := slices.Repeat([]float64{7}, len(want))
+			if err := entry.fold(bad, z); err == nil {
+				t.Errorf("%s accepted a %s kernel", entry.name, name)
+			}
+			if slices.ContainsFunc(z, func(x float64) bool { return x != 7 }) {
+				t.Errorf("%s wrote z for a refused %s kernel", entry.name, name)
+			}
+		}
 	}
 }

@@ -5,8 +5,9 @@
 // implementations differ only in *how* the concurrent writes are
 // resolved. This package makes that split explicit:
 //
-//   - Kernel[T] carries the per-edge math in data form (which column each
-//     half-update lands in, its magnitude, an optional per-vertex scale).
+//   - Kernel[T] carries the per-edge math in data form (each vertex's
+//     class, which is the column its half-updates land in, one magnitude
+//     per class, an optional per-vertex scale).
 //   - An executor Strategy decides scheduling and write discipline:
 //     Serial (one worker, plain adds), Atomic (Ligra's lock-free
 //     writeAdd), Racy (the paper's atomics-off ablation), Replicated
@@ -34,55 +35,79 @@ type Float interface {
 
 // Kernel is one GEE-style edge-map workload in data form. For each
 // stored arc (u, v, w) up to two half-updates apply to the row-major
-// embedding buffer z (row stride Width):
+// embedding buffer z (row stride Width), keyed by the class y of the
+// other endpoint:
 //
-//	src side: z[u·Width + SrcCol[v]] += Coeff[v] · s   (skipped when SrcCol[v] < 0)
-//	dst side: z[v·Width + DstCol[u]] += Coeff[u] · s   (skipped when DstCol[u] < 0)
+//	src side: z[u·Width + y[v]] += cls[y[v]] · s   (skipped when y[v] < 0)
+//	dst side: z[v·Width + y[u]] += cls[y[u]] · s   (skipped when y[u] < 0)
 //
-// where s = w · Scale[u] · Scale[v] (s = w when Scale is nil). The
-// column arrays are indexed by the *labeled* endpoint of each
-// half-update — the one whose class determines the column — which is how
-// Algorithm 1's two updates Z(u,Y(v)) and Z(v,Y(u)) are both expressed
-// by one kernel:
+// where s = w · Scale[u] · Scale[v] (s = w when Scale is nil). Standard
+// GEE has cls[c] = 1/count(Y = c), Algorithm 1's W(x, Y(x)) held once
+// per class; Laplacian GEE adds Scale[x] = 1/sqrt(deg(x)).
 //
-//   - standard GEE: SrcCol = DstCol = Y (labels are already the columns,
-//     with negative = unlabeled), Coeff[x] = 1/count(Y = Y(x)).
-//   - Laplacian GEE: additionally Scale[x] = 1/sqrt(deg(x)), so
-//     s = w/sqrt(deg(u)·deg(v)).
+// NewKernel builds that class form. A Kernel written field by field in
+// the literal per-vertex form (SrcCol, DstCol, Coeff) is converted at
+// every entry point in one O(n) pass, and refused unless DstCol equals
+// SrcCol and Coeff is one value per class.
 type Kernel[T Float] struct {
 	// Width is the number of columns of Z (K).
 	Width int
-	// SrcCol[v] is the column of the update landing in the source row u
-	// of an arc (u, v); negative skips the update (unlabeled v).
-	SrcCol []int32
-	// DstCol[u] is the column of the update landing in the target row v
-	// of an arc (u, v); negative skips the update (unlabeled u).
-	DstCol []int32
-	// Coeff[x] is the contribution magnitude of the half-update keyed by
-	// labeled endpoint x (Algorithm 1's W(x, Y(x))).
+	// SrcCol and DstCol are y, the class of each vertex (negative =
+	// unlabeled); NewKernel sets both.
+	SrcCol, DstCol []int32
+	// Coeff[x] is the literal form's Algorithm 1 W(x, Y(x)); nil in the
+	// class form.
 	Coeff []T
 	// Scale is an optional per-vertex multiplicative factor applied to
-	// both half-updates of an arc (nil = 1). The Laplacian variant sets
-	// Scale[x] = 1/sqrt(deg(x)).
+	// both half-updates of an arc (nil = 1).
 	Scale []T
+
+	cls []T      // Width entries: the magnitude of a half-update keyed by class c
+	lab []uint16 // Run's two-byte copy of the classes, for the walk
 }
 
-// validate checks the kernel arrays against a vertex count and buffer.
-func (k *Kernel[T]) validate(n int, zlen int) error {
-	if k.Width <= 0 {
-		return fmt.Errorf("exec: kernel width %d", k.Width)
+// NewKernel returns the class form of a kernel over width columns: y[x]
+// is the class of vertex x (negative = unlabelled), classCoeff[c] the
+// magnitude of every half-update keyed by a vertex of class c, and scale
+// the optional per-vertex factor. The kernel aliases y, so later writes
+// to it are seen by later folds.
+func NewKernel[T Float](width int, y []int32, classCoeff, scale []T) Kernel[T] {
+	return Kernel[T]{Width: width, SrcCol: y, DstCol: y, Scale: scale, cls: classCoeff}
+}
+
+// classForm validates the kernel against a vertex count and buffer and
+// returns it in class form, folding a literal kernel's Coeff into the
+// class table.
+func (k Kernel[T]) classForm(n int, zlen int) (Kernel[T], error) {
+	switch {
+	case k.Width <= 0 || zlen != n*k.Width:
+		return k, fmt.Errorf("exec: width %d and buffer length %d for %d vertices", k.Width, zlen, n)
+	case len(k.SrcCol) != n || len(k.DstCol) != n || (k.Scale != nil && len(k.Scale) != n):
+		return k, fmt.Errorf("exec: kernel arrays (%d src, %d dst, %d scale) for %d vertices",
+			len(k.SrcCol), len(k.DstCol), len(k.Scale), n)
+	case k.cls == nil && len(k.Coeff) != n:
+		return k, fmt.Errorf("exec: %d coefficients for %d vertices", len(k.Coeff), n)
 	}
-	if len(k.SrcCol) != n || len(k.DstCol) != n || len(k.Coeff) != n {
-		return fmt.Errorf("exec: kernel arrays (%d src, %d dst, %d coeff) for %d vertices",
-			len(k.SrcCol), len(k.DstCol), len(k.Coeff), n)
+	if k.cls == nil {
+		k.cls = make([]T, k.Width)
+		set := make([]bool, k.Width)
+		for x, c := range k.SrcCol {
+			switch {
+			case k.DstCol[x] != c || int(c) >= k.Width:
+				return k, fmt.Errorf("exec: vertex %d has columns %d and %d of %d", x, c, k.DstCol[x], k.Width)
+			case c < 0:
+			case !set[c]:
+				k.cls[c], set[c] = k.Coeff[x], true
+			case k.cls[c] != k.Coeff[x]:
+				return k, fmt.Errorf("exec: column %d has coefficients %v and %v", c, k.cls[c], k.Coeff[x])
+			}
+		}
+		k.Coeff = nil
 	}
-	if k.Scale != nil && len(k.Scale) != n {
-		return fmt.Errorf("exec: %d scale entries for %d vertices", len(k.Scale), n)
+	if len(k.cls) != k.Width {
+		return k, fmt.Errorf("exec: %d class coefficients for width %d", len(k.cls), k.Width)
 	}
-	if zlen != n*k.Width {
-		return fmt.Errorf("exec: buffer length %d, want n×Width = %d", zlen, n*k.Width)
-	}
-	return nil
+	return k, nil
 }
 
 // Writes reports which rows the arc (u, v) writes: row u when its
@@ -116,11 +141,11 @@ func (k *Kernel[T]) Apply(z []T, u, v graph.NodeID, w float32) int64 {
 	s := k.scale(u, v, w)
 	adds := int64(0)
 	if c := k.SrcCol[v]; c >= 0 {
-		z[int(u)*k.Width+int(c)] += k.Coeff[v] * s
+		z[int(u)*k.Width+int(c)] += k.cls[c] * s
 		adds++
 	}
 	if c := k.DstCol[u]; c >= 0 {
-		z[int(v)*k.Width+int(c)] += k.Coeff[u] * s
+		z[int(v)*k.Width+int(c)] += k.cls[c] * s
 		adds++
 	}
 	return adds
@@ -134,7 +159,7 @@ func (k *Kernel[T]) Apply(z []T, u, v graph.NodeID, w float32) int64 {
 //gee:noalloc
 func (k *Kernel[T]) ApplySrc(z []T, u, v graph.NodeID, w float32) int64 {
 	if c := k.SrcCol[v]; c >= 0 {
-		z[int(u)*k.Width+int(c)] += k.Coeff[v] * k.scale(u, v, w)
+		z[int(u)*k.Width+int(c)] += k.cls[c] * k.scale(u, v, w)
 		return 1
 	}
 	return 0
@@ -146,7 +171,7 @@ func (k *Kernel[T]) ApplySrc(z []T, u, v graph.NodeID, w float32) int64 {
 //gee:noalloc
 func (k *Kernel[T]) ApplyDst(z []T, u, v graph.NodeID, w float32) int64 {
 	if c := k.DstCol[u]; c >= 0 {
-		z[int(v)*k.Width+int(c)] += k.Coeff[u] * k.scale(u, v, w)
+		z[int(v)*k.Width+int(c)] += k.cls[c] * k.scale(u, v, w)
 		return 1
 	}
 	return 0
@@ -161,11 +186,11 @@ func (k *Kernel[T]) ApplyAtomic(z []T, u, v graph.NodeID, w float32) int64 {
 	s := k.scale(u, v, w)
 	adds := int64(0)
 	if c := k.SrcCol[v]; c >= 0 {
-		atomicx.Add(&z[int(u)*k.Width+int(c)], k.Coeff[v]*s)
+		atomicx.Add(&z[int(u)*k.Width+int(c)], k.cls[c]*s)
 		adds++
 	}
 	if c := k.DstCol[u]; c >= 0 {
-		atomicx.Add(&z[int(v)*k.Width+int(c)], k.Coeff[u]*s)
+		atomicx.Add(&z[int(v)*k.Width+int(c)], k.cls[c]*s)
 		adds++
 	}
 	return adds

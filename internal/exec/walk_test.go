@@ -1,21 +1,28 @@
 package exec
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/race"
+	"repro/internal/xrand"
 )
 
 // walkCase is one kernel shape over one graph for the walk table.
 type walkCase struct {
-	name             string
-	g                *graph.CSR
-	y                []int32 // class per vertex, negative = unlabelled
-	classes          int
-	scaled, directed bool
+	name    string
+	g       *graph.CSR
+	y       []int32 // class per vertex, negative = unlabelled
+	classes int
+	scaled  bool
+	// tol32 is the float32 bound for reordered sums, 1e-5 when zero; the
+	// k* cases label two thirds of the vertices, so their cells are
+	// longer sums that round further apart.
+	tol32 float64
 }
 
 // walkCases covers the structural corners of the shared arc walk. The
@@ -23,7 +30,10 @@ type walkCase struct {
 // labelled and unlabelled targets, an unlabelled target (3, 7) of
 // labelled sources, a labelled and an unlabelled self-loop, duplicate
 // arcs, and zero-degree vertices (5 has no arcs at all, 6 only incoming
-// ones). The R-MAT graph adds hot rows that several workers hit at once.
+// ones). The R-MAT graph adds hot rows that several workers hit at once,
+// and its k* cases sit on both sides of the 255 classes a one-byte label
+// would hold; tiny/widest labels vertices up to the last column the
+// two-byte labels hold (MaxWidth).
 func walkCases(t *testing.T) []walkCase {
 	t.Helper()
 	edges := []graph.Edge{
@@ -57,51 +67,54 @@ func walkCases(t *testing.T) []walkCase {
 			rmatY[i] = -1
 		}
 	}
-	return []walkCase{
+	cases := []walkCase{
 		{name: "tiny/weighted", g: tiny(true), y: tinyY, classes: 3},
 		{name: "tiny/unit-weight", g: tiny(false), y: tinyY, classes: 3},
 		{name: "tiny/scaled", g: tiny(true), y: tinyY, classes: 3, scaled: true},
-		{name: "tiny/directed", g: tiny(true), y: tinyY, classes: 3, directed: true},
-		{name: "tiny/scaled-directed-unit", g: tiny(false), y: tinyY, classes: 3, scaled: true, directed: true},
+		{name: "tiny/unlabelled", g: tiny(true), y: slices.Repeat([]int32{-1}, len(tinyY)), classes: 3},
+		{name: "tiny/widest", g: tiny(true), y: []int32{0, MaxWidth - 1, 7, -1, MaxWidth - 2, MaxWidth - 1, 0, -1, 255}, classes: MaxWidth},
 		{name: "rmat/sparse-labels", g: rmatG, y: rmatY, classes: 6},
-		{name: "rmat/scaled-directed", g: rmatG, y: rmatY, classes: 6, scaled: true, directed: true},
 	}
+	for _, classes := range []int{1, 254, 255, 256} {
+		y := make([]int32, rmatG.N)
+		for i := range y {
+			y[i] = int32(i % classes)
+			if i%3 == 1 {
+				y[i] = -1
+			}
+		}
+		name := fmt.Sprintf("rmat/k%d", classes)
+		cases = append(cases,
+			walkCase{name: name + "/weighted", g: rmatG, y: y, classes: classes, tol32: 1e-4},
+			walkCase{name: name + "/scaled", g: rmatG, y: y, classes: classes, scaled: true, tol32: 1e-4})
+	}
+	return cases
 }
 
-// walkKernel builds the case's kernel at cell type T: Coeff = 1/count(class),
-// Scale = 1/sqrt(1 + v mod 5) (the Laplacian shape), DstCol shifted by
-// the class count over a doubled width (the directed shape).
+// walkKernel builds the case's kernel at cell type T: class coefficients
+// 1/count(class) and, when scaled, Scale = 1/sqrt(1 + v mod 5) (the
+// Laplacian shape).
 func walkKernel[T Float](c walkCase) Kernel[T] {
-	n := len(c.y)
 	counts := make([]int, c.classes)
 	for _, cls := range c.y {
 		if cls >= 0 {
 			counts[cls]++
 		}
 	}
-	k := Kernel[T]{Width: c.classes, SrcCol: c.y, DstCol: c.y, Coeff: make([]T, n)}
-	for v, cls := range c.y {
-		if cls >= 0 {
-			k.Coeff[v] = T(1 / float64(counts[cls]))
+	cls := make([]T, c.classes)
+	for i, n := range counts {
+		if n > 0 {
+			cls[i] = T(1 / float64(n))
 		}
 	}
+	var scale []T
 	if c.scaled {
-		k.Scale = make([]T, n)
-		for v := range k.Scale {
-			k.Scale[v] = T(1 / math.Sqrt(float64(v%5+1)))
+		scale = make([]T, len(c.y))
+		for v := range scale {
+			scale[v] = T(1 / math.Sqrt(float64(v%5+1)))
 		}
 	}
-	if c.directed {
-		k.Width = 2 * c.classes
-		k.DstCol = make([]int32, n)
-		for v, cls := range c.y {
-			k.DstCol[v] = -1
-			if cls >= 0 {
-				k.DstCol[v] = cls + int32(c.classes)
-			}
-		}
-	}
-	return k
+	return NewKernel(c.classes, c.y, cls, scale)
 }
 
 // runWalkCase checks every strategy × worker count of one case at cell
@@ -128,7 +141,9 @@ func runWalkCase[T Float](t *testing.T, c walkCase, tol float64) {
 			}
 		}
 	}
-	if halves != labelled || labelled == 0 {
+	// Only the all-unlabelled case may make no adds at all.
+	hasLabels := slices.ContainsFunc(c.y, func(x int32) bool { return x >= 0 })
+	if halves != labelled || (labelled > 0) != hasLabels {
 		t.Fatalf("reference loop made %d adds for %d labelled half-updates", halves, labelled)
 	}
 	for _, s := range Strategies {
@@ -142,7 +157,7 @@ func runWalkCase[T Float](t *testing.T, c walkCase, tol float64) {
 				t.Errorf("%v/w%d: %d atomic + %d plain adds, want %d labelled half-updates",
 					s, workers, st.AtomicAdds, st.PlainAdds, labelled)
 			}
-			if wantAtomic := usesAtomicAdds(s, workers); (st.AtomicAdds > 0) != wantAtomic {
+			if wantAtomic := usesAtomicAdds(s, workers) && labelled > 0; (st.AtomicAdds > 0) != wantAtomic {
 				t.Errorf("%v/w%d: %d atomic adds, usesAtomicAdds = %v", s, workers, st.AtomicAdds, wantAtomic)
 			}
 			if s == Racy && workers > 1 && !race.Enabled {
@@ -170,21 +185,26 @@ func TestWalkMatchesPlainApplyLoop(t *testing.T) {
 		t.Run(c.name+"/float64", func(t *testing.T) { runWalkCase[float64](t, c, 1e-12) })
 		// float32 sums carry ~1e-7 relative rounding, so reordered adds
 		// agree to 1e-5 on these magnitudes, not to 1e-12.
-		t.Run(c.name+"/float32", func(t *testing.T) { runWalkCase[float32](t, c, 1e-5) })
+		tol32 := c.tol32
+		if tol32 == 0 {
+			tol32 = 1e-5
+		}
+		t.Run(c.name+"/float32", func(t *testing.T) { runWalkCase[float32](t, c, tol32) })
 	}
 }
 
 // TestRunAllocatesPerWorkerNotPerArc pins the walk's allocation
 // profile: Run(Serial) and Run(Atomic) allocate a handful of objects
-// per worker (goroutines, the chunk closure, the escaped kernel) and
-// nothing that grows with n or m.
+// per worker (goroutines, the chunk closure, the escaped kernel) plus
+// the walk's one label array, and no object count that grows with n or
+// m.
 func TestRunAllocatesPerWorkerNotPerArc(t *testing.T) {
 	const workers = 4
 	for _, s := range []Strategy{Serial, Atomic} {
 		var allocs []float64
 		for _, scale := range []int{8, 12} {
 			g := powerLawGraph(t, scale, int64(8<<scale), 37)
-			k := testKernel(g.N, 8, false, false)
+			k := testKernel(g.N, 8, false)
 			z := make([]float64, g.N*k.Width)
 			allocs = append(allocs, testing.AllocsPerRun(5, func() {
 				if _, err := Run(s, g, k, z, Options{Workers: workers}); err != nil {
@@ -196,5 +216,41 @@ func TestRunAllocatesPerWorkerNotPerArc(t *testing.T) {
 			t.Errorf("%v: %v allocations per run at n=2^8 and n=2^12, want equal and at most %d",
 				s, allocs, 4*workers)
 		}
+	}
+}
+
+// BenchmarkWalk is the walk's layer ruler: Run over a permuted scale-16
+// R-MAT with 16 arcs a vertex, K = 50 and 10% of the vertices labelled —
+// embed_skewed's shape at 1/16 of its vertices — reported as stored arcs
+// walked per second for the Serial and Atomic strategies.
+func BenchmarkWalk(b *testing.B) {
+	const scale, classes = 16, 50
+	el := gen.RMAT(0, scale, 16<<scale, gen.Graph500Params, 53)
+	g := graph.BuildCSR(0, graph.Permute(el, graph.RandomPermutation(el.N, 59)))
+	r := xrand.New(61)
+	y := make([]int32, g.N)
+	counts := make([]int, classes)
+	for v := range y {
+		y[v] = -1
+		if r.Intn(10) == 0 {
+			y[v] = int32(r.Intn(classes))
+			counts[y[v]]++
+		}
+	}
+	cls := make([]float64, classes)
+	for c, n := range counts {
+		cls[c] = 1 / float64(max(n, 1))
+	}
+	k := NewKernel(classes, y, cls, nil)
+	z := make([]float64, g.N*classes)
+	for _, s := range []Strategy{Serial, Atomic} {
+		b.Run(s.String(), func(b *testing.B) {
+			for b.Loop() {
+				if _, err := Run(s, g, k, z, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(g.NumEdges())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Medges/s")
+		})
 	}
 }

@@ -6,8 +6,8 @@
 //     correctness oracle and the stand-in for the paper's interpreted
 //     Python baseline.
 //   - Optimized: the Numba-JIT analog — same single pass over edges, but
-//     flat preallocated arrays and the W matrix compressed to the one
-//     nonzero coefficient per vertex.
+//     flat preallocated arrays and the W matrix compressed to its K
+//     distinct nonzeros, one coefficient per class.
 //   - LigraSerial / LigraParallel / LigraParallelUnsafe: Algorithm 2 —
 //     the edge map formulation, run as exec's dense row-major walk over
 //     every arc of the CSR. Parallel uses lock-free atomic writeAdd
@@ -118,7 +118,8 @@ func (im Impl) strategy() (exec.Strategy, bool) {
 // Options configures an embedding run.
 type Options struct {
 	// K is the number of classes (embedding dimensionality). Zero means
-	// infer 1 + max(Y).
+	// infer 1 + max(Y). At most exec.MaxWidth (65534): the CSR walk keeps
+	// each label in two bytes.
 	K int
 	// Workers bounds parallelism for the CSR implementations; <= 0
 	// selects GOMAXPROCS.
@@ -145,6 +146,9 @@ func (o Options) normalize(n int, y []int32) (int, error) {
 	}
 	if k <= 0 {
 		return 0, fmt.Errorf("gee: no labeled vertices and K unset")
+	}
+	if k > exec.MaxWidth {
+		return 0, fmt.Errorf("gee: K = %d over %d", k, exec.MaxWidth)
 	}
 	if err := labels.Validate(y, k); err != nil {
 		return 0, err
@@ -223,7 +227,7 @@ func EmbedCSR(impl Impl, g *graph.CSR, y []int32, opts Options) (*Result, error)
 		return &Result{Z: z, K: k, Impl: impl}, nil
 	}
 	if _, ok := impl.strategy(); ok {
-		z, err := csrEmbed(g, y, k, opts, impl)
+		z, err := csrEmbedTimed(g, y, k, opts, impl, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -5,10 +5,12 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/labels"
 	"repro/internal/mat"
+	"repro/internal/race"
 )
 
 // handExample is a 4-vertex weighted graph with hand-computed embedding.
@@ -126,6 +128,71 @@ func TestErrorCases(t *testing.T) {
 	}
 	if _, err := EmbedCSR(Impl(99), graph.BuildCSR(1, el), y, Options{}); err == nil {
 		t.Fatal("bogus impl accepted via CSR")
+	}
+}
+
+// TestKCeiling: K stops at exec.MaxWidth, the most classes the CSR
+// walk's two-byte labels hold. At the ceiling every Impl embeds the hand
+// example with its second class moved to the last column; one above it
+// is refused, whether K is set or inferred.
+func TestKCeiling(t *testing.T) {
+	el, _, _ := handExample()
+	last := int32(exec.MaxWidth - 1)
+	y := []int32{0, last, 0, last}
+	for _, im := range Impls {
+		r, err := EmbedCSR(im, graph.BuildCSR(1, el), y, Options{Workers: 2})
+		if err != nil {
+			t.Fatalf("%v at K = %d: %v", im, exec.MaxWidth, err)
+		}
+		if r.K != exec.MaxWidth || r.Z.At(0, int(last)) != 1 || r.Z.At(1, 0) != 1.5 || r.Z.At(2, int(last)) != 1.5 {
+			t.Errorf("%v at K = %d: K = %d, Z(0,%d) = %v, Z(1,0) = %v, Z(2,%d) = %v, want 1, 1.5, 1.5",
+				im, exec.MaxWidth, r.K, last, r.Z.At(0, int(last)), r.Z.At(1, 0), last, r.Z.At(2, int(last)))
+		}
+	}
+	if _, err := Embed(LigraSerial, el, y, Options{K: exec.MaxWidth + 1}); err == nil {
+		t.Errorf("K = %d accepted", exec.MaxWidth+1)
+	}
+	if _, err := Embed(Reference, el, []int32{0, last + 1, 0, 1}, Options{}); err == nil {
+		t.Errorf("inferred K = %d accepted", exec.MaxWidth+1)
+	}
+}
+
+// TestEmbedCSRAllocatesZAndLabels is a ratchet on what one
+// EmbedCSR(LigraParallel) allocates, averaged over many embeds: Z
+// (n·K·8 bytes), the walk's two-byte labels (2n) and a constant — the
+// K-entry class table, per-worker class counts, the result and the
+// goroutines. A per-vertex coefficient array would add 8n.
+func TestEmbedCSRAllocatesZAndLabels(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts need a build without the race detector")
+	}
+	const n, k, embeds = 1 << 14, 8, 50
+	const maxBytes = n*k*8 + 2*n + 2048
+	g := graph.BuildCSR(2, gen.RMAT(2, 14, 8*n, gen.Graph500Params, 91))
+	y := make([]int32, n)
+	for i := range y {
+		y[i] = int32(i % k)
+		if i%10 != 0 {
+			y[i] = -1
+		}
+	}
+	opts := Options{K: k, Workers: 2}
+	embed := func() {
+		if _, err := EmbedCSR(LigraParallel, g, y, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	embed()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range embeds {
+		embed()
+	}
+	runtime.ReadMemStats(&m1)
+	bytes := (m1.TotalAlloc - m0.TotalAlloc) / embeds
+	t.Logf("EmbedCSR(LigraParallel), n = %d, K = %d: %d bytes, n·K·8 + 2n + %d", n, k, bytes, int64(bytes)-n*k*8-2*n)
+	if bytes > maxBytes {
+		t.Errorf("EmbedCSR allocated %d bytes, want ≤ %d (n·K·8 + 2n + %d)", bytes, maxBytes, maxBytes-n*k*8-2*n)
 	}
 }
 
@@ -400,14 +467,16 @@ func TestProjection(t *testing.T) {
 	if counts[0] != 2 || counts[1] != 3 {
 		t.Fatalf("counts=%v", counts)
 	}
-	coeff := projectionCoeffs(4, y, counts)
+	// The kernel's class coefficients are W's nonzeros: an arc from the
+	// unlabelled vertex 3 to v lands W(v, ·) in row 3 and nothing else.
+	kern := buildKernel(4, y, 2, nil)
 	for v := 0; v < 6; v++ {
-		expected := 0.0
-		if y[v] >= 0 {
-			expected = w.At(v, int(y[v]))
-		}
-		if coeff[v] != expected {
-			t.Fatalf("coeff[%d]=%v want %v", v, coeff[v], expected)
+		z := make([]float64, 6*2)
+		kern.Apply(z, 3, graph.NodeID(v), 1)
+		for c := 0; c < 2; c++ {
+			if z[3*2+c] != w.At(v, c) {
+				t.Fatalf("arc 3→%d lands %v in column %d, want W = %v", v, z[3*2+c], c, w.At(v, c))
+			}
 		}
 	}
 }

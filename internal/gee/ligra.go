@@ -10,33 +10,14 @@ import (
 	"repro/internal/parallel"
 )
 
-// csrEmbed is Algorithm 2 (GEE-Ligra) generalized over execution
-// strategies: the projection initialization is parallelized (lines 3-6),
-// then the edge map applies updateEmb once to every arc (line 7). That
-// edge map is exec.walk, a dense walk over the CSR's rows that every
-// strategy runs: every vertex is active, so nothing tracks a frontier.
-//
-// updateEmb (lines 9-12) performs the two writeAdd updates per arc:
-//
-//	writeAdd(Z(u, Y(v)), W(v, Y(v)) · w)
-//	writeAdd(Z(v, Y(u)), W(u, Y(u)) · w)
-//
-// The math is carried by the shared exec kernel; how the two writes are
-// scheduled and made race-free is the implementation's exec strategy
-// (gee.Impl.strategy): serial, atomic writeAdd, racy plain adds (the
-// paper's ablation), replicated buffers, or destination sharding.
-func csrEmbed(g *graph.CSR, y []int32, k int, opts Options, impl Impl) (*mat.Dense, error) {
-	return csrEmbedTimed(g, y, k, opts, impl, nil)
-}
-
 // Timings records the two phases of Algorithm 2 for the paper's §III
 // observation that the O(nk) projection initialization dominates on
 // graphs with very low average degree (experiment E6).
 type Timings struct {
-	// WInit is lines 2-6: the projection coefficients and the allocation
-	// of Z — side by side past one worker, so their maximum, not their sum.
+	// WInit is lines 2-6: the class coefficients and the allocation of
+	// Z — side by side past one worker, so their maximum, not their sum.
 	WInit   time.Duration
-	EdgeMap time.Duration // line 7: the edge map over all arcs
+	EdgeMap time.Duration // line 7: exec.Run's label narrowing and the edge map over all arcs
 }
 
 // EmbedCSRTimed is EmbedCSR for the CSR-executing implementations with
@@ -57,16 +38,31 @@ func EmbedCSRTimed(impl Impl, g *graph.CSR, y []int32, opts Options) (*Result, *
 	return &Result{Z: z, K: k, Impl: impl}, &tm, nil
 }
 
+// csrEmbedTimed is Algorithm 2 (GEE-Ligra) generalized over execution
+// strategies: the projection initialization is parallelized (lines 3-6),
+// then the edge map applies updateEmb once to every arc (line 7). That
+// edge map is exec.walk, a dense walk over the CSR's rows that every
+// strategy runs: every vertex is active, so nothing tracks a frontier.
+//
+// updateEmb (lines 9-12) performs the two writeAdd updates per arc:
+//
+//	writeAdd(Z(u, Y(v)), W(v, Y(v)) · w)
+//	writeAdd(Z(v, Y(u)), W(u, Y(u)) · w)
+//
+// The math is carried by the shared exec kernel; how the two writes are
+// scheduled and made race-free is the implementation's exec strategy
+// (gee.Impl.strategy): serial, atomic writeAdd, racy plain adds (the
+// paper's ablation), replicated buffers, or destination sharding. tm,
+// when not nil, receives the two phases' times.
 func csrEmbedTimed(g *graph.CSR, y []int32, k int, opts Options, impl Impl, tm *Timings) (*mat.Dense, error) {
 	workers := opts.workers()
 	if impl == LigraSerial {
 		workers = 1
 	}
-	// Algorithm 2, lines 3-6: parallel projection initialization,
-	// expressed as the shared exec kernel. Z is allocated exactly once
-	// and make's clear is its only zeroing; that clear runs on one
-	// goroutine, so with more than one worker the kernel is assembled
-	// beside it instead of before it.
+	// Algorithm 2, lines 3-6: parallel projection initialization, as the
+	// shared exec kernel. Z is allocated exactly once and make's clear is
+	// its only zeroing; that clear runs on one goroutine, so past one
+	// worker the kernel is assembled beside it, not before it.
 	start := time.Now()
 	var z *mat.Dense
 	var kern exec.Kernel[float64]

@@ -8,7 +8,7 @@ import (
 
 // optimizedEmbed is the Numba-JIT analog (Table I "Numba Serial"): the
 // same single pass over the edge list as Algorithm 1, but with the
-// projection matrix compressed to one coefficient per vertex and flat
+// projection matrix compressed to one coefficient per class and flat
 // row-major storage — exactly the loop a tracing JIT emits for the
 // reference kernel. That loop is the shared serial exec kernel; serial
 // by construction.

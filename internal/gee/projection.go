@@ -14,50 +14,21 @@ func classCounts(workers int, y []int32, k int) []int64 {
 	return parallel.Histogram(workers, len(y), k, func(i int) int { return int(y[i]) })
 }
 
-// projectionCoeffs returns the compressed projection matrix: since row v
-// of W has at most one nonzero — W(v, Y(v)) = 1/count(Y=Y(v)) — it is
-// stored as one coefficient per vertex (0 for unlabeled vertices). This
-// is the optimization the Numba and Ligra implementations share; the
-// Reference implementation materializes the full n×K matrix instead.
-//
-// The parallel initialization is Algorithm 2 lines 3-6: the paper notes
-// this O(nk) step dominates the runtime on very low-degree graphs. The
-// K divisions happen once, into a reciprocal table the per-vertex loop
-// only indexes.
-func projectionCoeffs(workers int, y []int32, counts []int64) []float64 {
-	recip := make([]float64, len(counts))
-	for c, n := range counts {
-		if n > 0 {
-			recip[c] = 1 / float64(n)
-		}
-	}
-	coeff := make([]float64, len(y))
-	parallel.ForChunk(workers, len(y), 0, func(lo, hi int) {
-		out := coeff[lo:hi]
-		for i, c := range y[lo:hi] {
-			if c >= 0 {
-				out[i] = recip[c]
-			}
-		}
-	})
-	return coeff
-}
-
-// buildKernel assembles the exec kernel every implementation shares: the
-// label vector doubles as both column arrays (unlabeled vertices are
-// negative and skip their half-update), the compressed projection
-// coefficients carry the magnitudes, and the optional Laplacian degrees
-// become the per-vertex scale 1/sqrt(d) whose pairwise product is the
-// edge factor 1/sqrt(d(u)·d(v)).
+// buildKernel assembles the exec kernel every implementation shares.
+// Row v of the projection matrix W has one nonzero, W(v, Y(v)) =
+// 1/count(Y=Y(v)), which depends on the class alone, so W is kept as K
+// coefficients (Reference materializes the full n×K matrix instead).
+// The labels are the kernel's classes, and the optional Laplacian degrees
+// become the per-vertex scale 1/sqrt(d). The parallel count is Algorithm
+// 2 lines 3-6, which the paper notes dominates on very low-degree graphs.
 func buildKernel(workers int, y []int32, k int, deg []float64) exec.Kernel[float64] {
-	counts := classCounts(workers, y, k)
-	return exec.Kernel[float64]{
-		Width:  k,
-		SrcCol: y,
-		DstCol: y,
-		Coeff:  projectionCoeffs(workers, y, counts),
-		Scale:  invSqrtDegrees(workers, deg),
+	cls := make([]float64, k)
+	for c, n := range classCounts(workers, y, k) {
+		if n > 0 {
+			cls[c] = 1 / float64(n)
+		}
 	}
+	return exec.NewKernel(k, y, cls, invSqrtDegrees(workers, deg))
 }
 
 // invSqrtDegrees maps incident degrees to the kernel scale 1/sqrt(d)

@@ -28,19 +28,19 @@ func referenceEmbed(el *graph.EdgeList, y []int32, k int, opts Options) (*mat.De
 	n := el.N
 	// Lines 2-6: the literal projection matrix.
 	w := referenceProjection(n, y, k)
-	// The kernel coefficient of vertex v is W(v, Y(v)), read through the
-	// materialized matrix as Algorithm 1's inner loop does.
-	coeff := make([]float64, n)
+	// The kernel coefficient of class c is W(v, c) of its vertices v, read
+	// through the materialized matrix as Algorithm 1's inner loop does.
+	cls := make([]float64, k)
 	for v := 0; v < n; v++ {
 		if c := y[v]; c >= 0 {
-			coeff[v] = w.At(v, int(c))
+			cls[c] = w.At(v, int(c))
 		}
 	}
 	var deg []float64
 	if opts.Laplacian {
 		deg = incidentDegreesEdgeList(el)
 	}
-	kern := exec.Kernel[float64]{Width: k, SrcCol: y, DstCol: y, Coeff: coeff, Scale: invSqrtDegrees(1, deg)}
+	kern := exec.NewKernel(k, y, cls, invSqrtDegrees(1, deg))
 	// Lines 7-12: single serial pass over the edge list.
 	z := mat.NewDense(n, k)
 	if _, err := exec.SerialEdges(kern, el.Edges, n, z.Data); err != nil {
