@@ -1,12 +1,14 @@
-// Command geebench regenerates the paper's evaluation (§IV): Table I,
-// Figures 2-4, the atomics ablation, and the W-initialization crossover.
-// Beyond the paper, Table I and the ablation also measure the
-// repository's destination-sharded backend (GEE-Sharded), which matches
-// the atomic parallel output with zero atomic operations.
+// Command geebench regenerates the paper's evaluation (§IV): Table I
+// with Figure 2 (the largest graph's row, normalized), Figures 3 and 4,
+// the atomics ablation, and the W-initialization crossover. It is the
+// one driver of internal/bench. Beyond the paper, Table I and the
+// ablation also measure the repository's destination-sharded backend
+// (GEE-Sharded), which matches the atomic parallel output with zero
+// atomic operations.
 //
 // Usage:
 //
-//	geebench -exp table1 -scale 64            # Table I at 1/64 dataset sizes
+//	geebench -exp table1 -scale 64            # Table I and Figure 2 at 1/64 dataset sizes
 //	geebench -exp fig3 -scale 32              # strong scaling sweep
 //	geebench -exp fig4 -min-log2 13 -max-log2 24
 //	geebench -exp all -scale 64
@@ -28,7 +30,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "table1", "experiment: table1, fig2, fig3, fig4, ablation, winit, all")
+		exp       = flag.String("exp", "table1", "experiment: table1 (with Figure 2), fig3, fig4, ablation, winit, all")
 		csvDir    = flag.String("csv", "", "also write machine-readable CSVs into this directory")
 		scaleDiv  = flag.Int64("scale", 64, "dataset scale divisor (paper size / scale)")
 		reps      = flag.Int("reps", 3, "repetitions per measurement (median reported)")
@@ -90,12 +92,6 @@ func run(exp string, cfg bench.Config, minLog2, maxLog2, refMax int, graphName, 
 			}); err != nil {
 				return err
 			}
-		case "fig2":
-			res, err := bench.RunFig2(cfg, progress)
-			if err != nil {
-				return err
-			}
-			bench.RenderFig2(out, res)
 		case "fig3":
 			points, err := bench.RunFig3(cfg, nil, progress)
 			if err != nil {
@@ -146,7 +142,7 @@ func run(exp string, cfg bench.Config, minLog2, maxLog2, refMax int, graphName, 
 		return nil
 	}
 	if exp == "all" {
-		for _, name := range []string{"table1", "fig2", "fig3", "fig4", "ablation", "winit"} {
+		for _, name := range []string{"table1", "fig3", "fig4", "ablation", "winit"} {
 			if err := runOne(name); err != nil {
 				return err
 			}

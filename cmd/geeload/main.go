@@ -530,39 +530,43 @@ func measureRecall(ctx context.Context, c *client.Client, n int, cfg config, out
 	}
 	// Warm: each stale or cold approx query kicks the async rebuild of
 	// every shard it scatters to; poll /statsz until every shard's index
-	// has caught up to that shard's own published epoch. (Per-shard
-	// epochs are independent counters, so the response's scalars cannot
-	// say this: IndexEpoch is the min over shard indexes, Epoch the max
-	// over shard publishes.) A cold index answers "exact" while its
-	// first build is in flight, so a recall figure taken before this
-	// would not measure the index at all.
-	warm := func() error {
+	// has caught up to that shard's own published epoch, and return that
+	// per-shard epoch vector. (Per-shard epochs are independent
+	// counters, so the response's scalars cannot say this: IndexEpoch is
+	// the min over shard indexes, Epoch the max over shard publishes.)
+	// A cold index answers "exact" while its first build is in flight,
+	// so a recall figure taken before this would not measure the index
+	// at all.
+	warm := func() (shard.EpochVector, error) {
 		for tries := 0; ; tries++ {
 			resp, err := c.Neighbors(ctx, approxReq(graph.NodeID(r.Intn(n))))
 			if err != nil {
-				return err
+				return nil, err
 			}
 			st, err := c.Stats(ctx)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			caughtUp := true
+			caughtUp := shard.EpochVector{}
 			for _, ss := range st.Shards {
 				if ss.Index.Epoch != ss.Dyn.Epoch {
-					caughtUp = false
+					caughtUp = nil
+					break
 				}
+				caughtUp[ss.Shard] = ss.Dyn.Epoch
 			}
-			if caughtUp {
-				return nil
+			if caughtUp != nil {
+				return caughtUp, nil
 			}
 			if tries >= 300 {
-				return fmt.Errorf("index never caught up to the published epoch (%d vs %d)",
+				return nil, fmt.Errorf("index never caught up to the published epoch (%d vs %d)",
 					resp.IndexEpoch, resp.Epoch)
 			}
 			time.Sleep(50 * time.Millisecond)
 		}
 	}
-	if err := warm(); err != nil {
+	warmed, err := warm()
+	if err != nil {
 		return err
 	}
 	var recall float64
@@ -580,11 +584,12 @@ func measureRecall(ctx context.Context, c *client.Client, n int, cfg config, out
 		if err != nil {
 			return err
 		}
-		// No publish may land between the two scatter reads: their
-		// per-shard epoch vectors must agree exactly. (A shard whose
-		// index lags its snapshot serves that partial from the exact
-		// scan, which can only raise recall.)
-		if !maps.Equal(ap.Epochs, ex.Epochs) {
+		// No publish may land after the warmup: both scatter reads must
+		// cover exactly the epoch vector the indexes caught up to. A
+		// shard whose snapshot moved past its index answers from that
+		// older index, so its partial is not the exact top-k of the
+		// data the oracle reads.
+		if !maps.Equal(ap.Epochs, warmed) || !maps.Equal(ex.Epochs, warmed) {
 			// A straggler publish landed mid-phase (a write whose client
 			// departed at the load deadline is still applied and
 			// published). Stragglers are bounded by the writers'
@@ -595,7 +600,7 @@ func measureRecall(ctx context.Context, c *client.Client, n int, cfg config, out
 				return fmt.Errorf("epoch kept moving during the recall phase (%d vs %d): is a writer still running?",
 					ap.IndexEpoch, ex.Epoch)
 			}
-			if err := warm(); err != nil {
+			if warmed, err = warm(); err != nil {
 				return err
 			}
 			q--

@@ -36,19 +36,19 @@ func RunAblation(spec GraphSpec, cfg Config, progress io.Writer) (*AblationResul
 	if progress != nil {
 		fmt.Fprintf(progress, "# preparing %s stand-in\n", spec.Name)
 	}
-	w := PrepareWorkload(spec, cfg)
+	w := prepareWorkload(spec, cfg)
 	res := &AblationResult{Graph: w.Name, N: w.EL.N, M: int64(len(w.EL.Edges))}
 	var err error
-	if res.Atomic, err = TimeImpl(w, gee.LigraParallel, cfg); err != nil {
+	if res.Atomic, err = timeImpl(w, gee.LigraParallel, cfg); err != nil {
 		return nil, err
 	}
-	if res.Unsafe, err = TimeImpl(w, gee.LigraParallelUnsafe, cfg); err != nil {
+	if res.Unsafe, err = timeImpl(w, gee.LigraParallelUnsafe, cfg); err != nil {
 		return nil, err
 	}
-	if res.Replicated, err = TimeImpl(w, gee.Replicated, cfg); err != nil {
+	if res.Replicated, err = timeImpl(w, gee.Replicated, cfg); err != nil {
 		return nil, err
 	}
-	if res.Sharded, err = TimeImpl(w, gee.ShardedParallel, cfg); err != nil {
+	if res.Sharded, err = timeImpl(w, gee.ShardedParallel, cfg); err != nil {
 		return nil, err
 	}
 	opts := gee.Options{K: w.K, Workers: cfg.Workers}
@@ -115,7 +115,7 @@ func RunWInit(cfg Config, degrees []float64, edges int64, progress io.Writer) ([
 		g := graph.BuildCSR(cfg.Workers, el)
 		y := labels.SampleSemiSupervised(n, cfg.K, cfg.LabelFraction, cfg.Seed)
 		var agg gee.Timings
-		if _, err := TimeFunc(cfg.Reps, func() error {
+		if _, err := timeFunc(cfg.Reps, func() error {
 			_, tm, err := gee.EmbedCSRTimed(gee.LigraParallel, g, y,
 				gee.Options{K: cfg.K, Workers: cfg.Workers})
 			if err == nil {

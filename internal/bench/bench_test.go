@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -15,24 +16,24 @@ func tinyCfg() Config {
 }
 
 func TestSpecsMatchPaperSizes(t *testing.T) {
-	if len(TableISpecs) != 6 {
-		t.Fatalf("%d specs, want the paper's 6", len(TableISpecs))
+	if len(tableISpecs) != 6 {
+		t.Fatalf("%d specs, want the paper's 6", len(tableISpecs))
 	}
-	for _, s := range TableISpecs {
-		if _, ok := PaperTableI[s.Name]; !ok {
+	for _, s := range tableISpecs {
+		if _, ok := paperTableI[s.Name]; !ok {
 			t.Fatalf("no paper numbers for %s", s.Name)
 		}
 		if s.PaperM < s.PaperN {
 			t.Fatalf("%s: m < n", s.Name)
 		}
 	}
-	if LargestSpec().Name != "Friendster" {
+	if largestSpec().Name != "Friendster" {
 		t.Fatal("largest spec must be Friendster")
 	}
 }
 
 func TestScaledSize(t *testing.T) {
-	s := TableISpecs[0] // Twitch 168k / 6.8M
+	s := tableISpecs[0] // Twitch 168k / 6.8M
 	n, m := s.ScaledSize(16)
 	if n != 10_500 || m != 425_000 {
 		t.Fatalf("n=%d m=%d", n, m)
@@ -49,7 +50,7 @@ func TestScaledSize(t *testing.T) {
 }
 
 func TestBuildStandIn(t *testing.T) {
-	el := TableISpecs[0].Build(4, 1024)
+	el := tableISpecs[0].Build(4, 1024)
 	if err := el.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestBuildStandIn(t *testing.T) {
 		t.Fatal("empty stand-in")
 	}
 	// deterministic
-	el2 := TableISpecs[0].Build(8, 1024)
+	el2 := tableISpecs[0].Build(8, 1024)
 	if len(el.Edges) != len(el2.Edges) {
 		t.Fatal("stand-in not deterministic across worker counts")
 	}
@@ -79,12 +80,12 @@ func TestFindSpec(t *testing.T) {
 }
 
 func TestPrepareAndTimeImpl(t *testing.T) {
-	w := PrepareWorkload(TableISpecs[0], tinyCfg())
+	w := prepareWorkload(tableISpecs[0], tinyCfg())
 	if w.G.NumEdges() != int64(len(w.EL.Edges)) {
 		t.Fatal("CSR and edge list disagree")
 	}
 	for _, impl := range []gee.Impl{gee.Reference, gee.Optimized, gee.LigraSerial, gee.LigraParallel} {
-		d, err := TimeImpl(w, impl, tinyCfg())
+		d, err := timeImpl(w, impl, tinyCfg())
 		if err != nil {
 			t.Fatalf("%v: %v", impl, err)
 		}
@@ -96,7 +97,7 @@ func TestPrepareAndTimeImpl(t *testing.T) {
 
 func TestTimeFuncMedian(t *testing.T) {
 	calls := 0
-	d, err := TimeFunc(5, func() error {
+	d, err := timeFunc(5, func() error {
 		calls++
 		time.Sleep(time.Millisecond)
 		return nil
@@ -134,6 +135,37 @@ func TestRunTableITiny(t *testing.T) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
 	}
+	// Figure 2's bars are the Friendster row's times over its Optimized.
+	last := rows[len(rows)-1]
+	if last.Graph != "Friendster" {
+		t.Fatalf("last row is %s, want Friendster", last.Graph)
+	}
+	for bar, want := range map[string]time.Duration{
+		"Optimized (Numba analog)": last.Optimized,
+		"GEE-Ligra serial":         last.Serial,
+		"GEE-Ligra parallel":       last.Parallel,
+	} {
+		norm := fmt.Sprintf("%.3f", want.Seconds()/last.Optimized.Seconds())
+		if got := fig2Bar(t, out, bar); got != norm {
+			t.Fatalf("Figure 2 %q bar reads %s, want %s from the Friendster row:\n%s", bar, got, norm, out)
+		}
+	}
+}
+
+// fig2Bar returns the normalized value printed on the named Figure 2 bar.
+func fig2Bar(t *testing.T, out, bar string) string {
+	t.Helper()
+	_, fig2, ok := strings.Cut(out, "Figure 2")
+	if !ok {
+		t.Fatalf("no Figure 2 block:\n%s", out)
+	}
+	for _, line := range strings.Split(fig2, "\n") {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), bar+" "); ok {
+			return strings.Fields(rest)[0]
+		}
+	}
+	t.Fatalf("no %q bar in Figure 2:\n%s", bar, fig2)
+	return ""
 }
 
 func TestRunTableISkipReference(t *testing.T) {
@@ -148,21 +180,6 @@ func TestRunTableISkipReference(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	RenderTableI(&buf, rows, cfg) // must not panic on missing column
-}
-
-func TestRunFig2Tiny(t *testing.T) {
-	res, err := RunFig2(tinyCfg(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SerialNormalized <= 0 || res.ParallelNormalized <= 0 {
-		t.Fatalf("normalization missing: %+v", res)
-	}
-	var buf bytes.Buffer
-	RenderFig2(&buf, res)
-	if !strings.Contains(buf.String(), "Figure 2") {
-		t.Fatal("render header missing")
-	}
 }
 
 func TestRunFig3Tiny(t *testing.T) {
@@ -215,7 +232,7 @@ func TestRunFig4Tiny(t *testing.T) {
 }
 
 func TestRunAblationTiny(t *testing.T) {
-	res, err := RunAblation(TableISpecs[0], tinyCfg(), nil)
+	res, err := RunAblation(tableISpecs[0], tinyCfg(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func WriteFig3CSV(w io.Writer, points []ScalingPoint) error {
 func WriteFig4CSV(w io.Writer, points []Fig4Point) error {
 	cw := csv.NewWriter(w)
 	header := []string{"log2_edges", "edges"}
-	for _, im := range Fig4Impls {
+	for _, im := range fig4Impls {
 		header = append(header, im.String()+"_s")
 	}
 	if err := cw.Write(header); err != nil {
@@ -72,7 +72,7 @@ func WriteFig4CSV(w io.Writer, points []Fig4Point) error {
 	}
 	for _, p := range points {
 		rec := []string{strconv.Itoa(p.Log2Edges), strconv.FormatInt(p.Edges, 10)}
-		for _, im := range Fig4Impls {
+		for _, im := range fig4Impls {
 			if t, ok := p.Runtimes[im]; ok {
 				rec = append(rec, fmtF(t.Seconds()))
 			} else {

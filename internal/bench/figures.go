@@ -12,67 +12,6 @@ import (
 	"repro/internal/labels"
 )
 
-// Fig2Result holds the Figure 2 bars: largest-graph runtimes normalized
-// to the compiled serial baseline (paper: "Runtimes for Friendster,
-// normalized to Numba Serial").
-type Fig2Result struct {
-	Graph              string
-	Optimized          time.Duration
-	Serial             time.Duration
-	Parallel           time.Duration
-	SerialNormalized   float64 // Serial / Optimized (paper: 0.69, i.e. 31% faster)
-	ParallelNormalized float64 // Parallel / Optimized (paper: ~1/17)
-}
-
-// RunFig2 measures the Figure 2 bars on the Friendster stand-in.
-func RunFig2(cfg Config, progress io.Writer) (*Fig2Result, error) {
-	cfg = cfg.withDefaults()
-	spec := LargestSpec()
-	if progress != nil {
-		fmt.Fprintf(progress, "# preparing %s stand-in\n", spec.Name)
-	}
-	w := PrepareWorkload(spec, cfg)
-	res := &Fig2Result{Graph: w.Name}
-	var err error
-	if res.Optimized, err = TimeImpl(w, gee.Optimized, cfg); err != nil {
-		return nil, err
-	}
-	if res.Serial, err = TimeImpl(w, gee.LigraSerial, cfg); err != nil {
-		return nil, err
-	}
-	if res.Parallel, err = TimeImpl(w, gee.LigraParallel, cfg); err != nil {
-		return nil, err
-	}
-	if res.Optimized > 0 {
-		res.SerialNormalized = res.Serial.Seconds() / res.Optimized.Seconds()
-		res.ParallelNormalized = res.Parallel.Seconds() / res.Optimized.Seconds()
-	}
-	return res, nil
-}
-
-// RenderFig2 prints the normalized bars with the paper's values.
-func RenderFig2(w io.Writer, r *Fig2Result) {
-	fmt.Fprintf(w, "Figure 2 reproduction — %s stand-in, runtimes normalized to Optimized serial\n", r.Graph)
-	bars := []struct {
-		name string
-		norm float64
-		abs  time.Duration
-	}{
-		{"Optimized (Numba analog)", 1.0, r.Optimized},
-		{"GEE-Ligra serial", r.SerialNormalized, r.Serial},
-		{"GEE-Ligra parallel", r.ParallelNormalized, r.Parallel},
-	}
-	for _, b := range bars {
-		width := int(b.norm*40 + 0.5)
-		if width > 60 {
-			width = 60
-		}
-		fmt.Fprintf(w, "  %-26s %6.3f %-8s |%s\n",
-			b.name, b.norm, fmtSecs(b.abs), strings.Repeat("#", width))
-	}
-	fmt.Fprintln(w, "Paper: Ligra serial = 0.69 (31% below Numba), Ligra parallel ≈ 0.059 (17x below Numba)")
-}
-
 // ScalingPoint is one Figure 3 measurement.
 type ScalingPoint struct {
 	Cores   int
@@ -89,17 +28,17 @@ func RunFig3(cfg Config, cores []int, progress io.Writer) ([]ScalingPoint, error
 			cores = append(cores, c)
 		}
 	}
-	spec := LargestSpec()
+	spec := largestSpec()
 	if progress != nil {
 		fmt.Fprintf(progress, "# preparing %s stand-in\n", spec.Name)
 	}
-	w := PrepareWorkload(spec, cfg)
+	w := prepareWorkload(spec, cfg)
 	points := make([]ScalingPoint, 0, len(cores))
 	var base time.Duration
 	for _, c := range cores {
 		sub := cfg
 		sub.Workers = c
-		t, err := TimeImpl(w, gee.LigraParallel, sub)
+		t, err := timeImpl(w, gee.LigraParallel, sub)
 		if err != nil {
 			return nil, err
 		}
@@ -136,20 +75,20 @@ type Fig4Point struct {
 	Runtimes  map[gee.Impl]time.Duration
 }
 
-// Fig4Impls lists the Figure 4 curves: the paper's four plus the
+// fig4Impls lists the Figure 4 curves: the paper's four plus the
 // repository's contention-free sharded backend, so the sweep shows
 // where destination sharding overtakes atomic writeAdd as edge counts
 // (and hot-row contention) grow.
-var Fig4Impls = []gee.Impl{gee.Reference, gee.Optimized, gee.LigraSerial, gee.LigraParallel, gee.ShardedParallel}
+var fig4Impls = []gee.Impl{gee.Reference, gee.Optimized, gee.LigraSerial, gee.LigraParallel, gee.ShardedParallel}
 
 // RunFig4 sweeps Erdős–Rényi graphs of doubling edge counts, timing each
 // implementation (paper: 2^13 .. 2^29 edges, n = m/16). refMaxLog2
 // bounds the faithful-Algorithm-1 curve separately: its full n×K W
-// matrix dominates memory at large n. impls nil selects Fig4Impls.
+// matrix dominates memory at large n. impls nil selects fig4Impls.
 func RunFig4(cfg Config, minLog2, maxLog2, refMaxLog2 int, impls []gee.Impl, progress io.Writer) ([]Fig4Point, error) {
 	cfg = cfg.withDefaults()
 	if impls == nil {
-		impls = Fig4Impls
+		impls = fig4Impls
 	}
 	if minLog2 <= 0 {
 		minLog2 = 13
@@ -170,13 +109,13 @@ func RunFig4(cfg Config, minLog2, maxLog2, refMaxLog2 int, impls []gee.Impl, pro
 		el := gen.ErdosRenyi(cfg.Workers, n, m, cfg.Seed+uint64(lg))
 		g := graph.BuildCSR(cfg.Workers, el)
 		y := labels.SampleSemiSupervised(n, cfg.K, cfg.LabelFraction, cfg.Seed+uint64(lg)*7)
-		w := &Workload{Name: fmt.Sprintf("ER-2^%d", lg), EL: el, G: g, Y: y, K: cfg.K}
+		w := &workload{Name: fmt.Sprintf("ER-2^%d", lg), EL: el, G: g, Y: y, K: cfg.K}
 		pt := Fig4Point{Log2Edges: lg, Edges: m, Runtimes: map[gee.Impl]time.Duration{}}
 		for _, impl := range impls {
 			if impl == gee.Reference && lg > refMaxLog2 {
 				continue
 			}
-			t, err := TimeImpl(w, impl, cfg)
+			t, err := timeImpl(w, impl, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -191,13 +130,13 @@ func RunFig4(cfg Config, minLog2, maxLog2, refMaxLog2 int, impls []gee.Impl, pro
 func RenderFig4(w io.Writer, points []Fig4Point) {
 	fmt.Fprintln(w, "Figure 4 reproduction — runtime vs edges on Erdős–Rényi graphs (n = m/16)")
 	fmt.Fprintf(w, "%10s %12s", "log2(m)", "edges")
-	for _, im := range Fig4Impls {
+	for _, im := range fig4Impls {
 		fmt.Fprintf(w, " %18s", im)
 	}
 	fmt.Fprintln(w)
 	for _, p := range points {
 		fmt.Fprintf(w, "%10d %12d", p.Log2Edges, p.Edges)
-		for _, im := range Fig4Impls {
+		for _, im := range fig4Impls {
 			if t, ok := p.Runtimes[im]; ok {
 				fmt.Fprintf(w, " %18s", fmtSecs(t))
 			} else {

@@ -12,9 +12,8 @@ import (
 
 // Config controls a benchmark campaign.
 type Config struct {
-	// ScaleDiv divides every paper dataset size (DESIGN.md §3). 16 fits
-	// the full Table I in ~20 GB; tests and testing.B benches use much
-	// larger divisors.
+	// ScaleDiv divides every paper dataset size. 16 fits the full
+	// Table I in ~20 GB; tests use much larger divisors.
 	ScaleDiv int64
 	// Reps per measurement; the median is reported (default 3).
 	Reps int
@@ -53,11 +52,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Workload is a prepared benchmark input: the graph in both
+// workload is a prepared benchmark input: the graph in both
 // representations plus labels, so each implementation consumes its
 // native form and graph construction stays out of the timed region
 // (matching the paper, which times the algorithm only).
-type Workload struct {
+type workload struct {
 	Name string
 	EL   *graph.EdgeList
 	G    *graph.CSR
@@ -65,23 +64,21 @@ type Workload struct {
 	K    int
 }
 
-// PrepareWorkload builds the stand-in graph and labels for a spec.
-func PrepareWorkload(spec GraphSpec, cfg Config) *Workload {
+// prepareWorkload builds the stand-in graph and labels for a spec.
+func prepareWorkload(spec GraphSpec, cfg Config) *workload {
 	cfg = cfg.withDefaults()
 	el := spec.Build(cfg.Workers, cfg.ScaleDiv)
 	g := graph.BuildCSR(cfg.Workers, el)
 	y := labels.SampleSemiSupervised(el.N, cfg.K, cfg.LabelFraction, cfg.Seed+spec.Seed)
-	return &Workload{Name: spec.Name, EL: el, G: g, Y: y, K: cfg.K}
+	return &workload{Name: spec.Name, EL: el, G: g, Y: y, K: cfg.K}
 }
 
-// TimeImpl runs one implementation on a prepared workload and returns
+// timeImpl runs one implementation on a prepared workload and returns
 // the median wall-clock duration over cfg.Reps repetitions.
-func TimeImpl(w *Workload, impl gee.Impl, cfg Config) (time.Duration, error) {
+func timeImpl(w *workload, impl gee.Impl, cfg Config) (time.Duration, error) {
 	cfg = cfg.withDefaults()
 	opts := gee.Options{K: w.K, Workers: cfg.Workers}
-	times := make([]time.Duration, 0, cfg.Reps)
-	for r := 0; r < cfg.Reps; r++ {
-		start := time.Now()
+	return timeFunc(cfg.Reps, func() error {
 		var err error
 		switch impl {
 		case gee.Reference, gee.Optimized:
@@ -90,18 +87,13 @@ func TimeImpl(w *Workload, impl gee.Impl, cfg Config) (time.Duration, error) {
 		default:
 			_, err = gee.EmbedCSR(impl, w.G, w.Y, opts)
 		}
-		if err != nil {
-			return 0, err
-		}
-		times = append(times, time.Since(start))
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	return times[len(times)/2], nil
+		return err
+	})
 }
 
-// TimeFunc medians an arbitrary timed body (used by the ablation and
-// W-init experiments).
-func TimeFunc(reps int, body func() error) (time.Duration, error) {
+// timeFunc medians an arbitrary timed body over reps repetitions
+// (default 3).
+func timeFunc(reps int, body func() error) (time.Duration, error) {
 	if reps <= 0 {
 		reps = 3
 	}

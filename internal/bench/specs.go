@@ -2,16 +2,18 @@
 // evaluation section (§IV):
 //
 //	Table I  — runtime of the four implementations on six graphs
-//	Figure 2 — largest-graph runtimes normalized to the compiled serial baseline
+//	Figure 2 — Table I's largest-graph row normalized to the compiled
+//	           serial baseline (RenderTableI prints it; nothing is re-timed)
 //	Figure 3 — strong scaling of GEE-Ligra parallel, 1..24 cores
 //	Figure 4 — runtime vs log2(edges) on Erdős–Rényi graphs
 //
 // plus the paper's two inline experiments: the atomics-off ablation (§IV)
-// and the O(nk) W-initialization crossover (§III).
+// and the O(nk) W-initialization crossover (§III). cmd/geebench is its
+// one driver; the layers' own benchmarks live in their packages.
 //
 // The SNAP/Friendster datasets are not available offline; each Table I
 // row uses a deterministic RMAT stand-in matched to the original (n, s)
-// divided by a configurable scale divisor (DESIGN.md §3). EXPERIMENTS.md
+// divided by a configurable scale divisor. EXPERIMENTS.md
 // records the paper's absolute numbers next to the measured ones.
 package bench
 
@@ -30,8 +32,8 @@ type GraphSpec struct {
 	Seed   uint64
 }
 
-// TableISpecs lists the six datasets in Table I order.
-var TableISpecs = []GraphSpec{
+// tableISpecs lists the six datasets in Table I order.
+var tableISpecs = []GraphSpec{
 	{Name: "Twitch", PaperN: 168_000, PaperM: 6_800_000, Seed: 101},
 	{Name: "soc-Pokec", PaperN: 1_600_000, PaperM: 30_000_000, Seed: 102},
 	{Name: "soc-LiveJournal", PaperN: 6_400_000, PaperM: 69_000_000, Seed: 103},
@@ -40,11 +42,11 @@ var TableISpecs = []GraphSpec{
 	{Name: "Friendster", PaperN: 65_000_000, PaperM: 1_800_000_000, Seed: 106},
 }
 
-// PaperTableI records the paper's measured runtimes (seconds) for each
+// paperTableI records the paper's measured runtimes (seconds) for each
 // dataset, in implementation order [GEE-Python, Numba serial, Ligra
 // serial, Ligra parallel]. Used by the renderer to print paper-vs-
 // measured shape comparisons.
-var PaperTableI = map[string][4]float64{
+var paperTableI = map[string][4]float64{
 	"Twitch":          {12.18, 0.20, 0.11, 0.013},
 	"soc-Pokec":       {133.21, 1.68, 0.99, 0.12},
 	"soc-LiveJournal": {301.64, 4.29, 2.39, 0.39},
@@ -88,7 +90,7 @@ func (s GraphSpec) Build(workers int, div int64) *graph.EdgeList {
 
 // FindSpec returns the spec with the given name.
 func FindSpec(name string) (GraphSpec, error) {
-	for _, s := range TableISpecs {
+	for _, s := range tableISpecs {
 		if s.Name == name {
 			return s, nil
 		}
@@ -96,5 +98,5 @@ func FindSpec(name string) (GraphSpec, error) {
 	return GraphSpec{}, fmt.Errorf("bench: unknown graph %q", name)
 }
 
-// LargestSpec returns the Friendster stand-in (Figures 2 and 3 target).
-func LargestSpec() GraphSpec { return TableISpecs[len(TableISpecs)-1] }
+// largestSpec returns the Friendster stand-in (Figures 2 and 3 target).
+func largestSpec() GraphSpec { return tableISpecs[len(tableISpecs)-1] }

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"repro/internal/gee"
@@ -32,31 +33,31 @@ type TableIRow struct {
 // Graph construction happens between measurements and is not timed.
 func RunTableI(cfg Config, progress io.Writer) ([]TableIRow, error) {
 	cfg = cfg.withDefaults()
-	rows := make([]TableIRow, 0, len(TableISpecs))
-	for _, spec := range TableISpecs {
+	rows := make([]TableIRow, 0, len(tableISpecs))
+	for _, spec := range tableISpecs {
 		if progress != nil {
 			n, m := spec.ScaledSize(cfg.ScaleDiv)
 			fmt.Fprintf(progress, "# preparing %s stand-in (n=%d, m=%d, div=%d)\n",
 				spec.Name, n, m, cfg.ScaleDiv)
 		}
-		w := PrepareWorkload(spec, cfg)
+		w := prepareWorkload(spec, cfg)
 		row := TableIRow{Graph: w.Name, N: w.EL.N, M: int64(len(w.EL.Edges))}
 		var err error
 		if !cfg.SkipReference {
-			if row.Reference, err = TimeImpl(w, gee.Reference, cfg); err != nil {
+			if row.Reference, err = timeImpl(w, gee.Reference, cfg); err != nil {
 				return nil, err
 			}
 		}
-		if row.Optimized, err = TimeImpl(w, gee.Optimized, cfg); err != nil {
+		if row.Optimized, err = timeImpl(w, gee.Optimized, cfg); err != nil {
 			return nil, err
 		}
-		if row.Serial, err = TimeImpl(w, gee.LigraSerial, cfg); err != nil {
+		if row.Serial, err = timeImpl(w, gee.LigraSerial, cfg); err != nil {
 			return nil, err
 		}
-		if row.Parallel, err = TimeImpl(w, gee.LigraParallel, cfg); err != nil {
+		if row.Parallel, err = timeImpl(w, gee.LigraParallel, cfg); err != nil {
 			return nil, err
 		}
-		if row.Sharded, err = TimeImpl(w, gee.ShardedParallel, cfg); err != nil {
+		if row.Sharded, err = timeImpl(w, gee.ShardedParallel, cfg); err != nil {
 			return nil, err
 		}
 		if row.Parallel > 0 {
@@ -97,10 +98,39 @@ func RenderTableI(w io.Writer, rows []TableIRow, cfg Config) {
 	fmt.Fprintln(w, "\nPaper's Table I (24-core Xeon, full-size datasets), for shape comparison:")
 	fmt.Fprintf(w, "%-17s %10s %10s %10s %10s | %8s %8s %8s\n",
 		"Graph", "GEE-Py", "Numba", "LigraSer", "LigraPar", "vs Py", "vs Numba", "vs Ser")
-	for _, spec := range TableISpecs {
-		p := PaperTableI[spec.Name]
+	for _, spec := range tableISpecs {
+		p := paperTableI[spec.Name]
 		fmt.Fprintf(w, "%-17s %9.2fs %9.2fs %9.2fs %9.3fs | %7.0fx %7.1fx %7.1fx\n",
 			spec.Name, p[0], p[1], p[2], p[3], p[0]/p[3], p[1]/p[3], p[2]/p[3])
+	}
+	for _, r := range rows {
+		if r.Graph == largestSpec().Name && r.Optimized > 0 {
+			fmt.Fprintln(w)
+			renderFig2(w, r)
+		}
+	}
+}
+
+// renderFig2 prints Figure 2 from the largest graph's Table I row: its
+// runtimes normalized to the compiled serial baseline (paper: "Runtimes
+// for Friendster, normalized to Numba Serial"), each beside the
+// paper's bar: Ligra serial 0.69 (31% below Numba), Ligra parallel ≈1/17.
+func renderFig2(w io.Writer, r TableIRow) {
+	fmt.Fprintf(w, "Figure 2 reproduction — %s stand-in, runtimes normalized to Optimized serial\n", r.Graph)
+	bars := []struct {
+		name  string
+		abs   time.Duration
+		paper float64
+	}{
+		{"Optimized (Numba analog)", r.Optimized, 1},
+		{"GEE-Ligra serial", r.Serial, 0.69},
+		{"GEE-Ligra parallel", r.Parallel, 1.0 / 17},
+	}
+	for _, b := range bars {
+		norm := b.abs.Seconds() / r.Optimized.Seconds()
+		width := min(int(norm*40+0.5), 60)
+		fmt.Fprintf(w, "  %-26s %6.3f (paper %5.3f) %-8s |%s\n",
+			b.name, norm, b.paper, fmtSecs(b.abs), strings.Repeat("#", width))
 	}
 }
 

@@ -531,10 +531,13 @@ func (d *DynamicEmbedder) validate(b *Batch) error {
 // detaches them. Removing a half is a scan of a cache-cold list, so a
 // delete-at-a-time detach waits on one miss after another; touching a
 // group's lists first puts their misses in flight together. A 4096-edge
-// delete at the serving scale on 2 vCPUs (BenchmarkDynamicDelete, which
-// times the serial fold too), ns per deleted edge: 414-451 untouched;
+// delete at the serving scale on 2 vCPUs (BenchmarkDynamicDelete in
+// publish_bench_test.go, which times the serial fold too), ns per
+// deleted edge over a block-shaped base graph: 414-451 untouched;
 // touching groups of 1, 4, 8, 16, 32 and 64 deletes, 362-391, 252-285,
-// 229-255, 225-247, 232-266 and 223-259.
+// 229-255, 225-247, 232-266 and 223-259. Over the benchmark's uniform
+// base graph, groups of 1, 4, 16 and 64 read 485-637, 347-411, 321-353
+// and 297-357.
 const detachGroup = 16
 
 // detachDeletes removes each deleted edge from the adjacency, undoing

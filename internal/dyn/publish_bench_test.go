@@ -182,3 +182,47 @@ func BenchmarkFoldPaths(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDynamicDelete times 4096-edge deletes of an earlier batch at
+// BenchmarkPublish's scale on two workers, after 64 cycles of churn
+// (insert a batch, delete the oldest of eight live ones), as
+// ingest_follow sends them. Only the delete is timed: its detach, its
+// serial fold and its bookkeeping. It reports ns per deleted edge.
+//
+//	go test -run '^$' -bench DynamicDelete -count 3 ./internal/dyn
+func BenchmarkDynamicDelete(b *testing.B) {
+	const batch, live, churn = 4096, 8, 64
+	d, _, _, edges := benchEmbedder(b, 2)
+	var pending [][]graph.Edge
+	cycle := func() []graph.Edge {
+		e := edges(batch)
+		if err := d.Apply(Batch{Insert: e}); err != nil {
+			b.Fatal(err)
+		}
+		pending = append(pending, e)
+		if len(pending) <= live {
+			return nil
+		}
+		old := pending[0]
+		pending = pending[1:]
+		return old
+	}
+	for range churn {
+		if old := cycle(); old != nil {
+			if err := d.Apply(Batch{Delete: old}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		old := cycle()
+		b.StartTimer()
+		if err := d.Apply(Batch{Delete: old}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*batch), "ns/edge")
+}

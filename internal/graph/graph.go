@@ -95,7 +95,8 @@ func (el *EdgeList) Clone() *EdgeList {
 // CSR is a compressed sparse row graph over the out-edges of each vertex:
 // the arcs of vertex u are Targets[Offsets[u]:Offsets[u+1]] (and the
 // matching Weights range when weighted). This is the representation
-// the GEE edge map (exec.walk) traverses.
+// the GEE edge map (exec.walk) traverses. Its arcs are immutable once
+// BuildCSR (or a reader) returns it.
 type CSR struct {
 	N       int
 	Offsets []int64   // len N+1
@@ -103,11 +104,9 @@ type CSR struct {
 	Weights []float32 // len M, nil for unweighted graphs
 
 	// plan caches a derived execution structure on the graph (the
-	// destination-shard plan of internal/exec). A CSR is immutable once
-	// built except for the plan cache itself, so the cache
-	// survives for the graph's lifetime and repeated runs skip the O(m)
-	// derivation. Access is atomic; in-place arc mutations must call
-	// InvalidatePlan.
+	// destination-shard plan of internal/exec). The arcs never change,
+	// so the cache survives for the graph's lifetime and repeated runs
+	// skip the O(m) derivation. Access is atomic.
 	plan atomic.Pointer[planBox]
 }
 
@@ -127,11 +126,6 @@ func (g *CSR) CachedPlan() any {
 	}
 	return nil
 }
-
-// InvalidatePlan drops any cached execution plan. Callers that mutate
-// the arc arrays in place (sorting, external reorderings) must
-// invalidate so stale arc orderings are not replayed.
-func (g *CSR) InvalidatePlan() { g.plan.Store(nil) }
 
 // NumEdges returns the number of stored arcs.
 func (g *CSR) NumEdges() int64 { return int64(len(g.Targets)) }

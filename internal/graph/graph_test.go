@@ -10,7 +10,12 @@ import (
 
 // sortArcs sorts each vertex's arcs (and matching weights) by target
 // id, the canonical form two builds of one edge list are compared in.
+// It mutates arcs in place, so it takes only a CSR that never cached a
+// plan.
 func sortArcs(g *CSR) {
+	if g.CachedPlan() != nil {
+		panic("sortArcs: the CSR has cached a plan over its arc order")
+	}
 	for u := 0; u < g.N; u++ {
 		lo, hi := g.Offsets[u], g.Offsets[u+1]
 		arcs := make([]int64, hi-lo)
@@ -31,7 +36,6 @@ func sortArcs(g *CSR) {
 			copy(g.Weights[lo:hi], ws)
 		}
 	}
-	g.InvalidatePlan()
 }
 
 // triangle returns the directed 3-cycle 0->1->2->0.

@@ -49,6 +49,9 @@ trap cleanup EXIT
 go build -o "$bin/geeserve" ./cmd/geeserve
 go build -o "$bin/geeload" ./cmd/geeload
 
+# Each server's log exists before it starts: the address poll reads it
+# at once, before the background redirect may have created it.
+: >"$log/serve.err"
 "$bin/geeserve" -serve 127.0.0.1:0 -n 5000 -k 5 \
   >"$log/serve.out" 2>"$log/serve.err" &
 pid=$!
@@ -270,6 +273,7 @@ fi
 
 # Opt-in pprof leg: a fresh server started with -pprof must serve the
 # profile index on the same mux.
+: >"$log/pprof_serve.err"
 "$bin/geeserve" -serve 127.0.0.1:0 -n 100 -k 2 -pprof \
   >"$log/pprof_serve.out" 2>"$log/pprof_serve.err" &
 ppid=$!
@@ -298,6 +302,7 @@ echo "pprof gating OK (404 by default, serves with -pprof)"
 # partition from /v1/partition, assembles per-shard sections, and must
 # end bit-identical to every shard's section. The metrics registry must
 # carry all four shard labels and /statsz the per-shard epoch vector.
+: >"$log/shard_serve.err"
 "$bin/geeserve" -serve 127.0.0.1:0 -n 5000 -k 5 -shards 4 \
   >"$log/shard_serve.out" 2>"$log/shard_serve.err" &
 spid=$!
