@@ -47,7 +47,6 @@ import (
 	"repro/internal/dyn"
 	"repro/internal/graph"
 	"repro/internal/metrics"
-	"repro/internal/rate"
 	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/shard"
@@ -150,6 +149,16 @@ func randEdges(r *xrand.Rand, n, k, m int, blockFrac float64) []graph.Edge {
 		}
 	}
 	return edges
+}
+
+// perSec converts a count over an elapsed wall time into a rate,
+// reporting 0 for degenerate (zero or negative) durations instead of
+// +Inf/NaN — a zero-duration window measured nothing.
+func perSec(count int64, secs float64) float64 {
+	if secs <= 0 {
+		return 0
+	}
+	return float64(count) / secs
 }
 
 // done reports whether an error just means the load window closed.
@@ -340,19 +349,19 @@ func run(cfg config, out io.Writer) error {
 
 	ins, del, q := cnt.inserts.Load(), cnt.deletes.Load(), cnt.queries.Load()
 	fmt.Fprintf(out, "ingested %d ops (%d inserts + %d deletes) in %.2fs: %.0f acked ops/s from %d writers\n",
-		ins+del, ins, del, secs, rate.PerSec(ins+del, secs), cfg.writers)
+		ins+del, ins, del, secs, perSec(ins+del, secs), cfg.writers)
 	fmt.Fprintf(out, "queried %d embedding rows: %.0f queries/s from %d readers\n",
-		q, rate.PerSec(q, secs), cfg.readers)
+		q, perSec(q, secs), cfg.readers)
 	if cfg.batchReaders > 0 {
 		fmt.Fprintf(out, "batched reads: %d requests / %d rows from %d readers (%.0f reads/s, %.0f rows/s)\n",
 			cnt.batchReads.Load(), cnt.batchRows.Load(), cfg.batchReaders,
-			rate.PerSec(cnt.batchReads.Load(), secs), rate.PerSec(cnt.batchRows.Load(), secs))
+			perSec(cnt.batchReads.Load(), secs), perSec(cnt.batchRows.Load(), secs))
 	}
 	if cfg.nbrReaders > 0 {
 		lat := nbrLat.Snapshot()
 		fmt.Fprintf(out, "neighbor queries: %d top-%d by %s (%s) from %d readers (%.0f queries/s, p50 %.2f ms)\n",
 			cnt.neighbors.Load(), cfg.nbrK, cfg.nbrMetric, cfg.nbrMode, cfg.nbrReaders,
-			rate.PerSec(cnt.neighbors.Load(), secs), lat.Quantile(0.5)*1000)
+			perSec(cnt.neighbors.Load(), secs), lat.Quantile(0.5)*1000)
 	}
 	for i, rep := range reps {
 		rs := rep.Stats()

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -51,6 +52,34 @@ func TestRandEdges(t *testing.T) {
 // TestLoadAgainstServer runs the whole closed loop against an
 // in-process serving stack: the run must acknowledge inserts, complete
 // queries, and leave the server with a consistent live-edge count.
+// TestPerSec pins the throughput-report clamp: a degenerate (zero or
+// negative) duration reports 0 instead of +Inf or NaN.
+func TestPerSec(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		count int64
+		secs  float64
+		want  float64
+	}{
+		{"normal", 100, 2, 50},
+		{"zero count", 0, 2, 0},
+		{"zero duration", 100, 0, 0},
+		{"negative duration", 100, -1, 0},
+		{"zero over zero", 0, 0, 0},
+		{"tiny duration", 3, 0.5, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := perSec(tc.count, tc.secs)
+			if got != tc.want {
+				t.Fatalf("perSec(%d, %v) = %v, want %v", tc.count, tc.secs, got, tc.want)
+			}
+			if math.IsInf(got, 0) || math.IsNaN(got) {
+				t.Fatalf("perSec(%d, %v) = %v (not finite)", tc.count, tc.secs, got)
+			}
+		})
+	}
+}
+
 func TestLoadAgainstServer(t *testing.T) {
 	for _, wire := range []string{"json", "binary"} {
 		t.Run(wire, func(t *testing.T) { testLoadAgainstServer(t, wire) })

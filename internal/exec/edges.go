@@ -30,8 +30,7 @@ type EdgePlan struct {
 	shardOf []int32 // len n — owner shard of each vertex
 
 	// per-batch scratch, grown on demand and reused
-	srcArcs, dstArcs   []graph.Edge
-	srcStart, dstStart []int64
+	srcArcs, dstArcs []graph.Edge
 }
 
 // NewEdgePlan builds a shard layout with parts uniform vertex ranges
@@ -69,10 +68,10 @@ func (p *EdgePlan) Shards() int { return len(p.bounds) - 1 }
 
 // ShardedEdges applies the kernel over an edge slice with the
 // contention-free sharded discipline: both half-updates of every arc
-// are bucketed by the shard owning their target row (a two-pass
-// count-and-scatter over the batch only), then each shard owner drains
-// its buckets with plain writes: owner-computes, every row written by
-// one worker. The dynamic embedder folds a batch of 65536 edges or more
+// are bucketed by the shard owning their target row (two
+// parallel.StableScatter passes over the batch only), then each shard
+// owner drains its buckets with plain writes: owner-computes, every row
+// written by one worker. The dynamic embedder folds a batch of 65536 edges or more
 // this way; below that a serial fold (SerialEdges) was measured faster
 // on 2 vCPUs than the bucketing pass and the parallel drain together.
 func ShardedEdges[T Float](k Kernel[T], edges []graph.Edge, z []T, p *EdgePlan, workers int) (Stats, error) {
@@ -84,62 +83,27 @@ func ShardedEdges[T Float](k Kernel[T], edges []graph.Edge, z []T, p *EdgePlan, 
 	if parts <= 1 || len(edges) == 0 {
 		return SerialEdges(k, edges, p.n, z)
 	}
+	// Bucket the batch twice, by the shard owning u and by the shard
+	// owning v, each bucket in batch order.
 	b := len(edges)
-	w := parallel.Workers(workers)
-	if w > b {
-		w = b
-	}
-
-	// Pass 1: per-(worker, shard) half-update counts over static batch
-	// ranges (a trailing worker ForStatic leaves without a range counts
-	// nothing), beside the per-worker scatter cursors.
-	srcCounts, dstCounts := make([][]int64, w), make([][]int64, w)
-	srcCur, dstCur := make([][]int64, w), make([][]int64, w)
-	for worker := range w {
-		srcCounts[worker], dstCounts[worker] = make([]int64, parts), make([]int64, parts)
-		srcCur[worker], dstCur[worker] = make([]int64, parts), make([]int64, parts)
-	}
-	parallel.ForStatic(w, b, func(worker, lo, hi int) {
-		sc, dc := srcCounts[worker], dstCounts[worker]
-		for i := lo; i < hi; i++ {
-			sc[p.shardOf[edges[i].U]]++
-			dc[p.shardOf[edges[i].V]]++
-		}
-	})
-
-	// Cursor scan: slot ranges ordered by (shard, worker) so each
-	// worker's scatter writes are disjoint.
-	p.srcStart = sliceTo(p.srcStart, parts+1)
-	p.dstStart = sliceTo(p.dstStart, parts+1)
-	var sAcc, dAcc int64
-	for s := 0; s < parts; s++ {
-		p.srcStart[s] = sAcc
-		p.dstStart[s] = dAcc
-		for worker := 0; worker < w; worker++ {
-			srcCur[worker][s] = sAcc
-			sAcc += srcCounts[worker][s]
-			dstCur[worker][s] = dAcc
-			dAcc += dstCounts[worker][s]
-		}
-	}
-	p.srcStart[parts] = sAcc
-	p.dstStart[parts] = dAcc
-
-	// Pass 2: scatter the batch into the reserved slots.
 	p.srcArcs = sliceTo(p.srcArcs, b)
 	p.dstArcs = sliceTo(p.dstArcs, b)
-	parallel.ForStatic(w, b, func(worker, lo, hi int) {
-		sc, dc := srcCur[worker], dstCur[worker]
-		for i := lo; i < hi; i++ {
-			e := edges[i]
-			s := p.shardOf[e.U]
-			p.srcArcs[sc[s]] = e
-			sc[s]++
-			d := p.shardOf[e.V]
-			p.dstArcs[dc[d]] = e
-			dc[d]++
-		}
-	})
+	srcStart := parallel.StableScatter(workers, b, parts, func(i int) int { return int(p.shardOf[edges[i].U]) },
+		func(lo, hi int, next []int64) {
+			for _, e := range edges[lo:hi] {
+				s := p.shardOf[e.U]
+				p.srcArcs[next[s]] = e
+				next[s]++
+			}
+		})
+	dstStart := parallel.StableScatter(workers, b, parts, func(i int) int { return int(p.shardOf[edges[i].V]) },
+		func(lo, hi int, next []int64) {
+			for _, e := range edges[lo:hi] {
+				d := p.shardOf[e.V]
+				p.dstArcs[next[d]] = e
+				next[d]++
+			}
+		})
 
 	// Drain: each shard owner applies the half-updates landing in its
 	// rows, with plain adds. Concurrency is bounded by the caller's
@@ -149,12 +113,12 @@ func ShardedEdges[T Float](k Kernel[T], edges []graph.Edge, z []T, p *EdgePlan, 
 	parallel.ForStatic(parallel.Workers(workers), parts, func(_, lo, hi int) {
 		var local int64
 		for s := lo; s < hi; s++ {
-			src := p.srcArcs[p.srcStart[s]:p.srcStart[s+1]]
+			src := p.srcArcs[srcStart[s]:srcStart[s+1]]
 			for i := range src {
 				e := &src[i]
 				local += k.ApplySrc(z, e.U, e.V, e.W)
 			}
-			dst := p.dstArcs[p.dstStart[s]:p.dstStart[s+1]]
+			dst := p.dstArcs[dstStart[s]:dstStart[s+1]]
 			for i := range dst {
 				e := &dst[i]
 				local += k.ApplyDst(z, e.U, e.V, e.W)

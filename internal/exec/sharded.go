@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"sort"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -114,7 +115,7 @@ func buildDestPlan(g *graph.CSR, parts, workers int) *destPlan {
 	parallel.ExclusiveSum(workers, prefix)
 	bounds := parallel.SplitByWeight(parts, prefix)
 	// Flatten the boundary search into a vertex → shard map once (n
-	// lookups) so the two O(m) bucketing passes below are plain loads.
+	// lookups) so the O(m) bucketing below reads plain loads.
 	shardOf := make([]int32, g.N)
 	parallel.ForChunk(workers, g.N, 0, func(lo, hi int) {
 		p := parallel.RangeOf(bounds, lo)
@@ -126,47 +127,23 @@ func buildDestPlan(g *graph.CSR, parts, workers int) *destPlan {
 		}
 	})
 
-	// Bucket arcs by destination shard with a contention-free two-pass
-	// scatter: per-(worker, shard) counts, a cursor scan, then each
-	// worker writes into its reserved slots. Scatter workers take
-	// arc-balanced source ranges via the Offsets prefix.
-	w := parallel.Workers(workers)
-	srcBounds := parallel.SplitByWeight(w, g.Offsets)
-	counts := make([][]int64, w)
-	parallel.For(w, w, func(worker int) {
-		c := make([]int64, parts)
-		for u := srcBounds[worker]; u < srcBounds[worker+1]; u++ {
-			for i := g.Offsets[u]; i < g.Offsets[u+1]; i++ {
-				c[shardOf[g.Targets[i]]]++
-			}
-		}
-		counts[worker] = c
-	})
-	start := make([]int64, parts+1)
-	cursor := make([][]int64, w)
-	for worker := range cursor {
-		cursor[worker] = make([]int64, parts)
-	}
-	var acc int64
-	for p := 0; p < parts; p++ {
-		start[p] = acc
-		for worker := 0; worker < w; worker++ {
-			cursor[worker][p] = acc
-			acc += counts[worker][p]
-		}
-	}
-	start[parts] = acc
+	// Bucket arcs by destination shard with parallel.StableScatter over
+	// arc indices: contention-free, and in arc order within a bucket at
+	// any worker count.
 	arcs := make([]graph.Edge, m)
-	parallel.For(w, w, func(worker int) {
-		cur := cursor[worker]
-		for u := srcBounds[worker]; u < srcBounds[worker+1]; u++ {
-			for i := g.Offsets[u]; i < g.Offsets[u+1]; i++ {
+	start := parallel.StableScatter(workers, m, parts, func(i int) int { return int(shardOf[g.Targets[i]]) },
+		func(lo, hi int, next []int64) {
+			// The row holding arc lo; the loop below follows the rows.
+			u := sort.Search(g.N, func(u int) bool { return g.Offsets[u+1] > int64(lo) })
+			for i := int64(lo); i < int64(hi); i++ {
+				for i >= g.Offsets[u+1] {
+					u++
+				}
 				v := g.Targets[i]
 				p := shardOf[v]
-				arcs[cur[p]] = graph.Edge{U: graph.NodeID(u), V: v, W: g.Weight(i)}
-				cur[p]++
+				arcs[next[p]] = graph.Edge{U: graph.NodeID(u), V: v, W: g.Weight(i)}
+				next[p]++
 			}
-		}
-	})
+		})
 	return &destPlan{bounds: bounds, arcs: arcs, start: start}
 }

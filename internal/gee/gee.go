@@ -216,18 +216,16 @@ func EmbedCSR(impl Impl, g *graph.CSR, y []int32, opts Options) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
+	run := impl
 	switch impl {
 	case Reference:
 		return Embed(impl, g.ToEdgeList(), y, opts)
 	case Optimized:
-		z, err := optimizedEmbedCSR(g, y, k, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Z: z, K: k, Impl: impl}, nil
+		// The optimized serial kernel over CSR arcs is LigraSerial's walk.
+		run = LigraSerial
 	}
-	if _, ok := impl.strategy(); ok {
-		z, err := csrEmbedTimed(g, y, k, opts, impl, nil)
+	if _, ok := run.strategy(); ok {
+		z, err := csrEmbedTimed(g, y, k, opts, run, nil)
 		if err != nil {
 			return nil, err
 		}

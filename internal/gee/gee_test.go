@@ -429,14 +429,14 @@ func TestOptimizedEmbedCSRMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := optimizedEmbedCSR(g, y, 7, Options{})
+	got, err := EmbedCSR(Optimized, g, y, Options{K: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !want.Z.EqualTol(got, 1e-9) {
-		t.Fatal("optimizedEmbedCSR differs from reference")
+	if !want.Z.EqualTol(got.Z, 1e-9) {
+		t.Fatal("EmbedCSR(Optimized) differs from reference")
 	}
-	gotLap, err := optimizedEmbedCSR(g, y, 7, Options{Laplacian: true})
+	gotLap, err := EmbedCSR(Optimized, g, y, Options{K: 7, Laplacian: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,8 +444,36 @@ func TestOptimizedEmbedCSRMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !wantLap.Z.EqualTol(gotLap, 1e-9) {
-		t.Fatal("optimizedEmbedCSR laplacian differs from reference")
+	if !wantLap.Z.EqualTol(gotLap.Z, 1e-9) {
+		t.Fatal("EmbedCSR(Optimized) laplacian differs from reference")
+	}
+}
+
+// TestLigraSerialIndependentOfBuildWorkers pins the serial embed as a
+// function of the edge list: BuildCSR keeps edge-list order at any
+// worker count, so LigraSerial sums each cell in one order and its Z is
+// bit-identical over CSRs built with 1 and 4 workers.
+func TestLigraSerialIndependentOfBuildWorkers(t *testing.T) {
+	el := gen.RMAT(4, 12, 100_000, gen.Graph500Params, 23)
+	for i := range el.Edges {
+		el.Edges[i].W = float32(i%7+1) / 3
+	}
+	y := labels.SampleSemiSupervised(el.N, 50, 0.3, 24)
+	for _, lap := range []bool{false, true} {
+		opts := Options{K: 50, Laplacian: lap}
+		want, err := EmbedCSR(LigraSerial, graph.BuildCSR(1, el), y, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := EmbedCSR(LigraSerial, graph.BuildCSR(4, el), y, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, x := range want.Z.Data {
+			if math.Float64bits(got.Z.Data[i]) != math.Float64bits(x) {
+				t.Fatalf("laplacian=%v: Z[%d] = %v over a 4-worker CSR, %v over a 1-worker one", lap, i, got.Z.Data[i], x)
+			}
+		}
 	}
 }
 

@@ -2,9 +2,9 @@
 //
 // The paper evaluates on SNAP social networks (Twitch, Pokec,
 // LiveJournal, Orkut) and the 1.8B-edge Friendster graph, none of which
-// are available offline. The generators here are the documented
-// substitutes (DESIGN.md §3): RMAT reproduces the skewed degree
-// distributions of social graphs; Erdős–Rényi reproduces the paper's
+// are available offline. The generators here stand in for them (see
+// the README's paragraph on Table I's stand-ins): RMAT reproduces the
+// skewed degree distributions of social graphs; Erdős–Rényi reproduces the paper's
 // Figure 4 sweep exactly as specified; the SBM provides ground-truth
 // communities for validating embedding quality.
 //

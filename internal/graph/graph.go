@@ -180,37 +180,28 @@ func (g *CSR) Validate() error {
 	return nil
 }
 
-// BuildCSR constructs the CSR form of el in parallel: a degree histogram,
-// an exclusive prefix scan for offsets, then a scatter pass driven by
-// per-vertex atomic cursors. workers <= 0 selects GOMAXPROCS. The CSR
-// carries Weights unless every W is 1.
-//
-// Arc order within a vertex follows edge-list order up to scatter races.
+// BuildCSR constructs the CSR form of el in parallel, as a stable
+// counting sort of the edges by source (parallel.StableScatter): each
+// row's arcs keep edge-list order, so the CSR is the same at every
+// worker count. workers <= 0 selects GOMAXPROCS. The CSR carries
+// Weights unless every W is 1.
 func BuildCSR(workers int, el *EdgeList) *CSR {
-	n := el.N
 	m := len(el.Edges)
-	deg := make([]int64, n+1)
-	// Degree count. Contention on deg cells is possible but cheap
-	// relative to allocating per-worker histograms for large n.
-	counts := parallel.Histogram(workers, m, n, func(i int) int { return int(el.Edges[i].U) })
-	copy(deg, counts)
-	parallel.ExclusiveSum(workers, deg)
-	g := &CSR{N: n, Offsets: deg, Targets: make([]NodeID, m)}
+	g := &CSR{N: el.N, Targets: make([]NodeID, m)}
 	if !unitWeights(workers, el.Edges) {
 		g.Weights = make([]float32, m)
 	}
-	cursor := make([]int64, n)
-	copy(cursor, deg[:n])
-	parallel.ForChunk(workers, m, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := el.Edges[i]
-			slot := atomic.AddInt64(&cursor[e.U], 1) - 1
-			g.Targets[slot] = e.V
-			if g.Weights != nil {
-				g.Weights[slot] = e.W
+	g.Offsets = parallel.StableScatter(workers, m, el.N, func(i int) int { return int(el.Edges[i].U) },
+		func(lo, hi int, next []int64) {
+			for _, e := range el.Edges[lo:hi] {
+				slot := next[e.U]
+				next[e.U]++
+				g.Targets[slot] = e.V
+				if g.Weights != nil {
+					g.Weights[slot] = e.W
+				}
 			}
-		}
-	})
+		})
 	return g
 }
 

@@ -1,42 +1,12 @@
 package graph
 
 import (
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/xrand"
 )
-
-// sortArcs sorts each vertex's arcs (and matching weights) by target
-// id, the canonical form two builds of one edge list are compared in.
-// It mutates arcs in place, so it takes only a CSR that never cached a
-// plan.
-func sortArcs(g *CSR) {
-	if g.CachedPlan() != nil {
-		panic("sortArcs: the CSR has cached a plan over its arc order")
-	}
-	for u := 0; u < g.N; u++ {
-		lo, hi := g.Offsets[u], g.Offsets[u+1]
-		arcs := make([]int64, hi-lo)
-		for i := range arcs {
-			arcs[i] = lo + int64(i)
-		}
-		sort.SliceStable(arcs, func(i, j int) bool { return g.Targets[arcs[i]] < g.Targets[arcs[j]] })
-		ts := make([]NodeID, len(arcs))
-		var ws []float32
-		for i, a := range arcs {
-			ts[i] = g.Targets[a]
-			if g.Weights != nil {
-				ws = append(ws, g.Weights[a])
-			}
-		}
-		copy(g.Targets[lo:hi], ts)
-		if g.Weights != nil {
-			copy(g.Weights[lo:hi], ws)
-		}
-	}
-}
 
 // triangle returns the directed 3-cycle 0->1->2->0.
 func triangle() *EdgeList {
@@ -128,21 +98,23 @@ func TestBuildCSRPreservesMultiset(t *testing.T) {
 	}
 }
 
-func TestBuildCSRDeterministicAfterSort(t *testing.T) {
-	el := randomEdgeList(40, 4000, 3, false)
-	g1 := BuildCSR(1, el)
-	g8 := BuildCSR(8, el)
-	sortArcs(g1)
-	sortArcs(g8)
-	for u := 0; u < el.N; u++ {
-		a, b := g1.Neighbors(NodeID(u)), g8.Neighbors(NodeID(u))
-		if len(a) != len(b) {
-			t.Fatalf("degree mismatch at %d", u)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("adjacency mismatch at %d[%d]: %d vs %d", u, i, a[i], b[i])
+// TestBuildCSRMatchesOneWorker pins BuildCSR's arc order: each row
+// keeps edge-list order, so a build at any worker count (0 is
+// GOMAXPROCS, which go test -cpu varies) equals the one-worker build
+// arc for arc and weight for weight.
+func TestBuildCSRMatchesOneWorker(t *testing.T) {
+	for _, weighted := range []bool{false, true} {
+		el := randomEdgeList(4096, 50_000, 3, weighted)
+		g1 := BuildCSR(1, el)
+		next := slices.Clone(g1.Offsets)
+		for i, e := range el.Edges {
+			if a := next[e.U]; g1.Targets[a] != e.V || g1.Weight(a) != e.W {
+				t.Fatalf("weighted=%v: edge %d is not at arc %d of row %d", weighted, i, a, e.U)
 			}
+			next[e.U]++
+		}
+		for _, workers := range []int{0, 2, 3, 8} {
+			csrEqual(t, BuildCSR(workers, el), g1)
 		}
 	}
 }

@@ -13,10 +13,7 @@ import (
 
 func sampleCSR(t *testing.T, weighted bool) *CSR {
 	t.Helper()
-	el := randomEdgeList(37, 500, 21, weighted)
-	g := BuildCSR(4, el)
-	sortArcs(g)
-	return g
+	return BuildCSR(4, randomEdgeList(37, 500, 21, weighted))
 }
 
 func csrEqual(t *testing.T, a, b *CSR) {

@@ -5,8 +5,10 @@
 // uniformly at random." SampleSemiSupervised reproduces that exactly.
 // The paper also notes Y "may be derived from unsupervised clustering,
 // such as by running the Leiden community detection algorithm";
-// Propagation provides that role with synchronous label propagation
-// (the documented Leiden substitute, DESIGN.md §3).
+// Propagation provides that role with synchronous label propagation.
+// It stands in for Leiden because any clustering will do as a source of
+// Y: GEE consumes only the labels, and label propagation is a few dozen
+// lines over the CSR with no dependency outside the standard library.
 package labels
 
 import (

@@ -1,6 +1,7 @@
 // Package parallel provides the shared-memory parallel primitives that the
 // rest of the repository is built on: grain-scheduled parallel for loops,
-// reductions, prefix scans, histograms and a parallel sort.
+// reductions, prefix scans, histograms and a stable scatter (the
+// placement pass of a parallel counting sort).
 //
 // It stands in for the Cilk-style work scheduler that Ligra uses in the
 // original C++ implementation. The primitives are deliberately simple:
@@ -272,29 +273,69 @@ func RangeOf(bounds []int, i int) int {
 // [0, nBuckets). Keys outside the range are ignored. Uses per-worker
 // private counters merged at the end, so it is contention-free.
 func Histogram(workers, n, nBuckets int, key func(i int) int) []int64 {
-	w := Workers(workers)
-	if w > n && n > 0 {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	locals := make([][]int64, w)
-	ForStatic(w, n, func(g, lo, hi int) {
-		c := make([]int64, nBuckets)
-		for i := lo; i < hi; i++ {
-			k := key(i)
-			if k >= 0 && k < nBuckets {
-				c[k]++
-			}
-		}
-		locals[g] = c
-	})
 	out := make([]int64, nBuckets)
-	for _, c := range locals {
+	for _, c := range countRanges(workers, n, nBuckets, key) {
 		for b, v := range c {
 			out[b] += v
 		}
 	}
 	return out
+}
+
+// countRanges counts key(i) for i in [0, n) into buckets [0, nBuckets),
+// one private count array per ForStatic range of min(workers, n)
+// ranges (at least one), skipping keys outside the buckets. A range
+// ForStatic's chunk rounding leaves empty keeps a nil array.
+func countRanges(workers, n, nBuckets int, key func(i int) int) [][]int64 {
+	counts := make([][]int64, max(1, min(Workers(workers), n)))
+	ForStatic(len(counts), n, func(g, lo, hi int) {
+		c := make([]int64, nBuckets)
+		for i := lo; i < hi; i++ {
+			if k := key(i); k >= 0 && k < nBuckets {
+				c[k]++
+			}
+		}
+		counts[g] = c
+	})
+	return counts
+}
+
+// StableScatter is the placement pass of a parallel stable counting
+// sort of the items [0, n) by key(i), which must lie in [0, buckets).
+// It counts the keys of each static ForStatic range, turns the counts
+// into one absolute cursor per (range, bucket), and calls
+// scatter(lo, hi, next) once per range, concurrently: for each i in
+// [lo, hi), in order, scatter places item i at slot next[key(i)] of its
+// destination and increments that cursor. The ranges' slots are
+// disjoint, so the writes need no synchronisation, and bucket b fills
+// [start[b], start[b+1]) with its items in index order at any worker
+// count. It returns start (len buckets+1, start[buckets] = n).
+func StableScatter(workers, n, buckets int, key func(i int) int, scatter func(lo, hi int, next []int64)) (start []int64) {
+	counts := countRanges(workers, n, buckets, key)
+	w := len(counts)
+	start = make([]int64, buckets+1)
+	ForChunk(w, buckets, DefaultGrain, func(lo, hi int) {
+		for _, c := range counts {
+			if c == nil {
+				continue
+			}
+			for b := lo; b < hi; b++ {
+				start[b] += c[b]
+			}
+		}
+	})
+	ExclusiveSum(w, start)
+	// Within a bucket, range r's slots follow those of ranges 0..r-1.
+	ForChunk(w, buckets, DefaultGrain, func(lo, hi int) {
+		for b := lo; b < hi; b++ {
+			at := start[b]
+			for _, c := range counts {
+				if c != nil {
+					c[b], at = at, at+c[b]
+				}
+			}
+		}
+	})
+	ForStatic(w, n, func(g, lo, hi int) { scatter(lo, hi, counts[g]) })
+	return start
 }

@@ -1,7 +1,9 @@
 package parallel
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -227,6 +229,50 @@ func TestHistogramEmpty(t *testing.T) {
 	for _, v := range got {
 		if v != 0 {
 			t.Fatal("nonzero bucket for empty input")
+		}
+	}
+}
+
+// TestStableScatterMatchesStableSort places random keys with
+// StableScatter and compares the placement, item for item, with a
+// stable sort of the indices by key, at worker counts from GOMAXPROCS
+// (workers 0, which go test -cpu varies) to more workers than items.
+func TestStableScatterMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{0, 1, 3, 9, 1000, 70_000} {
+		for _, buckets := range []int{1, 5, 3000} {
+			keys := make([]int, n)
+			for i := range keys {
+				keys[i] = rng.Intn(buckets)
+			}
+			want := make([]int, n)
+			for i := range want {
+				want[i] = i
+			}
+			slices.SortStableFunc(want, func(a, b int) int { return cmp.Compare(keys[a], keys[b]) })
+			for _, workers := range []int{0, 1, 2, 3, 4, 8, 64} {
+				got := make([]int, n)
+				start := StableScatter(workers, n, buckets, func(i int) int { return keys[i] },
+					func(lo, hi int, next []int64) {
+						for i := lo; i < hi; i++ {
+							got[next[keys[i]]] = i
+							next[keys[i]]++
+						}
+					})
+				if !slices.Equal(got, want) {
+					t.Fatalf("n=%d buckets=%d workers=%d: placement differs from the stable sort", n, buckets, workers)
+				}
+				if len(start) != buckets+1 || start[0] != 0 || start[buckets] != int64(n) {
+					t.Fatalf("n=%d buckets=%d workers=%d: start %v..%v, want %d entries from 0 to n", n, buckets, workers, start[0], start[len(start)-1], buckets+1)
+				}
+				for b := 0; b < buckets; b++ {
+					for j := start[b]; j < start[b+1]; j++ {
+						if keys[got[j]] != b {
+							t.Fatalf("n=%d buckets=%d workers=%d: slot %d holds key %d, in bucket %d", n, buckets, workers, j, keys[got[j]], b)
+						}
+					}
+				}
+			}
 		}
 	}
 }
