@@ -60,8 +60,11 @@ func DefaultAnalyzers() []Analyzer {
 				"(*repro/internal/trace.ring).record",
 				"(*repro/internal/trace.Recorder).Record",
 				// Exec kernels: the per-edge inner loop, the CSR arc
-				// walk every strategy shares, and its atomic add.
+				// walk every strategy shares, its two unit-weight
+				// loops, and its atomic add.
 				"repro/internal/exec.walk",
+				"repro/internal/exec.walkUnitAtomic",
+				"repro/internal/exec.walkUnitPlain",
 				"repro/internal/atomicx.Add",
 				"(*repro/internal/exec.Kernel).Apply",
 				"(*repro/internal/exec.Kernel).ApplyAtomic",

@@ -32,14 +32,30 @@ func walkLabels(y []int32) []uint16 {
 // half's magnitude comes from the Width-entry class table. Everything
 // keyed by the source u is read once per row, not once per arc: the row
 // slice the src halves land in, u's label, its coefficient and its
-// scale. An unlabelled source contributes no dst half on any of its
-// arcs, and an arc with neither half labelled is skipped before its
-// weight is read. Both adds compile in line — no closure or function
-// value per arc — and the products are formed in Kernel.Apply's order,
-// so a one-worker walk is bit-identical to a plain Apply loop.
+// scale. The products are formed in Kernel.Apply's order, so a
+// one-worker walk is bit-identical to a plain Apply loop.
+//
+// walk has two forms, chosen per call from the input alone. With unit
+// weights and no scale (g.Weights and k.Scale nil: the standard variant
+// on an unweighted graph) every arc's factor is 1 and c·1 == c exactly,
+// so the unit form adds cls[c] itself and each cell receives the
+// general form's values in the same order, bit for bit. Its two loops,
+// one per write discipline (walkUnitAtomic, walkUnitPlain), test no
+// weight, scale or flag per arc, and split each row on its source's
+// label: an unlabelled source's arcs load and test one label and apply
+// src halves only. The general form reads the weight and the scale per
+// arc, and skips an arc with neither half labelled before its weight is
+// read. Either way both adds compile in line — no closure or function
+// value per arc.
 //
 //gee:noalloc
 func walk[T Float](g *graph.CSR, k *Kernel[T], z []T, lo, hi int, dst, atomic bool) int64 {
+	if g.Weights == nil && k.Scale == nil {
+		if atomic {
+			return walkUnitAtomic(g, k, z, lo, hi)
+		}
+		return walkUnitPlain(g, k, z, lo, hi, dst)
+	}
 	width, lab, cls, scale := k.Width, k.lab, k.cls, k.Scale
 	var adds int64
 	for u := lo; u < hi; u++ {
@@ -86,6 +102,75 @@ func walk[T Float](g *graph.CSR, k *Kernel[T], z []T, lo, hi int, dst, atomic bo
 				}
 				adds++
 			}
+		}
+	}
+	return adds
+}
+
+// walkUnitAtomic is walk's unit form with atomic adds on both halves
+// (Atomic, which always applies dst halves).
+//
+//gee:noalloc
+func walkUnitAtomic[T Float](g *graph.CSR, k *Kernel[T], z []T, lo, hi int) int64 {
+	width, lab, cls := k.Width, k.lab, k.cls
+	var adds int64
+	for u := lo; u < hi; u++ {
+		targets := g.Targets[g.Offsets[u]:g.Offsets[u+1]]
+		row := z[u*width : (u+1)*width]
+		cu := lab[u]
+		if cu == unlabelled {
+			for _, v := range targets {
+				if cv := lab[v]; cv != unlabelled {
+					atomicx.Add(&row[cv], cls[cv])
+					adds++
+				}
+			}
+			continue
+		}
+		au := cls[cu]
+		adds += int64(len(targets))
+		for _, v := range targets {
+			if cv := lab[v]; cv != unlabelled {
+				atomicx.Add(&row[cv], cls[cv])
+				adds++
+			}
+			atomicx.Add(&z[int(v)*width+int(cu)], au)
+		}
+	}
+	return adds
+}
+
+// walkUnitPlain is walk's unit form with plain adds (Serial, Racy,
+// Replicated, and ShardedDest's src-only pass with dst=false).
+//
+//gee:noalloc
+func walkUnitPlain[T Float](g *graph.CSR, k *Kernel[T], z []T, lo, hi int, dst bool) int64 {
+	width, lab, cls := k.Width, k.lab, k.cls
+	var adds int64
+	for u := lo; u < hi; u++ {
+		targets := g.Targets[g.Offsets[u]:g.Offsets[u+1]]
+		row := z[u*width : (u+1)*width]
+		cu := uint16(unlabelled)
+		if dst {
+			cu = lab[u]
+		}
+		if cu == unlabelled {
+			for _, v := range targets {
+				if cv := lab[v]; cv != unlabelled {
+					row[cv] += cls[cv]
+					adds++
+				}
+			}
+			continue
+		}
+		au := cls[cu]
+		adds += int64(len(targets))
+		for _, v := range targets {
+			if cv := lab[v]; cv != unlabelled {
+				row[cv] += cls[cv]
+				adds++
+			}
+			z[int(v)*width+int(cu)] += au
 		}
 	}
 	return adds

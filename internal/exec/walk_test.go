@@ -25,15 +25,17 @@ type walkCase struct {
 	tol32 float64
 }
 
-// walkCases covers the structural corners of the shared arc walk. The
-// hand-built graph has, by construction: an unlabelled source (3) with
-// labelled and unlabelled targets, an unlabelled target (3, 7) of
-// labelled sources, a labelled and an unlabelled self-loop, duplicate
-// arcs, and zero-degree vertices (5 has no arcs at all, 6 only incoming
-// ones). The R-MAT graph adds hot rows that several workers hit at once,
-// and its k* cases sit on both sides of the 255 classes a one-byte label
-// would hold; tiny/widest labels vertices up to the last column the
-// two-byte labels hold (MaxWidth).
+// walkCases covers the structural corners of the shared arc walk, in
+// both of its forms: the unit-weight cases (no weights, no scale) run
+// the unit form's two loops, the rest the general loop. The hand-built
+// graph has, by construction: an unlabelled source (3) with labelled
+// and unlabelled targets, an unlabelled target (3, 7) of labelled
+// sources, a labelled and an unlabelled self-loop, duplicate arcs, and
+// zero-degree vertices (5 has no arcs at all, 6 only incoming ones).
+// The R-MAT graph, weighted and with unit weights, adds hot rows that
+// several workers hit at once, and its k* cases sit on both sides of
+// the 255 classes a one-byte label would hold; tiny/widest labels
+// vertices up to the last column the two-byte labels hold (MaxWidth).
 func walkCases(t *testing.T) []walkCase {
 	t.Helper()
 	edges := []graph.Edge{
@@ -56,6 +58,10 @@ func walkCases(t *testing.T) []walkCase {
 		return graph.BuildCSR(1, el)
 	}
 	rmat := gen.RMAT(2, 10, 12_000, gen.Graph500Params, 31)
+	rmatUnit := graph.BuildCSR(2, rmat)
+	if tiny(false).Weights != nil || rmatUnit.Weights != nil {
+		t.Fatal("a unit-weight case's CSR stores weights, so the walk's unit form would not run")
+	}
 	for i := range rmat.Edges {
 		rmat.Edges[i].W = float32(i%5) + 0.5
 	}
@@ -74,6 +80,7 @@ func walkCases(t *testing.T) []walkCase {
 		{name: "tiny/unlabelled", g: tiny(true), y: slices.Repeat([]int32{-1}, len(tinyY)), classes: 3},
 		{name: "tiny/widest", g: tiny(true), y: []int32{0, MaxWidth - 1, 7, -1, MaxWidth - 2, MaxWidth - 1, 0, -1, 255}, classes: MaxWidth},
 		{name: "rmat/sparse-labels", g: rmatG, y: rmatY, classes: 6},
+		{name: "rmat/sparse-labels/unit-weight", g: rmatUnit, y: rmatY, classes: 6},
 	}
 	for _, classes := range []int{1, 254, 255, 256} {
 		y := make([]int32, rmatG.N)
@@ -86,7 +93,8 @@ func walkCases(t *testing.T) []walkCase {
 		name := fmt.Sprintf("rmat/k%d", classes)
 		cases = append(cases,
 			walkCase{name: name + "/weighted", g: rmatG, y: y, classes: classes, tol32: 1e-4},
-			walkCase{name: name + "/scaled", g: rmatG, y: y, classes: classes, scaled: true, tol32: 1e-4})
+			walkCase{name: name + "/scaled", g: rmatG, y: y, classes: classes, scaled: true, tol32: 1e-4},
+			walkCase{name: name + "/unit-weight", g: rmatUnit, y: y, classes: classes, tol32: 1e-4})
 	}
 	return cases
 }
@@ -222,13 +230,20 @@ func TestRunAllocatesPerWorkerNotPerArc(t *testing.T) {
 // BenchmarkWalk is the walk's layer ruler: Run over a permuted scale-16
 // R-MAT with 16 arcs a vertex, K = 50 and 10% of the vertices labelled —
 // embed_skewed's shape at 1/16 of its vertices — reported as stored arcs
-// walked per second for the Serial and Atomic strategies.
+// walked per second for the Serial and Atomic strategies, in both of the
+// walk's forms: unit weights (the unit form, as embed_skewed runs it)
+// and the same graph with weights in {0.5, …, 4.5} (the general loop).
 func BenchmarkWalk(b *testing.B) {
 	const scale, classes = 16, 50
 	el := gen.RMAT(0, scale, 16<<scale, gen.Graph500Params, 53)
-	g := graph.BuildCSR(0, graph.Permute(el, graph.RandomPermutation(el.N, 59)))
+	el = graph.Permute(el, graph.RandomPermutation(el.N, 59))
+	unit := graph.BuildCSR(0, el)
+	for i := range el.Edges {
+		el.Edges[i].W = float32(i%5) + 0.5
+	}
+	weighted := graph.BuildCSR(0, el)
 	r := xrand.New(61)
-	y := make([]int32, g.N)
+	y := make([]int32, el.N)
 	counts := make([]int, classes)
 	for v := range y {
 		y[v] = -1
@@ -242,15 +257,20 @@ func BenchmarkWalk(b *testing.B) {
 		cls[c] = 1 / float64(max(n, 1))
 	}
 	k := NewKernel(classes, y, cls, nil)
-	z := make([]float64, g.N*classes)
-	for _, s := range []Strategy{Serial, Atomic} {
-		b.Run(s.String(), func(b *testing.B) {
-			for b.Loop() {
-				if _, err := Run(s, g, k, z, Options{}); err != nil {
-					b.Fatal(err)
+	z := make([]float64, el.N*classes)
+	for _, form := range []struct {
+		name string
+		g    *graph.CSR
+	}{{"unit", unit}, {"weighted", weighted}} {
+		for _, s := range []Strategy{Serial, Atomic} {
+			b.Run(form.name+"/"+s.String(), func(b *testing.B) {
+				for b.Loop() {
+					if _, err := Run(s, form.g, k, z, Options{}); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.ReportMetric(float64(g.NumEdges())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Medges/s")
-		})
+				b.ReportMetric(float64(form.g.NumEdges())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Medges/s")
+			})
+		}
 	}
 }
